@@ -24,12 +24,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import acceptance
+from .eig import MAX_DENSE_DIM
 from .errors import ConfigError, KbmLabError
 from .ladder import casimir_residual, finite_block, ladder_coefficients
 from .operator import (
     TruncationPolicy,
     accretivity_minimum,
     assemble_generator,
+    fixed_truncation,
     truncate,
 )
 from .perturb import perturbation_series, zero_mode_resolvent_norm
@@ -102,6 +104,16 @@ class RunConfig:
 
     def validate(self) -> None:
         s = self.surface
+        for name, value in (
+            ("surface.K", s.K),
+            ("surface.L", s.L),
+            ("surface.eta_cap", s.eta_cap),
+            ("gamma_grid.log_start", self.grid.log_start),
+            ("gamma_grid.log_end", self.grid.log_end),
+            ("truncation.tol", self.truncation.tol),
+        ):
+            if not _is_finite_number(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if s.kind not in ("sphere", "torus", "custom"):
             raise ConfigError(f"unknown surface kind {s.kind!r}")
         if s.kind == "sphere" and not s.K > 0.0:
@@ -117,6 +129,15 @@ class RunConfig:
                 raise ConfigError("gamma grid needs points >= 2")
             if not self.grid.log_end > self.grid.log_start:
                 raise ConfigError("gamma grid must be increasing")
+        else:
+            explicit = self.grid.explicit
+            if not explicit:
+                raise ConfigError("explicit gamma grid must not be empty")
+            bad_gammas = [v for v in explicit if not (_is_finite_number(v) and v > 0.0)]
+            if bad_gammas:
+                raise ConfigError(f"explicit gammas must be finite and > 0, got {bad_gammas}")
+            if len(set(explicit)) != len(explicit):
+                raise ConfigError("explicit gammas must be distinct")
         if not 0.0 < self.contour.radius < 1.0:
             raise ConfigError("contour radius must lie in (0, 1)")
         if self.contour.nodes < 8:
@@ -125,6 +146,12 @@ class RunConfig:
             raise ConfigError(f"unknown truncation kind {self.truncation.kind!r}")
         if self.truncation.kind == "fixed" and (self.truncation.k_max or 0) < 1:
             raise ConfigError("fixed truncation needs k_max >= 1")
+        if self.truncation.kind == "fixed" and 4 * self.truncation.k_max + 1 > MAX_DENSE_DIM:
+            # the certificate block doubles the cutoff to [-2 k_max, 2 k_max]
+            raise ConfigError(
+                f"fixed truncation needs k_max <= {(MAX_DENSE_DIM - 1) // 4}: the doubled "
+                f"certificate block would exceed the dense limit {MAX_DENSE_DIM}"
+            )
         bad = [c for c in self.checks if c not in KNOWN_CHECKS]
         if bad:
             raise ConfigError(f"unknown checks {bad}; known: {list(KNOWN_CHECKS)}")
@@ -132,6 +159,10 @@ class RunConfig:
             raise ConfigError("output formats must be a subset of {csv, json}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _fmt(x: float) -> str:
@@ -224,6 +255,9 @@ def _load_custom_entries(path: str) -> list:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read eta list {path!r}: {exc}") from exc
     entries = raw["entries"] if isinstance(raw, dict) else raw
+    for item in entries:
+        if not (isinstance(item, (list, tuple)) and item and _is_finite_number(item[0])):
+            raise ConfigError(f"eta list {path!r}: entry {item!r} needs a finite eta")
     return [tuple(item) for item in entries]
 
 
@@ -379,12 +413,13 @@ def run(cfg: RunConfig) -> dict:
     series_lines = ["eta,mu1,mu2,second_derivative,eta_over_2_residual"]
     series_records = []
     diag = {"accretivity": [], "casimir": [], "resolvent_bound": []}
-    for entry in spectrum.entries:
+    for entry, table in zip(spectrum.entries, tables):
         eta, K = entry.eta, spectrum.curvature
         if eta == 0.0 or K > 0.0:
             block = finite_block(eta, K)
         else:
-            block = truncate(eta, K, policy if policy.kind == "fixed" else TruncationPolicy())
+            # the cutoff the sweep certified; no second doubling study
+            block = truncate(eta, K, fixed_truncation(int(table.k_trunc[0])))
         coeffs = ladder_coefficients(block)
         series = perturbation_series(block, coeffs)
         resid = abs(series.mu2 - 0.5 * eta)

@@ -8,16 +8,18 @@ the eigenvalue branch that emanates from the unperturbed value 0.
 The continuation walks the segment [0, x_target] with a secant predictor
 and a Newton corrector on the characteristic polynomial.  A step is
 accepted only if the corrected value stays within half of the last known
-gap to the rest of the spectrum; otherwise the step is halved.  Loss of
-numerical simplicity (gap below threshold, step underflow, or Newton
-stall) flags a collision and returns the partial branch.
+gap to the rest of the spectrum; otherwise the step is halved.  Steps are
+shortened to land exactly on caller-given checkpoints of the segment, so
+one continuation serves every parameter on it.  Loss of numerical
+simplicity (gap below threshold, step underflow, or Newton stall) flags a
+collision and returns the partial branch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -184,7 +186,10 @@ class EigenBranch:
     "collision" with the stopping parameter in ``x_collision`` and the
     trigger in ``reason``.  ``oracle_dev`` is the largest deviation between
     a tracked value and its nearest dense-oracle eigenvalue over all
-    spot-checked samples.
+    spot-checked samples.  ``checkpoint_index`` holds, for each checkpoint
+    the continuation landed on (in order, x_target last), the index of its
+    sample in ``x_samples``; a checkpoint sample may be the non-simple one
+    that stopped the continuation.
     """
 
     block: CasimirBlock
@@ -198,6 +203,7 @@ class EigenBranch:
     reason: str = ""
     x_collision: Optional[complex] = None
     oracle_dev: float = 0.0
+    checkpoint_index: tuple = ()
 
     @property
     def final_mu(self) -> complex:
@@ -215,17 +221,26 @@ def track_branch(
     steps: Optional[int] = None,
     *,
     gap_stride: Optional[int] = None,
+    checkpoints: Sequence[complex] = (),
 ) -> EigenBranch:
     """Continue the eigenvalue branch from 0 at x = 0 to ``x_target``.
 
     The unperturbed value 0 is a simple eigenvalue on the block (the
     diagonal is k^2 and the zero mode occurs once), so the branch starts
     well defined.  Gap spot checks against the dense oracle run at every
-    sample for dimension <= 512 and every 8th sample otherwise.
+    sample for dimension <= 512 and every 8th sample otherwise, and at
+    every checkpoint.
+
+    ``checkpoints`` are parameters on the segment (0, x_target] in order of
+    increasing |x|; x_target is appended when it is not the last one.  The
+    continuation shortens the step that would pass a checkpoint so that it
+    samples the checkpoint's exact value, and the step size is carried on
+    unchanged past it.
     """
     x_target = complex(x_target)
     dim = block.dim
     stride = gap_stride if gap_stride is not None else (1 if dim <= 512 else 8)
+    ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
 
     eigs0 = block.ks.astype(float) ** 2
     gap0 = gap_to_rest(0.0, eigs0.astype(complex))
@@ -239,6 +254,7 @@ def track_branch(
             gap_to_rest=np.array([gap0]),
             simple=np.array([gap0 > collision_threshold(0.0)]),
             status="complete",
+            checkpoint_index=(0,),
         )
 
     base_steps = steps if steps is not None else max(4, int(math.ceil(abs(x_target) / 0.05)))
@@ -252,6 +268,7 @@ def track_branch(
     simples = [gap0 > collision_threshold(0.0)]
 
     s_cur = 0.0
+    x_cur = 0j
     mu_cur = 0j
     s_prev: Optional[float] = None
     mu_prev = 0j
@@ -261,15 +278,19 @@ def track_branch(
     ds = ds_base
     idx = 0
     easy = 0
+    nxt = 0
+    landed = []
 
-    while s_cur < 1.0:
-        ds_eff = min(ds, 1.0 - s_cur)
-        if 1.0 - s_cur < 1.5 * ds:
-            ds_eff = 1.0 - s_cur
+    while nxt < len(ck_s):
+        s_ck = ck_s[nxt]
+        ds_eff = min(ds, s_ck - s_cur)
+        if s_ck - s_cur < 1.5 * ds:
+            ds_eff = s_ck - s_cur
         s_new = s_cur + ds_eff
-        if 1.0 - s_new < 1e-15:
-            s_new = 1.0
-        x_new = s_new * x_target
+        if s_ck - s_new < 1e-15:
+            s_new = s_ck
+        at_checkpoint = s_new == s_ck
+        x_new = ck_x[nxt] if at_checkpoint else s_new * x_target
 
         if s_prev is not None and s_cur != s_prev:
             slope = (mu_cur - mu_prev) / (s_cur - s_prev)
@@ -285,12 +306,12 @@ def track_branch(
             easy = 0
             if ds < ds_min:
                 status, reason = "collision", "step underflow near loss of simplicity"
-                x_coll = s_cur * x_target
+                x_coll = x_cur
                 break
             continue
 
         idx += 1
-        spot = (idx % stride == 0) or s_new == 1.0
+        spot = (idx % stride == 0) or at_checkpoint
         if spot:
             eigs = eig_dense(op)
             dist = np.abs(eigs - mu_new)
@@ -315,6 +336,9 @@ def track_branch(
         residuals.append(res)
         gaps.append(gap)
         simples.append(is_simple)
+        if at_checkpoint:
+            landed.append(len(xs) - 1)
+            nxt += 1
 
         if not is_simple:
             status, reason = "collision", "gap below collision threshold"
@@ -322,7 +346,7 @@ def track_branch(
             break
 
         s_prev, mu_prev = s_cur, mu_cur
-        s_cur, mu_cur = s_new, mu_new
+        s_cur, x_cur, mu_cur = s_new, x_new, mu_new
         if iters <= 5:
             easy += 1
             if easy >= 3 and ds < ds_base:
@@ -343,7 +367,35 @@ def track_branch(
         reason=reason,
         x_collision=x_coll,
         oracle_dev=oracle_dev,
+        checkpoint_index=tuple(landed),
     )
+
+
+def _checkpoint_params(
+    x_target: complex, checkpoints: Sequence[complex]
+) -> tuple[list, list]:
+    """Checkpoints ending at x_target and their fractions s = x / x_target.
+
+    A checkpoint's own value, not s * x_target, is the one sampled, so a
+    caller gets back exactly the float it asked for.
+    """
+    xs = [complex(c) for c in checkpoints]
+    if not xs or xs[-1] != x_target:
+        xs.append(x_target)
+    if x_target == 0:
+        if len(xs) > 1:
+            raise ValueError("checkpoints need a nonzero x_target")
+        return xs, [0.0]
+    fractions = [c / x_target for c in xs]
+    mags = [abs(c) for c in xs]
+    if (
+        any(abs(f.imag) > 1e-12 or not f.real > 0.0 for f in fractions)
+        or any(b <= a for a, b in zip(mags, mags[1:]))
+    ):
+        raise ValueError(
+            "checkpoints must lie on the segment (0, x_target] in order of increasing |x|"
+        )
+    return xs, [f.real for f in fractions[:-1]] + [1.0]
 
 
 def branch_value(

@@ -1,12 +1,15 @@
 """Surface spectra, gamma sweeps and convergence reports.
 
-A sweep fixes one base-surface eigenvalue eta, walks a gamma grid, tracks
-the branch of the perturbed family to x = -2/gamma and reports
-lambda(gamma) = (gamma^2/2) * mu(-2/gamma) together with per-row
-diagnostics: simplicity, collision passage, the truncation used and its
-doubling certificate, and the eigenvector residual.  Rows are independent
-and may be computed in parallel; a table is a deterministic reduce over
-its rows.
+A sweep fixes one base-surface eigenvalue eta and reports
+lambda(gamma) = (gamma^2/2) * mu(-2/gamma) on a gamma grid together with
+per-row diagnostics: simplicity, collision passage, the truncation used
+and its doubling certificate, and the eigenvector residual.  mu is one
+holomorphic branch in x = -2/gamma, so a sweep continues it once per
+block, from x = 0 out to the deepest grid point, landing exactly on every
+grid value of x on the way (the doubled certificate block gets a second
+such continuation).  Rows therefore share one path: where it stops at a
+collision, every deeper row is resolved from the dense spectrum, seeded
+with the path's last simple value.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import SpectrumValidationError
-from .eig import eig_dense, residual_norm, track_branch
-from .errors import EigensolveError
+from .eig import EigenBranch, eig_dense, residual_norm, track_branch
+from .errors import EigensolveError, SpectrumValidationError
 from .ladder import CasimirBlock, LadderCoefficients, finite_block, ladder_coefficients
 from .operator import TruncationPolicy, assemble_perturbed, truncate
 
@@ -53,6 +55,8 @@ class SurfaceSpectrum:
         etas = [e.eta for e in entries]
         if any(not eta >= 0.0 for eta in etas):
             raise SpectrumValidationError("negative eta in spectrum")
+        if any(not math.isfinite(eta) for eta in etas):
+            raise SpectrumValidationError("non-finite eta in spectrum")
         if any(e.multiplicity < 1 for e in entries):
             raise SpectrumValidationError("multiplicities must be >= 1")
         if sorted(etas) != etas:
@@ -137,13 +141,15 @@ def default_gamma_grid() -> np.ndarray:
 class GammaTable:
     """Sweep record for one eta: lambda values and row diagnostics.
 
-    ``collided`` marks rows whose continuation passed a collision before
-    reaching x = -2/gamma; their values come from the dense-oracle
-    continuation jump and are complex below the collision point.
-    ``certificate`` is the change of lambda under doubling the truncation
-    (0 on intrinsically finite ladders).  ``empirical_r`` is 2/|x| at the
-    first detected collision, a diagnostic with no claimed relation to the
-    true analyticity threshold.
+    ``collided`` marks rows that the sweep's one continuation did not
+    reach as simple samples, because it stopped at a collision x_c with
+    |x_c| <= |x|; their values come from the dense-oracle continuation jump
+    and are complex below the collision point.  ``certificate`` is the
+    change of lambda under doubling the truncation (0 on intrinsically
+    finite ladders, NaN where the doubled block's continuation stopped
+    before the row).  ``empirical_r`` is 2/|x_c| at the collision that
+    stopped the continuation (None when it reached every row), a
+    diagnostic with no claimed relation to the true analyticity threshold.
     """
 
     eta: float
@@ -176,6 +182,26 @@ def _dense_continuation(
     return complex(cand[order[-1]])
 
 
+def _track_rows(
+    block: CasimirBlock, coeffs: LadderCoefficients, grid: np.ndarray
+) -> tuple[EigenBranch, np.ndarray]:
+    """One continuation through x = -2/gamma for every gamma of the
+    ascending grid.
+
+    Returns the branch and, per row, the index of the row's sample in the
+    branch when the continuation landed there with a simple value, else -1.
+    """
+    # ascending |x| is the grid reversed; each x is the same float that a
+    # continuation to that row alone would end on
+    xs = -2.0 / grid[::-1]
+    branch = track_branch(block, coeffs, xs[-1], checkpoints=xs)
+    hit = np.full(grid.size, -1)
+    for j, i in enumerate(branch.checkpoint_index):
+        if branch.simple[i]:
+            hit[j] = i
+    return branch, hit[::-1]
+
+
 def gamma_sweep(
     eta: float,
     K: float,
@@ -183,12 +209,13 @@ def gamma_sweep(
     policy: Optional[TruncationPolicy] = None,
     multiplicity: int = 1,
 ) -> GammaTable:
-    """Track the branch to x = -2/gamma for every gamma in the grid.
+    """The branch at x = -2/gamma for every gamma in the grid.
 
     The trivial eta = 0 branch is identically zero.  For K <= 0 the block
     is truncated by ``policy`` (adaptive by default, certified at the
     deepest x of the grid) and every row records the lambda shift under
-    doubling the cutoff.  Collisions are recorded per row, not fatal.
+    doubling the cutoff.  Each block is continued once through all grid
+    points; a collision marks the rows at and beyond it, and is not fatal.
     """
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -228,41 +255,37 @@ def gamma_sweep(
         k2 = 2 * block.k_max
         block2 = CasimirBlock(curvature=K, eta=eta, k_min=-k2, k_max=k2, finite=False)
     coeffs = ladder_coefficients(block)
-    coeffs2 = ladder_coefficients(block2) if block2 is not None else None
+
+    branch, hit = _track_rows(block, coeffs, grid)
+    half_g2 = 0.5 * grid * grid
 
     lam = np.empty(n, dtype=complex)
-    simple = np.empty(n, dtype=bool)
-    collided = np.empty(n, dtype=bool)
-    cert = np.zeros(n)
     resid = np.empty(n)
+    collided = hit < 0
+    ok = ~collided
+    lam[ok] = half_g2[ok] * branch.mu_values[hit[ok]]
+    resid[ok] = branch.residuals[hit[ok]]
     empirical_r: Optional[float] = None
-
-    for i, gamma in enumerate(grid):
-        x = -2.0 / gamma
-        half_g2 = 0.5 * gamma * gamma
-        branch = track_branch(block, coeffs, x)
-        if branch.reached:
-            mu = branch.final_mu
-            simple[i] = bool(branch.simple[-1])
-            collided[i] = False
-            resid[i] = float(branch.residuals[-1])
-        else:
-            mu = _dense_continuation(block, coeffs, x, branch.final_mu)
-            simple[i] = False
-            collided[i] = True
+    if np.any(collided):
+        seed_mu = complex(branch.mu_values[np.nonzero(branch.simple)[0][-1]])
+        for i in np.nonzero(collided)[0]:
+            x = -2.0 / grid[i]
+            mu = _dense_continuation(block, coeffs, x, seed_mu)
+            lam[i] = half_g2[i] * mu
             try:
                 resid[i] = residual_norm(assemble_perturbed(block, coeffs, x), mu)
             except EigensolveError:
                 resid[i] = math.nan
-            if empirical_r is None and branch.x_collision is not None:
-                empirical_r = 2.0 / abs(branch.x_collision)
-        lam[i] = half_g2 * mu
-        if block2 is not None:
-            branch2 = track_branch(block2, coeffs2, x)
-            if branch2.reached:
-                cert[i] = abs(lam[i] - half_g2 * branch2.final_mu)
-            else:
-                cert[i] = math.nan
+        if branch.x_collision is not None:
+            empirical_r = 2.0 / abs(branch.x_collision)
+
+    if block2 is None:
+        cert = np.zeros(n)
+    else:
+        branch2, hit2 = _track_rows(block2, ladder_coefficients(block2), grid)
+        cert = np.full(n, math.nan)
+        ok2 = hit2 >= 0
+        cert[ok2] = np.abs(lam[ok2] - half_g2[ok2] * branch2.mu_values[hit2[ok2]])
 
     return GammaTable(
         eta=eta,
@@ -271,7 +294,7 @@ def gamma_sweep(
         gamma_grid=grid,
         lam=lam,
         abs_error=np.abs(lam - eta),
-        simple=simple,
+        simple=ok,
         collided=collided,
         k_trunc=np.full(n, block.k_max, dtype=int),
         certificate=cert,

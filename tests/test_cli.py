@@ -208,3 +208,67 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 
     with pytest.raises(ConfigError):
         load_config(str(cfg_path))
+
+
+def _error_record(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_custom_infinite_eta_is_a_config_error(tmp_path, capsys):
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text('{"entries": [[0.0, 1], [Infinity, 1]]}')
+    out = tmp_path / "out"
+    code = run_cli(
+        ["run", "--surface", "custom", "--curvature", "-1.0",
+         "--custom-path", str(eta_path), "--out", str(out)]
+    )
+    assert code == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and "finite eta" in record["message"]
+    assert json.loads((out / "errors.json").read_text()) == record
+
+
+@pytest.mark.parametrize("gammas", ["0,5", "-1,5", "5,inf", "nan,5", "5,5"])
+def test_bad_explicit_gamma_is_a_config_error(tmp_path, capsys, gammas):
+    # the later flag overrides the grid of small_run_args
+    code = run_cli(small_run_args(tmp_path / "out", extra=(f"--gamma-explicit={gammas}",)))
+    assert code == 2
+    assert _error_record(capsys)["error"] == "ConfigError"
+
+
+def test_fixed_cutoff_beyond_dense_limit_is_a_config_error(tmp_path, capsys):
+    code = run_cli(
+        ["run", "--surface", "torus", "--truncation", "fixed", "--k-max", "1024",
+         "--gamma-explicit", "1e4", "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and "1023" in record["message"]
+    cfg = load_config(None)
+    cfg.truncation.kind, cfg.truncation.k_max = "fixed", 1023
+    cfg.validate()  # largest cutoff whose doubled block fits
+
+
+def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):
+    # one adaptive doubling study per eta, run by the sweep; the
+    # perturbation series is built at the cutoff the sweep certified
+    import kbmlab.cli
+    import kbmlab.spectra
+
+    policies = []
+    for mod in (kbmlab.cli, kbmlab.spectra):
+        real = mod.truncate
+
+        def counting(eta, K, policy, _real=real):
+            policies.append(policy.kind)
+            return _real(eta, K, policy)
+
+        monkeypatch.setattr(mod, "truncate", counting)
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0.0, 1], [5.0, 1]]}))
+    code = run_cli(
+        ["run", "--surface", "custom", "--curvature", "-1.0", "--custom-path",
+         str(eta_path), "--gamma-explicit", "20,50", "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+    assert policies == ["adaptive", "fixed"]

@@ -251,3 +251,43 @@ def test_gap_to_rest_basics():
     eigs = np.array([0.0, 1.0, 1.0, 4.0])
     assert gap_to_rest(0.0, eigs) == 1.0
     assert gap_to_rest(7.0, np.array([7.0])) == math.inf
+
+
+def test_track_branch_lands_on_checkpoints_exactly(sphere_l1):
+    # 0.001 + 0.009 != 0.01 in floating point, and (x / 0.45) * 0.45 != x
+    # for x = 0.057 and 0.229: the path must still sample every
+    # checkpoint's own float, never a value assembled from steps
+    block, coeffs = sphere_l1
+    cks = [-0.001, -0.01, -0.057, -0.1, -0.229, -0.3, -0.45]
+    br = track_branch(block, coeffs, cks[-1], checkpoints=cks)
+    assert br.reached and len(br.checkpoint_index) == len(cks)
+    assert br.checkpoint_index[-1] == br.x_samples.size - 1
+    for x, i in zip(cks, br.checkpoint_index):
+        assert br.x_samples[i] == x
+        assert br.gap_to_rest[i] > 0.0
+        assert br.mu_values[i] == pytest.approx(closed_mu(x), abs=1e-14)
+
+
+def test_track_branch_default_checkpoint_is_target(sphere_l1):
+    block, coeffs = sphere_l1
+    br = track_branch(block, coeffs, 0.3)
+    assert br.checkpoint_index == (br.x_samples.size - 1,)
+    assert br.x_samples[-1] == 0.3
+    assert track_branch(block, coeffs, 0.0).checkpoint_index == (0,)
+
+
+def test_track_branch_reports_checkpoints_before_a_collision(sphere_l1):
+    block, coeffs = sphere_l1
+    br = track_branch(block, coeffs, -0.6, checkpoints=[-0.2, -0.4, -0.55])
+    assert br.status == "collision"
+    assert [br.x_samples[i] for i in br.checkpoint_index] == [-0.2, -0.4]
+
+
+@pytest.mark.parametrize(
+    "x_target, cks",
+    [(-0.4, [-0.3, -0.1]), (-0.4, [0.1]), (-0.4, [-0.5]), (-0.4, [-0.1j]), (0.0, [0.1])],
+)
+def test_track_branch_rejects_checkpoints_off_the_segment(sphere_l1, x_target, cks):
+    block, coeffs = sphere_l1
+    with pytest.raises(ValueError):
+        track_branch(block, coeffs, x_target, checkpoints=cks)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import kbmlab.spectra
 from kbmlab import (
     SpectrumValidationError,
     custom_spectrum,
@@ -10,6 +11,7 @@ from kbmlab import (
     assemble_generator,
     finite_block,
     fitted_decay_exponent,
+    fixed_truncation,
     gamma_sweep,
     ladder_coefficients,
     make_gamma_grid,
@@ -17,6 +19,8 @@ from kbmlab import (
     sphere_spectrum,
     tail_mask,
     torus_spectrum,
+    track_branch,
+    truncate,
 )
 
 
@@ -57,6 +61,8 @@ def test_custom_spectrum_validation():
         custom_spectrum(-1.0, [(-1.0, 1)])
     with pytest.raises(SpectrumValidationError):
         custom_spectrum(-1.0, [(2.0, 1)])  # zero mode missing
+    with pytest.raises(SpectrumValidationError):
+        custom_spectrum(-1.0, [(0.0, 1), (math.inf, 1)])
 
 
 def test_gamma_grid_hits_decades_exactly():
@@ -147,3 +153,83 @@ def test_mixing_report_requires_eta1_table():
     zero_only = [gamma_sweep(0.0, 1.0, [10.0, 100.0])]
     with pytest.raises(SpectrumValidationError):
         mixing_report(spectrum, zero_only)
+
+
+def _per_row(eta, K, grid, k_trunc):
+    """Independent per-row oracle: one track from x = 0 for every gamma,
+    on the sweep's block and, for K <= 0, its doubled block."""
+    if K > 0.0:
+        blocks = [finite_block(eta, K)]
+    else:
+        blocks = [truncate(eta, K, fixed_truncation(k)) for k in (k_trunc, 2 * k_trunc)]
+    rows = []
+    for gamma in grid:
+        x = -2.0 / gamma
+        brs = [track_branch(b, ladder_coefficients(b), x) for b in blocks]
+        rows.append([0.5 * gamma * gamma * br.final_mu if br.reached else None for br in brs])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "eta, K, grid",
+    [
+        (2.0, 1.0, [2.5, 3.0, 3.9, 4.1, 5.0, 8.0, 20.0, 100.0, 1e4]),
+        (5.0, -1.0, list(make_gamma_grid(0.0, 4.0, 13))),
+    ],
+)
+def test_single_path_matches_per_row_tracks(eta, K, grid):
+    table = gamma_sweep(eta, K, grid)
+    oracle = _per_row(eta, K, table.gamma_grid, int(table.k_trunc[0]))
+    assert np.any(table.collided) and not np.all(table.collided)
+    for i, row in enumerate(oracle):
+        assert table.collided[i] == (row[0] is None)
+        assert table.simple[i] == (row[0] is not None)
+        if row[0] is not None:
+            assert abs(table.lam[i] - row[0]) <= 1e-12
+        if K <= 0.0:
+            if row[1] is None:
+                assert math.isnan(table.certificate[i])
+            else:
+                assert abs(table.certificate[i] - abs(table.lam[i] - row[1])) <= 1e-12
+        else:
+            assert table.certificate[i] == 0.0
+
+
+def test_sweep_checkpoints_land_bitwise_at_large_eta(monkeypatch):
+    # gamma = 100 sits at s = 0.01 of the path to x = -2: a path that
+    # accumulated its steps skipped it and sent the row to the dense fallback
+    tracks = []
+
+    def recording(*args, **kwargs):
+        br = track_branch(*args, **kwargs)
+        tracks.append((kwargs["checkpoints"], br))
+        return br
+
+    monkeypatch.setattr(kbmlab.spectra, "track_branch", recording)
+    grid = [1.0, 10.0, 100.0, 1e3, 1e4]
+    table = gamma_sweep(300.0, -1.0, grid)
+    assert len(tracks) == 2  # the block and its doubled certificate block
+    for xs, br in tracks:
+        assert list(xs) == [-2.0 / g for g in reversed(grid)]
+        assert len(br.checkpoint_index) >= 3
+        for x, i in zip(xs, br.checkpoint_index):
+            assert br.x_samples[i] == x
+    tail = tail_mask(table.gamma_grid, 300.0)
+    assert list(table.gamma_grid[tail]) == [100.0, 1e3, 1e4]
+    assert not np.any(table.collided[tail])
+    assert np.all(table.certificate[tail] < 1e-10)
+    assert abs(table.lam[2] - 300.0) < 30.0
+
+
+@pytest.mark.parametrize("eta, K, tracks", [(2.0, 1.0, 1), (5.0, -1.0, 2)])
+def test_sweep_tracks_once_per_block(monkeypatch, eta, K, tracks):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return track_branch(*args, **kwargs)
+
+    monkeypatch.setattr(kbmlab.spectra, "track_branch", counting)
+    gamma_sweep(eta, K, make_gamma_grid(0.0, 4.0, 13))
+    assert len(calls) == tracks
+    assert all(x == -2.0 for x in calls)

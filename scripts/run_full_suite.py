@@ -22,7 +22,6 @@ def run_surface(name, surface, grid):
         surface=surface,
         grid=grid,
         output=OutputConfig(formats=("csv", "json"), directory=str(OUT_ROOT / name)),
-        seed=7,
     )
     manifest = run(cfg)
     summary = json.loads(Path(manifest["summary"]).read_text())

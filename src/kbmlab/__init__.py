@@ -62,7 +62,6 @@ from .perturb import (
     ZeroModeNorm,
     enclosed_count,
     idempotency_defect,
-    operator_norm,
     perturbation_radius,
     perturbation_series,
     riesz_projection,

@@ -6,14 +6,13 @@ acceptance suite and prints one pass/fail line per criterion.
 
 Configuration is a JSON file with nested sections (schema in the README);
 every field has a matching flag and flags override file values.  Output is
-deterministic for a fixed config and seed: numbers are written with 17
-significant digits, JSON keys are sorted, and no timestamps are emitted.
+deterministic for a fixed config: numbers are written with 17 significant
+digits, JSON keys are sorted, and no timestamps are emitted.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -80,12 +79,6 @@ class TruncationConfig:
 
 
 @dataclass
-class ContourConfig:
-    radius: float = 0.5
-    nodes: int = 64
-
-
-@dataclass
 class OutputConfig:
     formats: tuple = ("csv", "json")
     directory: str = "out"
@@ -96,11 +89,8 @@ class RunConfig:
     surface: SurfaceConfig = field(default_factory=SurfaceConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
-    contour: ContourConfig = field(default_factory=ContourConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-    seed: int = 7
     checks: tuple = KNOWN_CHECKS
-    workers: int = 1
 
     def validate(self) -> None:
         s = self.surface
@@ -138,10 +128,6 @@ class RunConfig:
                 raise ConfigError(f"explicit gammas must be finite and > 0, got {bad_gammas}")
             if len(set(explicit)) != len(explicit):
                 raise ConfigError("explicit gammas must be distinct")
-        if not 0.0 < self.contour.radius < 1.0:
-            raise ConfigError("contour radius must lie in (0, 1)")
-        if self.contour.nodes < 8:
-            raise ConfigError("contour needs at least 8 nodes")
         if self.truncation.kind not in ("fixed", "adaptive"):
             raise ConfigError(f"unknown truncation kind {self.truncation.kind!r}")
         if self.truncation.kind == "fixed" and (self.truncation.k_max or 0) < 1:
@@ -157,8 +143,6 @@ class RunConfig:
             raise ConfigError(f"unknown checks {bad}; known: {list(KNOWN_CHECKS)}")
         if not set(self.output.formats) <= {"csv", "json"}:
             raise ConfigError("output formats must be a subset of {csv, json}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 def _is_finite_number(value) -> bool:
@@ -182,7 +166,6 @@ def load_config(path: Optional[str]) -> RunConfig:
         ("surface", SurfaceConfig, "surface"),
         ("gamma_grid", GridConfig, "grid"),
         ("truncation", TruncationConfig, "truncation"),
-        ("contour", ContourConfig, "contour"),
         ("outputs", OutputConfig, "output"),
     ):
         if section in raw:
@@ -196,17 +179,13 @@ def load_config(path: Optional[str]) -> RunConfig:
                 if key == "formats":
                     value = tuple(value)
                 setattr(current, key, value)
-    if "seed" in raw:
-        cfg.seed = int(raw["seed"])
     if "checks" in raw:
         cfg.checks = tuple(raw["checks"])
-    if "workers" in raw:
-        cfg.workers = int(raw["workers"])
     return cfg
 
 
 def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
-    s, g, t, c, o = cfg.surface, cfg.grid, cfg.truncation, cfg.contour, cfg.output
+    s, g, t, o = cfg.surface, cfg.grid, cfg.truncation, cfg.output
     if args.surface is not None:
         s.kind = args.surface
     if args.curvature is not None:
@@ -233,20 +212,12 @@ def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
         t.k_max = args.k_max
     if args.truncation_tol is not None:
         t.tol = args.truncation_tol
-    if args.contour_radius is not None:
-        c.radius = args.contour_radius
-    if args.contour_nodes is not None:
-        c.nodes = args.contour_nodes
     if args.formats is not None:
         o.formats = tuple(f for f in args.formats.split(",") if f)
     if args.out is not None:
         o.directory = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.checks is not None:
         cfg.checks = tuple(c for c in args.checks.split(",") if c)
-    if args.workers is not None:
-        cfg.workers = args.workers
 
 
 def _load_custom_entries(path: str) -> list:
@@ -331,14 +302,6 @@ def _eta_tag(index: int, eta: float) -> str:
     return f"{index:02d}_eta_{eta:.6g}".replace(".", "p").replace("-", "m")
 
 
-def _sweep_one(entry, K, grid, policy):
-    if entry.eta > 0.0 and K <= 0.0:
-        pol = policy
-    else:
-        pol = None
-    return gamma_sweep(entry.eta, K, grid, policy=pol, multiplicity=entry.multiplicity)
-
-
 def run(cfg: RunConfig) -> dict:
     """Execute the configured sweeps and write all artifacts.
 
@@ -353,12 +316,17 @@ def run(cfg: RunConfig) -> dict:
     grid = build_grid(cfg)
     policy = _policy(cfg)
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [
-            pool.submit(_sweep_one, entry, spectrum.curvature, grid, policy)
-            for entry in spectrum.entries
-        ]
-        tables = [f.result() for f in futures]
+    K = spectrum.curvature
+    tables = [
+        gamma_sweep(
+            entry.eta,
+            K,
+            grid,
+            policy=policy if entry.eta > 0.0 and K <= 0.0 else None,
+            multiplicity=entry.multiplicity,
+        )
+        for entry in spectrum.entries
+    ]
 
     manifest = {"tables": [], "plots": []}
     records = {"surface": cfg.surface.kind, "curvature": spectrum.curvature, "rows": []}
@@ -394,7 +362,6 @@ def run(cfg: RunConfig) -> dict:
     summary = {
         "surface": cfg.surface.kind,
         "curvature": spectrum.curvature,
-        "seed": cfg.seed,
         "per_eta": [convergence_summary(t) for t in tables],
     }
     try:
@@ -414,7 +381,7 @@ def run(cfg: RunConfig) -> dict:
     series_records = []
     diag = {"accretivity": [], "casimir": [], "resolvent_bound": []}
     for entry, table in zip(spectrum.entries, tables):
-        eta, K = entry.eta, spectrum.curvature
+        eta = entry.eta
         if eta == 0.0 or K > 0.0:
             block = finite_block(eta, K)
         else:
@@ -446,16 +413,10 @@ def run(cfg: RunConfig) -> dict:
         if "casimir" in cfg.checks:
             diag["casimir"].append({"eta": eta, "residual": casimir_residual(coeffs)})
         if "accretivity" in cfg.checks:
-            for j, gamma in enumerate(DIAGNOSTIC_GAMMAS):
+            for gamma in DIAGNOSTIC_GAMMAS:
                 op = assemble_generator(block, coeffs, gamma)
                 diag["accretivity"].append(
-                    {
-                        "eta": eta,
-                        "gamma": gamma,
-                        "min_real_energy": accretivity_minimum(
-                            op, trials=200, seed=cfg.seed + j
-                        ),
-                    }
+                    {"eta": eta, "gamma": gamma, "min_real_energy": accretivity_minimum(op)}
                 )
         if "resolvent_bound" in cfg.checks and eta > 0.0:
             for zeta in DIAGNOSTIC_ZETAS:
@@ -525,10 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
         f"eta_cap={defaults.surface.eta_cap}; gamma grid 10^{defaults.grid.log_start}"
         f"..10^{defaults.grid.log_end} with {defaults.grid.points} points; "
         f"truncation={defaults.truncation.kind} tol={defaults.truncation.tol}; "
-        f"contour radius={defaults.contour.radius} nodes={defaults.contour.nodes}; "
         f"formats={','.join(defaults.output.formats)} out={defaults.output.directory}; "
-        f"seed={defaults.seed}; checks={','.join(defaults.checks)}; "
-        f"workers={defaults.workers}"
+        f"checks={','.join(defaults.checks)}"
     )
     p_run = sub.add_parser(
         "run",
@@ -550,13 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--truncation", choices=["fixed", "adaptive"], default=None)
     p_run.add_argument("--k-max", type=int, default=None, help="fixed truncation cutoff")
     p_run.add_argument("--truncation-tol", type=float, default=None)
-    p_run.add_argument("--contour-radius", type=float, default=None)
-    p_run.add_argument("--contour-nodes", type=int, default=None)
     p_run.add_argument("--formats", default=None, help="comma-separated subset of csv,json")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--checks", default=None, help="comma-separated diagnostic suites")
-    p_run.add_argument("--workers", type=int, default=None, help="bounded worker pool size")
 
     p_self = sub.add_parser(
         "selftest",

@@ -140,9 +140,12 @@ def eigvec(
     """Unit eigenvector for the eigenvalue near ``mu`` by inverse iteration.
 
     Residual target is 1e-10 times the operator norm; the phase is fixed by
-    making the largest-modulus entry real and positive.  Raises when the
-    eigenvalue is degenerate within the collision threshold or when the
-    iteration does not converge (defective or clustered eigenvalue).
+    making the largest-modulus entry real and positive.  When op - mu is
+    exactly singular, the solves use the shift mu + 8*eps*||op||_inf
+    instead (the standard inverse-iteration device; a nudge of one eps is
+    lost to rounding on small blocks).  Raises when the eigenvalue is
+    degenerate within the collision threshold or when the iteration does
+    not converge (defective or clustered eigenvalue).
     """
     n = op.dim
     if check_simple and 1 < n <= MAX_DENSE_DIM:
@@ -155,8 +158,13 @@ def eigvec(
     v[int(np.argmin(np.abs(op.diag - mu)))] = 1.0
     nrm = op.inf_norm()
     tol = 1e-10 * max(nrm, 1e-300)
+    shift = mu
     for _ in range(max_iter):
-        w = tridiag_solve(op, mu, v, perturb_singular=True, refine=False)
+        try:
+            w = tridiag_solve(op, shift, v)
+        except EigensolveError:
+            shift = mu + 8.0 * _EPS * nrm
+            w = tridiag_solve(op, shift, v)
         wn = float(np.linalg.norm(w))
         if not math.isfinite(wn) or wn == 0.0:
             raise EigensolveError("inverse iteration produced a degenerate vector")

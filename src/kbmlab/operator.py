@@ -1,6 +1,7 @@
 """Tridiagonal restrictions of the perturbed fiber Laplacian and of the
 kinetic Brownian motion generator on one Casimir block, together with the
-truncation policy for infinite ladders and the numerical-range check.
+truncation policy for infinite ladders, the numerical-range minimum and
+the shifted tridiagonal solve.
 
 In the fixed gauge the perturbed family reads diag(k^2) + x*X with X real
 skew-symmetric, and the rescaled generator is (gamma^2/2)*diag(k^2) -
@@ -20,12 +21,6 @@ import scipy.linalg
 from .errors import EigensolveError, TruncationError
 from .ladder import CasimirBlock, LadderCoefficients, ladder_coefficients
 
-# Dense copies are kept next to the tridiagonal data up to this dimension
-# so the brute-force oracle never rebuilds from the same arrays it checks.
-DENSE_CACHE_MAX = 512
-
-_EPS = float(np.finfo(float).eps)
-
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
@@ -41,7 +36,6 @@ class TridiagonalOperator:
     sub: np.ndarray
     k_offset: int
     meta: dict = field(default_factory=dict)
-    dense: Optional[np.ndarray] = None
 
     def __post_init__(self):
         diag = np.asarray(self.diag, dtype=complex)
@@ -54,16 +48,12 @@ class TridiagonalOperator:
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "sup", sup)
         object.__setattr__(self, "sub", sub)
-        if self.dense is None and diag.size <= DENSE_CACHE_MAX:
-            object.__setattr__(self, "dense", self.to_dense())
 
     @property
     def dim(self) -> int:
         return self.diag.size
 
     def to_dense(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
         n = self.dim
         m = np.zeros((n, n), dtype=complex)
         m[np.arange(n), np.arange(n)] = self.diag
@@ -180,7 +170,9 @@ def truncate(eta: float, K: float, policy: TruncationPolicy) -> CasimirBlock:
 
     Rejects K > 0 (those ladders terminate on their own).  The adaptive
     policy returns the first cutoff in the doubling sequence whose branch
-    value at ``policy.x_ref`` is stable to ``policy.tol`` under doubling.
+    value at ``policy.x_ref`` is stable to ``policy.tol`` under doubling; it
+    raises TruncationError once the doubled block [-2k, 2k] would exceed
+    the dense limit.
     """
     if K > 0.0:
         raise TruncationError("K > 0 ladders are intrinsically finite; no truncation")
@@ -190,7 +182,7 @@ def truncate(eta: float, K: float, policy: TruncationPolicy) -> CasimirBlock:
         k = int(policy.k_max)
         return CasimirBlock(curvature=K, eta=eta, k_min=-k, k_max=k, finite=False)
 
-    from .eig import track_branch  # deferred: eig depends on this module
+    from . import eig  # deferred: eig depends on this module
 
     if policy.x_ref is not None:
         x_ref = policy.x_ref
@@ -200,125 +192,50 @@ def truncate(eta: float, K: float, policy: TruncationPolicy) -> CasimirBlock:
 
     def branch_at(k: int) -> complex:
         blk = CasimirBlock(curvature=K, eta=eta, k_min=-k, k_max=k, finite=False)
-        br = track_branch(blk, ladder_coefficients(blk), x_ref)
+        br = eig.track_branch(blk, ladder_coefficients(blk), x_ref)
         if br.status != "complete":
             raise TruncationError(f"branch tracking failed at cutoff {k} ({br.status})")
         return br.mu_values[-1]
 
-    k = default_cutoff(eta)
-    mu_k = branch_at(k)
-    while k <= 4096:
+    k, mu_k = default_cutoff(eta), None
+    while 4 * k + 1 <= eig.MAX_DENSE_DIM:
+        if mu_k is None:
+            mu_k = branch_at(k)
         mu_2k = branch_at(2 * k)
         if abs(mu_2k - mu_k) < policy.tol:
             return CasimirBlock(curvature=K, eta=eta, k_min=-k, k_max=k, finite=False)
         k, mu_k = 2 * k, mu_2k
-    raise TruncationError("doubling study did not certify a cutoff below 4096")
+    raise TruncationError(
+        f"doubling study did not certify a cutoff k_max <= {(eig.MAX_DENSE_DIM - 1) // 4} "
+        f"(the doubled block must fit the dense limit {eig.MAX_DENSE_DIM})"
+    )
 
 
-def accretivity_minimum(op: TridiagonalOperator, trials: int, seed: int) -> float:
-    """Minimum of Re<op v, v> over pseudo-random complex unit vectors.
+def accretivity_minimum(op: TridiagonalOperator) -> float:
+    """Minimum of Re<op v, v> over complex unit vectors.
 
-    For generator restrictions the skew part contributes no real energy, so
-    the value equals (gamma^2/2) * sum k^2 |v_k|^2 and must be >= -1e-12.
+    That is the smallest eigenvalue of the Hermitian part (op + op^*)/2,
+    a Hermitian tridiagonal matrix with diagonal Re(diag) and off-diagonal
+    (sub + conj(sup))/2; a diagonal phase change makes the off-diagonal
+    real and nonnegative.  For generator restrictions the skew coupling
+    drops out, so the value is min (gamma^2/2) k^2 = 0 exactly.
     """
-    n = op.dim
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    mv = v * op.diag
-    if n > 1:
-        mv[:, 1:] += v[:, :-1] * op.sub
-        mv[:, :-1] += v[:, 1:] * op.sup
-    vals = np.einsum("ij,ij->i", np.conj(v), mv).real
-    return float(np.min(vals))
+    off = np.abs(0.5 * (op.sub + np.conj(op.sup)))
+    lam = scipy.linalg.eigvalsh_tridiagonal(op.diag.real, off, select="i", select_range=(0, 0))
+    return float(lam[0])
 
 
-def tridiag_solve(
-    op: TridiagonalOperator,
-    shift: complex,
-    rhs: np.ndarray,
-    *,
-    perturb_singular: bool = False,
-    refine: bool = True,
-) -> np.ndarray:
-    """Solve (op - shift*I) x = rhs.
+def tridiag_solve(op: TridiagonalOperator, shift: complex, rhs: np.ndarray) -> np.ndarray:
+    """Solve (op - shift*I) x = rhs for one or several right-hand sides.
 
-    LU without pivoting plus one refinement sweep; a collapsing pivot
-    either falls back to a partially pivoted banded solve or, with
-    ``perturb_singular``, is inflated to a tiny value (the standard
-    inverse-iteration device for near-singular shifts).
+    One banded LAPACK solve (``?gtsv``: Gaussian elimination with partial
+    pivoting); an exactly singular matrix raises EigensolveError.
     """
-    n = op.dim
-    d = op.diag - shift
-    rhs = np.asarray(rhs, dtype=complex)
-    single = rhs.ndim == 1
-    b = rhs[:, None] if single else rhs
-    if b.shape[0] != n:
-        raise ValueError("right-hand side has wrong leading dimension")
-
-    scale = float(np.max(np.abs(d)))
-    if n > 1:
-        scale = max(scale, float(np.max(np.abs(op.sub))), float(np.max(np.abs(op.sup))))
-    tiny = _EPS * max(scale, 1e-300)
-
-    piv = np.empty(n, dtype=complex)
-    mult = np.empty(max(n - 1, 0), dtype=complex)
-    piv[0] = d[0]
-    singular = abs(piv[0]) < tiny
-    for i in range(1, n):
-        p = piv[i - 1]
-        if abs(p) < tiny:
-            singular = True
-            break
-        mult[i - 1] = op.sub[i - 1] / p
-        piv[i] = d[i] - mult[i - 1] * op.sup[i - 1]
-    else:
-        singular = singular or abs(piv[-1]) < tiny
-
-    if singular:
-        if not perturb_singular:
-            x = _banded_solve(op, shift, b)
-            return x[:, 0] if single else x
-        # inflate bad pivots and redo the sweep
-        piv[0] = d[0] if abs(d[0]) >= tiny else tiny
-        for i in range(1, n):
-            mult[i - 1] = op.sub[i - 1] / piv[i - 1]
-            p = d[i] - mult[i - 1] * op.sup[i - 1]
-            piv[i] = p if abs(p) >= tiny else tiny
-
-    def sweep(bb: np.ndarray) -> np.ndarray:
-        y = bb.astype(complex, copy=True)
-        for i in range(1, n):
-            y[i] -= mult[i - 1] * y[i - 1]
-        x = np.empty_like(y)
-        x[n - 1] = y[n - 1] / piv[n - 1]
-        for i in range(n - 2, -1, -1):
-            x[i] = (y[i] - op.sup[i] * x[i + 1]) / piv[i]
-        return x
-
-    x = sweep(b)
-    if refine and not singular:
-        r = b - _apply_shifted(op, shift, x)
-        x = x + sweep(r)
-    return x[:, 0] if single else x
-
-
-def _apply_shifted(op: TridiagonalOperator, shift: complex, x: np.ndarray) -> np.ndarray:
-    out = (op.diag - shift)[:, None] * x
-    if op.dim > 1:
-        out[1:] += op.sub[:, None] * x[:-1]
-        out[:-1] += op.sup[:, None] * x[1:]
-    return out
-
-
-def _banded_solve(op: TridiagonalOperator, shift: complex, b: np.ndarray) -> np.ndarray:
-    n = op.dim
-    ab = np.zeros((3, n), dtype=complex)
+    ab = np.zeros((3, op.dim), dtype=complex)
+    ab[0, 1:] = op.sup
     ab[1] = op.diag - shift
-    if n > 1:
-        ab[0, 1:] = op.sup
-        ab[2, :-1] = op.sub
+    ab[2, :-1] = op.sub
     try:
-        return scipy.linalg.solve_banded((1, 1), ab, b)
+        return scipy.linalg.solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:  # exactly singular
         raise EigensolveError(f"shifted tridiagonal solve failed: {exc}") from exc

@@ -156,43 +156,6 @@ def enclosed_count(op: TridiagonalOperator, contour: Contour) -> int:
     return int(np.sum(np.abs(eigs - contour.center) < contour.radius))
 
 
-def operator_norm(m: np.ndarray, *, rtol: float = 1e-12, max_iter: int = 5000) -> float:
-    """Largest singular value by power iteration on M*M.
-
-    Deterministic start vector; for dimensions up to 512 the value is
-    certified against a dense SVD and the certification failure raises.
-    """
-    m = np.asarray(m, dtype=complex)
-    rows, cols = m.shape
-    v = 1.0 + 0.1 * np.cos(np.arange(1, cols + 1, dtype=float))
-    v = v.astype(complex) / np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        s = float(np.linalg.norm(w))
-        if s == 0.0:
-            sigma = 0.0
-            break
-        u = w / s
-        z = np.conj(m.T) @ u
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            sigma = s
-            break
-        v = z / nz
-        if abs(nz - sigma) <= rtol * max(nz, 1e-300):
-            sigma = nz
-            break
-        sigma = nz
-    if min(rows, cols) <= 512:
-        certified = float(np.linalg.svd(m, compute_uv=False)[0])
-        if abs(sigma - certified) > 1e-9 * max(1.0, certified):
-            raise EigensolveError(
-                f"power-iteration norm {sigma!r} failed SVD certification {certified!r}"
-            )
-    return sigma
-
-
 def perturbation_radius(
     block: CasimirBlock, coeffs: LadderCoefficients, contour: Contour
 ) -> float:
@@ -211,7 +174,7 @@ def perturbation_radius(
     best = math.inf
     for zeta in contour.points():
         scaled = x_mat / (k2 - zeta)[None, :]
-        sigma = operator_norm(scaled)
+        sigma = float(np.linalg.norm(scaled, 2))
         if sigma > 0.0:
             best = min(best, 1.0 / sigma)
     return best

@@ -109,6 +109,19 @@ def test_truncate_adaptive_certifies_default_cutoff():
     assert block.k_max == 32  # first cutoff in the doubling study already stable
 
 
+def test_truncate_adaptive_stops_at_the_dense_limit(monkeypatch):
+    # the doubling study of eta = 5 compares k = 32 with k = 64, whose
+    # doubled block [-64, 64] has dimension 129
+    import kbmlab.eig
+
+    policy = adaptive_truncation(1e-10, -0.2)
+    monkeypatch.setattr(kbmlab.eig, "MAX_DENSE_DIM", 129)
+    assert truncate(5.0, -1.0, policy).k_max == 32
+    monkeypatch.setattr(kbmlab.eig, "MAX_DENSE_DIM", 128)
+    with pytest.raises(TruncationError, match="k_max <= 31"):
+        truncate(5.0, -1.0, policy)
+
+
 def test_truncate_rejects_positive_curvature():
     with pytest.raises(TruncationError):
         truncate(2.0, 1.0, fixed_truncation(8))
@@ -130,13 +143,22 @@ def test_accretivity_examples(eta, K, kmax, gamma):
     block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(kmax))
     coeffs = ladder_coefficients(block)
     op = assemble_generator(block, coeffs, gamma)
-    assert accretivity_minimum(op, trials=100, seed=5) >= -1e-12
+    assert accretivity_minimum(op) >= -1e-12
 
 
 def test_accretivity_trivial_block_is_zero():
     block = finite_block(0.0, 1.0)
     op = assemble_generator(block, ladder_coefficients(block), 2.0)
-    assert accretivity_minimum(op, trials=50, seed=1) == 0.0
+    assert accretivity_minimum(op) == 0.0
+
+
+def test_accretivity_is_exact_off_the_generator(hyperbolic_block):
+    # complex x gives a Hermitian part with nonzero off-diagonal
+    block, coeffs = hyperbolic_block
+    op = assemble_perturbed(block, coeffs, 0.3 + 0.2j)
+    dense = op.to_dense()
+    exact = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))[0]
+    assert abs(accretivity_minimum(op) - exact) <= 1e-12
 
 
 def test_tridiag_solve_against_dense(hyperbolic_block):

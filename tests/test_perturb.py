@@ -14,7 +14,6 @@ from kbmlab import (
     fixed_truncation,
     idempotency_defect,
     ladder_coefficients,
-    operator_norm,
     perturbation_radius,
     perturbation_series,
     riesz_projection,
@@ -157,12 +156,6 @@ def test_resolvent_factorization_identity(sphere_l1):
         lhs = np.linalg.inv(dense_x - zeta * eye)
         rhs = r0 @ np.linalg.inv(eye + x * x_mat @ r0)
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-9
-
-
-def test_operator_norm_certified():
-    rng = np.random.default_rng(23)
-    m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-9)
 
 
 def test_perturbation_radius_sphere_bound(sphere_l1):

@@ -112,6 +112,10 @@ def test_sweep_monotone_tail_and_rate():
 def test_sweep_empirical_r_detects_sphere_collision():
     table = gamma_sweep(2.0, 1.0, [3.0, 5.0, 10.0])
     assert table.empirical_r == pytest.approx(4.0, abs=0.05)
+    # the collision point itself is |x_c| = 1/2; a spurious simplicity veto
+    # near it moves x_c by 1e-4 and empirical_r by 1e-3
+    table = gamma_sweep(2.0, 1.0, make_gamma_grid(0.0, 4.0, 41))
+    assert abs(2.0 / table.empirical_r - 0.5) <= 1e-9
     clean = gamma_sweep(2.0, 1.0, [10.0, 100.0])
     assert clean.empirical_r is None
 

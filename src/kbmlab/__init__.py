@@ -42,6 +42,7 @@ from .operator import (
     assemble_generator,
     assemble_perturbed,
     fixed_truncation,
+    parity_sectors,
     tridiag_solve,
     truncate,
 )
@@ -54,6 +55,7 @@ from .eig import (
     eigvec,
     gap_to_rest,
     newton_polish,
+    parity_eigvals,
     track_branch,
 )
 from .perturb import (

@@ -451,7 +451,9 @@ def selftest(
     seed: int = acceptance.DEFAULT_SEED,
     report_path: Optional[str] = None,
 ) -> int:
-    """Run the acceptance suite; print one line per criterion."""
+    """Run the acceptance suite; print one line per criterion with its
+    wall time.  The ``report_path`` file gets the same lines without the
+    times, so reports of the same code compare byte for byte."""
     results = acceptance.run_acceptance(
         criteria=criteria, tolerance_scale=tolerance_scale, seed=seed
     )
@@ -460,11 +462,11 @@ def selftest(
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"[{status}] criterion {r.cid:2d}: {r.title} | {r.detail}")
     n_fail = sum(1 for r in results if not r.passed)
-    lines.append(f"{len(results) - n_fail}/{len(results)} criteria passed")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    total = f"{len(results) - n_fail}/{len(results)} criteria passed"
+    timed = [f"{line} | {r.seconds:.2f} s" for line, r in zip(lines, results)]
+    sys.stdout.write("\n".join(timed + [total]) + "\n")
     if report_path:
-        Path(report_path).write_text(text)
+        Path(report_path).write_text("\n".join(lines + [total]) + "\n")
     return 1 if n_fail else 0
 
 

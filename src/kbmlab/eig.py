@@ -6,13 +6,18 @@ oracle, inverse-iteration eigenvectors, and holomorphic continuation of
 the eigenvalue branch that emanates from the unperturbed value 0.
 
 The continuation walks the segment [0, x_target] with a secant predictor
-and a Newton corrector on the characteristic polynomial.  A step is
-accepted only if the corrected value stays within half of the last known
-gap to the rest of the spectrum; otherwise the step is halved.  Steps are
-shortened to land exactly on caller-given checkpoints of the segment, so
-one continuation serves every parameter on it.  Loss of numerical
-simplicity (gap below threshold, step underflow, or Newton stall) flags a
-collision and returns the partial branch.
+and a Newton corrector on the characteristic polynomial of the even parity
+sector (``operator.parity_sectors``, dimension k_max + 1), which holds the
+branch through 0.  The dense gap check takes the union of the even and odd
+sector spectra, so gaps and simplicity keep their full-block meaning at
+about a quarter of the cost of one full-size solve; the eigenvector
+residual runs on the full block.  A step is accepted only if the
+corrected value stays within half of the last known gap to the rest of
+the spectrum; otherwise the step is halved.  Steps are shortened to land
+exactly on caller-given checkpoints of the segment, so one continuation
+serves every parameter on it.  Loss of numerical simplicity (gap below
+threshold, step underflow, or Newton stall) flags a collision and returns
+the partial branch.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import BranchCollisionError, EigensolveError
 from .ladder import CasimirBlock, LadderCoefficients
-from .operator import TridiagonalOperator, assemble_perturbed, tridiag_solve
+from .operator import TridiagonalOperator, assemble_perturbed, parity_sectors, tridiag_solve
 
 MAX_DENSE_DIM = 4096
 
@@ -116,6 +121,17 @@ def eig_dense(op: TridiagonalOperator) -> np.ndarray:
     if op.dim > MAX_DENSE_DIM:
         raise EigensolveError(f"dense oracle limited to dimension {MAX_DENSE_DIM}")
     return np.linalg.eigvals(op.to_dense())
+
+
+def parity_eigvals(
+    even: TridiagonalOperator, odd: Optional[TridiagonalOperator]
+) -> np.ndarray:
+    """Full-block spectrum as the union of the two parity sectors' dense
+    spectra (see ``operator.parity_sectors``); two half-size solves cost
+    about a quarter of one full-size solve."""
+    if odd is None:
+        return eig_dense(even)
+    return np.concatenate((eig_dense(even), eig_dense(odd)))
 
 
 def collision_threshold(mu: complex) -> float:
@@ -235,9 +251,11 @@ def track_branch(
 
     The unperturbed value 0 is a simple eigenvalue on the block (the
     diagonal is k^2 and the zero mode occurs once), so the branch starts
-    well defined.  Gap spot checks against the dense oracle run at every
-    sample for dimension <= 512 and every 8th sample otherwise, and at
-    every checkpoint.
+    well defined; it lies in the even parity sector, where Newton runs.
+    Gap spot checks against the dense oracle (both sectors' spectra) run
+    at every sample for block dimension <= 512 and every 8th sample
+    otherwise, and at every checkpoint.  Residuals are those of the full
+    block.
 
     ``checkpoints`` are parameters on the segment (0, x_target] in order of
     increasing |x|; x_target is appended when it is not the last one.  The
@@ -306,8 +324,8 @@ def track_branch(
         else:
             mu_pred = mu_cur
 
-        op = assemble_perturbed(block, coeffs, x_new)
-        mu_new, ok, iters = newton_polish(op, mu_pred)
+        even, odd = parity_sectors(block, coeffs, x_new)
+        mu_new, ok, iters = newton_polish(even, mu_pred)
         trust = 0.5 * last_gap
         if (not ok) or abs(mu_new - mu_pred) > trust:
             ds *= 0.5
@@ -321,7 +339,7 @@ def track_branch(
         idx += 1
         spot = (idx % stride == 0) or at_checkpoint
         if spot:
-            eigs = eig_dense(op)
+            eigs = parity_eigvals(even, odd)
             dist = np.abs(eigs - mu_new)
             oracle_dev = max(oracle_dev, float(np.min(dist)))
             gap = gap_to_rest(mu_new, eigs)
@@ -332,7 +350,7 @@ def track_branch(
 
         if is_simple:
             try:
-                res = residual_norm(op, mu_new)
+                res = residual_norm(assemble_perturbed(block, coeffs, x_new), mu_new)
             except EigensolveError:
                 is_simple = False
                 res = math.nan

@@ -104,7 +104,8 @@ class CasimirBlock:
     """One invariant block: curvature, Casimir value and mode range.
 
     ``finite`` records whether the range is intrinsic (K > 0 or eta = 0)
-    rather than a truncation choice.
+    rather than a truncation choice.  The range is always symmetric,
+    [-k_max, k_max].
     """
 
     curvature: float
@@ -120,6 +121,10 @@ class CasimirBlock:
             raise LadderRangeError("k_min and k_max must be integers")
         if not self.k_min <= 0 <= self.k_max:
             raise LadderRangeError("mode range must contain k = 0")
+        if self.k_min != -self.k_max:
+            # the parity split k -> -k (operator.parity_sectors) needs it;
+            # intrinsic ladders are symmetric because a_{-k-1} = a_k
+            raise LadderRangeError("mode range must be symmetric, k_min = -k_max")
         if self.dim > MAX_LADDER_SLOTS:
             raise LadderRangeError(f"block dimension exceeds {MAX_LADDER_SLOTS}")
         K, eta = self.curvature, self.eta
@@ -196,9 +201,13 @@ class LadderCoefficients:
 
 
 def ladder_coefficients(block: CasimirBlock) -> LadderCoefficients:
-    """Compute the gauge-fixed coefficients of a block."""
+    """Compute the gauge-fixed coefficients of a block.
+
+    The integer k*(k+1) is the same for k and -k-1, so the rung k -> k+1
+    and its mirror -k-1 -> -k get bitwise equal coefficients.
+    """
     ks = np.arange(block.k_min, block.k_max)
-    sq = 0.25 * (block.eta - block.curvature * ks - block.curvature * ks * ks)
+    sq = 0.25 * (block.eta - block.curvature * (ks * (ks + 1)))
     if np.any(sq < -TOL_NEG):
         raise LadderRangeError("requested range leaves the block (negative coefficient)")
     return LadderCoefficients(block=block, a=np.sqrt(np.clip(sq, 0.0, None)))

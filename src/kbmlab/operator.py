@@ -1,7 +1,8 @@
 """Tridiagonal restrictions of the perturbed fiber Laplacian and of the
 kinetic Brownian motion generator on one Casimir block, together with the
-truncation policy for infinite ladders, the numerical-range minimum and
-the shifted tridiagonal solve.
+truncation policy for infinite ladders, the split of the perturbed family
+into its two parity sectors, the numerical-range minimum and the shifted
+tridiagonal solve.
 
 In the fixed gauge the perturbed family reads diag(k^2) + x*X with X real
 skew-symmetric, and the rescaled generator is (gamma^2/2)*diag(k^2) -
@@ -125,6 +126,41 @@ def assemble_generator(
         "finite": block.finite,
     }
     return TridiagonalOperator(diag=diag, sup=sup, sub=sub, k_offset=block.k_min, meta=meta)
+
+
+def parity_sectors(
+    block: CasimirBlock, coeffs: LadderCoefficients, x: complex
+) -> tuple[TridiagonalOperator, Optional[TridiagonalOperator]]:
+    """The perturbed family split by the parity J e_k = (-1)^k e_{-k}.
+
+    J commutes with diag(k^2) and with X because a_{-k-1} = a_k, so in the
+    orthonormal basis e_0, (e_m + (-1)^m e_{-m})/sqrt(2) (J = +1, m =
+    1..k_max) and (e_m - (-1)^m e_{-m})/sqrt(2) (J = -1) the family is
+    block diagonal with two tridiagonal sectors.  Both have diagonal m^2,
+    sub[m] = x*a_m and sup = -sub on the rungs m -> m+1; in the even
+    sector rung 0 carries a factor sqrt(2).  The even sector (dimension
+    k_max + 1) holds the branch through 0; the odd one (dimension k_max)
+    is None on the single-mode block.
+    """
+    if coeffs.a.shape != (block.dim - 1,):
+        raise ValueError("block and coefficients are inconsistent")
+    m = block.k_max
+    x = complex(x)
+    ms = np.arange(m + 1, dtype=complex)
+    diag = ms * ms
+    sub = x * coeffs.a[m:]
+    even_sub = sub.copy()
+    even_sub[:1] *= math.sqrt(2.0)
+    meta = {"eta": block.eta, "curvature": block.curvature, "kind": "perturbed", "x": x}
+    even = TridiagonalOperator(
+        diag=diag, sup=-even_sub, sub=even_sub, k_offset=0, meta={**meta, "parity": 1}
+    )
+    if m == 0:
+        return even, None
+    odd = TridiagonalOperator(
+        diag=diag[1:], sup=-sub[1:], sub=sub[1:], k_offset=1, meta={**meta, "parity": -1}
+    )
+    return even, odd
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Covers the second-order Rayleigh-Schrodinger coefficients of the branch
 through 0, Riesz spectral projections by trapezoidal contour quadrature,
 the perturbation-radius estimate min_zeta 1/||X (D - zeta)^-1||, and the
 closed-form lower bound |zeta|^-1 sqrt(eta/2) for that norm restricted to
-the zeroth fiber mode.
+the zeroth fiber mode.  The radius estimate takes the norm as the larger
+of the two parity-sector norms (``operator.parity_sectors``): the sectors
+are orthogonal and invariant under X and D, so this is exact and costs
+two half-size SVDs per contour node.
 
 For the linear family diag(k^2) + x*X the second-order data is explicit:
 the first-order coefficient vanishes because the coupling only moves
@@ -27,7 +30,13 @@ from .ladder import (
     coupling_matrix,
     ladder_coefficients,
 )
-from .operator import TridiagonalOperator, fixed_truncation, tridiag_solve, truncate
+from .operator import (
+    TridiagonalOperator,
+    fixed_truncation,
+    parity_sectors,
+    tridiag_solve,
+    truncate,
+)
 
 # Minimum admissible distance between the contour and any eigenvalue.
 CONTOUR_DIST_MIN = 1e-8
@@ -165,16 +174,22 @@ def perturbation_radius(
     still separates the tracked branch; computed on the (truncated) block,
     so it is documented as an estimate, not a proved bound.  The trivial
     block returns infinity because its coupling vanishes.
+
+    The parity sectors are orthogonal and invariant under both X and
+    diag(k^2), so the norm is exactly the larger of the two sector norms.
     """
     if block.eta == 0.0:
         return math.inf
     validate_contour_for_block(contour, block)
-    x_mat = coupling_matrix(coeffs).astype(complex)
-    k2 = block.ks.astype(float) ** 2
+    # each sector at x = 1 is its diagonal m^2 plus its coupling block
+    sectors = [
+        (sec.to_dense() - np.diag(sec.diag), sec.diag.real)
+        for sec in parity_sectors(block, coeffs, 1.0)
+        if sec is not None
+    ]
     best = math.inf
     for zeta in contour.points():
-        scaled = x_mat / (k2 - zeta)[None, :]
-        sigma = float(np.linalg.norm(scaled, 2))
+        sigma = max(float(np.linalg.norm(x_s / (k2 - zeta)[None, :], 2)) for x_s, k2 in sectors)
         if sigma > 0.0:
             best = min(best, 1.0 / sigma)
     return best

@@ -9,7 +9,9 @@ block, from x = 0 out to the deepest grid point, landing exactly on every
 grid value of x on the way (the doubled certificate block gets a second
 such continuation).  Rows therefore share one path: where it stops at a
 collision, every deeper row is resolved from the dense spectrum, seeded
-with the path's last simple value.
+with the path's last simple value.  That spectrum is the union of the two
+parity sectors' spectra (``operator.parity_sectors``), as in the
+continuation's own gap checks.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eig import EigenBranch, eig_dense, residual_norm, track_branch
+from .eig import EigenBranch, parity_eigvals, residual_norm, track_branch
 from .errors import EigensolveError, SpectrumValidationError
 from .ladder import CasimirBlock, LadderCoefficients, finite_block, ladder_coefficients
-from .operator import TruncationPolicy, assemble_perturbed, truncate
+from .operator import TruncationPolicy, assemble_perturbed, parity_sectors, truncate
 
 
 @dataclass(frozen=True)
@@ -169,11 +171,11 @@ class GammaTable:
 def _dense_continuation(
     block: CasimirBlock, coeffs: LadderCoefficients, x: complex, seed_mu: complex
 ) -> complex:
-    """Pick the branch value past a collision from the dense spectrum:
-    nearest to the last tracked value, ties resolved toward positive
-    imaginary part (then larger real part) for determinism."""
-    op = assemble_perturbed(block, coeffs, x)
-    eigs = eig_dense(op)
+    """Pick the branch value past a collision from the dense spectrum (the
+    union of the two parity sectors): nearest to the last tracked value,
+    ties resolved toward positive imaginary part (then larger real part)
+    for determinism."""
+    eigs = parity_eigvals(*parity_sectors(block, coeffs, x))
     dist = np.abs(eigs - seed_mu)
     dmin = float(np.min(dist))
     tie = dist <= dmin * (1.0 + 1e-9) + 1e-15

@@ -183,6 +183,18 @@ def test_selftest_report_is_deterministic(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_selftest_prints_times_but_reports_none(tmp_path, capsys):
+    report = tmp_path / "r.txt"
+    assert run_cli(["selftest", "--criteria", "1,4", "--report", str(report)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    text = report.read_text().splitlines()
+    assert len(out) == len(text) == 3
+    for printed, written in zip(out[:2], text[:2]):
+        head, seconds = printed.rsplit(" | ", 1)
+        assert head == written and seconds.endswith(" s") and float(seconds[:-2]) >= 0.0
+    assert out[2] == text[2] == "2/2 criteria passed"
+
+
 def test_unknown_check_suite_is_rejected(tmp_path, capsys):
     code = run_cli(
         ["run", "--surface", "sphere", "--checks", "bogus", "--out", str(tmp_path / "o")]

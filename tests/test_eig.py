@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import kbmlab.eig
 from kbmlab import (
     BranchCollisionError,
     EigensolveError,
@@ -12,6 +14,7 @@ from kbmlab import (
     char_poly,
     eig_dense,
     eigvec,
+    finite_block,
     fixed_truncation,
     gap_to_rest,
     ladder_coefficients,
@@ -291,3 +294,67 @@ def test_track_branch_rejects_checkpoints_off_the_segment(sphere_l1, x_target, c
     block, coeffs = sphere_l1
     with pytest.raises(ValueError):
         track_branch(block, coeffs, x_target, checkpoints=cks)
+
+
+def _full_block_sectors(block, coeffs, x):
+    # reference: the whole block as one "sector", i.e. Newton and the gap
+    # check on the full matrix
+    return assemble_perturbed(block, coeffs, x), None
+
+
+@pytest.mark.parametrize(
+    "K, eta, k_max, x_target, checkpoints",
+    [
+        (1.0, 2.0, None, -0.6, (-0.1, -0.3, -0.45)),  # collides at |x| = 1/2
+        (-1.0, 5.0, 20, -0.3, (-0.01, -0.2)),
+        (-1.0, 300.0, 147, -0.2, (-0.0002, -0.002, -0.02)),  # collides
+    ],
+)
+def test_track_branch_on_the_even_sector_matches_the_full_block(
+    monkeypatch, K, eta, k_max, x_target, checkpoints
+):
+    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
+    coeffs = ladder_coefficients(block)
+    br = track_branch(block, coeffs, x_target, checkpoints=checkpoints)
+    # Newton on the full block from each separated sample stays put; close
+    # to a collision the root's condition ~ eps*||A||/gap makes both the
+    # sector and the full-block root drift by up to 2e-11 from a 40-digit
+    # root at eta = 300, so those samples are not held to 1e-12
+    separated = np.nonzero(br.simple & (br.gap_to_rest >= 1e-3))[0][1:]
+    assert set(br.checkpoint_index) & set(np.nonzero(br.simple)[0]) <= set(separated)
+    for i in separated:
+        full = assemble_perturbed(block, coeffs, br.x_samples[i])
+        root, ok, _ = newton_polish(full, br.mu_values[i])
+        assert ok and abs(root - br.mu_values[i]) <= 1e-12
+
+    # the full-block continuation stops at the same point with the same
+    # checkpoint verdicts (its step halvings near the collision may differ)
+    monkeypatch.setattr(kbmlab.eig, "parity_sectors", _full_block_sectors)
+    ref = track_branch(block, coeffs, x_target, checkpoints=checkpoints)
+    assert (br.status, br.x_collision) == (ref.status, ref.x_collision)
+    assert br.checkpoint_index == ref.checkpoint_index
+    ck = list(br.checkpoint_index)
+    assert np.array_equal(br.simple[ck], ref.simple[ck])
+    assert np.array_equal(br.x_samples[: ck[-1] + 1], ref.x_samples[: ck[-1] + 1])
+    assert np.max(np.abs(br.mu_values[ck] - ref.mu_values[ck])) <= 1e-12
+    assert np.allclose(br.gap_to_rest[ck], ref.gap_to_rest[ck], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("K, eta, k_max", [(1.0, 6.0, None), (-1.0, 2.0, 6)])
+@pytest.mark.parametrize("x", [-0.05, -0.2])
+def test_track_branch_matches_a_40_digit_dense_oracle(K, eta, k_max, x):
+    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
+    mu = branch_value(block, ladder_coefficients(block), x)
+    with mpmath.workdps(40):
+        ks = [int(k) for k in block.ks]
+        xm = mpmath.mpf(x)
+        a = mpmath.zeros(block.dim, block.dim)
+        for j, k in enumerate(ks):
+            a[j, j] = k * k
+            if j + 1 < block.dim:
+                # same gauge as ladder_coefficients, in 40 digits
+                c = xm * mpmath.sqrt((mpmath.mpf(eta) - K * (k * (k + 1))) / 4)
+                a[j + 1, j], a[j, j + 1] = c, -c
+        eigs = mpmath.eig(a, left=False, right=False)
+        nearest = min(eigs, key=lambda e: abs(e - mu))
+        assert abs(complex(nearest) - mu) <= 1e-12

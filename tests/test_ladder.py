@@ -90,6 +90,13 @@ def test_block_rejects_truncation_of_positive_curvature():
         CasimirBlock(curvature=1.0, eta=2.0, k_min=-5, k_max=5, finite=False)
 
 
+@pytest.mark.parametrize("k_min, k_max", [(-3, 4), (-4, 3), (0, 2), (-1, 0)])
+def test_block_rejects_asymmetric_range(k_min, k_max):
+    # the parity split k -> -k needs k_min = -k_max on every block
+    with pytest.raises(LadderRangeError, match="symmetric"):
+        CasimirBlock(curvature=-1.0, eta=5.0, k_min=k_min, k_max=k_max, finite=False)
+
+
 def test_coefficients_sphere_l1(sphere_l1):
     _, coeffs = sphere_l1
     assert np.allclose(coeffs.a, np.sqrt(0.5), atol=0, rtol=1e-15)

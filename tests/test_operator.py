@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbmlab import (
     TruncationError,
@@ -13,6 +16,8 @@ from kbmlab import (
     finite_block,
     fixed_truncation,
     ladder_coefficients,
+    parity_eigvals,
+    parity_sectors,
     tridiag_solve,
     truncate,
 )
@@ -217,3 +222,59 @@ def test_tridiag_solve_pivot_fallback():
     x = tridiag_solve(op, 0.0, rhs)
     ref = np.linalg.solve(op.to_dense(), rhs)
     assert np.linalg.norm(x - ref) <= 1e-12
+
+
+def _parity_block(K, eta, k_max):
+    """A symmetric block for the parity property: the truncation [-k_max,
+    k_max] for K <= 0, else the sphere ladder K*l*(l+1) with the largest
+    l <= k_max that keeps eta_l <= eta (at least l = 1)."""
+    if K <= 0.0:
+        return truncate(eta, K, fixed_truncation(k_max))
+    l = k_max
+    while l > 1 and K * (l * (l + 1)) > eta:
+        l -= 1
+    return finite_block(K * (l * (l + 1)), K)
+
+
+@given(
+    K=st.floats(-2.0, 2.0),
+    eta=st.floats(0.0, 50.0, exclude_min=True),
+    k_max=st.integers(1, 40),
+    x_re=st.floats(-1.0, 1.0),
+    x_im=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_parity_sectors_split_the_block_exactly(K, eta, k_max, x_re, x_im):
+    block = _parity_block(K, eta, k_max)
+    coeffs = ladder_coefficients(block)
+    x = complex(x_re, x_im)
+    full = assemble_perturbed(block, coeffs, x).to_dense()
+    # J e_k = (-1)^k e_{-k}: reverse the modes and flip the odd ones
+    sign = (-1.0) ** np.abs(block.ks)
+    assert np.array_equal(sign[:, None] * sign[None, :] * full[::-1, ::-1], full)
+
+    even, odd = parity_sectors(block, coeffs, x)
+    # the odd sector is empty only on a single-mode block (tiny K * eta)
+    assert even.dim == block.k_max + 1
+    assert (0 if odd is None else odd.dim) == block.k_max
+    union = parity_eigvals(even, odd)
+    ref = np.linalg.eigvals(full)
+    assert union.size == ref.size
+    # sorting cannot pair conjugates or near ties reliably; match the two
+    # multisets by an optimal assignment instead
+    dist = np.abs(union[:, None] - ref[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(dist)
+    norm = float(np.max(np.sum(np.abs(full), axis=1)))
+    assert np.max(dist[rows, cols]) <= 1e-10 * (1.0 + norm)
+
+
+def test_parity_sectors_of_the_sphere_l1_block(sphere_l1):
+    # even basis e_0, (e_1 - e_-1)/sqrt(2): rung 0 carries sqrt(2) * a_0 = 1
+    block, coeffs = sphere_l1
+    even, odd = parity_sectors(block, coeffs, 0.3)
+    assert np.array_equal(even.diag, [0.0, 1.0]) and np.array_equal(odd.diag, [1.0])
+    assert even.sub[0] == pytest.approx(0.3, rel=1e-15)
+    assert np.array_equal(even.sup, -even.sub) and odd.sub.size == 0
+    trivial = finite_block(0.0, 1.0)
+    even0, odd0 = parity_sectors(trivial, ladder_coefficients(trivial), 0.3)
+    assert even0.dim == 1 and odd0 is None

@@ -172,6 +172,19 @@ def test_perturbation_radius_decays_with_eta():
     assert 0.0 < r <= 0.25 + 1e-12
 
 
+@pytest.mark.parametrize("K,eta", SUITE)
+def test_perturbation_radius_matches_the_full_block_norm(K, eta):
+    # the sector split is exact: same min over nodes of 1/||X (D - zeta)^-1||
+    from kbmlab import coupling_matrix
+
+    block, coeffs = _block(K, eta)
+    contour = Contour(0.0, 0.5, 64)
+    x_mat = coupling_matrix(coeffs)
+    k2 = block.ks.astype(float) ** 2
+    full = min(1.0 / np.linalg.norm(x_mat / (k2 - z)[None, :], 2) for z in contour.points())
+    assert perturbation_radius(block, coeffs, contour) == pytest.approx(full, rel=1e-13)
+
+
 def test_perturbation_radius_trivial_block_is_infinite():
     block = finite_block(0.0, 1.0)
     r = perturbation_radius(block, ladder_coefficients(block), Contour(0.0, 0.5, 16))

@@ -367,8 +367,11 @@ def run_acceptance(
     criteria: Optional[Sequence[int]] = None,
     tolerance_scale: float = 1.0,
     seed: int = DEFAULT_SEED,
-) -> list:
-    """Run the selected criteria (all by default) and return their results."""
+) -> tuple[list, Optional[SuiteData]]:
+    """Run the selected criteria (all by default).  Returns their results
+    and the shared sweep fixture that criteria 2 and 9 read (None when
+    neither is selected); its build time is counted in no criterion's
+    ``seconds``."""
     wanted = sorted(set(criteria)) if criteria else list(range(1, 11))
     for cid in wanted:
         if cid not in CRITERION_TITLES:
@@ -396,4 +399,4 @@ def run_acceptance(
             results.append(criterion_9(data, tolerance_scale))
         elif cid == 10:
             results.append(criterion_10(tolerance_scale, seed))
-    return results
+    return results, data

@@ -452,9 +452,10 @@ def selftest(
     report_path: Optional[str] = None,
 ) -> int:
     """Run the acceptance suite; print one line per criterion with its
-    wall time.  The ``report_path`` file gets the same lines without the
-    times, so reports of the same code compare byte for byte."""
-    results = acceptance.run_acceptance(
+    wall time, and the build time of the shared sweep fixture when a
+    criterion needed it.  The ``report_path`` file gets the criterion lines
+    without the times, so reports of the same code compare byte for byte."""
+    results, data = acceptance.run_acceptance(
         criteria=criteria, tolerance_scale=tolerance_scale, seed=seed
     )
     lines = []
@@ -464,6 +465,8 @@ def selftest(
     n_fail = sum(1 for r in results if not r.passed)
     total = f"{len(results) - n_fail}/{len(results)} criteria passed"
     timed = [f"{line} | {r.seconds:.2f} s" for line, r in zip(lines, results)]
+    if data is not None:
+        timed.insert(0, f"shared sweep fixture (criteria 2, 9) | {data.build_seconds:.2f} s")
     sys.stdout.write("\n".join(timed + [total]) + "\n")
     if report_path:
         Path(report_path).write_text("\n".join(lines + [total]) + "\n")

@@ -11,7 +11,8 @@ such continuation).  Rows therefore share one path: where it stops at a
 collision, every deeper row is resolved from the dense spectrum, seeded
 with the path's last simple value.  That spectrum is the union of the two
 parity sectors' spectra (``operator.parity_sectors``), as in the
-continuation's own gap checks.
+continuation's own gap checks, and the picked value is Newton-polished on
+its own sector.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eig import EigenBranch, parity_eigvals, residual_norm, track_branch
+from .eig import EigenBranch, newton_polish, parity_eigvals, residual_norm, track_branch
 from .errors import EigensolveError, SpectrumValidationError
 from .ladder import CasimirBlock, LadderCoefficients, finite_block, ladder_coefficients
 from .operator import TruncationPolicy, assemble_perturbed, parity_sectors, truncate
@@ -146,12 +147,13 @@ class GammaTable:
     ``collided`` marks rows that the sweep's one continuation did not
     reach as simple samples, because it stopped at a collision x_c with
     |x_c| <= |x|; their values come from the dense-oracle continuation jump
-    and are complex below the collision point.  ``certificate`` is the
-    change of lambda under doubling the truncation (0 on intrinsically
-    finite ladders, NaN where the doubled block's continuation stopped
-    before the row).  ``empirical_r`` is 2/|x_c| at the collision that
-    stopped the continuation (None when it reached every row), a
-    diagnostic with no claimed relation to the true analyticity threshold.
+    (Newton-polished) and are complex just past the collision point.
+    ``certificate`` is the change of lambda under doubling the truncation
+    (0 on intrinsically finite ladders, NaN where the doubled block's
+    continuation stopped before the row).  ``empirical_r`` is 2/|x_c| at
+    the collision that stopped the continuation (None when it reached
+    every row), a diagnostic with no claimed relation to the true
+    analyticity threshold.
     """
 
     eta: float
@@ -174,14 +176,20 @@ def _dense_continuation(
     """Pick the branch value past a collision from the dense spectrum (the
     union of the two parity sectors): nearest to the last tracked value,
     ties resolved toward positive imaginary part (then larger real part)
-    for determinism."""
-    eigs = parity_eigvals(*parity_sectors(block, coeffs, x))
+    for determinism.  The pick is then Newton-polished on its own sector's
+    characteristic polynomial, which removes the dense solver's error; a
+    pick where Newton does not converge is returned as it is."""
+    even, odd = parity_sectors(block, coeffs, x)
+    eigs = parity_eigvals(even, odd)
     dist = np.abs(eigs - seed_mu)
     dmin = float(np.min(dist))
-    tie = dist <= dmin * (1.0 + 1e-9) + 1e-15
+    tie = np.nonzero(dist <= dmin * (1.0 + 1e-9) + 1e-15)[0]
     cand = eigs[tie]
-    order = np.lexsort((cand.real, cand.imag))
-    return complex(cand[order[-1]])
+    i = tie[np.lexsort((cand.real, cand.imag))[-1]]
+    pick = complex(eigs[i])
+    # parity_eigvals lists the even sector's eigenvalues first
+    root, converged, _ = newton_polish(even if i < even.dim else odd, pick)
+    return root if converged else pick
 
 
 def _track_rows(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kbmlab import acceptance
 from kbmlab.cli import CSV_COLUMNS, build_parser, load_config, main
 
 
@@ -193,6 +194,20 @@ def test_selftest_prints_times_but_reports_none(tmp_path, capsys):
         head, seconds = printed.rsplit(" | ", 1)
         assert head == written and seconds.endswith(" s") and float(seconds[:-2]) >= 0.0
     assert out[2] == text[2] == "2/2 criteria passed"
+
+
+def test_selftest_prints_the_shared_fixture_time(monkeypatch, tmp_path, capsys):
+    result = acceptance.CriterionResult(cid=2, title="t", passed=True, detail="d", seconds=0.01)
+    data = acceptance.SuiteData(grid=None, tables={}, build_seconds=1.5)
+    monkeypatch.setattr(acceptance, "run_acceptance", lambda **kwargs: ([result], data))
+    report = tmp_path / "r.txt"
+    assert run_cli(["selftest", "--criteria", "2", "--report", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "shared sweep fixture (criteria 2, 9) | 1.50 s",
+        "[PASS] criterion  2: t | d | 0.01 s",
+        "1/1 criteria passed",
+    ]
+    assert report.read_text().splitlines() == ["[PASS] criterion  2: t | d", "1/1 criteria passed"]
 
 
 def test_unknown_check_suite_is_rejected(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 
 import kbmlab.eig
 from kbmlab import (
@@ -19,6 +20,7 @@ from kbmlab import (
     gap_to_rest,
     ladder_coefficients,
     newton_polish,
+    parity_sectors,
     track_branch,
     truncate,
 )
@@ -127,6 +129,93 @@ def test_char_poly_scaling_survives_large_dimension():
     assert abs(root - branch_value(block, coeffs, 0.1)) <= 1e-12
 
 
+def _reference_char_poly(op, lam):
+    """The recurrence written plainly: numpy scalars, and the largest of
+    all four magnitudes tested against 2**+-512 on every rung."""
+    big, small = 2.0**512, 2.0**-512
+    lam = complex(lam)
+    d, c = op.diag, op.sub * op.sup
+    p_prev, p = 1.0 + 0j, d[0] - lam
+    dp_prev, dp = 0j, -1.0 + 0j
+    exp2 = 0
+    with np.errstate(all="ignore"):
+        for j in range(1, op.dim):
+            t = d[j] - lam
+            p, p_prev = t * p - c[j - 1] * p_prev, p
+            dp, dp_prev = t * dp - p_prev - c[j - 1] * dp_prev, dp
+            m = max(abs(p), abs(p_prev), abs(dp), abs(dp_prev))
+            if m > big:
+                p, p_prev, dp, dp_prev = (v * small for v in (p, p_prev, dp, dp_prev))
+                exp2 += 512
+            elif 0.0 < m < small:
+                p, p_prev, dp, dp_prev = (v * big for v in (p, p_prev, dp, dp_prev))
+                exp2 -= 512
+    return p, dp, exp2
+
+
+def _same_bits(got, ref):
+    return (
+        np.complex128(got.value).tobytes() == np.complex128(ref[0]).tobytes()
+        and np.complex128(got.derivative).tobytes() == np.complex128(ref[1]).tobytes()
+        and got.exp2 == ref[2]
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    log_scale=st.floats(-120.0, 60.0),
+    real=st.booleans(),
+    big_first=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_char_poly_is_bitwise_the_plain_recurrence(seed, n, log_scale, real, big_first):
+    # entries from 1e-120 (every rung rescales up) to 1e60 (rescales down)
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+
+    def draw(size):
+        v = rng.standard_normal(size) + 0j
+        if not real:
+            v += 1j * rng.standard_normal(size)
+        return scale * v
+
+    diag = draw(n)
+    if big_first:
+        diag[0] = 1e170  # |d_0 - lambda| > 2**512 on the first rung
+    op = TridiagonalOperator(diag=diag, sup=draw(n - 1), sub=draw(n - 1), k_offset=0)
+    lam = complex(draw(1)[0])
+    assert _same_bits(char_poly(op, lam), _reference_char_poly(op, lam))
+
+
+def test_char_poly_first_rung_weighs_the_first_diagonal():
+    # |p| = 1 and |dp| = 2**511 after rung 1 are in range, but |d_0| > 2**512
+    # is not, so the four-way test rescales there
+    d0 = np.nextafter(2.0**512, math.inf)
+    d1 = -(d0 - 2.0**511)
+    op = TridiagonalOperator(
+        diag=np.array([d0, d1]),
+        sup=np.array([1.0 + 0j]),
+        sub=np.array([complex(d1 * d0, 1.0)]),
+        k_offset=0,
+    )
+    ref = _reference_char_poly(op, 0.0)
+    assert ref[2] == 512
+    assert _same_bits(char_poly(op, 0.0), ref)
+
+
+def test_char_poly_rescales_underflowing_determinants():
+    # the rescale follows the largest magnitude, here |dp_prev| ~ |p| / d^2,
+    # so p itself stays a normal float only while d**3 >> 2**-510 (d >> 1e-51)
+    rng = np.random.default_rng(5)
+    diag = 1e-40 * rng.uniform(0.5, 2.0, 40)
+    op = TridiagonalOperator(diag=diag, sup=np.zeros(39), sub=np.zeros(39), k_offset=0)
+    cp = char_poly(op, 0.0)
+    assert cp.exp2 < 0  # the determinant is about 1e-1600
+    got = math.log2(abs(cp.value)) + cp.exp2
+    assert got == pytest.approx(float(np.sum(np.log2(diag))), rel=1e-12)
+
+
 def test_eig_dense_examples(sphere_l1):
     block, coeffs = sphere_l1
     eigs = eig_dense(assemble_perturbed(block, coeffs, 0.3))
@@ -143,6 +232,26 @@ def test_eig_dense_dimension_guard():
     coeffs = ladder_coefficients(block)
     with pytest.raises(EigensolveError):
         eig_dense(assemble_perturbed(block, coeffs, 0.1))
+
+
+def test_eig_dense_solves_real_sectors_in_real_arithmetic():
+    block = truncate(300.0, -1.0, fixed_truncation(147))
+    coeffs = ladder_coefficients(block)
+    even, odd = parity_sectors(block, coeffs, -0.05)
+    assert np.count_nonzero(eig_dense(even).imag) == 2  # one complex pair
+    for op in (even, odd):
+        eigs = eig_dense(op)
+        assert eigs.dtype == np.complex128
+        # the real solver returns non-real eigenvalues as exact conjugate pairs
+        cplx = eigs[eigs.imag != 0.0]
+        assert np.array_equal(np.sort_complex(cplx), np.sort_complex(np.conj(cplx)))
+        ref = np.linalg.eigvals(op.to_dense())
+        dist = np.abs(eigs[:, None] - ref[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(dist)
+        assert np.max(dist[rows, cols]) <= 1e-10 * (1.0 + op.inf_norm())
+    # complex x keeps the complex solve
+    even_c, _ = parity_sectors(block, coeffs, -0.05 + 0.01j)
+    assert np.array_equal(eig_dense(even_c), np.linalg.eigvals(even_c.to_dense()))
 
 
 def test_eigvec_diagonal_case(sphere_l1):

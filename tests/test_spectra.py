@@ -16,6 +16,8 @@ from kbmlab import (
     ladder_coefficients,
     make_gamma_grid,
     mixing_report,
+    newton_polish,
+    parity_sectors,
     sphere_spectrum,
     tail_mask,
     torus_spectrum,
@@ -118,6 +120,41 @@ def test_sweep_empirical_r_detects_sphere_collision():
     assert abs(2.0 / table.empirical_r - 0.5) <= 1e-9
     clean = gamma_sweep(2.0, 1.0, [10.0, 100.0])
     assert clean.empirical_r is None
+
+
+@pytest.mark.parametrize(
+    "eta, K, grid",
+    [
+        (2.0, 1.0, list(make_gamma_grid(0.0, 4.0, 41))),  # collides at gamma = 4
+        (300.0, -1.0, [1.0, 2.0, 5.0, 10.0, 100.0, 1e4]),
+    ],
+)
+def test_collided_rows_are_newton_roots_of_their_sector(eta, K, grid):
+    table = gamma_sweep(eta, K, grid)
+    if K > 0.0:
+        block = finite_block(eta, K)
+    else:
+        block = truncate(eta, K, fixed_truncation(int(table.k_trunc[0])))
+    coeffs = ladder_coefficients(block)
+    assert np.count_nonzero(table.collided) >= 4
+    eps = np.finfo(float).eps
+    for i in np.nonzero(table.collided)[0]:
+        gamma = table.gamma_grid[i]
+        mu = table.lam[i] / (0.5 * gamma * gamma)
+        sectors = [s for s in parity_sectors(block, coeffs, -2.0 / gamma) if s is not None]
+        # the sector whose dense spectrum holds the picked value; picks come
+        # from both sectors on these blocks
+        eigs = [eig_dense(s) for s in sectors]
+        dist = [float(np.min(np.abs(e - mu))) for e in eigs]
+        j = int(np.argmin(dist))
+        assert dist[j] <= 1e-10
+        # a raw dense pick sits up to 55 eps |mu| from the root at eta = 300
+        root, ok, _ = newton_polish(sectors[j], mu)
+        assert ok and abs(root - mu) <= 16.0 * eps * abs(mu)
+        # and the row is exactly the root that Newton reaches from the pick
+        pick = eigs[j][np.argmin(np.abs(eigs[j] - mu))]
+        root, ok, _ = newton_polish(sectors[j], pick)
+        assert ok and table.lam[i] == 0.5 * gamma * gamma * root
 
 
 def test_sweep_multiplicity_is_metadata():

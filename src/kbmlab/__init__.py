@@ -41,6 +41,7 @@ from .operator import (
     adaptive_truncation,
     assemble_generator,
     assemble_perturbed,
+    even_sector,
     fixed_truncation,
     parity_sectors,
     tridiag_solve,
@@ -53,6 +54,7 @@ from .eig import (
     char_poly,
     eig_dense,
     eigvec,
+    exceptional_point,
     gap_to_rest,
     newton_polish,
     parity_eigvals,

@@ -1,10 +1,11 @@
 """Eigenvalue machinery for complex tridiagonal matrices.
 
-Four pieces: the characteristic polynomial by the scaled three-term
+Five pieces: the characteristic polynomial by the scaled three-term
 determinant recurrence (a loop on Python complex scalars), a dense
 eigensolver used strictly as a brute-force oracle, inverse-iteration
-eigenvectors, and holomorphic continuation of the eigenvalue branch that
-emanates from the unperturbed value 0.  On the real axis every family
+eigenvectors, holomorphic continuation of the eigenvalue branch that
+emanates from the unperturbed value 0, and the exceptional point where
+that branch ends on the real axis.  On the real axis every family
 member, and each of its parity sectors, is a real matrix; the dense
 solver then runs in real arithmetic, in less than half the time of the
 complex solve on the sector sizes used here.
@@ -19,9 +20,16 @@ residual runs on the full block.  A step is accepted only if the
 corrected value stays within half of the last known gap to the rest of
 the spectrum; otherwise the step is halved.  Steps are shortened to land
 exactly on caller-given checkpoints of the segment, so one continuation
-serves every parameter on it.  Loss of numerical simplicity (gap below
-threshold, step underflow, or Newton stall) flags a collision and returns
-the partial branch.
+serves every parameter on it.
+
+On a real segment the branch ends where it meets its even-sector
+neighbour at a square-root exceptional point, p = dp/dmu = 0 (Kato,
+*Perturbation Theory for Linear Operators*, II.1).  The first rejected
+step from a sample solves that 2x2 system in (x^2, mu) by Newton
+(``exceptional_point``); when the certified point lies inside the step the
+continuation stops there.  Otherwise, and on complex segments, loss of
+numerical simplicity (gap below threshold, or step underflow) flags the
+collision.  Either way the partial branch is returned.
 """
 
 from __future__ import annotations
@@ -34,7 +42,13 @@ import numpy as np
 
 from .errors import BranchCollisionError, EigensolveError
 from .ladder import CasimirBlock, LadderCoefficients
-from .operator import TridiagonalOperator, assemble_perturbed, parity_sectors, tridiag_solve
+from .operator import (
+    TridiagonalOperator,
+    assemble_perturbed,
+    even_sector,
+    parity_sectors,
+    tridiag_solve,
+)
 
 MAX_DENSE_DIM = 4096
 
@@ -161,6 +175,125 @@ def collision_threshold(mu: complex) -> float:
     return COLLISION_REL * (1.0 + abs(mu))
 
 
+def _even_recurrence(
+    d: list, b: list, t: float, mu: float
+) -> tuple[float, float, float, float, float]:
+    """p, p_mu, p_mumu, p_t and p_mut of the even sector's characteristic
+    polynomial at (t = x^2, mu), all times one common power of two.
+
+    The sector's minors obey p_n = (d_n - mu) p_{n-1} + t b_n p_{n-2}
+    (b_n = a^2 on rung n - 1 -> n, doubled on rung 0), which is polynomial
+    in t and mu; the four derivatives follow by differentiating it.  All
+    ten carried values are rescaled together, as in ``char_poly``.
+    """
+    p0, p1 = 1.0, d[0] - mu
+    m0, m1 = 0.0, -1.0  # p_mu
+    mm0 = mm1 = 0.0  # p_mumu
+    t0 = t1 = 0.0  # p_t
+    mt0 = mt1 = 0.0  # p_mut
+    big, small = _BIG, _SMALL
+    for dn, bn in zip(d[1:], b):
+        q, tb = dn - mu, t * bn
+        p2 = q * p1 + tb * p0
+        m2 = q * m1 - p1 + tb * m0
+        mm2 = q * mm1 - 2.0 * m1 + tb * mm0
+        t2 = q * t1 + tb * t0 + bn * p0
+        mt2 = q * mt1 - t1 + tb * mt0 + bn * m0
+        p0, p1, m0, m1, mm0, mm1 = p1, p2, m1, m2, mm1, mm2
+        t0, t1, mt0, mt1 = t1, t2, mt1, mt2
+        s = max(abs(p1), abs(m1), abs(mm1), abs(t1), abs(mt1))
+        if s > big or 0.0 < s < small:
+            f = small if s > big else big
+            p0, p1, m0, m1, mm0, mm1 = p0 * f, p1 * f, m0 * f, m1 * f, mm0 * f, mm1 * f
+            t0, t1, mt0, mt1 = t0 * f, t1 * f, mt0 * f, mt1 * f
+    return p1, m1, mm1, t1, mt1
+
+
+def exceptional_point(
+    block: CasimirBlock,
+    coeffs: LadderCoefficients,
+    x_cur: float,
+    x_try: float,
+    mu_cur: float,
+    nu: Optional[complex],
+) -> Optional[float]:
+    """The exceptional point x_c that ends the real step x_cur -> x_try, or
+    None when no exceptional point is certified there.
+
+    The branch value mu_cur at x_cur and its nearest neighbour ``nu`` (None
+    when that neighbour lies in the odd sector) meet at a square-root
+    branch point of the even sector, where p = p_mu = 0.  That system is
+    solved for (t, mu), t = x^2, by Newton with the Jacobian
+    [[p_t, p_mu], [p_mut, p_mumu]] from ``_even_recurrence``.  The seed
+    comes from the sector's own dense spectrum at x_cur (the eigenvalue
+    nearest mu_cur and its nearest neighbour, which meet at their midpoint
+    after the time the square-root model gives from their slopes), so the
+    result depends on mu_cur and nu only through comparisons.
+
+    Certified means: Newton converged to t_c > x_cur^2; p_mumu and p_t do
+    not vanish there (a simple square-root branch point); mu_c lies
+    strictly between mu_cur and nu; |x_cur| < |x_c| <= |x_try|; and the
+    even sector's dense spectrum at x_c holds two eigenvalues within
+    ``collision_threshold(mu_c)`` of mu_c.
+    """
+    if nu is None or nu.imag != 0.0:
+        return None
+    k = block.k_max
+    d = [float(m * m) for m in range(k + 1)]
+    b = (coeffs.a[k:] ** 2).tolist()
+    b[0] *= 2.0
+    t_cur = x_cur * x_cur
+
+    eigs = eig_dense(even_sector(block, coeffs, x_cur))
+    near = np.argsort(np.abs(eigs - mu_cur))[:2]
+    if near.size < 2 or eigs[near].imag.any():
+        return None
+    mu_a, mu_b = eigs[near].real.tolist()
+    slopes = []
+    for mu in (mu_a, mu_b):
+        _, pm, _, pt, _ = _even_recurrence(d, b, t_cur, mu)
+        if pm == 0.0:
+            return None
+        slopes.append(-pt / pm)
+    dt = 0.5 * (mu_a - mu_b) / (slopes[1] - slopes[0])
+    if not dt > 0.0:
+        return None
+
+    t, mu = t_cur + dt, 0.5 * (mu_a + mu_b)
+    prev = math.inf
+    for _ in range(50):
+        p, pm, pmm, pt, pmt = _even_recurrence(d, b, t, mu)
+        det = pt * pmm - pm * pmt
+        if det == 0.0 or not math.isfinite(det):
+            return None
+        dt = (pm * pm - p * pmm) / det
+        dmu = (p * pmt - pt * pm) / det
+        rel = max(abs(dt) / max(abs(t), 1e-300), abs(dmu) / max(abs(mu), 1e-300))
+        if rel >= prev:
+            # stalled at the rounding floor; keep the iterate before the step
+            if prev > 1e-10:
+                return None
+            break
+        t, mu, prev = t + dt, mu + dmu, rel
+        if rel <= 8.0 * _EPS:
+            break
+    else:
+        return None
+
+    _, _, pmm, pt, _ = _even_recurrence(d, b, t, mu)
+    if not (t > t_cur and pmm != 0.0 and pt != 0.0):
+        return None
+    if not min(mu_cur, nu.real) < mu < max(mu_cur, nu.real):
+        return None
+    x_c = math.copysign(math.sqrt(t), x_try)
+    if not abs(x_cur) < abs(x_c) <= abs(x_try):
+        return None
+    dist = np.sort(np.abs(eig_dense(even_sector(block, coeffs, x_c)) - mu))
+    if not (dist.size >= 2 and dist[1] <= collision_threshold(mu)):
+        return None
+    return x_c
+
+
 def gap_to_rest(mu: complex, eigs: np.ndarray) -> float:
     """Distance from mu to the nearest eigenvalue other than its own match."""
     d = np.sort(np.abs(np.asarray(eigs) - mu))
@@ -231,12 +364,16 @@ class EigenBranch:
     ``simple[i]`` is gap_to_rest[i] > collision_threshold(mu_values[i]).
     ``status`` is "complete" when x_target was reached, otherwise
     "collision" with the stopping parameter in ``x_collision`` and the
-    trigger in ``reason``.  ``oracle_dev`` is the largest deviation between
-    a tracked value and its nearest dense-oracle eigenvalue over all
-    spot-checked samples.  ``checkpoint_index`` holds, for each checkpoint
-    the continuation landed on (in order, x_target last), the index of its
-    sample in ``x_samples``; a checkpoint sample may be the non-simple one
-    that stopped the continuation.
+    trigger in ``reason``: "exceptional point" (x_collision is the certified
+    point, beyond the last sample), "gap below collision threshold" (the
+    last sample, which is not simple) or "step underflow near loss of
+    simplicity" (the last sample, the step having been halved below 1e-12).
+    ``oracle_dev`` is the largest deviation between a tracked value and its
+    nearest dense-oracle eigenvalue over all spot-checked samples.
+    ``checkpoint_index`` holds, for each checkpoint the continuation landed
+    on (in order, x_target last), the index of its sample in ``x_samples``;
+    a checkpoint sample may be the non-simple one that stopped the
+    continuation.
     """
 
     block: CasimirBlock
@@ -285,6 +422,13 @@ def track_branch(
     continuation shortens the step that would pass a checkpoint so that it
     samples the checkpoint's exact value, and the step size is carried on
     unchanged past it.
+
+    On a real segment, the first rejected step from each sample asks
+    ``exceptional_point`` whether the step ran into the exceptional point
+    where the branch meets the neighbour of the last gap check.  If so the
+    continuation stops with reason "exceptional point" and x_collision =
+    x_c; no checkpoint lies between the sample and x_c, because steps never
+    pass one.  Otherwise the step is halved.
     """
     x_target = complex(x_target)
     dim = block.dim
@@ -322,6 +466,10 @@ def track_branch(
     s_prev: Optional[float] = None
     mu_prev = 0j
     last_gap = gap0
+    # the unperturbed neighbour of 0 is m^2 = 1, which the even sector holds
+    last_nu: Optional[complex] = 1.0 + 0j if dim > 1 else None
+    real_segment = x_target.imag == 0.0
+    ep_tried = False
     oracle_dev = 0.0
     status, reason, x_coll = "complete", "", None
     ds = ds_base
@@ -351,6 +499,16 @@ def track_branch(
         mu_new, ok, iters = newton_polish(even, mu_pred)
         trust = 0.5 * last_gap
         if (not ok) or abs(mu_new - mu_pred) > trust:
+            if real_segment and not ep_tried:
+                # the first rejection from x_cur: the step may have run into
+                # the exceptional point where the branch meets nu
+                ep_tried = True
+                x_c = exceptional_point(
+                    block, coeffs, x_cur.real, x_new.real, mu_cur.real, last_nu
+                )
+                if x_c is not None:
+                    status, reason, x_coll = "collision", "exceptional point", complex(x_c)
+                    break
             ds *= 0.5
             easy = 0
             if ds < ds_min:
@@ -364,9 +522,12 @@ def track_branch(
         if spot:
             eigs = parity_eigvals(even, odd)
             dist = np.abs(eigs - mu_new)
-            oracle_dev = max(oracle_dev, float(np.min(dist)))
-            gap = gap_to_rest(mu_new, eigs)
+            near = np.argsort(dist)[:2]
+            oracle_dev = max(oracle_dev, float(dist[near[0]]))
+            gap = float(dist[near[1]]) if near.size > 1 else math.inf
             last_gap = gap
+            # parity_eigvals lists the even sector's eigenvalues first
+            last_nu = complex(eigs[near[1]]) if near.size > 1 and near[1] < even.dim else None
         else:
             gap = last_gap
         is_simple = gap > collision_threshold(mu_new)
@@ -396,6 +557,7 @@ def track_branch(
 
         s_prev, mu_prev = s_cur, mu_cur
         s_cur, x_cur, mu_cur = s_new, x_new, mu_new
+        ep_tried = False
         if iters <= 5:
             easy += 1
             if easy >= 3 and ds < ds_base:

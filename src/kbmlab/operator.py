@@ -142,25 +142,32 @@ def parity_sectors(
     k_max + 1) holds the branch through 0; the odd one (dimension k_max)
     is None on the single-mode block.
     """
+    even = even_sector(block, coeffs, x)
+    m = block.k_max
+    if m == 0:
+        return even, None
+    sub = complex(x) * coeffs.a[m + 1 :]
+    meta = {**even.meta, "parity": -1}
+    odd = TridiagonalOperator(diag=even.diag[1:], sup=-sub, sub=sub, k_offset=1, meta=meta)
+    return even, odd
+
+
+def even_sector(
+    block: CasimirBlock, coeffs: LadderCoefficients, x: complex
+) -> TridiagonalOperator:
+    """The J = +1 sector of ``parity_sectors``: diagonal m^2 (m = 0..k_max),
+    sub[m] = x*a_m and sup = -sub, with rung 0 carrying a factor sqrt(2)."""
     if coeffs.a.shape != (block.dim - 1,):
         raise ValueError("block and coefficients are inconsistent")
     m = block.k_max
     x = complex(x)
     ms = np.arange(m + 1, dtype=complex)
-    diag = ms * ms
     sub = x * coeffs.a[m:]
-    even_sub = sub.copy()
-    even_sub[:1] *= math.sqrt(2.0)
+    sub[:1] *= math.sqrt(2.0)
     meta = {"eta": block.eta, "curvature": block.curvature, "kind": "perturbed", "x": x}
-    even = TridiagonalOperator(
-        diag=diag, sup=-even_sub, sub=even_sub, k_offset=0, meta={**meta, "parity": 1}
+    return TridiagonalOperator(
+        diag=ms * ms, sup=-sub, sub=sub, k_offset=0, meta={**meta, "parity": 1}
     )
-    if m == 0:
-        return even, None
-    odd = TridiagonalOperator(
-        diag=diag[1:], sup=-sub[1:], sub=sub[1:], k_offset=1, meta={**meta, "parity": -1}
-    )
-    return even, odd
 
 
 @dataclass(frozen=True)

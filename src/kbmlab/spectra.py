@@ -8,11 +8,10 @@ holomorphic branch in x = -2/gamma, so a sweep continues it once per
 block, from x = 0 out to the deepest grid point, landing exactly on every
 grid value of x on the way (the doubled certificate block gets a second
 such continuation).  Rows therefore share one path: where it stops at a
-collision, every deeper row is resolved from the dense spectrum, seeded
-with the path's last simple value.  That spectrum is the union of the two
-parity sectors' spectra (``operator.parity_sectors``), as in the
-continuation's own gap checks, and the picked value is Newton-polished on
-its own sector.
+collision, every deeper row is resolved from the dense spectrum of the
+even parity sector (``operator.even_sector``), which holds the branch
+through 0, seeded with the path's last simple value; the picked value is
+Newton-polished on that sector.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eig import EigenBranch, newton_polish, parity_eigvals, residual_norm, track_branch
-from .errors import EigensolveError, SpectrumValidationError
+from .eig import EigenBranch, eig_dense, newton_polish, residual_norm, track_branch
+from .errors import BranchCollisionError, EigensolveError, SpectrumValidationError
 from .ladder import CasimirBlock, LadderCoefficients, finite_block, ladder_coefficients
-from .operator import TruncationPolicy, assemble_perturbed, parity_sectors, truncate
+from .operator import TruncationPolicy, assemble_perturbed, even_sector, truncate
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,8 @@ class GammaTable:
 
     ``collided`` marks rows that the sweep's one continuation did not
     reach as simple samples, because it stopped at a collision x_c with
-    |x_c| <= |x|; their values come from the dense-oracle continuation jump
-    (Newton-polished) and are complex just past the collision point.
+    |x_c| <= |x|; their values come from the even sector's dense spectrum
+    (Newton-polished) and are complex past an exceptional point.
     ``certificate`` is the change of lambda under doubling the truncation
     (0 on intrinsically finite ladders, NaN where the doubled block's
     continuation stopped before the row).  ``empirical_r`` is 2/|x_c| at
@@ -173,22 +172,21 @@ class GammaTable:
 def _dense_continuation(
     block: CasimirBlock, coeffs: LadderCoefficients, x: complex, seed_mu: complex
 ) -> complex:
-    """Pick the branch value past a collision from the dense spectrum (the
-    union of the two parity sectors): nearest to the last tracked value,
-    ties resolved toward positive imaginary part (then larger real part)
-    for determinism.  The pick is then Newton-polished on its own sector's
-    characteristic polynomial, which removes the dense solver's error; a
-    pick where Newton does not converge is returned as it is."""
-    even, odd = parity_sectors(block, coeffs, x)
-    eigs = parity_eigvals(even, odd)
+    """Pick the branch value past a collision from the dense spectrum of the
+    even parity sector, which holds the branch through 0: nearest to the
+    last tracked value, ties resolved toward positive imaginary part (then
+    larger real part) for determinism.  The pick is then Newton-polished on
+    the sector's characteristic polynomial, which removes the dense
+    solver's error; a pick where Newton does not converge is returned as it
+    is."""
+    even = even_sector(block, coeffs, x)
+    eigs = eig_dense(even)
     dist = np.abs(eigs - seed_mu)
     dmin = float(np.min(dist))
     tie = np.nonzero(dist <= dmin * (1.0 + 1e-9) + 1e-15)[0]
     cand = eigs[tie]
-    i = tie[np.lexsort((cand.real, cand.imag))[-1]]
-    pick = complex(eigs[i])
-    # parity_eigvals lists the even sector's eigenvalues first
-    root, converged, _ = newton_polish(even if i < even.dim else odd, pick)
+    pick = complex(cand[np.lexsort((cand.real, cand.imag))[-1]])
+    root, converged, _ = newton_polish(even, pick)
     return root if converged else pick
 
 
@@ -225,7 +223,9 @@ def gamma_sweep(
     is truncated by ``policy`` (adaptive by default, certified at the
     deepest x of the grid) and every row records the lambda shift under
     doubling the cutoff.  Each block is continued once through all grid
-    points; a collision marks the rows at and beyond it, and is not fatal.
+    points; a collision marks the rows at and beyond it, and is not fatal
+    unless the continuation accepted no step at all (x_c = 0), which
+    raises BranchCollisionError.
     """
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -267,6 +267,11 @@ def gamma_sweep(
     coeffs = ladder_coefficients(block)
 
     branch, hit = _track_rows(block, coeffs, grid)
+    if branch.x_collision == 0:
+        raise BranchCollisionError(
+            f"eta = {eta!r}, K = {K!r}: the branch continuation accepted no step "
+            f"from x = 0 ({branch.reason})"
+        )
     half_g2 = 0.5 * grid * grid
 
     lam = np.empty(n, dtype=complex)

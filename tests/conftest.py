@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kbmlab import finite_block, fixed_truncation, ladder_coefficients, truncate
+from kbmlab import EigenBranch, finite_block, fixed_truncation, ladder_coefficients, truncate
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,19 @@ def match_spectra(e1, e2, tol):
     for v in e1:
         worst = max(worst, float(np.min(np.abs(e2 - v))))
     return worst <= tol
+
+
+def stuck_at_zero(block, coeffs, x_target, checkpoints=()):
+    """Stand-in for track_branch: a continuation that accepted no step."""
+    return EigenBranch(
+        block=block,
+        x_target=complex(x_target),
+        x_samples=np.array([0j]),
+        mu_values=np.array([0j]),
+        residuals=np.array([0.0]),
+        gap_to_rest=np.array([1.0]),
+        simple=np.array([True]),
+        status="collision",
+        reason="step underflow near loss of simplicity",
+        x_collision=0j,
+    )

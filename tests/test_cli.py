@@ -290,3 +290,16 @@ def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):
     )
     assert code == 0
     assert policies == ["adaptive", "fixed"]
+
+
+def test_continuation_that_accepts_no_step_is_a_numerics_error(tmp_path, monkeypatch, capsys):
+    import kbmlab.spectra
+    from conftest import stuck_at_zero
+
+    monkeypatch.setattr(kbmlab.spectra, "track_branch", stuck_at_zero)
+    out = tmp_path / "out"
+    assert run_cli(small_run_args(out)) == 1
+    record = _error_record(capsys)
+    assert record["error"] == "BranchCollisionError"
+    assert "eta = 2.0, K = 1.0" in record["message"]
+    assert json.loads((out / "errors.json").read_text()) == record

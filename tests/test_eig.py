@@ -15,6 +15,7 @@ from kbmlab import (
     char_poly,
     eig_dense,
     eigvec,
+    exceptional_point,
     finite_block,
     fixed_truncation,
     gap_to_rest,
@@ -467,3 +468,160 @@ def test_track_branch_matches_a_40_digit_dense_oracle(K, eta, k_max, x):
         eigs = mpmath.eig(a, left=False, right=False)
         nearest = min(eigs, key=lambda e: abs(e - mu))
         assert abs(complex(nearest) - mu) <= 1e-12
+
+
+def _block(K, eta, k_max):
+    return finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
+
+
+def _ep_40_digits(block, x0, mu0):
+    """Root of det(A(x) - mu) = d/dmu det(A(x) - mu) = 0 on the full block
+    in 40-digit arithmetic, independent of the parity split and of the
+    recurrence."""
+    K, eta = block.curvature, block.eta
+    ks = [int(k) for k in block.ks]
+    with mpmath.workdps(40):
+        def det(x, mu):
+            a = mpmath.zeros(block.dim, block.dim)
+            for j, k in enumerate(ks):
+                a[j, j] = k * k - mu
+                if j + 1 < block.dim:
+                    c = x * mpmath.sqrt((mpmath.mpf(eta) - K * (k * (k + 1))) / 4)
+                    a[j + 1, j], a[j, j + 1] = c, -c
+            return mpmath.det(a)
+
+        def ddet(x, mu):
+            return mpmath.diff(lambda m: det(x, m), mu)
+
+        x, mu = mpmath.findroot([det, ddet], (mpmath.mpf(x0), mpmath.mpf(mu0)))
+        return float(x), float(mu)
+
+
+@pytest.mark.parametrize("K, eta, k_max", [(1.0, 6.0, None), (-1.0, 2.0, 6)])
+def test_exceptional_point_matches_a_40_digit_solution(K, eta, k_max):
+    block = _block(K, eta, k_max)
+    br = track_branch(block, ladder_coefficients(block), -1.0)
+    assert (br.status, br.reason) == ("collision", "exceptional point")
+    x_c = br.x_collision.real
+    # seed: two digits of x_c and the midpoint of the closest dense pair there
+    eigs = np.sort(eig_dense(assemble_perturbed(block, ladder_coefficients(block), x_c)).real)
+    i = int(np.argmin(np.diff(eigs)))
+    x_mp, mu_mp = _ep_40_digits(block, round(x_c, 2), 0.5 * (eigs[i] + eigs[i + 1]))
+    assert abs(x_c - x_mp) <= 1e-13
+    assert abs(mu_mp - 0.5 * (eigs[i] + eigs[i + 1])) <= 1e-6
+
+
+@pytest.mark.parametrize("x_target", [-1.0, 0.9, -0.5])
+def test_sphere_exceptional_point_is_one_half(sphere_l1, x_target):
+    # the 3x3 block's even sector has p = mu^2 - mu + x^2, so x_c = 1/2
+    block, coeffs = sphere_l1
+    br = track_branch(block, coeffs, x_target)
+    assert (br.status, br.reason) == ("collision", "exceptional point")
+    assert br.x_collision.imag == 0.0 and br.x_collision.real * x_target > 0.0
+    assert abs(abs(br.x_collision) - 0.5) <= 1e-15
+
+
+# x_collision of the continuation to x = -1 when it still crept up to the
+# collision by step halving down to a step of 1e-12
+_CRAWL_X_C = [
+    (1.0, 2.0, None, -0.49999999999999994),
+    (1.0, 6.0, None, -0.2959258998511359),
+    (1.0, 12.0, None, -0.2106084478029516),
+    (1.0, 20.0, None, -0.16356417991046335),
+    (1.0, 72.0, None, -0.0864524855234777),
+    (-1.0, 2.0, 32, -0.5416221984080039),
+    (-1.0, 5.0, 32, -0.333816053456394),
+    (-1.0, 10.0, 34, -0.23410965025832417),
+    (-1.0, 30.0, 52, -0.1344372858016868),
+    (-1.0, 300.0, 147, -0.042410958569962534),
+    (-1.0, 300.0, 294, -0.042410958569962534),
+    (0.0, 1.0, 48, -0.7343843068912975),
+    (0.0, 2.0, 48, -0.5192881234004743),
+    (0.0, 4.0, 48, -0.3671921534449211),
+]
+
+
+@pytest.mark.parametrize("K, eta, k_max, x_crawl", _CRAWL_X_C)
+def test_exceptional_point_agrees_with_the_step_halving_crawl(K, eta, k_max, x_crawl):
+    block = _block(K, eta, k_max)
+    br = track_branch(block, ladder_coefficients(block), -1.0)
+    assert (br.status, br.reason) == ("collision", "exceptional point")
+    x_c = br.x_collision.real
+    # the crawl stopped at its last accepted step, short of the point
+    assert abs(x_c - x_crawl) <= 1e-9 and abs(x_c) >= abs(x_crawl)
+    # the point lies beyond the last sample, inside the rejected step
+    assert abs(x_c) > abs(br.x_samples[-1])
+
+
+def test_exceptional_point_certificate(sphere_l1, monkeypatch):
+    block, coeffs = sphere_l1
+    x_cur = -0.45
+    mu_cur = closed_mu(x_cur)
+    # the even sector's eigenvalues are (1 +- sqrt(1 - 4x^2)) / 2
+    nu = complex(1.0 - mu_cur)
+    x_c = exceptional_point(block, coeffs, x_cur, -0.6, mu_cur, nu)
+    assert x_c is not None and abs(x_c + 0.5) <= 1e-15
+    # the neighbour is in the odd sector, complex, or on the wrong side of mu_c
+    for bad_nu in (None, complex(nu.real, 0.1), complex(-0.5)):
+        assert exceptional_point(block, coeffs, x_cur, -0.6, mu_cur, bad_nu) is None
+    # the point lies beyond the step, or the step starts past it
+    assert exceptional_point(block, coeffs, x_cur, -0.49, mu_cur, nu) is None
+    assert exceptional_point(block, coeffs, -0.52, -0.6, 0.5, nu) is None
+    # the dense spectrum at x_c must hold the colliding pair
+    real_dense = kbmlab.eig.eig_dense
+
+    def split_at_the_point(op):
+        eigs = real_dense(op)
+        if abs(op.meta["x"]) >= 0.5 - 1e-12:
+            eigs[np.argmin(np.abs(eigs - 0.5))] += 1e-3
+        return eigs
+
+    monkeypatch.setattr(kbmlab.eig, "eig_dense", split_at_the_point)
+    assert exceptional_point(block, coeffs, x_cur, -0.6, mu_cur, nu) is None
+
+
+@pytest.mark.parametrize("x_target", [-1.0, 0.9, -0.6])
+def test_exceptional_point_needs_an_even_neighbour(sphere_l1, monkeypatch, x_target):
+    # an odd sector crowding the branch from above (a constant 0.6) stands
+    # in for a block whose nearest neighbour is odd; the branch meets its
+    # even partner (1 + sqrt(1 - 4x^2))/2 at x_c = 1/2, and that partner is
+    # the nearer one only for x^2 > 0.24
+    block, coeffs = sphere_l1
+    real_sectors = kbmlab.eig.parity_sectors
+
+    def crowded(block, coeffs, x):
+        even, _ = real_sectors(block, coeffs, x)
+        return even, TridiagonalOperator(
+            diag=np.array([0.6]), sup=np.zeros(0), sub=np.zeros(0), k_offset=1
+        )
+
+    monkeypatch.setattr(kbmlab.eig, "parity_sectors", crowded)
+    br = track_branch(block, coeffs, x_target)
+    assert br.status == "collision" and abs(abs(br.x_collision) - 0.5) <= 1e-15
+    assert abs(br.x_samples[-1]) ** 2 > 0.24
+
+
+@pytest.mark.parametrize(
+    "K, eta, k_max", [(1.0, 6.0, None), (1.0, 20.0, None), (1.0, 72.0, None), (-1.0, 5.0, 32)]
+)
+def test_exceptional_point_ignores_rounding_in_its_inputs(monkeypatch, K, eta, k_max):
+    # Newton's last bit depends on its seed on these blocks, so the seed
+    # comes from the sector's own dense spectrum: perturbing the tracked
+    # value and its neighbour leaves the point bit for bit unchanged
+    block = _block(K, eta, k_max)
+    coeffs = ladder_coefficients(block)
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return exceptional_point(*args)
+
+    monkeypatch.setattr(kbmlab.eig, "exceptional_point", recording)
+    br = track_branch(block, coeffs, -1.0)
+    assert len(calls) == 1
+    _, _, x_cur, x_try, mu_cur, nu = calls[0]
+    assert exceptional_point(block, coeffs, x_cur, x_try, mu_cur, nu) == br.x_collision.real
+    for rel in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7):
+        for scale in (1.0 + rel, 1.0 - rel):
+            x_c = exceptional_point(block, coeffs, x_cur, x_try, mu_cur * scale, nu * scale)
+            assert x_c == br.x_collision.real

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import kbmlab.spectra
+from conftest import stuck_at_zero
 from kbmlab import (
+    BranchCollisionError,
     SpectrumValidationError,
     custom_spectrum,
     eig_dense,
@@ -117,7 +119,7 @@ def test_sweep_empirical_r_detects_sphere_collision():
     # the collision point itself is |x_c| = 1/2; a spurious simplicity veto
     # near it moves x_c by 1e-4 and empirical_r by 1e-3
     table = gamma_sweep(2.0, 1.0, make_gamma_grid(0.0, 4.0, 41))
-    assert abs(2.0 / table.empirical_r - 0.5) <= 1e-9
+    assert abs(2.0 / table.empirical_r - 0.5) <= 1e-12
     clean = gamma_sweep(2.0, 1.0, [10.0, 100.0])
     assert clean.empirical_r is None
 
@@ -142,12 +144,12 @@ def test_collided_rows_are_newton_roots_of_their_sector(eta, K, grid):
         gamma = table.gamma_grid[i]
         mu = table.lam[i] / (0.5 * gamma * gamma)
         sectors = [s for s in parity_sectors(block, coeffs, -2.0 / gamma) if s is not None]
-        # the sector whose dense spectrum holds the picked value; picks come
-        # from both sectors on these blocks
+        # the sector whose dense spectrum holds the picked value: the even
+        # one, which holds the branch through 0
         eigs = [eig_dense(s) for s in sectors]
         dist = [float(np.min(np.abs(e - mu))) for e in eigs]
         j = int(np.argmin(dist))
-        assert dist[j] <= 1e-10
+        assert j == 0 and dist[j] <= 1e-10
         # a raw dense pick sits up to 55 eps |mu| from the root at eta = 300
         root, ok, _ = newton_polish(sectors[j], mu)
         assert ok and abs(root - mu) <= 16.0 * eps * abs(mu)
@@ -155,6 +157,36 @@ def test_collided_rows_are_newton_roots_of_their_sector(eta, K, grid):
         pick = eigs[j][np.argmin(np.abs(eigs[j] - mu))]
         root, ok, _ = newton_polish(sectors[j], pick)
         assert ok and table.lam[i] == 0.5 * gamma * gamma * root
+
+
+def test_collided_rows_follow_the_branch_past_the_exceptional_point():
+    # past x_c = 1/2 the sphere eta = 2 branch is 1/2 + i sqrt(4x^2 - 1)/2,
+    # the root with positive imaginary part of mu^2 - mu + x^2
+    table = gamma_sweep(2.0, 1.0, make_gamma_grid(0.0, 4.0, 41))
+    below = table.gamma_grid < 4.0
+    assert np.all(table.collided[below]) and np.count_nonzero(below) == 7
+    for gamma, lam in zip(table.gamma_grid[below], table.lam[below]):
+        x = -2.0 / gamma
+        ref = 0.5 * gamma * gamma * complex(0.5, 0.5 * math.sqrt(4.0 * x * x - 1.0))
+        assert abs(lam - ref) <= 1e-12 * abs(ref)
+
+
+def test_sweep_that_accepts_no_step_raises(monkeypatch):
+    monkeypatch.setattr(kbmlab.spectra, "track_branch", stuck_at_zero)
+    with pytest.raises(BranchCollisionError, match=r"eta = 2\.0, K = 1\.0"):
+        gamma_sweep(2.0, 1.0, [1.0, 10.0])
+
+
+def test_sweep_at_huge_eta_collides_at_the_scaled_point():
+    # at eta = 1e150 the curvature terms of a_k^2 = (eta + k(k+1))/4 vanish
+    # in rounding, so the block is the K = 0, eta = 1 block with couplings
+    # scaled by 1e75, and its exceptional point sits at x_c / 1e75
+    table = gamma_sweep(1e150, -1.0, [1.0, 10.0, 100.0], fixed_truncation(5))
+    assert np.all(table.collided)
+    unit = truncate(1.0, 0.0, fixed_truncation(5))
+    x_c = track_branch(unit, ladder_coefficients(unit), -1.0).x_collision
+    assert math.isfinite(table.empirical_r) and table.empirical_r > 0.0
+    assert table.empirical_r == pytest.approx(2e75 / abs(x_c), rel=1e-12)
 
 
 def test_sweep_multiplicity_is_metadata():

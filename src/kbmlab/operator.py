@@ -2,7 +2,8 @@
 kinetic Brownian motion generator on one Casimir block, together with the
 truncation policy for infinite ladders, the split of the perturbed family
 into its two parity sectors, the numerical-range minimum and the shifted
-tridiagonal solve.
+tridiagonal solve.  Everything here runs on NumPy alone, so importing the
+package loads no SciPy.
 
 In the fixed gauge the perturbed family reads diag(k^2) + x*X with X real
 skew-symmetric, and the rescaled generator is (gamma^2/2)*diag(k^2) -
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigensolveError, TruncationError
 from .ladder import CasimirBlock, LadderCoefficients, ladder_coefficients
@@ -260,25 +260,60 @@ def accretivity_minimum(op: TridiagonalOperator) -> float:
     That is the smallest eigenvalue of the Hermitian part (op + op^*)/2,
     a Hermitian tridiagonal matrix with diagonal Re(diag) and off-diagonal
     (sub + conj(sup))/2; a diagonal phase change makes the off-diagonal
-    real and nonnegative.  For generator restrictions the skew coupling
-    drops out, so the value is min (gamma^2/2) k^2 = 0 exactly.
+    real and nonnegative.  The resulting real symmetric matrix goes to
+    the dense ``eigvalsh`` (O(dim^3), a diagnostic off the sweep path).
+    For generator restrictions the skew coupling drops out, the matrix is
+    diagonal and the value is min (gamma^2/2) k^2 = 0 exactly.
     """
-    off = np.abs(0.5 * (op.sub + np.conj(op.sup)))
-    lam = scipy.linalg.eigvalsh_tridiagonal(op.diag.real, off, select="i", select_range=(0, 0))
-    return float(lam[0])
+    n = op.dim
+    i = np.arange(n)
+    herm = np.zeros((n, n))
+    herm[i, i] = op.diag.real
+    herm[i[1:], i[:-1]] = herm[i[:-1], i[1:]] = np.abs(0.5 * (op.sub + np.conj(op.sup)))
+    return float(np.linalg.eigvalsh(herm)[0])
 
 
 def tridiag_solve(op: TridiagonalOperator, shift: complex, rhs: np.ndarray) -> np.ndarray:
     """Solve (op - shift*I) x = rhs for one or several right-hand sides.
 
-    One banded LAPACK solve (``?gtsv``: Gaussian elimination with partial
-    pivoting); an exactly singular matrix raises EigensolveError.
+    LAPACK's ``?gtsv`` algorithm on Python complex scalars: Gaussian
+    elimination with partial pivoting (pivot by |Re| + |Im|), where each
+    row interchange fills one entry of a second superdiagonal, then back
+    substitution.  A 2-d ``rhs`` runs through the same loop with its rows
+    as NumPy vectors and is not modified.  An exactly zero pivot (an
+    exactly singular matrix) raises EigensolveError.
     """
-    ab = np.zeros((3, op.dim), dtype=complex)
-    ab[0, 1:] = op.sup
-    ab[1] = op.diag - shift
-    ab[2, :-1] = op.sub
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # exactly singular
-        raise EigensolveError(f"shifted tridiagonal solve failed: {exc}") from exc
+    shift = complex(shift)
+    d = [z - shift for z in op.diag.tolist()]
+    du = op.sup.tolist()
+    dl = op.sub.tolist()
+    dl_size = (np.abs(op.sub.real) + np.abs(op.sub.imag)).tolist()  # pivot size |Re| + |Im|
+    rhs = np.asarray(rhs, dtype=complex)
+    b = rhs.tolist() if rhs.ndim == 1 else list(rhs)
+    n = len(d)
+    du2 = [0j] * n
+    for k in range(n - 1):
+        dk = d[k]
+        if not dl_size[k]:
+            if not dk:
+                raise EigensolveError(f"shifted tridiagonal solve: zero pivot in row {k}")
+        elif abs(dk.real) + abs(dk.imag) >= dl_size[k]:
+            mult = dl[k] / dk
+            d[k + 1] -= mult * du[k]
+            b[k + 1] = b[k + 1] - mult * b[k]  # not in place: rows may be views of rhs
+        else:  # interchange rows k and k+1
+            lk = dl[k]
+            mult = dk / lk
+            d[k], d[k + 1], du[k] = lk, du[k] - mult * d[k + 1], d[k + 1]
+            if k < n - 2:
+                du2[k] = du[k + 1]
+                du[k + 1] = -mult * du2[k]
+            b[k], b[k + 1] = b[k + 1], b[k] - mult * b[k + 1]
+    if not d[n - 1]:
+        raise EigensolveError(f"shifted tridiagonal solve: zero pivot in row {n - 1}")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for k in range(n - 3, -1, -1):
+        b[k] = (b[k] - du[k] * b[k + 1] - du2[k] * b[k + 2]) / d[k]
+    return np.array(b, dtype=complex)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -303,3 +307,34 @@ def test_continuation_that_accepts_no_step_is_a_numerics_error(tmp_path, monkeyp
     assert record["error"] == "BranchCollisionError"
     assert "eta = 2.0, K = 1.0" in record["message"]
     assert json.loads((out / "errors.json").read_text()) == record
+
+
+_NO_SCIPY_RUN = """
+import sys
+import kbmlab.cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "kbmlab.cli imported scipy"
+sys.modules["scipy"] = None  # any later scipy import raises ImportError
+sys.exit(kbmlab.cli.main(sys.argv[1:]))
+"""
+
+
+def test_run_needs_no_scipy(tmp_path):
+    # importing the CLI loads no scipy module, and a K < 0 run with the
+    # default checks (adaptive truncation, residuals, accretivity) completes
+    # with scipy blocked
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0.0, 1], [2.0, 1]]}))
+    out = tmp_path / "out"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, "run", "--surface", "custom", "--curvature", "-1.0",
+         "--custom-path", str(eta_path), "--gamma-points", "7", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    accretivity = json.loads((out / "diagnostics.json").read_text())["accretivity"]
+    assert len(accretivity) == 6  # two eta values times three gammas
+    assert all(rec["min_real_energy"] == 0.0 for rec in accretivity)

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbmlab import (
+    EigensolveError,
+    TridiagonalOperator,
     TruncationError,
     accretivity_minimum,
     adaptive_truncation,
     assemble_generator,
     assemble_perturbed,
     eig_dense,
+    eigvec,
     finite_block,
     fixed_truncation,
     ladder_coefficients,
@@ -21,6 +25,7 @@ from kbmlab import (
     tridiag_solve,
     truncate,
 )
+from kbmlab.acceptance import suite_block, suite_cases
 
 
 def test_perturbed_at_zero_is_diagonal(sphere_l1):
@@ -157,6 +162,17 @@ def test_accretivity_trivial_block_is_zero():
     assert accretivity_minimum(op) == 0.0
 
 
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0])
+def test_accretivity_of_the_generator_is_exactly_zero(gamma):
+    # the skew coupling cancels in the Hermitian part, which is then the
+    # diagonal (gamma^2/2) k^2 with its minimum 0 at k = 0
+    blocks = [suite_block(K, eta)[0] for K, eta in suite_cases()]
+    blocks.append(truncate(300.0, -1.0, fixed_truncation(147)))
+    for block in blocks:
+        op = assemble_generator(block, ladder_coefficients(block), gamma)
+        assert accretivity_minimum(op) == 0.0
+
+
 def test_accretivity_is_exact_off_the_generator(hyperbolic_block):
     # complex x gives a Hermitian part with nonzero off-diagonal
     block, coeffs = hyperbolic_block
@@ -222,6 +238,96 @@ def test_tridiag_solve_pivot_fallback():
     x = tridiag_solve(op, 0.0, rhs)
     ref = np.linalg.solve(op.to_dense(), rhs)
     assert np.linalg.norm(x - ref) <= 1e-12
+
+
+def _random_tridiagonal(n, seed, interchange):
+    """Complex tridiagonal operator, shift and right-hand side, scaled by
+    one factor in 1e-3..1e3; ``interchange`` makes the off-diagonals 10 to
+    1000 times larger than diag - shift, so partial pivoting swaps rows."""
+    rng = np.random.default_rng(seed)
+
+    def entries(m):
+        return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    off = scale * (10.0 ** rng.uniform(1.0, 3.0) if interchange else 1.0)
+    op = TridiagonalOperator(
+        diag=scale * entries(n), sup=off * entries(n - 1), sub=off * entries(n - 1), k_offset=0
+    )
+    return op, complex(scale * entries(1)[0]), entries(n)
+
+
+@given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), interchange=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_tridiag_solve_matches_lapack_gtsv_and_the_dense_solve(n, seed, interchange):
+    op, shift, rhs = _random_tridiagonal(n, seed, interchange)
+    x = tridiag_solve(op, shift, rhs)
+    a = op.to_dense() - shift * np.eye(n)
+    ref = np.linalg.solve(a, rhs)
+    cond = np.linalg.cond(a)
+    assert np.linalg.norm(x - ref) <= 1e-13 * cond * np.linalg.norm(ref)
+    if n > 1:  # the wrapper rejects an empty subdiagonal
+        *_, ref_gtsv, info = scipy.linalg.lapack.zgtsv(op.sub, op.diag - shift, op.sup, rhs)
+        assert info == 0
+        assert np.linalg.norm(x - ref_gtsv) <= 1e-13 * np.linalg.norm(ref_gtsv)
+
+
+def test_tridiag_solve_one_by_one_with_a_real_rhs():
+    # n = 2 with a row interchange is test_tridiag_solve_pivot_fallback
+    op = TridiagonalOperator(
+        diag=np.array([3.0 + 1.0j]), sup=np.zeros(0), sub=np.zeros(0), k_offset=0
+    )
+    assert tridiag_solve(op, 1.0j, np.array([6.0])) == pytest.approx([2.0], abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "diag,sup,sub",
+    [
+        ([0.0], [], []),  # 1x1 zero
+        ([1.0, 0.0, 1.0], [0.0, 0.0], [0.0, 0.0]),  # zero pivot before the last row
+        ([1.0, 1.0], [1.0], [1.0]),  # rank one: the last pivot cancels exactly
+    ],
+)
+def test_tridiag_solve_exactly_singular_raises(diag, sup, sub):
+    op = TridiagonalOperator(
+        diag=np.array(diag), sup=np.array(sup), sub=np.array(sub), k_offset=0
+    )
+    with pytest.raises(EigensolveError):
+        tridiag_solve(op, 0.0, np.ones(op.dim))
+
+
+def test_tridiag_solve_leaves_a_two_dimensional_rhs_unmodified(hyperbolic_block):
+    block, coeffs = hyperbolic_block
+    op = assemble_perturbed(block, coeffs, 0.3 + 0.1j)
+    rng = np.random.default_rng(4)
+    rhs = rng.standard_normal((block.dim, 5)) + 1j * rng.standard_normal((block.dim, 5))
+    kept = rhs.copy()
+    x = tridiag_solve(op, 0.4 + 0.3j, rhs)
+    assert np.array_equal(rhs, kept)
+    for j in range(5):
+        col = tridiag_solve(op, 0.4 + 0.3j, rhs[:, j])
+        assert np.linalg.norm(x[:, j] - col) <= 1e-14 * np.linalg.norm(col)
+
+
+def test_eigvec_retries_an_exact_eigenvalue_with_a_nudged_shift(sphere_l1, monkeypatch):
+    # diag (1, 0, 1) at x = 0: the shift 0 is an exact eigenvalue, the
+    # solve hits a zero pivot and inverse iteration moves to 8 eps ||op||
+    import kbmlab.eig
+
+    block, coeffs = sphere_l1
+    op = assemble_perturbed(block, coeffs, 0.0)
+    with pytest.raises(EigensolveError):
+        tridiag_solve(op, 0.0, np.ones(3))
+    shifts = []
+
+    def recording(op, shift, rhs):
+        shifts.append(shift)
+        return tridiag_solve(op, shift, rhs)
+
+    monkeypatch.setattr(kbmlab.eig, "tridiag_solve", recording)
+    v = eigvec(op, 0.0)
+    assert shifts[:2] == [0.0, 8.0 * np.finfo(float).eps]
+    assert np.allclose(v, [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def _parity_block(K, eta, k_max):

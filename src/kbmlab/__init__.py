@@ -43,6 +43,7 @@ from .operator import (
     assemble_perturbed,
     even_sector,
     fixed_truncation,
+    numerical_range_floor,
     parity_sectors,
     tridiag_solve,
     truncate,

@@ -13,9 +13,13 @@ complex solve on the sector sizes used here.
 The continuation walks the segment [0, x_target] with a secant predictor
 and a Newton corrector on the characteristic polynomial of the even parity
 sector (``operator.parity_sectors``, dimension k_max + 1), which holds the
-branch through 0.  The dense gap check takes the union of the even and odd
-sector spectra, so gaps and simplicity keep their full-block meaning at
-about a quarter of the cost of one full-size solve; the eigenvector
+branch through 0.  The dense gap check solves the even sector only and
+certifies the odd one by its numerical range (Horn & Johnson, *Topics in
+Matrix Analysis*, 1.2): at real x the odd sector's Hermitian part is
+diag(m^2, m >= 1), so every odd eigenvalue has Re >= 1, and when the even
+gap is below 1 - Re mu the nearest two eigenvalues of the full block are
+both even.  Otherwise the odd sector is solved too and the union decides,
+so gaps and simplicity keep their full-block meaning; the eigenvector
 residual runs on the full block.  A step is accepted only if the
 corrected value stays within half of the last known gap to the rest of
 the spectrum; otherwise the step is halved.  Steps are shortened to land
@@ -27,9 +31,11 @@ neighbour at a square-root exceptional point, p = dp/dmu = 0 (Kato,
 *Perturbation Theory for Linear Operators*, II.1).  The first rejected
 step from a sample solves that 2x2 system in (x^2, mu) by Newton
 (``exceptional_point``); when the certified point lies inside the step the
-continuation stops there.  Otherwise, and on complex segments, loss of
-numerical simplicity (gap below threshold, or step underflow) flags the
-collision.  Either way the partial branch is returned.
+continuation stops there.  An accepted sample that is not simple asks the
+same of the stretch to the next checkpoint, since the point may lie just
+beyond it.  Otherwise, and on complex segments, loss of numerical
+simplicity (gap below threshold, or step underflow) flags the collision.
+Either way the partial branch is returned.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .operator import (
     TridiagonalOperator,
     assemble_perturbed,
     even_sector,
+    numerical_range_floor,
     parity_sectors,
     tridiag_solve,
 )
@@ -164,11 +171,49 @@ def parity_eigvals(
     even: TridiagonalOperator, odd: Optional[TridiagonalOperator]
 ) -> np.ndarray:
     """Full-block spectrum as the union of the two parity sectors' dense
-    spectra (see ``operator.parity_sectors``); two half-size solves cost
-    about a quarter of one full-size solve."""
+    spectra (see ``operator.parity_sectors``), even sector first; the
+    oracle that ``spot_check`` agrees with."""
     if odd is None:
         return eig_dense(even)
     return np.concatenate((eig_dense(even), eig_dense(odd)))
+
+
+class SpotCheck(NamedTuple):
+    """Dense check of a tracked value mu against the full block."""
+
+    even_eigs: np.ndarray  # the even sector's dense spectrum
+    oracle_dev: float  # distance from mu to the nearest eigenvalue
+    gap: float  # distance from mu to the second-nearest eigenvalue
+    nu: Optional[complex]  # that second-nearest one; None when it is odd
+
+
+def spot_check(
+    even: TridiagonalOperator, odd: Optional[TridiagonalOperator], mu: complex
+) -> SpotCheck:
+    """Nearest and second-nearest eigenvalue of the full block to mu.
+
+    The even sector is solved densely.  The odd sector's eigenvalues have
+    real part at least f = ``numerical_range_floor(odd)``, so none is within
+    f - Re mu of mu; when the even gap is below that (less 64 eps max|d|
+    for LAPACK's rounding of the odd spectrum) both nearest eigenvalues are
+    even and the odd sector is not solved.  Otherwise the odd sector is
+    solved too and the union decides.  Either way the result equals, bit
+    for bit, the one on ``parity_eigvals`` (ties go to the lower index,
+    even sector first).
+    """
+    eigs = even_eigs = eig_dense(even)
+    dist = np.abs(eigs - mu)
+    near = np.argsort(dist, kind="stable")[:2]
+    gap = float(dist[near[1]]) if near.size > 1 else math.inf
+    if odd is not None:
+        margin = 64.0 * _EPS * float(np.max(np.abs(odd.diag)))
+        if not gap < numerical_range_floor(odd) - mu.real - margin:
+            eigs = np.concatenate((even_eigs, eig_dense(odd)))
+            dist = np.abs(eigs - mu)
+            near = np.argsort(dist, kind="stable")[:2]
+            gap = float(dist[near[1]])
+    nu = complex(eigs[near[1]]) if near.size > 1 and near[1] < even.dim else None
+    return SpotCheck(even_eigs, float(dist[near[0]]), gap, nu)
 
 
 def collision_threshold(mu: complex) -> float:
@@ -216,6 +261,8 @@ def exceptional_point(
     x_try: float,
     mu_cur: float,
     nu: Optional[complex],
+    *,
+    eigs_cur: Optional[np.ndarray] = None,
 ) -> Optional[float]:
     """The exceptional point x_c that ends the real step x_cur -> x_try, or
     None when no exceptional point is certified there.
@@ -228,7 +275,9 @@ def exceptional_point(
     comes from the sector's own dense spectrum at x_cur (the eigenvalue
     nearest mu_cur and its nearest neighbour, which meet at their midpoint
     after the time the square-root model gives from their slopes), so the
-    result depends on mu_cur and nu only through comparisons.
+    result depends on mu_cur and nu only through comparisons.  A caller
+    that holds that spectrum passes it as ``eigs_cur``, which saves the
+    solve; the default solves it.
 
     Certified means: Newton converged to t_c > x_cur^2; p_mumu and p_t do
     not vanish there (a simple square-root branch point); mu_c lies
@@ -244,7 +293,7 @@ def exceptional_point(
     b[0] *= 2.0
     t_cur = x_cur * x_cur
 
-    eigs = eig_dense(even_sector(block, coeffs, x_cur))
+    eigs = eigs_cur if eigs_cur is not None else eig_dense(even_sector(block, coeffs, x_cur))
     near = np.argsort(np.abs(eigs - mu_cur))[:2]
     if near.size < 2 or eigs[near].imag.any():
         return None
@@ -365,9 +414,10 @@ class EigenBranch:
     ``status`` is "complete" when x_target was reached, otherwise
     "collision" with the stopping parameter in ``x_collision`` and the
     trigger in ``reason``: "exceptional point" (x_collision is the certified
-    point, beyond the last sample), "gap below collision threshold" (the
-    last sample, which is not simple) or "step underflow near loss of
-    simplicity" (the last sample, the step having been halved below 1e-12).
+    point, beyond the last sample, which may be a non-simple one), "gap
+    below collision threshold" (the last sample, which is not simple) or
+    "step underflow near loss of simplicity" (the last sample, the step
+    having been halved below 1e-12).
     ``oracle_dev`` is the largest deviation between a tracked value and its
     nearest dense-oracle eigenvalue over all spot-checked samples.
     ``checkpoint_index`` holds, for each checkpoint the continuation landed
@@ -412,10 +462,12 @@ def track_branch(
     The unperturbed value 0 is a simple eigenvalue on the block (the
     diagonal is k^2 and the zero mode occurs once), so the branch starts
     well defined; it lies in the even parity sector, where Newton runs.
-    Gap spot checks against the dense oracle (both sectors' spectra) run
-    at every sample for block dimension <= 512 and every 8th sample
-    otherwise, and at every checkpoint.  Residuals are those of the full
-    block.
+    Gap spot checks against the dense oracle (``spot_check``: the even
+    sector's spectrum, and the odd one's only when its numerical range
+    comes near the branch) run at every sample for block dimension <= 512
+    and every 8th sample otherwise, and at every checkpoint.  Gaps, the
+    neighbour and simplicity are those of the full block, and so are the
+    residuals.
 
     ``checkpoints`` are parameters on the segment (0, x_target] in order of
     increasing |x|; x_target is appended when it is not the last one.  The
@@ -428,7 +480,11 @@ def track_branch(
     where the branch meets the neighbour of the last gap check.  If so the
     continuation stops with reason "exceptional point" and x_collision =
     x_c; no checkpoint lies between the sample and x_c, because steps never
-    pass one.  Otherwise the step is halved.
+    pass one.  Otherwise the step is halved.  An accepted sample that is
+    not simple asks ``exceptional_point`` the same of the stretch from it
+    to the next checkpoint; a certified point there becomes x_collision,
+    and the sample stays the last one.  Both calls hand over the even
+    spectrum from the sample's spot check when there was one.
     """
     x_target = complex(x_target)
     dim = block.dim
@@ -470,6 +526,8 @@ def track_branch(
     last_nu: Optional[complex] = 1.0 + 0j if dim > 1 else None
     real_segment = x_target.imag == 0.0
     ep_tried = False
+    # the even sector's dense spectrum at x_cur, when its spot check ran
+    eigs_cur: Optional[np.ndarray] = None
     oracle_dev = 0.0
     status, reason, x_coll = "complete", "", None
     ds = ds_base
@@ -504,7 +562,8 @@ def track_branch(
                 # the exceptional point where the branch meets nu
                 ep_tried = True
                 x_c = exceptional_point(
-                    block, coeffs, x_cur.real, x_new.real, mu_cur.real, last_nu
+                    block, coeffs, x_cur.real, x_new.real, mu_cur.real, last_nu,
+                    eigs_cur=eigs_cur,
                 )
                 if x_c is not None:
                     status, reason, x_coll = "collision", "exceptional point", complex(x_c)
@@ -520,14 +579,10 @@ def track_branch(
         idx += 1
         spot = (idx % stride == 0) or at_checkpoint
         if spot:
-            eigs = parity_eigvals(even, odd)
-            dist = np.abs(eigs - mu_new)
-            near = np.argsort(dist)[:2]
-            oracle_dev = max(oracle_dev, float(dist[near[0]]))
-            gap = float(dist[near[1]]) if near.size > 1 else math.inf
-            last_gap = gap
-            # parity_eigvals lists the even sector's eigenvalues first
-            last_nu = complex(eigs[near[1]]) if near.size > 1 and near[1] < even.dim else None
+            check = spot_check(even, odd, mu_new)
+            oracle_dev = max(oracle_dev, check.oracle_dev)
+            gap = last_gap = check.gap
+            last_nu = check.nu
         else:
             gap = last_gap
         is_simple = gap > collision_threshold(mu_new)
@@ -553,10 +608,20 @@ def track_branch(
         if not is_simple:
             status, reason = "collision", "gap below collision threshold"
             x_coll = x_new
+            if real_segment and nxt < len(ck_s):
+                # the exceptional point may lie just beyond this sample,
+                # short of the next checkpoint
+                x_c = exceptional_point(
+                    block, coeffs, x_new.real, ck_x[nxt].real, mu_new.real, last_nu,
+                    eigs_cur=check.even_eigs if spot else None,
+                )
+                if x_c is not None:
+                    reason, x_coll = "exceptional point", complex(x_c)
             break
 
         s_prev, mu_prev = s_cur, mu_cur
         s_cur, x_cur, mu_cur = s_new, x_new, mu_new
+        eigs_cur = check.even_eigs if spot else None
         ep_tried = False
         if iters <= 5:
             easy += 1

@@ -1,9 +1,9 @@
 """Tridiagonal restrictions of the perturbed fiber Laplacian and of the
 kinetic Brownian motion generator on one Casimir block, together with the
 truncation policy for infinite ladders, the split of the perturbed family
-into its two parity sectors, the numerical-range minimum and the shifted
-tridiagonal solve.  Everything here runs on NumPy alone, so importing the
-package loads no SciPy.
+into its two parity sectors, the numerical-range minimum and its O(n)
+floor, and the shifted tridiagonal solve.  Everything here runs on NumPy
+alone, so importing the package loads no SciPy.
 
 In the fixed gauge the perturbed family reads diag(k^2) + x*X with X real
 skew-symmetric, and the rescaled generator is (gamma^2/2)*diag(k^2) -
@@ -271,6 +271,24 @@ def accretivity_minimum(op: TridiagonalOperator) -> float:
     herm[i, i] = op.diag.real
     herm[i[1:], i[:-1]] = herm[i[:-1], i[1:]] = np.abs(0.5 * (op.sub + np.conj(op.sup)))
     return float(np.linalg.eigvalsh(herm)[0])
+
+
+def numerical_range_floor(op: TridiagonalOperator) -> float:
+    """A lower bound on ``accretivity_minimum`` in O(dim): Gershgorin's
+    bound min_j (Re d_j - |h_{j-1}| - |h_j|) on the Hermitian part, whose
+    off-diagonal is h = (sub + conj(sup))/2.
+
+    Every eigenvalue of op lies in its numerical range, so its real part
+    is at least this floor (Horn & Johnson, *Topics in Matrix Analysis*,
+    1.2).  For a family member diag(m^2) + x*X, h = i*Im(x)*X: at real x
+    the floor is min Re d exactly.
+    """
+    row = op.diag.real.copy()
+    if op.dim > 1:
+        h = np.abs(0.5 * (op.sub + np.conj(op.sup)))
+        row[:-1] -= h
+        row[1:] -= h
+    return float(np.min(row))
 
 
 def tridiag_solve(op: TridiagonalOperator, shift: complex, rhs: np.ndarray) -> np.ndarray:

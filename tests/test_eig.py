@@ -10,6 +10,7 @@ from kbmlab import (
     BranchCollisionError,
     EigensolveError,
     TridiagonalOperator,
+    accretivity_minimum,
     assemble_perturbed,
     branch_value,
     char_poly,
@@ -21,6 +22,8 @@ from kbmlab import (
     gap_to_rest,
     ladder_coefficients,
     newton_polish,
+    numerical_range_floor,
+    parity_eigvals,
     parity_sectors,
     track_branch,
     truncate,
@@ -612,16 +615,130 @@ def test_exceptional_point_ignores_rounding_in_its_inputs(monkeypatch, K, eta, k
     coeffs = ladder_coefficients(block)
     calls = []
 
-    def recording(*args):
-        calls.append(args)
-        return exceptional_point(*args)
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return exceptional_point(*args, **kwargs)
 
     monkeypatch.setattr(kbmlab.eig, "exceptional_point", recording)
     br = track_branch(block, coeffs, -1.0)
     assert len(calls) == 1
-    _, _, x_cur, x_try, mu_cur, nu = calls[0]
-    assert exceptional_point(block, coeffs, x_cur, x_try, mu_cur, nu) == br.x_collision.real
+    (_, _, x_cur, x_try, mu_cur, nu), kwargs = calls[0]
+    # the continuation hands over the spot check's spectrum at x_cur; solving
+    # it afresh gives the same point, bit for bit
+    assert kwargs["eigs_cur"] is not None
+    args = (block, coeffs, x_cur, x_try, mu_cur, nu)
+    assert exceptional_point(*args, **kwargs) == br.x_collision.real
+    assert exceptional_point(*args) == br.x_collision.real
     for rel in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7):
         for scale in (1.0 + rel, 1.0 - rel):
             x_c = exceptional_point(block, coeffs, x_cur, x_try, mu_cur * scale, nu * scale)
             assert x_c == br.x_collision.real
+
+
+def test_a_non_simple_sample_just_short_of_the_exceptional_point_reports_the_point(
+    sphere_l1, monkeypatch
+):
+    # the continuation to 0.7 accepts a sample within the collision
+    # threshold of x_c = 1/2; the point lies just beyond it and is solved
+    # from that sample instead of being reported as the sample itself
+    block, coeffs = sphere_l1
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return exceptional_point(*args, **kwargs)
+
+    monkeypatch.setattr(kbmlab.eig, "exceptional_point", recording)
+    br = track_branch(block, coeffs, 0.7)
+    assert (br.status, br.reason) == ("collision", "exceptional point")
+    assert br.x_collision == 0.49999999999999994
+    assert br.x_samples[-1] == 0.49999999999999983 and not br.simple[-1]
+    assert br.gap_to_rest[-1] <= kbmlab.eig.collision_threshold(br.mu_values[-1])
+    # asked from the sample, up to the next checkpoint, with the sample's
+    # even spectrum from its spot check
+    (_, _, x_cur, x_try, _, _), kwargs = calls[-1]
+    assert (x_cur, x_try) == (br.x_samples[-1].real, 0.7)
+    assert kwargs["eigs_cur"] is not None
+
+
+def _property_block(kind, l_or_k, eta, K):
+    """A sphere ladder l(l+1) at K = 1, or a truncation [-k, k] of a torus
+    (K = 0) or K < 0 ladder."""
+    if kind == "sphere":
+        return finite_block(float(l_or_k * (l_or_k + 1)), 1.0)
+    return truncate(eta, 0.0 if kind == "torus" else K, fixed_truncation(l_or_k))
+
+
+@given(
+    kind=st.sampled_from(["sphere", "torus", "negative"]),
+    k=st.integers(1, 40),
+    eta=st.floats(0.1, 50.0),
+    K=st.floats(-2.0, -0.1),
+    reach=st.floats(0.0, 2.0),
+    wide=st.booleans(),
+    sign=st.sampled_from([-1.0, 1.0]),
+    x_im=st.floats(-1.0, 1.0),
+    complex_x=st.booleans(),
+    at_branch=st.integers(0, 2),
+    pick=st.integers(0, 2**16),
+    offset_re=st.floats(-0.5, 0.5),
+    offset_im=st.floats(-0.5, 0.5),
+    offset_scale=st.sampled_from([0.0, 1e-3, 1.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_spot_check_on_the_even_sector_equals_the_union(
+    kind, k, eta, K, reach, wide, sign, x_im, complex_x, at_branch, pick, offset_re, offset_im,
+    offset_scale,
+):
+    block = _property_block(kind, k, eta, K)
+    coeffs = ladder_coefficients(block)
+    # |x| up to about twice the separation radius, which shrinks like
+    # 1/sqrt(eta) (the continuation's range, and beyond it), or up to 2
+    r = reach if wide else reach / (1.0 + math.sqrt(block.eta))
+    x = r * complex(sign, x_im if complex_x else 0.0)
+    even, odd = parity_sectors(block, coeffs, x)
+
+    # every computed odd eigenvalue keeps to the numerical-range floor
+    floor = numerical_range_floor(odd)
+    if x.imag == 0.0:
+        assert floor == 1.0
+    assert floor <= accretivity_minimum(odd) + 1e-12 * (1.0 + odd.inf_norm())
+    odd_eigs = eig_dense(odd)
+    assert np.min(odd_eigs.real) >= floor - 1e-12 * (1.0 + odd.inf_norm())
+
+    # mu near the even eigenvalue closest to 0 (where the tracked branch
+    # lives) or near any even eigenvalue; either way the even-only check
+    # decides as the union does
+    even_eigs = eig_dense(even)
+    i = int(np.argmin(np.abs(even_eigs))) if at_branch else pick % even.dim
+    mu = even_eigs[i] + offset_scale * complex(offset_re, offset_im)
+    union = parity_eigvals(even, odd)
+    dist = np.abs(union - mu)
+    near = np.argsort(dist, kind="stable")[:2]
+    check = kbmlab.eig.spot_check(even, odd, mu)
+    assert np.array_equal(check.even_eigs, even_eigs)
+    assert check.oracle_dev == float(dist[near[0]])
+    assert check.gap == float(dist[near[1]])
+    nu = complex(union[near[1]]) if near[1] < even.dim else None
+    assert check.nu == nu
+
+
+def test_spot_check_solves_the_odd_sector_only_when_it_may_be_near(sphere_l1, monkeypatch):
+    block, coeffs = sphere_l1
+    even, odd = parity_sectors(block, coeffs, 0.3)
+    solved = []
+    real_dense = kbmlab.eig.eig_dense
+
+    def counting(op):
+        solved.append(op.meta.get("parity"))
+        return real_dense(op)
+
+    monkeypatch.setattr(kbmlab.eig, "eig_dense", counting)
+    # the branch at 0.1, its even partner at 0.9: the odd value 1 is farther
+    mu = closed_mu(0.3)
+    check = kbmlab.eig.spot_check(even, odd, mu)
+    assert solved == [1] and check.nu is not None and abs(check.nu - (1.0 - mu)) <= 1e-14
+    # a point close to 1 may have the odd eigenvalue as its neighbour
+    solved.clear()
+    check = kbmlab.eig.spot_check(even, odd, 0.95)
+    assert solved == [1, -1] and check.nu is None and check.gap == abs(1.0 - 0.95)

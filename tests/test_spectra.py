@@ -306,3 +306,38 @@ def test_sweep_tracks_once_per_block(monkeypatch, eta, K, tracks):
     gamma_sweep(eta, K, make_gamma_grid(0.0, 4.0, 13))
     assert len(calls) == tracks
     assert all(x == -2.0 for x in calls)
+
+
+def test_hyperbolic_sweep_solves_no_odd_sector(monkeypatch):
+    # at real x the odd sector's eigenvalues have real part >= 1, and every
+    # spot check of the hyperbolic sweep finds the even neighbour nearer;
+    # the exceptional-point solve reuses the spot check's spectrum at x_cur
+    # and solves only the certificate at x_c
+    solves = []
+    real_dense = kbmlab.eig.eig_dense
+
+    def counting(op):
+        solves.append(op.meta.get("parity"))
+        return real_dense(op)
+
+    ep_solves = []
+    real_ep = kbmlab.eig.exceptional_point
+
+    def recording(block, coeffs, x_cur, x_try, mu_cur, nu, **kwargs):
+        before = len(solves)
+        x_c = real_ep(block, coeffs, x_cur, x_try, mu_cur, nu, **kwargs)
+        ep_solves.append((x_cur, kwargs.get("eigs_cur") is not None, len(solves) - before))
+        return x_c
+
+    monkeypatch.setattr(kbmlab.eig, "eig_dense", counting)
+    monkeypatch.setattr(kbmlab.spectra, "eig_dense", counting)
+    monkeypatch.setattr(kbmlab.eig, "exceptional_point", recording)
+    for eta in (2.0, 5.0, 10.0):
+        gamma_sweep(eta, -1.0, make_gamma_grid(0.0, 4.0, 13))
+    assert solves.count(1) > 0 and solves.count(-1) == 0
+    assert ep_solves
+    for x_cur, cached, n in ep_solves:
+        # every sample of these blocks is spot-checked; only the start x = 0 is not
+        assert cached == (x_cur != 0.0)
+        if cached:
+            assert n == 1

@@ -4,10 +4,14 @@ Covers the second-order Rayleigh-Schrodinger coefficients of the branch
 through 0, Riesz spectral projections by trapezoidal contour quadrature,
 the perturbation-radius estimate min_zeta 1/||X (D - zeta)^-1||, and the
 closed-form lower bound |zeta|^-1 sqrt(eta/2) for that norm restricted to
-the zeroth fiber mode.  The radius estimate takes the norm as the larger
-of the two parity-sector norms (``operator.parity_sectors``): the sectors
-are orthogonal and invariant under X and D, so this is exact and costs
-two half-size SVDs per contour node.
+the zeroth fiber mode.  The radius estimate takes the norm on the even
+parity sector (``operator.parity_sectors``), which is exact: the sectors
+are orthogonal and invariant under X and D, and the odd sector is a
+submatrix of the even one.  The resolvent's phases drop out of the norm
+and the real Gram matrix splits by index parity into two symmetric
+tridiagonal blocks, so every contour node costs the largest eigenvalue of
+two real matrices of size about k_max/2, found for all nodes in one
+batched ``eigvalsh`` call per block.
 
 For the linear family diag(k^2) + x*X the second-order data is explicit:
 the first-order coefficient vanishes because the coupling only moves
@@ -32,8 +36,8 @@ from .ladder import (
 )
 from .operator import (
     TridiagonalOperator,
+    even_sector,
     fixed_truncation,
-    parity_sectors,
     tridiag_solve,
     truncate,
 )
@@ -121,14 +125,16 @@ class Contour:
 
 def validate_contour_for_block(contour: Contour, block: CasimirBlock) -> None:
     """The circle must separate the zero mode from the rest of the
-    unperturbed spectrum {k^2}; for center 0 this forces radius in (0, 1)."""
+    unperturbed spectrum {k^2}: it keeps a distance of CONTOUR_DIST_MIN
+    from every k^2 and encloses k = 0 and no other mode.  For center 0
+    this forces radius in (0, 1)."""
     k2 = block.ks.astype(float) ** 2
     dist = np.abs(np.abs(k2 - contour.center) - contour.radius)
     if float(np.min(dist)) < CONTOUR_DIST_MIN:
         raise ContourPlacementError("contour passes through the unperturbed spectrum")
     inside = np.abs(k2 - contour.center) < contour.radius
-    if not np.any(inside):
-        raise ContourPlacementError("contour encloses no unperturbed eigenvalue")
+    if not inside[block.slot0] or np.count_nonzero(inside) > 1:
+        raise ContourPlacementError("contour must enclose the zero mode and no other mode")
 
 
 def riesz_projection(op: TridiagonalOperator, contour: Contour) -> np.ndarray:
@@ -173,26 +179,40 @@ def perturbation_radius(
     Lower bound for the coupling strength |x| below which the contour
     still separates the tracked branch; computed on the (truncated) block,
     so it is documented as an estimate, not a proved bound.  The trivial
-    block returns infinity because its coupling vanishes.
+    block returns infinity because its coupling vanishes, and nodes where
+    the norm is 0 are skipped.
 
     The parity sectors are orthogonal and invariant under both X and
-    diag(k^2), so the norm is exactly the larger of the two sector norms.
+    diag(k^2), so the norm is the larger of the two sector norms.  The
+    odd sector's matrix is the even one's without row and column m = 0,
+    so the even sector's norm is the norm.  With its coupling X_e (sub =
+    a, sup = -a) and diagonal m^2, the resolvent diag(1/(m_j^2 - zeta))
+    is diag(w) times a diagonal unitary, w_j = 1/|m_j^2 - zeta|, so the
+    norm is that of the real B = X_e diag(w).
+    B^T B couples index j only to j +- 2: it is two symmetric tridiagonal
+    blocks, one per index parity, with diagonal w_j^2 (a_{j-1}^2 + a_j^2)
+    and off-diagonal -a_j a_{j+1} w_j w_{j+2}.  The squared norm is the
+    largest eigenvalue of those blocks, found for all nodes at once.
     """
     if block.eta == 0.0:
         return math.inf
     validate_contour_for_block(contour, block)
-    # each sector at x = 1 is its diagonal m^2 plus its coupling block
-    sectors = [
-        (sec.to_dense() - np.diag(sec.diag), sec.diag.real)
-        for sec in parity_sectors(block, coeffs, 1.0)
-        if sec is not None
-    ]
-    best = math.inf
-    for zeta in contour.points():
-        sigma = max(float(np.linalg.norm(x_s / (k2 - zeta)[None, :], 2)) for x_s, k2 in sectors)
-        if sigma > 0.0:
-            best = min(best, 1.0 / sigma)
-    return best
+    even = even_sector(block, coeffs, 1.0)
+    a = np.concatenate(([0.0], even.sub.real, [0.0]))  # a_{j-1}, j = 0..k_max+1
+    w = 1.0 / np.abs(even.diag.real - contour.points()[:, None])
+    diag = w * w * (a[:-1] ** 2 + a[1:] ** 2)
+    off = -(a[1:-2] * a[2:-1]) * w[:, :-2] * w[:, 2:]
+    sigma_sq = np.zeros(contour.nodes)
+    for start in (0, 1):
+        d = diag[:, start::2]
+        gram = np.zeros((contour.nodes, d.shape[1], d.shape[1]))
+        idx = np.arange(d.shape[1])
+        gram[:, idx, idx] = d
+        gram[:, idx[:-1], idx[1:]] = gram[:, idx[1:], idx[:-1]] = off[:, start::2]
+        sigma_sq = np.maximum(sigma_sq, np.linalg.eigvalsh(gram)[:, -1])
+    # the largest norm gives the smallest radius; a zero norm bounds nothing
+    peak = float(np.max(sigma_sq))
+    return 1.0 / math.sqrt(peak) if peak > 0.0 else math.inf
 
 
 @dataclass(frozen=True)

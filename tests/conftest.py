@@ -29,6 +29,14 @@ def match_spectra(e1, e2, tol):
     return worst <= tol
 
 
+def property_block(kind, l_or_k, eta, K):
+    """A sphere ladder l(l+1) at K = 1, or a truncation [-k, k] of a torus
+    (K = 0) or K < 0 ladder."""
+    if kind == "sphere":
+        return finite_block(float(l_or_k * (l_or_k + 1)), 1.0)
+    return truncate(eta, 0.0 if kind == "torus" else K, fixed_truncation(l_or_k))
+
+
 def stuck_at_zero(block, coeffs, x_target, checkpoints=()):
     """Stand-in for track_branch: a continuation that accepted no step."""
     return EigenBranch(

@@ -29,7 +29,7 @@ from kbmlab import (
     truncate,
 )
 
-from conftest import match_spectra
+from conftest import match_spectra, property_block
 
 
 from hypothesis import given, settings
@@ -661,14 +661,6 @@ def test_a_non_simple_sample_just_short_of_the_exceptional_point_reports_the_poi
     assert kwargs["eigs_cur"] is not None
 
 
-def _property_block(kind, l_or_k, eta, K):
-    """A sphere ladder l(l+1) at K = 1, or a truncation [-k, k] of a torus
-    (K = 0) or K < 0 ladder."""
-    if kind == "sphere":
-        return finite_block(float(l_or_k * (l_or_k + 1)), 1.0)
-    return truncate(eta, 0.0 if kind == "torus" else K, fixed_truncation(l_or_k))
-
-
 @given(
     kind=st.sampled_from(["sphere", "torus", "negative"]),
     k=st.integers(1, 40),
@@ -690,7 +682,7 @@ def test_spot_check_on_the_even_sector_equals_the_union(
     kind, k, eta, K, reach, wide, sign, x_im, complex_x, at_branch, pick, offset_re, offset_im,
     offset_scale,
 ):
-    block = _property_block(kind, k, eta, K)
+    block = property_block(kind, k, eta, K)
     coeffs = ladder_coefficients(block)
     # |x| up to about twice the separation radius, which shrinks like
     # 1/sqrt(eta) (the continuation's range, and beyond it), or up to 2

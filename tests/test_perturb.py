@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbmlab import (
     Contour,
@@ -9,6 +11,7 @@ from kbmlab import (
     LadderRangeError,
     assemble_perturbed,
     branch_value,
+    coupling_matrix,
     enclosed_count,
     finite_block,
     fixed_truncation,
@@ -20,6 +23,8 @@ from kbmlab import (
     truncate,
     zero_mode_resolvent_norm,
 )
+
+from conftest import property_block
 
 SUITE = [(1.0, 2.0), (1.0, 6.0), (1.0, 12.0), (0.0, 1.0), (0.0, 2.0), (-1.0, 2.0), (-1.0, 5.0), (-1.0, 10.0)]
 
@@ -185,6 +190,57 @@ def test_perturbation_radius_matches_the_full_block_norm(K, eta):
     assert perturbation_radius(block, coeffs, contour) == pytest.approx(full, rel=1e-13)
 
 
+@pytest.mark.parametrize("nodes", [8, 64, 65])
+def test_perturbation_radius_sphere_l1_closed_form(sphere_l1, nodes):
+    # The even sector of the l = 1 block is m = 0, 1 with coupling
+    # [[0, -1], [1, 0]] (a_0 = sqrt(eta/4) = 1/sqrt(2), times sqrt(2) on
+    # rung 0), the odd sector is m = 1 alone with zero coupling.  So
+    # X (D - zeta)^-1 on the even sector is [[0, -1/(1 - zeta)], [-1/zeta, 0]],
+    # whose norm is max(1/|zeta|, 1/|1 - zeta|) = 2 at every node of the
+    # circle |zeta| = 1/2, and r = 1/2 for any node count.
+    block, coeffs = sphere_l1
+    r = perturbation_radius(block, coeffs, Contour(0.0, 0.5, nodes))
+    assert r == pytest.approx(0.5, rel=1e-15, abs=0.0)
+
+
+@given(
+    kind=st.sampled_from(["sphere", "torus", "negative"]),
+    l=st.integers(1, 30),
+    k=st.integers(1, 48),
+    eta=st.floats(0.1, 50.0),
+    K=st.floats(-2.0, -0.1),
+    centered=st.booleans(),
+    c_re=st.floats(-0.45, 0.45),
+    c_im=st.floats(-0.45, 0.45),
+    complex_center=st.booleans(),
+    spread=st.floats(0.02, 0.98),
+    nodes=st.integers(8, 128),
+)
+@settings(max_examples=200, deadline=None)
+def test_perturbation_radius_equals_the_dense_definition(
+    kind, l, k, eta, K, centered, c_re, c_im, complex_center, spread, nodes
+):
+    block = property_block(kind, l if kind == "sphere" else k, eta, K)
+    coeffs = ladder_coefficients(block)
+    # a circle around the centre that holds 0 and leaves out 1 (so every
+    # k^2 >= 1, since the centre's real part is below 1/2)
+    center = 0j if centered else complex(c_re, c_im if complex_center else 0.0)
+    radius = abs(center) + spread * (abs(1.0 - center) - abs(center))
+    contour = Contour(center, radius, nodes)
+
+    x_mat = coupling_matrix(coeffs).astype(complex)
+    k2 = block.ks.astype(float) ** 2
+    zeta = contour.points()[:, None, None]
+    norms = np.linalg.norm(x_mat[None, :, :] / (k2[None, None, :] - zeta), 2, axis=(1, 2))
+    dense = float(np.min(1.0 / norms))
+
+    r = perturbation_radius(block, coeffs, contour)
+    assert r == pytest.approx(dense, rel=1e-13, abs=0.0)
+    if centered:
+        # the zero-mode column alone has norm sqrt(eta/2)/radius
+        assert r <= radius / math.sqrt(0.5 * block.eta) * (1.0 + 1e-12)
+
+
 def test_perturbation_radius_trivial_block_is_infinite():
     block = finite_block(0.0, 1.0)
     r = perturbation_radius(block, ladder_coefficients(block), Contour(0.0, 0.5, 16))
@@ -227,3 +283,19 @@ def test_contour_validation():
     block = finite_block(2.0, 1.0)
     with pytest.raises(ContourPlacementError):
         validate_contour_for_block(Contour(0.0, 1.0, 64), block)  # touches k^2 = 1
+    validate_contour_for_block(Contour(0.1 + 0.2j, 0.4, 64), block)  # holds 0 alone
+
+
+@pytest.mark.parametrize(
+    "contour",
+    [Contour(0.0, 2.0, 64), Contour(1.0, 0.5, 64), Contour(0.5, 0.2, 64)],
+    ids=["encloses k = 0, 1, -1", "leaves out the zero mode", "encloses no mode"],
+)
+def test_contour_must_enclose_the_zero_mode_alone(sphere_l1, contour):
+    from kbmlab.perturb import validate_contour_for_block
+
+    block, coeffs = sphere_l1
+    with pytest.raises(ContourPlacementError):
+        validate_contour_for_block(contour, block)
+    with pytest.raises(ContourPlacementError):
+        perturbation_radius(block, coeffs, contour)

@@ -19,12 +19,12 @@ Matrix Analysis*, 1.2): at real x the odd sector's Hermitian part is
 diag(m^2, m >= 1), so every odd eigenvalue has Re >= 1, and when the even
 gap is below 1 - Re mu the nearest two eigenvalues of the full block are
 both even.  Otherwise the odd sector is solved too and the union decides,
-so gaps and simplicity keep their full-block meaning; the eigenvector
-residual runs on the full block.  A step is accepted only if the
-corrected value stays within half of the last known gap to the rest of
-the spectrum; otherwise the step is halved.  Steps are shortened to land
-exactly on caller-given checkpoints of the segment, so one continuation
-serves every parameter on it.
+so gaps and simplicity keep their full-block meaning.  A step is accepted
+only if the corrected value stays within half of the last known gap to
+the rest of the spectrum; otherwise the step is halved.  Steps are
+shortened to land exactly on caller-given checkpoints of the segment, so
+one continuation serves every parameter on it.  It computes no
+eigenvectors; callers take ``residual_norm`` where they report a value.
 
 On a real segment the branch ends where it meets its even-sector
 neighbour at a square-root exceptional point, p = dp/dmu = 0 (Kato,
@@ -50,7 +50,6 @@ from .errors import BranchCollisionError, EigensolveError
 from .ladder import CasimirBlock, LadderCoefficients
 from .operator import (
     TridiagonalOperator,
-    assemble_perturbed,
     even_sector,
     numerical_range_floor,
     parity_sectors,
@@ -410,7 +409,9 @@ def residual_norm(op: TridiagonalOperator, mu: complex) -> float:
 class EigenBranch:
     """Continuation record of the branch through the unperturbed value 0.
 
-    ``simple[i]`` is gap_to_rest[i] > collision_threshold(mu_values[i]).
+    ``simple[i]`` is gap_to_rest[i] > collision_threshold(mu_values[i]);
+    the gaps come from the dense spot checks, and the record holds no
+    eigenvectors or residuals.
     ``status`` is "complete" when x_target was reached, otherwise
     "collision" with the stopping parameter in ``x_collision`` and the
     trigger in ``reason``: "exceptional point" (x_collision is the certified
@@ -430,7 +431,6 @@ class EigenBranch:
     x_target: complex
     x_samples: np.ndarray
     mu_values: np.ndarray
-    residuals: np.ndarray
     gap_to_rest: np.ndarray
     simple: np.ndarray
     status: str
@@ -466,8 +466,7 @@ def track_branch(
     sector's spectrum, and the odd one's only when its numerical range
     comes near the branch) run at every sample for block dimension <= 512
     and every 8th sample otherwise, and at every checkpoint.  Gaps, the
-    neighbour and simplicity are those of the full block, and so are the
-    residuals.
+    neighbour and simplicity are those of the full block.
 
     ``checkpoints`` are parameters on the segment (0, x_target] in order of
     increasing |x|; x_target is appended when it is not the last one.  The
@@ -499,7 +498,6 @@ def track_branch(
             x_target=x_target,
             x_samples=np.array([0j]),
             mu_values=np.array([0j]),
-            residuals=np.array([0.0]),
             gap_to_rest=np.array([gap0]),
             simple=np.array([gap0 > collision_threshold(0.0)]),
             status="complete",
@@ -512,7 +510,6 @@ def track_branch(
 
     xs = [0j]
     mus = [0j]
-    residuals = [0.0]
     gaps = [gap0]
     simples = [gap0 > collision_threshold(0.0)]
 
@@ -587,18 +584,8 @@ def track_branch(
             gap = last_gap
         is_simple = gap > collision_threshold(mu_new)
 
-        if is_simple:
-            try:
-                res = residual_norm(assemble_perturbed(block, coeffs, x_new), mu_new)
-            except EigensolveError:
-                is_simple = False
-                res = math.nan
-        else:
-            res = math.nan
-
         xs.append(x_new)
         mus.append(mu_new)
-        residuals.append(res)
         gaps.append(gap)
         simples.append(is_simple)
         if at_checkpoint:
@@ -636,7 +623,6 @@ def track_branch(
         x_target=x_target,
         x_samples=np.array(xs),
         mu_values=np.array(mus),
-        residuals=np.array(residuals),
         gap_to_rest=np.array(gaps),
         simple=np.array(simples),
         status=status,
@@ -678,10 +664,9 @@ def branch_value(
     block: CasimirBlock,
     coeffs: LadderCoefficients,
     x: complex,
-    steps: Optional[int] = None,
 ) -> complex:
     """Branch value at x; raises if the continuation hits a collision."""
-    br = track_branch(block, coeffs, x, steps)
+    br = track_branch(block, coeffs, x)
     if not br.reached:
         raise BranchCollisionError(
             f"branch lost simplicity near x = {br.x_collision} ({br.reason})"

@@ -11,7 +11,8 @@ such continuation).  Rows therefore share one path: where it stops at a
 collision, every deeper row is resolved from the dense spectrum of the
 even parity sector (``operator.even_sector``), which holds the branch
 through 0, seeded with the path's last simple value; the picked value is
-Newton-polished on that sector.
+Newton-polished on that sector.  Each row's eigenvector residual is then
+taken once, at the row's reported mu, on the full block.
 """
 
 from __future__ import annotations
@@ -147,6 +148,9 @@ class GammaTable:
     reach as simple samples, because it stopped at a collision x_c with
     |x_c| <= |x|; their values come from the even sector's dense spectrum
     (Newton-polished) and are complex past an exceptional point.
+    ``residual`` is the eigenvector residual at the row's mu, NaN where
+    inverse iteration fails; ``simple`` rows are the reached rows with a
+    finite residual.
     ``certificate`` is the change of lambda under doubling the truncation
     (0 on intrinsically finite ladders, NaN where the doubled block's
     continuation stopped before the row).  ``empirical_r`` is 2/|x_c| at
@@ -225,8 +229,14 @@ def gamma_sweep(
     doubling the cutoff.  Each block is continued once through all grid
     points; a collision marks the rows at and beyond it, and is not fatal
     unless the continuation accepted no step at all (x_c = 0), which
-    raises BranchCollisionError.
+    raises BranchCollisionError.  A reached row whose residual fails reads
+    NaN and simple = False; the rows after it are unaffected.  A non-finite
+    or negative eta, or a non-finite K, raises SpectrumValidationError.
     """
+    if not (math.isfinite(eta) and eta >= 0.0 and math.isfinite(K)):
+        raise SpectrumValidationError(
+            f"gamma sweep needs a finite eta >= 0 and a finite K, got eta = {eta!r}, K = {K!r}"
+        )
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise SpectrumValidationError("gamma grid must be a nonempty 1-d array")
@@ -274,25 +284,25 @@ def gamma_sweep(
         )
     half_g2 = 0.5 * grid * grid
 
-    lam = np.empty(n, dtype=complex)
-    resid = np.empty(n)
+    mu = np.empty(n, dtype=complex)
     collided = hit < 0
-    ok = ~collided
-    lam[ok] = half_g2[ok] * branch.mu_values[hit[ok]]
-    resid[ok] = branch.residuals[hit[ok]]
+    mu[~collided] = branch.mu_values[hit[~collided]]
     empirical_r: Optional[float] = None
     if np.any(collided):
         seed_mu = complex(branch.mu_values[np.nonzero(branch.simple)[0][-1]])
         for i in np.nonzero(collided)[0]:
-            x = -2.0 / grid[i]
-            mu = _dense_continuation(block, coeffs, x, seed_mu)
-            lam[i] = half_g2[i] * mu
-            try:
-                resid[i] = residual_norm(assemble_perturbed(block, coeffs, x), mu)
-            except EigensolveError:
-                resid[i] = math.nan
+            mu[i] = _dense_continuation(block, coeffs, -2.0 / grid[i], seed_mu)
         if branch.x_collision is not None:
             empirical_r = 2.0 / abs(branch.x_collision)
+    lam = half_g2 * mu
+
+    resid = np.empty(n)
+    for i in range(n):
+        try:
+            resid[i] = residual_norm(assemble_perturbed(block, coeffs, -2.0 / grid[i]), mu[i])
+        except EigensolveError:
+            resid[i] = math.nan
+    simple = ~collided & np.isfinite(resid)
 
     if block2 is None:
         cert = np.zeros(n)
@@ -309,7 +319,7 @@ def gamma_sweep(
         gamma_grid=grid,
         lam=lam,
         abs_error=np.abs(lam - eta),
-        simple=ok,
+        simple=simple,
         collided=collided,
         k_trunc=np.full(n, block.k_max, dtype=int),
         certificate=cert,

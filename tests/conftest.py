@@ -44,7 +44,6 @@ def stuck_at_zero(block, coeffs, x_target, checkpoints=()):
         x_target=complex(x_target),
         x_samples=np.array([0j]),
         mu_values=np.array([0j]),
-        residuals=np.array([0.0]),
         gap_to_rest=np.array([1.0]),
         simple=np.array([True]),
         status="collision",

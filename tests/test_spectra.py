@@ -7,10 +7,13 @@ import kbmlab.spectra
 from conftest import stuck_at_zero
 from kbmlab import (
     BranchCollisionError,
+    EigensolveError,
     SpectrumValidationError,
+    adaptive_truncation,
     custom_spectrum,
     eig_dense,
     assemble_generator,
+    assemble_perturbed,
     finite_block,
     fitted_decay_exponent,
     fixed_truncation,
@@ -209,6 +212,23 @@ def test_sweep_rejects_bad_grid():
         gamma_sweep(2.0, 1.0, [-1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "eta, K",
+    [
+        (math.inf, -1.0),
+        (math.inf, 1.0),
+        (-1.0, -1.0),
+        (-2.0, 1.0),
+        (math.nan, -1.0),
+        (2.0, math.nan),
+        (2.0, math.inf),
+    ],
+)
+def test_sweep_rejects_bad_eta_or_curvature(eta, K):
+    with pytest.raises(SpectrumValidationError, match="finite eta >= 0 and a finite K"):
+        gamma_sweep(eta, K, [1.0, 10.0])
+
+
 def test_mixing_report_closed_form_value():
     spectrum = sphere_spectrum(1.0, 1)
     grid = make_gamma_grid(1.0, 3.0, 11)  # includes gamma = 10 exactly
@@ -341,3 +361,86 @@ def test_hyperbolic_sweep_solves_no_odd_sector(monkeypatch):
         assert cached == (x_cur != 0.0)
         if cached:
             assert n == 1
+
+
+def _row_mu(table, block, coeffs):
+    """Every row's mu, found without the sweep: the sample of a continuation
+    through every grid x where it landed simple, else the Newton root from
+    the even sector's dense eigenvalue nearest the row."""
+    grid = table.gamma_grid
+    xs = -2.0 / grid[::-1]
+    br = track_branch(block, coeffs, xs[-1], checkpoints=xs)
+    mu = np.empty(grid.size, dtype=complex)
+    for j, i in enumerate(br.checkpoint_index):
+        mu[grid.size - 1 - j] = br.mu_values[i]
+    for i in np.nonzero(table.collided)[0]:
+        even = parity_sectors(block, coeffs, -2.0 / grid[i])[0]
+        eigs = eig_dense(even)
+        pick = eigs[np.argmin(np.abs(eigs - table.lam[i] / (0.5 * grid[i] ** 2)))]
+        mu[i] = newton_polish(even, pick)[0]
+    assert np.all(table.lam == 0.5 * grid * grid * mu)
+    return mu
+
+
+@pytest.mark.parametrize("eta, K, points", [(2.0, 1.0, 41), (5.0, -1.0, 13)])
+def test_sweep_residual_is_the_residual_at_each_reported_value(eta, K, points):
+    table = gamma_sweep(eta, K, make_gamma_grid(0.0, 4.0, points))
+    assert np.any(table.simple) and np.any(table.collided)
+    if K > 0.0:
+        block = finite_block(eta, K)
+    else:
+        block = truncate(eta, K, fixed_truncation(int(table.k_trunc[0])))
+    coeffs = ladder_coefficients(block)
+    for gamma, mu, res in zip(table.gamma_grid, _row_mu(table, block, coeffs), table.residual):
+        op = assemble_perturbed(block, coeffs, -2.0 / gamma)
+        assert res == kbmlab.eig.residual_norm(op, mu)
+
+
+def test_continuation_and_truncation_take_no_eigenvector(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the continuation took an eigenvector")
+
+    # residual_norm takes its eigenvector through eigvec
+    monkeypatch.setattr(kbmlab.eig, "eigvec", forbidden)
+    block = finite_block(2.0, 1.0)
+    assert track_branch(block, ladder_coefficients(block), 0.7).status == "collision"
+    truncate(5.0, -1.0, adaptive_truncation(x_ref=-0.1))
+
+
+@pytest.mark.parametrize("eta, K, points", [(2.0, 1.0, 41), (5.0, -1.0, 13), (0.0, -1.0, 13)])
+def test_sweep_takes_one_residual_per_row(monkeypatch, eta, K, points):
+    calls = []
+    real = kbmlab.eig.residual_norm
+
+    def counting(op, mu):
+        calls.append(op.meta["x"])
+        return real(op, mu)
+
+    monkeypatch.setattr(kbmlab.eig, "residual_norm", counting)
+    monkeypatch.setattr(kbmlab.spectra, "residual_norm", counting)
+    grid = make_gamma_grid(0.0, 4.0, points)
+    gamma_sweep(eta, K, grid)
+    assert calls == ([complex(-2.0 / g) for g in grid] if eta > 0.0 else [])
+
+
+def test_failed_residual_marks_only_its_row(monkeypatch):
+    grid = make_gamma_grid(0.0, 4.0, 41)
+    clean = gamma_sweep(2.0, 1.0, grid)
+    j = 20
+    assert clean.simple[j] and np.all(clean.simple[j:])
+    real = kbmlab.eig.residual_norm
+
+    def failing(op, mu):
+        if op.meta["x"] == -2.0 / grid[j]:
+            raise EigensolveError("inverse iteration did not converge")
+        return real(op, mu)
+
+    monkeypatch.setattr(kbmlab.spectra, "residual_norm", failing)
+    table = gamma_sweep(2.0, 1.0, grid)
+    assert math.isnan(table.residual[j])
+    assert not table.simple[j] and not table.collided[j]
+    assert table.lam[j] == clean.lam[j]
+    rest = np.arange(grid.size) != j
+    for field in ("lam", "simple", "collided", "residual", "certificate"):
+        assert np.array_equal(getattr(table, field)[rest], getattr(clean, field)[rest])
+    assert table.empirical_r == clean.empirical_r

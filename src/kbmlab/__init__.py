@@ -37,7 +37,6 @@ from .ladder import (
 from .operator import (
     TridiagonalOperator,
     TruncationPolicy,
-    accretivity_minimum,
     adaptive_truncation,
     assemble_generator,
     assemble_perturbed,
@@ -58,7 +57,6 @@ from .eig import (
     exceptional_point,
     gap_to_rest,
     newton_polish,
-    parity_eigvals,
     track_branch,
 )
 from .perturb import (

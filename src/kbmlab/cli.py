@@ -28,9 +28,9 @@ from .errors import ConfigError, KbmLabError
 from .ladder import casimir_residual, finite_block, ladder_coefficients
 from .operator import (
     TruncationPolicy,
-    accretivity_minimum,
     assemble_generator,
     fixed_truncation,
+    numerical_range_floor,
     truncate,
 )
 from .perturb import perturbation_series, zero_mode_resolvent_norm
@@ -385,7 +385,7 @@ def run(cfg: RunConfig) -> dict:
         if eta == 0.0 or K > 0.0:
             block = finite_block(eta, K)
         else:
-            # the cutoff the sweep certified; no second doubling study
+            # the cutoff the sweep certified
             block = truncate(eta, K, fixed_truncation(int(table.k_trunc[0])))
         coeffs = ladder_coefficients(block)
         series = perturbation_series(block, coeffs)
@@ -416,7 +416,7 @@ def run(cfg: RunConfig) -> dict:
             for gamma in DIAGNOSTIC_GAMMAS:
                 op = assemble_generator(block, coeffs, gamma)
                 diag["accretivity"].append(
-                    {"eta": eta, "gamma": gamma, "min_real_energy": accretivity_minimum(op)}
+                    {"eta": eta, "gamma": gamma, "min_real_energy": numerical_range_floor(op)}
                 )
         if "resolvent_bound" in cfg.checks and eta > 0.0:
             for zeta in DIAGNOSTIC_ZETAS:

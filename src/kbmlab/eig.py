@@ -166,17 +166,6 @@ def eig_dense(op: TridiagonalOperator) -> np.ndarray:
     return np.linalg.eigvals(a).astype(complex, copy=False)
 
 
-def parity_eigvals(
-    even: TridiagonalOperator, odd: Optional[TridiagonalOperator]
-) -> np.ndarray:
-    """Full-block spectrum as the union of the two parity sectors' dense
-    spectra (see ``operator.parity_sectors``), even sector first; the
-    oracle that ``spot_check`` agrees with."""
-    if odd is None:
-        return eig_dense(even)
-    return np.concatenate((eig_dense(even), eig_dense(odd)))
-
-
 class SpotCheck(NamedTuple):
     """Dense check of a tracked value mu against the full block."""
 
@@ -197,8 +186,8 @@ def spot_check(
     for LAPACK's rounding of the odd spectrum) both nearest eigenvalues are
     even and the odd sector is not solved.  Otherwise the odd sector is
     solved too and the union decides.  Either way the result equals, bit
-    for bit, the one on ``parity_eigvals`` (ties go to the lower index,
-    even sector first).
+    for bit, the one on the union of both sectors' dense spectra, even
+    sector first (ties go to the lower index).
     """
     eigs = even_eigs = eig_dense(even)
     dist = np.abs(eigs - mu)
@@ -350,30 +339,17 @@ def gap_to_rest(mu: complex, eigs: np.ndarray) -> float:
     return float(d[1])
 
 
-def eigvec(
-    op: TridiagonalOperator,
-    mu: complex,
-    *,
-    max_iter: int = 30,
-    check_simple: bool = True,
-) -> np.ndarray:
+def eigvec(op: TridiagonalOperator, mu: complex, *, max_iter: int = 30) -> np.ndarray:
     """Unit eigenvector for the eigenvalue near ``mu`` by inverse iteration.
 
     Residual target is 1e-10 times the operator norm; the phase is fixed by
     making the largest-modulus entry real and positive.  When op - mu is
     exactly singular, the solves use the shift mu + 8*eps*||op||_inf
     instead (the standard inverse-iteration device; a nudge of one eps is
-    lost to rounding on small blocks).  Raises when the eigenvalue is
-    degenerate within the collision threshold or when the iteration does
-    not converge (defective or clustered eigenvalue).
+    lost to rounding on small blocks).  Raises when the iteration does not
+    converge (defective or clustered eigenvalue).
     """
     n = op.dim
-    if check_simple and 1 < n <= MAX_DENSE_DIM:
-        d = np.sort(np.abs(eig_dense(op) - mu))
-        if d[0] > 1e-6 * (1.0 + abs(mu)):
-            raise EigensolveError("mu is not within tolerance of an eigenvalue")
-        if d[1] <= collision_threshold(mu):
-            raise EigensolveError("eigenvalue is not numerically simple")
     v = np.zeros(n, dtype=complex)
     v[int(np.argmin(np.abs(op.diag - mu)))] = 1.0
     nrm = op.inf_norm()
@@ -401,7 +377,7 @@ def eigvec(
 
 def residual_norm(op: TridiagonalOperator, mu: complex) -> float:
     """||(op - mu) v|| for the inverse-iteration eigenvector at mu."""
-    v = eigvec(op, mu, check_simple=False)
+    v = eigvec(op, mu)
     return float(np.linalg.norm(op.matvec(v) - mu * v))
 
 
@@ -420,7 +396,7 @@ class EigenBranch:
     "step underflow near loss of simplicity" (the last sample, the step
     having been halved below 1e-12).
     ``oracle_dev`` is the largest deviation between a tracked value and its
-    nearest dense-oracle eigenvalue over all spot-checked samples.
+    nearest dense-oracle eigenvalue over all accepted samples.
     ``checkpoint_index`` holds, for each checkpoint the continuation landed
     on (in order, x_target last), the index of its sample in ``x_samples``;
     a checkpoint sample may be the non-simple one that stopped the
@@ -454,7 +430,6 @@ def track_branch(
     x_target: complex,
     steps: Optional[int] = None,
     *,
-    gap_stride: Optional[int] = None,
     checkpoints: Sequence[complex] = (),
 ) -> EigenBranch:
     """Continue the eigenvalue branch from 0 at x = 0 to ``x_target``.
@@ -462,11 +437,10 @@ def track_branch(
     The unperturbed value 0 is a simple eigenvalue on the block (the
     diagonal is k^2 and the zero mode occurs once), so the branch starts
     well defined; it lies in the even parity sector, where Newton runs.
-    Gap spot checks against the dense oracle (``spot_check``: the even
-    sector's spectrum, and the odd one's only when its numerical range
-    comes near the branch) run at every sample for block dimension <= 512
-    and every 8th sample otherwise, and at every checkpoint.  Gaps, the
-    neighbour and simplicity are those of the full block.
+    Every accepted sample is spot-checked against the dense oracle
+    (``spot_check``: the even sector's spectrum, and the odd one's only
+    when its numerical range comes near the branch).  Gaps, the neighbour
+    and simplicity are those of the full block.
 
     ``checkpoints`` are parameters on the segment (0, x_target] in order of
     increasing |x|; x_target is appended when it is not the last one.  The
@@ -483,11 +457,10 @@ def track_branch(
     not simple asks ``exceptional_point`` the same of the stretch from it
     to the next checkpoint; a certified point there becomes x_collision,
     and the sample stays the last one.  Both calls hand over the even
-    spectrum from the sample's spot check when there was one.
+    spectrum from the sample's spot check (the start x = 0 has none).
     """
     x_target = complex(x_target)
     dim = block.dim
-    stride = gap_stride if gap_stride is not None else (1 if dim <= 512 else 8)
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
 
     eigs0 = block.ks.astype(float) ** 2
@@ -523,12 +496,11 @@ def track_branch(
     last_nu: Optional[complex] = 1.0 + 0j if dim > 1 else None
     real_segment = x_target.imag == 0.0
     ep_tried = False
-    # the even sector's dense spectrum at x_cur, when its spot check ran
+    # the even sector's dense spectrum at x_cur (none at the start x = 0)
     eigs_cur: Optional[np.ndarray] = None
     oracle_dev = 0.0
     status, reason, x_coll = "complete", "", None
     ds = ds_base
-    idx = 0
     easy = 0
     nxt = 0
     landed = []
@@ -573,15 +545,10 @@ def track_branch(
                 break
             continue
 
-        idx += 1
-        spot = (idx % stride == 0) or at_checkpoint
-        if spot:
-            check = spot_check(even, odd, mu_new)
-            oracle_dev = max(oracle_dev, check.oracle_dev)
-            gap = last_gap = check.gap
-            last_nu = check.nu
-        else:
-            gap = last_gap
+        check = spot_check(even, odd, mu_new)
+        oracle_dev = max(oracle_dev, check.oracle_dev)
+        gap = last_gap = check.gap
+        last_nu = check.nu
         is_simple = gap > collision_threshold(mu_new)
 
         xs.append(x_new)
@@ -600,7 +567,7 @@ def track_branch(
                 # short of the next checkpoint
                 x_c = exceptional_point(
                     block, coeffs, x_new.real, ck_x[nxt].real, mu_new.real, last_nu,
-                    eigs_cur=check.even_eigs if spot else None,
+                    eigs_cur=check.even_eigs,
                 )
                 if x_c is not None:
                     reason, x_coll = "exceptional point", complex(x_c)
@@ -608,7 +575,7 @@ def track_branch(
 
         s_prev, mu_prev = s_cur, mu_cur
         s_cur, x_cur, mu_cur = s_new, x_new, mu_new
-        eigs_cur = check.even_eigs if spot else None
+        eigs_cur = check.even_eigs
         ep_tried = False
         if iters <= 5:
             easy += 1

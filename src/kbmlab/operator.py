@@ -1,8 +1,8 @@
 """Tridiagonal restrictions of the perturbed fiber Laplacian and of the
 kinetic Brownian motion generator on one Casimir block, together with the
 truncation policy for infinite ladders, the split of the perturbed family
-into its two parity sectors, the numerical-range minimum and its O(n)
-floor, and the shifted tridiagonal solve.  Everything here runs on NumPy
+into its two parity sectors, an O(n) floor of the numerical range, and
+the shifted tridiagonal solve.  Everything here runs on NumPy
 alone, so importing the package loads no SciPy.
 
 In the fixed gauge the perturbed family reads diag(k^2) + x*X with X real
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EigensolveError, TruncationError
-from .ladder import CasimirBlock, LadderCoefficients, ladder_coefficients
+from .ladder import CasimirBlock, LadderCoefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,18 +172,18 @@ def even_sector(
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How to pick the mode cutoff for an infinite ladder.
+    """How ``spectra.gamma_sweep`` picks the mode cutoff of an infinite
+    ladder.
 
-    ``fixed`` uses k_max as given.  ``adaptive`` starts from
-    max(32, ceil(8*(1+sqrt(eta)))) and doubles until the tracked branch at
-    ``x_ref`` moves by less than ``tol``; the certified cutoff is the first
-    one in that doubling sequence.
+    ``fixed`` uses k_max as given.  ``adaptive`` doubles the cutoff from
+    k = 8 until lambda moves by less than ``tol`` on every row of the sweep
+    when the cutoff is doubled once more.  Either way the sweep reports the
+    shift under doubling as each row's certificate.
     """
 
     kind: str = "adaptive"
     k_max: Optional[int] = None
     tol: float = 1e-10
-    x_ref: Optional[complex] = None
 
     def __post_init__(self):
         if self.kind not in ("fixed", "adaptive"):
@@ -198,90 +198,40 @@ def fixed_truncation(k_max: int) -> TruncationPolicy:
     return TruncationPolicy(kind="fixed", k_max=int(k_max))
 
 
-def adaptive_truncation(tol: float = 1e-10, x_ref: Optional[complex] = None) -> TruncationPolicy:
-    return TruncationPolicy(kind="adaptive", tol=tol, x_ref=x_ref)
-
-
-def default_cutoff(eta: float) -> int:
-    """Starting cutoff: the branch near 0 localizes on low |k| because the
-    diagonal grows like k^2 while couplings grow at most linearly."""
-    return max(32, int(math.ceil(8.0 * (1.0 + math.sqrt(max(eta, 0.0))))))
+def adaptive_truncation(tol: float = 1e-10) -> TruncationPolicy:
+    return TruncationPolicy(kind="adaptive", tol=tol)
 
 
 def truncate(eta: float, K: float, policy: TruncationPolicy) -> CasimirBlock:
-    """Symmetric truncation [-k_max, k_max] of an infinite ladder.
+    """Symmetric truncation [-k_max, k_max] of an infinite ladder at a
+    fixed policy's cutoff.
 
-    Rejects K > 0 (those ladders terminate on their own).  The adaptive
-    policy returns the first cutoff in the doubling sequence whose branch
-    value at ``policy.x_ref`` is stable to ``policy.tol`` under doubling; it
-    raises TruncationError once the doubled block [-2k, 2k] would exceed
-    the dense limit.
+    Rejects K > 0 (those ladders terminate on their own), eta = 0 (a single
+    mode) and adaptive policies, whose cutoff only a sweep can certify
+    (``spectra.gamma_sweep``).
     """
     if K > 0.0:
         raise TruncationError("K > 0 ladders are intrinsically finite; no truncation")
     if not eta > 0.0:
         raise TruncationError("eta = 0 block is a single mode; nothing to truncate")
-    if policy.kind == "fixed":
-        k = int(policy.k_max)
-        return CasimirBlock(curvature=K, eta=eta, k_min=-k, k_max=k, finite=False)
-
-    from . import eig  # deferred: eig depends on this module
-
-    if policy.x_ref is not None:
-        x_ref = policy.x_ref
-    else:
-        # stay inside the separation regime, which shrinks like 1/sqrt(eta)
-        x_ref = -min(0.2, 0.5 / (1.0 + math.sqrt(eta)))
-
-    def branch_at(k: int) -> complex:
-        blk = CasimirBlock(curvature=K, eta=eta, k_min=-k, k_max=k, finite=False)
-        br = eig.track_branch(blk, ladder_coefficients(blk), x_ref)
-        if br.status != "complete":
-            raise TruncationError(f"branch tracking failed at cutoff {k} ({br.status})")
-        return br.mu_values[-1]
-
-    k, mu_k = default_cutoff(eta), None
-    while 4 * k + 1 <= eig.MAX_DENSE_DIM:
-        if mu_k is None:
-            mu_k = branch_at(k)
-        mu_2k = branch_at(2 * k)
-        if abs(mu_2k - mu_k) < policy.tol:
-            return CasimirBlock(curvature=K, eta=eta, k_min=-k, k_max=k, finite=False)
-        k, mu_k = 2 * k, mu_2k
-    raise TruncationError(
-        f"doubling study did not certify a cutoff k_max <= {(eig.MAX_DENSE_DIM - 1) // 4} "
-        f"(the doubled block must fit the dense limit {eig.MAX_DENSE_DIM})"
-    )
-
-
-def accretivity_minimum(op: TridiagonalOperator) -> float:
-    """Minimum of Re<op v, v> over complex unit vectors.
-
-    That is the smallest eigenvalue of the Hermitian part (op + op^*)/2,
-    a Hermitian tridiagonal matrix with diagonal Re(diag) and off-diagonal
-    (sub + conj(sup))/2; a diagonal phase change makes the off-diagonal
-    real and nonnegative.  The resulting real symmetric matrix goes to
-    the dense ``eigvalsh`` (O(dim^3), a diagnostic off the sweep path).
-    For generator restrictions the skew coupling drops out, the matrix is
-    diagonal and the value is min (gamma^2/2) k^2 = 0 exactly.
-    """
-    n = op.dim
-    i = np.arange(n)
-    herm = np.zeros((n, n))
-    herm[i, i] = op.diag.real
-    herm[i[1:], i[:-1]] = herm[i[:-1], i[1:]] = np.abs(0.5 * (op.sub + np.conj(op.sup)))
-    return float(np.linalg.eigvalsh(herm)[0])
+    if policy.kind != "fixed":
+        raise TruncationError(
+            "an adaptive cutoff is certified by gamma_sweep; truncate needs a fixed policy"
+        )
+    k = int(policy.k_max)
+    return CasimirBlock(curvature=K, eta=eta, k_min=-k, k_max=k, finite=False)
 
 
 def numerical_range_floor(op: TridiagonalOperator) -> float:
-    """A lower bound on ``accretivity_minimum`` in O(dim): Gershgorin's
-    bound min_j (Re d_j - |h_{j-1}| - |h_j|) on the Hermitian part, whose
-    off-diagonal is h = (sub + conj(sup))/2.
+    """A lower bound on min Re<op v, v> over unit vectors, in O(dim):
+    Gershgorin's bound min_j (Re d_j - |h_{j-1}| - |h_j|) on the Hermitian
+    part (op + op^*)/2, whose off-diagonal is h = (sub + conj(sup))/2.
 
     Every eigenvalue of op lies in its numerical range, so its real part
     is at least this floor (Horn & Johnson, *Topics in Matrix Analysis*,
     1.2).  For a family member diag(m^2) + x*X, h = i*Im(x)*X: at real x
-    the floor is min Re d exactly.
+    the floor is min Re d exactly, and so it is for every generator
+    restriction, whose Hermitian part is diag((gamma^2/2) k^2).
     """
     row = op.diag.real.copy()
     if op.dim > 1:

@@ -6,27 +6,46 @@ per-row diagnostics: simplicity, collision passage, the truncation used
 and its doubling certificate, and the eigenvector residual.  mu is one
 holomorphic branch in x = -2/gamma, so a sweep continues it once per
 block, from x = 0 out to the deepest grid point, landing exactly on every
-grid value of x on the way (the doubled certificate block gets a second
-such continuation).  Rows therefore share one path: where it stops at a
-collision, every deeper row is resolved from the dense spectrum of the
-even parity sector (``operator.even_sector``), which holds the branch
+grid value of x on the way.  Rows therefore share one path: where it stops
+at a collision, every deeper row is resolved from the dense spectrum of
+the even parity sector (``operator.even_sector``), which holds the branch
 through 0, seeded with the path's last simple value; the picked value is
-Newton-polished on that sector.  Each row's eigenvector residual is then
-taken once, at the row's reported mu, on the full block.
-"""
+Newton-polished on that sector.
+
+An infinite ladder (K <= 0) is truncated by sweeping the whole grid at
+cutoff k and again at 2k; the shift of every row, reached or collided, is
+its truncation certificate, and the sweep doubles k until every shift is
+below the policy's tolerance.  Each row's eigenvector residual is then
+taken once, at the row's reported mu, on the accepted block."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .eig import EigenBranch, eig_dense, newton_polish, residual_norm, track_branch
-from .errors import BranchCollisionError, EigensolveError, SpectrumValidationError
+from .eig import MAX_DENSE_DIM, eig_dense, newton_polish, residual_norm, track_branch
+from .errors import (
+    BranchCollisionError,
+    EigensolveError,
+    SpectrumValidationError,
+    TruncationError,
+)
 from .ladder import CasimirBlock, LadderCoefficients, finite_block, ladder_coefficients
-from .operator import TruncationPolicy, assemble_perturbed, even_sector, truncate
+from .operator import (
+    TruncationPolicy,
+    assemble_perturbed,
+    even_sector,
+    fixed_truncation,
+    truncate,
+)
+
+# The adaptive truncation's first cutoff: rows converge at small cutoffs,
+# because the branch's eigenvector decays once k^2 exceeds the coupling
+# |x|*a_k, which grows like |x|*sqrt(eta + k^2)/2.
+FIRST_CUTOFF = 8
 
 
 @dataclass(frozen=True)
@@ -144,16 +163,16 @@ def default_gamma_grid() -> np.ndarray:
 class GammaTable:
     """Sweep record for one eta: lambda values and row diagnostics.
 
-    ``collided`` marks rows that the sweep's one continuation did not
-    reach as simple samples, because it stopped at a collision x_c with
-    |x_c| <= |x|; their values come from the even sector's dense spectrum
-    (Newton-polished) and are complex past an exceptional point.
+    ``collided`` marks rows that the continuation on the reported block
+    did not reach as simple samples, because it stopped at a collision x_c
+    with |x_c| <= |x|; their values come from the even sector's dense
+    spectrum (Newton-polished) and are complex past an exceptional point.
     ``residual`` is the eigenvector residual at the row's mu, NaN where
     inverse iteration fails; ``simple`` rows are the reached rows with a
     finite residual.
-    ``certificate`` is the change of lambda under doubling the truncation
-    (0 on intrinsically finite ladders, NaN where the doubled block's
-    continuation stopped before the row).  ``empirical_r`` is 2/|x_c| at
+    ``certificate`` is |lambda_k - lambda_2k|, the change of the row's
+    lambda between the sweeps at the reported cutoff k = ``k_trunc`` and at
+    2k (0 on intrinsically finite ladders).  ``empirical_r`` is 2/|x_c| at
     the collision that stopped the continuation (None when it reached
     every row), a diagnostic with no claimed relation to the true
     analyticity threshold.
@@ -194,24 +213,47 @@ def _dense_continuation(
     return root if converged else pick
 
 
-def _track_rows(
-    block: CasimirBlock, coeffs: LadderCoefficients, grid: np.ndarray
-) -> tuple[EigenBranch, np.ndarray]:
-    """One continuation through x = -2/gamma for every gamma of the
-    ascending grid.
+class _BlockSweep(NamedTuple):
+    """Every row's mu on one block, with the rows the continuation missed."""
 
-    Returns the branch and, per row, the index of the row's sample in the
-    branch when the continuation landed there with a simple value, else -1.
-    """
+    block: CasimirBlock
+    coeffs: LadderCoefficients
+    mu: np.ndarray
+    collided: np.ndarray
+    empirical_r: Optional[float]
+
+
+def _sweep_block(block: CasimirBlock, grid: np.ndarray) -> _BlockSweep:
+    """mu at x = -2/gamma for every gamma of the ascending grid, from one
+    continuation through all of them: the continuation's sample where it
+    landed on the row with a simple value, else the ``_dense_continuation``
+    value seeded with the last simple sample.  A continuation that accepted
+    no step (x_c = 0) raises BranchCollisionError."""
+    coeffs = ladder_coefficients(block)
     # ascending |x| is the grid reversed; each x is the same float that a
     # continuation to that row alone would end on
     xs = -2.0 / grid[::-1]
     branch = track_branch(block, coeffs, xs[-1], checkpoints=xs)
+    if branch.x_collision == 0:
+        raise BranchCollisionError(
+            f"eta = {block.eta!r}, K = {block.curvature!r}: the branch continuation "
+            f"accepted no step from x = 0 ({branch.reason})"
+        )
     hit = np.full(grid.size, -1)
     for j, i in enumerate(branch.checkpoint_index):
         if branch.simple[i]:
-            hit[j] = i
-    return branch, hit[::-1]
+            hit[grid.size - 1 - j] = i
+    mu = np.empty(grid.size, dtype=complex)
+    collided = hit < 0
+    mu[~collided] = branch.mu_values[hit[~collided]]
+    empirical_r: Optional[float] = None
+    if np.any(collided):
+        seed_mu = complex(branch.mu_values[np.nonzero(branch.simple)[0][-1]])
+        for i in np.nonzero(collided)[0]:
+            mu[i] = _dense_continuation(block, coeffs, -2.0 / grid[i], seed_mu)
+        if branch.x_collision is not None:
+            empirical_r = 2.0 / abs(branch.x_collision)
+    return _BlockSweep(block, coeffs, mu, collided, empirical_r)
 
 
 def gamma_sweep(
@@ -223,15 +265,20 @@ def gamma_sweep(
 ) -> GammaTable:
     """The branch at x = -2/gamma for every gamma in the grid.
 
-    The trivial eta = 0 branch is identically zero.  For K <= 0 the block
-    is truncated by ``policy`` (adaptive by default, certified at the
-    deepest x of the grid) and every row records the lambda shift under
-    doubling the cutoff.  Each block is continued once through all grid
-    points; a collision marks the rows at and beyond it, and is not fatal
-    unless the continuation accepted no step at all (x_c = 0), which
-    raises BranchCollisionError.  A reached row whose residual fails reads
-    NaN and simple = False; the rows after it are unaffected.  A non-finite
-    or negative eta, or a non-finite K, raises SpectrumValidationError.
+    The trivial eta = 0 branch is identically zero.  For K <= 0 the whole
+    grid is swept at cutoff k and again at 2k, and every row's certificate
+    is |lambda_k - lambda_2k|.  A fixed ``policy`` runs its k_max once.
+    The adaptive one (the default) starts at k = 8 and accepts the first
+    k at which every row's certificate is below ``policy.tol``; otherwise
+    the 2k sweep becomes the base.  It raises TruncationError once the
+    next doubled block [-2k, 2k] would exceed the dense limit.  Each
+    block is continued once through all grid points; a collision marks
+    the rows at and beyond it, and is not fatal unless the continuation
+    accepted no step at all (x_c = 0), which raises BranchCollisionError.
+    The eigenvector residual is taken once per row, on the accepted block.
+    A row whose residual fails reads NaN and simple = False; the rows
+    after it are unaffected.  A non-finite or negative eta, or a
+    non-finite K, raises SpectrumValidationError.
     """
     if not (math.isfinite(eta) and eta >= 0.0 and math.isfinite(K)):
         raise SpectrumValidationError(
@@ -261,56 +308,38 @@ def gamma_sweep(
             empirical_r=None,
         )
 
+    half_g2 = 0.5 * grid * grid
     if K > 0.0:
-        block = finite_block(eta, K)
-        block2 = None
+        base = _sweep_block(finite_block(eta, K), grid)
+        lam = half_g2 * base.mu
+        cert = np.zeros(n)
     else:
         pol = policy if policy is not None else TruncationPolicy()
-        if pol.kind == "adaptive" and pol.x_ref is None:
-            # certify at the deepest grid point that stays inside the
-            # separation regime gamma >= 4*(1 + sqrt(eta))
-            x_ref = -min(2.0 / grid[0], 0.5 / (1.0 + math.sqrt(eta)))
-            pol = TruncationPolicy(kind="adaptive", tol=pol.tol, x_ref=x_ref)
-        block = truncate(eta, K, pol)
-        k2 = 2 * block.k_max
-        block2 = CasimirBlock(curvature=K, eta=eta, k_min=-k2, k_max=k2, finite=False)
-    coeffs = ladder_coefficients(block)
-
-    branch, hit = _track_rows(block, coeffs, grid)
-    if branch.x_collision == 0:
-        raise BranchCollisionError(
-            f"eta = {eta!r}, K = {K!r}: the branch continuation accepted no step "
-            f"from x = 0 ({branch.reason})"
-        )
-    half_g2 = 0.5 * grid * grid
-
-    mu = np.empty(n, dtype=complex)
-    collided = hit < 0
-    mu[~collided] = branch.mu_values[hit[~collided]]
-    empirical_r: Optional[float] = None
-    if np.any(collided):
-        seed_mu = complex(branch.mu_values[np.nonzero(branch.simple)[0][-1]])
-        for i in np.nonzero(collided)[0]:
-            mu[i] = _dense_continuation(block, coeffs, -2.0 / grid[i], seed_mu)
-        if branch.x_collision is not None:
-            empirical_r = 2.0 / abs(branch.x_collision)
-    lam = half_g2 * mu
+        k = pol.k_max if pol.kind == "fixed" else FIRST_CUTOFF
+        base, shift = None, math.nan
+        while True:
+            if 4 * k + 1 > MAX_DENSE_DIM:
+                raise TruncationError(
+                    f"eta = {eta!r}, K = {K!r}: the doubled block of cutoff {k} would "
+                    f"exceed the dense limit {MAX_DENSE_DIM}; the last doubling moved a "
+                    f"row by up to {shift:.3g} (tol {pol.tol:g})"
+                )
+            if base is None:
+                base = _sweep_block(truncate(eta, K, fixed_truncation(k)), grid)
+            doubled = _sweep_block(truncate(eta, K, fixed_truncation(2 * k)), grid)
+            lam = half_g2 * base.mu
+            cert = np.abs(lam - half_g2 * doubled.mu)
+            if pol.kind == "fixed" or np.all(cert < pol.tol):
+                break
+            k, base, shift = 2 * k, doubled, float(np.max(cert))
 
     resid = np.empty(n)
     for i in range(n):
         try:
-            resid[i] = residual_norm(assemble_perturbed(block, coeffs, -2.0 / grid[i]), mu[i])
+            op = assemble_perturbed(base.block, base.coeffs, -2.0 / grid[i])
+            resid[i] = residual_norm(op, base.mu[i])
         except EigensolveError:
             resid[i] = math.nan
-    simple = ~collided & np.isfinite(resid)
-
-    if block2 is None:
-        cert = np.zeros(n)
-    else:
-        branch2, hit2 = _track_rows(block2, ladder_coefficients(block2), grid)
-        cert = np.full(n, math.nan)
-        ok2 = hit2 >= 0
-        cert[ok2] = np.abs(lam[ok2] - half_g2[ok2] * branch2.mu_values[hit2[ok2]])
 
     return GammaTable(
         eta=eta,
@@ -319,12 +348,12 @@ def gamma_sweep(
         gamma_grid=grid,
         lam=lam,
         abs_error=np.abs(lam - eta),
-        simple=simple,
-        collided=collided,
-        k_trunc=np.full(n, block.k_max, dtype=int),
+        simple=~base.collided & np.isfinite(resid),
+        collided=base.collided,
+        k_trunc=np.full(n, base.block.k_max, dtype=int),
         certificate=cert,
         residual=resid,
-        empirical_r=empirical_r,
+        empirical_r=base.empirical_r,
     )
 
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from kbmlab import EigenBranch, finite_block, fixed_truncation, ladder_coefficients, truncate
+from kbmlab import (
+    EigenBranch,
+    eig_dense,
+    finite_block,
+    fixed_truncation,
+    ladder_coefficients,
+    truncate,
+)
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +57,26 @@ def stuck_at_zero(block, coeffs, x_target, checkpoints=()):
         reason="step underflow near loss of simplicity",
         x_collision=0j,
     )
+
+
+def parity_eigvals(even, odd):
+    """Full-block spectrum as the union of the two parity sectors' dense
+    spectra (see ``operator.parity_sectors``), even sector first; the
+    oracle that ``eig.spot_check`` agrees with."""
+    if odd is None:
+        return eig_dense(even)
+    return np.concatenate((eig_dense(even), eig_dense(odd)))
+
+
+def accretivity_minimum(op):
+    """Minimum of Re<op v, v> over complex unit vectors by a dense solve:
+    the smallest eigenvalue of the Hermitian part (op + op^*)/2, a
+    Hermitian tridiagonal matrix with diagonal Re(diag) and off-diagonal
+    (sub + conj(sup))/2; a diagonal phase change makes the off-diagonal
+    real and nonnegative.  The oracle for ``numerical_range_floor``."""
+    n = op.dim
+    i = np.arange(n)
+    herm = np.zeros((n, n))
+    herm[i, i] = op.diag.real
+    herm[i[1:], i[:-1]] = herm[i[:-1], i[1:]] = np.abs(0.5 * (op.sub + np.conj(op.sup)))
+    return float(np.linalg.eigvalsh(herm)[0])

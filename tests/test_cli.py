@@ -272,8 +272,8 @@ def test_fixed_cutoff_beyond_dense_limit_is_a_config_error(tmp_path, capsys):
 
 
 def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):
-    # one adaptive doubling study per eta, run by the sweep; the
-    # perturbation series is built at the cutoff the sweep certified
+    # the sweep doubles the cutoff itself, building every block at a fixed
+    # cutoff; the perturbation series is built at the cutoff it certified
     import kbmlab.cli
     import kbmlab.spectra
 
@@ -282,18 +282,38 @@ def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):
         real = mod.truncate
 
         def counting(eta, K, policy, _real=real):
-            policies.append(policy.kind)
+            policies.append((policy.kind, policy.k_max))
             return _real(eta, K, policy)
 
         monkeypatch.setattr(mod, "truncate", counting)
     eta_path = tmp_path / "etas.json"
     eta_path.write_text(json.dumps({"entries": [[0.0, 1], [5.0, 1]]}))
+    out = tmp_path / "out"
     code = run_cli(
         ["run", "--surface", "custom", "--curvature", "-1.0", "--custom-path",
-         str(eta_path), "--gamma-explicit", "20,50", "--out", str(tmp_path / "out")]
+         str(eta_path), "--gamma-explicit", "20,50", "--out", str(out)]
     )
     assert code == 0
-    assert policies == ["adaptive", "fixed"]
+    k_max = json.loads((out / "table_01_eta_5.json").read_text())["rows"][0]["k_max"]
+    assert policies == [("fixed", 8), ("fixed", 16), ("fixed", k_max)]
+
+
+def test_uncertified_truncation_is_a_numerics_error(tmp_path, monkeypatch, capsys):
+    import kbmlab.spectra
+
+    # eta = 5 needs cutoff 16, whose doubled block has dimension 65
+    monkeypatch.setattr(kbmlab.spectra, "MAX_DENSE_DIM", 64)
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0.0, 1], [5.0, 1]]}))
+    out = tmp_path / "out"
+    code = run_cli(
+        ["run", "--surface", "custom", "--curvature", "-1.0", "--custom-path",
+         str(eta_path), "--gamma-points", "13", "--out", str(out)]
+    )
+    assert code == 1
+    record = _error_record(capsys)
+    assert record["error"] == "TruncationError" and "eta = 5.0" in record["message"]
+    assert json.loads((out / "errors.json").read_text()) == record
 
 
 def test_continuation_that_accepts_no_step_is_a_numerics_error(tmp_path, monkeypatch, capsys):

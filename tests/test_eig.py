@@ -10,7 +10,6 @@ from kbmlab import (
     BranchCollisionError,
     EigensolveError,
     TridiagonalOperator,
-    accretivity_minimum,
     assemble_perturbed,
     branch_value,
     char_poly,
@@ -23,13 +22,12 @@ from kbmlab import (
     ladder_coefficients,
     newton_polish,
     numerical_range_floor,
-    parity_eigvals,
     parity_sectors,
     track_branch,
     truncate,
 )
 
-from conftest import match_spectra, property_block
+from conftest import accretivity_minimum, match_spectra, parity_eigvals, property_block
 
 
 from hypothesis import given, settings
@@ -274,13 +272,6 @@ def test_eigvec_residual_and_phase(sphere_l1):
     assert v[i].imag == pytest.approx(0.0, abs=1e-15) and v[i].real > 0
 
 
-def test_eigvec_rejects_degenerate_eigenvalue(sphere_l1):
-    block, coeffs = sphere_l1
-    op = assemble_perturbed(block, coeffs, 0.0)
-    with pytest.raises(EigensolveError):
-        eigvec(op, 1.0)  # modes k = +-1 share the unperturbed eigenvalue 1
-
-
 def test_track_branch_closed_form(sphere_l1):
     block, coeffs = sphere_l1
     assert branch_value(block, coeffs, 0.3) == pytest.approx(0.1, abs=1e-10)
@@ -325,16 +316,6 @@ def test_branch_residual_bound(hyperbolic_block):
     ]
     assert max(res) <= 1e-9 * (1.0 + op_norm)
     assert br.oracle_dev <= 1e-9
-
-
-def test_branch_sparse_gap_stride_carries_last_gap(sphere_l1):
-    # large-dimension policy: gaps are spot-checked every 8th sample and
-    # carried forward in between; the final sample is always checked
-    block, coeffs = sphere_l1
-    br = track_branch(block, coeffs, 0.4, steps=12, gap_stride=8)
-    assert br.status == "complete"
-    assert np.all(np.isfinite(br.gap_to_rest))
-    assert np.all(br.simple)
 
 
 def test_branch_is_real_on_real_axis(sphere_l1):

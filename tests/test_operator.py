@@ -7,11 +7,11 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import accretivity_minimum, parity_eigvals
 from kbmlab import (
     EigensolveError,
     TridiagonalOperator,
     TruncationError,
-    accretivity_minimum,
     adaptive_truncation,
     assemble_generator,
     assemble_perturbed,
@@ -20,7 +20,7 @@ from kbmlab import (
     finite_block,
     fixed_truncation,
     ladder_coefficients,
-    parity_eigvals,
+    numerical_range_floor,
     parity_sectors,
     tridiag_solve,
     truncate,
@@ -114,22 +114,10 @@ def test_truncate_fixed_echoes_policy():
     assert (block.k_min, block.k_max) == (-16, 16)
 
 
-def test_truncate_adaptive_certifies_default_cutoff():
-    block = truncate(5.0, -1.0, adaptive_truncation(1e-10, -0.2))
-    assert block.k_max == 32  # first cutoff in the doubling study already stable
-
-
-def test_truncate_adaptive_stops_at_the_dense_limit(monkeypatch):
-    # the doubling study of eta = 5 compares k = 32 with k = 64, whose
-    # doubled block [-64, 64] has dimension 129
-    import kbmlab.eig
-
-    policy = adaptive_truncation(1e-10, -0.2)
-    monkeypatch.setattr(kbmlab.eig, "MAX_DENSE_DIM", 129)
-    assert truncate(5.0, -1.0, policy).k_max == 32
-    monkeypatch.setattr(kbmlab.eig, "MAX_DENSE_DIM", 128)
-    with pytest.raises(TruncationError, match="k_max <= 31"):
-        truncate(5.0, -1.0, policy)
+def test_truncate_rejects_an_adaptive_policy():
+    # an adaptive cutoff is certified by the sweep, on every row
+    with pytest.raises(TruncationError, match="fixed policy"):
+        truncate(5.0, -1.0, adaptive_truncation())
 
 
 def test_truncate_rejects_positive_curvature():
@@ -153,33 +141,39 @@ def test_accretivity_examples(eta, K, kmax, gamma):
     block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(kmax))
     coeffs = ladder_coefficients(block)
     op = assemble_generator(block, coeffs, gamma)
-    assert accretivity_minimum(op) >= -1e-12
+    assert numerical_range_floor(op) >= -1e-12
+    assert numerical_range_floor(op) <= accretivity_minimum(op)
 
 
 def test_accretivity_trivial_block_is_zero():
     block = finite_block(0.0, 1.0)
     op = assemble_generator(block, ladder_coefficients(block), 2.0)
-    assert accretivity_minimum(op) == 0.0
+    assert numerical_range_floor(op) == accretivity_minimum(op) == 0.0
 
 
 @pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0])
 def test_accretivity_of_the_generator_is_exactly_zero(gamma):
     # the skew coupling cancels in the Hermitian part, which is then the
-    # diagonal (gamma^2/2) k^2 with its minimum 0 at k = 0
+    # diagonal (gamma^2/2) k^2 with its minimum 0 at k = 0; the O(n) floor
+    # the run reports equals the dense minimum bit for bit, sign included
     blocks = [suite_block(K, eta)[0] for K, eta in suite_cases()]
     blocks.append(truncate(300.0, -1.0, fixed_truncation(147)))
     for block in blocks:
         op = assemble_generator(block, ladder_coefficients(block), gamma)
-        assert accretivity_minimum(op) == 0.0
+        floor = numerical_range_floor(op)
+        assert floor == accretivity_minimum(op) == 0.0
+        assert math.copysign(1.0, floor) == math.copysign(1.0, accretivity_minimum(op))
 
 
 def test_accretivity_is_exact_off_the_generator(hyperbolic_block):
-    # complex x gives a Hermitian part with nonzero off-diagonal
+    # complex x gives a Hermitian part with nonzero off-diagonal; the dense
+    # oracle is exact there, and the O(n) floor stays below it
     block, coeffs = hyperbolic_block
     op = assemble_perturbed(block, coeffs, 0.3 + 0.2j)
     dense = op.to_dense()
     exact = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))[0]
     assert abs(accretivity_minimum(op) - exact) <= 1e-12
+    assert numerical_range_floor(op) <= exact + 1e-12
 
 
 def test_tridiag_solve_against_dense(hyperbolic_block):

@@ -9,6 +9,7 @@ from kbmlab import (
     BranchCollisionError,
     EigensolveError,
     SpectrumValidationError,
+    TruncationError,
     adaptive_truncation,
     custom_spectrum,
     eig_dense,
@@ -250,16 +251,13 @@ def test_mixing_report_requires_eta1_table():
 
 def _per_row(eta, K, grid, k_trunc):
     """Independent per-row oracle: one track from x = 0 for every gamma,
-    on the sweep's block and, for K <= 0, its doubled block."""
-    if K > 0.0:
-        blocks = [finite_block(eta, K)]
-    else:
-        blocks = [truncate(eta, K, fixed_truncation(k)) for k in (k_trunc, 2 * k_trunc)]
+    on the sweep's block."""
+    block = finite_block(eta, K) if K > 0.0 else truncate(eta, K, fixed_truncation(k_trunc))
+    coeffs = ladder_coefficients(block)
     rows = []
     for gamma in grid:
-        x = -2.0 / gamma
-        brs = [track_branch(b, ladder_coefficients(b), x) for b in blocks]
-        rows.append([0.5 * gamma * gamma * br.final_mu if br.reached else None for br in brs])
+        br = track_branch(block, coeffs, -2.0 / gamma)
+        rows.append(0.5 * gamma * gamma * br.final_mu if br.reached else None)
     return rows
 
 
@@ -272,20 +270,73 @@ def _per_row(eta, K, grid, k_trunc):
 )
 def test_single_path_matches_per_row_tracks(eta, K, grid):
     table = gamma_sweep(eta, K, grid)
-    oracle = _per_row(eta, K, table.gamma_grid, int(table.k_trunc[0]))
+    k = int(table.k_trunc[0])
+    oracle = _per_row(eta, K, table.gamma_grid, k)
     assert np.any(table.collided) and not np.all(table.collided)
-    for i, row in enumerate(oracle):
-        assert table.collided[i] == (row[0] is None)
-        assert table.simple[i] == (row[0] is not None)
-        if row[0] is not None:
-            assert abs(table.lam[i] - row[0]) <= 1e-12
-        if K <= 0.0:
-            if row[1] is None:
-                assert math.isnan(table.certificate[i])
-            else:
-                assert abs(table.certificate[i] - abs(table.lam[i] - row[1])) <= 1e-12
-        else:
-            assert table.certificate[i] == 0.0
+    for i, lam in enumerate(oracle):
+        assert table.collided[i] == (lam is None)
+        assert table.simple[i] == (lam is not None)
+        if lam is not None:
+            assert abs(table.lam[i] - lam) <= 1e-12
+    if K <= 0.0:
+        # every row, reached or collided, is certified against an
+        # independent sweep at twice the cutoff
+        doubled = gamma_sweep(eta, K, grid, fixed_truncation(2 * k))
+        assert np.array_equal(table.certificate, np.abs(table.lam - doubled.lam))
+        assert np.all(np.isfinite(table.certificate))
+    else:
+        assert np.all(table.certificate == 0.0)
+
+
+_TABLE_FIELDS = (
+    "lam", "abs_error", "simple", "collided", "k_trunc", "certificate", "residual",
+)
+
+
+@pytest.mark.parametrize("eta", [2.0, 5.0, 300.0])
+def test_adaptive_cutoff_is_the_first_certified_one(eta):
+    # the adaptive sweep is the fixed sweep at the cutoff it reports, and
+    # half that cutoff (when it was tried) leaves some row uncertified
+    grid = make_gamma_grid(0.0, 4.0, 13)
+    table = gamma_sweep(eta, -1.0, grid, adaptive_truncation(1e-10))
+    k = int(table.k_trunc[0])
+    fixed = gamma_sweep(eta, -1.0, grid, fixed_truncation(k))
+    for field in _TABLE_FIELDS:
+        assert np.array_equal(getattr(table, field), getattr(fixed, field), equal_nan=True)
+    assert table.empirical_r == fixed.empirical_r
+    assert np.all(table.certificate < 1e-10)
+    if k > 8:
+        assert np.any(gamma_sweep(eta, -1.0, grid, fixed_truncation(k // 2)).certificate >= 1e-10)
+
+
+def test_adaptive_acceptance_is_strict():
+    # a shift equal to the tolerance does not certify the cutoff, as in
+    # criterion 9
+    grid = make_gamma_grid(0.0, 4.0, 13)
+    tol = float(np.max(gamma_sweep(2.0, -1.0, grid, fixed_truncation(8)).certificate))
+    assert gamma_sweep(2.0, -1.0, grid, adaptive_truncation(tol)).k_trunc[0] == 16
+    assert gamma_sweep(2.0, -1.0, grid, adaptive_truncation(2.0 * tol)).k_trunc[0] == 8
+
+
+def test_sweep_certifies_every_row_at_huge_eta():
+    # the cutoff grows only as far as the rows need, so the doubled block
+    # stays far inside the dense limit
+    table = gamma_sweep(20000.0, -1.0, make_gamma_grid(0.0, 4.0, 11))
+    assert np.any(table.collided)
+    assert table.k_trunc[0] <= 64
+    assert np.all(table.certificate < 1e-10)
+
+
+def test_sweep_raises_at_the_dense_limit(monkeypatch):
+    # eta = 5 certifies cutoff 16 against 32; the doubled block [-32, 32]
+    # has dimension 65
+    grid = make_gamma_grid(0.0, 4.0, 13)
+    monkeypatch.setattr(kbmlab.spectra, "MAX_DENSE_DIM", 65)
+    assert gamma_sweep(5.0, -1.0, grid).k_trunc[0] == 16
+    monkeypatch.setattr(kbmlab.spectra, "MAX_DENSE_DIM", 64)
+    message = r"eta = 5\.0, K = -1\.0: .* cutoff 16 .* by up to 2\.38e-10"
+    with pytest.raises(TruncationError, match=message):
+        gamma_sweep(5.0, -1.0, grid)
 
 
 def test_sweep_checkpoints_land_bitwise_at_large_eta(monkeypatch):
@@ -301,7 +352,9 @@ def test_sweep_checkpoints_land_bitwise_at_large_eta(monkeypatch):
     monkeypatch.setattr(kbmlab.spectra, "track_branch", recording)
     grid = [1.0, 10.0, 100.0, 1e3, 1e4]
     table = gamma_sweep(300.0, -1.0, grid)
-    assert len(tracks) == 2  # the block and its doubled certificate block
+    # cutoffs 8, 16 and 32, one track each; 16 is certified
+    assert [br.block.k_max for _, br in tracks] == [8, 16, 32]
+    assert np.all(table.k_trunc == 16)
     for xs, br in tracks:
         assert list(xs) == [-2.0 / g for g in reversed(grid)]
         assert len(br.checkpoint_index) >= 3
@@ -314,8 +367,10 @@ def test_sweep_checkpoints_land_bitwise_at_large_eta(monkeypatch):
     assert abs(table.lam[2] - 300.0) < 30.0
 
 
-@pytest.mark.parametrize("eta, K, tracks", [(2.0, 1.0, 1), (5.0, -1.0, 2)])
+@pytest.mark.parametrize("eta, K, tracks", [(2.0, 1.0, 1), (5.0, -1.0, 3)])
 def test_sweep_tracks_once_per_block(monkeypatch, eta, K, tracks):
+    # one track per cutoff tried: eta = 5 doubles 8 -> 16 -> 32 and
+    # certifies 16
     calls = []
 
     def counting(*args, **kwargs):
@@ -404,7 +459,8 @@ def test_continuation_and_truncation_take_no_eigenvector(monkeypatch):
     monkeypatch.setattr(kbmlab.eig, "eigvec", forbidden)
     block = finite_block(2.0, 1.0)
     assert track_branch(block, ladder_coefficients(block), 0.7).status == "collision"
-    truncate(5.0, -1.0, adaptive_truncation(x_ref=-0.1))
+    block = truncate(5.0, -1.0, fixed_truncation(16))
+    assert track_branch(block, ladder_coefficients(block), -2.0).status == "collision"
 
 
 @pytest.mark.parametrize("eta, K, points", [(2.0, 1.0, 41), (5.0, -1.0, 13), (0.0, -1.0, 13)])

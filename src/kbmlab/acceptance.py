@@ -4,19 +4,24 @@ Each criterion returns a result record; the CLI selftest and the pytest
 acceptance module both consume these.  ``tolerance_scale`` multiplies
 every tolerance and exists to demonstrate that the harness detects
 regressions (a tiny scale forces designed failures); production runs use
-the default 1.0.
+the default 1.0.  ``CRITERIA`` registers each criterion's id, title and
+whether it reads the shared fixture.
 
 The suite cases are eta in {2, 6, 12} on the unit sphere, eta in {1, 2}
 on the flat square torus of side 2*pi, and eta in {2, 5, 10} on a
-user-supplied curvature -1 list.
+user-supplied curvature -1 list.  Criteria 2, 8, 9 and 10 read one shared
+fixture, the sweeps of every case on the default run's grid
+(``build_suite_data``), so they judge the rows ``kbmlab run`` reports.
+Nothing is drawn at random.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,9 +50,9 @@ from .perturb import (
     zero_mode_resolvent_norm,
 )
 from .spectra import (
+    default_gamma_grid,
     error_at_gamma,
     gamma_sweep,
-    make_gamma_grid,
     tail_mask,
 )
 
@@ -56,8 +61,6 @@ SPHERE_ETAS = (2.0, 6.0, 12.0)
 TORUS_ETAS = (1.0, 2.0)  # flat square torus, side 2*pi
 CUSTOM_K = -1.0
 CUSTOM_ETAS = (2.0, 5.0, 10.0)
-
-DEFAULT_SEED = 20250808
 
 
 def suite_cases() -> list:
@@ -70,8 +73,8 @@ def suite_cases() -> list:
 
 def suite_block(K: float, eta: float):
     """Block and coefficients for one suite case.  An infinite ladder is cut
-    at |k| <= 32: criteria 3, 6, 7 and 10 check identities that hold at any
-    cutoff, and criterion 9 judges the truncation on the sweeps."""
+    at |k| <= 32: criteria 3, 6 and 7 check identities that hold at any
+    cutoff, and criteria 9 and 10 judge the truncation on the sweeps."""
     if K > 0.0:
         block = finite_block(eta, K)
     else:
@@ -79,26 +82,21 @@ def suite_block(K: float, eta: float):
     return block, ladder_coefficients(block)
 
 
-def acceptance_gamma_grid() -> np.ndarray:
-    """25 points per decade from 10 to 1e4; hits 1e3 and 1e4 exactly."""
-    return make_gamma_grid(1.0, 4.0, 76)
-
-
 @dataclass
 class SuiteData:
-    grid: np.ndarray
-    tables: dict
+    tables: dict  # (K, eta) -> GammaTable
     build_seconds: float
 
 
 def build_suite_data() -> SuiteData:
-    """Gamma sweeps for every suite case (the expensive shared step)."""
+    """Gamma sweeps for every suite case on the default run's grid (the
+    expensive shared step)."""
     t0 = time.perf_counter()
-    grid = acceptance_gamma_grid()
+    grid = default_gamma_grid()
     tables = {}
     for K, eta in suite_cases():
         tables[(K, eta)] = gamma_sweep(eta, K, grid)
-    return SuiteData(grid=grid, tables=tables, build_seconds=time.perf_counter() - t0)
+    return SuiteData(tables=tables, build_seconds=time.perf_counter() - t0)
 
 
 @dataclass
@@ -110,10 +108,32 @@ class CriterionResult:
     seconds: float
 
 
-def _result(cid, title, passed, detail, t0) -> CriterionResult:
-    return CriterionResult(
-        cid=cid, title=title, passed=bool(passed), detail=detail, seconds=time.perf_counter() - t0
-    )
+class Criterion(NamedTuple):
+    cid: int
+    title: str
+    run: Callable[..., CriterionResult]
+    reads_fixture: bool
+
+
+CRITERIA: list[Criterion] = []
+
+
+def _criterion(cid: int, title: str, reads_fixture: bool = False):
+    """Register a check that returns (passed, detail) as criterion ``cid``.
+    The registered function returns the timed ``CriterionResult``; a check
+    that reads the fixture takes the ``SuiteData`` first."""
+
+    def register(check):
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = check(*args, **kwargs)
+            return CriterionResult(cid, title, bool(passed), detail, time.perf_counter() - t0)
+
+        CRITERIA.append(Criterion(cid, title, run, reads_fixture))
+        return run
+
+    return register
 
 
 def closed_form_mu(x: float) -> float:
@@ -128,29 +148,31 @@ def closed_form_lambda(gamma: float) -> float:
     return 4.0 / (1.0 + math.sqrt(1.0 - 16.0 / (gamma * gamma)))
 
 
-def criterion_1(scale: float = 1.0) -> CriterionResult:
-    """Tracked branch equals the closed form on the eta=2 sphere block."""
+@_criterion(1, "closed-form branch oracle")
+def criterion_1(scale: float = 1.0):
+    """Tracked branch equals the closed form on the eta=2 sphere block at 50
+    parameters, landed on by one checkpointed continuation per sign."""
     t0 = time.perf_counter()
     tol = 1e-10 * scale
     block, coeffs = suite_block(SPHERE_K, 2.0)
     xs = np.linspace(-0.45, 0.45, 50)
     worst = 0.0
-    for x in xs:
-        if x == 0.0:
-            continue
-        br = track_branch(block, coeffs, float(x))
+    for side in (xs[xs < 0.0][::-1], xs[xs > 0.0]):
+        br = track_branch(block, coeffs, side[-1], checkpoints=side)
         if not br.reached:
-            return _result(1, "closed-form branch oracle", False, f"collision at x={x}", t0)
-        worst = max(worst, abs(br.final_mu - closed_form_mu(float(x))))
+            return False, f"collision at x={br.x_collision}"
+        for x, i in zip(side, br.checkpoint_index):
+            worst = max(worst, abs(br.mu_values[i] - closed_form_mu(float(x))))
     elapsed = time.perf_counter() - t0
     passed = worst <= tol and elapsed < 1.0
-    detail = f"max |mu - closed form| = {worst:.3e} (tol {tol:.1e}) over 50 samples"
+    detail = f"max |mu - closed form| = {worst:.3e} (tol {tol:.1e}) on 50 samples, 2 continuations"
     if elapsed >= 1.0:
         detail += " [exceeded the 1 s budget]"
-    return _result(1, "closed-form branch oracle", passed, detail, t0)
+    return passed, detail
 
 
-def criterion_2(data: SuiteData, scale: float = 1.0) -> CriterionResult:
+@_criterion(2, "spectral convergence at desk scale", reads_fixture=True)
+def criterion_2(data: SuiteData, scale: float = 1.0):
     """Branch values converge to eta at the pinned desk-scale tolerances."""
     t0 = time.perf_counter()
     failures = []
@@ -175,12 +197,12 @@ def criterion_2(data: SuiteData, scale: float = 1.0) -> CriterionResult:
     detail = "; ".join(failures) if failures else (
         f"all {len(data.tables)} cases within tolerance, worst scaled err(1e4) = {worst:.2e}"
     )
-    return _result(2, "spectral convergence at desk scale", not failures, detail, t0)
+    return not failures, detail
 
 
-def criterion_3(scale: float = 1.0) -> CriterionResult:
+@_criterion(3, "second-order perturbation coefficients")
+def criterion_3(scale: float = 1.0):
     """First-order coefficient vanishes; branch curvature recovers eta."""
-    t0 = time.perf_counter()
     tol1 = 1e-14 * scale
     tol2 = 1e-8 * scale
     failures = []
@@ -193,12 +215,12 @@ def criterion_3(scale: float = 1.0) -> CriterionResult:
         if rel > tol2:
             failures.append(f"(K={K}, eta={eta}): |2*mu2 - eta|/eta={rel:.2e}")
     detail = "; ".join(failures) if failures else "mu1 = 0 and 2*mu2 = eta on every case"
-    return _result(3, "second-order perturbation coefficients", not failures, detail, t0)
+    return not failures, detail
 
 
-def criterion_4(scale: float = 1.0) -> CriterionResult:
+@_criterion(4, "zero-mode resolvent norm bound")
+def criterion_4(scale: float = 1.0):
     """Zero-mode resolvent norm equals |zeta|^-1 sqrt(eta/2)."""
-    t0 = time.perf_counter()
     tol = 1e-10 * scale
     worst = 0.0
     for eta in (2.0, 8.0, 32.0):
@@ -206,12 +228,12 @@ def criterion_4(scale: float = 1.0) -> CriterionResult:
             bound = zero_mode_resolvent_norm(eta, zeta)
             worst = max(worst, abs(bound.computed - bound.closed_form) / bound.closed_form)
     detail = f"max relative deviation {worst:.2e} (tol {tol:.1e})"
-    return _result(4, "zero-mode resolvent norm bound", worst <= tol, detail, t0)
+    return worst <= tol, detail
 
 
-def criterion_5(scale: float = 1.0) -> CriterionResult:
+@_criterion(5, "Riesz projection idempotency and rank")
+def criterion_5(scale: float = 1.0):
     """Riesz projection is a rank-one idempotent for x in {0, 0.1, 0.3}."""
-    t0 = time.perf_counter()
     tol = 1e-8 * scale
     block, coeffs = suite_block(SPHERE_K, 2.0)
     contour = Contour(center=0.0, radius=0.5, nodes=64)
@@ -222,19 +244,17 @@ def criterion_5(scale: float = 1.0) -> CriterionResult:
         worst_tr = max(worst_tr, abs(np.trace(proj) - 1.0))
     ok = worst_idem <= tol and worst_tr <= tol
     detail = f"max ||P^2-P|| = {worst_idem:.2e}, max |tr P - 1| = {worst_tr:.2e} (tol {tol:.1e})"
-    return _result(5, "Riesz projection idempotency and rank", ok, detail, t0)
+    return ok, detail
 
 
-def criterion_6(scale: float = 1.0) -> CriterionResult:
+@_criterion(6, "ladder algebraic identities")
+def criterion_6(scale: float = 1.0):
     """Casimir identity, exact skewness, raising*lowering scalar values."""
-    t0 = time.perf_counter()
     tol = 1e-12 * scale
     failures = []
     cases = suite_cases() + [(SPHERE_K, 0.0)]
     for K, eta in cases:
-        block, coeffs = suite_block(K, eta) if eta > 0 else (finite_block(0.0, K), None)
-        if coeffs is None:
-            coeffs = ladder_coefficients(block)
+        block, coeffs = suite_block(K, eta)
         res = casimir_residual(coeffs)
         if res > tol:
             failures.append(f"(K={K}, eta={eta}): casimir residual {res:.2e}")
@@ -249,18 +269,16 @@ def criterion_6(scale: float = 1.0) -> CriterionResult:
         if dev > tol:
             failures.append(f"(K={K}, eta={eta}): raising*lowering scalar off by {dev:.2e}")
     detail = "; ".join(failures) if failures else f"identities hold to {tol:.1e} on all blocks"
-    return _result(6, "ladder algebraic identities", not failures, detail, t0)
+    return not failures, detail
 
 
-def criterion_7(scale: float = 1.0) -> CriterionResult:
+@_criterion(7, "accretivity of the generator")
+def criterion_7(scale: float = 1.0):
     """Generator restrictions have nonnegative numerical range."""
-    t0 = time.perf_counter()
     floor = -1e-12 * scale
     worst = math.inf
     for K, eta in suite_cases() + [(SPHERE_K, 0.0)]:
-        block, coeffs = suite_block(K, eta) if eta > 0 else (finite_block(0.0, K), None)
-        if coeffs is None:
-            coeffs = ladder_coefficients(block)
+        block, coeffs = suite_block(K, eta)
         for gamma in (0.5, 2.0, 10.0):
             op = assemble_generator(block, coeffs, gamma)
             worst = min(worst, numerical_range_floor(op))
@@ -268,36 +286,39 @@ def criterion_7(scale: float = 1.0) -> CriterionResult:
         f"min Re<Pv,v> >= {worst:.3e}, Gershgorin's bound on the Hermitian part "
         f"(floor {floor:.1e})"
     )
-    return _result(7, "accretivity of the generator", worst >= floor, detail, t0)
+    return worst >= floor, detail
 
 
-def criterion_8(scale: float = 1.0) -> CriterionResult:
-    """Collision located at |x| = 0.5 +- 0.01; complex values below gamma=4."""
-    t0 = time.perf_counter()
-    block, coeffs = suite_block(SPHERE_K, 2.0)
-    br = track_branch(block, coeffs, -0.6)
-    ok_flag = br.status == "collision" and br.x_collision is not None
-    x_col = abs(br.x_collision) if ok_flag else math.nan
-    ok_loc = ok_flag and abs(x_col - 0.5) <= 0.01 * scale
-    gamma_est = 2.0 / x_col if ok_flag else math.nan
-    ok_gamma = ok_flag and abs(gamma_est - 4.0) <= 0.1 * scale
+@_criterion(8, "collision diagnostics", reads_fixture=True)
+def criterion_8(data: SuiteData, scale: float = 1.0):
+    """The sphere eta = 2 sweep collides at |x_c| = 0.5 +- 0.01, so at
+    gamma = 2/|x_c| = 4 +- 0.1, with x_c = 2/``empirical_r``.  Every row
+    with gamma < 4 is collided and complex, and the first row above 4 is
+    not collided and matches the closed form to 1e-9."""
+    table = data.tables[(SPHERE_K, 2.0)]
+    gamma_c = table.empirical_r if table.empirical_r is not None else math.nan
+    x_c = 2.0 / gamma_c
+    ok_loc = abs(x_c - 0.5) <= 0.01 * scale
+    ok_gamma = abs(gamma_c - 4.0) <= 0.1 * scale
 
-    table = gamma_sweep(2.0, SPHERE_K, [3.0, 3.5, 5.0])
-    below = table.lam[:2]
-    ok_complex = bool(np.all(np.abs(below.imag) > 0.0)) and bool(np.all(table.collided[:2]))
-    ok_above = (not table.collided[2]) and abs(table.lam[2] - closed_form_lambda(5.0)) <= 1e-9
-
-    passed = ok_loc and ok_gamma and ok_complex and ok_above
-    detail = (
-        f"x_collision = {x_col:.6f} (gamma ~ {gamma_est:.4f}); "
-        f"gamma<4 rows complex and flagged: {ok_complex}; gamma=5 row clean: {ok_above}"
+    below = table.gamma_grid < 4.0
+    ok_complex = bool(
+        below.any() and np.all(table.lam[below].imag != 0.0) and np.all(table.collided[below])
     )
-    return _result(8, "collision diagnostics", passed, detail, t0)
+    i = int(np.argmin(below))  # the first row above gamma = 4
+    gamma = float(table.gamma_grid[i])
+    ok_above = (not table.collided[i]) and abs(table.lam[i] - closed_form_lambda(gamma)) <= 1e-9
+
+    detail = (
+        f"x_collision = {x_c:.6f} (gamma ~ {gamma_c:.4f}); {int(below.sum())} rows with "
+        f"gamma<4 complex and flagged: {ok_complex}; gamma={gamma:.4g} row clean: {ok_above}"
+    )
+    return ok_loc and ok_gamma and ok_complex and ok_above, detail
 
 
-def criterion_9(data: SuiteData, scale: float = 1.0) -> CriterionResult:
+@_criterion(9, "truncation doubling certificate", reads_fixture=True)
+def criterion_9(data: SuiteData, scale: float = 1.0):
     """Doubling the truncation moves lambda by < 1e-10 on the tail."""
-    t0 = time.perf_counter()
     tol = 1e-10 * scale
     failures = []
     worst = 0.0
@@ -313,92 +334,64 @@ def criterion_9(data: SuiteData, scale: float = 1.0) -> CriterionResult:
         if np.any(certs >= tol):
             failures.append(f"(K={K}, eta={eta}): certificate {np.max(certs):.2e}")
     detail = "; ".join(failures) if failures else f"max doubling shift {worst:.2e} (tol {tol:.1e})"
-    return _result(9, "truncation doubling certificate", not failures, detail, t0)
+    return not failures, detail
 
 
-def criterion_10(scale: float = 1.0, seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Tracked values reappear in the dense spectrum of the generator.
+@_criterion(10, "dense-oracle equivalence", reads_fixture=True)
+def criterion_10(data: SuiteData, scale: float = 1.0):
+    """Swept values reappear in the dense spectrum of the generator.
 
-    Cells are drawn with gamma above the tail threshold 4*(1 + sqrt(eta)),
-    because the branch's separation radius shrinks like 1/sqrt(eta) and
-    below it there is no simple branch to compare.
+    On every case, each simple row with 1.5 f <= gamma <= 6 f, where
+    f = 4*(1 + sqrt(eta)) is the tail threshold, is compared with the
+    eigenvalues of ``assemble_generator`` on the table's own block (the
+    sweep's certified cutoff ``k_trunc`` on an infinite ladder).  Below
+    the band the branch's separation radius shrinks like 1/sqrt(eta) and
+    there is no simple branch to compare.  A case with no simple row in
+    the band fails.
     """
-    t0 = time.perf_counter()
     tol = 1e-8 * scale
-    rng = np.random.default_rng(seed)
-    cases = suite_cases()
     worst = 0.0
+    cells = 0
     failures = []
-    for _ in range(20):
-        K, eta = cases[rng.integers(len(cases))]
-        gamma_floor = 4.0 * (1.0 + math.sqrt(eta))
-        gamma = float(gamma_floor * 10.0 ** rng.uniform(math.log10(1.5), math.log10(6.0)))
-        block, coeffs = suite_block(K, eta)
-        if block.dim > 512:
-            failures.append(f"(K={K}, eta={eta}): block dim {block.dim} exceeds 512")
+    for (K, eta), table in data.tables.items():
+        f = 4.0 * (1.0 + math.sqrt(eta))
+        g = table.gamma_grid
+        rows = np.nonzero(table.simple & (g >= 1.5 * f) & (g <= 6.0 * f))[0]
+        if rows.size == 0:
+            failures.append(f"(K={K}, eta={eta}): no simple row in the band")
             continue
-        br = track_branch(block, coeffs, -2.0 / gamma)
-        if not br.reached:
-            failures.append(f"(K={K}, eta={eta}, gamma={gamma:.2f}): collision")
-            continue
-        lam = 0.5 * gamma * gamma * br.final_mu
-        eigs = eig_dense(assemble_generator(block, coeffs, gamma))
-        dev = float(np.min(np.abs(eigs - lam)))
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append(f"(K={K}, eta={eta}, gamma={gamma:.2f}): dev {dev:.2e}")
-    detail = "; ".join(failures) if failures else f"max deviation {worst:.2e} over 20 cells (tol {tol:.1e})"
-    return _result(10, "dense-oracle equivalence", not failures, detail, t0)
-
-
-CRITERION_TITLES = {
-    1: "closed-form branch oracle",
-    2: "spectral convergence at desk scale",
-    3: "second-order perturbation coefficients",
-    4: "zero-mode resolvent norm bound",
-    5: "Riesz projection idempotency and rank",
-    6: "ladder algebraic identities",
-    7: "accretivity of the generator",
-    8: "collision diagnostics",
-    9: "truncation doubling certificate",
-    10: "dense-oracle equivalence",
-}
+        if K > 0.0:
+            block = finite_block(eta, K)
+        else:
+            block = truncate(eta, K, fixed_truncation(int(table.k_trunc[0])))
+        coeffs = ladder_coefficients(block)
+        for i in rows:
+            eigs = eig_dense(assemble_generator(block, coeffs, float(g[i])))
+            dev = float(np.min(np.abs(eigs - table.lam[i])))
+            worst = max(worst, dev)
+            cells += 1
+            if dev > tol:
+                failures.append(f"(K={K}, eta={eta}, gamma={g[i]:.2f}): dev {dev:.2e}")
+    detail = "; ".join(failures) if failures else (
+        f"max deviation {worst:.2e} over {cells} cells on {len(data.tables)} cases (tol {tol:.1e})"
+    )
+    return not failures, detail
 
 
 def run_acceptance(
     criteria: Optional[Sequence[int]] = None,
     tolerance_scale: float = 1.0,
-    seed: int = DEFAULT_SEED,
 ) -> tuple[list, Optional[SuiteData]]:
     """Run the selected criteria (all by default).  Returns their results
-    and the shared sweep fixture that criteria 2 and 9 read (None when
-    neither is selected); its build time is counted in no criterion's
-    ``seconds``."""
-    wanted = sorted(set(criteria)) if criteria else list(range(1, 11))
-    for cid in wanted:
-        if cid not in CRITERION_TITLES:
-            raise ValueError(f"unknown criterion {cid}")
-    data = build_suite_data() if any(c in (2, 9) for c in wanted) else None
-    results = []
-    for cid in wanted:
-        if cid == 1:
-            results.append(criterion_1(tolerance_scale))
-        elif cid == 2:
-            results.append(criterion_2(data, tolerance_scale))
-        elif cid == 3:
-            results.append(criterion_3(tolerance_scale))
-        elif cid == 4:
-            results.append(criterion_4(tolerance_scale))
-        elif cid == 5:
-            results.append(criterion_5(tolerance_scale))
-        elif cid == 6:
-            results.append(criterion_6(tolerance_scale))
-        elif cid == 7:
-            results.append(criterion_7(tolerance_scale))
-        elif cid == 8:
-            results.append(criterion_8(tolerance_scale))
-        elif cid == 9:
-            results.append(criterion_9(data, tolerance_scale))
-        elif cid == 10:
-            results.append(criterion_10(tolerance_scale, seed))
+    and the shared sweep fixture (None when no selected criterion reads
+    it); its build time is counted in no criterion's ``seconds``."""
+    unknown = set(criteria or ()) - {c.cid for c in CRITERIA}
+    if unknown:
+        raise ValueError(f"unknown criteria {sorted(unknown)}")
+    chosen = [c for c in CRITERIA if not criteria or c.cid in criteria]
+    data = build_suite_data() if any(c.reads_fixture for c in chosen) else None
+    results = [
+        c.run(data, tolerance_scale) if c.reads_fixture else c.run(tolerance_scale)
+        for c in chosen
+    ]
     return results, data

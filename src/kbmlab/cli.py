@@ -108,21 +108,22 @@ class RunConfig:
             raise ConfigError(f"unknown surface kind {s.kind!r}")
         if s.kind == "sphere" and not s.K > 0.0:
             raise ConfigError("sphere surface needs K > 0")
-        if s.kind == "sphere" and s.l_max < 0:
-            raise ConfigError("l_max must be >= 0")
+        if s.kind == "sphere" and not (_is_int(s.l_max) and s.l_max >= 0):
+            raise ConfigError(f"surface.l_max must be an integer >= 0, got {s.l_max!r}")
         if s.kind == "torus" and not s.L > 0.0:
             raise ConfigError("torus surface needs L > 0")
-        if s.kind == "custom" and not s.path:
+        if s.kind == "custom" and not (isinstance(s.path, str) and s.path):
             raise ConfigError("custom surface needs a path to an eta list")
         if self.grid.explicit is None:
-            if self.grid.points < 2:
-                raise ConfigError("gamma grid needs points >= 2")
+            points = self.grid.points
+            if not (_is_int(points) and points >= 2):
+                raise ConfigError(f"gamma grid needs an integer points >= 2, got {points!r}")
             if not self.grid.log_end > self.grid.log_start:
                 raise ConfigError("gamma grid must be increasing")
         else:
             explicit = self.grid.explicit
-            if not explicit:
-                raise ConfigError("explicit gamma grid must not be empty")
+            if not (isinstance(explicit, (list, tuple)) and explicit):
+                raise ConfigError(f"explicit gamma grid must be a nonempty list, got {explicit!r}")
             bad_gammas = [v for v in explicit if not (_is_finite_number(v) and v > 0.0)]
             if bad_gammas:
                 raise ConfigError(f"explicit gammas must be finite and > 0, got {bad_gammas}")
@@ -130,23 +131,34 @@ class RunConfig:
                 raise ConfigError("explicit gammas must be distinct")
         if self.truncation.kind not in ("fixed", "adaptive"):
             raise ConfigError(f"unknown truncation kind {self.truncation.kind!r}")
-        if self.truncation.kind == "fixed" and (self.truncation.k_max or 0) < 1:
-            raise ConfigError("fixed truncation needs k_max >= 1")
+        k_max = self.truncation.k_max
+        if self.truncation.kind == "fixed" and not (_is_int(k_max) and k_max >= 1):
+            raise ConfigError(f"fixed truncation needs an integer k_max >= 1, got {k_max!r}")
         if self.truncation.kind == "fixed" and 4 * self.truncation.k_max + 1 > MAX_DENSE_DIM:
             # the certificate block doubles the cutoff to [-2 k_max, 2 k_max]
             raise ConfigError(
                 f"fixed truncation needs k_max <= {(MAX_DENSE_DIM - 1) // 4}: the doubled "
                 f"certificate block would exceed the dense limit {MAX_DENSE_DIM}"
             )
-        bad = [c for c in self.checks if c not in KNOWN_CHECKS]
-        if bad:
-            raise ConfigError(f"unknown checks {bad}; known: {list(KNOWN_CHECKS)}")
-        if not set(self.output.formats) <= {"csv", "json"}:
-            raise ConfigError("output formats must be a subset of {csv, json}")
+        for name, names, known in (
+            ("checks", self.checks, KNOWN_CHECKS),
+            ("outputs.formats", self.output.formats, ("csv", "json")),
+        ):
+            if not isinstance(names, (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {names!r}")
+            bad = [c for c in names if c not in known]
+            if bad:
+                raise ConfigError(f"unknown {name} {bad}; known: {list(known)}")
+        if not isinstance(self.output.directory, str):
+            raise ConfigError(f"outputs.directory must be a string, got {self.output.directory!r}")
 
 
 def _is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _fmt(x: float) -> str:
@@ -162,6 +174,8 @@ def load_config(path: Optional[str]) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path!r} must be a JSON object")
     for section, cls, attr in (
         ("surface", SurfaceConfig, "surface"),
         ("gamma_grid", GridConfig, "grid"),
@@ -176,11 +190,9 @@ def load_config(path: Optional[str]) -> RunConfig:
             for key, value in block.items():
                 if not hasattr(current, key):
                     raise ConfigError(f"unknown key {key!r} in section {section!r}")
-                if key == "formats":
-                    value = tuple(value)
                 setattr(current, key, value)
     if "checks" in raw:
-        cfg.checks = tuple(raw["checks"])
+        cfg.checks = raw["checks"]
     return cfg
 
 
@@ -225,10 +237,21 @@ def _load_custom_entries(path: str) -> list:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read eta list {path!r}: {exc}") from exc
-    entries = raw["entries"] if isinstance(raw, dict) else raw
+    entries = raw.get("entries") if isinstance(raw, dict) else raw
+    if not isinstance(entries, list):
+        raise ConfigError(f"eta list {path!r} must be a list of entries or {{\"entries\": [...]}}")
     for item in entries:
-        if not (isinstance(item, (list, tuple)) and item and _is_finite_number(item[0])):
-            raise ConfigError(f"eta list {path!r}: entry {item!r} needs a finite eta")
+        if not (
+            isinstance(item, list)
+            and len(item) in (2, 3)
+            and _is_finite_number(item[0])
+            and _is_int(item[1])
+            and item[1] >= 1
+        ):
+            raise ConfigError(
+                f"eta list {path!r}: entry {item!r} must be [eta, multiplicity] or [eta, "
+                "multiplicity, label] with a finite eta and an integer multiplicity >= 1"
+            )
     return [tuple(item) for item in entries]
 
 
@@ -275,22 +298,16 @@ def _table_rows(table: GammaTable) -> list:
     return rows
 
 
-def _write_table_csv(path: Path, table: GammaTable) -> None:
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, int) else _fmt(value)
+
+
+def _write_table_csv(path: Path, rows: list) -> None:
+    """One line per ``_table_rows`` row, in the ``CSV_COLUMNS`` order."""
     lines = [",".join(CSV_COLUMNS)]
-    for i, gamma in enumerate(table.gamma_grid):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(gamma),
-                    _fmt(table.lam[i].real),
-                    _fmt(table.lam[i].imag),
-                    _fmt(table.abs_error[i]),
-                    "true" if table.simple[i] else "false",
-                    str(int(table.k_trunc[i])),
-                    _fmt(table.residual[i]),
-                )
-            )
-        )
+    lines += [",".join(_csv_cell(row[c]) for c in CSV_COLUMNS) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -336,7 +353,7 @@ def run(cfg: RunConfig) -> dict:
         records["rows"].extend(rows)
         if "csv" in cfg.output.formats:
             path = outdir / f"table_{tag}.csv"
-            _write_table_csv(path, table)
+            _write_table_csv(path, rows)
             manifest["tables"].append(str(path))
         if "json" in cfg.output.formats:
             path = outdir / f"table_{tag}.json"
@@ -448,7 +465,6 @@ def run(cfg: RunConfig) -> dict:
 def selftest(
     criteria: Optional[Sequence[int]] = None,
     tolerance_scale: float = 1.0,
-    seed: int = acceptance.DEFAULT_SEED,
     report_path: Optional[str] = None,
 ) -> int:
     """Run the acceptance suite; print one line per criterion with its
@@ -456,7 +472,7 @@ def selftest(
     criterion needed it.  The ``report_path`` file gets the criterion lines
     without the times, so reports of the same code compare byte for byte."""
     results, data = acceptance.run_acceptance(
-        criteria=criteria, tolerance_scale=tolerance_scale, seed=seed
+        criteria=criteria, tolerance_scale=tolerance_scale
     )
     lines = []
     for r in results:
@@ -466,7 +482,8 @@ def selftest(
     total = f"{len(results) - n_fail}/{len(results)} criteria passed"
     timed = [f"{line} | {r.seconds:.2f} s" for line, r in zip(lines, results)]
     if data is not None:
-        timed.insert(0, f"shared sweep fixture (criteria 2, 9) | {data.build_seconds:.2f} s")
+        readers = ", ".join(str(c.cid) for c in acceptance.CRITERIA if c.reads_fixture)
+        timed.insert(0, f"shared sweep fixture (criteria {readers}) | {data.build_seconds:.2f} s")
     sys.stdout.write("\n".join(timed + [total]) + "\n")
     if report_path:
         Path(report_path).write_text("\n".join(lines + [total]) + "\n")
@@ -524,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p_self.add_argument("--criteria", default=None, help="comma-separated criterion ids")
-    p_self.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     p_self.add_argument("--report", default=None, help="write the report to this file")
     p_self.add_argument(
         "--tolerance-scale",
@@ -548,7 +564,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return selftest(
             criteria=criteria,
             tolerance_scale=args.tolerance_scale,
-            seed=args.seed,
             report_path=args.report,
         )
     cfg = None
@@ -568,7 +583,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _emit_error(cfg: Optional[RunConfig], exc: Exception) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-    if cfg is not None:
+    if cfg is not None and isinstance(cfg.output.directory, str):
         try:
             outdir = Path(cfg.output.directory)
             outdir.mkdir(parents=True, exist_ok=True)

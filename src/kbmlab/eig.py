@@ -62,6 +62,14 @@ MAX_DENSE_DIM = 4096
 # convergence and simplicity is numerically unverifiable.
 COLLISION_REL = 1e-6
 
+NEWTON_MAX_ITER = 60
+INVERSE_MAX_ITER = 30
+
+# track_branch's base step on the segment [0, x_target]: |x_target|/STEP_X
+# steps, rounded up, and at least MIN_STEPS.
+STEP_X = 0.05
+MIN_STEPS = 4
+
 _EPS = float(np.finfo(float).eps)
 _BIG = 2.0**512
 _SMALL = 2.0**-512
@@ -121,10 +129,9 @@ def char_poly(op: TridiagonalOperator, lam: complex) -> CharPolyValue:
     return CharPolyValue(p, dp, exp2)
 
 
-def newton_polish(
-    op: TridiagonalOperator, mu0: complex, *, max_iter: int = 60
-) -> tuple[complex, bool, int]:
-    """Newton iteration on the characteristic polynomial from ``mu0``.
+def newton_polish(op: TridiagonalOperator, mu0: complex) -> tuple[complex, bool, int]:
+    """Newton iteration on the characteristic polynomial from ``mu0``, at
+    most ``NEWTON_MAX_ITER`` steps.
 
     Converges when the step reaches the relative rounding floor of the
     iterate; the exponent of the determinant cancels from the Newton step,
@@ -132,7 +139,7 @@ def newton_polish(
     """
     mu = complex(mu0)
     prev_step = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         v, dv, _ = char_poly(op, mu)
         if v == 0:
             return mu, True, it
@@ -147,7 +154,7 @@ def newton_polish(
             # stalled at the rounding floor; keep the best iterate
             return mu, prev_step <= 1e-9 * (1.0 + abs(mu)), it
         mu, prev_step = mu_new, s
-    return mu, prev_step <= 1e-9 * (1.0 + abs(mu)), max_iter
+    return mu, prev_step <= 1e-9 * (1.0 + abs(mu)), NEWTON_MAX_ITER
 
 
 def eig_dense(op: TridiagonalOperator) -> np.ndarray:
@@ -339,8 +346,9 @@ def gap_to_rest(mu: complex, eigs: np.ndarray) -> float:
     return float(d[1])
 
 
-def eigvec(op: TridiagonalOperator, mu: complex, *, max_iter: int = 30) -> np.ndarray:
-    """Unit eigenvector for the eigenvalue near ``mu`` by inverse iteration.
+def eigvec(op: TridiagonalOperator, mu: complex) -> np.ndarray:
+    """Unit eigenvector for the eigenvalue near ``mu`` by inverse iteration
+    (at most ``INVERSE_MAX_ITER`` solves).
 
     Residual target is 1e-10 times the operator norm; the phase is fixed by
     making the largest-modulus entry real and positive.  When op - mu is
@@ -355,7 +363,7 @@ def eigvec(op: TridiagonalOperator, mu: complex, *, max_iter: int = 30) -> np.nd
     nrm = op.inf_norm()
     tol = 1e-10 * max(nrm, 1e-300)
     shift = mu
-    for _ in range(max_iter):
+    for _ in range(INVERSE_MAX_ITER):
         try:
             w = tridiag_solve(op, shift, v)
         except EigensolveError:
@@ -428,7 +436,6 @@ def track_branch(
     block: CasimirBlock,
     coeffs: LadderCoefficients,
     x_target: complex,
-    steps: Optional[int] = None,
     *,
     checkpoints: Sequence[complex] = (),
 ) -> EigenBranch:
@@ -477,8 +484,7 @@ def track_branch(
             checkpoint_index=(0,),
         )
 
-    base_steps = steps if steps is not None else max(4, int(math.ceil(abs(x_target) / 0.05)))
-    ds_base = 1.0 / base_steps
+    ds_base = 1.0 / max(MIN_STEPS, math.ceil(abs(x_target) / STEP_X))
     ds_min = 1e-12
 
     xs = [0j]

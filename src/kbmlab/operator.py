@@ -28,14 +28,13 @@ class TridiagonalOperator:
     """Complex tridiagonal matrix in the ladder basis.
 
     ``sub[j]`` is the entry [j+1, j] (raising direction), ``sup[j]`` the
-    entry [j, j+1].  ``k_offset`` maps array slot 0 to its ladder mode.
-    ``meta`` records provenance (eta, curvature, x or gamma, truncation).
+    entry [j, j+1].  ``meta`` records provenance (eta, curvature, x or
+    gamma, truncation).
     """
 
     diag: np.ndarray
     sup: np.ndarray
     sub: np.ndarray
-    k_offset: int
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -103,7 +102,7 @@ def assemble_perturbed(
         "k_max": block.k_max,
         "finite": block.finite,
     }
-    return TridiagonalOperator(diag=diag, sup=sup, sub=sub, k_offset=block.k_min, meta=meta)
+    return TridiagonalOperator(diag=diag, sup=sup, sub=sub, meta=meta)
 
 
 def assemble_generator(
@@ -125,7 +124,7 @@ def assemble_generator(
         "k_max": block.k_max,
         "finite": block.finite,
     }
-    return TridiagonalOperator(diag=diag, sup=sup, sub=sub, k_offset=block.k_min, meta=meta)
+    return TridiagonalOperator(diag=diag, sup=sup, sub=sub, meta=meta)
 
 
 def parity_sectors(
@@ -148,7 +147,7 @@ def parity_sectors(
         return even, None
     sub = complex(x) * coeffs.a[m + 1 :]
     meta = {**even.meta, "parity": -1}
-    odd = TridiagonalOperator(diag=even.diag[1:], sup=-sub, sub=sub, k_offset=1, meta=meta)
+    odd = TridiagonalOperator(diag=even.diag[1:], sup=-sub, sub=sub, meta=meta)
     return even, odd
 
 
@@ -166,7 +165,7 @@ def even_sector(
     sub[:1] *= math.sqrt(2.0)
     meta = {"eta": block.eta, "curvature": block.curvature, "kind": "perturbed", "x": x}
     return TridiagonalOperator(
-        diag=ms * ms, sup=-sub, sub=sub, k_offset=0, meta={**meta, "parity": 1}
+        diag=ms * ms, sup=-sub, sub=sub, meta={**meta, "parity": 1}
     )
 
 

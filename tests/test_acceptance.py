@@ -4,6 +4,9 @@ Each test prints one pass/fail line (visible with ``pytest -s`` or in the
 CLI ``selftest``, which runs the same suite).
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from kbmlab import acceptance
@@ -48,13 +51,49 @@ def test_criterion_07_accretivity():
     _report(acceptance.criterion_7())
 
 
-def test_criterion_08_collision_diagnostics():
-    _report(acceptance.criterion_8())
+def test_criterion_08_collision_diagnostics(suite_data):
+    _report(acceptance.criterion_8(suite_data))
 
 
 def test_criterion_09_truncation_certificate(suite_data):
     _report(acceptance.criterion_9(suite_data))
 
 
-def test_criterion_10_oracle_equivalence():
-    _report(acceptance.criterion_10())
+def test_criterion_10_oracle_equivalence(suite_data):
+    _report(acceptance.criterion_10(suite_data))
+
+
+def _doctored(data, case, **fields):
+    """The fixture with one table's fields replaced."""
+    tables = dict(data.tables)
+    tables[case] = dataclasses.replace(tables[case], **fields)
+    return dataclasses.replace(data, tables=tables)
+
+
+def test_criterion_08_fails_on_a_misplaced_collision(suite_data):
+    case = (acceptance.SPHERE_K, 2.0)
+    result = acceptance.criterion_8(_doctored(suite_data, case, empirical_r=4.5))
+    assert not result.passed and "x_collision = 0.444444" in result.detail
+
+
+def test_criterion_10_fails_on_a_moved_row(suite_data):
+    case = (acceptance.CUSTOM_K, 5.0)
+    table = suite_data.tables[case]
+    f = 4.0 * (1.0 + np.sqrt(5.0))
+    i = int(np.nonzero(table.gamma_grid >= 1.5 * f)[0][0])
+    lam = table.lam.copy()
+    lam[i] += 1e-6
+    result = acceptance.criterion_10(_doctored(suite_data, case, lam=lam))
+    assert not result.passed and result.detail.startswith("(K=-1.0, eta=5.0, gamma=")
+
+
+def test_criterion_10_fails_on_a_case_without_band_rows(suite_data):
+    case = (0.0, 1.0)
+    simple = np.zeros_like(suite_data.tables[case].simple)
+    result = acceptance.criterion_10(_doctored(suite_data, case, simple=simple))
+    assert not result.passed and result.detail.startswith("(K=0.0, eta=1.0): no simple row")
+
+
+def test_registry_lists_every_criterion_once():
+    assert [c.cid for c in acceptance.CRITERIA] == list(range(1, 11))
+    assert [c.cid for c in acceptance.CRITERIA if c.reads_fixture] == [2, 8, 9, 10]

@@ -183,9 +183,17 @@ def test_selftest_designed_failure(capsys):
 
 def test_selftest_report_is_deterministic(tmp_path):
     r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
-    run_cli(["selftest", "--criteria", "1,3,4", "--report", str(r1)])
-    run_cli(["selftest", "--criteria", "1,3,4", "--report", str(r2)])
+    assert run_cli(["selftest", "--report", str(r1)]) == 0
+    assert run_cli(["selftest", "--report", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+    assert r1.read_text().splitlines()[-1] == "10/10 criteria passed"
+
+
+def test_selftest_has_no_seed_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["selftest", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_selftest_prints_times_but_reports_none(tmp_path, capsys):
@@ -202,12 +210,12 @@ def test_selftest_prints_times_but_reports_none(tmp_path, capsys):
 
 def test_selftest_prints_the_shared_fixture_time(monkeypatch, tmp_path, capsys):
     result = acceptance.CriterionResult(cid=2, title="t", passed=True, detail="d", seconds=0.01)
-    data = acceptance.SuiteData(grid=None, tables={}, build_seconds=1.5)
+    data = acceptance.SuiteData(tables={}, build_seconds=1.5)
     monkeypatch.setattr(acceptance, "run_acceptance", lambda **kwargs: ([result], data))
     report = tmp_path / "r.txt"
     assert run_cli(["selftest", "--criteria", "2", "--report", str(report)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "shared sweep fixture (criteria 2, 9) | 1.50 s",
+        "shared sweep fixture (criteria 2, 8, 9, 10) | 1.50 s",
         "[PASS] criterion  2: t | d | 0.01 s",
         "1/1 criteria passed",
     ]
@@ -248,6 +256,43 @@ def test_custom_infinite_eta_is_a_config_error(tmp_path, capsys):
     record = _error_record(capsys)
     assert record["error"] == "ConfigError" and "finite eta" in record["message"]
     assert json.loads((out / "errors.json").read_text()) == record
+
+
+@pytest.mark.parametrize(
+    "config, etas",
+    [
+        (5, None),
+        ({"checks": 5}, None),
+        ({"outputs": {"formats": 5}}, None),
+        ({"outputs": {"directory": 5}}, None),
+        ({"gamma_grid": {"explicit": 5}}, None),
+        ({"gamma_grid": {"points": 2.5}}, None),
+        ({"surface": {"l_max": "x"}}, None),
+        ({"surface": {"l_max": 2.5}}, None),
+        ({"surface": {"kind": "custom", "path": 5}}, None),
+        ({"truncation": {"kind": "fixed", "k_max": "8"}}, None),
+        (None, {"foo": 1}),
+        (None, 5),
+        (None, [[0.0, 1], [2.0]]),
+        (None, [[0.0, 1], [2.0, 1, "label", 4]]),
+        (None, [[0.0, 1], [2.0, "x"]]),
+        (None, [[0.0, 1], [2.0, 0]]),
+        (None, [[0.0, 1], [2.0, 1.5]]),
+        (None, [[0.0, 1], [2.0, True]]),
+    ],
+    ids=repr,
+)
+def test_malformed_input_is_a_config_error(tmp_path, monkeypatch, capsys, config, etas):
+    # a config file or an eta list of the wrong shape or type
+    monkeypatch.chdir(tmp_path)  # errors.json goes to the default directory "out"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(config if etas is None else etas))
+    if etas is None:
+        argv = ["run", "--config", str(path)]
+    else:
+        argv = ["run", "--surface", "custom", "--curvature", "-1.0", "--custom-path", str(path)]
+    assert run_cli(argv) == 2
+    assert _error_record(capsys)["error"] == "ConfigError"
 
 
 @pytest.mark.parametrize("gammas", ["0,5", "-1,5", "5,inf", "nan,5", "5,5"])

@@ -78,7 +78,6 @@ def test_char_poly_matches_dense_determinant(seed, n):
         diag=rng.standard_normal(n) + 1j * rng.standard_normal(n),
         sup=rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1),
         sub=rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1),
-        k_offset=0,
     )
     lam = complex(rng.standard_normal(), rng.standard_normal())
     cp = char_poly(op, lam)
@@ -96,7 +95,6 @@ def test_char_poly_derivative_matches_finite_difference(seed):
         diag=rng.standard_normal(n) + 1j * rng.standard_normal(n),
         sup=rng.standard_normal(n - 1) + 0j,
         sub=rng.standard_normal(n - 1) + 0j,
-        k_offset=0,
     )
     lam = complex(rng.standard_normal(), rng.standard_normal())
     h = 1e-6
@@ -113,7 +111,6 @@ def test_char_poly_one_by_one():
         diag=np.array([0.0], dtype=complex),
         sup=np.zeros(0, dtype=complex),
         sub=np.zeros(0, dtype=complex),
-        k_offset=0,
     )
     cp = char_poly(op, 0.25 + 0.5j)
     assert cp.value == -(0.25 + 0.5j) and cp.derivative == -1.0 and cp.exp2 == 0
@@ -185,7 +182,7 @@ def test_char_poly_is_bitwise_the_plain_recurrence(seed, n, log_scale, real, big
     diag = draw(n)
     if big_first:
         diag[0] = 1e170  # |d_0 - lambda| > 2**512 on the first rung
-    op = TridiagonalOperator(diag=diag, sup=draw(n - 1), sub=draw(n - 1), k_offset=0)
+    op = TridiagonalOperator(diag=diag, sup=draw(n - 1), sub=draw(n - 1))
     lam = complex(draw(1)[0])
     assert _same_bits(char_poly(op, lam), _reference_char_poly(op, lam))
 
@@ -199,7 +196,6 @@ def test_char_poly_first_rung_weighs_the_first_diagonal():
         diag=np.array([d0, d1]),
         sup=np.array([1.0 + 0j]),
         sub=np.array([complex(d1 * d0, 1.0)]),
-        k_offset=0,
     )
     ref = _reference_char_poly(op, 0.0)
     assert ref[2] == 512
@@ -211,7 +207,7 @@ def test_char_poly_rescales_underflowing_determinants():
     # so p itself stays a normal float only while d**3 >> 2**-510 (d >> 1e-51)
     rng = np.random.default_rng(5)
     diag = 1e-40 * rng.uniform(0.5, 2.0, 40)
-    op = TridiagonalOperator(diag=diag, sup=np.zeros(39), sub=np.zeros(39), k_offset=0)
+    op = TridiagonalOperator(diag=diag, sup=np.zeros(39), sub=np.zeros(39))
     cp = char_poly(op, 0.0)
     assert cp.exp2 < 0  # the determinant is about 1e-1600
     got = math.log2(abs(cp.value)) + cp.exp2
@@ -580,7 +576,7 @@ def test_exceptional_point_needs_an_even_neighbour(sphere_l1, monkeypatch, x_tar
     def crowded(block, coeffs, x):
         even, _ = real_sectors(block, coeffs, x)
         return even, TridiagonalOperator(
-            diag=np.array([0.6]), sup=np.zeros(0), sub=np.zeros(0), k_offset=1
+            diag=np.array([0.6]), sup=np.zeros(0), sub=np.zeros(0)
         )
 
     monkeypatch.setattr(kbmlab.eig, "parity_sectors", crowded)

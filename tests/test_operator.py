@@ -226,7 +226,6 @@ def test_tridiag_solve_pivot_fallback():
         diag=np.array([0.0, 1.0], dtype=complex),
         sup=np.array([1.0], dtype=complex),
         sub=np.array([2.0], dtype=complex),
-        k_offset=0,
     )
     rhs = np.array([1.0, 1.0], dtype=complex)
     x = tridiag_solve(op, 0.0, rhs)
@@ -246,7 +245,7 @@ def _random_tridiagonal(n, seed, interchange):
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
     off = scale * (10.0 ** rng.uniform(1.0, 3.0) if interchange else 1.0)
     op = TridiagonalOperator(
-        diag=scale * entries(n), sup=off * entries(n - 1), sub=off * entries(n - 1), k_offset=0
+        diag=scale * entries(n), sup=off * entries(n - 1), sub=off * entries(n - 1)
     )
     return op, complex(scale * entries(1)[0]), entries(n)
 
@@ -269,7 +268,7 @@ def test_tridiag_solve_matches_lapack_gtsv_and_the_dense_solve(n, seed, intercha
 def test_tridiag_solve_one_by_one_with_a_real_rhs():
     # n = 2 with a row interchange is test_tridiag_solve_pivot_fallback
     op = TridiagonalOperator(
-        diag=np.array([3.0 + 1.0j]), sup=np.zeros(0), sub=np.zeros(0), k_offset=0
+        diag=np.array([3.0 + 1.0j]), sup=np.zeros(0), sub=np.zeros(0)
     )
     assert tridiag_solve(op, 1.0j, np.array([6.0])) == pytest.approx([2.0], abs=1e-15)
 
@@ -284,7 +283,7 @@ def test_tridiag_solve_one_by_one_with_a_real_rhs():
 )
 def test_tridiag_solve_exactly_singular_raises(diag, sup, sub):
     op = TridiagonalOperator(
-        diag=np.array(diag), sup=np.array(sup), sub=np.array(sub), k_offset=0
+        diag=np.array(diag), sup=np.array(sup), sub=np.array(sub)
     )
     with pytest.raises(EigensolveError):
         tridiag_solve(op, 0.0, np.ones(op.dim))

@@ -42,6 +42,7 @@ from .operator import (
     assemble_perturbed,
     even_sector,
     fixed_truncation,
+    gtsv,
     numerical_range_floor,
     parity_sectors,
     tridiag_solve,
@@ -56,6 +57,7 @@ from .eig import (
     eigvec,
     exceptional_point,
     gap_to_rest,
+    inverse_iteration,
     newton_polish,
     track_branch,
 )

@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .eig import eig_dense, track_branch
+from .errors import ConfigError
 from .ladder import (
     casimir_residual,
     coupling_matrix,
@@ -387,7 +388,8 @@ def run_acceptance(
     it); its build time is counted in no criterion's ``seconds``."""
     unknown = set(criteria or ()) - {c.cid for c in CRITERIA}
     if unknown:
-        raise ValueError(f"unknown criteria {sorted(unknown)}")
+        known = [c.cid for c in CRITERIA]
+        raise ConfigError(f"unknown criteria {sorted(unknown)}; known: {known}")
     chosen = [c for c in CRITERIA if not criteria or c.cid in criteria]
     data = build_suite_data() if any(c.reads_fixture for c in chosen) else None
     results = [

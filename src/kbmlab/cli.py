@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import acceptance
 from .eig import MAX_DENSE_DIM
 from .errors import ConfigError, KbmLabError
 from .ladder import casimir_residual, finite_block, ladder_coefficients
@@ -112,6 +111,8 @@ class RunConfig:
             raise ConfigError(f"surface.l_max must be an integer >= 0, got {s.l_max!r}")
         if s.kind == "torus" and not s.L > 0.0:
             raise ConfigError("torus surface needs L > 0")
+        if s.kind == "torus" and not s.eta_cap >= 0.0:
+            raise ConfigError(f"torus surface needs eta_cap >= 0, got {s.eta_cap!r}")
         if s.kind == "custom" and not (isinstance(s.path, str) and s.path):
             raise ConfigError("custom surface needs a path to an eta list")
         if self.grid.explicit is None:
@@ -217,7 +218,12 @@ def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
     if args.gamma_points is not None:
         g.points = args.gamma_points
     if args.gamma_explicit is not None:
-        g.explicit = [float(v) for v in args.gamma_explicit.split(",") if v]
+        try:
+            g.explicit = [float(v) for v in args.gamma_explicit.split(",") if v]
+        except ValueError as exc:
+            raise ConfigError(
+                f"--gamma-explicit must be comma-separated numbers, got {args.gamma_explicit!r}"
+            ) from exc
     if args.truncation is not None:
         t.kind = args.truncation
     if args.k_max is not None:
@@ -245,12 +251,13 @@ def _load_custom_entries(path: str) -> list:
             isinstance(item, list)
             and len(item) in (2, 3)
             and _is_finite_number(item[0])
+            and item[0] >= 0.0
             and _is_int(item[1])
             and item[1] >= 1
         ):
             raise ConfigError(
                 f"eta list {path!r}: entry {item!r} must be [eta, multiplicity] or [eta, "
-                "multiplicity, label] with a finite eta and an integer multiplicity >= 1"
+                "multiplicity, label] with a finite eta >= 0 and an integer multiplicity >= 1"
             )
     return [tuple(item) for item in entries]
 
@@ -470,7 +477,10 @@ def selftest(
     """Run the acceptance suite; print one line per criterion with its
     wall time, and the build time of the shared sweep fixture when a
     criterion needed it.  The ``report_path`` file gets the criterion lines
-    without the times, so reports of the same code compare byte for byte."""
+    without the times, so reports of the same code compare byte for byte.
+    An unknown criterion id raises ConfigError."""
+    from . import acceptance  # only the self-test pays for importing the suite
+
     results, data = acceptance.run_acceptance(
         criteria=criteria, tolerance_scale=tolerance_scale
     )
@@ -554,20 +564,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _criterion_ids(text: Optional[str]) -> Optional[list]:
+    if not text:
+        return None
+    try:
+        return [int(c) for c in text.split(",") if c]
+    except ValueError as exc:
+        raise ConfigError(f"--criteria must be comma-separated integers, got {text!r}") from exc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "selftest":
-        criteria = None
-        if args.criteria:
-            criteria = [int(c) for c in args.criteria.split(",") if c]
-        return selftest(
-            criteria=criteria,
-            tolerance_scale=args.tolerance_scale,
-            report_path=args.report,
-        )
     cfg = None
     try:
+        if args.command == "selftest":
+            return selftest(
+                criteria=_criterion_ids(args.criteria),
+                tolerance_scale=args.tolerance_scale,
+                report_path=args.report,
+            )
         cfg = load_config(args.config)
         _apply_flags(cfg, args)
         run(cfg)

@@ -2,13 +2,14 @@
 
 Five pieces: the characteristic polynomial by the scaled three-term
 determinant recurrence (a loop on Python complex scalars), a dense
-eigensolver used strictly as a brute-force oracle, inverse-iteration
-eigenvectors, holomorphic continuation of the eigenvalue branch that
-emanates from the unperturbed value 0, and the exceptional point where
-that branch ends on the real axis.  On the real axis every family
-member, and each of its parity sectors, is a real matrix; the dense
-solver then runs in real arithmetic, in less than half the time of the
-complex solve on the sector sizes used here.
+eigensolver used strictly as a brute-force oracle (one matrix or a stack),
+inverse-iteration eigenvectors for a whole stack of matrices at once,
+holomorphic continuation of the eigenvalue branch that emanates from the
+unperturbed value 0, and the exceptional point where that branch ends on
+the real axis.  On the real axis every family member, and each of its
+parity sectors, is a real matrix; the dense solver then runs in real
+arithmetic, in less than half the time of the complex solve on the
+sector sizes used here.
 
 The continuation walks the segment [0, x_target] with a secant predictor
 and a Newton corrector on the characteristic polynomial of the even parity
@@ -24,7 +25,7 @@ only if the corrected value stays within half of the last known gap to
 the rest of the spectrum; otherwise the step is halved.  Steps are
 shortened to land exactly on caller-given checkpoints of the segment, so
 one continuation serves every parameter on it.  It computes no
-eigenvectors; callers take ``residual_norm`` where they report a value.
+eigenvectors; callers take ``inverse_iteration`` where they report values.
 
 On a real segment the branch ends where it meets its even-sector
 neighbour at a square-root exceptional point, p = dp/dmu = 0 (Kato,
@@ -51,9 +52,9 @@ from .ladder import CasimirBlock, LadderCoefficients
 from .operator import (
     TridiagonalOperator,
     even_sector,
+    gtsv,
     numerical_range_floor,
     parity_sectors,
-    tridiag_solve,
 )
 
 MAX_DENSE_DIM = 4096
@@ -158,10 +159,12 @@ def newton_polish(op: TridiagonalOperator, mu0: complex) -> tuple[complex, bool,
 
 
 def eig_dense(op: TridiagonalOperator) -> np.ndarray:
-    """All eigenvalues by a dense nonsymmetric solve (brute-force oracle).
+    """All eigenvalues by a dense nonsymmetric solve (brute-force oracle);
+    a stack of matrices gives one row of eigenvalues per matrix, from one
+    stacked LAPACK call.
 
-    A matrix with no imaginary part (every family member at real x, every
-    generator) goes to the real LAPACK solver, about a quarter of the
+    Matrices with no imaginary part (every family member at real x, every
+    generator) go to the real LAPACK solver, about a quarter of the
     complex solver's arithmetic, whose non-real eigenvalues come in exact
     conjugate pairs; the result is complex either way.
     """
@@ -346,47 +349,107 @@ def gap_to_rest(mu: complex, eigs: np.ndarray) -> float:
     return float(d[1])
 
 
-def eigvec(op: TridiagonalOperator, mu: complex) -> np.ndarray:
-    """Unit eigenvector for the eigenvalue near ``mu`` by inverse iteration
-    (at most ``INVERSE_MAX_ITER`` solves).
+def inverse_iteration(op: TridiagonalOperator, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Unit eigenvectors of a stack of B operators (``op.diag`` of shape
+    (B, n)) for the eigenvalues near ``mu`` (B,), by inverse iteration with
+    every matrix's solve in one ``gtsv`` call per step.
 
-    Residual target is 1e-10 times the operator norm; the phase is fixed by
-    making the largest-modulus entry real and positive.  When op - mu is
-    exactly singular, the solves use the shift mu + 8*eps*||op||_inf
-    instead (the standard inverse-iteration device; a nudge of one eps is
-    lost to rounding on small blocks).  Raises when the iteration does not
-    converge (defective or clustered eigenvalue).
+    Each row starts from the unit vector at its diagonal entry nearest mu
+    and runs at most ``INVERSE_MAX_ITER`` solves, until its residual
+    ||(op - mu) v|| is at most 1e-10 times its ||op||_inf (Ipsen, *SIAM
+    Review* 39, 1997).  A row whose op - mu is exactly singular moves to
+    the shift mu + 8*eps*||op||_inf for the rest of its iteration (the
+    standard inverse-iteration device; a nudge of one eps is lost to
+    rounding on small blocks).  The phase is fixed by making the
+    largest-modulus entry real and positive.  A row whose iteration
+    yields a zero or non-finite vector, or does not converge (a defective
+    or clustered eigenvalue), reads NaN.  Rows stop at their own
+    convergence and every step is elementwise along the stack, so each
+    row has the bits it gets alone.
+
+    Returns (v, r): the vectors (B, n) and their residuals (B,) at mu.
     """
-    n = op.dim
-    v = np.zeros(n, dtype=complex)
-    v[int(np.argmin(np.abs(op.diag - mu)))] = 1.0
+    mu = np.asarray(mu, dtype=complex)
+    batch, n = op.diag.shape
     nrm = op.inf_norm()
-    tol = 1e-10 * max(nrm, 1e-300)
+    tol = 1e-10 * np.maximum(nrm, 1e-300)
+    vecs = np.full((batch, n), math.nan, dtype=complex)
+    res = np.full(batch, math.nan)
+    # a row leaves ``todo`` when it converges or fails; its result is then final
+    todo = np.ones(batch, dtype=bool)
     shift = mu
+    v = np.zeros((batch, n), dtype=complex)
+    v[np.arange(batch), np.argmin(np.abs(op.diag - mu[:, None]), axis=1)] = 1.0
     for _ in range(INVERSE_MAX_ITER):
-        try:
-            w = tridiag_solve(op, shift, v)
-        except EigensolveError:
-            shift = mu + 8.0 * _EPS * nrm
-            w = tridiag_solve(op, shift, v)
-        wn = float(np.linalg.norm(w))
-        if not math.isfinite(wn) or wn == 0.0:
-            raise EigensolveError("inverse iteration produced a degenerate vector")
-        v = w / wn
-        r = float(np.linalg.norm(op.matvec(v) - mu * v))
-        if r <= tol:
-            i = int(np.argmax(np.abs(v)))
-            v = v * (np.conj(v[i]) / abs(v[i]))
-            return v
-    raise EigensolveError(
-        "inverse iteration did not converge; eigenvalue defective or clustered"
-    )
+        w, singular = gtsv(op.sub, op.diag - shift[:, None], op.sup, v)
+        singular &= todo
+        if singular.any():
+            shift = np.where(singular, mu + 8.0 * _EPS * nrm, shift)
+            w[singular] = gtsv(
+                op.sub[singular], op.diag[singular] - shift[singular, None],
+                op.sup[singular], v[singular],
+            )[0]
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows fail below
+            wn = _norms(w)
+        ok = todo & np.isfinite(wn) & (wn > 0.0)
+        v = np.where(ok[:, None], w / np.where(ok, wn, 1.0)[:, None], v)
+        r = _residuals(op, mu, v)
+        done = ok & (r <= tol)
+        vecs[done], res[done] = v[done], r[done]
+        todo = ok & ~done
+        if not todo.any():
+            break
+    # the phase does not change the residual; failed rows stay NaN
+    top = vecs[np.arange(batch), np.argmax(np.abs(vecs), axis=1)]
+    with np.errstate(invalid="ignore"):
+        return vecs * (np.conj(top) / np.abs(top))[:, None], res
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row.
+
+    The squares are summed by halving the zero-padded row until one column
+    is left, an order fixed by the row length alone: NumPy's own reduction
+    picks its order from the layout, so a row's sum would change with the
+    stack around it.
+    """
+    batch, n = v.shape
+    width = 1 << (n - 1).bit_length()
+    sq = np.zeros((batch, width))
+    sq[:, :n] = (v.conj() * v).real
+    while width > 1:
+        width //= 2
+        sq = sq[:, :width] + sq[:, width : 2 * width]
+    return np.sqrt(sq[:, 0])
+
+
+def _residuals(op: TridiagonalOperator, mu: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """||(op - mu) v|| for every matrix of a stack."""
+    return _norms(op.matvec(v) - mu[:, None] * v)
+
+
+def _one_row(op: TridiagonalOperator, mu: complex) -> tuple[np.ndarray, float]:
+    stack = TridiagonalOperator(op.diag[None], op.sup[None], op.sub[None], op.meta)
+    v, r = inverse_iteration(stack, [mu])
+    if math.isnan(r[0]):
+        raise EigensolveError(
+            "inverse iteration did not converge; eigenvalue defective or clustered"
+        )
+    return v[0], float(r[0])
+
+
+def eigvec(op: TridiagonalOperator, mu: complex) -> np.ndarray:
+    """Unit eigenvector for the eigenvalue near ``mu``: the one-row case of
+    ``inverse_iteration``.  Raises when the iteration fails (defective or
+    clustered eigenvalue)."""
+    return _one_row(op, mu)[0]
 
 
 def residual_norm(op: TridiagonalOperator, mu: complex) -> float:
-    """||(op - mu) v|| for the inverse-iteration eigenvector at mu."""
-    v = eigvec(op, mu)
-    return float(np.linalg.norm(op.matvec(v) - mu * v))
+    """||(op - mu) v|| for the inverse-iteration eigenvector at mu: the
+    one-row case of ``inverse_iteration``.  Raises when the iteration
+    fails."""
+    return _one_row(op, mu)[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,11 @@
 kinetic Brownian motion generator on one Casimir block, together with the
 truncation policy for infinite ladders, the split of the perturbed family
 into its two parity sectors, an O(n) floor of the numerical range, and
-the shifted tridiagonal solve.  Everything here runs on NumPy
-alone, so importing the package loads no SciPy.
+the tridiagonal solver: LAPACK's ``?gtsv`` elimination run over a batch
+of systems at once (``gtsv``), which serves one operator at many shifts
+(``tridiag_solve``) and a stack of operators (``eig.inverse_iteration``).
+Everything here runs on NumPy alone, so importing the package loads no
+SciPy.
 
 In the fixed gauge the perturbed family reads diag(k^2) + x*X with X real
 skew-symmetric, and the rescaled generator is (gamma^2/2)*diag(k^2) -
@@ -25,10 +28,13 @@ from .ladder import CasimirBlock, LadderCoefficients
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
-    """Complex tridiagonal matrix in the ladder basis.
+    """Complex tridiagonal matrix in the ladder basis, or a stack of them.
 
-    ``sub[j]`` is the entry [j+1, j] (raising direction), ``sup[j]`` the
-    entry [j, j+1].  ``meta`` records provenance (eta, curvature, x or
+    ``sub[..., j]`` is the entry [j+1, j] (raising direction), ``sup[...,
+    j]`` the entry [j, j+1].  A 2-d ``diag`` of shape (B, n), with
+    off-diagonals of shape (B, n - 1), is a stack of B matrices of one
+    dimension; ``to_dense``, ``matvec`` and ``inf_norm`` then act on every
+    matrix of the stack.  ``meta`` records provenance (eta, curvature, x or
     gamma, truncation).
     """
 
@@ -41,9 +47,10 @@ class TridiagonalOperator:
         diag = np.asarray(self.diag, dtype=complex)
         sup = np.asarray(self.sup, dtype=complex)
         sub = np.asarray(self.sub, dtype=complex)
-        if diag.ndim != 1 or diag.size < 1:
-            raise ValueError("diag must be a nonempty 1-d array")
-        if sup.shape != (diag.size - 1,) or sub.shape != (diag.size - 1,):
+        if diag.ndim not in (1, 2) or diag.shape[-1] < 1:
+            raise ValueError("diag must be a nonempty 1-d array or a 2-d stack of them")
+        off = diag.shape[:-1] + (diag.shape[-1] - 1,)
+        if sup.shape != off or sub.shape != off:
             raise ValueError("off-diagonals must have length dim - 1")
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "sup", sup)
@@ -51,32 +58,34 @@ class TridiagonalOperator:
 
     @property
     def dim(self) -> int:
-        return self.diag.size
+        return self.diag.shape[-1]
 
     def to_dense(self) -> np.ndarray:
         n = self.dim
-        m = np.zeros((n, n), dtype=complex)
-        m[np.arange(n), np.arange(n)] = self.diag
+        i = np.arange(n)
+        m = np.zeros(self.diag.shape + (n,), dtype=complex)
+        m[..., i, i] = self.diag
         if n > 1:
-            m[np.arange(n - 1), np.arange(1, n)] = self.sup
-            m[np.arange(1, n), np.arange(n - 1)] = self.sub
+            m[..., i[:-1], i[1:]] = self.sup
+            m[..., i[1:], i[:-1]] = self.sub
         return m
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
         out = self.diag * v
         if self.dim > 1:
-            out[1:] += self.sub * v[:-1]
-            out[:-1] += self.sup * v[1:]
+            out[..., 1:] += self.sub * v[..., :-1]
+            out[..., :-1] += self.sup * v[..., 1:]
         return out
 
-    def inf_norm(self) -> float:
-        n = self.dim
-        row = np.abs(self.diag).astype(float)
-        if n > 1:
-            row[:-1] += np.abs(self.sup)
-            row[1:] += np.abs(self.sub)
-        return float(np.max(row))
+    def inf_norm(self):
+        """Largest absolute row sum: a float, or one per matrix of a stack."""
+        row = np.abs(self.diag)
+        if self.dim > 1:
+            row[..., :-1] += np.abs(self.sup)
+            row[..., 1:] += np.abs(self.sub)
+        norm = np.max(row, axis=-1)
+        return float(norm) if norm.ndim == 0 else norm
 
 
 def assemble_perturbed(
@@ -152,20 +161,27 @@ def parity_sectors(
 
 
 def even_sector(
-    block: CasimirBlock, coeffs: LadderCoefficients, x: complex
+    block: CasimirBlock, coeffs: LadderCoefficients, x
 ) -> TridiagonalOperator:
     """The J = +1 sector of ``parity_sectors``: diagonal m^2 (m = 0..k_max),
-    sub[m] = x*a_m and sup = -sub, with rung 0 carrying a factor sqrt(2)."""
+    sub[m] = x*a_m and sup = -sub, with rung 0 carrying a factor sqrt(2).
+
+    A 1-d array of x gives the stack of those sectors, one per x, each
+    bitwise equal to the sector at that x alone.
+    """
     if coeffs.a.shape != (block.dim - 1,):
         raise ValueError("block and coefficients are inconsistent")
     m = block.k_max
-    x = complex(x)
+    x = np.asarray(x, dtype=complex)
     ms = np.arange(m + 1, dtype=complex)
-    sub = x * coeffs.a[m:]
-    sub[:1] *= math.sqrt(2.0)
-    meta = {"eta": block.eta, "curvature": block.curvature, "kind": "perturbed", "x": x}
+    sub = x[..., None] * coeffs.a[m:]
+    sub[..., :1] *= math.sqrt(2.0)
+    diag = ms * ms
+    if x.ndim:
+        diag = diag[None].repeat(x.size, axis=0)
+    meta = {"eta": block.eta, "curvature": block.curvature, "kind": "perturbed"}
     return TridiagonalOperator(
-        diag=ms * ms, sup=-sub, sub=sub, meta={**meta, "parity": 1}
+        diag=diag, sup=-sub, sub=sub, meta={**meta, "x": x if x.ndim else complex(x), "parity": 1}
     )
 
 
@@ -240,47 +256,91 @@ def numerical_range_floor(op: TridiagonalOperator) -> float:
     return float(np.min(row))
 
 
-def tridiag_solve(op: TridiagonalOperator, shift: complex, rhs: np.ndarray) -> np.ndarray:
+def gtsv(
+    dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve B tridiagonal systems at once by LAPACK's ``?gtsv`` algorithm.
+
+    ``d`` (B, n) holds the diagonals, ``dl`` and ``du`` (B, n - 1) the sub-
+    and superdiagonals; ``b`` is (B, n), or (B, n, m) for m right-hand
+    sides per system.  No input is modified.  Gaussian elimination with
+    partial pivoting (pivot by |Re| + |Im|), where each row interchange
+    fills one entry of a second superdiagonal, then back substitution
+    (Anderson et al., *LAPACK Users' Guide*).  The loop runs over the
+    rungs once; each rung updates the two rows it touches in every system
+    together, and picks the interchanged or the plain pair per system
+    with one masked copy.  Every step is elementwise along the batch, so
+    each system's solution has the bits it has when solved alone.
+
+    Returns (x, singular): x has b's shape, and singular[s] flags an
+    exactly zero pivot in system s, whose x is NaN.
+    """
+    d = np.asarray(d, dtype=complex)
+    dl = np.asarray(dl, dtype=complex)
+    du = np.asarray(du, dtype=complex)
+    batch, n = d.shape
+    b = np.asarray(b, dtype=complex)
+    rhs = b.reshape(batch, n, 1 if b.ndim == 2 else b.shape[2])
+    # w[r] is row r along the batch: its entry in column c sits in slot
+    # c % 3 (a row spans three columns at every stage), its right-hand
+    # sides in slots 3 and on.  Two zero rows below the last let the back
+    # substitution run one formula down to row 0.
+    w = np.zeros((n + 2, 3 + rhs.shape[2], batch), dtype=complex)
+    w[:n, 3:] = rhs.transpose(1, 2, 0)
+    for r in range(3):
+        w[r:n:3, r] = d[:, r::3].T
+        w[r + 1 : n : 3, r] = dl[:, r::3].T
+        w[r : n - 1 : 3, (r + 1) % 3] = du[:, r::3].T
+    dl_size = (np.abs(dl.real) + np.abs(dl.imag)).T
+    # NumPy rounds a complex product of size-1 operands of unequal ndim
+    # without FMA, unlike every other layout, so the products below pair
+    # operands of equal ndim whatever the batch size.
+    with np.errstate(all="ignore"):  # a singular system runs on to NaN
+        for k in range(n - 1):
+            c = k % 3
+            pair = w[k : k + 2]
+            dk = pair[0, c]
+            swap = np.abs(dk.real) + np.abs(dk.imag) < dl_size[k]
+            np.copyto(pair, pair[::-1], where=swap)  # NumPy buffers the overlap
+            piv, low = pair[0], pair[1]
+            np.subtract(low, (low[c : c + 1] / piv[c : c + 1]) * piv, out=low)
+            low[c] = 0.0
+        x = w[:, 3:]
+        for k in range(n - 1, -1, -1):
+            c = k % 3
+            u, u2 = (c + 1) % 3, (c + 2) % 3
+            xk = x[k]
+            np.subtract(xk, w[k, u : u + 1] * x[k + 1], out=xk)
+            np.subtract(xk, w[k, u2 : u2 + 1] * x[k + 2], out=xk)
+            np.divide(xk, w[k, c : c + 1], out=xk)
+    rows = np.arange(n)
+    singular = np.logical_or.reduce(w[rows, rows % 3] == 0.0, axis=0)
+    x = x[:n].transpose(2, 0, 1)
+    if singular.any():
+        x[singular] = math.nan
+    return x.reshape(b.shape), singular
+
+
+def tridiag_solve(op: TridiagonalOperator, shift, rhs: np.ndarray) -> np.ndarray:
     """Solve (op - shift*I) x = rhs for one or several right-hand sides.
 
-    LAPACK's ``?gtsv`` algorithm on Python complex scalars: Gaussian
-    elimination with partial pivoting (pivot by |Re| + |Im|), where each
-    row interchange fills one entry of a second superdiagonal, then back
-    substitution.  A 2-d ``rhs`` runs through the same loop with its rows
-    as NumPy vectors and is not modified.  An exactly zero pivot (an
-    exactly singular matrix) raises EigensolveError.
+    ``rhs`` is (n,) or (n, m) and is not modified.  A 1-d array of S
+    shifts solves every shifted system in one ``gtsv`` call and returns
+    (S,) + rhs.shape, each solution bitwise equal to the one its shift
+    gives alone.  An exactly zero pivot (an exactly singular matrix)
+    raises EigensolveError.
     """
-    shift = complex(shift)
-    d = [z - shift for z in op.diag.tolist()]
-    du = op.sup.tolist()
-    dl = op.sub.tolist()
-    dl_size = (np.abs(op.sub.real) + np.abs(op.sub.imag)).tolist()  # pivot size |Re| + |Im|
+    shift = np.asarray(shift, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    b = rhs.tolist() if rhs.ndim == 1 else list(rhs)
-    n = len(d)
-    du2 = [0j] * n
-    for k in range(n - 1):
-        dk = d[k]
-        if not dl_size[k]:
-            if not dk:
-                raise EigensolveError(f"shifted tridiagonal solve: zero pivot in row {k}")
-        elif abs(dk.real) + abs(dk.imag) >= dl_size[k]:
-            mult = dl[k] / dk
-            d[k + 1] -= mult * du[k]
-            b[k + 1] = b[k + 1] - mult * b[k]  # not in place: rows may be views of rhs
-        else:  # interchange rows k and k+1
-            lk = dl[k]
-            mult = dk / lk
-            d[k], d[k + 1], du[k] = lk, du[k] - mult * d[k + 1], d[k + 1]
-            if k < n - 2:
-                du2[k] = du[k + 1]
-                du[k + 1] = -mult * du2[k]
-            b[k], b[k + 1] = b[k + 1], b[k] - mult * b[k + 1]
-    if not d[n - 1]:
-        raise EigensolveError(f"shifted tridiagonal solve: zero pivot in row {n - 1}")
-    b[n - 1] = b[n - 1] / d[n - 1]
-    if n > 1:
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-    for k in range(n - 3, -1, -1):
-        b[k] = (b[k] - du[k] * b[k + 1] - du2[k] * b[k + 2]) / d[k]
-    return np.array(b, dtype=complex)
+    d = np.atleast_2d(op.diag - shift[..., None])
+    batch = d.shape[:1]
+    x, singular = gtsv(
+        np.broadcast_to(op.sub, batch + op.sub.shape),
+        d,
+        np.broadcast_to(op.sup, batch + op.sup.shape),
+        np.broadcast_to(rhs, batch + rhs.shape),
+    )
+    if singular.any():
+        bad = np.atleast_1d(shift)[singular][0]
+        raise EigensolveError(f"shifted tridiagonal solve: exactly singular at shift {bad!r}")
+    return x.reshape(shift.shape + rhs.shape)

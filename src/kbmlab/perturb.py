@@ -1,7 +1,8 @@
 """Matrix-level perturbation machinery for one Casimir block.
 
 Covers the second-order Rayleigh-Schrodinger coefficients of the branch
-through 0, Riesz spectral projections by trapezoidal contour quadrature,
+through 0, Riesz spectral projections by trapezoidal contour quadrature
+(the resolvents at all nodes from one batched tridiagonal solve),
 the perturbation-radius estimate min_zeta 1/||X (D - zeta)^-1||, and the
 closed-form lower bound |zeta|^-1 sqrt(eta/2) for that norm restricted to
 the zeroth fiber mode.  The radius estimate takes the norm on the even
@@ -142,22 +143,20 @@ def riesz_projection(op: TridiagonalOperator, contour: Contour) -> np.ndarray:
 
     Trapezoidal quadrature over the equispaced nodes; on a circle the rule
     converges exponentially in the node count for the analytic resolvent.
-    Eigenvalues closer than 1e-8 to the contour are rejected.
+    The resolvents at all nodes come from one ``tridiag_solve`` call with
+    the array of node shifts.  Eigenvalues closer than 1e-8 to the contour
+    are rejected.
     """
     eigs = eig_dense(op)
     dist = np.abs(np.abs(eigs - contour.center) - contour.radius)
     if float(np.min(dist)) < CONTOUR_DIST_MIN:
         raise ContourPlacementError("an eigenvalue lies on or near the contour")
-    n = op.dim
-    identity = np.eye(n, dtype=complex)
-    proj = np.zeros((n, n), dtype=complex)
     theta = 2.0 * np.pi * np.arange(contour.nodes) / contour.nodes
     phases = np.exp(1j * theta)
-    for ph in phases:
-        zeta = contour.center + contour.radius * ph
-        resolvent = tridiag_solve(op, zeta, identity)
-        proj -= (contour.radius / contour.nodes) * ph * resolvent
-    return proj
+    resolvents = tridiag_solve(
+        op, contour.center + contour.radius * phases, np.eye(op.dim, dtype=complex)
+    )
+    return -np.einsum("j,jab->ab", (contour.radius / contour.nodes) * phases, resolvents)
 
 
 def idempotency_defect(proj: np.ndarray) -> float:

@@ -9,14 +9,18 @@ block, from x = 0 out to the deepest grid point, landing exactly on every
 grid value of x on the way.  Rows therefore share one path: where it stops
 at a collision, every deeper row is resolved from the dense spectrum of
 the even parity sector (``operator.even_sector``), which holds the branch
-through 0, seeded with the path's last simple value; the picked value is
-Newton-polished on that sector.
+through 0 (one stacked dense solve for all such rows of a block), seeded
+with the path's last simple value; each picked value is Newton-polished
+on its sector.
 
 An infinite ladder (K <= 0) is truncated by sweeping the whole grid at
 cutoff k and again at 2k; the shift of every row, reached or collided, is
 its truncation certificate, and the sweep doubles k until every shift is
 below the policy's tolerance.  Each row's eigenvector residual is then
-taken once, at the row's reported mu, on the accepted block."""
+taken at the row's reported mu on the accepted block, for all rows in one
+batched inverse iteration on the even parity sector.  That is the full
+block's residual: the sector basis is orthonormal and invariant under the
+block, and the branch lives in the sector."""
 
 from __future__ import annotations
 
@@ -26,17 +30,16 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .eig import MAX_DENSE_DIM, eig_dense, newton_polish, residual_norm, track_branch
+from .eig import MAX_DENSE_DIM, eig_dense, inverse_iteration, newton_polish, track_branch
 from .errors import (
     BranchCollisionError,
-    EigensolveError,
     SpectrumValidationError,
     TruncationError,
 )
 from .ladder import CasimirBlock, LadderCoefficients, finite_block, ladder_coefficients
 from .operator import (
+    TridiagonalOperator,
     TruncationPolicy,
-    assemble_perturbed,
     even_sector,
     fixed_truncation,
     truncate,
@@ -167,9 +170,9 @@ class GammaTable:
     did not reach as simple samples, because it stopped at a collision x_c
     with |x_c| <= |x|; their values come from the even sector's dense
     spectrum (Newton-polished) and are complex past an exceptional point.
-    ``residual`` is the eigenvector residual at the row's mu, NaN where
-    inverse iteration fails; ``simple`` rows are the reached rows with a
-    finite residual.
+    ``residual`` is the eigenvector residual at the row's mu, taken on the
+    even parity sector, NaN where inverse iteration fails; ``simple`` rows
+    are the reached rows with a finite residual.
     ``certificate`` is |lambda_k - lambda_2k|, the change of the row's
     lambda between the sweeps at the reported cutoff k = ``k_trunc`` and at
     2k (0 on intrinsically finite ladders).  ``empirical_r`` is 2/|x_c| at
@@ -193,24 +196,27 @@ class GammaTable:
 
 
 def _dense_continuation(
-    block: CasimirBlock, coeffs: LadderCoefficients, x: complex, seed_mu: complex
-) -> complex:
-    """Pick the branch value past a collision from the dense spectrum of the
-    even parity sector, which holds the branch through 0: nearest to the
-    last tracked value, ties resolved toward positive imaginary part (then
-    larger real part) for determinism.  The pick is then Newton-polished on
-    the sector's characteristic polynomial, which removes the dense
-    solver's error; a pick where Newton does not converge is returned as it
-    is."""
-    even = even_sector(block, coeffs, x)
-    eigs = eig_dense(even)
+    block: CasimirBlock, coeffs: LadderCoefficients, xs: np.ndarray, seed_mu: complex
+) -> np.ndarray:
+    """Pick the branch value past a collision at every x of ``xs`` from the
+    dense spectrum of the even parity sector, which holds the branch
+    through 0; one stacked solve serves them all.  Each pick is the
+    eigenvalue nearest to the last tracked value, ties resolved toward
+    positive imaginary part (then larger real part) for determinism.  It
+    is then Newton-polished on its sector's characteristic polynomial,
+    which removes the dense solver's error; a pick where Newton does not
+    converge is returned as it is."""
+    evens = even_sector(block, coeffs, xs)
+    eigs = eig_dense(evens)
     dist = np.abs(eigs - seed_mu)
-    dmin = float(np.min(dist))
-    tie = np.nonzero(dist <= dmin * (1.0 + 1e-9) + 1e-15)[0]
-    cand = eigs[tie]
-    pick = complex(cand[np.lexsort((cand.real, cand.imag))[-1]])
-    root, converged, _ = newton_polish(even, pick)
-    return root if converged else pick
+    ties = dist <= np.min(dist, axis=1, keepdims=True) * (1.0 + 1e-9) + 1e-15
+    mu = np.empty(len(xs), dtype=complex)
+    for i, (d, sup, sub) in enumerate(zip(evens.diag, evens.sup, evens.sub)):
+        cand = eigs[i, ties[i]]
+        pick = complex(cand[np.lexsort((cand.real, cand.imag))[-1]])
+        root, converged, _ = newton_polish(TridiagonalOperator(d, sup, sub), pick)
+        mu[i] = root if converged else pick
+    return mu
 
 
 class _BlockSweep(NamedTuple):
@@ -249,8 +255,7 @@ def _sweep_block(block: CasimirBlock, grid: np.ndarray) -> _BlockSweep:
     empirical_r: Optional[float] = None
     if np.any(collided):
         seed_mu = complex(branch.mu_values[np.nonzero(branch.simple)[0][-1]])
-        for i in np.nonzero(collided)[0]:
-            mu[i] = _dense_continuation(block, coeffs, -2.0 / grid[i], seed_mu)
+        mu[collided] = _dense_continuation(block, coeffs, -2.0 / grid[collided], seed_mu)
         if branch.x_collision is not None:
             empirical_r = 2.0 / abs(branch.x_collision)
     return _BlockSweep(block, coeffs, mu, collided, empirical_r)
@@ -275,9 +280,10 @@ def gamma_sweep(
     block is continued once through all grid points; a collision marks
     the rows at and beyond it, and is not fatal unless the continuation
     accepted no step at all (x_c = 0), which raises BranchCollisionError.
-    The eigenvector residual is taken once per row, on the accepted block.
-    A row whose residual fails reads NaN and simple = False; the rows
-    after it are unaffected.  A non-finite or negative eta, or a
+    The eigenvector residuals of all rows come from one batched inverse
+    iteration on the even sector of the accepted block.  A row whose
+    residual fails reads NaN and simple = False; every other row keeps its
+    bits.  A non-finite or negative eta, or a
     non-finite K, raises SpectrumValidationError.
     """
     if not (math.isfinite(eta) and eta >= 0.0 and math.isfinite(K)):
@@ -333,13 +339,7 @@ def gamma_sweep(
                 break
             k, base, shift = 2 * k, doubled, float(np.max(cert))
 
-    resid = np.empty(n)
-    for i in range(n):
-        try:
-            op = assemble_perturbed(base.block, base.coeffs, -2.0 / grid[i])
-            resid[i] = residual_norm(op, base.mu[i])
-        except EigensolveError:
-            resid[i] = math.nan
+    resid = inverse_iteration(even_sector(base.block, base.coeffs, -2.0 / grid), base.mu)[1]
 
     return GammaTable(
         eta=eta,

@@ -279,6 +279,8 @@ def test_custom_infinite_eta_is_a_config_error(tmp_path, capsys):
         (None, [[0.0, 1], [2.0, 0]]),
         (None, [[0.0, 1], [2.0, 1.5]]),
         (None, [[0.0, 1], [2.0, True]]),
+        (None, [[0.0, 1], [-2.0, 1]]),
+        ({"surface": {"kind": "torus", "eta_cap": -1.0}}, None),
     ],
     ids=repr,
 )
@@ -295,12 +297,41 @@ def test_malformed_input_is_a_config_error(tmp_path, monkeypatch, capsys, config
     assert _error_record(capsys)["error"] == "ConfigError"
 
 
-@pytest.mark.parametrize("gammas", ["0,5", "-1,5", "5,inf", "nan,5", "5,5"])
+@pytest.mark.parametrize("gammas", ["0,5", "-1,5", "5,inf", "nan,5", "5,5", "abc", "5,x"])
 def test_bad_explicit_gamma_is_a_config_error(tmp_path, capsys, gammas):
     # the later flag overrides the grid of small_run_args
     code = run_cli(small_run_args(tmp_path / "out", extra=(f"--gamma-explicit={gammas}",)))
     assert code == 2
     assert _error_record(capsys)["error"] == "ConfigError"
+
+
+def test_negative_eta_cap_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--surface", "torus", "--eta-cap", "-1", "--out", str(out)]) == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and "eta_cap" in record["message"]
+    assert json.loads((out / "errors.json").read_text()) == record
+
+
+@pytest.mark.parametrize("criteria", ["11", "x", "1,11", "0"])
+def test_bad_selftest_criteria_are_a_config_error(capsys, criteria):
+    assert run_cli(["selftest", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no criterion ran
+    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "ConfigError"
+
+
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kbmlab.cli; print('kbmlab.acceptance' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_fixed_cutoff_beyond_dense_limit_is_a_config_error(tmp_path, capsys):

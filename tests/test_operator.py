@@ -265,6 +265,69 @@ def test_tridiag_solve_matches_lapack_gtsv_and_the_dense_solve(n, seed, intercha
         assert np.linalg.norm(x - ref_gtsv) <= 1e-13 * np.linalg.norm(ref_gtsv)
 
 
+def _random_batch(rng, batch, n, cols):
+    """``batch`` complex tridiagonal systems as in ``_random_tridiagonal``;
+    every other one has off-diagonals 10 to 1000 times its diagonal, so
+    partial pivoting interchanges rows."""
+
+    def entries(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (batch, 1))
+    off = scale * np.where(np.arange(batch)[:, None] % 2, 10.0 ** rng.uniform(1.0, 3.0), 1.0)
+    rhs = entries(batch, n) if cols is None else entries(batch, n, cols)
+    return off * entries(batch, n - 1), scale * entries(batch, n), off * entries(batch, n - 1), rhs
+
+
+@given(
+    n=st.integers(1, 40),
+    batch=st.integers(1, 9),
+    cols=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_gtsv_solves_every_system_and_flags_only_the_singular_ones(n, batch, cols, seed, data):
+    from kbmlab.operator import gtsv
+
+    rng = np.random.default_rng(seed)
+    dl, d, du, rhs = _random_batch(rng, batch, n, cols)
+    dead = np.array(data.draw(st.lists(st.booleans(), min_size=batch, max_size=batch)))
+    for s in np.nonzero(dead)[0]:
+        j = data.draw(st.integers(0, n - 1))  # zero one column: exactly singular
+        d[s, j] = 0.0
+        if j < n - 1:
+            dl[s, j] = 0.0
+        if j > 0:
+            du[s, j - 1] = 0.0
+    kept = [a.copy() for a in (dl, d, du, rhs)]
+    x, singular = gtsv(dl, d, du, rhs)
+    assert all(np.array_equal(a, b) for a, b in zip(kept, (dl, d, du, rhs)))
+    assert x.shape == rhs.shape and np.array_equal(singular, dead)
+    assert np.all(np.isnan(x[dead]))
+    for s in np.nonzero(~dead)[0]:
+        a = np.diag(d[s]) + np.diag(dl[s], -1) + np.diag(du[s], 1)
+        ref = np.linalg.solve(a, rhs[s])
+        err = np.linalg.norm(x[s] - ref)
+        assert err <= 1e-13 * np.linalg.cond(a) * np.linalg.norm(ref)
+    live = ~dead
+    alone, flags = gtsv(dl[live], d[live], du[live], rhs[live])
+    assert not flags.any() and np.array_equal(alone, x[live])
+
+
+@given(n=st.integers(1, 40), shifts=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_tridiag_solve_with_a_shift_array_equals_one_call_per_shift(n, shifts, seed):
+    rng = np.random.default_rng(seed)
+    op, _, rhs = _random_tridiagonal(n, seed, interchange=bool(seed % 2))
+    zetas = rng.standard_normal(shifts) + 1j * rng.standard_normal(shifts)
+    for b in (rhs, np.stack([rhs, 2.0 * rhs[::-1]], axis=1)):
+        x = tridiag_solve(op, zetas, b)
+        assert x.shape == (shifts,) + b.shape
+        for zeta, xz in zip(zetas, x):
+            assert np.array_equal(xz, tridiag_solve(op, zeta, b))
+
+
 def test_tridiag_solve_one_by_one_with_a_real_rhs():
     # n = 2 with a row interchange is test_tridiag_solve_pivot_fallback
     op = TridiagonalOperator(
@@ -312,12 +375,13 @@ def test_eigvec_retries_an_exact_eigenvalue_with_a_nudged_shift(sphere_l1, monke
     with pytest.raises(EigensolveError):
         tridiag_solve(op, 0.0, np.ones(3))
     shifts = []
+    real = kbmlab.eig.gtsv
 
-    def recording(op, shift, rhs):
-        shifts.append(shift)
-        return tridiag_solve(op, shift, rhs)
+    def recording(dl, d, du, b):
+        shifts.append(complex(op.diag[1] - d[0, 1]))  # diag - shift reaches the kernel
+        return real(dl, d, du, b)
 
-    monkeypatch.setattr(kbmlab.eig, "tridiag_solve", recording)
+    monkeypatch.setattr(kbmlab.eig, "gtsv", recording)
     v = eigvec(op, 0.0)
     assert shifts[:2] == [0.0, 8.0 * np.finfo(float).eps]
     assert np.allclose(v, [0.0, 1.0, 0.0], atol=1e-14)

@@ -127,6 +127,24 @@ def test_riesz_projection_trace_counts_enclosed(hyperbolic_block):
     assert abs(np.trace(proj) - enclosed_count(op, contour)) <= 1e-8
 
 
+@pytest.mark.parametrize("eta", [2.0, 6.0, 12.0])
+def test_riesz_projection_matches_the_node_by_node_quadrature(eta):
+    # the blocks the collision scan projects, at its Riesz sample points 0,
+    # 0.2 and 0.6 times the zero-mode bound |zeta| / sqrt(eta / 2)
+    from kbmlab import tridiag_solve
+
+    block = finite_block(eta, 1.0)
+    coeffs = ladder_coefficients(block)
+    contour = Contour(0.0, 0.5, 64)
+    eye = np.eye(block.dim, dtype=complex)
+    for frac in (0.0, 0.2, 0.6):
+        op = assemble_perturbed(block, coeffs, frac * 0.5 / math.sqrt(0.5 * eta))
+        ref = np.zeros((block.dim, block.dim), dtype=complex)
+        for ph in np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes):
+            ref -= (contour.radius / contour.nodes) * ph * tridiag_solve(op, contour.radius * ph, eye)
+        assert np.max(np.abs(riesz_projection(op, contour) - ref)) <= 1e-14
+
+
 def test_riesz_rejects_eigenvalue_on_contour(sphere_l1):
     block, coeffs = sphere_l1
     op = assemble_perturbed(block, coeffs, 0.0)

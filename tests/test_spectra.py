@@ -7,7 +7,6 @@ import kbmlab.spectra
 from conftest import stuck_at_zero
 from kbmlab import (
     BranchCollisionError,
-    EigensolveError,
     SpectrumValidationError,
     TruncationError,
     adaptive_truncation,
@@ -437,46 +436,65 @@ def _row_mu(table, block, coeffs):
     return mu
 
 
-@pytest.mark.parametrize("eta, K, points", [(2.0, 1.0, 41), (5.0, -1.0, 13)])
-def test_sweep_residual_is_the_residual_at_each_reported_value(eta, K, points):
-    table = gamma_sweep(eta, K, make_gamma_grid(0.0, 4.0, points))
-    assert np.any(table.simple) and np.any(table.collided)
+def _sweep_block(table):
+    """The block a sweep reports on, with its coefficients."""
+    eta, K = table.eta, table.curvature
     if K > 0.0:
         block = finite_block(eta, K)
     else:
         block = truncate(eta, K, fixed_truncation(int(table.k_trunc[0])))
-    coeffs = ladder_coefficients(block)
+    return block, ladder_coefficients(block)
+
+
+@pytest.mark.parametrize("eta, K, points", [(2.0, 1.0, 41), (5.0, -1.0, 13)])
+def test_sweep_residual_is_the_residual_at_each_reported_value(eta, K, points):
+    # the sweep solves the even sector; the full block's eigenvector is the
+    # same vector in an orthonormal basis, so the residuals agree to rounding
+    table = gamma_sweep(eta, K, make_gamma_grid(0.0, 4.0, points))
+    assert np.any(table.simple) and np.any(table.collided)
+    block, coeffs = _sweep_block(table)
     for gamma, mu, res in zip(table.gamma_grid, _row_mu(table, block, coeffs), table.residual):
         op = assemble_perturbed(block, coeffs, -2.0 / gamma)
-        assert res == kbmlab.eig.residual_norm(op, mu)
+        assert abs(res - kbmlab.eig.residual_norm(op, mu)) <= 1e-13
 
 
 def test_continuation_and_truncation_take_no_eigenvector(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the continuation took an eigenvector")
 
-    # residual_norm takes its eigenvector through eigvec
-    monkeypatch.setattr(kbmlab.eig, "eigvec", forbidden)
+    # eigvec and residual_norm are the one-row case of inverse_iteration
+    monkeypatch.setattr(kbmlab.eig, "inverse_iteration", forbidden)
     block = finite_block(2.0, 1.0)
     assert track_branch(block, ladder_coefficients(block), 0.7).status == "collision"
     block = truncate(5.0, -1.0, fixed_truncation(16))
     assert track_branch(block, ladder_coefficients(block), -2.0).status == "collision"
 
 
-@pytest.mark.parametrize("eta, K, points", [(2.0, 1.0, 41), (5.0, -1.0, 13), (0.0, -1.0, 13)])
+@pytest.mark.parametrize(
+    "eta, K, points",
+    [(2.0, 1.0, 41), (5.0, -1.0, 13), (0.0, -1.0, 13), (72.0, 1.0, 41), (300.0, -1.0, 13)],
+)
 def test_sweep_takes_one_residual_per_row(monkeypatch, eta, K, points):
+    # one batched call for the whole table, and each row gets the bits the
+    # batched routine gives that row alone
     calls = []
-    real = kbmlab.eig.residual_norm
+    real = kbmlab.eig.inverse_iteration
 
     def counting(op, mu):
         calls.append(op.meta["x"])
         return real(op, mu)
 
-    monkeypatch.setattr(kbmlab.eig, "residual_norm", counting)
-    monkeypatch.setattr(kbmlab.spectra, "residual_norm", counting)
+    monkeypatch.setattr(kbmlab.spectra, "inverse_iteration", counting)
     grid = make_gamma_grid(0.0, 4.0, points)
-    gamma_sweep(eta, K, grid)
-    assert calls == ([complex(-2.0 / g) for g in grid] if eta > 0.0 else [])
+    table = gamma_sweep(eta, K, grid)
+    if eta == 0.0:
+        assert calls == [] and np.all(table.residual == 0.0)
+        return
+    assert len(calls) == 1 and np.array_equal(calls[0], -2.0 / grid)
+    block, coeffs = _sweep_block(table)
+    for x, mu, res in zip(-2.0 / grid, _row_mu(table, block, coeffs), table.residual):
+        alone = real(kbmlab.even_sector(block, coeffs, np.array([x])), np.array([mu]))[1]
+        assert alone[0] == res
 
 
 def test_failed_residual_marks_only_its_row(monkeypatch):
@@ -484,14 +502,16 @@ def test_failed_residual_marks_only_its_row(monkeypatch):
     clean = gamma_sweep(2.0, 1.0, grid)
     j = 20
     assert clean.simple[j] and np.all(clean.simple[j:])
-    real = kbmlab.eig.residual_norm
+    block = finite_block(2.0, 1.0)
+    target = kbmlab.even_sector(block, ladder_coefficients(block), -2.0 / grid[j]).sub
+    real = kbmlab.eig.gtsv
 
-    def failing(op, mu):
-        if op.meta["x"] == -2.0 / grid[j]:
-            raise EigensolveError("inverse iteration did not converge")
-        return real(op, mu)
+    def failing(dl, d, du, b):
+        x, singular = real(dl, d, du, b)
+        x[np.all(dl == target, axis=1)] = math.nan  # row j's solve breaks down
+        return x, singular
 
-    monkeypatch.setattr(kbmlab.spectra, "residual_norm", failing)
+    monkeypatch.setattr(kbmlab.eig, "gtsv", failing)
     table = gamma_sweep(2.0, 1.0, grid)
     assert math.isnan(table.residual[j])
     assert not table.simple[j] and not table.collided[j]

@@ -2,27 +2,30 @@
 
 Five pieces: the characteristic polynomial by the scaled three-term
 determinant recurrence (a loop on Python complex scalars), a dense
-eigensolver used strictly as a brute-force oracle (one matrix or a stack),
-inverse-iteration eigenvectors for a whole stack of matrices at once,
-holomorphic continuation of the eigenvalue branch that emanates from the
-unperturbed value 0, and the exceptional point where that branch ends on
-the real axis.  On the real axis every family member, and each of its
-parity sectors, is a real matrix; the dense solver then runs in real
-arithmetic, in less than half the time of the complex solve on the
-sector sizes used here.
+eigensolver used strictly as a brute-force oracle (one matrix or a stack,
+densified in chunks of bounded size), inverse-iteration eigenvectors for
+a whole stack of matrices at once, holomorphic continuation of the
+eigenvalue branch that emanates from the unperturbed value 0, and the
+exceptional point where that branch ends on the real axis.  On the real
+axis every family member, and each of its parity sectors, is a real
+matrix; the dense solver then runs in real arithmetic, in less than half
+the time of the complex solve on the sector sizes used here.
 
 The continuation walks the segment [0, x_target] with a secant predictor
 and a Newton corrector on the characteristic polynomial of the even parity
 sector (``operator.parity_sectors``, dimension k_max + 1), which holds the
-branch through 0.  The dense gap check solves the even sector only and
-certifies the odd one by its numerical range (Horn & Johnson, *Topics in
-Matrix Analysis*, 1.2): at real x the odd sector's Hermitian part is
+branch through 0.  It takes Newton-only steps first and certifies them
+afterwards: one stacked dense solve checks every walked sample's gap to
+the rest of the spectrum.  That check solves the even sectors only and
+certifies the odd ones by their numerical range (Horn & Johnson, *Topics
+in Matrix Analysis*, 1.2): at real x the odd sector's Hermitian part is
 diag(m^2, m >= 1), so every odd eigenvalue has Re >= 1, and when the even
 gap is below 1 - Re mu the nearest two eigenvalues of the full block are
-both even.  Otherwise the odd sector is solved too and the union decides,
-so gaps and simplicity keep their full-block meaning.  A step is accepted
-only if the corrected value stays within half of the last known gap to
-the rest of the spectrum; otherwise the step is halved.  Steps are
+both even.  Otherwise that sample's odd sector is solved too and the
+union decides, so gaps and simplicity keep their full-block meaning.  A
+step is accepted only if the corrected value stays within half of the
+previous sample's gap to the rest of the spectrum; otherwise the step is
+halved and the walked samples after it are discarded.  Steps are
 shortened to land exactly on caller-given checkpoints of the segment, so
 one continuation serves every parameter on it.  It computes no
 eigenvectors; callers take ``inverse_iteration`` where they report values.
@@ -41,6 +44,7 @@ Either way the partial branch is returned.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -51,6 +55,7 @@ from .errors import BranchCollisionError, EigensolveError
 from .ladder import CasimirBlock, LadderCoefficients
 from .operator import (
     TridiagonalOperator,
+    batch_slices,
     even_sector,
     gtsv,
     numerical_range_floor,
@@ -97,12 +102,17 @@ def char_poly(op: TridiagonalOperator, lam: complex) -> CharPolyValue:
     range (on rung 1 also when |d_0 - lambda| is), which gives the same
     bits as forming it on every rung.
     """
+    return _char_poly(op.diag.tolist(), (op.sub * op.sup).tolist(), lam)
+
+
+def _char_poly(d: list, c: list, lam: complex) -> CharPolyValue:
+    """``char_poly`` on the diagonal ``d`` and the rung products c_j =
+    sub_j * sup_j as Python lists, which a caller evaluating one operator
+    many times converts once."""
     lam = complex(lam)
-    d = op.diag.tolist()
     p_prev, p = 1.0 + 0j, d[0] - lam
     dp_prev, dp = 0j, -1.0 + 0j
     exp2 = 0
-    c = (op.sub * op.sup).tolist()
     big, small = _BIG, _SMALL
     # an empty range sends rung 1 to the four-way test when |d_0 - lambda|
     # is out of range
@@ -136,12 +146,14 @@ def newton_polish(op: TridiagonalOperator, mu0: complex) -> tuple[complex, bool,
 
     Converges when the step reaches the relative rounding floor of the
     iterate; the exponent of the determinant cancels from the Newton step,
-    so scaling never enters.  Returns (root, converged, iterations).
+    so scaling never enters.  The operator is converted to Python lists
+    once, not once per evaluation.  Returns (root, converged, iterations).
     """
     mu = complex(mu0)
     prev_step = math.inf
+    d, c = op.diag.tolist(), (op.sub * op.sup).tolist()
     for it in range(1, NEWTON_MAX_ITER + 1):
-        v, dv, _ = char_poly(op, mu)
+        v, dv, _ = _char_poly(d, c, mu)
         if v == 0:
             return mu, True, it
         if dv == 0:
@@ -160,20 +172,44 @@ def newton_polish(op: TridiagonalOperator, mu0: complex) -> tuple[complex, bool,
 
 def eig_dense(op: TridiagonalOperator) -> np.ndarray:
     """All eigenvalues by a dense nonsymmetric solve (brute-force oracle);
-    a stack of matrices gives one row of eigenvalues per matrix, from one
-    stacked LAPACK call.
+    a stack of matrices gives one row of eigenvalues per matrix.
 
     Matrices with no imaginary part (every family member at real x, every
     generator) go to the real LAPACK solver, about a quarter of the
     complex solver's arithmetic, whose non-real eigenvalues come in exact
-    conjugate pairs; the result is complex either way.
+    conjugate pairs; the result is complex either way.  The choice is made
+    per matrix, so a stack that mixes real and complex matrices gives each
+    the bits it gets alone.  Each kind is densified and solved in chunks of
+    at most ``operator.STACK_BUDGET`` entries (one matrix when a single one
+    is larger), one stacked LAPACK call per chunk, so no dense array above
+    the budget is ever allocated.
     """
     if op.dim > MAX_DENSE_DIM:
         raise EigensolveError(f"dense oracle limited to dimension {MAX_DENSE_DIM}")
-    a = op.to_dense()
     if not (op.diag.imag.any() or op.sub.imag.any() or op.sup.imag.any()):
-        a = a.real
-    return np.linalg.eigvals(a).astype(complex, copy=False)
+        return _eigvals(op, True)
+    real = ~(op.diag.imag.any(axis=-1) | op.sup.imag.any(axis=-1) | op.sub.imag.any(axis=-1))
+    if not real.any():
+        return _eigvals(op, False)
+    eigs = np.empty(op.diag.shape, dtype=complex)
+    for rows in (real, ~real):
+        eigs[rows] = _eigvals(_rows(op, rows), rows is real)
+    return eigs
+
+
+def _eigvals(op: TridiagonalOperator, real: bool) -> np.ndarray:
+    """``eig_dense`` of one matrix or a stack of one kind (``real`` or
+    not), densified and solved per chunk of the entry budget."""
+    parts = batch_slices(op.diag.shape[0] if op.diag.ndim == 2 else 1, op.dim * op.dim)
+    if len(parts) > 1:
+        return np.concatenate([_eigvals(_rows(op, part), real) for part in parts])
+    a = op.to_dense()
+    return np.linalg.eigvals(a.real if real else a).astype(complex, copy=False)
+
+
+def _rows(op: TridiagonalOperator, rows) -> TridiagonalOperator:
+    """The matrices ``rows`` (a slice, a mask or indices) of a stack."""
+    return TridiagonalOperator(op.diag[rows], op.sup[rows], op.sub[rows], op.meta)
 
 
 class SpotCheck(NamedTuple):
@@ -185,33 +221,66 @@ class SpotCheck(NamedTuple):
     nu: Optional[complex]  # that second-nearest one; None when it is odd
 
 
+def certify_samples(
+    even: TridiagonalOperator, odd: Optional[TridiagonalOperator], mu
+) -> list:
+    """``SpotCheck`` of every sample of a stack: the nearest and
+    second-nearest eigenvalue of the full block to mu[i], for the stacked
+    even sectors ``even`` (B, n), the odd ones ``odd`` (None on the
+    single-mode block) and the tracked values ``mu`` (B,).
+
+    The even sectors are solved in one stacked ``eig_dense`` call and every
+    row's two nearest eigenvalues come from one row-wise stable argsort.
+    The odd sector's eigenvalues have real part at least f =
+    ``numerical_range_floor(odd)``, so none is within f - Re mu of mu; when
+    a row's even gap is below that (less 64 eps max|d| for LAPACK's rounding
+    of the odd spectrum) both nearest eigenvalues are even.  The odd sectors
+    of the other rows are solved in one more stacked call, and the union
+    decides there.  Either way every row equals, bit for bit, the check on
+    the union of both sectors' dense spectra, even sector first (ties go to
+    the lower index).
+    """
+    mu = np.asarray(mu, dtype=complex)
+    rows = np.arange(mu.size)
+    eigs = eig_dense(even)
+    dist = np.abs(eigs - mu[:, None])
+    near = np.argsort(dist, axis=1, kind="stable")[:, :2]
+    nearest = dist[rows, near[:, 0]]
+    gap = dist[rows, near[:, 1]] if even.dim > 1 else np.full(mu.size, math.inf)
+    nu = [complex(v) for v in eigs[rows, near[:, 1]]] if even.dim > 1 else [None] * mu.size
+    if odd is not None:
+        margin = 64.0 * _EPS * np.max(np.abs(odd.diag), axis=1)
+        union = np.flatnonzero(~(gap < numerical_range_floor(odd) - mu.real - margin))
+        if union.size:
+            odd_eigs = eig_dense(_rows(odd, union))
+            for i, o in zip(union.tolist(), odd_eigs):
+                both = np.concatenate((eigs[i], o))
+                d = np.abs(both - mu[i])
+                pair = np.argsort(d, kind="stable")[:2]
+                nearest[i], gap[i] = d[pair[0]], d[pair[1]]
+                nu[i] = complex(both[pair[1]]) if pair[1] < even.dim else None
+    return [
+        SpotCheck(eigs[i], float(nearest[i]), float(gap[i]), nu[i]) for i in rows.tolist()
+    ]
+
+
 def spot_check(
     even: TridiagonalOperator, odd: Optional[TridiagonalOperator], mu: complex
 ) -> SpotCheck:
-    """Nearest and second-nearest eigenvalue of the full block to mu.
+    """Nearest and second-nearest eigenvalue of the full block to mu: the
+    one-row case of ``certify_samples``."""
+    one = [None if op is None else _stack([op]) for op in (even, odd)]
+    return certify_samples(one[0], one[1], [mu])[0]
 
-    The even sector is solved densely.  The odd sector's eigenvalues have
-    real part at least f = ``numerical_range_floor(odd)``, so none is within
-    f - Re mu of mu; when the even gap is below that (less 64 eps max|d|
-    for LAPACK's rounding of the odd spectrum) both nearest eigenvalues are
-    even and the odd sector is not solved.  Otherwise the odd sector is
-    solved too and the union decides.  Either way the result equals, bit
-    for bit, the one on the union of both sectors' dense spectra, even
-    sector first (ties go to the lower index).
-    """
-    eigs = even_eigs = eig_dense(even)
-    dist = np.abs(eigs - mu)
-    near = np.argsort(dist, kind="stable")[:2]
-    gap = float(dist[near[1]]) if near.size > 1 else math.inf
-    if odd is not None:
-        margin = 64.0 * _EPS * float(np.max(np.abs(odd.diag)))
-        if not gap < numerical_range_floor(odd) - mu.real - margin:
-            eigs = np.concatenate((even_eigs, eig_dense(odd)))
-            dist = np.abs(eigs - mu)
-            near = np.argsort(dist, kind="stable")[:2]
-            gap = float(dist[near[1]])
-    nu = complex(eigs[near[1]]) if near.size > 1 and near[1] < even.dim else None
-    return SpotCheck(even_eigs, float(dist[near[0]]), gap, nu)
+
+def _stack(ops: Sequence[TridiagonalOperator]) -> TridiagonalOperator:
+    """The stack of operators of one dimension, with the first one's meta."""
+    return TridiagonalOperator(
+        np.stack([op.diag for op in ops]),
+        np.stack([op.sup for op in ops]),
+        np.stack([op.sub for op in ops]),
+        ops[0].meta,
+    )
 
 
 def collision_threshold(mu: complex) -> float:
@@ -457,8 +526,8 @@ class EigenBranch:
     """Continuation record of the branch through the unperturbed value 0.
 
     ``simple[i]`` is gap_to_rest[i] > collision_threshold(mu_values[i]);
-    the gaps come from the dense spot checks, and the record holds no
-    eigenvectors or residuals.
+    the gaps come from the dense certification of the samples, and the
+    record holds no eigenvectors or residuals.
     ``status`` is "complete" when x_target was reached, otherwise
     "collision" with the stopping parameter in ``x_collision`` and the
     trigger in ``reason``: "exceptional point" (x_collision is the certified
@@ -472,6 +541,9 @@ class EigenBranch:
     on (in order, x_target last), the index of its sample in ``x_samples``;
     a checkpoint sample may be the non-simple one that stopped the
     continuation.
+    ``discarded`` counts the walked samples dropped unused because an
+    earlier sample of their walk failed its certification (see
+    ``track_branch``); it does not change any other field.
     """
 
     block: CasimirBlock
@@ -485,6 +557,7 @@ class EigenBranch:
     x_collision: Optional[complex] = None
     oracle_dev: float = 0.0
     checkpoint_index: tuple = ()
+    discarded: int = 0
 
     @property
     def final_mu(self) -> complex:
@@ -493,6 +566,82 @@ class EigenBranch:
     @property
     def reached(self) -> bool:
         return self.status == "complete"
+
+
+@dataclass
+class _Cursor:
+    """Where a continuation stands: its last sample (s_cur, x_cur, mu_cur),
+    the one before (s_prev, mu_prev) for the secant predictor, the step
+    ``ds`` with the run of easy Newton solves that doubles it, and the next
+    checkpoint ``nxt``."""
+
+    ds: float
+    s_cur: float = 0.0
+    x_cur: complex = 0j
+    mu_cur: complex = 0j
+    s_prev: Optional[float] = None
+    mu_prev: complex = 0j
+    easy: int = 0
+    nxt: int = 0
+
+    def advance(self, step: "_Step", ds_base: float) -> None:
+        """Move to the accepted ``step``; three easy solves (at most five
+        Newton iterations each) in a row double ds, up to ds_base."""
+        self.s_prev, self.mu_prev = self.s_cur, self.mu_cur
+        self.s_cur, self.x_cur, self.mu_cur = step.s, step.x, step.mu
+        self.nxt += step.at_checkpoint
+        if step.iters <= 5:
+            self.easy += 1
+            if self.easy >= 3 and self.ds < ds_base:
+                self.ds = min(2.0 * self.ds, ds_base)
+                self.easy = 0
+        else:
+            self.easy = 0
+
+
+class _Step(NamedTuple):
+    """One Newton step of a walk: the parameter reached, the secant
+    prediction and the corrected value, and the sectors it ran on."""
+
+    s: float
+    x: complex
+    at_checkpoint: bool
+    mu_pred: complex
+    mu: complex
+    ok: bool
+    iters: int
+    even: TridiagonalOperator
+    odd: Optional[TridiagonalOperator]
+
+
+def _newton_step(
+    block: CasimirBlock,
+    coeffs: LadderCoefficients,
+    cur: _Cursor,
+    ck_x: list,
+    ck_s: list,
+    x_target: complex,
+) -> _Step:
+    """The next step from ``cur``: ds, shortened to land on the next
+    checkpoint (or stretched to it when less than 1.5 ds away), then Newton
+    on the even sector from the secant prediction."""
+    s_ck = ck_s[cur.nxt]
+    ds_eff = min(cur.ds, s_ck - cur.s_cur)
+    if s_ck - cur.s_cur < 1.5 * cur.ds:
+        ds_eff = s_ck - cur.s_cur
+    s_new = cur.s_cur + ds_eff
+    if s_ck - s_new < 1e-15:
+        s_new = s_ck
+    at_checkpoint = s_new == s_ck
+    x_new = ck_x[cur.nxt] if at_checkpoint else s_new * x_target
+    if cur.s_prev is not None and cur.s_cur != cur.s_prev:
+        slope = (cur.mu_cur - cur.mu_prev) / (cur.s_cur - cur.s_prev)
+        mu_pred = cur.mu_cur + slope * (s_new - cur.s_cur)
+    else:
+        mu_pred = cur.mu_cur
+    even, odd = parity_sectors(block, coeffs, x_new)
+    mu_new, ok, iters = newton_polish(even, mu_pred)
+    return _Step(s_new, x_new, at_checkpoint, mu_pred, mu_new, ok, iters, even, odd)
 
 
 def track_branch(
@@ -507,10 +656,7 @@ def track_branch(
     The unperturbed value 0 is a simple eigenvalue on the block (the
     diagonal is k^2 and the zero mode occurs once), so the branch starts
     well defined; it lies in the even parity sector, where Newton runs.
-    Every accepted sample is spot-checked against the dense oracle
-    (``spot_check``: the even sector's spectrum, and the odd one's only
-    when its numerical range comes near the branch).  Gaps, the neighbour
-    and simplicity are those of the full block.
+    Gaps, the neighbour and simplicity are those of the full block.
 
     ``checkpoints`` are parameters on the segment (0, x_target] in order of
     increasing |x|; x_target is appended when it is not the last one.  The
@@ -518,16 +664,36 @@ def track_branch(
     samples the checkpoint's exact value, and the step size is carried on
     unchanged past it.
 
+    The loop alternates two phases.  A walk takes Newton-only steps from
+    the last certified sample (secant predictor, landing on checkpoints,
+    ds doubled after three easy steps) until Newton fails, the first
+    step's correction leaves half the last certified gap, x_target is
+    reached, or the walk has its length.  Then every walked sample is
+    certified at once (``certify_samples``: one stacked dense solve of the
+    even sectors the walk ran on, and of the odd ones only where their
+    numerical range comes near the branch), and the samples are replayed
+    in order under the acceptance rules of a step-by-step continuation:
+    a sample whose correction |mu - mu_pred| exceeds half the previous
+    sample's gap is a rejected step, a sample that is not simple ends the
+    continuation, and the walked samples after either are dropped and
+    counted in ``discarded``.  The walk's steps depend on no gap, so the
+    record is bit for bit that of checking each sample before taking the
+    next step.  The first walk runs until it stops on its own; after a
+    rejection the next walk is one step long, and each fully certified
+    walk doubles the length of the next, so from the first rejection on a
+    walk never discards more samples than were certified since it.
+
     On a real segment, the first rejected step from each sample asks
     ``exceptional_point`` whether the step ran into the exceptional point
-    where the branch meets the neighbour of the last gap check.  If so the
-    continuation stops with reason "exceptional point" and x_collision =
-    x_c; no checkpoint lies between the sample and x_c, because steps never
-    pass one.  Otherwise the step is halved.  An accepted sample that is
-    not simple asks ``exceptional_point`` the same of the stretch from it
-    to the next checkpoint; a certified point there becomes x_collision,
-    and the sample stays the last one.  Both calls hand over the even
-    spectrum from the sample's spot check (the start x = 0 has none).
+    where the branch meets the neighbour of the last certified sample.  If
+    so the continuation stops with reason "exceptional point" and
+    x_collision = x_c; no checkpoint lies between the sample and x_c,
+    because steps never pass one.  Otherwise the step is halved.  An
+    accepted sample that is not simple asks ``exceptional_point`` the same
+    of the stretch from it to the next checkpoint; a certified point there
+    becomes x_collision, and the sample stays the last one.  Both calls
+    hand over the even spectrum from the sample's certification (the
+    start x = 0 has none).
     """
     x_target = complex(x_target)
     dim = block.dim
@@ -555,11 +721,7 @@ def track_branch(
     gaps = [gap0]
     simples = [gap0 > collision_threshold(0.0)]
 
-    s_cur = 0.0
-    x_cur = 0j
-    mu_cur = 0j
-    s_prev: Optional[float] = None
-    mu_prev = 0j
+    cur = _Cursor(ds=ds_base)
     last_gap = gap0
     # the unperturbed neighbour of 0 is m^2 = 1, which the even sector holds
     last_nu: Optional[complex] = 1.0 + 0j if dim > 1 else None
@@ -569,90 +731,89 @@ def track_branch(
     eigs_cur: Optional[np.ndarray] = None
     oracle_dev = 0.0
     status, reason, x_coll = "complete", "", None
-    ds = ds_base
-    easy = 0
-    nxt = 0
     landed = []
+    walk_length = math.inf
+    discarded = 0
 
-    while nxt < len(ck_s):
-        s_ck = ck_s[nxt]
-        ds_eff = min(ds, s_ck - s_cur)
-        if s_ck - s_cur < 1.5 * ds:
-            ds_eff = s_ck - s_cur
-        s_new = s_cur + ds_eff
-        if s_ck - s_new < 1e-15:
-            s_new = s_ck
-        at_checkpoint = s_new == s_ck
-        x_new = ck_x[nxt] if at_checkpoint else s_new * x_target
-
-        if s_prev is not None and s_cur != s_prev:
-            slope = (mu_cur - mu_prev) / (s_cur - s_prev)
-            mu_pred = mu_cur + slope * (s_new - s_cur)
-        else:
-            mu_pred = mu_cur
-
-        even, odd = parity_sectors(block, coeffs, x_new)
-        mu_new, ok, iters = newton_polish(even, mu_pred)
-        trust = 0.5 * last_gap
-        if (not ok) or abs(mu_new - mu_pred) > trust:
-            if real_segment and not ep_tried:
-                # the first rejection from x_cur: the step may have run into
-                # the exceptional point where the branch meets nu
-                ep_tried = True
-                x_c = exceptional_point(
-                    block, coeffs, x_cur.real, x_new.real, mu_cur.real, last_nu,
-                    eigs_cur=eigs_cur,
-                )
-                if x_c is not None:
-                    status, reason, x_coll = "collision", "exceptional point", complex(x_c)
-                    break
-            ds *= 0.5
-            easy = 0
-            if ds < ds_min:
-                status, reason = "collision", "step underflow near loss of simplicity"
-                x_coll = x_cur
+    while cur.nxt < len(ck_s):
+        # walk from a copy of the cursor; the replay below moves the real one
+        walker = dataclasses.replace(cur)
+        walked: list = []
+        rejected: Optional[_Step] = None
+        while len(walked) < walk_length and walker.nxt < len(ck_s):
+            step = _newton_step(block, coeffs, walker, ck_x, ck_s, x_target)
+            if not step.ok or (not walked and abs(step.mu - step.mu_pred) > 0.5 * last_gap):
+                rejected = step
                 break
+            walked.append(step)
+            walker.advance(step, ds_base)
+
+        checks = []
+        if walked:
+            odds = [step.odd for step in walked]
+            checks = certify_samples(
+                _stack([step.even for step in walked]),
+                None if odds[0] is None else _stack(odds),
+                [step.mu for step in walked],
+            )
+        done = False
+        for i, (step, check) in enumerate(zip(walked, checks)):
+            if abs(step.mu - step.mu_pred) > 0.5 * last_gap:
+                rejected = step
+                discarded += len(walked) - i - 1
+                break
+            oracle_dev = max(oracle_dev, check.oracle_dev)
+            gap = last_gap = check.gap
+            last_nu = check.nu
+            is_simple = gap > collision_threshold(step.mu)
+            xs.append(step.x)
+            mus.append(step.mu)
+            gaps.append(gap)
+            simples.append(is_simple)
+            if step.at_checkpoint:
+                landed.append(len(xs) - 1)
+            if not is_simple:
+                discarded += len(walked) - i - 1
+                status, reason, x_coll = "collision", "gap below collision threshold", step.x
+                nxt = cur.nxt + step.at_checkpoint
+                if real_segment and nxt < len(ck_s):
+                    # the exceptional point may lie just beyond this sample,
+                    # short of the next checkpoint
+                    x_c = exceptional_point(
+                        block, coeffs, step.x.real, ck_x[nxt].real, step.mu.real, last_nu,
+                        eigs_cur=check.even_eigs,
+                    )
+                    if x_c is not None:
+                        reason, x_coll = "exceptional point", complex(x_c)
+                done = True
+                break
+            cur.advance(step, ds_base)
+            eigs_cur = check.even_eigs
+            ep_tried = False
+        if done:
+            break
+        if rejected is None:
+            walk_length *= 2
             continue
 
-        check = spot_check(even, odd, mu_new)
-        oracle_dev = max(oracle_dev, check.oracle_dev)
-        gap = last_gap = check.gap
-        last_nu = check.nu
-        is_simple = gap > collision_threshold(mu_new)
-
-        xs.append(x_new)
-        mus.append(mu_new)
-        gaps.append(gap)
-        simples.append(is_simple)
-        if at_checkpoint:
-            landed.append(len(xs) - 1)
-            nxt += 1
-
-        if not is_simple:
-            status, reason = "collision", "gap below collision threshold"
-            x_coll = x_new
-            if real_segment and nxt < len(ck_s):
-                # the exceptional point may lie just beyond this sample,
-                # short of the next checkpoint
-                x_c = exceptional_point(
-                    block, coeffs, x_new.real, ck_x[nxt].real, mu_new.real, last_nu,
-                    eigs_cur=check.even_eigs,
-                )
-                if x_c is not None:
-                    reason, x_coll = "exceptional point", complex(x_c)
+        if real_segment and not ep_tried:
+            # the first rejection from x_cur: the step may have run into
+            # the exceptional point where the branch meets nu
+            ep_tried = True
+            x_c = exceptional_point(
+                block, coeffs, cur.x_cur.real, rejected.x.real, cur.mu_cur.real, last_nu,
+                eigs_cur=eigs_cur,
+            )
+            if x_c is not None:
+                status, reason, x_coll = "collision", "exceptional point", complex(x_c)
+                break
+        cur.ds *= 0.5
+        cur.easy = 0
+        if cur.ds < ds_min:
+            status, reason = "collision", "step underflow near loss of simplicity"
+            x_coll = cur.x_cur
             break
-
-        s_prev, mu_prev = s_cur, mu_cur
-        s_cur, x_cur, mu_cur = s_new, x_new, mu_new
-        eigs_cur = check.even_eigs
-        ep_tried = False
-        if iters <= 5:
-            easy += 1
-            if easy >= 3 and ds < ds_base:
-                ds = min(2.0 * ds, ds_base)
-                easy = 0
-        else:
-            easy = 0
+        walk_length = 1
 
     return EigenBranch(
         block=block,
@@ -666,6 +827,7 @@ def track_branch(
         x_collision=x_coll,
         oracle_dev=oracle_dev,
         checkpoint_index=tuple(landed),
+        discarded=discarded,
     )
 
 

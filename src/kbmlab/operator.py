@@ -25,6 +25,13 @@ import numpy as np
 from .errors import EigensolveError, TruncationError
 from .ladder import CasimirBlock, LadderCoefficients
 
+# The most matrix entries a batched kernel materialises at once: a stacked
+# dense eigensolve (``eig.eig_dense``) densifies, and a batched resolvent
+# (``perturb.riesz_projection``) solves, at most this many entries per
+# chunk of its batch, one matrix when a single one is larger.  2**16
+# complex entries are 1 MiB.
+STACK_BUDGET = 2**16
+
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
@@ -237,7 +244,15 @@ def truncate(eta: float, K: float, policy: TruncationPolicy) -> CasimirBlock:
     return CasimirBlock(curvature=K, eta=eta, k_min=-k, k_max=k, finite=False)
 
 
-def numerical_range_floor(op: TridiagonalOperator) -> float:
+def batch_slices(batch: int, entries: int) -> list:
+    """Consecutive slices that cover a batch of ``batch`` items of
+    ``entries`` entries each, every slice holding at most ``STACK_BUDGET``
+    entries (one item when a single one holds more)."""
+    step = max(1, STACK_BUDGET // max(entries, 1))
+    return [slice(i, min(i + step, batch)) for i in range(0, batch, step)]
+
+
+def numerical_range_floor(op: TridiagonalOperator):
     """A lower bound on min Re<op v, v> over unit vectors, in O(dim):
     Gershgorin's bound min_j (Re d_j - |h_{j-1}| - |h_j|) on the Hermitian
     part (op + op^*)/2, whose off-diagonal is h = (sub + conj(sup))/2.
@@ -247,13 +262,16 @@ def numerical_range_floor(op: TridiagonalOperator) -> float:
     1.2).  For a family member diag(m^2) + x*X, h = i*Im(x)*X: at real x
     the floor is min Re d exactly, and so it is for every generator
     restriction, whose Hermitian part is diag((gamma^2/2) k^2).
+
+    A float, or one per matrix of a stack, each bitwise its matrix's own.
     """
     row = op.diag.real.copy()
     if op.dim > 1:
         h = np.abs(0.5 * (op.sub + np.conj(op.sup)))
-        row[:-1] -= h
-        row[1:] -= h
-    return float(np.min(row))
+        row[..., :-1] -= h
+        row[..., 1:] -= h
+    floor = np.min(row, axis=-1)
+    return float(floor) if floor.ndim == 0 else floor
 
 
 def gtsv(

@@ -2,7 +2,7 @@
 
 Covers the second-order Rayleigh-Schrodinger coefficients of the branch
 through 0, Riesz spectral projections by trapezoidal contour quadrature
-(the resolvents at all nodes from one batched tridiagonal solve),
+(the resolvents from batched tridiagonal solves over chunks of nodes),
 the perturbation-radius estimate min_zeta 1/||X (D - zeta)^-1||, and the
 closed-form lower bound |zeta|^-1 sqrt(eta/2) for that norm restricted to
 the zeroth fiber mode.  The radius estimate takes the norm on the even
@@ -37,6 +37,7 @@ from .ladder import (
 )
 from .operator import (
     TridiagonalOperator,
+    batch_slices,
     even_sector,
     fixed_truncation,
     tridiag_solve,
@@ -143,9 +144,11 @@ def riesz_projection(op: TridiagonalOperator, contour: Contour) -> np.ndarray:
 
     Trapezoidal quadrature over the equispaced nodes; on a circle the rule
     converges exponentially in the node count for the analytic resolvent.
-    The resolvents at all nodes come from one ``tridiag_solve`` call with
-    the array of node shifts.  Eigenvalues closer than 1e-8 to the contour
-    are rejected.
+    The resolvents come from one ``tridiag_solve`` call per chunk of node
+    shifts, each chunk holding at most ``operator.STACK_BUDGET`` resolvent
+    entries (one node when n^2 is larger), and are summed chunk by chunk;
+    a block with 64 * n^2 within the budget (n <= 32) takes one call.
+    Eigenvalues closer than 1e-8 to the contour are rejected.
     """
     eigs = eig_dense(op)
     dist = np.abs(np.abs(eigs - contour.center) - contour.radius)
@@ -153,10 +156,14 @@ def riesz_projection(op: TridiagonalOperator, contour: Contour) -> np.ndarray:
         raise ContourPlacementError("an eigenvalue lies on or near the contour")
     theta = 2.0 * np.pi * np.arange(contour.nodes) / contour.nodes
     phases = np.exp(1j * theta)
-    resolvents = tridiag_solve(
-        op, contour.center + contour.radius * phases, np.eye(op.dim, dtype=complex)
-    )
-    return -np.einsum("j,jab->ab", (contour.radius / contour.nodes) * phases, resolvents)
+    shifts = contour.center + contour.radius * phases
+    weights = (contour.radius / contour.nodes) * phases
+    eye = np.eye(op.dim, dtype=complex)
+    total = None
+    for part in batch_slices(contour.nodes, op.dim * op.dim):
+        chunk = np.einsum("j,jab->ab", weights[part], tridiag_solve(op, shifts[part], eye))
+        total = chunk if total is None else total + chunk
+    return -total
 
 
 def idempotency_defect(proj: np.ndarray) -> float:

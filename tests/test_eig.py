@@ -6,6 +6,7 @@ import pytest
 import scipy.optimize
 
 import kbmlab.eig
+import kbmlab.operator
 from kbmlab import (
     BranchCollisionError,
     EigensolveError,
@@ -15,6 +16,7 @@ from kbmlab import (
     char_poly,
     eig_dense,
     eigvec,
+    even_sector,
     exceptional_point,
     finite_block,
     fixed_truncation,
@@ -250,6 +252,45 @@ def test_eig_dense_solves_real_sectors_in_real_arithmetic():
     # complex x keeps the complex solve
     even_c, _ = parity_sectors(block, coeffs, -0.05 + 0.01j)
     assert np.array_equal(eig_dense(even_c), np.linalg.eigvals(even_c.to_dense()))
+
+
+@pytest.mark.parametrize("k_max, budget", [(4, 100), (4, 80), (8, 50), (8, 100), (8, 300)])
+def test_eig_dense_chunks_a_stack_within_the_entry_budget(monkeypatch, k_max, budget):
+    # real and complex sectors interleaved in one stack; with the budget
+    # lowered every LAPACK call and every dense array holds at most
+    # ``budget`` entries (one matrix when n^2 is larger), and each row keeps
+    # the bits it gets alone and under the default budget
+    block = truncate(5.0, -1.0, fixed_truncation(k_max))
+    coeffs = ladder_coefficients(block)
+    xs = np.array([-0.1, -0.2 + 1e-13j, -0.3, -0.4, 0.2j, -0.5, -0.6, -0.7 - 0.1j, -0.8])
+    stack = even_sector(block, coeffs, xs)
+    n = stack.dim
+    whole = eig_dense(stack)
+    singles = [eig_dense(even_sector(block, coeffs, x)) for x in xs]
+    assert np.array_equal(whole, np.array(singles))
+
+    sizes = []
+    real_eigvals = np.linalg.eigvals
+    real_dense = kbmlab.operator.TridiagonalOperator.to_dense
+
+    def eigvals(a):
+        sizes.append(("lapack", a.size, a.dtype.kind))
+        return real_eigvals(a)
+
+    def to_dense(op):
+        sizes.append(("dense", op.diag.size * op.dim, None))
+        return real_dense(op)
+
+    monkeypatch.setattr(kbmlab.operator, "STACK_BUDGET", budget)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(kbmlab.operator.TridiagonalOperator, "to_dense", to_dense)
+    chunked = eig_dense(stack)
+    assert chunked.tobytes() == whole.tobytes()
+    assert all(size <= max(budget, n * n) for _, size, _ in sizes)
+    lapack = [kind for what, _, kind in sizes if what == "lapack"]
+    # six real matrices and three complex ones, each kind in whole chunks
+    per_chunk = max(1, budget // (n * n))
+    assert lapack.count("f") == -(-6 // per_chunk) and lapack.count("c") == -(-3 // per_chunk)
 
 
 def test_eigvec_diagonal_case(sphere_l1):
@@ -604,7 +645,7 @@ def test_exceptional_point_ignores_rounding_in_its_inputs(monkeypatch, K, eta, k
     br = track_branch(block, coeffs, -1.0)
     assert len(calls) == 1
     (_, _, x_cur, x_try, mu_cur, nu), kwargs = calls[0]
-    # the continuation hands over the spot check's spectrum at x_cur; solving
+    # the continuation hands over the certified spectrum at x_cur; solving
     # it afresh gives the same point, bit for bit
     assert kwargs["eigs_cur"] is not None
     args = (block, coeffs, x_cur, x_try, mu_cur, nu)
@@ -636,7 +677,7 @@ def test_a_non_simple_sample_just_short_of_the_exceptional_point_reports_the_poi
     assert br.x_samples[-1] == 0.49999999999999983 and not br.simple[-1]
     assert br.gap_to_rest[-1] <= kbmlab.eig.collision_threshold(br.mu_values[-1])
     # asked from the sample, up to the next checkpoint, with the sample's
-    # even spectrum from its spot check
+    # even spectrum from its certification
     (_, _, x_cur, x_try, _, _), kwargs = calls[-1]
     assert (x_cur, x_try) == (br.x_samples[-1].real, 0.7)
     assert kwargs["eigs_cur"] is not None

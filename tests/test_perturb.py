@@ -1,10 +1,17 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kbmlab
+import kbmlab.perturb
 from kbmlab import (
     Contour,
     ContourPlacementError,
@@ -143,6 +150,63 @@ def test_riesz_projection_matches_the_node_by_node_quadrature(eta):
         for ph in np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes):
             ref -= (contour.radius / contour.nodes) * ph * tridiag_solve(op, contour.radius * ph, eye)
         assert np.max(np.abs(riesz_projection(op, contour) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("per_chunk", [5, 63, 1])
+def test_riesz_projection_in_chunks_matches_the_node_by_node_quadrature(monkeypatch, per_chunk):
+    # with the entry budget lowered to per_chunk resolvents of the 5x5 block,
+    # the nodes are solved per_chunk at a time, and the sum of the chunks
+    # still agrees with the node-by-node sum
+    import kbmlab.operator
+    from kbmlab import tridiag_solve
+
+    block = finite_block(6.0, 1.0)
+    coeffs = ladder_coefficients(block)
+    op = assemble_perturbed(block, coeffs, 0.1)
+    contour = Contour(0.0, 0.5, 64)
+    eye = np.eye(block.dim, dtype=complex)
+    ref = np.zeros((block.dim, block.dim), dtype=complex)
+    for ph in np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes):
+        ref -= (contour.radius / contour.nodes) * ph * tridiag_solve(op, contour.radius * ph, eye)
+    calls = []
+    real_solve = kbmlab.perturb.tridiag_solve
+
+    def counting(op, shift, rhs):
+        calls.append(np.size(shift))
+        return real_solve(op, shift, rhs)
+
+    monkeypatch.setattr(kbmlab.perturb, "tridiag_solve", counting)
+    monkeypatch.setattr(kbmlab.operator, "STACK_BUDGET", per_chunk * block.dim**2)
+    assert np.max(np.abs(riesz_projection(op, contour) - ref)) <= 1e-14
+    full, rest = divmod(contour.nodes, per_chunk)
+    assert calls == [per_chunk] * full + ([rest] if rest else [])
+
+
+def test_riesz_projection_of_a_large_block_keeps_its_memory_bounded():
+    # a dimension-257 block with 64 nodes: one batched solve of every node
+    # would hold 64 * 257^2 complex resolvent entries (about 70 MB); in
+    # chunks of the entry budget the call adds only a few MB to the peak
+    # RSS of a fresh process
+    script = textwrap.dedent(
+        """
+        import resource
+        from kbmlab import (Contour, assemble_perturbed, fixed_truncation,
+                            ladder_coefficients, riesz_projection, truncate)
+        block = truncate(5.0, -1.0, fixed_truncation(128))
+        op = assemble_perturbed(block, ladder_coefficients(block), -0.01)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        proj = riesz_projection(op, Contour(0.0, 0.5, 64))
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print((after - before) / 1024.0, abs(proj.trace() - 1.0))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(kbmlab.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    grown_mb, trace_error = float(out[0]), float(out[1])
+    assert grown_mb < 20.0
+    assert trace_error < 1e-8
 
 
 def test_riesz_rejects_eigenvalue_on_contour(sphere_l1):

@@ -384,8 +384,8 @@ def test_sweep_tracks_once_per_block(monkeypatch, eta, K, tracks):
 
 def test_hyperbolic_sweep_solves_no_odd_sector(monkeypatch):
     # at real x the odd sector's eigenvalues have real part >= 1, and every
-    # spot check of the hyperbolic sweep finds the even neighbour nearer;
-    # the exceptional-point solve reuses the spot check's spectrum at x_cur
+    # certified sample of the hyperbolic sweep finds the even neighbour nearer;
+    # the exceptional-point solve reuses the certified spectrum at x_cur
     # and solves only the certificate at x_c
     solves = []
     real_dense = kbmlab.eig.eig_dense
@@ -411,7 +411,7 @@ def test_hyperbolic_sweep_solves_no_odd_sector(monkeypatch):
     assert solves.count(1) > 0 and solves.count(-1) == 0
     assert ep_solves
     for x_cur, cached, n in ep_solves:
-        # every sample of these blocks is spot-checked; only the start x = 0 is not
+        # every sample of these blocks is certified; only the start x = 0 is not
         assert cached == (x_cur != 0.0)
         if cached:
             assert n == 1
@@ -520,3 +520,72 @@ def test_failed_residual_marks_only_its_row(monkeypatch):
     for field in ("lam", "simple", "collided", "residual", "certificate"):
         assert np.array_equal(getattr(table, field)[rest], getattr(clean, field)[rest])
     assert table.empirical_r == clean.empirical_r
+
+
+def _count_dense_and_discards(monkeypatch):
+    """Count eig_dense calls from every module that binds it, and record
+    each continuation's discarded samples."""
+    import kbmlab.eig
+    import kbmlab.perturb
+
+    dense, discarded = [], []
+    real_dense, real_track = kbmlab.eig.eig_dense, kbmlab.eig.track_branch
+
+    def counting(op):
+        dense.append(op.dim)
+        return real_dense(op)
+
+    def recording(*args, **kwargs):
+        br = real_track(*args, **kwargs)
+        discarded.append(br.discarded)
+        return br
+
+    for mod in (kbmlab.eig, kbmlab.spectra, kbmlab.perturb):
+        monkeypatch.setattr(mod, "eig_dense", counting)
+    monkeypatch.setattr(kbmlab.spectra, "track_branch", recording)
+    return dense, discarded
+
+
+@pytest.mark.parametrize(
+    "surface, points, dense_max",
+    [
+        # sphere l_max = 8: one certification, one exceptional-point check and
+        # one stacked collided-row solve per block (256 with a dense spot check
+        # per sample); K = -1 eta in {2, 5, 10}: 124 before; eta = 300: 15
+        ({"kind": "sphere", "K": 1.0, "l_max": 8}, 41, 24),
+        ({"kind": "custom", "K": -1.0, "etas": [0.0, 2.0, 5.0, 10.0]}, 13, 24),
+        ({"kind": "custom", "K": -1.0, "etas": [0.0, 300.0]}, 5, 9),
+    ],
+)
+def test_a_run_certifies_each_continuation_with_few_dense_solves(
+    monkeypatch, tmp_path, surface, points, dense_max
+):
+    import json
+
+    from kbmlab.cli import main
+
+    surface = dict(surface)
+    etas = surface.pop("etas", None)
+    if etas is not None:
+        path = tmp_path / "etas.json"
+        path.write_text(json.dumps({"entries": [[eta, 1] for eta in etas]}))
+        surface["path"] = str(path)
+    config = {
+        "gamma_grid": {"log_start": 0.0, "log_end": 4.0, "points": points},
+        "surface": surface,
+        "workers": 1,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    dense, discarded = _count_dense_and_discards(monkeypatch)
+    argv = ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert len(dense) <= dense_max
+    assert discarded and not any(discarded)
+
+
+def test_the_acceptance_fixture_discards_no_walked_sample(monkeypatch):
+    from kbmlab.acceptance import build_suite_data
+
+    _, discarded = _count_dense_and_discards(monkeypatch)
+    build_suite_data()
+    assert discarded and not any(discarded)

@@ -680,8 +680,8 @@ def track_branch(
     record is bit for bit that of checking each sample before taking the
     next step.  The first walk runs until it stops on its own; after a
     rejection the next walk is one step long, and each fully certified
-    walk doubles the length of the next, so from the first rejection on a
-    walk never discards more samples than were certified since it.
+    walk doubles the length of the next, so from the first rejection on no
+    walk discards more samples than were certified since the last one.
 
     On a real segment, the first rejected step from each sample asks
     ``exceptional_point`` whether the step ran into the exceptional point

@@ -254,8 +254,8 @@ def test_a_newton_jump_mid_walk_is_rolled_back(monkeypatch, K, eta, k_max, point
     # the first walk ran past the jump; the samples after it were dropped
     assert sizes[0] > jump_at
     assert br.discarded == sizes[0] - jump_at
-    # after the rejection each walk is at most one longer than the samples
-    # certified since it, so none discards more than were certified
+    # after the rejection each walk is at most one longer than all samples
+    # certified after the first walk, so none discards more than that
     since = 0
     for size in sizes[1:]:
         assert size <= since + 1

@@ -44,7 +44,7 @@ from .operator import (
     fixed_truncation,
     gtsv,
     numerical_range_floor,
-    parity_sectors,
+    odd_sector,
     tridiag_solve,
     truncate,
 )
@@ -54,9 +54,7 @@ from .eig import (
     branch_value,
     char_poly,
     eig_dense,
-    eigvec,
     exceptional_point,
-    gap_to_rest,
     inverse_iteration,
     newton_polish,
     track_branch,

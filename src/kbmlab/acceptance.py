@@ -4,8 +4,9 @@ Each criterion returns a result record; the CLI selftest and the pytest
 acceptance module both consume these.  ``tolerance_scale`` multiplies
 every tolerance and exists to demonstrate that the harness detects
 regressions (a tiny scale forces designed failures); production runs use
-the default 1.0.  ``CRITERIA`` registers each criterion's id, title and
-whether it reads the shared fixture.
+the default 1.0.  It can only tighten the contract: a scale that is not
+in (0, 1] is a ConfigError.  ``CRITERIA`` registers each criterion's id,
+title and whether it reads the shared fixture.
 
 The suite cases are eta in {2, 6, 12} on the unit sphere, eta in {1, 2}
 on the flat square torus of side 2*pi, and eta in {2, 5, 10} on a
@@ -364,7 +365,7 @@ def criterion_10(data: SuiteData, scale: float = 1.0):
         if K > 0.0:
             block = finite_block(eta, K)
         else:
-            block = truncate(eta, K, fixed_truncation(int(table.k_trunc[0])))
+            block = truncate(eta, K, fixed_truncation(table.k_trunc))
         coeffs = ladder_coefficients(block)
         for i in rows:
             eigs = eig_dense(assemble_generator(block, coeffs, float(g[i])))
@@ -385,7 +386,14 @@ def run_acceptance(
 ) -> tuple[list, Optional[SuiteData]]:
     """Run the selected criteria (all by default).  Returns their results
     and the shared sweep fixture (None when no selected criterion reads
-    it); its build time is counted in no criterion's ``seconds``."""
+    it); its build time is counted in no criterion's ``seconds``.  An
+    unknown criterion id, or a ``tolerance_scale`` outside (0, 1] (NaN and
+    infinities included), raises ConfigError before any criterion runs."""
+    if not 0.0 < tolerance_scale <= 1.0:
+        raise ConfigError(
+            f"tolerance scale must be in (0, 1], got {tolerance_scale!r}; "
+            "it may tighten the acceptance tolerances but never loosen them"
+        )
     unknown = set(criteria or ()) - {c.cid for c in CRITERIA}
     if unknown:
         known = [c.cid for c in CRITERIA]

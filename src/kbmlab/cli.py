@@ -295,7 +295,7 @@ def _table_rows(table: GammaTable) -> list:
                 "abs_error": float(table.abs_error[i]),
                 "simple": bool(table.simple[i]),
                 "collided": bool(table.collided[i]),
-                "k_max": int(table.k_trunc[i]),
+                "k_max": table.k_trunc,
                 "certificate": float(table.certificate[i]),
                 "residual": float(table.residual[i]),
                 "eta": table.eta,
@@ -410,7 +410,7 @@ def run(cfg: RunConfig) -> dict:
             block = finite_block(eta, K)
         else:
             # the cutoff the sweep certified
-            block = truncate(eta, K, fixed_truncation(int(table.k_trunc[0])))
+            block = truncate(eta, K, fixed_truncation(table.k_trunc))
         coeffs = ladder_coefficients(block)
         series = perturbation_series(block, coeffs)
         resid = abs(series.mu2 - 0.5 * eta)
@@ -478,7 +478,8 @@ def selftest(
     wall time, and the build time of the shared sweep fixture when a
     criterion needed it.  The ``report_path`` file gets the criterion lines
     without the times, so reports of the same code compare byte for byte.
-    An unknown criterion id raises ConfigError."""
+    An unknown criterion id, or a tolerance scale outside (0, 1], raises
+    ConfigError."""
     from . import acceptance  # only the self-test pays for importing the suite
 
     results, data = acceptance.run_acceptance(
@@ -557,8 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help=(
-            "multiply all acceptance tolerances; a tiny value forces designed "
-            "failures to demonstrate that the harness detects regressions"
+            "multiply all acceptance tolerances by this value in (0, 1]; a tiny "
+            "value forces designed failures to demonstrate that the harness "
+            "detects regressions"
         ),
     )
     return parser

@@ -13,22 +13,24 @@ the time of the complex solve on the sector sizes used here.
 
 The continuation walks the segment [0, x_target] with a secant predictor
 and a Newton corrector on the characteristic polynomial of the even parity
-sector (``operator.parity_sectors``, dimension k_max + 1), which holds the
+sector (``operator.even_sector``, dimension k_max + 1), which holds the
 branch through 0.  It takes Newton-only steps first and certifies them
 afterwards: one stacked dense solve checks every walked sample's gap to
-the rest of the spectrum.  That check solves the even sectors only and
-certifies the odd ones by their numerical range (Horn & Johnson, *Topics
-in Matrix Analysis*, 1.2): at real x the odd sector's Hermitian part is
-diag(m^2, m >= 1), so every odd eigenvalue has Re >= 1, and when the even
-gap is below 1 - Re mu the nearest two eigenvalues of the full block are
-both even.  Otherwise that sample's odd sector is solved too and the
-union decides, so gaps and simplicity keep their full-block meaning.  A
-step is accepted only if the corrected value stays within half of the
-previous sample's gap to the rest of the spectrum; otherwise the step is
-halved and the walked samples after it are discarded.  Steps are
-shortened to land exactly on caller-given checkpoints of the segment, so
-one continuation serves every parameter on it.  It computes no
-eigenvectors; callers take ``inverse_iteration`` where they report values.
+the rest of the spectrum, on the stack of the walk's even sectors built in
+one call.  That check solves the even sectors only and certifies the odd
+ones, slices of the even ones (``operator.odd_sector``), by their
+numerical range (Horn & Johnson, *Topics in Matrix Analysis*, 1.2): at
+real x the odd sector's Hermitian part is diag(m^2, m >= 1), so every odd
+eigenvalue has Re >= 1, and when the even gap is below 1 - Re mu the
+nearest two eigenvalues of the full block are both even.  Otherwise that
+sample's odd sector is solved too and the union decides, so gaps and
+simplicity keep their full-block meaning.  A step is accepted only if the
+corrected value stays within half of the previous sample's gap to the rest
+of the spectrum; otherwise the step is halved and the walked samples after
+it are discarded.  Steps are shortened to land exactly on caller-given
+checkpoints of the segment, so one continuation serves every parameter on
+it.  It computes no eigenvectors; callers take ``inverse_iteration`` where
+they report values.
 
 On a real segment the branch ends where it meets its even-sector
 neighbour at a square-root exceptional point, p = dp/dmu = 0 (Kato,
@@ -59,7 +61,7 @@ from .operator import (
     even_sector,
     gtsv,
     numerical_range_floor,
-    parity_sectors,
+    odd_sector,
 )
 
 MAX_DENSE_DIM = 4096
@@ -209,7 +211,7 @@ def _eigvals(op: TridiagonalOperator, real: bool) -> np.ndarray:
 
 def _rows(op: TridiagonalOperator, rows) -> TridiagonalOperator:
     """The matrices ``rows`` (a slice, a mask or indices) of a stack."""
-    return TridiagonalOperator(op.diag[rows], op.sup[rows], op.sub[rows], op.meta)
+    return TridiagonalOperator(op.diag[rows], op.sup[rows], op.sub[rows])
 
 
 class SpotCheck(NamedTuple):
@@ -221,24 +223,22 @@ class SpotCheck(NamedTuple):
     nu: Optional[complex]  # that second-nearest one; None when it is odd
 
 
-def certify_samples(
-    even: TridiagonalOperator, odd: Optional[TridiagonalOperator], mu
-) -> list:
+def certify_samples(even: TridiagonalOperator, mu) -> list:
     """``SpotCheck`` of every sample of a stack: the nearest and
     second-nearest eigenvalue of the full block to mu[i], for the stacked
-    even sectors ``even`` (B, n), the odd ones ``odd`` (None on the
-    single-mode block) and the tracked values ``mu`` (B,).
+    even sectors ``even`` (B, n) and the tracked values ``mu`` (B,).
 
     The even sectors are solved in one stacked ``eig_dense`` call and every
     row's two nearest eigenvalues come from one row-wise stable argsort.
-    The odd sector's eigenvalues have real part at least f =
-    ``numerical_range_floor(odd)``, so none is within f - Re mu of mu; when
-    a row's even gap is below that (less 64 eps max|d| for LAPACK's rounding
-    of the odd spectrum) both nearest eigenvalues are even.  The odd sectors
-    of the other rows are solved in one more stacked call, and the union
-    decides there.  Either way every row equals, bit for bit, the check on
-    the union of both sectors' dense spectra, even sector first (ties go to
-    the lower index).
+    The odd sectors are ``odd_sector(even)`` (none on the single-mode
+    block).  Their eigenvalues have real part at least f =
+    ``numerical_range_floor`` of them, so none is within f - Re mu of mu;
+    when a row's even gap is below that (less 64 eps max|d| for LAPACK's
+    rounding of the odd spectrum) both nearest eigenvalues are even.  The
+    odd sectors of the other rows are solved in one more stacked call, and
+    the union decides there.  Either way every row equals, bit for bit,
+    the check on the union of both sectors' dense spectra, even sector
+    first (ties go to the lower index).
     """
     mu = np.asarray(mu, dtype=complex)
     rows = np.arange(mu.size)
@@ -248,6 +248,7 @@ def certify_samples(
     nearest = dist[rows, near[:, 0]]
     gap = dist[rows, near[:, 1]] if even.dim > 1 else np.full(mu.size, math.inf)
     nu = [complex(v) for v in eigs[rows, near[:, 1]]] if even.dim > 1 else [None] * mu.size
+    odd = odd_sector(even)
     if odd is not None:
         margin = 64.0 * _EPS * np.max(np.abs(odd.diag), axis=1)
         union = np.flatnonzero(~(gap < numerical_range_floor(odd) - mu.real - margin))
@@ -262,25 +263,6 @@ def certify_samples(
     return [
         SpotCheck(eigs[i], float(nearest[i]), float(gap[i]), nu[i]) for i in rows.tolist()
     ]
-
-
-def spot_check(
-    even: TridiagonalOperator, odd: Optional[TridiagonalOperator], mu: complex
-) -> SpotCheck:
-    """Nearest and second-nearest eigenvalue of the full block to mu: the
-    one-row case of ``certify_samples``."""
-    one = [None if op is None else _stack([op]) for op in (even, odd)]
-    return certify_samples(one[0], one[1], [mu])[0]
-
-
-def _stack(ops: Sequence[TridiagonalOperator]) -> TridiagonalOperator:
-    """The stack of operators of one dimension, with the first one's meta."""
-    return TridiagonalOperator(
-        np.stack([op.diag for op in ops]),
-        np.stack([op.sup for op in ops]),
-        np.stack([op.sub for op in ops]),
-        ops[0].meta,
-    )
 
 
 def collision_threshold(mu: complex) -> float:
@@ -410,14 +392,6 @@ def exceptional_point(
     return x_c
 
 
-def gap_to_rest(mu: complex, eigs: np.ndarray) -> float:
-    """Distance from mu to the nearest eigenvalue other than its own match."""
-    d = np.sort(np.abs(np.asarray(eigs) - mu))
-    if d.size <= 1:
-        return math.inf
-    return float(d[1])
-
-
 def inverse_iteration(op: TridiagonalOperator, mu) -> tuple[np.ndarray, np.ndarray]:
     """Unit eigenvectors of a stack of B operators (``op.diag`` of shape
     (B, n)) for the eigenvalues near ``mu`` (B,), by inverse iteration with
@@ -436,7 +410,8 @@ def inverse_iteration(op: TridiagonalOperator, mu) -> tuple[np.ndarray, np.ndarr
     convergence and every step is elementwise along the stack, so each
     row has the bits it gets alone.
 
-    Returns (v, r): the vectors (B, n) and their residuals (B,) at mu.
+    One matrix is a stack of one.  Returns (v, r): the vectors (B, n) and
+    their residuals (B,) at mu.
     """
     mu = np.asarray(mu, dtype=complex)
     batch, n = op.diag.shape
@@ -495,30 +470,6 @@ def _norms(v: np.ndarray) -> np.ndarray:
 def _residuals(op: TridiagonalOperator, mu: np.ndarray, v: np.ndarray) -> np.ndarray:
     """||(op - mu) v|| for every matrix of a stack."""
     return _norms(op.matvec(v) - mu[:, None] * v)
-
-
-def _one_row(op: TridiagonalOperator, mu: complex) -> tuple[np.ndarray, float]:
-    stack = TridiagonalOperator(op.diag[None], op.sup[None], op.sub[None], op.meta)
-    v, r = inverse_iteration(stack, [mu])
-    if math.isnan(r[0]):
-        raise EigensolveError(
-            "inverse iteration did not converge; eigenvalue defective or clustered"
-        )
-    return v[0], float(r[0])
-
-
-def eigvec(op: TridiagonalOperator, mu: complex) -> np.ndarray:
-    """Unit eigenvector for the eigenvalue near ``mu``: the one-row case of
-    ``inverse_iteration``.  Raises when the iteration fails (defective or
-    clustered eigenvalue)."""
-    return _one_row(op, mu)[0]
-
-
-def residual_norm(op: TridiagonalOperator, mu: complex) -> float:
-    """||(op - mu) v|| for the inverse-iteration eigenvector at mu: the
-    one-row case of ``inverse_iteration``.  Raises when the iteration
-    fails."""
-    return _one_row(op, mu)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,7 +552,7 @@ class _Cursor:
 
 class _Step(NamedTuple):
     """One Newton step of a walk: the parameter reached, the secant
-    prediction and the corrected value, and the sectors it ran on."""
+    prediction and the corrected value."""
 
     s: float
     x: complex
@@ -610,8 +561,6 @@ class _Step(NamedTuple):
     mu: complex
     ok: bool
     iters: int
-    even: TridiagonalOperator
-    odd: Optional[TridiagonalOperator]
 
 
 def _newton_step(
@@ -639,9 +588,8 @@ def _newton_step(
         mu_pred = cur.mu_cur + slope * (s_new - cur.s_cur)
     else:
         mu_pred = cur.mu_cur
-    even, odd = parity_sectors(block, coeffs, x_new)
-    mu_new, ok, iters = newton_polish(even, mu_pred)
-    return _Step(s_new, x_new, at_checkpoint, mu_pred, mu_new, ok, iters, even, odd)
+    mu_new, ok, iters = newton_polish(even_sector(block, coeffs, x_new), mu_pred)
+    return _Step(s_new, x_new, at_checkpoint, mu_pred, mu_new, ok, iters)
 
 
 def track_branch(
@@ -669,19 +617,20 @@ def track_branch(
     ds doubled after three easy steps) until Newton fails, the first
     step's correction leaves half the last certified gap, x_target is
     reached, or the walk has its length.  Then every walked sample is
-    certified at once (``certify_samples``: one stacked dense solve of the
-    even sectors the walk ran on, and of the odd ones only where their
-    numerical range comes near the branch), and the samples are replayed
-    in order under the acceptance rules of a step-by-step continuation:
-    a sample whose correction |mu - mu_pred| exceeds half the previous
-    sample's gap is a rejected step, a sample that is not simple ends the
-    continuation, and the walked samples after either are dropped and
-    counted in ``discarded``.  The walk's steps depend on no gap, so the
-    record is bit for bit that of checking each sample before taking the
-    next step.  The first walk runs until it stops on its own; after a
-    rejection the next walk is one step long, and each fully certified
-    walk doubles the length of the next, so from the first rejection on no
-    walk discards more samples than were certified since the last one.
+    certified at once (``certify_samples`` on the walk's even sectors,
+    built in one ``even_sector`` call: one stacked dense solve of them,
+    and of their odd slices only where the numerical range comes near the
+    branch), and the samples are replayed in order under the acceptance
+    rules of a step-by-step continuation: a sample whose correction |mu -
+    mu_pred| exceeds half the previous sample's gap is a rejected step, a
+    sample that is not simple ends the continuation, and the walked
+    samples after either are dropped and counted in ``discarded``.  The
+    walk's steps depend on no gap, so the record is bit for bit that of
+    checking each sample before taking the next step.  The first walk runs
+    until it stops on its own; after a rejection the next walk is one step
+    long, and each fully certified walk doubles the length of the next, so
+    from the first rejection on no walk discards more samples than were
+    certified since the last one.
 
     On a real segment, the first rejected step from each sample asks
     ``exceptional_point`` whether the step ran into the exceptional point
@@ -699,8 +648,9 @@ def track_branch(
     dim = block.dim
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
 
-    eigs0 = block.ks.astype(float) ** 2
-    gap0 = gap_to_rest(0.0, eigs0.astype(complex))
+    # the unperturbed spectrum is m^2 on the symmetric block: the nearest
+    # neighbour of 0 is 1, none on the single-mode block
+    gap0 = 1.0 if dim > 1 else math.inf
     if x_target == 0:
         return EigenBranch(
             block=block,
@@ -750,10 +700,8 @@ def track_branch(
 
         checks = []
         if walked:
-            odds = [step.odd for step in walked]
             checks = certify_samples(
-                _stack([step.even for step in walked]),
-                None if odds[0] is None else _stack(odds),
+                even_sector(block, coeffs, np.array([step.x for step in walked])),
                 [step.mu for step in walked],
             )
         done = False

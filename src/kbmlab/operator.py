@@ -1,10 +1,11 @@
 """Tridiagonal restrictions of the perturbed fiber Laplacian and of the
 kinetic Brownian motion generator on one Casimir block, together with the
-truncation policy for infinite ladders, the split of the perturbed family
-into its two parity sectors, an O(n) floor of the numerical range, and
-the tridiagonal solver: LAPACK's ``?gtsv`` elimination run over a batch
-of systems at once (``gtsv``), which serves one operator at many shifts
-(``tridiag_solve``) and a stack of operators (``eig.inverse_iteration``).
+truncation policy for infinite ladders, the two parity sectors of the
+perturbed family (the odd one a slice of the even one), an O(n) floor of
+the numerical range, and the tridiagonal solver: LAPACK's ``?gtsv``
+elimination run over a batch of systems at once (``gtsv``), which serves
+one operator at many shifts (``tridiag_solve``) and a stack of operators
+(``eig.inverse_iteration``).
 Everything here runs on NumPy alone, so importing the package loads no
 SciPy.
 
@@ -17,7 +18,7 @@ x = -2/gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,14 +42,12 @@ class TridiagonalOperator:
     j]`` the entry [j, j+1].  A 2-d ``diag`` of shape (B, n), with
     off-diagonals of shape (B, n - 1), is a stack of B matrices of one
     dimension; ``to_dense``, ``matvec`` and ``inf_norm`` then act on every
-    matrix of the stack.  ``meta`` records provenance (eta, curvature, x or
-    gamma, truncation).
+    matrix of the stack.
     """
 
     diag: np.ndarray
     sup: np.ndarray
     sub: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         diag = np.asarray(self.diag, dtype=complex)
@@ -109,16 +108,7 @@ def assemble_perturbed(
     diag = (ks * ks).astype(complex)
     sub = complex(x) * coeffs.a
     sup = -complex(x) * coeffs.a
-    meta = {
-        "eta": block.eta,
-        "curvature": block.curvature,
-        "kind": "perturbed",
-        "x": complex(x),
-        "k_min": block.k_min,
-        "k_max": block.k_max,
-        "finite": block.finite,
-    }
-    return TridiagonalOperator(diag=diag, sup=sup, sub=sub, meta=meta)
+    return TridiagonalOperator(diag=diag, sup=sup, sub=sub)
 
 
 def assemble_generator(
@@ -131,47 +121,22 @@ def assemble_generator(
     diag = (0.5 * gamma * gamma * ks * ks).astype(complex)
     sub = (-gamma) * coeffs.a + 0j
     sup = gamma * coeffs.a + 0j
-    meta = {
-        "eta": block.eta,
-        "curvature": block.curvature,
-        "kind": "generator",
-        "gamma": float(gamma),
-        "k_min": block.k_min,
-        "k_max": block.k_max,
-        "finite": block.finite,
-    }
-    return TridiagonalOperator(diag=diag, sup=sup, sub=sub, meta=meta)
-
-
-def parity_sectors(
-    block: CasimirBlock, coeffs: LadderCoefficients, x: complex
-) -> tuple[TridiagonalOperator, Optional[TridiagonalOperator]]:
-    """The perturbed family split by the parity J e_k = (-1)^k e_{-k}.
-
-    J commutes with diag(k^2) and with X because a_{-k-1} = a_k, so in the
-    orthonormal basis e_0, (e_m + (-1)^m e_{-m})/sqrt(2) (J = +1, m =
-    1..k_max) and (e_m - (-1)^m e_{-m})/sqrt(2) (J = -1) the family is
-    block diagonal with two tridiagonal sectors.  Both have diagonal m^2,
-    sub[m] = x*a_m and sup = -sub on the rungs m -> m+1; in the even
-    sector rung 0 carries a factor sqrt(2).  The even sector (dimension
-    k_max + 1) holds the branch through 0; the odd one (dimension k_max)
-    is None on the single-mode block.
-    """
-    even = even_sector(block, coeffs, x)
-    m = block.k_max
-    if m == 0:
-        return even, None
-    sub = complex(x) * coeffs.a[m + 1 :]
-    meta = {**even.meta, "parity": -1}
-    odd = TridiagonalOperator(diag=even.diag[1:], sup=-sub, sub=sub, meta=meta)
-    return even, odd
+    return TridiagonalOperator(diag=diag, sup=sup, sub=sub)
 
 
 def even_sector(
     block: CasimirBlock, coeffs: LadderCoefficients, x
 ) -> TridiagonalOperator:
-    """The J = +1 sector of ``parity_sectors``: diagonal m^2 (m = 0..k_max),
-    sub[m] = x*a_m and sup = -sub, with rung 0 carrying a factor sqrt(2).
+    """The J = +1 parity sector of the perturbed family at x.
+
+    The parity J e_k = (-1)^k e_{-k} commutes with diag(k^2) and with X
+    because a_{-k-1} = a_k, so in the orthonormal basis e_0, (e_m +
+    (-1)^m e_{-m})/sqrt(2) (J = +1, m = 1..k_max) and (e_m - (-1)^m
+    e_{-m})/sqrt(2) (J = -1) the family is block diagonal with two
+    tridiagonal sectors.  Both have diagonal m^2, sub[m] = x*a_m and sup =
+    -sub on the rungs m -> m+1.  This one, of dimension k_max + 1, starts
+    at m = 0 and holds the branch through 0; its rung 0 carries a factor
+    sqrt(2).  ``odd_sector`` derives the other from it.
 
     A 1-d array of x gives the stack of those sectors, one per x, each
     bitwise equal to the sector at that x alone.
@@ -186,10 +151,22 @@ def even_sector(
     diag = ms * ms
     if x.ndim:
         diag = diag[None].repeat(x.size, axis=0)
-    meta = {"eta": block.eta, "curvature": block.curvature, "kind": "perturbed"}
-    return TridiagonalOperator(
-        diag=diag, sup=-sub, sub=sub, meta={**meta, "x": x if x.ndim else complex(x), "parity": 1}
-    )
+    return TridiagonalOperator(diag=diag, sup=-sub, sub=sub)
+
+
+def odd_sector(even: TridiagonalOperator) -> Optional[TridiagonalOperator]:
+    """The J = -1 sector at the x of ``even`` (one ``even_sector`` or a
+    stack of them), or None on the single-mode block.
+
+    In the basis of ``even_sector`` the odd sector (dimension k_max) has
+    diagonal m^2 (m = 1..k_max) and rungs x*a_m, -x*a_m on m -> m+1: the
+    even sector without its zero mode, row and column m = 0, which holds
+    the only factor sqrt(2).  Its diagonals are views of ``even``'s, so
+    every entry is bitwise the one the sector assembled at that x has.
+    """
+    if even.dim == 1:
+        return None
+    return TridiagonalOperator(even.diag[..., 1:], even.sup[..., 1:], even.sub[..., 1:])
 
 
 @dataclass(frozen=True)

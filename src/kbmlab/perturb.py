@@ -6,9 +6,9 @@ through 0, Riesz spectral projections by trapezoidal contour quadrature
 the perturbation-radius estimate min_zeta 1/||X (D - zeta)^-1||, and the
 closed-form lower bound |zeta|^-1 sqrt(eta/2) for that norm restricted to
 the zeroth fiber mode.  The radius estimate takes the norm on the even
-parity sector (``operator.parity_sectors``), which is exact: the sectors
+parity sector (``operator.even_sector``), which is exact: the sectors
 are orthogonal and invariant under X and D, and the odd sector is a
-submatrix of the even one.  The resolvent's phases drop out of the norm
+submatrix of the even one (``operator.odd_sector``).  The resolvent's phases drop out of the norm
 and the real Gram matrix splits by index parity into two symmetric
 tridiagonal blocks, so every contour node costs the largest eigenvalue of
 two real matrices of size about k_max/2, found for all nodes in one

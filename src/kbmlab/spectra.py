@@ -173,6 +173,8 @@ class GammaTable:
     ``residual`` is the eigenvector residual at the row's mu, taken on the
     even parity sector, NaN where inverse iteration fails; ``simple`` rows
     are the reached rows with a finite residual.
+    ``k_trunc`` is the k_max of the block every row is reported on (0 for
+    eta = 0), one cutoff for the whole table.
     ``certificate`` is |lambda_k - lambda_2k|, the change of the row's
     lambda between the sweeps at the reported cutoff k = ``k_trunc`` and at
     2k (0 on intrinsically finite ladders).  ``empirical_r`` is 2/|x_c| at
@@ -189,7 +191,7 @@ class GammaTable:
     abs_error: np.ndarray
     simple: np.ndarray
     collided: np.ndarray
-    k_trunc: np.ndarray
+    k_trunc: int
     certificate: np.ndarray
     residual: np.ndarray
     empirical_r: Optional[float]
@@ -308,7 +310,7 @@ def gamma_sweep(
             abs_error=zeros.copy(),
             simple=np.ones(n, dtype=bool),
             collided=np.zeros(n, dtype=bool),
-            k_trunc=np.zeros(n, dtype=int),
+            k_trunc=0,
             certificate=zeros.copy(),
             residual=zeros.copy(),
             empirical_r=None,
@@ -350,7 +352,7 @@ def gamma_sweep(
         abs_error=np.abs(lam - eta),
         simple=~base.collided & np.isfinite(resid),
         collided=base.collided,
-        k_trunc=np.full(n, base.block.k_max, dtype=int),
+        k_trunc=base.block.k_max,
         certificate=cert,
         residual=resid,
         empirical_r=base.empirical_r,
@@ -397,7 +399,7 @@ def convergence_summary(table: GammaTable) -> dict:
         "eta": table.eta,
         "curvature": table.curvature,
         "multiplicity": table.multiplicity,
-        "k_trunc": int(table.k_trunc[0]) if table.k_trunc.size else 0,
+        "k_trunc": table.k_trunc,
         "tail_gamma_from": 4.0 * (1.0 + math.sqrt(max(table.eta, 0.0))),
         "max_tail_error": float(np.max(tail_err)) if tail_err.size else 0.0,
         "final_error": float(table.abs_error[-1]),

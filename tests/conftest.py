@@ -3,6 +3,7 @@ import pytest
 
 from kbmlab import (
     EigenBranch,
+    TridiagonalOperator,
     eig_dense,
     finite_block,
     fixed_truncation,
@@ -61,11 +62,48 @@ def stuck_at_zero(block, coeffs, x_target, checkpoints=()):
 
 def parity_eigvals(even, odd):
     """Full-block spectrum as the union of the two parity sectors' dense
-    spectra (see ``operator.parity_sectors``), even sector first; the
-    oracle that ``eig.spot_check`` agrees with."""
+    spectra (see ``operator.even_sector``), even sector first; the oracle
+    that ``eig.certify_samples`` agrees with."""
     if odd is None:
         return eig_dense(even)
     return np.concatenate((eig_dense(even), eig_dense(odd)))
+
+
+def assembled_odd_sector(block, coeffs, x):
+    """The J = -1 sector at x (a scalar or a 1-d array) assembled from the
+    ladder directly: diagonal m^2 and sub = x*a_m, sup = -sub for m =
+    1..k_max; None on the single-mode block."""
+    m = block.k_max
+    if m == 0:
+        return None
+    ms = np.arange(1, m + 1, dtype=complex)
+    if np.ndim(x) == 0:
+        sub = complex(x) * coeffs.a[m + 1 :]
+        return TridiagonalOperator(diag=ms * ms, sup=-sub, sub=sub)
+    sub = np.array([complex(xi) * coeffs.a[m + 1 :] for xi in x]).reshape(len(x), m - 1)
+    return TridiagonalOperator(diag=np.array([ms * ms] * len(x)), sup=-sub, sub=sub)
+
+
+def one_row(op):
+    """The stack holding the single matrix ``op``."""
+    return TridiagonalOperator(op.diag[None], op.sup[None], op.sub[None])
+
+
+def stack_of(ops):
+    """The stack of operators of one dimension."""
+    return TridiagonalOperator(
+        np.stack([op.diag for op in ops]),
+        np.stack([op.sup for op in ops]),
+        np.stack([op.sub for op in ops]),
+    )
+
+
+def sector_parity(op):
+    """+1 for an even sector (or a stack of them), -1 for an odd one: the
+    even sector's first diagonal entry is m^2 = 0, the odd one's is 1."""
+    first = op.diag[..., 0]
+    assert np.all(first == first.flat[0])
+    return 1 if first.flat[0] == 0 else -1
 
 
 def accretivity_minimum(op):

@@ -321,6 +321,17 @@ def test_bad_selftest_criteria_are_a_config_error(capsys, criteria):
     assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "2", "1e300", "-inf"])
+def test_a_tolerance_scale_that_could_loosen_the_contract_is_a_config_error(capsys, scale):
+    # only a finite scale in (0, 1] tightens; inf used to pass every
+    # tolerance-based criterion whatever it measured
+    assert run_cli(["selftest", "--criteria", "1,3", f"--tolerance-scale={scale}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no criterion ran
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and "tolerance scale" in record["message"]
+
+
 def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

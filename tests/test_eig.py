@@ -15,21 +15,29 @@ from kbmlab import (
     branch_value,
     char_poly,
     eig_dense,
-    eigvec,
     even_sector,
     exceptional_point,
     finite_block,
     fixed_truncation,
-    gap_to_rest,
+    inverse_iteration,
     ladder_coefficients,
     newton_polish,
     numerical_range_floor,
-    parity_sectors,
+    odd_sector,
     track_branch,
     truncate,
 )
 
-from conftest import accretivity_minimum, match_spectra, parity_eigvals, property_block
+from conftest import (
+    accretivity_minimum,
+    assembled_odd_sector,
+    match_spectra,
+    one_row,
+    parity_eigvals,
+    property_block,
+    sector_parity,
+    stack_of,
+)
 
 
 from hypothesis import given, settings
@@ -237,7 +245,8 @@ def test_eig_dense_dimension_guard():
 def test_eig_dense_solves_real_sectors_in_real_arithmetic():
     block = truncate(300.0, -1.0, fixed_truncation(147))
     coeffs = ladder_coefficients(block)
-    even, odd = parity_sectors(block, coeffs, -0.05)
+    even = even_sector(block, coeffs, -0.05)
+    odd = odd_sector(even)
     assert np.count_nonzero(eig_dense(even).imag) == 2  # one complex pair
     for op in (even, odd):
         eigs = eig_dense(op)
@@ -250,7 +259,7 @@ def test_eig_dense_solves_real_sectors_in_real_arithmetic():
         rows, cols = scipy.optimize.linear_sum_assignment(dist)
         assert np.max(dist[rows, cols]) <= 1e-10 * (1.0 + op.inf_norm())
     # complex x keeps the complex solve
-    even_c, _ = parity_sectors(block, coeffs, -0.05 + 0.01j)
+    even_c = even_sector(block, coeffs, -0.05 + 0.01j)
     assert np.array_equal(eig_dense(even_c), np.linalg.eigvals(even_c.to_dense()))
 
 
@@ -294,16 +303,17 @@ def test_eig_dense_chunks_a_stack_within_the_entry_budget(monkeypatch, k_max, bu
 
 
 def test_eigvec_diagonal_case(sphere_l1):
+    # one matrix is a stack of one for inverse_iteration
     block, coeffs = sphere_l1
     op = assemble_perturbed(block, coeffs, 0.0)
-    v = eigvec(op, 0.0)
+    v = inverse_iteration(one_row(op), [0.0])[0][0]
     assert np.allclose(v, [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_eigvec_residual_and_phase(sphere_l1):
     block, coeffs = sphere_l1
     op = assemble_perturbed(block, coeffs, 0.3)
-    v = eigvec(op, 0.1)
+    v = inverse_iteration(one_row(op), [0.1])[0][0]
     assert np.linalg.norm(op.matvec(v) - 0.1 * v) <= 1e-10 * op.inf_norm()
     i = int(np.argmax(np.abs(v)))
     assert v[i].imag == pytest.approx(0.0, abs=1e-15) and v[i].real > 0
@@ -347,10 +357,10 @@ def test_branch_residual_bound(hyperbolic_block):
     br = track_branch(block, coeffs, -0.25)
     assert br.status == "complete"
     op_norm = assemble_perturbed(block, coeffs, -0.25).inf_norm()
-    res = [
-        kbmlab.eig.residual_norm(assemble_perturbed(block, coeffs, x), mu)
-        for x, mu in zip(br.x_samples, br.mu_values)
-    ]
+    # the inverse-iteration residual on the full block at every sample
+    full = stack_of([assemble_perturbed(block, coeffs, x) for x in br.x_samples])
+    res = inverse_iteration(full, br.mu_values)[1]
+    assert np.all(np.isfinite(res))
     assert max(res) <= 1e-9 * (1.0 + op_norm)
     assert br.oracle_dev <= 1e-9
 
@@ -383,12 +393,6 @@ def test_branch_on_truncated_flat_block():
     # leading behavior (eta/2) x^2 with quartic correction below 1e-8
     assert mu == pytest.approx(1.0 * 0.02**2, rel=1e-2)
     assert abs(mu.imag) <= 1e-12
-
-
-def test_gap_to_rest_basics():
-    eigs = np.array([0.0, 1.0, 1.0, 4.0])
-    assert gap_to_rest(0.0, eigs) == 1.0
-    assert gap_to_rest(7.0, np.array([7.0])) == math.inf
 
 
 def test_track_branch_lands_on_checkpoints_exactly(sphere_l1):
@@ -431,10 +435,13 @@ def test_track_branch_rejects_checkpoints_off_the_segment(sphere_l1, x_target, c
         track_branch(block, coeffs, x_target, checkpoints=cks)
 
 
-def _full_block_sectors(block, coeffs, x):
-    # reference: the whole block as one "sector", i.e. Newton and the gap
-    # check on the full matrix
-    return assemble_perturbed(block, coeffs, x), None
+def _full_block(block, coeffs, x):
+    # reference: the whole block as the "even sector" (with no odd one),
+    # i.e. Newton and the gap check on the full matrix; a 1-d x gives the
+    # stack, as even_sector does
+    if np.ndim(x) == 0:
+        return assemble_perturbed(block, coeffs, x)
+    return stack_of([assemble_perturbed(block, coeffs, xi) for xi in x])
 
 
 @pytest.mark.parametrize(
@@ -464,7 +471,8 @@ def test_track_branch_on_the_even_sector_matches_the_full_block(
 
     # the full-block continuation stops at the same point with the same
     # checkpoint verdicts (its step halvings near the collision may differ)
-    monkeypatch.setattr(kbmlab.eig, "parity_sectors", _full_block_sectors)
+    monkeypatch.setattr(kbmlab.eig, "even_sector", _full_block)
+    monkeypatch.setattr(kbmlab.eig, "odd_sector", lambda even: None)
     ref = track_branch(block, coeffs, x_target, checkpoints=checkpoints)
     assert (br.status, br.x_collision) == (ref.status, ref.x_collision)
     assert br.checkpoint_index == ref.checkpoint_index
@@ -592,12 +600,14 @@ def test_exceptional_point_certificate(sphere_l1, monkeypatch):
     # the point lies beyond the step, or the step starts past it
     assert exceptional_point(block, coeffs, x_cur, -0.49, mu_cur, nu) is None
     assert exceptional_point(block, coeffs, -0.52, -0.6, 0.5, nu) is None
-    # the dense spectrum at x_c must hold the colliding pair
+    # the dense spectrum at x_c must hold the colliding pair; the sector's
+    # one rung is x times that of the sector at x = 1
     real_dense = kbmlab.eig.eig_dense
+    unit = abs(even_sector(block, coeffs, 1.0).sub[0])
 
     def split_at_the_point(op):
         eigs = real_dense(op)
-        if abs(op.meta["x"]) >= 0.5 - 1e-12:
+        if abs(op.sub[0]) >= (0.5 - 1e-12) * unit:
             eigs[np.argmin(np.abs(eigs - 0.5))] += 1e-3
         return eigs
 
@@ -612,15 +622,14 @@ def test_exceptional_point_needs_an_even_neighbour(sphere_l1, monkeypatch, x_tar
     # even partner (1 + sqrt(1 - 4x^2))/2 at x_c = 1/2, and that partner is
     # the nearer one only for x^2 > 0.24
     block, coeffs = sphere_l1
-    real_sectors = kbmlab.eig.parity_sectors
 
-    def crowded(block, coeffs, x):
-        even, _ = real_sectors(block, coeffs, x)
-        return even, TridiagonalOperator(
-            diag=np.array([0.6]), sup=np.zeros(0), sub=np.zeros(0)
+    def crowded(even):
+        rows = even.diag.shape[:-1]
+        return TridiagonalOperator(
+            diag=np.full(rows + (1,), 0.6), sup=np.zeros(rows + (0,)), sub=np.zeros(rows + (0,))
         )
 
-    monkeypatch.setattr(kbmlab.eig, "parity_sectors", crowded)
+    monkeypatch.setattr(kbmlab.eig, "odd_sector", crowded)
     br = track_branch(block, coeffs, x_target)
     assert br.status == "collision" and abs(abs(br.x_collision) - 0.5) <= 1e-15
     assert abs(br.x_samples[-1]) ** 2 > 0.24
@@ -710,7 +719,8 @@ def test_spot_check_on_the_even_sector_equals_the_union(
     # 1/sqrt(eta) (the continuation's range, and beyond it), or up to 2
     r = reach if wide else reach / (1.0 + math.sqrt(block.eta))
     x = r * complex(sign, x_im if complex_x else 0.0)
-    even, odd = parity_sectors(block, coeffs, x)
+    even = even_sector(block, coeffs, x)
+    odd = assembled_odd_sector(block, coeffs, x)
 
     # every computed odd eigenvalue keeps to the numerical-range floor
     floor = numerical_range_floor(odd)
@@ -729,7 +739,7 @@ def test_spot_check_on_the_even_sector_equals_the_union(
     union = parity_eigvals(even, odd)
     dist = np.abs(union - mu)
     near = np.argsort(dist, kind="stable")[:2]
-    check = kbmlab.eig.spot_check(even, odd, mu)
+    check = kbmlab.eig.certify_samples(one_row(even), [mu])[0]
     assert np.array_equal(check.even_eigs, even_eigs)
     assert check.oracle_dev == float(dist[near[0]])
     assert check.gap == float(dist[near[1]])
@@ -739,20 +749,20 @@ def test_spot_check_on_the_even_sector_equals_the_union(
 
 def test_spot_check_solves_the_odd_sector_only_when_it_may_be_near(sphere_l1, monkeypatch):
     block, coeffs = sphere_l1
-    even, odd = parity_sectors(block, coeffs, 0.3)
+    even = one_row(even_sector(block, coeffs, 0.3))
     solved = []
     real_dense = kbmlab.eig.eig_dense
 
     def counting(op):
-        solved.append(op.meta.get("parity"))
+        solved.append(sector_parity(op))
         return real_dense(op)
 
     monkeypatch.setattr(kbmlab.eig, "eig_dense", counting)
     # the branch at 0.1, its even partner at 0.9: the odd value 1 is farther
     mu = closed_mu(0.3)
-    check = kbmlab.eig.spot_check(even, odd, mu)
+    check = kbmlab.eig.certify_samples(even, [mu])[0]
     assert solved == [1] and check.nu is not None and abs(check.nu - (1.0 - mu)) <= 1e-14
     # a point close to 1 may have the odd eigenvalue as its neighbour
     solved.clear()
-    check = kbmlab.eig.spot_check(even, odd, 0.95)
+    check = kbmlab.eig.certify_samples(even, [0.95])[0]
     assert solved == [1, -1] and check.nu is None and check.gap == abs(1.0 - 0.95)

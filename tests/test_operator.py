@@ -7,7 +7,13 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import accretivity_minimum, parity_eigvals
+from conftest import (
+    accretivity_minimum,
+    assembled_odd_sector,
+    one_row,
+    parity_eigvals,
+    property_block,
+)
 from kbmlab import (
     EigensolveError,
     TridiagonalOperator,
@@ -16,12 +22,12 @@ from kbmlab import (
     assemble_generator,
     assemble_perturbed,
     eig_dense,
-    eigvec,
+    even_sector,
     finite_block,
     fixed_truncation,
     ladder_coefficients,
     numerical_range_floor,
-    parity_sectors,
+    odd_sector,
     tridiag_solve,
     truncate,
 )
@@ -382,7 +388,7 @@ def test_eigvec_retries_an_exact_eigenvalue_with_a_nudged_shift(sphere_l1, monke
         return real(dl, d, du, b)
 
     monkeypatch.setattr(kbmlab.eig, "gtsv", recording)
-    v = eigvec(op, 0.0)
+    v = kbmlab.eig.inverse_iteration(one_row(op), [0.0])[0][0]
     assert shifts[:2] == [0.0, 8.0 * np.finfo(float).eps]
     assert np.allclose(v, [0.0, 1.0, 0.0], atol=1e-14)
 
@@ -416,7 +422,8 @@ def test_parity_sectors_split_the_block_exactly(K, eta, k_max, x_re, x_im):
     sign = (-1.0) ** np.abs(block.ks)
     assert np.array_equal(sign[:, None] * sign[None, :] * full[::-1, ::-1], full)
 
-    even, odd = parity_sectors(block, coeffs, x)
+    even = even_sector(block, coeffs, x)
+    odd = odd_sector(even)
     # the odd sector is empty only on a single-mode block (tiny K * eta)
     assert even.dim == block.k_max + 1
     assert (0 if odd is None else odd.dim) == block.k_max
@@ -434,10 +441,44 @@ def test_parity_sectors_split_the_block_exactly(K, eta, k_max, x_re, x_im):
 def test_parity_sectors_of_the_sphere_l1_block(sphere_l1):
     # even basis e_0, (e_1 - e_-1)/sqrt(2): rung 0 carries sqrt(2) * a_0 = 1
     block, coeffs = sphere_l1
-    even, odd = parity_sectors(block, coeffs, 0.3)
+    even = even_sector(block, coeffs, 0.3)
+    odd = odd_sector(even)
     assert np.array_equal(even.diag, [0.0, 1.0]) and np.array_equal(odd.diag, [1.0])
     assert even.sub[0] == pytest.approx(0.3, rel=1e-15)
     assert np.array_equal(even.sup, -even.sub) and odd.sub.size == 0
     trivial = finite_block(0.0, 1.0)
-    even0, odd0 = parity_sectors(trivial, ladder_coefficients(trivial), 0.3)
-    assert even0.dim == 1 and odd0 is None
+    even0 = even_sector(trivial, ladder_coefficients(trivial), 0.3)
+    assert even0.dim == 1 and odd_sector(even0) is None
+
+
+@given(
+    kind=st.sampled_from(["sphere", "torus", "negative"]),
+    k=st.integers(0, 30),
+    eta=st.floats(0.1, 50.0),
+    K=st.floats(-2.0, -0.1),
+    xs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=1, max_size=6),
+    complex_x=st.booleans(),
+    stacked=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_odd_sector_is_the_assembled_odd_sector_bit_for_bit(
+    kind, k, eta, K, xs, complex_x, stacked
+):
+    # sphere l = 0 is the single-mode block; truncations need k_max >= 1
+    block = property_block(kind, k if kind == "sphere" else max(k, 1), eta, K)
+    coeffs = ladder_coefficients(block)
+    x = np.array([complex(re, im if complex_x else 0.0) for re, im in xs])
+    if not stacked:
+        x = x[0]
+    even = even_sector(block, coeffs, x)
+    odd = odd_sector(even)
+    ref = assembled_odd_sector(block, coeffs, x)
+    if ref is None:
+        assert block.k_max == 0 and odd is None
+        return
+    assert odd.dim == block.k_max
+    for name in ("diag", "sup", "sub"):
+        got, want = getattr(odd, name), getattr(ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        # a slice of the even sector, not a new assembly
+        assert got.size == 0 or np.shares_memory(got, getattr(even, name))

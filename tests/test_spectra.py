@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kbmlab.spectra
-from conftest import stuck_at_zero
+from conftest import sector_parity, stack_of, stuck_at_zero
 from kbmlab import (
     BranchCollisionError,
     SpectrumValidationError,
@@ -21,8 +21,9 @@ from kbmlab import (
     ladder_coefficients,
     make_gamma_grid,
     mixing_report,
+    even_sector,
     newton_polish,
-    parity_sectors,
+    odd_sector,
     sphere_spectrum,
     tail_mask,
     torus_spectrum,
@@ -139,14 +140,15 @@ def test_collided_rows_are_newton_roots_of_their_sector(eta, K, grid):
     if K > 0.0:
         block = finite_block(eta, K)
     else:
-        block = truncate(eta, K, fixed_truncation(int(table.k_trunc[0])))
+        block = truncate(eta, K, fixed_truncation(table.k_trunc))
     coeffs = ladder_coefficients(block)
     assert np.count_nonzero(table.collided) >= 4
     eps = np.finfo(float).eps
     for i in np.nonzero(table.collided)[0]:
         gamma = table.gamma_grid[i]
         mu = table.lam[i] / (0.5 * gamma * gamma)
-        sectors = [s for s in parity_sectors(block, coeffs, -2.0 / gamma) if s is not None]
+        even = even_sector(block, coeffs, -2.0 / gamma)
+        sectors = [s for s in (even, odd_sector(even)) if s is not None]
         # the sector whose dense spectrum holds the picked value: the even
         # one, which holds the branch through 0
         eigs = [eig_dense(s) for s in sectors]
@@ -269,7 +271,7 @@ def _per_row(eta, K, grid, k_trunc):
 )
 def test_single_path_matches_per_row_tracks(eta, K, grid):
     table = gamma_sweep(eta, K, grid)
-    k = int(table.k_trunc[0])
+    k = table.k_trunc
     oracle = _per_row(eta, K, table.gamma_grid, k)
     assert np.any(table.collided) and not np.all(table.collided)
     for i, lam in enumerate(oracle):
@@ -298,7 +300,7 @@ def test_adaptive_cutoff_is_the_first_certified_one(eta):
     # half that cutoff (when it was tried) leaves some row uncertified
     grid = make_gamma_grid(0.0, 4.0, 13)
     table = gamma_sweep(eta, -1.0, grid, adaptive_truncation(1e-10))
-    k = int(table.k_trunc[0])
+    k = table.k_trunc
     fixed = gamma_sweep(eta, -1.0, grid, fixed_truncation(k))
     for field in _TABLE_FIELDS:
         assert np.array_equal(getattr(table, field), getattr(fixed, field), equal_nan=True)
@@ -313,8 +315,8 @@ def test_adaptive_acceptance_is_strict():
     # criterion 9
     grid = make_gamma_grid(0.0, 4.0, 13)
     tol = float(np.max(gamma_sweep(2.0, -1.0, grid, fixed_truncation(8)).certificate))
-    assert gamma_sweep(2.0, -1.0, grid, adaptive_truncation(tol)).k_trunc[0] == 16
-    assert gamma_sweep(2.0, -1.0, grid, adaptive_truncation(2.0 * tol)).k_trunc[0] == 8
+    assert gamma_sweep(2.0, -1.0, grid, adaptive_truncation(tol)).k_trunc == 16
+    assert gamma_sweep(2.0, -1.0, grid, adaptive_truncation(2.0 * tol)).k_trunc == 8
 
 
 def test_sweep_certifies_every_row_at_huge_eta():
@@ -322,7 +324,7 @@ def test_sweep_certifies_every_row_at_huge_eta():
     # stays far inside the dense limit
     table = gamma_sweep(20000.0, -1.0, make_gamma_grid(0.0, 4.0, 11))
     assert np.any(table.collided)
-    assert table.k_trunc[0] <= 64
+    assert table.k_trunc <= 64
     assert np.all(table.certificate < 1e-10)
 
 
@@ -331,7 +333,7 @@ def test_sweep_raises_at_the_dense_limit(monkeypatch):
     # has dimension 65
     grid = make_gamma_grid(0.0, 4.0, 13)
     monkeypatch.setattr(kbmlab.spectra, "MAX_DENSE_DIM", 65)
-    assert gamma_sweep(5.0, -1.0, grid).k_trunc[0] == 16
+    assert gamma_sweep(5.0, -1.0, grid).k_trunc == 16
     monkeypatch.setattr(kbmlab.spectra, "MAX_DENSE_DIM", 64)
     message = r"eta = 5\.0, K = -1\.0: .* cutoff 16 .* by up to 2\.38e-10"
     with pytest.raises(TruncationError, match=message):
@@ -353,7 +355,7 @@ def test_sweep_checkpoints_land_bitwise_at_large_eta(monkeypatch):
     table = gamma_sweep(300.0, -1.0, grid)
     # cutoffs 8, 16 and 32, one track each; 16 is certified
     assert [br.block.k_max for _, br in tracks] == [8, 16, 32]
-    assert np.all(table.k_trunc == 16)
+    assert table.k_trunc == 16
     for xs, br in tracks:
         assert list(xs) == [-2.0 / g for g in reversed(grid)]
         assert len(br.checkpoint_index) >= 3
@@ -391,7 +393,7 @@ def test_hyperbolic_sweep_solves_no_odd_sector(monkeypatch):
     real_dense = kbmlab.eig.eig_dense
 
     def counting(op):
-        solves.append(op.meta.get("parity"))
+        solves.append(sector_parity(op))
         return real_dense(op)
 
     ep_solves = []
@@ -428,7 +430,7 @@ def _row_mu(table, block, coeffs):
     for j, i in enumerate(br.checkpoint_index):
         mu[grid.size - 1 - j] = br.mu_values[i]
     for i in np.nonzero(table.collided)[0]:
-        even = parity_sectors(block, coeffs, -2.0 / grid[i])[0]
+        even = even_sector(block, coeffs, -2.0 / grid[i])
         eigs = eig_dense(even)
         pick = eigs[np.argmin(np.abs(eigs - table.lam[i] / (0.5 * grid[i] ** 2)))]
         mu[i] = newton_polish(even, pick)[0]
@@ -442,7 +444,7 @@ def _sweep_block(table):
     if K > 0.0:
         block = finite_block(eta, K)
     else:
-        block = truncate(eta, K, fixed_truncation(int(table.k_trunc[0])))
+        block = truncate(eta, K, fixed_truncation(table.k_trunc))
     return block, ladder_coefficients(block)
 
 
@@ -453,16 +455,17 @@ def test_sweep_residual_is_the_residual_at_each_reported_value(eta, K, points):
     table = gamma_sweep(eta, K, make_gamma_grid(0.0, 4.0, points))
     assert np.any(table.simple) and np.any(table.collided)
     block, coeffs = _sweep_block(table)
-    for gamma, mu, res in zip(table.gamma_grid, _row_mu(table, block, coeffs), table.residual):
-        op = assemble_perturbed(block, coeffs, -2.0 / gamma)
-        assert abs(res - kbmlab.eig.residual_norm(op, mu)) <= 1e-13
+    full = stack_of([assemble_perturbed(block, coeffs, -2.0 / g) for g in table.gamma_grid])
+    full_res = kbmlab.eig.inverse_iteration(full, _row_mu(table, block, coeffs))[1]
+    assert np.all(np.isfinite(full_res))
+    assert np.max(np.abs(table.residual - full_res)) <= 1e-13
 
 
 def test_continuation_and_truncation_take_no_eigenvector(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the continuation took an eigenvector")
 
-    # eigvec and residual_norm are the one-row case of inverse_iteration
+    # every eigenvector and residual goes through inverse_iteration
     monkeypatch.setattr(kbmlab.eig, "inverse_iteration", forbidden)
     block = finite_block(2.0, 1.0)
     assert track_branch(block, ladder_coefficients(block), 0.7).status == "collision"
@@ -481,7 +484,7 @@ def test_sweep_takes_one_residual_per_row(monkeypatch, eta, K, points):
     real = kbmlab.eig.inverse_iteration
 
     def counting(op, mu):
-        calls.append(op.meta["x"])
+        calls.append(op)
         return real(op, mu)
 
     monkeypatch.setattr(kbmlab.spectra, "inverse_iteration", counting)
@@ -490,8 +493,10 @@ def test_sweep_takes_one_residual_per_row(monkeypatch, eta, K, points):
     if eta == 0.0:
         assert calls == [] and np.all(table.residual == 0.0)
         return
-    assert len(calls) == 1 and np.array_equal(calls[0], -2.0 / grid)
     block, coeffs = _sweep_block(table)
+    # the stack of the accepted block's even sectors at every grid x
+    assert len(calls) == 1
+    assert calls[0].sub.tobytes() == even_sector(block, coeffs, -2.0 / grid).sub.tobytes()
     for x, mu, res in zip(-2.0 / grid, _row_mu(table, block, coeffs), table.residual):
         alone = real(kbmlab.even_sector(block, coeffs, np.array([x])), np.array([mu]))[1]
         assert alone[0] == res
@@ -589,3 +594,75 @@ def test_the_acceptance_fixture_discards_no_walked_sample(monkeypatch):
     _, discarded = _count_dense_and_discards(monkeypatch)
     build_suite_data()
     assert discarded and not any(discarded)
+
+
+@pytest.mark.parametrize(
+    "eta, K, points", [(2.0, 1.0, 41), (72.0, 1.0, 41), (5.0, -1.0, 13), (300.0, -1.0, 5)]
+)
+def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_per_walk(
+    monkeypatch, eta, K, points
+):
+    # inside a continuation every operator is built by even_sector (one x
+    # per Newton step, the walk's stack per certification, and those of
+    # exceptional_point), as the odd slice of such a stack, or as a row
+    # selection of a stack; no odd sector is assembled
+    import kbmlab.eig
+    from kbmlab import TridiagonalOperator
+
+    running = []  # the instrumented functions running now, innermost last
+    built, steps, stacks, walks = [], [], [], []
+
+    def within(name, fn, record=None):
+        def wrapped(*args, **kwargs):
+            running.append(name)
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                running.pop()
+            if record is not None:
+                record(args, out)
+            return out
+
+        return wrapped
+
+    def record_even(args, op):
+        if "track_branch" in running and "exceptional_point" not in running:
+            (steps if np.ndim(args[2]) == 0 else stacks).append(op)
+
+    def record_odd(args, odd):
+        assert odd is None or np.shares_memory(odd.diag, args[0].diag)
+
+    def record_newton(args, out):
+        # Newton runs on the sector of its step, built just before it
+        assert args[0] is steps[-1]
+        walks.append("step")
+
+    def record_certify(args, out):
+        assert args[0] is stacks[-1] and stacks[-1].diag.shape[0] == len(args[1])
+        walks.append("walk")
+
+    real_init = TridiagonalOperator.__post_init__
+
+    def init(self):
+        real_init(self)
+        if "track_branch" in running:
+            built.append(set(running))
+
+    for name, record in (
+        ("even_sector", record_even),
+        ("odd_sector", record_odd),
+        ("_rows", None),
+        ("newton_polish", record_newton),
+        ("certify_samples", record_certify),
+        ("exceptional_point", None),
+    ):
+        monkeypatch.setattr(kbmlab.eig, name, within(name, getattr(kbmlab.eig, name), record))
+    monkeypatch.setattr(
+        kbmlab.spectra, "track_branch", within("track_branch", kbmlab.spectra.track_branch)
+    )
+    monkeypatch.setattr(TridiagonalOperator, "__post_init__", init)
+    gamma_sweep(eta, K, make_gamma_grid(0.0, 4.0, points))
+
+    assert walks.count("step") == len(steps) > 0
+    assert walks.count("walk") == len(stacks) > 0
+    assert built and all(ctx & {"even_sector", "odd_sector", "_rows"} for ctx in built)

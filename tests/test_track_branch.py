@@ -2,9 +2,11 @@
 
 ``_reference_track`` is the continuation written as one loop that checks
 every accepted sample against the dense spectrum of both parity sectors
-before it takes the next step.  ``track_branch`` walks Newton-only steps,
-certifies them in one stacked solve and replays the acceptance rules; the
-two must give the same record, bit for bit.
+before it takes the next step, on sectors it builds itself: the even one
+from ``even_sector`` at each x, the odd one assembled from the ladder.
+``track_branch`` walks Newton-only steps, certifies them in one stacked
+solve and replays the acceptance rules; the two must give the same
+record, bit for bit.
 """
 
 import math
@@ -18,14 +20,13 @@ import kbmlab.eig
 from kbmlab import (
     finite_block,
     fixed_truncation,
-    gap_to_rest,
     ladder_coefficients,
     track_branch,
     truncate,
 )
 from kbmlab.eig import MIN_STEPS, STEP_X, _checkpoint_params, collision_threshold
 
-from conftest import parity_eigvals, property_block
+from conftest import assembled_odd_sector, parity_eigvals, property_block
 
 FIELDS = (
     "x_target", "x_samples", "mu_values", "gap_to_rest", "simple", "status", "reason",
@@ -35,7 +36,7 @@ FIELDS = (
 
 def _union_check(even, odd, mu):
     """Nearest and second-nearest eigenvalue to mu on the union of both
-    sectors' dense spectra, even first (the oracle of ``spot_check``)."""
+    sectors' dense spectra, even first (the oracle of ``certify_samples``)."""
     eigs = parity_eigvals(even, odd)
     dist = np.abs(eigs - mu)
     near = np.argsort(dist, kind="stable")[:2]
@@ -45,12 +46,13 @@ def _union_check(even, odd, mu):
 
 
 def _reference_track(block, coeffs, x_target, checkpoints=()):
-    """The continuation one step at a time; the module's Newton, sectors and
-    exceptional point are looked up at call time, so patches apply."""
+    """The continuation one step at a time; the module's Newton, even sector
+    and exceptional point are looked up at call time, so patches apply."""
     eig = kbmlab.eig
     x_target = complex(x_target)
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
-    gap0 = gap_to_rest(0.0, (block.ks.astype(float) ** 2).astype(complex))
+    unperturbed = np.sort(block.ks.astype(float) ** 2)
+    gap0 = float(unperturbed[1]) if block.dim > 1 else math.inf
     ds_base = 1.0 / max(MIN_STEPS, math.ceil(abs(x_target) / STEP_X))
     xs, mus, gaps, simples = [0j], [0j], [gap0], [gap0 > collision_threshold(0.0)]
     s_cur, x_cur, mu_cur, s_prev, mu_prev = 0.0, 0j, 0j, None, 0j
@@ -74,7 +76,8 @@ def _reference_track(block, coeffs, x_target, checkpoints=()):
             mu_pred = mu_cur + (mu_cur - mu_prev) / (s_cur - s_prev) * (s_new - s_cur)
         else:
             mu_pred = mu_cur
-        even, odd = eig.parity_sectors(block, coeffs, x_new)
+        even = eig.even_sector(block, coeffs, x_new)
+        odd = assembled_odd_sector(block, coeffs, x_new)
         mu_new, ok, iters = eig.newton_polish(even, mu_pred)
         if (not ok) or abs(mu_new - mu_pred) > 0.5 * last_gap:
             if real_segment and not ep_tried:
@@ -146,9 +149,9 @@ def _recording_certify(monkeypatch):
     sizes = []
     real = kbmlab.eig.certify_samples
 
-    def recording(even, odd, mu):
+    def recording(even, mu):
         sizes.append(len(mu))
-        return real(even, odd, mu)
+        return real(even, mu)
 
     monkeypatch.setattr(kbmlab.eig, "certify_samples", recording)
     return sizes
@@ -207,16 +210,18 @@ def test_a_checkpoint_just_off_the_real_axis_keeps_every_sample_bitwise(
     assert any(x.imag != 0.0 for x in br.x_samples)
 
 
-def _jumping_newton(monkeypatch, x_jump):
+def _jumping_newton(monkeypatch, block, coeffs, x_jump):
     """newton_polish that, the first time it runs at x_jump, lands 2.5 off
     the root as if it had converged to another eigenvalue (the branch's gap
-    there is about 1).  Clearing the returned list re-arms it."""
+    there is about 1).  The sector at x_jump is told by its entries.
+    Clearing the returned list re-arms it."""
     real = kbmlab.eig.newton_polish
+    target = kbmlab.eig.even_sector(block, coeffs, x_jump).sub
     fired = []
 
     def jumping(op, mu0):
         root, ok, iters = real(op, mu0)
-        if op.meta.get("x") == x_jump and not fired:
+        if np.array_equal(op.sub, target) and not fired:
             fired.append(x_jump)
             return root + 2.5, True, iters
         return root, ok, iters
@@ -242,7 +247,7 @@ def test_a_newton_jump_mid_walk_is_rolled_back(monkeypatch, K, eta, k_max, point
     assert clean.discarded == 0
     x_jump = complex(clean.x_samples[jump_at])
 
-    fired = _jumping_newton(monkeypatch, x_jump)
+    fired = _jumping_newton(monkeypatch, block, coeffs, x_jump)
     sizes = _recording_certify(monkeypatch)
     br = track_branch(block, coeffs, cks[-1], checkpoints=cks)
     fired.clear()

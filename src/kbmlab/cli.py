@@ -501,8 +501,25 @@ def selftest(
     return 1 if n_fail else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads a token parsing as a float (-1e0, -inf) as a
+    value, not as an unknown option, and reports a usage error as a
+    ``ConfigError`` record on stderr, exit 2."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+    def error(self, message):
+        _emit_error(None, ConfigError(f"{self.prog}: {message}"))
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kbmlab",
         description=(
             "Spectral laboratory for the kinetic Brownian motion generator on "

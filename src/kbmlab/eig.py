@@ -1,7 +1,7 @@
 """Eigenvalue machinery for complex tridiagonal matrices.
 
 Five pieces: the characteristic polynomial by the scaled three-term
-determinant recurrence (a loop on Python complex scalars), a dense
+determinant recurrence (a loop on Python scalars, float or complex), a dense
 eigensolver used strictly as a brute-force oracle (one matrix or a stack,
 densified in chunks of bounded size), inverse-iteration eigenvectors for
 a whole stack of matrices at once, holomorphic continuation of the
@@ -14,7 +14,8 @@ the time of the complex solve on the sector sizes used here.
 The continuation walks the segment [0, x_target] with a secant predictor
 and a Newton corrector on the characteristic polynomial of the even parity
 sector (``operator.even_sector``, dimension k_max + 1), which holds the
-branch through 0.  It takes Newton-only steps first and certifies them
+branch through 0, read as Python lists formed once per block (in float
+arithmetic at real x).  It takes Newton-only steps first and certifies them
 afterwards: one stacked dense solve checks every walked sample's gap to
 the rest of the spectrum, on the stack of the walk's even sectors built in
 one call.  That check solves the even sectors only and certifies the odd
@@ -81,6 +82,7 @@ MIN_STEPS = 4
 _EPS = float(np.finfo(float).eps)
 _BIG = 2.0**512
 _SMALL = 2.0**-512
+_SQRT2 = math.sqrt(2.0)
 
 
 class CharPolyValue(NamedTuple):
@@ -96,9 +98,9 @@ def char_poly(op: TridiagonalOperator, lam: complex) -> CharPolyValue:
 
     Three-term recurrence on leading principal minors with power-of-two
     rescaling so that determinants of large matrices never overflow; the
-    true determinant is value * 2**exp2.  The loop runs on Python complex
-    scalars, which cost a fraction of numpy scalars per operation.  Values
-    are rescaled when the largest of |p|, |p_prev|, |dp|, |dp_prev| leaves
+    true determinant is value * 2**exp2.  The loop runs on Python scalars,
+    which cost a fraction of numpy scalars per operation.  Values are
+    rescaled when the largest of |p|, |p_prev|, |dp|, |dp_prev| leaves
     [2**-512, 2**512]; p_prev and dp_prev passed that test on the previous
     rung, so the four-way maximum is formed only when |p| or |dp| is out of
     range (on rung 1 also when |d_0 - lambda| is), which gives the same
@@ -107,13 +109,13 @@ def char_poly(op: TridiagonalOperator, lam: complex) -> CharPolyValue:
     return _char_poly(op.diag.tolist(), (op.sub * op.sup).tolist(), lam)
 
 
-def _char_poly(d: list, c: list, lam: complex) -> CharPolyValue:
+def _char_poly(d: list, c: list, lam) -> CharPolyValue:
     """``char_poly`` on the diagonal ``d`` and the rung products c_j =
     sub_j * sup_j as Python lists, which a caller evaluating one operator
-    many times converts once."""
-    lam = complex(lam)
-    p_prev, p = 1.0 + 0j, d[0] - lam
-    dp_prev, dp = 0j, -1.0 + 0j
+    many times converts once.  It runs in the arithmetic of the scalars
+    given (see ``newton_polish``)."""
+    p_prev, p = 1.0, d[0] - lam
+    dp_prev, dp = 0.0, -1.0
     exp2 = 0
     big, small = _BIG, _SMALL
     # an empty range sends rung 1 to the four-way test when |d_0 - lambda|
@@ -142,18 +144,26 @@ def _char_poly(d: list, c: list, lam: complex) -> CharPolyValue:
     return CharPolyValue(p, dp, exp2)
 
 
-def newton_polish(op: TridiagonalOperator, mu0: complex) -> tuple[complex, bool, int]:
+def newton_polish(op, mu0: complex) -> tuple[complex, bool, int]:
     """Newton iteration on the characteristic polynomial from ``mu0``, at
     most ``NEWTON_MAX_ITER`` steps.
 
     Converges when the step reaches the relative rounding floor of the
     iterate; the exponent of the determinant cancels from the Newton step,
-    so scaling never enters.  The operator is converted to Python lists
-    once, not once per evaluation.  Returns (root, converged, iterations).
+    so scaling never enters.  ``op`` is a TridiagonalOperator, converted
+    to Python lists once, or those lists, (diagonal, rung products), as
+    ``EvenSectorLists.at`` forms them.  The iteration runs in the
+    arithmetic of the scalars given.  On float lists from a float ``mu0``
+    it is real, and its float root is bitwise the real part of the complex
+    iteration's, whose imaginary parts would all be zero (+0.0 on the
+    iterates).  Returns (root, converged, iterations).
     """
-    mu = complex(mu0)
+    mu = mu0
     prev_step = math.inf
-    d, c = op.diag.tolist(), (op.sub * op.sup).tolist()
+    if isinstance(op, TridiagonalOperator):
+        d, c = op.diag.tolist(), (op.sub * op.sup).tolist()
+    else:
+        d, c = op
     for it in range(1, NEWTON_MAX_ITER + 1):
         v, dv, _ = _char_poly(d, c, mu)
         if v == 0:
@@ -170,6 +180,29 @@ def newton_polish(op: TridiagonalOperator, mu0: complex) -> tuple[complex, bool,
             return mu, prev_step <= 1e-9 * (1.0 + abs(mu)), it
         mu, prev_step = mu_new, s
     return mu, prev_step <= 1e-9 * (1.0 + abs(mu)), NEWTON_MAX_ITER
+
+
+class EvenSectorLists(NamedTuple):
+    """One block's even sector as Python float lists, formed once for the
+    many Newton solves on it: the diagonal m^2 (m = 0..k_max) and the rung
+    coefficients a_m (``coeffs.a[k_max:]``)."""
+
+    diag: list
+    rungs: list
+
+    @classmethod
+    def of(cls, block: CasimirBlock, coeffs: LadderCoefficients) -> "EvenSectorLists":
+        k = block.k_max
+        return cls([float(m * m) for m in range(k + 1)], coeffs.a[k:].tolist())
+
+    def at(self, x: float) -> tuple[list, list]:
+        """``newton_polish``'s (diagonal, rung products) of ``even_sector``
+        at real x: s_j = x*a_j, s_0 *= sqrt(2) and c_j = -(s_j*s_j), the
+        IEEE products whose results are the real parts of that sector's."""
+        s = [x * a for a in self.rungs]
+        if s:
+            s[0] *= _SQRT2
+        return self.diag, [-(v * v) for v in s]
 
 
 def eig_dense(op: TridiagonalOperator) -> np.ndarray:
@@ -336,9 +369,8 @@ def exceptional_point(
     """
     if nu is None or nu.imag != 0.0:
         return None
-    k = block.k_max
-    d = [float(m * m) for m in range(k + 1)]
-    b = (coeffs.a[k:] ** 2).tolist()
+    d, a = EvenSectorLists.of(block, coeffs)
+    b = [v * v for v in a]
     b[0] *= 2.0
     t_cur = x_cur * x_cur
 
@@ -524,12 +556,13 @@ class _Cursor:
     """Where a continuation stands: its last sample (s_cur, x_cur, mu_cur),
     the one before (s_prev, mu_prev) for the secant predictor, the step
     ``ds`` with the run of easy Newton solves that doubles it, and the next
-    checkpoint ``nxt``."""
+    checkpoint ``nxt``.  mu starts at the float 0.0 and stays a float while
+    Newton returns real roots, so that Newton runs in float arithmetic."""
 
     ds: float
     s_cur: float = 0.0
     x_cur: complex = 0j
-    mu_cur: complex = 0j
+    mu_cur: complex = 0.0
     s_prev: Optional[float] = None
     mu_prev: complex = 0j
     easy: int = 0
@@ -566,6 +599,7 @@ class _Step(NamedTuple):
 def _newton_step(
     block: CasimirBlock,
     coeffs: LadderCoefficients,
+    lists: EvenSectorLists,
     cur: _Cursor,
     ck_x: list,
     ck_s: list,
@@ -573,7 +607,8 @@ def _newton_step(
 ) -> _Step:
     """The next step from ``cur``: ds, shortened to land on the next
     checkpoint (or stretched to it when less than 1.5 ds away), then Newton
-    on the even sector from the secant prediction."""
+    on the even sector from the secant prediction: on the block's
+    ``lists`` at real x, on the assembled ``even_sector`` at complex x."""
     s_ck = ck_s[cur.nxt]
     ds_eff = min(cur.ds, s_ck - cur.s_cur)
     if s_ck - cur.s_cur < 1.5 * cur.ds:
@@ -588,7 +623,8 @@ def _newton_step(
         mu_pred = cur.mu_cur + slope * (s_new - cur.s_cur)
     else:
         mu_pred = cur.mu_cur
-    mu_new, ok, iters = newton_polish(even_sector(block, coeffs, x_new), mu_pred)
+    sector = lists.at(x_new.real) if x_new.imag == 0.0 else even_sector(block, coeffs, x_new)
+    mu_new, ok, iters = newton_polish(sector, mu_pred)
     return _Step(s_new, x_new, at_checkpoint, mu_pred, mu_new, ok, iters)
 
 
@@ -632,6 +668,10 @@ def track_branch(
     from the first rejection on no walk discards more samples than were
     certified since the last one.
 
+    Newton reads the block's ``EvenSectorLists``, formed once: at real x
+    it builds no operator and, from a real prediction, runs in float
+    arithmetic.  A complex x solves on ``even_sector``.
+
     On a real segment, the first rejected step from each sample asks
     ``exceptional_point`` whether the step ran into the exceptional point
     where the branch meets the neighbour of the last certified sample.  If
@@ -672,6 +712,7 @@ def track_branch(
     simples = [gap0 > collision_threshold(0.0)]
 
     cur = _Cursor(ds=ds_base)
+    lists = EvenSectorLists.of(block, coeffs)
     last_gap = gap0
     # the unperturbed neighbour of 0 is m^2 = 1, which the even sector holds
     last_nu: Optional[complex] = 1.0 + 0j if dim > 1 else None
@@ -691,7 +732,7 @@ def track_branch(
         walked: list = []
         rejected: Optional[_Step] = None
         while len(walked) < walk_length and walker.nxt < len(ck_s):
-            step = _newton_step(block, coeffs, walker, ck_x, ck_s, x_target)
+            step = _newton_step(block, coeffs, lists, walker, ck_x, ck_s, x_target)
             if not step.ok or (not walked and abs(step.mu - step.mu_pred) > 0.5 * last_gap):
                 rejected = step
                 break

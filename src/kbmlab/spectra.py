@@ -11,7 +11,8 @@ at a collision, every deeper row is resolved from the dense spectrum of
 the even parity sector (``operator.even_sector``), which holds the branch
 through 0 (one stacked dense solve for all such rows of a block), seeded
 with the path's last simple value; each picked value is Newton-polished
-on its sector.
+on its sector, read from the block's lists as the continuation reads it
+(``eig.EvenSectorLists``).
 
 An infinite ladder (K <= 0) is truncated by sweeping the whole grid at
 cutoff k and again at 2k; the shift of every row, reached or collided, is
@@ -30,7 +31,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .eig import MAX_DENSE_DIM, eig_dense, inverse_iteration, newton_polish, track_branch
+from .eig import (
+    MAX_DENSE_DIM, EvenSectorLists, eig_dense, inverse_iteration, newton_polish, track_branch
+)
 from .errors import (
     BranchCollisionError,
     SpectrumValidationError,
@@ -38,7 +41,6 @@ from .errors import (
 )
 from .ladder import CasimirBlock, LadderCoefficients, finite_block, ladder_coefficients
 from .operator import (
-    TridiagonalOperator,
     TruncationPolicy,
     even_sector,
     fixed_truncation,
@@ -207,16 +209,17 @@ def _dense_continuation(
     positive imaginary part (then larger real part) for determinism.  It
     is then Newton-polished on its sector's characteristic polynomial,
     which removes the dense solver's error; a pick where Newton does not
-    converge is returned as it is."""
-    evens = even_sector(block, coeffs, xs)
-    eigs = eig_dense(evens)
+    converge is returned as it is.  Newton reads each sector from the
+    block's lists."""
+    eigs = eig_dense(even_sector(block, coeffs, xs))
     dist = np.abs(eigs - seed_mu)
     ties = dist <= np.min(dist, axis=1, keepdims=True) * (1.0 + 1e-9) + 1e-15
+    lists = EvenSectorLists.of(block, coeffs)
     mu = np.empty(len(xs), dtype=complex)
-    for i, (d, sup, sub) in enumerate(zip(evens.diag, evens.sup, evens.sub)):
+    for i, x in enumerate(xs.tolist()):
         cand = eigs[i, ties[i]]
         pick = complex(cand[np.lexsort((cand.real, cand.imag))[-1]])
-        root, converged, _ = newton_polish(TridiagonalOperator(d, sup, sub), pick)
+        root, converged, _ = newton_polish(lists.at(x), pick)
         mu[i] = root if converged else pick
     return mu
 
@@ -327,10 +330,15 @@ def gamma_sweep(
         base, shift = None, math.nan
         while True:
             if 4 * k + 1 > MAX_DENSE_DIM:
+                limit = f"would exceed the dense limit {MAX_DENSE_DIM}"
+                if base is None:  # a fixed cutoff: no doubling ran
+                    raise TruncationError(
+                        f"eta = {eta!r}, K = {K!r}: the doubled block of the fixed "
+                        f"cutoff {k} {limit}"
+                    )
                 raise TruncationError(
-                    f"eta = {eta!r}, K = {K!r}: the doubled block of cutoff {k} would "
-                    f"exceed the dense limit {MAX_DENSE_DIM}; the last doubling moved a "
-                    f"row by up to {shift:.3g} (tol {pol.tol:g})"
+                    f"eta = {eta!r}, K = {K!r}: the doubled block of cutoff {k} {limit}; "
+                    f"the last doubling moved a row by up to {shift:.3g} (tol {pol.tol:g})"
                 )
             if base is None:
                 base = _sweep_block(truncate(eta, K, fixed_truncation(k)), grid)

@@ -332,6 +332,49 @@ def test_a_tolerance_scale_that_could_loosen_the_contract_is_a_config_error(caps
     assert record["error"] == "ConfigError" and "tolerance scale" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "flags, key, value",
+    [
+        (["--surface", "custom", "--curvature", "-1e0"], "curvature", -1.0),
+        (["--surface", "sphere", "--gamma-log-start", "-1e-1"], "gamma", 10.0**-0.1),
+    ],
+)
+def test_a_negative_flag_value_in_exponent_form_is_a_value(tmp_path, flags, key, value):
+    # the sphere run ignores the eta list
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0.0, 1], [2.0, 1]]}))
+    out = tmp_path / "out"
+    argv = ["run", *flags, "--custom-path", str(eta_path), "--gamma-points", "5", "--out", str(out)]
+    assert run_cli(argv) == 0
+    first = json.loads((out / "records.json").read_text())["rows"][0]
+    assert first[key] == pytest.approx(value, rel=1e-15)
+
+
+def test_a_negative_infinite_tolerance_scale_is_read_and_rejected(capsys):
+    # -inf is a value, outside (0, 1]
+    assert run_cli(["selftest", "--criteria", "1", "--tolerance-scale", "-inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and "got -inf" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["run", "--bogus"], "unrecognized arguments: --bogus"),
+        (["run", "--curvature"], "argument --curvature: expected one argument"),
+        ([], "required: command"),
+    ],
+)
+def test_a_usage_error_is_a_config_error_record(capsys, argv, text):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and text in record["message"]
+
+
 def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

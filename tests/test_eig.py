@@ -224,6 +224,39 @@ def test_char_poly_rescales_underflowing_determinants():
     assert got == pytest.approx(float(np.sum(np.log2(diag))), rel=1e-12)
 
 
+@given(
+    kind=st.sampled_from(["sphere", "torus", "negative"]),
+    k=st.integers(1, 256),
+    eta=st.floats(0.1, 1e4),
+    K=st.floats(-2.0, -0.1),
+    x=st.floats(-3.0, 3.0),
+    mu_frac=st.floats(-0.1, 1.1),
+    mu_im=st.floats(-3.0, 3.0),
+    complex_mu=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_newton_on_the_block_lists_is_bitwise_newton_on_the_assembled_sector(
+    kind, k, eta, K, x, mu_frac, mu_im, complex_mu
+):
+    # the continuation's Newton at real x reads the block's float lists: in
+    # float arithmetic from a real seed, in complex from a complex one; up
+    # to k = 256 the recurrence rescales.  Either gives the bits of Newton
+    # in complex arithmetic on the assembled sector.
+    block = property_block(kind, k, eta, K)
+    coeffs = ladder_coefficients(block)
+    mu0 = mu_frac * block.k_max**2
+    if complex_mu:
+        mu0 = complex(mu0, mu_im)
+    got = newton_polish(kbmlab.eig.EvenSectorLists.of(block, coeffs).at(x), mu0)
+    ref = newton_polish(even_sector(block, coeffs, x), complex(mu0))
+    assert isinstance(got[0], complex) == complex_mu
+    assert np.complex128(got[0]).tobytes() == np.complex128(ref[0]).tobytes()
+    assert got[1:] == ref[1:]
+    if not complex_mu:
+        # a real root reads +0.0 as its imaginary part, as the complex one does
+        assert ref[0].imag == 0.0 and math.copysign(1.0, ref[0].imag) == 1.0
+
+
 def test_eig_dense_examples(sphere_l1):
     block, coeffs = sphere_l1
     eigs = eig_dense(assemble_perturbed(block, coeffs, 0.3))

@@ -340,6 +340,17 @@ def test_sweep_raises_at_the_dense_limit(monkeypatch):
         gamma_sweep(5.0, -1.0, grid)
 
 
+def test_a_fixed_cutoff_beyond_the_dense_limit_names_the_cutoff_and_the_limit():
+    # no doubling ran, so the message reports no shift
+    grid = make_gamma_grid(0.0, 4.0, 13)
+    with pytest.raises(TruncationError) as exc:
+        gamma_sweep(5.0, -1.0, grid, fixed_truncation(1024))
+    assert str(exc.value) == (
+        "eta = 5.0, K = -1.0: the doubled block of the fixed cutoff 1024 would exceed "
+        "the dense limit 4096"
+    )
+
+
 def test_sweep_checkpoints_land_bitwise_at_large_eta(monkeypatch):
     # gamma = 100 sits at s = 0.01 of the path to x = -2: a path that
     # accumulated its steps skipped it and sent the row to the dense fallback
@@ -602,15 +613,17 @@ def test_the_acceptance_fixture_discards_no_walked_sample(monkeypatch):
 def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_per_walk(
     monkeypatch, eta, K, points
 ):
-    # inside a continuation every operator is built by even_sector (one x
-    # per Newton step, the walk's stack per certification, and those of
-    # exceptional_point), as the odd slice of such a stack, or as a row
-    # selection of a stack; no odd sector is assembled
+    # inside a continuation Newton reads each step's even sector from the
+    # block's lists, formed once, and no operator is built per step; every
+    # operator is built by even_sector (the walk's stack per certification,
+    # and those of exceptional_point), as the odd slice of such a stack, or
+    # as a row selection of a stack, so no odd sector is assembled.  The
+    # collided rows are polished from the same lists, on one stack.
     import kbmlab.eig
     from kbmlab import TridiagonalOperator
 
     running = []  # the instrumented functions running now, innermost last
-    built, steps, stacks, walks = [], [], [], []
+    built, stacks, walks, sectors, polished, formed, blocks = [], [], [], [], [], [], []
 
     def within(name, fn, record=None):
         def wrapped(*args, **kwargs):
@@ -627,25 +640,57 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
 
     def record_even(args, op):
         if "track_branch" in running and "exceptional_point" not in running:
-            (steps if np.ndim(args[2]) == 0 else stacks).append(op)
+            # no single-x sector: the steps' sectors are lists
+            assert np.ndim(args[2]) == 1
+            stacks.append(op)
 
     def record_odd(args, odd):
         assert odd is None or np.shares_memory(odd.diag, args[0].diag)
 
     def record_newton(args, out):
-        # Newton runs on the sector of its step, built just before it
-        assert args[0] is steps[-1]
-        walks.append("step")
+        diag, rungs = args[0]  # the lists, not an operator
+        assert diag is formed[-1].diag and len(rungs) == len(diag) - 1
+        if "track_branch" in running:
+            sectors.append(rungs)
+            walks.append("step")
+        else:
+            assert "dense_continuation" in running
+            polished.append(rungs)
 
     def record_certify(args, out):
-        assert args[0] is stacks[-1] and stacks[-1].diag.shape[0] == len(args[1])
+        even = args[0]
+        assert even is stacks[-1] and even.diag.shape[0] == len(args[1])
+        # the walk's steps, in order, solved on the rows of its stack (a
+        # rejected step may follow them)
+        start = len(sectors) - walks[::-1].index("walk") if "walk" in walks else 0
+        walked = sectors[start : start + len(args[1])]
+        assert walked == (even.sub * even.sup).tolist()
         walks.append("walk")
+
+    def record_dense(args, out):
+        assert polished == dense_rungs
+        polished.clear()
+        blocks.append(args[0])
+
+    real_of = kbmlab.eig.EvenSectorLists.of
+
+    def of(cls, block, coeffs):
+        lists = real_of(block, coeffs)
+        if "exceptional_point" not in running:
+            formed.append(lists)
+        return lists
+
+    dense_rungs = []
+
+    def record_dense_even(args, op):
+        if "dense_continuation" in running:
+            dense_rungs[:] = (op.sub * op.sup).tolist()
 
     real_init = TridiagonalOperator.__post_init__
 
     def init(self):
         real_init(self)
-        if "track_branch" in running:
+        if "track_branch" in running or "dense_continuation" in running:
             built.append(set(running))
 
     for name, record in (
@@ -658,11 +703,28 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
     ):
         monkeypatch.setattr(kbmlab.eig, name, within(name, getattr(kbmlab.eig, name), record))
     monkeypatch.setattr(
-        kbmlab.spectra, "track_branch", within("track_branch", kbmlab.spectra.track_branch)
+        kbmlab.spectra, "track_branch",
+        within("track_branch", kbmlab.spectra.track_branch, lambda a, out: blocks.append(a[0])),
+    )
+    monkeypatch.setattr(kbmlab.eig.EvenSectorLists, "of", classmethod(of))
+    monkeypatch.setattr(
+        kbmlab.spectra, "_dense_continuation",
+        within("dense_continuation", kbmlab.spectra._dense_continuation, record_dense),
+    )
+    monkeypatch.setattr(
+        kbmlab.spectra, "even_sector",
+        within("even_sector", kbmlab.spectra.even_sector, record_dense_even),
+    )
+    monkeypatch.setattr(
+        kbmlab.spectra, "newton_polish",
+        within("newton_polish", kbmlab.spectra.newton_polish, record_newton),
     )
     monkeypatch.setattr(TridiagonalOperator, "__post_init__", init)
     gamma_sweep(eta, K, make_gamma_grid(0.0, 4.0, points))
 
-    assert walks.count("step") == len(steps) > 0
+    assert walks.count("step") == len(sectors) > 0
     assert walks.count("walk") == len(stacks) > 0
+    # the lists are formed once per continuation and once per collided-row
+    # polish (and by exceptional_point for its own recurrence)
+    assert len(formed) == len(blocks)
     assert built and all(ctx & {"even_sector", "odd_sector", "_rows"} for ctx in built)

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """End-to-end run over all three model surfaces.
 
-Writes tables, summaries, perturbation series and diagnostics for the
+Writes tables, summaries, perturbation series and plot data for the
 sphere (K=1), the flat square torus (side 2*pi) and a curvature -1
-surface with a user-style eta list, into out_suite/<surface>/.
+surface with a user-style eta list, into out_suite/<surface>/.  The
+curvature -1 eta list is written beside its artifacts, as
+out_suite/hyperbolic/etas.json.
 """
 
 import json
 import math
-import tempfile
 from pathlib import Path
 
 from kbmlab.cli import RunConfig, SurfaceConfig, GridConfig, OutputConfig, run
@@ -39,11 +40,11 @@ def main():
     run_surface(
         "torus", SurfaceConfig(kind="torus", L=2.0 * math.pi, eta_cap=2.5), grid
     )
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump({"entries": HYPERBOLIC_ETAS}, fh)
-        eta_path = fh.name
+    eta_path = OUT_ROOT / "hyperbolic" / "etas.json"
+    eta_path.parent.mkdir(parents=True, exist_ok=True)
+    eta_path.write_text(json.dumps({"entries": HYPERBOLIC_ETAS}))
     run_surface(
-        "hyperbolic", SurfaceConfig(kind="custom", K=-1.0, path=eta_path), grid
+        "hyperbolic", SurfaceConfig(kind="custom", K=-1.0, path=str(eta_path)), grid
     )
     print(f"\nartifacts under {OUT_ROOT}/")
 

@@ -1,8 +1,13 @@
 """Command-line front end.
 
 Two subcommands: ``run`` executes gamma sweeps over a surface spectrum and
-serializes tables, reports and plot-ready data; ``selftest`` runs the
-acceptance suite and prints one pass/fail line per criterion.
+writes the branch lambda_eta(gamma) with its per-row certificates (one
+table per eta), the convergence verdicts and the mixing-rate report
+(``summary.json``), the perturbation series and plot-ready data;
+``selftest`` runs the acceptance suite and prints one pass/fail line per
+criterion.  Identities that hold by construction (accretivity, the
+Casimir identity, the zero-mode resolvent bound) are certified by the
+acceptance suite, not written by ``run``.
 
 Configuration is a JSON file with nested sections (schema in the README);
 every field has a matching flag and flags override file values.  Output is
@@ -24,15 +29,9 @@ import numpy as np
 
 from .eig import MAX_DENSE_DIM
 from .errors import ConfigError, KbmLabError
-from .ladder import casimir_residual, finite_block, ladder_coefficients
-from .operator import (
-    TruncationPolicy,
-    assemble_generator,
-    fixed_truncation,
-    numerical_range_floor,
-    truncate,
-)
-from .perturb import perturbation_series, zero_mode_resolvent_norm
+from .ladder import finite_block, ladder_coefficients
+from .operator import TruncationPolicy, fixed_truncation, truncate
+from .perturb import perturbation_series
 from .spectra import (
     GammaTable,
     SurfaceSpectrum,
@@ -44,10 +43,6 @@ from .spectra import (
     sphere_spectrum,
     torus_spectrum,
 )
-
-DIAGNOSTIC_GAMMAS = (0.5, 2.0, 10.0)
-DIAGNOSTIC_ZETAS = (0.25, 0.5, 0.75)
-KNOWN_CHECKS = ("accretivity", "casimir", "resolvent_bound")
 
 CSV_COLUMNS = ("gamma", "re_lambda", "im_lambda", "abs_error", "simple", "k_max", "residual")
 
@@ -89,7 +84,6 @@ class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-    checks: tuple = KNOWN_CHECKS
 
     def validate(self) -> None:
         s = self.surface
@@ -141,15 +135,12 @@ class RunConfig:
                 f"fixed truncation needs k_max <= {(MAX_DENSE_DIM - 1) // 4}: the doubled "
                 f"certificate block would exceed the dense limit {MAX_DENSE_DIM}"
             )
-        for name, names, known in (
-            ("checks", self.checks, KNOWN_CHECKS),
-            ("outputs.formats", self.output.formats, ("csv", "json")),
-        ):
-            if not isinstance(names, (list, tuple)):
-                raise ConfigError(f"{name} must be a list, got {names!r}")
-            bad = [c for c in names if c not in known]
-            if bad:
-                raise ConfigError(f"unknown {name} {bad}; known: {list(known)}")
+        formats = self.output.formats
+        if not isinstance(formats, (list, tuple)):
+            raise ConfigError(f"outputs.formats must be a list, got {formats!r}")
+        bad = [f for f in formats if f not in ("csv", "json")]
+        if bad:
+            raise ConfigError(f"unknown outputs.formats {bad}; known: ['csv', 'json']")
         if not isinstance(self.output.directory, str):
             raise ConfigError(f"outputs.directory must be a string, got {self.output.directory!r}")
 
@@ -192,8 +183,6 @@ def load_config(path: Optional[str]) -> RunConfig:
                 if not hasattr(current, key):
                     raise ConfigError(f"unknown key {key!r} in section {section!r}")
                 setattr(current, key, value)
-    if "checks" in raw:
-        cfg.checks = raw["checks"]
     return cfg
 
 
@@ -234,8 +223,6 @@ def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
         o.formats = tuple(f for f in args.formats.split(",") if f)
     if args.out is not None:
         o.directory = args.out
-    if args.checks is not None:
-        cfg.checks = tuple(c for c in args.checks.split(",") if c)
 
 
 def _load_custom_entries(path: str) -> list:
@@ -327,10 +314,15 @@ def _eta_tag(index: int, eta: float) -> str:
 
 
 def run(cfg: RunConfig) -> dict:
-    """Execute the configured sweeps and write all artifacts.
+    """Execute the configured sweeps and write their artifacts: per eta a
+    ``table_*.csv`` and/or ``table_*.json`` (as ``outputs.formats`` asks)
+    and a ``plot_convergence_*.dat``; then ``plot_mixing.dat`` (when the
+    spectrum has a nonzero eta), ``perturbation_series.csv`` and
+    ``summary.json``.  Every table and plot shares the run's gamma grid.
 
-    Returns a manifest of written paths; raises KbmLabError subclasses on
-    any validation or module failure.
+    Returns a manifest of written paths (keys ``tables``, ``plots``,
+    ``summary``, ``series``); raises KbmLabError subclasses on any
+    validation or module failure.
     """
     cfg.validate()
     outdir = Path(cfg.output.directory)
@@ -353,11 +345,9 @@ def run(cfg: RunConfig) -> dict:
     ]
 
     manifest = {"tables": [], "plots": []}
-    records = {"surface": cfg.surface.kind, "curvature": spectrum.curvature, "rows": []}
     for i, (entry, table) in enumerate(zip(spectrum.entries, tables)):
         tag = _eta_tag(i, entry.eta)
         rows = _table_rows(table)
-        records["rows"].extend(rows)
         if "csv" in cfg.output.formats:
             path = outdir / f"table_{tag}.csv"
             _write_table_csv(path, rows)
@@ -394,7 +384,7 @@ def run(cfg: RunConfig) -> dict:
         mix_path = outdir / "plot_mixing.dat"
         mix_lines = [
             f"{_fmt(g)} {_fmt(v)} {_fmt(mixing['eta1'])}"
-            for g, v in zip(mixing["gamma"], mixing["re_lambda_eta1"])
+            for g, v in zip(grid, mixing["re_lambda_eta1"])
         ]
         mix_path.write_text("\n".join(mix_lines) + "\n")
         manifest["plots"].append(str(mix_path))
@@ -402,8 +392,6 @@ def run(cfg: RunConfig) -> dict:
         summary["mixing"] = None
 
     series_lines = ["eta,mu1,mu2,second_derivative,eta_over_2_residual"]
-    series_records = []
-    diag = {"accretivity": [], "casimir": [], "resolvent_bound": []}
     for entry, table in zip(spectrum.entries, tables):
         eta = entry.eta
         if eta == 0.0 or K > 0.0:
@@ -425,46 +413,11 @@ def run(cfg: RunConfig) -> dict:
                 )
             )
         )
-        series_records.append(
-            {
-                "eta": eta,
-                "mu1": series.mu1.real,
-                "mu2": series.mu2.real,
-                "second_derivative": series.second_derivative.real,
-                "eta_over_2_residual": resid,
-            }
-        )
-        if "casimir" in cfg.checks:
-            diag["casimir"].append({"eta": eta, "residual": casimir_residual(coeffs)})
-        if "accretivity" in cfg.checks:
-            for gamma in DIAGNOSTIC_GAMMAS:
-                op = assemble_generator(block, coeffs, gamma)
-                diag["accretivity"].append(
-                    {"eta": eta, "gamma": gamma, "min_real_energy": numerical_range_floor(op)}
-                )
-        if "resolvent_bound" in cfg.checks and eta > 0.0:
-            for zeta in DIAGNOSTIC_ZETAS:
-                bound = zero_mode_resolvent_norm(eta, zeta)
-                diag["resolvent_bound"].append(
-                    {
-                        "eta": eta,
-                        "zeta": zeta,
-                        "computed": bound.computed,
-                        "closed_form": bound.closed_form,
-                        "rel_error": abs(bound.computed - bound.closed_form)
-                        / bound.closed_form,
-                    }
-                )
 
     series_path = outdir / "perturbation_series.csv"
     series_path.write_text("\n".join(series_lines) + "\n")
     _write_json(outdir / "summary.json", summary)
-    _write_json(outdir / "diagnostics.json", {k: v for k, v in diag.items() if v})
-    records["series"] = series_records
-    _write_json(outdir / "records.json", records)
     manifest["summary"] = str(outdir / "summary.json")
-    manifest["diagnostics"] = str(outdir / "diagnostics.json")
-    manifest["records"] = str(outdir / "records.json")
     manifest["series"] = str(series_path)
     return manifest
 
@@ -536,8 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"eta_cap={defaults.surface.eta_cap}; gamma grid 10^{defaults.grid.log_start}"
         f"..10^{defaults.grid.log_end} with {defaults.grid.points} points; "
         f"truncation={defaults.truncation.kind} tol={defaults.truncation.tol}; "
-        f"formats={','.join(defaults.output.formats)} out={defaults.output.directory}; "
-        f"checks={','.join(defaults.checks)}"
+        f"formats={','.join(defaults.output.formats)} out={defaults.output.directory}"
     )
     p_run = sub.add_parser(
         "run",
@@ -561,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--truncation-tol", type=float, default=None)
     p_run.add_argument("--formats", default=None, help="comma-separated subset of csv,json")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--checks", default=None, help="comma-separated diagnostic suites")
 
     p_self = sub.add_parser(
         "selftest",

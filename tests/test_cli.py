@@ -27,17 +27,35 @@ def small_run_args(outdir, extra=()):
 
 
 def test_run_writes_expected_artifacts(tmp_path):
+    # exactly the documented set: per eta a csv and a json table and a
+    # convergence plot, then the mixing plot, the series and the summary
     out = tmp_path / "out"
     assert run_cli(small_run_args(out)) == 0
     names = {p.name for p in out.iterdir()}
-    assert "summary.json" in names
-    assert "diagnostics.json" in names
-    assert "records.json" in names
-    assert "perturbation_series.csv" in names
-    assert "plot_mixing.dat" in names
-    assert any(n.startswith("table_") and n.endswith(".csv") for n in names)
-    assert any(n.startswith("table_") and n.endswith(".json") for n in names)
-    assert any(n.startswith("plot_convergence_") for n in names)
+    per_eta = {
+        f"{stem}{tag}{suffix}"
+        for tag in ("00_eta_0", "01_eta_2")
+        for stem, suffix in (("table_", ".csv"), ("table_", ".json"), ("plot_convergence_", ".dat"))
+    }
+    assert names == per_eta | {"plot_mixing.dat", "perturbation_series.csv", "summary.json"}
+
+
+def test_plot_mixing_matches_the_eta1_table_and_the_summary(tmp_path):
+    # the mixing plot's gamma column is the run's grid, its second column
+    # the eta_1 table's re_lambda, its third eta_1, bit for bit; the grid
+    # reaches gamma < 4, where the eta = 2 rows are collided and complex
+    out = tmp_path / "out"
+    assert run_cli(small_run_args(out, extra=("--gamma-explicit=1,2,3,5,10,100",))) == 0
+    rows = json.loads((out / "table_01_eta_2.json").read_text())["rows"]
+    assert any(row["collided"] for row in rows)
+    mixing = json.loads((out / "summary.json").read_text())["mixing"]
+    assert "gamma" not in mixing and "gap_bound_curve" not in mixing
+    assert mixing["re_lambda_eta1"] == [row["re_lambda"] for row in rows]
+    lines = (out / "plot_mixing.dat").read_text().splitlines()
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        gamma, re_lambda, eta1 = (float(v) for v in line.split())
+        assert (gamma, re_lambda, eta1) == (row["gamma"], row["re_lambda"], mixing["eta1"])
 
 
 def test_csv_schema_and_roundtrip(tmp_path):
@@ -222,13 +240,34 @@ def test_selftest_prints_the_shared_fixture_time(monkeypatch, tmp_path, capsys):
     assert report.read_text().splitlines() == ["[PASS] criterion  2: t | d", "1/1 criteria passed"]
 
 
-def test_unknown_check_suite_is_rejected(tmp_path, capsys):
-    code = run_cli(
-        ["run", "--surface", "sphere", "--checks", "bogus", "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
+def test_the_removed_checks_flag_is_an_unknown_flag(tmp_path, capsys):
+    # a usage error: _Parser.error writes the record and exits with 2
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--surface", "sphere", "--checks", "accretivity", "--out", str(out)])
+    assert exc.value.code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "ConfigError" and "bogus" in record["message"]
+    assert record == {
+        "error": "ConfigError",
+        "message": "kbmlab: unrecognized arguments: --checks accretivity",
+    }
+    assert not out.exists()  # the usage error ends the run before it starts
+
+
+def test_a_config_that_still_names_checks_writes_the_same_bytes(tmp_path):
+    # unknown top-level keys are ignored, the removed "checks" key included
+    cfg = {"surface": {"kind": "sphere", "K": 1.0, "l_max": 1},
+           "gamma_grid": {"explicit": [5.0, 10.0, 100.0]}}
+    outs = []
+    for name, extra in (("plain", {}), ("checks", {"checks": ["accretivity", "casimir"]})):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({**cfg, **extra}))
+        outs.append(tmp_path / name)
+        assert run_cli(["run", "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert files == sorted(p.name for p in outs[1].iterdir())
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -262,7 +301,6 @@ def test_custom_infinite_eta_is_a_config_error(tmp_path, capsys):
     "config, etas",
     [
         (5, None),
-        ({"checks": 5}, None),
         ({"outputs": {"formats": 5}}, None),
         ({"outputs": {"directory": 5}}, None),
         ({"gamma_grid": {"explicit": 5}}, None),
@@ -346,7 +384,7 @@ def test_a_negative_flag_value_in_exponent_form_is_a_value(tmp_path, flags, key,
     out = tmp_path / "out"
     argv = ["run", *flags, "--custom-path", str(eta_path), "--gamma-points", "5", "--out", str(out)]
     assert run_cli(argv) == 0
-    first = json.loads((out / "records.json").read_text())["rows"][0]
+    first = json.loads((out / "table_00_eta_0.json").read_text())["rows"][0]
     assert first[key] == pytest.approx(value, rel=1e-15)
 
 
@@ -469,9 +507,9 @@ sys.exit(kbmlab.cli.main(sys.argv[1:]))
 
 
 def test_run_needs_no_scipy(tmp_path):
-    # importing the CLI loads no scipy module, and a K < 0 run with the
-    # default checks (adaptive truncation, residuals, accretivity) completes
-    # with scipy blocked
+    # importing the CLI loads no scipy module, and a K < 0 run (adaptive
+    # truncation, residuals, the perturbation series) completes with scipy
+    # blocked
     eta_path = tmp_path / "etas.json"
     eta_path.write_text(json.dumps({"entries": [[0.0, 1], [2.0, 1]]}))
     out = tmp_path / "out"
@@ -485,6 +523,7 @@ def test_run_needs_no_scipy(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    accretivity = json.loads((out / "diagnostics.json").read_text())["accretivity"]
-    assert len(accretivity) == 6  # two eta values times three gammas
-    assert all(rec["min_real_energy"] == 0.0 for rec in accretivity)
+    rows = [row for path in sorted(out.glob("table_*.json"))
+            for row in json.loads(path.read_text())["rows"]]
+    assert len(rows) == 14  # two eta values times seven gammas
+    assert (out / "summary.json").exists() and (out / "perturbation_series.csv").exists()

@@ -237,7 +237,8 @@ def test_mixing_report_closed_form_value():
     tables = [gamma_sweep(e.eta, 1.0, grid, multiplicity=e.multiplicity) for e in spectrum.entries]
     report = mixing_report(spectrum, tables)
     assert report["eta1"] == 2.0
-    i10 = report["gamma"].index(10.0)
+    assert len(report["re_lambda_eta1"]) == grid.size  # indexed by the tables' grid
+    i10 = list(grid).index(10.0)
     assert report["re_lambda_eta1"][i10] == pytest.approx(2.0871215252207998, abs=1e-9)
     assert report["approaches_from_above"] is True
     assert report["tail_value"] == pytest.approx(2.0, abs=1e-4)

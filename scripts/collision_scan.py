@@ -2,11 +2,14 @@
 """Where does each branch stop being simple, and how fast does the
 guaranteed radius shrink with eta?
 
-For a list of blocks this prints the empirically located collision point,
-the equivalent gamma, and the contour-based radius estimate
-min_zeta 1/||X (diag(k^2) - zeta)^-1||, whose zero-mode lower bound forces
-decay like 1/sqrt(eta).  The collision point is a diagnostic; nothing is
-claimed about the true analyticity threshold beyond it.
+For a list of blocks this prints the certified collision point, the
+equivalent gamma, and the Kato radius min_zeta 1/||X (diag(k^2) - zeta)^-1||
+over the circle |zeta| = 1/2 (column radius_est), whose zero-mode bound in
+the last column forces decay like 1/sqrt(eta).  Below the radius the
+circle holds exactly one eigenvalue, so every collision lies at or beyond
+it; sphere eta = 2 collides on the edge.  Both are computed on the
+(truncated) block; nothing is claimed about the infinite ladder's
+analyticity threshold.
 """
 
 import math

@@ -27,6 +27,7 @@ from kbmlab import (
     perturbation_radius,
     perturbation_series,
     riesz_projection,
+    track_branch,
     truncate,
     zero_mode_resolvent_norm,
 )
@@ -323,10 +324,54 @@ def test_perturbation_radius_equals_the_dense_definition(
         assert r <= radius / math.sqrt(0.5 * block.eta) * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("center", [0.0, -0.2])
+@pytest.mark.parametrize("K,eta", SUITE)
+def test_perturbation_radius_is_the_minimum_over_the_whole_circle(K, eta, center):
+    # a real centre c <= 0 takes node 0 alone, so the node count cannot move
+    # the radius; the dense definition on 4096 nodes finds no smaller one.
+    # Real X and real c make the matrix at conj(zeta) the conjugate of the
+    # one at zeta, with the same norm, so the nodes with theta <= pi suffice.
+    block, coeffs = _block(K, eta)
+    radii = {nodes: perturbation_radius(block, coeffs, Contour(center, 0.5, nodes))
+             for nodes in (8, 64, 65, 4096)}
+    assert len(set(radii.values())) == 1, radii
+
+    x_mat = coupling_matrix(coeffs).astype(complex)
+    k2 = block.ks.astype(float) ** 2
+    zeta = Contour(center, 0.5, 4096).points()[: 4096 // 2 + 1]
+    norms = np.concatenate([
+        np.linalg.norm(x_mat[None, :, :] / (k2[None, None, :] - z[:, None, None]), 2, axis=(1, 2))
+        for z in np.array_split(zeta, 8)
+    ])
+    dense = float(np.min(1.0 / norms))
+    assert dense >= radii[4096] * (1.0 - 1e-13)
+
+
+@pytest.mark.parametrize("K,eta", SUITE)
+def test_every_certified_collision_lies_outside_the_kato_disk(K, eta):
+    # for |x| < r0 the contour |zeta| = 1/2 holds exactly one eigenvalue, so
+    # no two can meet there: on the collision scan's blocks every collision
+    # that track_branch certifies has |x_c| >= r0
+    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(48))
+    coeffs = ladder_coefficients(block)
+    branch = track_branch(block, coeffs, -2.5)
+    radius = perturbation_radius(block, coeffs, Contour(0.0, 0.5, 64))
+    assert branch.status == "collision"
+    assert abs(branch.x_collision) >= radius * (1.0 - 1e-12)
+    if (K, eta) == (1.0, 2.0):
+        # the sphere l = 1 branch collides on the disk's edge, x_c = r0 = 1/2
+        assert abs(branch.x_collision) == pytest.approx(0.5, rel=0.0, abs=1e-15)
+        assert radius == pytest.approx(0.5, rel=0.0, abs=1e-15)
+
+
 def test_perturbation_radius_trivial_block_is_infinite():
     block = finite_block(0.0, 1.0)
     r = perturbation_radius(block, ladder_coefficients(block), Contour(0.0, 0.5, 16))
     assert math.isinf(r)
+    # the contour is validated before the infinite radius is returned, as on
+    # every other block
+    with pytest.raises(ContourPlacementError):
+        perturbation_radius(block, ladder_coefficients(block), Contour(1.0, 0.5, 64))
 
 
 @pytest.mark.parametrize(

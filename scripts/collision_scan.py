@@ -4,7 +4,7 @@ guaranteed radius shrink with eta?
 
 For a list of blocks this prints the certified collision point, the
 equivalent gamma, and the Kato radius min_zeta 1/||X (diag(k^2) - zeta)^-1||
-over the circle |zeta| = 1/2 (column radius_est), whose zero-mode bound in
+over the circle |zeta| = 1/2 (column kato_radius), whose zero-mode bound in
 the last column forces decay like 1/sqrt(eta).  Below the radius the
 circle holds exactly one eigenvalue, so every collision lies at or beyond
 it; sphere eta = 2 collides on the edge.  Both are computed on the
@@ -39,7 +39,7 @@ CONTOUR = Contour(center=0.0, radius=0.5, nodes=64)
 
 def main():
     print(f"{'K':>4} {'eta':>6} {'x_collision':>12} {'gamma_hat':>10} "
-          f"{'radius_est':>11} {'0.5/sqrt(eta/2)':>16}")
+          f"{'kato_radius':>11} {'0.5/sqrt(eta/2)':>16}")
     for K, eta in CASES:
         if K > 0.0:
             block = finite_block(eta, K)

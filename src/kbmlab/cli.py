@@ -127,8 +127,13 @@ class RunConfig:
         if self.truncation.kind not in ("fixed", "adaptive"):
             raise ConfigError(f"unknown truncation kind {self.truncation.kind!r}")
         k_max = self.truncation.k_max
+        if self.truncation.kind == "adaptive" and k_max is not None:
+            raise ConfigError(f"truncation.k_max = {k_max!r} needs fixed truncation")
         if self.truncation.kind == "fixed" and not (_is_int(k_max) and k_max >= 1):
             raise ConfigError(f"fixed truncation needs an integer k_max >= 1, got {k_max!r}")
+        positive_K = s.kind == "sphere" or (s.kind == "custom" and s.K > 0.0)
+        if self.truncation.kind == "fixed" and positive_K:
+            raise ConfigError("fixed truncation needs K <= 0; a K > 0 surface has finite blocks")
         if self.truncation.kind == "fixed" and 4 * self.truncation.k_max + 1 > MAX_DENSE_DIM:
             # the certificate block doubles the cutoff to [-2 k_max, 2 k_max]
             raise ConfigError(

@@ -4,22 +4,25 @@ Five pieces: the characteristic polynomial by the scaled three-term
 determinant recurrence (a loop on Python scalars, float or complex), a dense
 eigensolver used strictly as a brute-force oracle (one matrix or a stack,
 densified in chunks of bounded size), inverse-iteration eigenvectors for
-a whole stack of matrices at once, holomorphic continuation of the
-eigenvalue branch that emanates from the unperturbed value 0, and the
-exceptional point where that branch ends on the real axis.  On the real
-axis every family member, and each of its parity sectors, is a real
-matrix; the dense solver then runs in real arithmetic, in less than half
-the time of the complex solve on the sector sizes used here.
+a whole stack of matrices at once, continuation along the real axis of
+the eigenvalue branch that emanates from the unperturbed value 0, and the
+exceptional point where that branch ends.  On the real axis every family
+member, and each of its parity sectors, is a real matrix; the dense
+solver then runs in real arithmetic, in less than half the time of the
+complex solve on the sector sizes used here.
 
-The continuation walks the segment [0, x_target] with a secant predictor
-and a Newton corrector on the characteristic polynomial of the even parity
-sector (``operator.even_sector``, dimension k_max + 1), which holds the
-branch through 0, read as Python lists formed once per block (in float
-arithmetic at real x).  It takes Newton-only steps first and certifies them
-afterwards: one stacked dense solve checks every walked sample's gap to
-the rest of the spectrum, on the stack of the walk's even sectors built in
-one call.  That check solves the even sectors only and certifies the odd
-ones, slices of the even ones (``operator.odd_sector``), by their
+The continuation walks the real segment [0, x_target], on which the
+paper's x = -2/gamma lies, with a secant predictor and a Newton corrector
+on the characteristic polynomial of the even parity sector
+(``operator.even_sector``, dimension k_max + 1), which holds the branch
+through 0, read as Python float lists formed once per block; a complex
+x_target or checkpoint raises TypeError.  The branch is holomorphic in x;
+that is checked through ``newton_polish`` on the sector assembled at
+complex x.  The continuation takes Newton-only steps first and certifies
+them afterwards: one stacked dense solve checks every walked sample's gap
+to the rest of the spectrum, on the stack of the walk's even sectors built
+in one call.  That check solves the even sectors only and certifies the
+odd ones, slices of the even ones (``operator.odd_sector``), by their
 numerical range (Horn & Johnson, *Topics in Matrix Analysis*, 1.2): at
 real x the odd sector's Hermitian part is diag(m^2, m >= 1), so every odd
 eigenvalue has Re >= 1, and when the even gap is below 1 - Re mu the
@@ -33,16 +36,15 @@ checkpoints of the segment, so one continuation serves every parameter on
 it.  It computes no eigenvectors; callers take ``inverse_iteration`` where
 they report values.
 
-On a real segment the branch ends where it meets its even-sector
-neighbour at a square-root exceptional point, p = dp/dmu = 0 (Kato,
-*Perturbation Theory for Linear Operators*, II.1).  The first rejected
-step from a sample solves that 2x2 system in (x^2, mu) by Newton
-(``exceptional_point``); when the certified point lies inside the step the
-continuation stops there.  An accepted sample that is not simple asks the
-same of the stretch to the next checkpoint, since the point may lie just
-beyond it.  Otherwise, and on complex segments, loss of numerical
-simplicity (gap below threshold, or step underflow) flags the collision.
-Either way the partial branch is returned.
+The branch ends where it meets its even-sector neighbour at a square-root
+exceptional point, p = dp/dmu = 0 (Kato, *Perturbation Theory for Linear
+Operators*, II.1).  The first rejected step from a sample solves that 2x2
+system in (x^2, mu) by Newton (``exceptional_point``); when the certified
+point lies inside the step the continuation stops there.  An accepted
+sample that is not simple asks the same of the stretch to the next
+checkpoint, since the point may lie just beyond it.  Otherwise loss of
+numerical simplicity (gap below threshold, or step underflow) flags the
+collision.  Either way the partial branch is returned.
 """
 
 from __future__ import annotations
@@ -156,7 +158,9 @@ def newton_polish(op, mu0: complex) -> tuple[complex, bool, int]:
     arithmetic of the scalars given.  On float lists from a float ``mu0``
     it is real, and its float root is bitwise the real part of the complex
     iteration's, whose imaginary parts would all be zero (+0.0 on the
-    iterates).  Returns (root, converged, iterations).
+    iterates).  The continuation runs it on those float lists; on an
+    operator assembled at complex x it is the check of the branch's
+    holomorphy.  Returns (root, converged, iterations).
     """
     mu = mu0
     prev_step = math.inf
@@ -209,32 +213,24 @@ def eig_dense(op: TridiagonalOperator) -> np.ndarray:
     """All eigenvalues by a dense nonsymmetric solve (brute-force oracle);
     a stack of matrices gives one row of eigenvalues per matrix.
 
-    Matrices with no imaginary part (every family member at real x, every
-    generator) go to the real LAPACK solver, about a quarter of the
-    complex solver's arithmetic, whose non-real eigenvalues come in exact
-    conjugate pairs; the result is complex either way.  The choice is made
-    per matrix, so a stack that mixes real and complex matrices gives each
-    the bits it gets alone.  Each kind is densified and solved in chunks of
-    at most ``operator.STACK_BUDGET`` entries (one matrix when a single one
-    is larger), one stacked LAPACK call per chunk, so no dense array above
-    the budget is ever allocated.
+    A call with no imaginary part anywhere (every family member at real
+    x, so every stack the continuation certifies, and every generator)
+    goes to the real LAPACK solver, about a quarter of the complex
+    solver's arithmetic, whose non-real eigenvalues come in exact
+    conjugate pairs; any other call is solved in complex arithmetic
+    throughout.  The result is complex either way.  The stack is densified
+    and solved in chunks of at most ``operator.STACK_BUDGET`` entries (one
+    matrix when a single one is larger), one stacked LAPACK call per
+    chunk, so no dense array above the budget is ever allocated.
     """
     if op.dim > MAX_DENSE_DIM:
         raise EigensolveError(f"dense oracle limited to dimension {MAX_DENSE_DIM}")
-    if not (op.diag.imag.any() or op.sub.imag.any() or op.sup.imag.any()):
-        return _eigvals(op, True)
-    real = ~(op.diag.imag.any(axis=-1) | op.sup.imag.any(axis=-1) | op.sub.imag.any(axis=-1))
-    if not real.any():
-        return _eigvals(op, False)
-    eigs = np.empty(op.diag.shape, dtype=complex)
-    for rows in (real, ~real):
-        eigs[rows] = _eigvals(_rows(op, rows), rows is real)
-    return eigs
+    return _eigvals(op, not (op.diag.imag.any() or op.sub.imag.any() or op.sup.imag.any()))
 
 
 def _eigvals(op: TridiagonalOperator, real: bool) -> np.ndarray:
-    """``eig_dense`` of one matrix or a stack of one kind (``real`` or
-    not), densified and solved per chunk of the entry budget."""
+    """``eig_dense`` of one matrix or a stack, in real arithmetic when
+    ``real``, densified and solved per chunk of the entry budget."""
     parts = batch_slices(op.diag.shape[0] if op.diag.ndim == 2 else 1, op.dim * op.dim)
     if len(parts) > 1:
         return np.concatenate([_eigvals(_rows(op, part), real) for part in parts])
@@ -243,7 +239,7 @@ def _eigvals(op: TridiagonalOperator, real: bool) -> np.ndarray:
 
 
 def _rows(op: TridiagonalOperator, rows) -> TridiagonalOperator:
-    """The matrices ``rows`` (a slice, a mask or indices) of a stack."""
+    """The matrices ``rows`` (a slice or indices) of a stack."""
     return TridiagonalOperator(op.diag[rows], op.sup[rows], op.sub[rows])
 
 
@@ -344,7 +340,7 @@ def exceptional_point(
     mu_cur: float,
     nu: Optional[complex],
     *,
-    eigs_cur: Optional[np.ndarray] = None,
+    eigs_cur: np.ndarray,
 ) -> Optional[float]:
     """The exceptional point x_c that ends the real step x_cur -> x_try, or
     None when no exceptional point is certified there.
@@ -354,12 +350,11 @@ def exceptional_point(
     branch point of the even sector, where p = p_mu = 0.  That system is
     solved for (t, mu), t = x^2, by Newton with the Jacobian
     [[p_t, p_mu], [p_mut, p_mumu]] from ``_even_recurrence``.  The seed
-    comes from the sector's own dense spectrum at x_cur (the eigenvalue
-    nearest mu_cur and its nearest neighbour, which meet at their midpoint
-    after the time the square-root model gives from their slopes), so the
-    result depends on mu_cur and nu only through comparisons.  A caller
-    that holds that spectrum passes it as ``eigs_cur``, which saves the
-    solve; the default solves it.
+    comes from ``eigs_cur``, the sector's own dense spectrum at x_cur (the
+    eigenvalue nearest mu_cur and its nearest neighbour, which meet at
+    their midpoint after the time the square-root model gives from their
+    slopes), so the result depends on mu_cur and nu only through
+    comparisons.
 
     Certified means: Newton converged to t_c > x_cur^2; p_mumu and p_t do
     not vanish there (a simple square-root branch point); mu_c lies
@@ -374,11 +369,10 @@ def exceptional_point(
     b[0] *= 2.0
     t_cur = x_cur * x_cur
 
-    eigs = eigs_cur if eigs_cur is not None else eig_dense(even_sector(block, coeffs, x_cur))
-    near = np.argsort(np.abs(eigs - mu_cur))[:2]
-    if near.size < 2 or eigs[near].imag.any():
+    near = np.argsort(np.abs(eigs_cur - mu_cur))[:2]
+    if near.size < 2 or eigs_cur[near].imag.any():
         return None
-    mu_a, mu_b = eigs[near].real.tolist()
+    mu_a, mu_b = eigs_cur[near].real.tolist()
     slopes = []
     for mu in (mu_a, mu_b):
         _, pm, _, pt, _ = _even_recurrence(d, b, t_cur, mu)
@@ -527,17 +521,19 @@ class EigenBranch:
     ``discarded`` counts the walked samples dropped unused because an
     earlier sample of their walk failed its certification (see
     ``track_branch``); it does not change any other field.
+    The parameters are real: ``x_target`` and ``x_collision`` are floats
+    and ``x_samples`` is a float array; ``mu_values`` is complex.
     """
 
     block: CasimirBlock
-    x_target: complex
+    x_target: float
     x_samples: np.ndarray
     mu_values: np.ndarray
     gap_to_rest: np.ndarray
     simple: np.ndarray
     status: str
     reason: str = ""
-    x_collision: Optional[complex] = None
+    x_collision: Optional[float] = None
     oracle_dev: float = 0.0
     checkpoint_index: tuple = ()
     discarded: int = 0
@@ -556,15 +552,15 @@ class _Cursor:
     """Where a continuation stands: its last sample (s_cur, x_cur, mu_cur),
     the one before (s_prev, mu_prev) for the secant predictor, the step
     ``ds`` with the run of easy Newton solves that doubles it, and the next
-    checkpoint ``nxt``.  mu starts at the float 0.0 and stays a float while
-    Newton returns real roots, so that Newton runs in float arithmetic."""
+    checkpoint ``nxt``.  x and mu are floats: Newton on the float lists of
+    a real sector returns real roots from a real prediction."""
 
     ds: float
     s_cur: float = 0.0
-    x_cur: complex = 0j
-    mu_cur: complex = 0.0
+    x_cur: float = 0.0
+    mu_cur: float = 0.0
     s_prev: Optional[float] = None
-    mu_prev: complex = 0j
+    mu_prev: float = 0.0
     easy: int = 0
     nxt: int = 0
 
@@ -588,27 +584,21 @@ class _Step(NamedTuple):
     prediction and the corrected value."""
 
     s: float
-    x: complex
+    x: float
     at_checkpoint: bool
-    mu_pred: complex
-    mu: complex
+    mu_pred: float
+    mu: float
     ok: bool
     iters: int
 
 
 def _newton_step(
-    block: CasimirBlock,
-    coeffs: LadderCoefficients,
-    lists: EvenSectorLists,
-    cur: _Cursor,
-    ck_x: list,
-    ck_s: list,
-    x_target: complex,
+    lists: EvenSectorLists, cur: _Cursor, ck_x: list, ck_s: list, x_target: float
 ) -> _Step:
     """The next step from ``cur``: ds, shortened to land on the next
     checkpoint (or stretched to it when less than 1.5 ds away), then Newton
-    on the even sector from the secant prediction: on the block's
-    ``lists`` at real x, on the assembled ``even_sector`` at complex x."""
+    on the even sector's float lists ``lists.at(x)`` from the secant
+    prediction; no operator is built."""
     s_ck = ck_s[cur.nxt]
     ds_eff = min(cur.ds, s_ck - cur.s_cur)
     if s_ck - cur.s_cur < 1.5 * cur.ds:
@@ -623,19 +613,19 @@ def _newton_step(
         mu_pred = cur.mu_cur + slope * (s_new - cur.s_cur)
     else:
         mu_pred = cur.mu_cur
-    sector = lists.at(x_new.real) if x_new.imag == 0.0 else even_sector(block, coeffs, x_new)
-    mu_new, ok, iters = newton_polish(sector, mu_pred)
+    mu_new, ok, iters = newton_polish(lists.at(x_new), mu_pred)
     return _Step(s_new, x_new, at_checkpoint, mu_pred, mu_new, ok, iters)
 
 
 def track_branch(
     block: CasimirBlock,
     coeffs: LadderCoefficients,
-    x_target: complex,
+    x_target: float,
     *,
-    checkpoints: Sequence[complex] = (),
+    checkpoints: Sequence[float] = (),
 ) -> EigenBranch:
-    """Continue the eigenvalue branch from 0 at x = 0 to ``x_target``.
+    """Continue the eigenvalue branch from 0 at x = 0 to the real
+    ``x_target``.
 
     The unperturbed value 0 is a simple eigenvalue on the block (the
     diagonal is k^2 and the zero mode occurs once), so the branch starts
@@ -643,10 +633,12 @@ def track_branch(
     Gaps, the neighbour and simplicity are those of the full block.
 
     ``checkpoints`` are parameters on the segment (0, x_target] in order of
-    increasing |x|; x_target is appended when it is not the last one.  The
-    continuation shortens the step that would pass a checkpoint so that it
-    samples the checkpoint's exact value, and the step size is carried on
-    unchanged past it.
+    increasing |x|; x_target is appended when it is not the last one.  A
+    complex x_target or checkpoint, even one with zero imaginary part,
+    raises TypeError before any step is taken.  The continuation shortens
+    the step that would pass a checkpoint so that it samples the
+    checkpoint's exact value, and the step size is carried on unchanged
+    past it.
 
     The loop alternates two phases.  A walk takes Newton-only steps from
     the last certified sample (secant predictor, landing on checkpoints,
@@ -668,25 +660,24 @@ def track_branch(
     from the first rejection on no walk discards more samples than were
     certified since the last one.
 
-    Newton reads the block's ``EvenSectorLists``, formed once: at real x
-    it builds no operator and, from a real prediction, runs in float
-    arithmetic.  A complex x solves on ``even_sector``.
+    Newton reads the block's ``EvenSectorLists``, formed once: it builds
+    no operator and runs in float arithmetic.
 
-    On a real segment, the first rejected step from each sample asks
-    ``exceptional_point`` whether the step ran into the exceptional point
-    where the branch meets the neighbour of the last certified sample.  If
-    so the continuation stops with reason "exceptional point" and
-    x_collision = x_c; no checkpoint lies between the sample and x_c,
-    because steps never pass one.  Otherwise the step is halved.  An
-    accepted sample that is not simple asks ``exceptional_point`` the same
-    of the stretch from it to the next checkpoint; a certified point there
-    becomes x_collision, and the sample stays the last one.  Both calls
-    hand over the even spectrum from the sample's certification (the
-    start x = 0 has none).
+    The first rejected step from each sample asks ``exceptional_point``
+    whether the step ran into the exceptional point where the branch meets
+    the neighbour of the last certified sample.  If so the continuation
+    stops with reason "exceptional point" and x_collision = x_c; no
+    checkpoint lies between the sample and x_c, because steps never pass
+    one.  Otherwise the step is halved.  An accepted sample that is not
+    simple asks ``exceptional_point`` the same of the stretch from it to
+    the next checkpoint; a certified point there becomes x_collision, and
+    the sample stays the last one.  Both calls hand over the even spectrum
+    from the sample's certification; at the start x = 0 it is the exact
+    unperturbed one, m^2 for m = 0..k_max.
     """
-    x_target = complex(x_target)
-    dim = block.dim
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
+    x_target = float(x_target)
+    dim = block.dim
 
     # the unperturbed spectrum is m^2 on the symmetric block: the nearest
     # neighbour of 0 is 1, none on the single-mode block
@@ -695,7 +686,7 @@ def track_branch(
         return EigenBranch(
             block=block,
             x_target=x_target,
-            x_samples=np.array([0j]),
+            x_samples=np.array([0.0]),
             mu_values=np.array([0j]),
             gap_to_rest=np.array([gap0]),
             simple=np.array([gap0 > collision_threshold(0.0)]),
@@ -706,7 +697,7 @@ def track_branch(
     ds_base = 1.0 / max(MIN_STEPS, math.ceil(abs(x_target) / STEP_X))
     ds_min = 1e-12
 
-    xs = [0j]
+    xs = [0.0]
     mus = [0j]
     gaps = [gap0]
     simples = [gap0 > collision_threshold(0.0)]
@@ -716,10 +707,9 @@ def track_branch(
     last_gap = gap0
     # the unperturbed neighbour of 0 is m^2 = 1, which the even sector holds
     last_nu: Optional[complex] = 1.0 + 0j if dim > 1 else None
-    real_segment = x_target.imag == 0.0
     ep_tried = False
-    # the even sector's dense spectrum at x_cur (none at the start x = 0)
-    eigs_cur: Optional[np.ndarray] = None
+    # the even sector's dense spectrum at x_cur, exactly m^2 at x = 0
+    eigs_cur = np.array(lists.diag)
     oracle_dev = 0.0
     status, reason, x_coll = "complete", "", None
     landed = []
@@ -732,7 +722,7 @@ def track_branch(
         walked: list = []
         rejected: Optional[_Step] = None
         while len(walked) < walk_length and walker.nxt < len(ck_s):
-            step = _newton_step(block, coeffs, lists, walker, ck_x, ck_s, x_target)
+            step = _newton_step(lists, walker, ck_x, ck_s, x_target)
             if not step.ok or (not walked and abs(step.mu - step.mu_pred) > 0.5 * last_gap):
                 rejected = step
                 break
@@ -765,15 +755,15 @@ def track_branch(
                 discarded += len(walked) - i - 1
                 status, reason, x_coll = "collision", "gap below collision threshold", step.x
                 nxt = cur.nxt + step.at_checkpoint
-                if real_segment and nxt < len(ck_s):
+                if nxt < len(ck_s):
                     # the exceptional point may lie just beyond this sample,
                     # short of the next checkpoint
                     x_c = exceptional_point(
-                        block, coeffs, step.x.real, ck_x[nxt].real, step.mu.real, last_nu,
+                        block, coeffs, step.x, ck_x[nxt], step.mu, last_nu,
                         eigs_cur=check.even_eigs,
                     )
                     if x_c is not None:
-                        reason, x_coll = "exceptional point", complex(x_c)
+                        reason, x_coll = "exceptional point", x_c
                 done = True
                 break
             cur.advance(step, ds_base)
@@ -785,16 +775,15 @@ def track_branch(
             walk_length *= 2
             continue
 
-        if real_segment and not ep_tried:
+        if not ep_tried:
             # the first rejection from x_cur: the step may have run into
             # the exceptional point where the branch meets nu
             ep_tried = True
             x_c = exceptional_point(
-                block, coeffs, cur.x_cur.real, rejected.x.real, cur.mu_cur.real, last_nu,
-                eigs_cur=eigs_cur,
+                block, coeffs, cur.x_cur, rejected.x, cur.mu_cur, last_nu, eigs_cur=eigs_cur
             )
             if x_c is not None:
-                status, reason, x_coll = "collision", "exceptional point", complex(x_c)
+                status, reason, x_coll = "collision", "exceptional point", x_c
                 break
         cur.ds *= 0.5
         cur.easy = 0
@@ -820,15 +809,19 @@ def track_branch(
     )
 
 
-def _checkpoint_params(
-    x_target: complex, checkpoints: Sequence[complex]
-) -> tuple[list, list]:
-    """Checkpoints ending at x_target and their fractions s = x / x_target.
+def _checkpoint_params(x_target: float, checkpoints: Sequence[float]) -> tuple[list, list]:
+    """Checkpoints ending at x_target, as floats, and their fractions s =
+    x / x_target.
 
     A checkpoint's own value, not s * x_target, is the one sampled, so a
-    caller gets back exactly the float it asked for.
+    caller gets back exactly the float it asked for.  A complex x_target or
+    checkpoint raises TypeError: ``float`` of a NumPy complex scalar would
+    drop its imaginary part with no more than a warning.
     """
-    xs = [complex(c) for c in checkpoints]
+    if np.iscomplexobj(x_target) or np.iscomplexobj(checkpoints):
+        raise TypeError("the branch continuation runs on real x; got a complex parameter")
+    x_target = float(x_target)
+    xs = [float(c) for c in checkpoints]
     if not xs or xs[-1] != x_target:
         xs.append(x_target)
     if x_target == 0:
@@ -837,22 +830,16 @@ def _checkpoint_params(
         return xs, [0.0]
     fractions = [c / x_target for c in xs]
     mags = [abs(c) for c in xs]
-    if (
-        any(abs(f.imag) > 1e-12 or not f.real > 0.0 for f in fractions)
-        or any(b <= a for a, b in zip(mags, mags[1:]))
-    ):
+    if any(not f > 0.0 for f in fractions) or any(b <= a for a, b in zip(mags, mags[1:])):
         raise ValueError(
             "checkpoints must lie on the segment (0, x_target] in order of increasing |x|"
         )
-    return xs, [f.real for f in fractions[:-1]] + [1.0]
+    return xs, fractions[:-1] + [1.0]
 
 
-def branch_value(
-    block: CasimirBlock,
-    coeffs: LadderCoefficients,
-    x: complex,
-) -> complex:
-    """Branch value at x; raises if the continuation hits a collision."""
+def branch_value(block: CasimirBlock, coeffs: LadderCoefficients, x: float) -> complex:
+    """Branch value at the real x; raises if the continuation hits a
+    collision."""
     br = track_branch(block, coeffs, x)
     if not br.reached:
         raise BranchCollisionError(

@@ -99,8 +99,10 @@ def assemble_perturbed(
 ) -> TridiagonalOperator:
     """Fiber Laplacian diag(k^2) plus x times the geodesic coupling.
 
-    ``x`` may be complex; the physically relevant substitution is the real
-    value x = -2/gamma, but holomorphy diagnostics need complex parameters.
+    ``x`` may be complex.  The physically relevant substitution is the
+    real value x = -2/gamma, the only one the branch continuation takes;
+    a complex x serves the holomorphy checks, which run ``newton_polish``
+    on the sector assembled there.
     """
     if coeffs.a.shape != (block.dim - 1,):
         raise ValueError("block and coefficients are inconsistent")

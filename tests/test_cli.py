@@ -435,8 +435,45 @@ def test_fixed_cutoff_beyond_dense_limit_is_a_config_error(tmp_path, capsys):
     record = _error_record(capsys)
     assert record["error"] == "ConfigError" and "1023" in record["message"]
     cfg = load_config(None)
+    cfg.surface.kind = "torus"  # a fixed cutoff needs K <= 0
     cfg.truncation.kind, cfg.truncation.k_max = "fixed", 1023
     cfg.validate()  # largest cutoff whose doubled block fits
+
+
+def test_a_cutoff_with_adaptive_truncation_is_a_config_error(tmp_path, capsys):
+    # the adaptive policy doubles its own cutoff; a k_max given with it
+    # would be ignored
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0.0, 1], [5.0, 1]]}))
+    out = tmp_path / "out"
+    code = run_cli(
+        ["run", "--surface", "custom", "--curvature", "-1", "--custom-path", str(eta_path),
+         "--k-max", "64", "--gamma-explicit", "20", "--out", str(out)]
+    )
+    assert code == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and "k_max" in record["message"]
+    assert json.loads((out / "errors.json").read_text()) == record
+    assert not any(out.glob("table_*"))
+
+
+@pytest.mark.parametrize("surface", ["sphere", "custom"])
+def test_fixed_truncation_on_a_positively_curved_surface_is_a_config_error(
+    tmp_path, capsys, surface
+):
+    # every block of a K > 0 surface is finite, so a cutoff would be ignored
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0.0, 1], [2.0, 1]]}))
+    flags = ["--curvature", "1", "--custom-path", str(eta_path)] if surface == "custom" else []
+    out = tmp_path / "out"
+    code = run_cli(
+        ["run", "--surface", surface, *flags, "--truncation", "fixed", "--k-max", "3",
+         "--gamma-explicit", "20", "--out", str(out)]
+    )
+    assert code == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and "K <= 0" in record["message"]
+    assert json.loads((out / "errors.json").read_text()) == record
 
 
 def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):

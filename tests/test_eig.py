@@ -298,41 +298,44 @@ def test_eig_dense_solves_real_sectors_in_real_arithmetic():
 
 @pytest.mark.parametrize("k_max, budget", [(4, 100), (4, 80), (8, 50), (8, 100), (8, 300)])
 def test_eig_dense_chunks_a_stack_within_the_entry_budget(monkeypatch, k_max, budget):
-    # real and complex sectors interleaved in one stack; with the budget
+    # an all-real and an all-complex stack of nine sectors; with the budget
     # lowered every LAPACK call and every dense array holds at most
     # ``budget`` entries (one matrix when n^2 is larger), and each row keeps
     # the bits it gets alone and under the default budget
     block = truncate(5.0, -1.0, fixed_truncation(k_max))
     coeffs = ladder_coefficients(block)
-    xs = np.array([-0.1, -0.2 + 1e-13j, -0.3, -0.4, 0.2j, -0.5, -0.6, -0.7 - 0.1j, -0.8])
-    stack = even_sector(block, coeffs, xs)
-    n = stack.dim
-    whole = eig_dense(stack)
-    singles = [eig_dense(even_sector(block, coeffs, x)) for x in xs]
-    assert np.array_equal(whole, np.array(singles))
+    real_xs = -0.1 * np.arange(1.0, 10.0)
+    stacks = {"f": real_xs, "c": real_xs + 0.05j * np.arange(-4.0, 5.0) + 1e-13j}
+    for kind, xs in stacks.items():
+        stack = even_sector(block, coeffs, xs)
+        n = stack.dim
+        whole = eig_dense(stack)
+        for x, row in zip(xs, whole):
+            assert row.tobytes() == eig_dense(even_sector(block, coeffs, x)).tobytes()
 
-    sizes = []
-    real_eigvals = np.linalg.eigvals
-    real_dense = kbmlab.operator.TridiagonalOperator.to_dense
+        sizes = []
+        real_eigvals = np.linalg.eigvals
+        real_dense = kbmlab.operator.TridiagonalOperator.to_dense
 
-    def eigvals(a):
-        sizes.append(("lapack", a.size, a.dtype.kind))
-        return real_eigvals(a)
+        def eigvals(a):
+            sizes.append(("lapack", a.size, a.dtype.kind))
+            return real_eigvals(a)
 
-    def to_dense(op):
-        sizes.append(("dense", op.diag.size * op.dim, None))
-        return real_dense(op)
+        def to_dense(op):
+            sizes.append(("dense", op.diag.size * op.dim, None))
+            return real_dense(op)
 
-    monkeypatch.setattr(kbmlab.operator, "STACK_BUDGET", budget)
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    monkeypatch.setattr(kbmlab.operator.TridiagonalOperator, "to_dense", to_dense)
-    chunked = eig_dense(stack)
-    assert chunked.tobytes() == whole.tobytes()
-    assert all(size <= max(budget, n * n) for _, size, _ in sizes)
-    lapack = [kind for what, _, kind in sizes if what == "lapack"]
-    # six real matrices and three complex ones, each kind in whole chunks
-    per_chunk = max(1, budget // (n * n))
-    assert lapack.count("f") == -(-6 // per_chunk) and lapack.count("c") == -(-3 // per_chunk)
+        with monkeypatch.context() as m:
+            m.setattr(kbmlab.operator, "STACK_BUDGET", budget)
+            m.setattr(np.linalg, "eigvals", eigvals)
+            m.setattr(kbmlab.operator.TridiagonalOperator, "to_dense", to_dense)
+            chunked = eig_dense(stack)
+        assert chunked.tobytes() == whole.tobytes()
+        assert all(size <= max(budget, n * n) for _, size, _ in sizes)
+        # nine matrices of the stack's one kind, in whole chunks
+        per_chunk = max(1, budget // (n * n))
+        lapack = [k for what, _, k in sizes if what == "lapack"]
+        assert lapack == [kind] * -(-9 // per_chunk)
 
 
 def test_eigvec_diagonal_case(sphere_l1):
@@ -407,13 +410,17 @@ def test_branch_is_real_on_real_axis(sphere_l1):
 
 def test_branch_holomorphy_cauchy_riemann(sphere_l1):
     # centered differences of mu along the real and imaginary directions
-    # must satisfy d_re mu = -i d_im mu for a holomorphic branch
+    # must satisfy d_re mu = -i d_im mu for a holomorphic branch; the
+    # continuation runs on real x, so Newton on the sector assembled at
+    # each complex x polishes the branch value at the real x0
     block, coeffs = sphere_l1
-    x0 = 0.12 + 0.07j
+    x0 = 0.12
     h = 2e-4
+    seed = branch_value(block, coeffs, x0)
     mu = {}
     for dx in (h, -h, 1j * h, -1j * h):
-        mu[dx] = branch_value(block, coeffs, x0 + dx)
+        mu[dx], ok, _ = newton_polish(even_sector(block, coeffs, x0 + dx), seed)
+        assert ok
     d_re = (mu[h] - mu[-h]) / (2 * h)
     d_im = (mu[1j * h] - mu[-1j * h]) / (2j * h)
     assert abs(d_re - d_im) <= 1e-6
@@ -460,12 +467,28 @@ def test_track_branch_reports_checkpoints_before_a_collision(sphere_l1):
 
 @pytest.mark.parametrize(
     "x_target, cks",
-    [(-0.4, [-0.3, -0.1]), (-0.4, [0.1]), (-0.4, [-0.5]), (-0.4, [-0.1j]), (0.0, [0.1])],
+    [(-0.4, [-0.3, -0.1]), (-0.4, [0.1]), (-0.4, [-0.5]), (-0.4, [-0.1, -0.1]), (0.0, [0.1])],
 )
 def test_track_branch_rejects_checkpoints_off_the_segment(sphere_l1, x_target, cks):
     block, coeffs = sphere_l1
     with pytest.raises(ValueError):
         track_branch(block, coeffs, x_target, checkpoints=cks)
+
+
+@pytest.mark.parametrize("value", [0.5j, -0.3 + 0j, np.complex128(-0.3)], ids=repr)
+@pytest.mark.parametrize("where", ["x_target", "checkpoint"])
+def test_a_complex_parameter_is_a_type_error_before_any_step(
+    sphere_l1, monkeypatch, value, where
+):
+    # the continuation runs on real x; a complex value is refused even with
+    # a zero imaginary part, which float() would drop with only a warning
+    block, coeffs = sphere_l1
+    calls = []
+    monkeypatch.setattr(kbmlab.eig, "newton_polish", lambda *args: calls.append(args))
+    x_target, cks = (value, ()) if where == "x_target" else (-0.4, [value, -0.4])
+    with pytest.raises(TypeError):
+        track_branch(block, coeffs, x_target, checkpoints=cks)
+    assert calls == []
 
 
 def _full_block(block, coeffs, x):
@@ -568,7 +591,7 @@ def test_exceptional_point_matches_a_40_digit_solution(K, eta, k_max):
     block = _block(K, eta, k_max)
     br = track_branch(block, ladder_coefficients(block), -1.0)
     assert (br.status, br.reason) == ("collision", "exceptional point")
-    x_c = br.x_collision.real
+    x_c = br.x_collision
     # seed: two digits of x_c and the midpoint of the closest dense pair there
     eigs = np.sort(eig_dense(assemble_perturbed(block, ladder_coefficients(block), x_c)).real)
     i = int(np.argmin(np.diff(eigs)))
@@ -583,7 +606,7 @@ def test_sphere_exceptional_point_is_one_half(sphere_l1, x_target):
     block, coeffs = sphere_l1
     br = track_branch(block, coeffs, x_target)
     assert (br.status, br.reason) == ("collision", "exceptional point")
-    assert br.x_collision.imag == 0.0 and br.x_collision.real * x_target > 0.0
+    assert isinstance(br.x_collision, float) and br.x_collision * x_target > 0.0
     assert abs(abs(br.x_collision) - 0.5) <= 1e-15
 
 
@@ -612,7 +635,7 @@ def test_exceptional_point_agrees_with_the_step_halving_crawl(K, eta, k_max, x_c
     block = _block(K, eta, k_max)
     br = track_branch(block, ladder_coefficients(block), -1.0)
     assert (br.status, br.reason) == ("collision", "exceptional point")
-    x_c = br.x_collision.real
+    x_c = br.x_collision
     # the crawl stopped at its last accepted step, short of the point
     assert abs(x_c - x_crawl) <= 1e-9 and abs(x_c) >= abs(x_crawl)
     # the point lies beyond the last sample, inside the rejected step
@@ -625,14 +648,19 @@ def test_exceptional_point_certificate(sphere_l1, monkeypatch):
     mu_cur = closed_mu(x_cur)
     # the even sector's eigenvalues are (1 +- sqrt(1 - 4x^2)) / 2
     nu = complex(1.0 - mu_cur)
-    x_c = exceptional_point(block, coeffs, x_cur, -0.6, mu_cur, nu)
+    eigs_cur = eig_dense(even_sector(block, coeffs, x_cur))
+    x_c = exceptional_point(block, coeffs, x_cur, -0.6, mu_cur, nu, eigs_cur=eigs_cur)
     assert x_c is not None and abs(x_c + 0.5) <= 1e-15
     # the neighbour is in the odd sector, complex, or on the wrong side of mu_c
     for bad_nu in (None, complex(nu.real, 0.1), complex(-0.5)):
-        assert exceptional_point(block, coeffs, x_cur, -0.6, mu_cur, bad_nu) is None
+        assert exceptional_point(
+            block, coeffs, x_cur, -0.6, mu_cur, bad_nu, eigs_cur=eigs_cur
+        ) is None
     # the point lies beyond the step, or the step starts past it
-    assert exceptional_point(block, coeffs, x_cur, -0.49, mu_cur, nu) is None
-    assert exceptional_point(block, coeffs, -0.52, -0.6, 0.5, nu) is None
+    assert exceptional_point(block, coeffs, x_cur, -0.49, mu_cur, nu, eigs_cur=eigs_cur) is None
+    assert exceptional_point(
+        block, coeffs, -0.52, -0.6, 0.5, nu, eigs_cur=eig_dense(even_sector(block, coeffs, -0.52))
+    ) is None
     # the dense spectrum at x_c must hold the colliding pair; the sector's
     # one rung is x times that of the sector at x = 1
     real_dense = kbmlab.eig.eig_dense
@@ -645,7 +673,7 @@ def test_exceptional_point_certificate(sphere_l1, monkeypatch):
         return eigs
 
     monkeypatch.setattr(kbmlab.eig, "eig_dense", split_at_the_point)
-    assert exceptional_point(block, coeffs, x_cur, -0.6, mu_cur, nu) is None
+    assert exceptional_point(block, coeffs, x_cur, -0.6, mu_cur, nu, eigs_cur=eigs_cur) is None
 
 
 @pytest.mark.parametrize("x_target", [-1.0, 0.9, -0.6])
@@ -689,14 +717,28 @@ def test_exceptional_point_ignores_rounding_in_its_inputs(monkeypatch, K, eta, k
     (_, _, x_cur, x_try, mu_cur, nu), kwargs = calls[0]
     # the continuation hands over the certified spectrum at x_cur; solving
     # it afresh gives the same point, bit for bit
-    assert kwargs["eigs_cur"] is not None
-    args = (block, coeffs, x_cur, x_try, mu_cur, nu)
-    assert exceptional_point(*args, **kwargs) == br.x_collision.real
-    assert exceptional_point(*args) == br.x_collision.real
+    fresh = eig_dense(even_sector(block, coeffs, x_cur))
+    assert exceptional_point(*calls[0][0], **kwargs) == br.x_collision
+    assert exceptional_point(*calls[0][0], eigs_cur=fresh) == br.x_collision
     for rel in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7):
         for scale in (1.0 + rel, 1.0 - rel):
-            x_c = exceptional_point(block, coeffs, x_cur, x_try, mu_cur * scale, nu * scale)
-            assert x_c == br.x_collision.real
+            x_c = exceptional_point(
+                block, coeffs, x_cur, x_try, mu_cur * scale, nu * scale, eigs_cur=fresh
+            )
+            assert x_c == br.x_collision
+
+
+@pytest.mark.parametrize(
+    "K, eta, k_max",
+    [(1.0, 2.0, None), (1.0, 72.0, None), (-1.0, 5.0, 16), (-1.0, 300.0, 64), (-1.0, 5e4, 256)],
+)
+def test_the_dense_even_spectrum_at_zero_is_exactly_m_squared(K, eta, k_max):
+    # track_branch hands exceptional_point the exact unperturbed spectrum at
+    # x = 0 in place of a dense solve there; the two are the same bits
+    block = _block(K, eta, k_max)
+    eigs = eig_dense(even_sector(block, ladder_coefficients(block), 0.0))
+    m = np.arange(block.k_max + 1.0)
+    assert eigs.tobytes() == (m * m).astype(complex).tobytes()
 
 
 def test_a_non_simple_sample_just_short_of_the_exceptional_point_reports_the_point(
@@ -721,7 +763,7 @@ def test_a_non_simple_sample_just_short_of_the_exceptional_point_reports_the_poi
     # asked from the sample, up to the next checkpoint, with the sample's
     # even spectrum from its certification
     (_, _, x_cur, x_try, _, _), kwargs = calls[-1]
-    assert (x_cur, x_try) == (br.x_samples[-1].real, 0.7)
+    assert (x_cur, x_try) == (br.x_samples[-1], 0.7)
     assert kwargs["eigs_cur"] is not None
 
 

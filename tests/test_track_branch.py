@@ -50,17 +50,17 @@ def _reference_track(block, coeffs, x_target, checkpoints=()):
     """The continuation one step at a time; the module's Newton, even sector
     and exceptional point are looked up at call time, so patches apply."""
     eig = kbmlab.eig
-    x_target = complex(x_target)
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
+    x_target = float(x_target)
     unperturbed = np.sort(block.ks.astype(float) ** 2)
     gap0 = float(unperturbed[1]) if block.dim > 1 else math.inf
     ds_base = 1.0 / max(MIN_STEPS, math.ceil(abs(x_target) / STEP_X))
-    xs, mus, gaps, simples = [0j], [0j], [gap0], [gap0 > collision_threshold(0.0)]
-    s_cur, x_cur, mu_cur, s_prev, mu_prev = 0.0, 0j, 0j, None, 0j
+    xs, mus, gaps, simples = [0.0], [0j], [gap0], [gap0 > collision_threshold(0.0)]
+    s_cur, x_cur, mu_cur, s_prev, mu_prev = 0.0, 0.0, 0j, None, 0j
     last_gap = gap0
     last_nu = 1.0 + 0j if block.dim > 1 else None
-    real_segment = x_target.imag == 0.0
-    ep_tried, eigs_cur, oracle_dev = False, None, 0.0
+    ep_tried, oracle_dev = False, 0.0
+    eigs_cur = eig.eig_dense(eig.even_sector(block, coeffs, 0.0))
     status, reason, x_coll = "complete", "", None
     ds, easy, nxt, landed = ds_base, 0, 0, []
     while nxt < len(ck_s):
@@ -81,14 +81,13 @@ def _reference_track(block, coeffs, x_target, checkpoints=()):
         odd = assembled_odd_sector(block, coeffs, x_new)
         mu_new, ok, iters = eig.newton_polish(even, mu_pred)
         if (not ok) or abs(mu_new - mu_pred) > 0.5 * last_gap:
-            if real_segment and not ep_tried:
+            if not ep_tried:
                 ep_tried = True
                 x_c = eig.exceptional_point(
-                    block, coeffs, x_cur.real, x_new.real, mu_cur.real, last_nu,
-                    eigs_cur=eigs_cur,
+                    block, coeffs, x_cur, x_new, mu_cur.real, last_nu, eigs_cur=eigs_cur
                 )
                 if x_c is not None:
-                    status, reason, x_coll = "collision", "exceptional point", complex(x_c)
+                    status, reason, x_coll = "collision", "exceptional point", x_c
                     break
             ds *= 0.5
             easy = 0
@@ -109,13 +108,13 @@ def _reference_track(block, coeffs, x_target, checkpoints=()):
             nxt += 1
         if not is_simple:
             status, reason, x_coll = "collision", "gap below collision threshold", x_new
-            if real_segment and nxt < len(ck_s):
+            if nxt < len(ck_s):
                 x_c = eig.exceptional_point(
-                    block, coeffs, x_new.real, ck_x[nxt].real, mu_new.real, last_nu,
+                    block, coeffs, x_new, ck_x[nxt], mu_new.real, last_nu,
                     eigs_cur=eig.eig_dense(even),
                 )
                 if x_c is not None:
-                    reason, x_coll = "exceptional point", complex(x_c)
+                    reason, x_coll = "exceptional point", x_c
             break
         s_prev, mu_prev = s_cur, mu_cur
         s_cur, x_cur, mu_cur = s_new, x_new, mu_new
@@ -165,50 +164,19 @@ def _recording_certify(monkeypatch):
     K=st.floats(-2.0, -0.1),
     reach=st.floats(0.05, 3.0),
     sign=st.sampled_from([-1.0, 1.0]),
-    x_im=st.floats(-1.0, 1.0),
-    complex_x=st.booleans(),
     fractions=st.lists(st.integers(1, 99), max_size=6, unique=True),
-    tiny_imag=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_track_branch_equals_the_step_by_step_loop(
-    kind, k, eta, K, reach, sign, x_im, complex_x, fractions, tiny_imag
-):
+def test_track_branch_equals_the_step_by_step_loop(kind, k, eta, K, reach, sign, fractions):
     block = property_block(kind, k, eta, K)
     coeffs = ladder_coefficients(block)
     # out to about three separation radii, which shrink like 1/sqrt(eta)
-    x_target = reach / (1.0 + math.sqrt(block.eta)) * complex(sign, x_im if complex_x else 0.0)
+    x_target = sign * reach / (1.0 + math.sqrt(block.eta))
     cks = [0.01 * f * x_target for f in sorted(fractions)]
-    if tiny_imag and cks and x_target.imag == 0.0:
-        # a checkpoint just off the real segment: its sectors are complex
-        # matrices in a stack of real ones
-        cks[len(cks) // 2] += 1e-13j * abs(x_target)
     br = track_branch(block, coeffs, x_target, checkpoints=cks)
     ref = _reference_track(block, coeffs, x_target, cks)
     _assert_same_record(br, ref)
     assert br.discarded >= 0
-
-
-@pytest.mark.parametrize(
-    "K, eta, k_max, x_target, checkpoints",
-    [
-        (1.0, 2.0, None, -0.6, (-0.1, -0.3 + 1e-13j, -0.45)),
-        (-1.0, 5.0, 16, -0.6, (-0.05, -0.1 - 1e-13j, -0.2, -0.3)),
-        (1.0, 6.0, None, -0.5, (-0.05 + 1e-13j,)),
-    ],
-)
-def test_a_checkpoint_just_off_the_real_axis_keeps_every_sample_bitwise(
-    monkeypatch, K, eta, k_max, x_target, checkpoints
-):
-    # the checkpoint's sectors are complex and certified in one stack with
-    # the real sectors of the other samples; each keeps its own arithmetic
-    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
-    coeffs = ladder_coefficients(block)
-    sizes = _recording_certify(monkeypatch)
-    br = track_branch(block, coeffs, x_target, checkpoints=checkpoints)
-    assert sizes[0] > 1
-    _assert_same_record(br, _reference_track(block, coeffs, x_target, checkpoints))
-    assert any(x.imag != 0.0 for x in br.x_samples)
 
 
 def _rung_products(sector):
@@ -256,7 +224,7 @@ def test_a_newton_jump_mid_walk_is_rolled_back(monkeypatch, K, eta, k_max, point
     cks = list(-2.0 / grid[::-1])
     clean = track_branch(block, coeffs, cks[-1], checkpoints=cks)
     assert clean.discarded == 0
-    x_jump = complex(clean.x_samples[jump_at])
+    x_jump = float(clean.x_samples[jump_at])
 
     fired = _jumping_newton(monkeypatch, block, coeffs, x_jump)
     sizes = _recording_certify(monkeypatch)

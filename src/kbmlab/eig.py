@@ -19,22 +19,30 @@ through 0, read as Python float lists formed once per block; a complex
 x_target or checkpoint raises TypeError.  The branch is holomorphic in x;
 that is checked through ``newton_polish`` on the sector assembled at
 complex x.  The continuation takes Newton-only steps first and certifies
-them afterwards: one stacked dense solve checks every walked sample's gap
-to the rest of the spectrum, on the stack of the walk's even sectors built
-in one call.  That check solves the even sectors only and certifies the
-odd ones, slices of the even ones (``operator.odd_sector``), by their
-numerical range (Horn & Johnson, *Topics in Matrix Analysis*, 1.2): at
-real x the odd sector's Hermitian part is diag(m^2, m >= 1), so every odd
-eigenvalue has Re >= 1, and when the even gap is below 1 - Re mu the
-nearest two eigenvalues of the full block are both even.  Otherwise that
-sample's odd sector is solved too and the union decides, so gaps and
-simplicity keep their full-block meaning.  A step is accepted only if the
-corrected value stays within half of the previous sample's gap to the rest
-of the spectrum; otherwise the step is halved and the walked samples after
-it are discarded.  Steps are shortened to land exactly on caller-given
-checkpoints of the segment, so one continuation serves every parameter on
-it.  It computes no eigenvectors; callers take ``inverse_iteration`` where
-they report values.
+them afterwards.  Inside the Kato disk, |x| below the radius r0 of the
+circle |zeta| = 1/2 (``operator.kato_radius``, computed once per block),
+that circle holds exactly one eigenvalue of the block, the branch, and
+every other one lies outside it (Kato, *Perturbation Theory for Linear
+Operators*, II.3); a sample there with |mu| < 1/2 has its gap to the rest
+of the spectrum bounded below by 1/2 - |mu| and needs no eigensolve.  One
+stacked dense solve checks the gap of every other walked sample, on the
+stack of their even sectors built in one call.  That check solves the even
+sectors only and certifies the odd ones, slices of the even ones
+(``operator.odd_sector``), by their numerical range (Horn & Johnson,
+*Topics in Matrix Analysis*, 1.2): at real x the odd sector's Hermitian
+part is diag(m^2, m >= 1), so every odd eigenvalue has Re >= 1, and when
+the even gap is below 1 - Re mu the nearest two eigenvalues of the full
+block are both even.  Otherwise that sample's odd sector is solved too and
+the union decides, so gaps and simplicity keep their full-block meaning.
+A step is accepted only if the corrected value stays within half of the
+previous sample's gap to the rest of the spectrum; otherwise the step is
+halved and the walked samples after it are discarded.  The bound is below
+the dense gap, so it can only confirm an acceptance or a simple sample;
+where it leaves a decision open, that one sample's dense check is computed
+and decides, so every decision is the one the dense gap makes.  Steps are
+shortened to land exactly on caller-given checkpoints of the segment, so
+one continuation serves every parameter on it.  It computes no
+eigenvectors; callers take ``inverse_iteration`` where they report values.
 
 The branch ends where it meets its even-sector neighbour at a square-root
 exceptional point, p = dp/dmu = 0 (Kato, *Perturbation Theory for Linear
@@ -63,6 +71,7 @@ from .operator import (
     batch_slices,
     even_sector,
     gtsv,
+    kato_radius,
     numerical_range_floor,
     odd_sector,
 )
@@ -80,6 +89,17 @@ INVERSE_MAX_ITER = 30
 # steps, rounded up, and at least MIN_STEPS.
 STEP_X = 0.05
 MIN_STEPS = 4
+
+# The Kato disk of track_branch: the circle |zeta| = DISK_RHO separates the
+# unperturbed 0 from the rest of {m^2}, and for |x| below its Kato radius
+# r0 holds exactly one eigenvalue of the block, the branch.  Samples are
+# admitted only below r0 * (1 - DISK_MARGIN): r0 is the reciprocal square
+# root of the largest eigenvalue of a Gram block of size at most about
+# k_max/2, from entries that carry a few rounding errors each, so its
+# relative error is O(k_max eps), below 1e-12 for every block within the
+# dense limit.
+DISK_RHO = 0.5
+DISK_MARGIN = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 _BIG = 2.0**512
@@ -254,8 +274,11 @@ class SpotCheck(NamedTuple):
 
 def certify_samples(even: TridiagonalOperator, mu) -> list:
     """``SpotCheck`` of every sample of a stack: the nearest and
-    second-nearest eigenvalue of the full block to mu[i], for the stacked
-    even sectors ``even`` (B, n) and the tracked values ``mu`` (B,).
+    second-nearest eigenvalue of the full (truncated) block to mu[i], for
+    the stacked even sectors ``even`` (B, n) and the tracked values ``mu``
+    (B,).  ``track_branch`` certifies with it the walked samples outside the
+    Kato disk, and a single disk sample where the Kato bound leaves a
+    decision open.
 
     The even sectors are solved in one stacked ``eig_dense`` call and every
     row's two nearest eigenvalues come from one row-wise stable argsort.
@@ -502,9 +525,12 @@ def _residuals(op: TridiagonalOperator, mu: np.ndarray, v: np.ndarray) -> np.nda
 class EigenBranch:
     """Continuation record of the branch through the unperturbed value 0.
 
-    ``simple[i]`` is gap_to_rest[i] > collision_threshold(mu_values[i]);
-    the gaps come from the dense certification of the samples, and the
-    record holds no eigenvectors or residuals.
+    ``simple[i]`` is gap_to_rest[i] > collision_threshold(mu_values[i]).
+    ``gap_to_rest`` is the distance from mu to the second-nearest eigenvalue
+    of the block, from the dense certification, on samples outside the
+    Kato disk; on a sample inside it, the Kato bound 1/2 - |mu|, which is
+    at most that distance (see ``track_branch``).  The record holds no
+    eigenvectors or residuals.
     ``status`` is "complete" when x_target was reached, otherwise
     "collision" with the stopping parameter in ``x_collision`` and the
     trigger in ``reason``: "exceptional point" (x_collision is the certified
@@ -513,14 +539,17 @@ class EigenBranch:
     "step underflow near loss of simplicity" (the last sample, the step
     having been halved below 1e-12).
     ``oracle_dev`` is the largest deviation between a tracked value and its
-    nearest dense-oracle eigenvalue over all accepted samples.
+    nearest dense-oracle eigenvalue over the accepted samples that the dense
+    check certified, those outside the disk (0.0 when there are none).
     ``checkpoint_index`` holds, for each checkpoint the continuation landed
     on (in order, x_target last), the index of its sample in ``x_samples``;
     a checkpoint sample may be the non-simple one that stopped the
     continuation.
     ``discarded`` counts the walked samples dropped unused because an
     earlier sample of their walk failed its certification (see
-    ``track_branch``); it does not change any other field.
+    ``track_branch``); it does not change any other field.  A walk ends at
+    a sample inside the disk whose value lies outside the circle, so a
+    Newton jump there discards nothing.
     The parameters are real: ``x_target`` and ``x_collision`` are floats
     and ``x_samples`` is a float array; ``mu_values`` is complex.
     """
@@ -549,13 +578,17 @@ class EigenBranch:
 
 @dataclass
 class _Cursor:
-    """Where a continuation stands: its last sample (s_cur, x_cur, mu_cur),
-    the one before (s_prev, mu_prev) for the secant predictor, the step
-    ``ds`` with the run of easy Newton solves that doubles it, and the next
-    checkpoint ``nxt``.  x and mu are floats: Newton on the float lists of
-    a real sector returns real roots from a real prediction."""
+    """Where a continuation stands: its last sample (s_cur, x_cur, mu_cur)
+    with its gap and its dense ``check`` (None while the Kato bound stands
+    in for both), the one before (s_prev, mu_prev) for the secant
+    predictor, the step ``ds`` with the run of easy Newton solves that
+    doubles it, and the next checkpoint ``nxt``.  x and mu are floats:
+    Newton on the float lists of a real sector returns real roots from a
+    real prediction."""
 
     ds: float
+    gap: float
+    check: Optional[SpotCheck]
     s_cur: float = 0.0
     x_cur: float = 0.0
     mu_cur: float = 0.0
@@ -644,21 +677,44 @@ def track_branch(
     the last certified sample (secant predictor, landing on checkpoints,
     ds doubled after three easy steps) until Newton fails, the first
     step's correction leaves half the last certified gap, x_target is
-    reached, or the walk has its length.  Then every walked sample is
-    certified at once (``certify_samples`` on the walk's even sectors,
-    built in one ``even_sector`` call: one stacked dense solve of them,
-    and of their odd slices only where the numerical range comes near the
-    branch), and the samples are replayed in order under the acceptance
-    rules of a step-by-step continuation: a sample whose correction |mu -
-    mu_pred| exceeds half the previous sample's gap is a rejected step, a
-    sample that is not simple ends the continuation, and the walked
-    samples after either are dropped and counted in ``discarded``.  The
-    walk's steps depend on no gap, so the record is bit for bit that of
-    checking each sample before taking the next step.  The first walk runs
-    until it stops on its own; after a rejection the next walk is one step
-    long, and each fully certified walk doubles the length of the next, so
-    from the first rejection on no walk discards more samples than were
-    certified since the last one.
+    reached, the walk has its length, or a sample inside the Kato disk
+    (below) has |mu| >= 1/2.  That value is not the branch, which is the
+    one eigenvalue inside the circle there, so the walk stops instead of
+    running on along another branch.  Then the walked samples are
+    certified and replayed in order under the acceptance rules of a
+    step-by-step continuation: a sample whose correction |mu - mu_pred|
+    exceeds half the previous sample's gap is a rejected step, a sample
+    that is not simple ends the continuation, and the walked samples after
+    either are dropped and counted in ``discarded``.  The walk's steps
+    depend on no gap, so the decisions are bit for bit those of checking
+    each sample with a dense solve before taking the next step.  The first
+    walk runs until it stops on its own; after a rejection the next walk is
+    one step long, and each fully certified walk doubles the length of the
+    next, so from the first rejection on no walk discards more samples than
+    were certified since the last one.
+
+    The certificate of a sample is the Kato bound inside the disk and a
+    dense solve outside it.  r0 = ``operator.kato_radius`` at the node
+    zeta = 1/2 is the Kato radius of the circle |zeta| = 1/2, exact over the
+    whole circle (``perturb.perturbation_radius``), computed once.  For |x|
+    < r0 that circle holds exactly one eigenvalue of the block, both parity
+    sectors included, and every other eigenvalue nu has |nu| > 1/2, so the
+    second-nearest eigenvalue to a value mu inside the circle is farther
+    than 1/2 - |mu|.  A sample with |x| < r0 (1 - DISK_MARGIN) and 1/2 - |mu|
+    above ``collision_threshold(mu)`` is therefore simple and takes that
+    bound as its gap, with no eigensolve.  Every other walked sample is
+    certified at once by ``certify_samples`` on their even sectors, built in
+    one ``even_sector`` call: one stacked dense solve of them, and of their
+    odd slices only where the numerical range comes near the branch.  The
+    bound is below the dense gap, so it only confirms decisions: a
+    correction within half the bound is accepted; a larger one takes the
+    previous sample's dense check, computed for that sample alone (its bits
+    are those of a stacked one), and is judged against its gap, as is the
+    exceptional point's neighbour and spectrum below.  The single-mode
+    block has no coupling, no radius and the dense path, with gap inf; an
+    even sector past ``MAX_DENSE_DIM`` takes the dense path too, which
+    raises EigensolveError.  The bound, like the dense check, is that of
+    the truncated block.
 
     Newton reads the block's ``EvenSectorLists``, formed once: it builds
     no operator and runs in float arithmetic.
@@ -672,8 +728,9 @@ def track_branch(
     simple asks ``exceptional_point`` the same of the stretch from it to
     the next checkpoint; a certified point there becomes x_collision, and
     the sample stays the last one.  Both calls hand over the even spectrum
-    from the sample's certification; at the start x = 0 it is the exact
-    unperturbed one, m^2 for m = 0..k_max.
+    and the neighbour from the sample's dense check, computed then for a
+    disk sample; at the start x = 0 they are the exact unperturbed ones,
+    m^2 for m = 0..k_max and 1.
     """
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
     x_target = float(x_target)
@@ -702,19 +759,41 @@ def track_branch(
     gaps = [gap0]
     simples = [gap0 > collision_threshold(0.0)]
 
-    cur = _Cursor(ds=ds_base)
     lists = EvenSectorLists.of(block, coeffs)
-    last_gap = gap0
-    # the unperturbed neighbour of 0 is m^2 = 1, which the even sector holds
-    last_nu: Optional[complex] = 1.0 + 0j if dim > 1 else None
+    # at x = 0 the even spectrum is exactly m^2 and the neighbour of 0 is
+    # m^2 = 1, which the even sector holds
+    start = SpotCheck(np.array(lists.diag), 0.0, gap0, 1.0 + 0j if dim > 1 else None)
+    cur = _Cursor(ds=ds_base, gap=gap0, check=start)
+    # the single-mode block has no coupling to bound and keeps the dense
+    # path, as does a sector past the dense limit, which raises there
+    r_disk = 0.0
+    if 1 < dim and block.k_max < MAX_DENSE_DIM:
+        r_disk = kato_radius(block, coeffs, np.array([DISK_RHO + 0j])) * (1.0 - DISK_MARGIN)
     ep_tried = False
-    # the even sector's dense spectrum at x_cur, exactly m^2 at x = 0
-    eigs_cur = np.array(lists.diag)
     oracle_dev = 0.0
     status, reason, x_coll = "complete", "", None
     landed = []
     walk_length = math.inf
     discarded = 0
+
+    def in_disk(step: _Step) -> bool:
+        # DISK_RHO - |mu| bounds the gap and confirms simplicity
+        return abs(step.x) < r_disk and DISK_RHO - abs(step.mu) > collision_threshold(step.mu)
+
+    def dense_check() -> SpotCheck:
+        # the current sample's dense check, computed once where its Kato
+        # bound leaves a decision open; it has the bits of a stacked one
+        if cur.check is None:
+            even = even_sector(block, coeffs, np.array([cur.x_cur]))
+            cur.check = certify_samples(even, [cur.mu_cur])[0]
+            cur.gap = cur.check.gap
+        return cur.check
+
+    def rejects(step: _Step) -> bool:
+        # the correction leaves half the current sample's gap; a bound
+        # below that gap can only confirm an acceptance
+        move = abs(step.mu - step.mu_pred)
+        return move > 0.5 * cur.gap and move > 0.5 * dense_check().gap
 
     while cur.nxt < len(ck_s):
         # walk from a copy of the cursor; the replay below moves the real one
@@ -723,27 +802,34 @@ def track_branch(
         rejected: Optional[_Step] = None
         while len(walked) < walk_length and walker.nxt < len(ck_s):
             step = _newton_step(lists, walker, ck_x, ck_s, x_target)
-            if not step.ok or (not walked and abs(step.mu - step.mu_pred) > 0.5 * last_gap):
+            if not step.ok or (not walked and rejects(step)):
                 rejected = step
                 break
             walked.append(step)
             walker.advance(step, ds_base)
+            if abs(step.x) < r_disk and not abs(step.mu) < DISK_RHO:
+                # inside the disk the branch is the one eigenvalue in the
+                # circle, so this value is not the branch: stop here
+                break
 
-        checks = []
-        if walked:
-            checks = certify_samples(
-                even_sector(block, coeffs, np.array([step.x for step in walked])),
-                [step.mu for step in walked],
-            )
+        disk = [in_disk(step) for step in walked]
+        dense = [step for step, d in zip(walked, disk) if not d]
+        checks = iter(certify_samples(
+            even_sector(block, coeffs, np.array([step.x for step in dense])),
+            [step.mu for step in dense],
+        ) if dense else ())
         done = False
-        for i, (step, check) in enumerate(zip(walked, checks)):
-            if abs(step.mu - step.mu_pred) > 0.5 * last_gap:
+        for i, (step, in_circle) in enumerate(zip(walked, disk)):
+            if rejects(step):
                 rejected = step
                 discarded += len(walked) - i - 1
                 break
-            oracle_dev = max(oracle_dev, check.oracle_dev)
-            gap = last_gap = check.gap
-            last_nu = check.nu
+            if in_circle:
+                check, gap = None, DISK_RHO - abs(step.mu)
+            else:
+                check = next(checks)
+                gap = check.gap
+                oracle_dev = max(oracle_dev, check.oracle_dev)
             is_simple = gap > collision_threshold(step.mu)
             xs.append(step.x)
             mus.append(step.mu)
@@ -752,6 +838,7 @@ def track_branch(
             if step.at_checkpoint:
                 landed.append(len(xs) - 1)
             if not is_simple:
+                # a sample in the disk is simple, so this one has its check
                 discarded += len(walked) - i - 1
                 status, reason, x_coll = "collision", "gap below collision threshold", step.x
                 nxt = cur.nxt + step.at_checkpoint
@@ -759,7 +846,7 @@ def track_branch(
                     # the exceptional point may lie just beyond this sample,
                     # short of the next checkpoint
                     x_c = exceptional_point(
-                        block, coeffs, step.x, ck_x[nxt], step.mu, last_nu,
+                        block, coeffs, step.x, ck_x[nxt], step.mu, check.nu,
                         eigs_cur=check.even_eigs,
                     )
                     if x_c is not None:
@@ -767,7 +854,7 @@ def track_branch(
                 done = True
                 break
             cur.advance(step, ds_base)
-            eigs_cur = check.even_eigs
+            cur.gap, cur.check = gap, check
             ep_tried = False
         if done:
             break
@@ -779,8 +866,10 @@ def track_branch(
             # the first rejection from x_cur: the step may have run into
             # the exceptional point where the branch meets nu
             ep_tried = True
+            check = dense_check()
             x_c = exceptional_point(
-                block, coeffs, cur.x_cur, rejected.x, cur.mu_cur, last_nu, eigs_cur=eigs_cur
+                block, coeffs, cur.x_cur, rejected.x, cur.mu_cur, check.nu,
+                eigs_cur=check.even_eigs,
             )
             if x_c is not None:
                 status, reason, x_coll = "collision", "exceptional point", x_c

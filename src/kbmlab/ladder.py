@@ -46,7 +46,8 @@ def ladder_coeff_sq(eta: float, K: float, k: int) -> float:
     """Squared raising coefficient from mode k to mode k+1.
 
     Total function; a negative return value means mode k+1 is absent from
-    the block.
+    the block.  An integer array of k gives one value per k, each bitwise
+    the one that k gives alone.
     """
     return 0.25 * (eta - K * k - K * k * k)
 
@@ -136,9 +137,12 @@ class CasimirBlock:
             raise LadderRangeError("K <= 0 with eta > 0 is never intrinsically finite")
         if K > 0.0 and not self.finite:
             raise LadderRangeError("K > 0 blocks terminate intrinsically; no truncation")
-        for k in range(self.k_min, self.k_max + 1):
-            if ladder_coeff_sq(eta, K, k) < -TOL_NEG and k != self.k_max:
-                raise LadderRangeError(f"negative squared coefficient inside ladder at k={k}")
+        ks = np.arange(self.k_min, self.k_max)
+        bad = np.flatnonzero(ladder_coeff_sq(eta, K, ks) < -TOL_NEG)
+        if bad.size:
+            raise LadderRangeError(
+                f"negative squared coefficient inside ladder at k={ks[bad[0]]}"
+            )
         if self.finite:
             top = ladder_coeff_sq(eta, K, self.k_max)
             bot = lowering_coeff_sq(eta, K, self.k_min)
@@ -188,16 +192,19 @@ class LadderCoefficients:
         if np.any(a < 0.0):
             raise LadderRangeError("gauge requires a_k >= 0")
         eta, K = block.eta, block.curvature
-        for j, k in enumerate(range(block.k_min, block.k_max)):
-            up = ladder_coeff_sq(eta, K, k)
-            down = lowering_coeff_sq(eta, K, k + 1)
-            # identity is exact in exact arithmetic; allow rounding noise
-            # proportional to the coefficient magnitude
-            tol = TOL_ZERO * (1.0 + abs(up))
-            if abs(a[j] ** 2 - up) > tol:
-                raise LadderRangeError(f"a_{k}^2 violates the raising norm identity")
-            if abs(a[j] ** 2 - down) > tol:
-                raise LadderRangeError(f"a_{k}^2 violates the lowering norm identity")
+        # the identities are exact in exact arithmetic; allow rounding noise
+        # proportional to the coefficient magnitude
+        ks = np.arange(block.k_min, block.k_max)
+        up = ladder_coeff_sq(eta, K, ks)
+        down = lowering_coeff_sq(eta, K, ks + 1)
+        tol = TOL_ZERO * (1.0 + np.abs(up))
+        sq = a * a
+        bad_up = np.abs(sq - up) > tol
+        bad = np.flatnonzero(bad_up | (np.abs(sq - down) > tol))
+        if bad.size:
+            j = bad[0]
+            which = "raising" if bad_up[j] else "lowering"
+            raise LadderRangeError(f"a_{ks[j]}^2 violates the {which} norm identity")
 
 
 def ladder_coefficients(block: CasimirBlock) -> LadderCoefficients:

@@ -1,8 +1,10 @@
 """Tridiagonal restrictions of the perturbed fiber Laplacian and of the
 kinetic Brownian motion generator on one Casimir block, together with the
 truncation policy for infinite ladders, the two parity sectors of the
-perturbed family (the odd one a slice of the even one), an O(n) floor of
-the numerical range, and the tridiagonal solver: LAPACK's ``?gtsv``
+perturbed family (the odd one a slice of the even one), the Kato radius
+of the family on a contour (``kato_radius``, shared by
+``perturb.perturbation_radius`` and ``eig.track_branch``), an O(n) floor
+of the numerical range, and the tridiagonal solver: LAPACK's ``?gtsv``
 elimination run over a batch of systems at once (``gtsv``), which serves
 one operator at many shifts (``tridiag_solve``) and a stack of operators
 (``eig.inverse_iteration``).
@@ -154,6 +156,43 @@ def even_sector(
     if x.ndim:
         diag = diag[None].repeat(x.size, axis=0)
     return TridiagonalOperator(diag=diag, sup=-sub, sub=sub)
+
+
+def kato_radius(block: CasimirBlock, coeffs: LadderCoefficients, zeta: np.ndarray) -> float:
+    """min over the points ``zeta`` (a 1-d complex array) of 1 / ||X
+    (diag(k^2) - zeta)^-1||, or infinity where every norm is 0.
+
+    The parity sectors are orthogonal and invariant under both X and
+    diag(k^2), and the odd one is the even one without its zero mode, so
+    the norm is the even sector's.  With its rungs a_m (a_0 times sqrt(2))
+    and diagonal m^2, the resolvent diag(1/(m^2 - zeta)) is diag(w) times
+    a diagonal unitary, w_m = 1/|m^2 - zeta|, so the norm is that of the
+    real B = X_e diag(w).  B^T B couples index j only to j +- 2: it is two
+    symmetric tridiagonal blocks, one per index parity, with diagonal w_j^2
+    (a_{j-1}^2 + a_j^2) and off-diagonal -a_j a_{j+1} w_j w_{j+2}.  The
+    squared norm is the largest eigenvalue of those blocks, from one
+    batched ``eigvalsh`` call over the points per index parity.
+    """
+    m = block.k_max
+    a = np.zeros(m + 2)  # a_{j-1}, j = 0..m+1
+    a[1:-1] = coeffs.a[m:]
+    a[1:2] *= math.sqrt(2.0)
+    ms = np.arange(m + 1.0)
+    w = 1.0 / np.abs(ms * ms - zeta[:, None])
+    diag = w * w * (a[:-1] ** 2 + a[1:] ** 2)
+    off = -(a[1:-2] * a[2:-1]) * w[:, :-2] * w[:, 2:]
+    sigma_sq = np.zeros(zeta.size)
+    for start in (0, 1):
+        d = diag[:, start::2]
+        n = d.shape[1]
+        gram = np.zeros((zeta.size, n, n))
+        flat = gram.reshape(zeta.size, n * n)  # a view: row j, column i at j n + i
+        flat[:, :: n + 1] = d
+        flat[:, 1 :: n + 1] = flat[:, n :: n + 1] = off[:, start::2]
+        sigma_sq = np.maximum(sigma_sq, np.linalg.eigvalsh(gram)[:, -1])
+    # the largest norm gives the smallest radius; a zero norm bounds nothing
+    peak = float(np.max(sigma_sq))
+    return 1.0 / math.sqrt(peak) if peak > 0.0 else math.inf
 
 
 def odd_sector(even: TridiagonalOperator) -> Optional[TridiagonalOperator]:

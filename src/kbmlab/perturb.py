@@ -5,16 +5,19 @@ through 0, Riesz spectral projections by trapezoidal contour quadrature
 (the resolvents from batched tridiagonal solves over chunks of nodes),
 the Kato perturbation radius min_zeta 1/||X (D - zeta)^-1|| over the
 contour, and the closed-form lower bound |zeta|^-1 sqrt(eta/2) for that
-norm restricted to the zeroth fiber mode.  The radius takes the norm on
-the even parity sector (``operator.even_sector``), which is exact: the
-sectors are orthogonal and invariant under X and D, and the odd sector is
-a submatrix of the even one (``operator.odd_sector``).  The resolvent's
-phases drop out of the norm and the real Gram matrix splits by index
-parity into two symmetric tridiagonal blocks, so a contour node costs the
-largest eigenvalue of two real matrices of size about k_max/2.  On a
-circle with a real centre c <= 0 the norm peaks at the node zeta = c +
-radius, which alone gives the minimum over the whole circle; any other
-circle takes every node.
+norm restricted to the zeroth fiber mode.  The radius's core is
+``operator.kato_radius``, which takes the norm on the even parity sector
+(``operator.even_sector``); that is exact, since the sectors are
+orthogonal and invariant under X and D, and the odd sector is a submatrix
+of the even one (``operator.odd_sector``).  The resolvent's phases drop
+out of the norm and the real Gram matrix splits by index parity into two
+symmetric tridiagonal blocks, so a contour node costs the largest
+eigenvalue of two real matrices of size about k_max/2.  On a circle with a
+real centre c <= 0 the norm peaks at the node zeta = c + radius, which
+alone gives the minimum over the whole circle; any other circle takes
+every node.  The same core, at the node 1/2 of the circle |zeta| = 1/2,
+gives ``eig.track_branch`` the radius below which its samples are
+certified by the Kato bound instead of a dense eigensolve.
 
 For the linear family diag(k^2) + x*X the second-order data is explicit:
 the first-order coefficient vanishes because the coupling only moves
@@ -40,8 +43,8 @@ from .ladder import (
 from .operator import (
     TridiagonalOperator,
     batch_slices,
-    even_sector,
     fixed_truncation,
+    kato_radius,
     tridiag_solve,
     truncate,
 )
@@ -187,58 +190,33 @@ def perturbation_radius(
     For |x| below it the contour still separates the tracked branch: it
     holds exactly one eigenvalue of diag(k^2) + x X (Kato, Perturbation
     Theory for Linear Operators, II.3).  The radius is computed on the
-    (truncated) block.  The contour is validated first; the trivial block
+    (truncated) block by ``operator.kato_radius``, the one implementation,
+    which ``eig.track_branch`` also calls to certify its samples inside the
+    circle |zeta| = 1/2.  The contour is validated first; the trivial block
     then returns infinity because its coupling vanishes, as does a contour
     on which the norm is 0.
-
-    The parity sectors are orthogonal and invariant under both X and
-    diag(k^2), so the norm is the larger of the two sector norms.  The
-    odd sector's matrix is the even one's without row and column m = 0,
-    so the even sector's norm is the norm.  With its coupling X_e (sub =
-    a, sup = -a) and diagonal m^2, the resolvent diag(1/(m_j^2 - zeta))
-    is diag(w) times a diagonal unitary, w_j = 1/|m_j^2 - zeta|, so the
-    norm is that of the real B = X_e diag(w).
-    B^T B couples index j only to j +- 2: it is two symmetric tridiagonal
-    blocks, one per index parity, with diagonal w_j^2 (a_{j-1}^2 + a_j^2)
-    and off-diagonal -a_j a_{j+1} w_j w_{j+2}.  The squared norm is the
-    largest eigenvalue of those blocks.
 
     A real centre c <= 0 needs one node, zeta = c + radius (node 0 of
     ``Contour.points``), and the result is the minimum over the whole
     circle, not only over its nodes.  On the circle
     |m^2 - zeta|^2 = (m^2 - c)^2 + radius^2 - 2 radius (m^2 - c) cos(theta)
-    with m^2 - c >= 0, so every w_j peaks at theta = 0.  A diagonal +-1
-    similarity flips the off-diagonal signs of a symmetric tridiagonal
-    block, and the Gram blocks' diagonals are nonnegative, so the largest
-    eigenvalue is that of the entrywise absolute value, which is
-    nondecreasing in every entry (Perron-Frobenius).  A complex centre or
-    c > 0 takes the largest eigenvalue at every node, in one batched
-    ``eigvalsh`` call per index parity.
+    with m^2 - c >= 0, so every weight w_m = 1/|m^2 - zeta| peaks at theta
+    = 0.  A diagonal +-1 similarity flips the off-diagonal signs of a
+    symmetric tridiagonal block, and the Gram blocks' diagonals are
+    nonnegative, so the largest eigenvalue is that of the entrywise
+    absolute value, which is nondecreasing in every entry
+    (Perron-Frobenius).  A complex centre or c > 0 takes the largest
+    eigenvalue at every node.
     """
     validate_contour_for_block(contour, block)
     if block.eta == 0.0:
         return math.inf
-    even = even_sector(block, coeffs, 1.0)
     center = complex(contour.center)
     if center.imag == 0.0 and center.real <= 0.0:
         zeta = np.array([center + contour.radius])  # node 0 of contour.points()
     else:
         zeta = contour.points()
-    a = np.concatenate(([0.0], even.sub.real, [0.0]))  # a_{j-1}, j = 0..k_max+1
-    w = 1.0 / np.abs(even.diag.real - zeta[:, None])
-    diag = w * w * (a[:-1] ** 2 + a[1:] ** 2)
-    off = -(a[1:-2] * a[2:-1]) * w[:, :-2] * w[:, 2:]
-    sigma_sq = np.zeros(zeta.size)
-    for start in (0, 1):
-        d = diag[:, start::2]
-        gram = np.zeros((zeta.size, d.shape[1], d.shape[1]))
-        idx = np.arange(d.shape[1])
-        gram[:, idx, idx] = d
-        gram[:, idx[:-1], idx[1:]] = gram[:, idx[1:], idx[:-1]] = off[:, start::2]
-        sigma_sq = np.maximum(sigma_sq, np.linalg.eigvalsh(gram)[:, -1])
-    # the largest norm gives the smallest radius; a zero norm bounds nothing
-    peak = float(np.max(sigma_sq))
-    return 1.0 / math.sqrt(peak) if peak > 0.0 else math.inf
+    return kato_radius(block, coeffs, zeta)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kbmlab import (
     CasimirBlock,
+    LadderCoefficients,
     LadderRangeError,
     casimir_residual,
     coupling_matrix,
@@ -22,7 +23,8 @@ from kbmlab import (
     vertical_matrix,
 )
 
-from conftest import match_spectra
+from conftest import match_spectra, property_block
+from kbmlab.ladder import TOL_ZERO
 
 
 def test_coeff_sq_direct_substitution():
@@ -108,6 +110,71 @@ def test_coefficients_reject_range_outside_block():
     with pytest.raises(LadderRangeError):
         # squared coefficient goes negative beyond the intrinsic top rung
         CasimirBlock(curvature=1.0, eta=2.0, k_min=-1, k_max=3, finite=True)
+
+
+@pytest.mark.parametrize("eta, K, k_max", [(6.0, 1.0, None), (5.0, -1.0, 48), (2.0, 0.0, 12)])
+@pytest.mark.parametrize("where", ["bottom", "middle", "top"])
+def test_a_coefficient_perturbed_at_one_rung_is_rejected_at_its_k(eta, K, k_max, where):
+    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
+    a = ladder_coefficients(block).a
+    j = {"bottom": 0, "middle": a.size // 2, "top": a.size - 1}[where]
+    bad = a.copy()
+    bad[j] += 1e-3 * (1.0 + bad[j])
+    k = block.k_min + j
+    with pytest.raises(LadderRangeError, match=rf"^a_{k}\^2 violates the raising norm identity$"):
+        LadderCoefficients(block=block, a=bad)
+    # with the top rung broken as well, the lower k is the one named
+    bad[-1] += 1e-3 * (1.0 + bad[-1])
+    with pytest.raises(LadderRangeError, match=rf"^a_{k}\^2 violates"):
+        LadderCoefficients(block=block, a=bad)
+    # a perturbation inside the tolerance is accepted
+    ok = a.copy()
+    ok[j] *= 1.0 + 1e-15
+    LadderCoefficients(block=block, a=ok)
+
+
+def _loop_coefficient_check(block, a):
+    """The identity check one rung at a time: the message for the first
+    offending rung, or None."""
+    eta, K = block.eta, block.curvature
+    for j, k in enumerate(range(block.k_min, block.k_max)):
+        up = ladder_coeff_sq(eta, K, k)
+        down = lowering_coeff_sq(eta, K, k + 1)
+        tol = TOL_ZERO * (1.0 + abs(up))
+        if abs(a[j] ** 2 - up) > tol:
+            return f"a_{k}^2 violates the raising norm identity"
+        if abs(a[j] ** 2 - down) > tol:
+            return f"a_{k}^2 violates the lowering norm identity"
+    return None
+
+
+@given(
+    kind=st.sampled_from(["sphere", "torus", "negative"]),
+    k=st.integers(1, 64),
+    eta=st.floats(0.1, 1e4),
+    K=st.floats(-2.0, -0.1),
+    rungs=st.lists(st.integers(0, 10**6), max_size=3),
+    size=st.sampled_from([1e-16, 1e-13, 1e-12, 1e-11, 1e-6]),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_coefficient_check_decides_as_the_loop_over_rungs(kind, k, eta, K, rungs, size):
+    block = property_block(kind, k, eta, K)
+    a = ladder_coefficients(block).a.copy()
+    for r in rungs:
+        a[r % a.size] += size * (1.0 + a[r % a.size])
+    expected = _loop_coefficient_check(block, a)
+    if expected is None:
+        LadderCoefficients(block=block, a=a)
+    else:
+        with pytest.raises(LadderRangeError) as err:
+            LadderCoefficients(block=block, a=a)
+        assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("eta, k_max, k", [(2.0, 3, -3), (6.0, 4, -4), (12.0, 5, -5)])
+def test_a_finite_range_past_the_ladder_names_its_first_negative_rung(eta, k_max, k):
+    with pytest.raises(LadderRangeError, match=rf"^negative squared coefficient inside ladder at k={k}$"):
+        CasimirBlock(curvature=1.0, eta=eta, k_min=-k_max, k_max=k_max, finite=True)
 
 
 def test_casimir_residual_examples(sphere_l1, hyperbolic_block):

@@ -616,15 +616,20 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
 ):
     # inside a continuation Newton reads each step's even sector from the
     # block's lists, formed once, and no operator is built per step; every
-    # operator is built by even_sector (the walk's stack per certification,
-    # and those of exceptional_point), as the odd slice of such a stack, or
-    # as a row selection of a stack, so no odd sector is assembled.  The
-    # collided rows are polished from the same lists, on one stack.
+    # operator is built by even_sector (the stack of a walk's samples
+    # outside the Kato disk per certification, a single disk sample whose
+    # bound left a decision open, and those of exceptional_point), as the
+    # odd slice of such a stack, or as a row selection of a stack, so no
+    # odd sector is assembled.  The collided rows are polished from the
+    # same lists, on one stack.
     import kbmlab.eig
-    from kbmlab import TridiagonalOperator
+    from kbmlab import Contour, TridiagonalOperator, perturbation_radius
 
     running = []  # the instrumented functions running now, innermost last
-    built, stacks, walks, sectors, polished, formed, blocks = [], [], [], [], [], [], []
+    built, stacks, sectors, polished, formed, blocks = [], [], [], [], [], []
+    walks = []  # (walker, its steps): each walk steps from its own cursor copy
+    certified = []  # (x, mu) rows of every certification
+    disk_radius = []  # r0 (1 - 1e-12) of the block being continued
 
     def within(name, fn, record=None):
         def wrapped(*args, **kwargs):
@@ -639,11 +644,14 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
 
         return wrapped
 
+    def in_disk(x, mu):
+        return abs(x) < disk_radius[-1] and 0.5 - abs(mu) > collision_threshold(mu)
+
     def record_even(args, op):
         if "track_branch" in running and "exceptional_point" not in running:
             # no single-x sector: the steps' sectors are lists
             assert np.ndim(args[2]) == 1
-            stacks.append(op)
+            stacks.append((op, list(args[2])))
 
     def record_odd(args, odd):
         assert odd is None or np.shares_memory(odd.diag, args[0].diag)
@@ -653,20 +661,40 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
         assert diag is formed[-1].diag and len(rungs) == len(diag) - 1
         if "track_branch" in running:
             sectors.append(rungs)
-            walks.append("step")
         else:
             assert "dense_continuation" in running
             polished.append(rungs)
 
+    def record_step(args, step):
+        walker = args[1]
+        if not walks or walks[-1][0] is not walker:
+            walks.append((walker, []))
+        walks[-1][1].append(step)
+
     def record_certify(args, out):
-        even = args[0]
-        assert even is stacks[-1] and even.diag.shape[0] == len(args[1])
-        # the walk's steps, in order, solved on the rows of its stack (a
-        # rejected step may follow them)
-        start = len(sectors) - walks[::-1].index("walk") if "walk" in walks else 0
-        walked = sectors[start : start + len(args[1])]
-        assert walked == (even.sub * even.sup).tolist()
-        walks.append("walk")
+        even, xs = stacks[-1]
+        assert even is args[0] and even.diag.shape[0] == len(args[1])
+        rows = list(zip(xs, args[1]))
+        certified.append(rows)
+        if len(rows) == 1 and in_disk(*rows[0]):
+            # one accepted disk sample's dense check, where its bound left a
+            # decision open
+            assert any(rows[0] == (step.x, step.mu) for _, steps in walks for step in steps)
+            return
+        # the walk's Newton solves, in order, minus a failed last one, and of
+        # them exactly those outside the disk
+        walked = [(step.x, step.mu) for step in walks[-1][1] if step.ok]
+        assert rows == [row for row in walked if not in_disk(*row)]
+
+    def track(block, coeffs, x_target, **kwargs):
+        r0 = perturbation_radius(block, coeffs, Contour(0.0, 0.5))
+        disk_radius.append(r0 * (1.0 - 1e-12))
+        return within("track_branch", real_track, lambda a, out: blocks.append(a[0]))(
+            block, coeffs, x_target, **kwargs
+        )
+
+    real_track = kbmlab.spectra.track_branch
+    collision_threshold = kbmlab.eig.collision_threshold
 
     def record_dense(args, out):
         assert polished == dense_rungs
@@ -699,14 +727,12 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
         ("odd_sector", record_odd),
         ("_rows", None),
         ("newton_polish", record_newton),
+        ("_newton_step", record_step),
         ("certify_samples", record_certify),
         ("exceptional_point", None),
     ):
         monkeypatch.setattr(kbmlab.eig, name, within(name, getattr(kbmlab.eig, name), record))
-    monkeypatch.setattr(
-        kbmlab.spectra, "track_branch",
-        within("track_branch", kbmlab.spectra.track_branch, lambda a, out: blocks.append(a[0])),
-    )
+    monkeypatch.setattr(kbmlab.spectra, "track_branch", track)
     monkeypatch.setattr(kbmlab.eig.EvenSectorLists, "of", classmethod(of))
     monkeypatch.setattr(
         kbmlab.spectra, "_dense_continuation",
@@ -723,8 +749,10 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
     monkeypatch.setattr(TridiagonalOperator, "__post_init__", init)
     gamma_sweep(eta, K, make_gamma_grid(0.0, 4.0, points))
 
-    assert walks.count("step") == len(sectors) > 0
-    assert walks.count("walk") == len(stacks) > 0
+    # every Newton solve of a continuation is a step of a walk, and every
+    # stack it builds is certified
+    assert sum(len(steps) for _, steps in walks) == len(sectors) > 0
+    assert len(certified) == len(stacks) > 0
     # the lists are formed once per continuation and once per collided-row
     # polish (and by exceptional_point for its own recurrence)
     assert len(formed) == len(blocks)

@@ -4,9 +4,12 @@
 every accepted sample against the dense spectrum of both parity sectors
 before it takes the next step, on sectors it builds itself: the even one
 from ``even_sector`` at each x, the odd one assembled from the ladder.
-``track_branch`` walks Newton-only steps, certifies them in one stacked
-solve and replays the acceptance rules; the two must give the same
-record, bit for bit.
+``track_branch`` walks Newton-only steps, certifies the samples inside the
+Kato disk by the bound DISK_RHO - |mu| and the others in one stacked
+solve, and replays the acceptance rules; the two must make the same
+decisions, bit for bit.  Only the gaps of disk samples (the bound instead
+of the dense gap) and ``oracle_dev`` (over the densely certified samples)
+differ.
 """
 
 import math
@@ -18,21 +21,42 @@ from hypothesis import strategies as st
 
 import kbmlab.eig
 from kbmlab import (
+    Contour,
     TridiagonalOperator,
+    assemble_perturbed,
+    eig_dense,
     finite_block,
     fixed_truncation,
     ladder_coefficients,
+    perturbation_radius,
     track_branch,
     truncate,
 )
+from kbmlab.acceptance import build_suite_data, suite_cases
 from kbmlab.eig import MIN_STEPS, STEP_X, _checkpoint_params, collision_threshold
 
-from conftest import assembled_odd_sector, parity_eigvals, property_block
+from conftest import assembled_odd_sector, parity_eigvals, property_block, stack_of
 
+# the fields that carry the continuation's decisions; gap_to_rest and
+# oracle_dev are compared on their own, and discarded counts walk work
 FIELDS = (
-    "x_target", "x_samples", "mu_values", "gap_to_rest", "simple", "status", "reason",
-    "x_collision", "oracle_dev", "checkpoint_index",
+    "x_target", "x_samples", "mu_values", "simple", "status", "reason", "x_collision",
+    "checkpoint_index",
 )
+RHO = 0.5  # the Kato disk's contour |zeta| = 1/2
+
+
+def _disk_samples(block, coeffs, br):
+    """Mask of the samples past x = 0 that the Kato bound certifies: |x|
+    below the radius of the contour |zeta| = RHO, less its rounding margin,
+    and RHO - |mu| above the collision threshold."""
+    r0 = perturbation_radius(block, coeffs, Contour(0.0, RHO))
+    mus = br.mu_values
+    disk = (np.abs(br.x_samples) < r0 * (1.0 - 1e-12)) & (
+        RHO - np.abs(mus) > kbmlab.eig.COLLISION_REL * (1.0 + np.abs(mus))
+    )
+    disk[0] = False
+    return disk
 
 
 def _union_check(even, odd, mu):
@@ -46,9 +70,10 @@ def _union_check(even, odd, mu):
     return float(dist[near[0]]), gap, nu
 
 
-def _reference_track(block, coeffs, x_target, checkpoints=()):
+def _reference_track(block, coeffs, x_target, checkpoints=(), devs=None):
     """The continuation one step at a time; the module's Newton, even sector
-    and exceptional point are looked up at call time, so patches apply."""
+    and exceptional point are looked up at call time, so patches apply.
+    ``devs`` gets each accepted sample's oracle deviation, in order."""
     eig = kbmlab.eig
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
     x_target = float(x_target)
@@ -97,6 +122,8 @@ def _reference_track(block, coeffs, x_target, checkpoints=()):
             continue
         dev, gap, last_nu = _union_check(even, odd, mu_new)
         oracle_dev = max(oracle_dev, dev)
+        if devs is not None:
+            devs.append(dev)
         last_gap = gap
         is_simple = gap > collision_threshold(mu_new)
         xs.append(x_new)
@@ -133,7 +160,11 @@ def _reference_track(block, coeffs, x_target, checkpoints=()):
     )
 
 
-def _assert_same_record(br, ref):
+def _assert_same_record(br, ref, devs):
+    """Every decision of ``br`` is the reference's, bit for bit; a disk
+    sample's gap is RHO - |mu| and every other gap is the reference's dense
+    one; oracle_dev is the largest of the reference's deviations over the
+    samples outside the disk."""
     for name in FIELDS:
         a, b = getattr(br, name), getattr(ref, name)
         if isinstance(a, np.ndarray):
@@ -142,19 +173,26 @@ def _assert_same_record(br, ref):
             assert a.tobytes() == b.tobytes(), name
         else:
             assert a == b, name
+    disk = _disk_samples(br.block, ladder_coefficients(br.block), br)
+    gaps = np.where(disk, RHO - np.abs(br.mu_values), ref.gap_to_rest)
+    assert br.gap_to_rest.tobytes() == gaps.tobytes()
+    assert br.oracle_dev == max([d for d, k in zip(devs, disk[1:]) if not k], default=0.0)
 
 
-def _recording_certify(monkeypatch):
-    """Record the batch size of every certification."""
-    sizes = []
-    real = kbmlab.eig.certify_samples
+def _recording_stacks(monkeypatch):
+    """Record the x of every stack of even sectors the continuation builds:
+    those it certifies, the walk's samples outside the disk and the single
+    samples whose bound left a decision open."""
+    stacks = []
+    real = kbmlab.eig.even_sector
 
-    def recording(even, mu):
-        sizes.append(len(mu))
-        return real(even, mu)
+    def recording(block, coeffs, x):
+        if np.ndim(x) == 1:
+            stacks.append(list(x))
+        return real(block, coeffs, x)
 
-    monkeypatch.setattr(kbmlab.eig, "certify_samples", recording)
-    return sizes
+    monkeypatch.setattr(kbmlab.eig, "even_sector", recording)
+    return stacks
 
 
 @given(
@@ -174,8 +212,9 @@ def test_track_branch_equals_the_step_by_step_loop(kind, k, eta, K, reach, sign,
     x_target = sign * reach / (1.0 + math.sqrt(block.eta))
     cks = [0.01 * f * x_target for f in sorted(fractions)]
     br = track_branch(block, coeffs, x_target, checkpoints=cks)
-    ref = _reference_track(block, coeffs, x_target, cks)
-    _assert_same_record(br, ref)
+    devs = []
+    ref = _reference_track(block, coeffs, x_target, cks, devs)
+    _assert_same_record(br, ref, devs)
     assert br.discarded >= 0
 
 
@@ -225,22 +264,69 @@ def test_a_newton_jump_mid_walk_is_rolled_back(monkeypatch, K, eta, k_max, point
     clean = track_branch(block, coeffs, cks[-1], checkpoints=cks)
     assert clean.discarded == 0
     x_jump = float(clean.x_samples[jump_at])
+    # the jump lands outside the circle |zeta| = 1/2 at an x inside the disk
+    assert _disk_samples(block, coeffs, clean)[jump_at]
 
     fired = _jumping_newton(monkeypatch, block, coeffs, x_jump)
-    sizes = _recording_certify(monkeypatch)
+    stacks = _recording_stacks(monkeypatch)
     br = track_branch(block, coeffs, cks[-1], checkpoints=cks)
     fired.clear()
-    ref = _reference_track(block, coeffs, cks[-1], cks)
-    _assert_same_record(br, ref)
+    devs = []
+    ref = _reference_track(block, coeffs, cks[-1], cks, devs)
+    _assert_same_record(br, ref, devs)
     # the reference rejected the jump, retried with half the step and went
     # on to the same end
     assert fired and (br.status, br.reason) == (clean.status, clean.reason)
-    # the first walk ran past the jump; the samples after it were dropped
-    assert sizes[0] > jump_at
-    assert br.discarded == sizes[0] - jump_at
-    # after the rejection each walk is at most one longer than all samples
-    # certified after the first walk, so none discards more than that
-    since = 0
-    for size in sizes[1:]:
-        assert size <= since + 1
-        since += size
+    # the first walk ended at the jump, which cannot be the branch, and its
+    # samples before it lie in the disk: the first stack certified is the
+    # jump alone, and no walked sample was discarded
+    assert stacks[0] == [x_jump]
+    assert br.discarded == 0
+
+
+def _suite_and_scan_branches(monkeypatch):
+    """(block, coeffs, branch) of every continuation of the acceptance
+    suite's sweeps on the default grid (both cutoffs of each K <= 0 case),
+    and of the collision scan's blocks (k_max 48) continued to x = -2.5."""
+    runs = []
+    real = kbmlab.spectra.track_branch
+
+    def recording(block, coeffs, x_target, **kwargs):
+        br = real(block, coeffs, x_target, **kwargs)
+        runs.append((block, coeffs, br))
+        return br
+
+    monkeypatch.setattr(kbmlab.spectra, "track_branch", recording)
+    build_suite_data()
+    for K, eta in suite_cases():
+        block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(48))
+        coeffs = ladder_coefficients(block)
+        runs.append((block, coeffs, track_branch(block, coeffs, -2.5)))
+    return runs
+
+
+def test_every_disk_certified_sample_is_isolated_on_the_full_block(monkeypatch):
+    # the Kato bound's claim, against the dense spectrum of the whole block
+    # (both parity sectors): inside the disk the circle |zeta| = 1/2 holds
+    # exactly one eigenvalue, the branch, and the second-nearest eigenvalue
+    # to mu is at least RHO - |mu| away, the gap the record reports
+    runs = _suite_and_scan_branches(monkeypatch)
+    total = 0
+    for block, coeffs, br in runs:
+        disk = _disk_samples(block, coeffs, br)
+        idx = np.flatnonzero(disk)
+        if not idx.size:
+            continue
+        total += idx.size
+        mu = br.mu_values[idx]
+        assert np.all(br.simple[idx])
+        assert br.gap_to_rest[idx].tobytes() == (RHO - np.abs(mu)).tobytes()
+        eigs = eig_dense(stack_of([assemble_perturbed(block, coeffs, x) for x in br.x_samples[idx]]))
+        assert np.all(np.count_nonzero(np.abs(eigs) < RHO, axis=1) == 1)
+        dist = np.sort(np.abs(eigs - mu[:, None]), axis=1)
+        # the tracked value is that eigenvalue, and the rest keep the bound
+        assert np.all(dist[:, 0] <= 1e-12 * (1.0 + np.abs(mu)))
+        assert np.all(dist[:, 1] >= RHO - np.abs(mu))
+    # 23 continuations (the infinite ladders' sweeps take two or three
+    # cutoffs each) with 1246 disk samples among them
+    assert len(runs) > 16 and total > 1000

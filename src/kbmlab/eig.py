@@ -93,11 +93,14 @@ MIN_STEPS = 4
 # The Kato disk of track_branch: the circle |zeta| = DISK_RHO separates the
 # unperturbed 0 from the rest of {m^2}, and for |x| below its Kato radius
 # r0 holds exactly one eigenvalue of the block, the branch.  Samples are
-# admitted only below r0 * (1 - DISK_MARGIN): r0 is the reciprocal square
-# root of the largest eigenvalue of a Gram block of size at most about
-# k_max/2, from entries that carry a few rounding errors each, so its
-# relative error is O(k_max eps), below 1e-12 for every block within the
-# dense limit.
+# admitted only below r0 * (1 - DISK_MARGIN).  r0 is lambda_max^(-1/2) of
+# two symmetric tridiagonal Gram blocks that a diagonal +-1 similarity
+# makes entrywise nonnegative, so lambda_max moves by at most the relative
+# error of the entries (Perron-Frobenius), a few eps, plus the backward
+# error of eigvalsh, a modest multiple of eps ||G|| = eps lambda_max.
+# Against a 40-digit Sturm bisection of the same blocks, r0's relative
+# error was below 1 eps for every cutoff measured up to 4095 (K = -1 and 0
+# with eta up to 1e6, and sphere blocks); DISK_MARGIN is about 4500 eps.
 DISK_RHO = 0.5
 DISK_MARGIN = 1e-12
 

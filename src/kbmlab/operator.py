@@ -164,31 +164,27 @@ def kato_radius(block: CasimirBlock, coeffs: LadderCoefficients, zeta: np.ndarra
 
     The parity sectors are orthogonal and invariant under both X and
     diag(k^2), and the odd one is the even one without its zero mode, so
-    the norm is the even sector's.  With its rungs a_m (a_0 times sqrt(2))
-    and diagonal m^2, the resolvent diag(1/(m^2 - zeta)) is diag(w) times
-    a diagonal unitary, w_m = 1/|m^2 - zeta|, so the norm is that of the
-    real B = X_e diag(w).  B^T B couples index j only to j +- 2: it is two
+    the norm is the even sector's.  With the rungs a of ``even_sector`` at
+    x = 1 (rung 0 carries its sqrt(2)) and diagonal m^2, the resolvent
+    diag(1/(m^2 - zeta)) is diag(w) times a diagonal unitary, w_m = 1/|m^2
+    - zeta|, so the norm is that of the real B = X_e diag(w).  B^T B couples index j only to j +- 2: it is two
     symmetric tridiagonal blocks, one per index parity, with diagonal w_j^2
     (a_{j-1}^2 + a_j^2) and off-diagonal -a_j a_{j+1} w_j w_{j+2}.  The
     squared norm is the largest eigenvalue of those blocks, from one
     batched ``eigvalsh`` call over the points per index parity.
     """
-    m = block.k_max
-    a = np.zeros(m + 2)  # a_{j-1}, j = 0..m+1
-    a[1:-1] = coeffs.a[m:]
-    a[1:2] *= math.sqrt(2.0)
-    ms = np.arange(m + 1.0)
-    w = 1.0 / np.abs(ms * ms - zeta[:, None])
+    even = even_sector(block, coeffs, 1.0)
+    a = np.concatenate(([0.0], even.sub.real, [0.0]))  # a_{j-1}, j = 0..k_max+1
+    w = 1.0 / np.abs(even.diag.real - zeta[:, None])
     diag = w * w * (a[:-1] ** 2 + a[1:] ** 2)
     off = -(a[1:-2] * a[2:-1]) * w[:, :-2] * w[:, 2:]
     sigma_sq = np.zeros(zeta.size)
     for start in (0, 1):
         d = diag[:, start::2]
-        n = d.shape[1]
-        gram = np.zeros((zeta.size, n, n))
-        flat = gram.reshape(zeta.size, n * n)  # a view: row j, column i at j n + i
-        flat[:, :: n + 1] = d
-        flat[:, 1 :: n + 1] = flat[:, n :: n + 1] = off[:, start::2]
+        gram = np.zeros((zeta.size, d.shape[1], d.shape[1]))
+        idx = np.arange(d.shape[1])
+        gram[:, idx, idx] = d
+        gram[:, idx[:-1], idx[1:]] = gram[:, idx[1:], idx[:-1]] = off[:, start::2]
         sigma_sq = np.maximum(sigma_sq, np.linalg.eigvalsh(gram)[:, -1])
     # the largest norm gives the smallest radius; a zero norm bounds nothing
     peak = float(np.max(sigma_sq))

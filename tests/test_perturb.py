@@ -5,12 +5,14 @@ import subprocess
 import sys
 import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kbmlab
+import kbmlab.eig
 import kbmlab.perturb
 from kbmlab import (
     Contour,
@@ -345,6 +347,46 @@ def test_perturbation_radius_is_the_minimum_over_the_whole_circle(K, eta, center
     ])
     dense = float(np.min(1.0 / norms))
     assert dense >= radii[4096] * (1.0 - 1e-13)
+
+
+def _sturm_largest_eigenvalue(d, e):
+    """Largest eigenvalue of the symmetric tridiagonal matrix (d, e), in
+    mpmath, by bisection on the Sturm count of negative pivots."""
+    n = len(d)
+    lo = mpmath.mpf(0)
+    hi = max(d[i] + (abs(e[i - 1]) if i else 0) + (abs(e[i]) if i < n - 1 else 0) for i in range(n))
+    for _ in range(200):
+        lam = (lo + hi) / 2
+        q = d[0] - lam
+        below = int(q < 0)
+        for i in range(1, n):
+            q = d[i] - lam - e[i - 1] ** 2 / (q if q else mpmath.mpf(10) ** -80)
+            below += int(q < 0)
+        lo, hi = (lo, lam) if below == n else (lam, hi)
+    return hi
+
+
+@pytest.mark.parametrize(
+    "K, eta, k_max", [(-1.0, 5.0, 16), (-1.0, 5e4, 256), (0.0, 2.0, 64), (1.0, 600.0, None)]
+)
+def test_the_disk_radius_is_exact_within_the_continuation_margin(K, eta, k_max):
+    # track_branch admits a sample only below r0 (1 - DISK_MARGIN), so the
+    # float r0 of the circle |zeta| = 1/2 must be within DISK_MARGIN of the
+    # exact radius of the same (float-coefficient) block, here from its
+    # Gram blocks in 50 digits
+    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
+    coeffs = ladder_coefficients(block)
+    m = block.k_max
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(0)] + [mpmath.mpf(float(v)) for v in coeffs.a[m:]] + [mpmath.mpf(0)]
+        a[1] *= mpmath.sqrt(2)
+        w = [1 / abs(mpmath.mpf(j * j) - mpmath.mpf(0.5)) for j in range(m + 1)]
+        diag = [w[j] ** 2 * (a[j] ** 2 + a[j + 1] ** 2) for j in range(m + 1)]
+        off = [-a[j + 1] * a[j + 2] * w[j] * w[j + 2] for j in range(m - 1)]
+        peak = max(_sturm_largest_eigenvalue(diag[s::2], off[s::2]) for s in (0, 1))
+        exact = 1 / mpmath.sqrt(peak)
+        r0 = perturbation_radius(block, coeffs, Contour(0.0, 0.5))
+        assert abs(r0 - exact) < kbmlab.eig.DISK_MARGIN * exact
 
 
 @pytest.mark.parametrize("K,eta", SUITE)

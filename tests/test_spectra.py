@@ -619,7 +619,8 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
     # operator is built by even_sector (the stack of a walk's samples
     # outside the Kato disk per certification, a single disk sample whose
     # bound left a decision open, and those of exceptional_point), as the
-    # odd slice of such a stack, or as a row selection of a stack, so no
+    # odd slice of such a stack, as a row selection of a stack, or as the
+    # one even sector at x = 1 that kato_radius reads its rungs from, so no
     # odd sector is assembled.  The collided rows are polished from the
     # same lists, on one stack.
     import kbmlab.eig
@@ -730,6 +731,7 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
         ("_newton_step", record_step),
         ("certify_samples", record_certify),
         ("exceptional_point", None),
+        ("kato_radius", None),
     ):
         monkeypatch.setattr(kbmlab.eig, name, within(name, getattr(kbmlab.eig, name), record))
     monkeypatch.setattr(kbmlab.spectra, "track_branch", track)
@@ -756,4 +758,6 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
     # the lists are formed once per continuation and once per collided-row
     # polish (and by exceptional_point for its own recurrence)
     assert len(formed) == len(blocks)
-    assert built and all(ctx & {"even_sector", "odd_sector", "_rows"} for ctx in built)
+    assert built and all(
+        ctx & {"even_sector", "odd_sector", "_rows", "kato_radius"} for ctx in built
+    )

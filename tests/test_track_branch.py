@@ -248,6 +248,59 @@ def _jumping_newton(monkeypatch, block, coeffs, x_jump):
     return fired
 
 
+def _recording_walks(monkeypatch):
+    """Record the Newton steps of each walk as (walker, steps): every walk
+    steps from its own copy of the cursor."""
+    walks = []
+    real = kbmlab.eig._newton_step
+
+    def recording(lists, walker, *args):
+        step = real(lists, walker, *args)
+        if not walks or walks[-1][0] is not walker:
+            walks.append((walker, []))
+        walks[-1][1].append(step)
+        return step
+
+    monkeypatch.setattr(kbmlab.eig, "_newton_step", recording)
+    return walks
+
+
+def _jump_and_roll_back(monkeypatch, K, eta, k_max, points, jump_at):
+    """Continue a sweep's checkpoints with Newton jumping 2.5 off the root
+    at the clean run's sample jump_at; check the record against the
+    reference and the walk lengths after the rejection.  Returns (block,
+    coeffs, clean branch, the jump's x, the Newton steps of each walk, the
+    certified stacks, branch)."""
+    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
+    coeffs = ladder_coefficients(block)
+    grid = np.power(10.0, 4.0 * np.arange(points) / (points - 1))
+    cks = list(-2.0 / grid[::-1])
+    clean = track_branch(block, coeffs, cks[-1], checkpoints=cks)
+    assert clean.discarded == 0
+    x_jump = float(clean.x_samples[jump_at])
+
+    fired = _jumping_newton(monkeypatch, block, coeffs, x_jump)
+    stacks = _recording_stacks(monkeypatch)
+    recorded = _recording_walks(monkeypatch)
+    br = track_branch(block, coeffs, cks[-1], checkpoints=cks)
+    walks = [steps for _, steps in recorded]
+    fired.clear()
+    devs = []
+    ref = _reference_track(block, coeffs, cks[-1], cks, devs)
+    _assert_same_record(br, ref, devs)
+    # the reference rejected the jump, retried with half the step and went
+    # on to the same end
+    assert fired and (br.status, br.reason) == (clean.status, clean.reason)
+    # from the rejection on each walk takes at most one step more than the
+    # walks between it and the first took together, so none discards more
+    # than that
+    since = 0
+    for steps in walks[1:]:
+        assert len(steps) <= since + 1
+        since += len(steps)
+    return block, coeffs, clean, x_jump, walks, stacks, br
+
+
 @pytest.mark.parametrize(
     "K, eta, k_max, points, jump_at",
     [
@@ -257,31 +310,29 @@ def _jumping_newton(monkeypatch, block, coeffs, x_jump):
     ],
 )
 def test_a_newton_jump_mid_walk_is_rolled_back(monkeypatch, K, eta, k_max, points, jump_at):
-    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
-    coeffs = ladder_coefficients(block)
-    grid = np.power(10.0, 4.0 * np.arange(points) / (points - 1))
-    cks = list(-2.0 / grid[::-1])
-    clean = track_branch(block, coeffs, cks[-1], checkpoints=cks)
-    assert clean.discarded == 0
-    x_jump = float(clean.x_samples[jump_at])
+    block, coeffs, clean, x_jump, walks, stacks, br = _jump_and_roll_back(
+        monkeypatch, K, eta, k_max, points, jump_at
+    )
     # the jump lands outside the circle |zeta| = 1/2 at an x inside the disk
     assert _disk_samples(block, coeffs, clean)[jump_at]
-
-    fired = _jumping_newton(monkeypatch, block, coeffs, x_jump)
-    stacks = _recording_stacks(monkeypatch)
-    br = track_branch(block, coeffs, cks[-1], checkpoints=cks)
-    fired.clear()
-    devs = []
-    ref = _reference_track(block, coeffs, cks[-1], cks, devs)
-    _assert_same_record(br, ref, devs)
-    # the reference rejected the jump, retried with half the step and went
-    # on to the same end
-    assert fired and (br.status, br.reason) == (clean.status, clean.reason)
     # the first walk ended at the jump, which cannot be the branch, and its
     # samples before it lie in the disk: the first stack certified is the
     # jump alone, and no walked sample was discarded
+    assert len(walks[0]) == jump_at and walks[0][-1].x == x_jump
     assert stacks[0] == [x_jump]
     assert br.discarded == 0
+
+
+def test_a_newton_jump_past_the_disk_radius_is_rolled_back(monkeypatch):
+    # past r0 a value outside the circle does not end the walk: the first
+    # walk runs on beyond the jump, and the samples after it are dropped
+    jump_at = 12
+    block, coeffs, clean, x_jump, walks, stacks, br = _jump_and_roll_back(
+        monkeypatch, -1.0, 5.0, 16, 13, jump_at
+    )
+    assert abs(x_jump) >= perturbation_radius(block, coeffs, Contour(0.0, RHO))
+    assert len(walks[0]) > jump_at
+    assert br.discarded == len(walks[0]) - jump_at > 0
 
 
 def _suite_and_scan_branches(monkeypatch):

@@ -124,11 +124,20 @@ class RunConfig:
                 raise ConfigError(f"explicit gammas must be finite and > 0, got {bad_gammas}")
             if len(set(explicit)) != len(explicit):
                 raise ConfigError("explicit gammas must be distinct")
+        with np.errstate(over="ignore"):
+            top = float(build_grid(self)[-1])
+        if not math.isfinite(0.5 * top * top):
+            # lambda = (gamma^2 / 2) mu
+            raise ConfigError(f"gamma grid reaches gamma = {top!r}, where gamma^2 / 2 overflows")
         if self.truncation.kind not in ("fixed", "adaptive"):
             raise ConfigError(f"unknown truncation kind {self.truncation.kind!r}")
         k_max = self.truncation.k_max
         if self.truncation.kind == "adaptive" and k_max is not None:
             raise ConfigError(f"truncation.k_max = {k_max!r} needs fixed truncation")
+        if self.truncation.kind == "adaptive" and not self.truncation.tol > 0.0:
+            raise ConfigError(
+                f"adaptive truncation needs truncation.tol > 0, got {self.truncation.tol!r}"
+            )
         if self.truncation.kind == "fixed" and not (_is_int(k_max) and k_max >= 1):
             raise ConfigError(f"fixed truncation needs an integer k_max >= 1, got {k_max!r}")
         positive_K = s.kind == "sphere" or (s.kind == "custom" and s.K > 0.0)

@@ -11,38 +11,37 @@ member, and each of its parity sectors, is a real matrix; the dense
 solver then runs in real arithmetic, in less than half the time of the
 complex solve on the sector sizes used here.
 
-The continuation walks the real segment [0, x_target], on which the
-paper's x = -2/gamma lies, with a secant predictor and a Newton corrector
-on the characteristic polynomial of the even parity sector
-(``operator.even_sector``, dimension k_max + 1), which holds the branch
-through 0, read as Python float lists formed once per block; a complex
-x_target or checkpoint raises TypeError.  The branch is holomorphic in x;
-that is checked through ``newton_polish`` on the sector assembled at
-complex x.  The continuation takes Newton-only steps first and certifies
-them afterwards.  Inside the Kato disk, |x| below the radius r0 of the
-circle |zeta| = 1/2 (``operator.kato_radius``, computed once per block),
-that circle holds exactly one eigenvalue of the block, the branch, and
-every other one lies outside it (Kato, *Perturbation Theory for Linear
-Operators*, II.3); a sample there with |mu| < 1/2 has its gap to the rest
-of the spectrum bounded below by 1/2 - |mu| and needs no eigensolve.  One
-stacked dense solve checks the gap of every other walked sample, on the
-stack of their even sectors built in one call.  That check solves the even
-sectors only and certifies the odd ones, slices of the even ones
-(``operator.odd_sector``), by their numerical range (Horn & Johnson,
+The continuation follows the real segment [0, x_target], on which the
+paper's x = -2/gamma lies, one step at a time, with a secant predictor and
+a Newton corrector on the characteristic polynomial of the even parity
+sector (``operator.even_sector``, dimension k_max + 1), which holds the
+branch through 0, read as Python float lists formed once per block; a
+complex x_target or checkpoint raises TypeError.  The branch is
+holomorphic in x; that is checked through ``newton_polish`` on the sector
+assembled at complex x.  A step is accepted only if the corrected value
+stays within half of the current sample's gap to the rest of the
+spectrum; otherwise the step is halved.  Each new sample is certified
+before the next step.  Inside the Kato disk, |x| below the radius r0 of
+the circle |zeta| = 1/2 (``operator.kato_radius``, computed once per
+block), that circle holds exactly one eigenvalue of the block, the
+branch, and every other one lies outside it (Kato, *Perturbation Theory
+for Linear Operators*, II.3); a sample there with |mu| < 1/2 has its gap
+to the rest of the spectrum bounded below by 1/2 - |mu| and needs no
+eigensolve.  Every other sample is checked by one dense solve of its even
+sector.  That check certifies the odd sector, a slice of the even one
+(``operator.odd_sector``), by its numerical range (Horn & Johnson,
 *Topics in Matrix Analysis*, 1.2): at real x the odd sector's Hermitian
 part is diag(m^2, m >= 1), so every odd eigenvalue has Re >= 1, and when
 the even gap is below 1 - Re mu the nearest two eigenvalues of the full
-block are both even.  Otherwise that sample's odd sector is solved too and
-the union decides, so gaps and simplicity keep their full-block meaning.
-A step is accepted only if the corrected value stays within half of the
-previous sample's gap to the rest of the spectrum; otherwise the step is
-halved and the walked samples after it are discarded.  The bound is below
-the dense gap, so it can only confirm an acceptance or a simple sample;
-where it leaves a decision open, that one sample's dense check is computed
-and decides, so every decision is the one the dense gap makes.  Steps are
-shortened to land exactly on caller-given checkpoints of the segment, so
-one continuation serves every parameter on it.  It computes no
-eigenvectors; callers take ``inverse_iteration`` where they report values.
+block are both even.  Otherwise the odd sector is solved too and the
+union decides, so gaps and simplicity keep their full-block meaning.  The
+bound is below the dense gap, so it can only confirm an acceptance or a
+simple sample; where it leaves a decision open, that one sample's dense
+check is computed and decides, so every decision is the one the dense gap
+makes.  Steps are shortened to land exactly on caller-given checkpoints of
+the segment, so one continuation serves every parameter on it.  It
+computes no eigenvectors; callers take ``inverse_iteration`` where they
+report values.
 
 The branch ends where it meets its even-sector neighbour at a square-root
 exceptional point, p = dp/dmu = 0 (Kato, *Perturbation Theory for Linear
@@ -57,7 +56,6 @@ collision.  Either way the partial branch is returned.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -237,7 +235,7 @@ def eig_dense(op: TridiagonalOperator) -> np.ndarray:
     a stack of matrices gives one row of eigenvalues per matrix.
 
     A call with no imaginary part anywhere (every family member at real
-    x, so every stack the continuation certifies, and every generator)
+    x, so every sector the continuation certifies, and every generator)
     goes to the real LAPACK solver, about a quarter of the complex
     solver's arithmetic, whose non-real eigenvalues come in exact
     conjugate pairs; any other call is solved in complex arithmetic
@@ -275,49 +273,36 @@ class SpotCheck(NamedTuple):
     nu: Optional[complex]  # that second-nearest one; None when it is odd
 
 
-def certify_samples(even: TridiagonalOperator, mu) -> list:
-    """``SpotCheck`` of every sample of a stack: the nearest and
-    second-nearest eigenvalue of the full (truncated) block to mu[i], for
-    the stacked even sectors ``even`` (B, n) and the tracked values ``mu``
-    (B,).  ``track_branch`` certifies with it the walked samples outside the
-    Kato disk, and a single disk sample where the Kato bound leaves a
-    decision open.
+def certify_samples(even: TridiagonalOperator, mu: complex) -> SpotCheck:
+    """``SpotCheck`` of one sample: the nearest and second-nearest
+    eigenvalue of the full (truncated) block to ``mu``, for the block's even
+    sector ``even`` at the sample's x.  ``track_branch`` certifies with it
+    the samples outside the Kato disk, and a disk sample where the Kato
+    bound leaves a decision open.
 
-    The even sectors are solved in one stacked ``eig_dense`` call and every
-    row's two nearest eigenvalues come from one row-wise stable argsort.
-    The odd sectors are ``odd_sector(even)`` (none on the single-mode
-    block).  Their eigenvalues have real part at least f =
-    ``numerical_range_floor`` of them, so none is within f - Re mu of mu;
-    when a row's even gap is below that (less 64 eps max|d| for LAPACK's
-    rounding of the odd spectrum) both nearest eigenvalues are even.  The
-    odd sectors of the other rows are solved in one more stacked call, and
-    the union decides there.  Either way every row equals, bit for bit,
-    the check on the union of both sectors' dense spectra, even sector
-    first (ties go to the lower index).
+    The even sector is solved densely.  Its odd sector, ``odd_sector(even)``
+    (none on the single-mode block), has eigenvalues of real part at least f
+    = ``numerical_range_floor`` of it, so none is within f - Re mu of mu;
+    when the even gap is below that (less 64 eps max|d| for LAPACK's
+    rounding of the odd spectrum) both nearest eigenvalues are even.
+    Otherwise the odd sector is solved too, and the union decides.  Either
+    way the check equals, bit for bit, the one on the union of both
+    sectors' dense spectra, even sector first (ties go to the lower index).
     """
-    mu = np.asarray(mu, dtype=complex)
-    rows = np.arange(mu.size)
+    mu = complex(mu)
     eigs = eig_dense(even)
-    dist = np.abs(eigs - mu[:, None])
-    near = np.argsort(dist, axis=1, kind="stable")[:, :2]
-    nearest = dist[rows, near[:, 0]]
-    gap = dist[rows, near[:, 1]] if even.dim > 1 else np.full(mu.size, math.inf)
-    nu = [complex(v) for v in eigs[rows, near[:, 1]]] if even.dim > 1 else [None] * mu.size
+    both = eigs
     odd = odd_sector(even)
     if odd is not None:
-        margin = 64.0 * _EPS * np.max(np.abs(odd.diag), axis=1)
-        union = np.flatnonzero(~(gap < numerical_range_floor(odd) - mu.real - margin))
-        if union.size:
-            odd_eigs = eig_dense(_rows(odd, union))
-            for i, o in zip(union.tolist(), odd_eigs):
-                both = np.concatenate((eigs[i], o))
-                d = np.abs(both - mu[i])
-                pair = np.argsort(d, kind="stable")[:2]
-                nearest[i], gap[i] = d[pair[0]], d[pair[1]]
-                nu[i] = complex(both[pair[1]]) if pair[1] < even.dim else None
-    return [
-        SpotCheck(eigs[i], float(nearest[i]), float(gap[i]), nu[i]) for i in rows.tolist()
-    ]
+        margin = 64.0 * _EPS * float(np.max(np.abs(odd.diag)))
+        if not np.sort(np.abs(eigs - mu))[1] < numerical_range_floor(odd) - mu.real - margin:
+            both = np.concatenate((eigs, eig_dense(odd)))
+    dist = np.abs(both - mu)
+    near = np.argsort(dist, kind="stable")[:2]
+    if near.size < 2:
+        return SpotCheck(eigs, float(dist[near[0]]), math.inf, None)
+    nu = complex(both[near[1]]) if near[1] < even.dim else None
+    return SpotCheck(eigs, float(dist[near[0]]), float(dist[near[1]]), nu)
 
 
 def collision_threshold(mu: complex) -> float:
@@ -548,11 +533,6 @@ class EigenBranch:
     on (in order, x_target last), the index of its sample in ``x_samples``;
     a checkpoint sample may be the non-simple one that stopped the
     continuation.
-    ``discarded`` counts the walked samples dropped unused because an
-    earlier sample of their walk failed its certification (see
-    ``track_branch``); it does not change any other field.  A walk ends at
-    a sample inside the disk whose value lies outside the circle, so a
-    Newton jump there discards nothing.
     The parameters are real: ``x_target`` and ``x_collision`` are floats
     and ``x_samples`` is a float array; ``mu_values`` is complex.
     """
@@ -568,7 +548,6 @@ class EigenBranch:
     x_collision: Optional[float] = None
     oracle_dev: float = 0.0
     checkpoint_index: tuple = ()
-    discarded: int = 0
 
     @property
     def final_mu(self) -> complex:
@@ -577,80 +556,6 @@ class EigenBranch:
     @property
     def reached(self) -> bool:
         return self.status == "complete"
-
-
-@dataclass
-class _Cursor:
-    """Where a continuation stands: its last sample (s_cur, x_cur, mu_cur)
-    with its gap and its dense ``check`` (None while the Kato bound stands
-    in for both), the one before (s_prev, mu_prev) for the secant
-    predictor, the step ``ds`` with the run of easy Newton solves that
-    doubles it, and the next checkpoint ``nxt``.  x and mu are floats:
-    Newton on the float lists of a real sector returns real roots from a
-    real prediction."""
-
-    ds: float
-    gap: float
-    check: Optional[SpotCheck]
-    s_cur: float = 0.0
-    x_cur: float = 0.0
-    mu_cur: float = 0.0
-    s_prev: Optional[float] = None
-    mu_prev: float = 0.0
-    easy: int = 0
-    nxt: int = 0
-
-    def advance(self, step: "_Step", ds_base: float) -> None:
-        """Move to the accepted ``step``; three easy solves (at most five
-        Newton iterations each) in a row double ds, up to ds_base."""
-        self.s_prev, self.mu_prev = self.s_cur, self.mu_cur
-        self.s_cur, self.x_cur, self.mu_cur = step.s, step.x, step.mu
-        self.nxt += step.at_checkpoint
-        if step.iters <= 5:
-            self.easy += 1
-            if self.easy >= 3 and self.ds < ds_base:
-                self.ds = min(2.0 * self.ds, ds_base)
-                self.easy = 0
-        else:
-            self.easy = 0
-
-
-class _Step(NamedTuple):
-    """One Newton step of a walk: the parameter reached, the secant
-    prediction and the corrected value."""
-
-    s: float
-    x: float
-    at_checkpoint: bool
-    mu_pred: float
-    mu: float
-    ok: bool
-    iters: int
-
-
-def _newton_step(
-    lists: EvenSectorLists, cur: _Cursor, ck_x: list, ck_s: list, x_target: float
-) -> _Step:
-    """The next step from ``cur``: ds, shortened to land on the next
-    checkpoint (or stretched to it when less than 1.5 ds away), then Newton
-    on the even sector's float lists ``lists.at(x)`` from the secant
-    prediction; no operator is built."""
-    s_ck = ck_s[cur.nxt]
-    ds_eff = min(cur.ds, s_ck - cur.s_cur)
-    if s_ck - cur.s_cur < 1.5 * cur.ds:
-        ds_eff = s_ck - cur.s_cur
-    s_new = cur.s_cur + ds_eff
-    if s_ck - s_new < 1e-15:
-        s_new = s_ck
-    at_checkpoint = s_new == s_ck
-    x_new = ck_x[cur.nxt] if at_checkpoint else s_new * x_target
-    if cur.s_prev is not None and cur.s_cur != cur.s_prev:
-        slope = (cur.mu_cur - cur.mu_prev) / (cur.s_cur - cur.s_prev)
-        mu_pred = cur.mu_cur + slope * (s_new - cur.s_cur)
-    else:
-        mu_pred = cur.mu_cur
-    mu_new, ok, iters = newton_polish(lists.at(x_new), mu_pred)
-    return _Step(s_new, x_new, at_checkpoint, mu_pred, mu_new, ok, iters)
 
 
 def track_branch(
@@ -676,25 +581,17 @@ def track_branch(
     checkpoint's exact value, and the step size is carried on unchanged
     past it.
 
-    The loop alternates two phases.  A walk takes Newton-only steps from
-    the last certified sample (secant predictor, landing on checkpoints,
-    ds doubled after three easy steps) until Newton fails, the first
-    step's correction leaves half the last certified gap, x_target is
-    reached, the walk has its length, or a sample inside the Kato disk
-    (below) has |mu| >= 1/2.  That value is not the branch, which is the
-    one eigenvalue inside the circle there, so the walk stops instead of
-    running on along another branch.  Then the walked samples are
-    certified and replayed in order under the acceptance rules of a
-    step-by-step continuation: a sample whose correction |mu - mu_pred|
-    exceeds half the previous sample's gap is a rejected step, a sample
-    that is not simple ends the continuation, and the walked samples after
-    either are dropped and counted in ``discarded``.  The walk's steps
-    depend on no gap, so the decisions are bit for bit those of checking
-    each sample with a dense solve before taking the next step.  The first
-    walk runs until it stops on its own; after a rejection the next walk is
-    one step long, and each fully certified walk doubles the length of the
-    next, so from the first rejection on no walk discards more samples than
-    were certified since the last one.
+    Each step predicts the value at the next parameter by the secant
+    through the last two samples, corrects it by Newton on the block's
+    ``EvenSectorLists`` (formed once, so no operator is built and Newton
+    runs in float arithmetic), judges the correction, certifies the new
+    sample and then accepts it, stops, or halves the step.  A correction
+    |mu - mu_pred| above half the current sample's gap to the rest of the
+    spectrum, or a Newton solve that fails, rejects the step: ds is halved,
+    and a step below 1e-12 of the segment ends the continuation.  An
+    accepted sample that is not simple ends it too.  Three easy solves (at
+    most five Newton iterations each) in a row double ds, up to the base
+    step.
 
     The certificate of a sample is the Kato bound inside the disk and a
     dense solve outside it.  r0 = ``operator.kato_radius`` at the node
@@ -705,35 +602,31 @@ def track_branch(
     second-nearest eigenvalue to a value mu inside the circle is farther
     than 1/2 - |mu|.  A sample with |x| < r0 (1 - DISK_MARGIN) and 1/2 - |mu|
     above ``collision_threshold(mu)`` is therefore simple and takes that
-    bound as its gap, with no eigensolve.  Every other walked sample is
-    certified at once by ``certify_samples`` on their even sectors, built in
-    one ``even_sector`` call: one stacked dense solve of them, and of their
-    odd slices only where the numerical range comes near the branch.  The
-    bound is below the dense gap, so it only confirms decisions: a
-    correction within half the bound is accepted; a larger one takes the
-    previous sample's dense check, computed for that sample alone (its bits
-    are those of a stacked one), and is judged against its gap, as is the
-    exceptional point's neighbour and spectrum below.  The single-mode
+    bound as its gap, with no eigensolve.  Every other sample is certified
+    by ``certify_samples``: a dense solve of its even sector, and of the odd
+    one only where the numerical range comes near the branch.  The bound
+    is below the dense gap, so it only confirms decisions: a correction
+    within half the bound is accepted; a larger one takes the current
+    sample's dense check, computed then, and is judged against its gap, as
+    is the exceptional point's neighbour and spectrum below.  Every
+    decision is therefore the one the dense gap makes.  The single-mode
     block has no coupling, no radius and the dense path, with gap inf; an
     even sector past ``MAX_DENSE_DIM`` takes the dense path too, which
     raises EigensolveError.  The bound, like the dense check, is that of
     the truncated block.
 
-    Newton reads the block's ``EvenSectorLists``, formed once: it builds
-    no operator and runs in float arithmetic.
-
     The first rejected step from each sample asks ``exceptional_point``
     whether the step ran into the exceptional point where the branch meets
-    the neighbour of the last certified sample.  If so the continuation
-    stops with reason "exceptional point" and x_collision = x_c; no
-    checkpoint lies between the sample and x_c, because steps never pass
-    one.  Otherwise the step is halved.  An accepted sample that is not
-    simple asks ``exceptional_point`` the same of the stretch from it to
-    the next checkpoint; a certified point there becomes x_collision, and
-    the sample stays the last one.  Both calls hand over the even spectrum
-    and the neighbour from the sample's dense check, computed then for a
-    disk sample; at the start x = 0 they are the exact unperturbed ones,
-    m^2 for m = 0..k_max and 1.
+    the neighbour of the current sample.  If so the continuation stops
+    with reason "exceptional point" and x_collision = x_c; no checkpoint
+    lies between the sample and x_c, because steps never pass one.
+    Otherwise the step is halved.  An accepted sample that is not simple
+    asks ``exceptional_point`` the same of the stretch from it to the next
+    checkpoint; a certified point there becomes x_collision, and the
+    sample stays the last one.  Both calls hand over the even spectrum and
+    the neighbour from the sample's dense check, computed then for a disk
+    sample; at the start x = 0 they are the exact unperturbed ones, m^2 for
+    m = 0..k_max and 1.
     """
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
     x_target = float(x_target)
@@ -763,127 +656,114 @@ def track_branch(
     simples = [gap0 > collision_threshold(0.0)]
 
     lists = EvenSectorLists.of(block, coeffs)
-    # at x = 0 the even spectrum is exactly m^2 and the neighbour of 0 is
-    # m^2 = 1, which the even sector holds
-    start = SpotCheck(np.array(lists.diag), 0.0, gap0, 1.0 + 0j if dim > 1 else None)
-    cur = _Cursor(ds=ds_base, gap=gap0, check=start)
     # the single-mode block has no coupling to bound and keeps the dense
     # path, as does a sector past the dense limit, which raises there
     r_disk = 0.0
     if 1 < dim and block.k_max < MAX_DENSE_DIM:
         r_disk = kato_radius(block, coeffs, np.array([DISK_RHO + 0j])) * (1.0 - DISK_MARGIN)
+    # the current sample (x and mu are floats: Newton on the float lists of
+    # a real sector returns real roots from a real prediction), the one
+    # before it for the secant, and its gap with its dense check (None while
+    # the Kato bound stands in for both); at x = 0 the even spectrum is
+    # exactly m^2 and the neighbour of 0 is m^2 = 1, which the even sector
+    # holds
+    s_cur = x_cur = mu_cur = 0.0
+    s_prev, mu_prev = None, 0.0
+    gap = gap0
+    check = SpotCheck(np.array(lists.diag), 0.0, gap0, 1.0 + 0j if dim > 1 else None)
+    ds, easy, nxt = ds_base, 0, 0
     ep_tried = False
     oracle_dev = 0.0
     status, reason, x_coll = "complete", "", None
     landed = []
-    walk_length = math.inf
-    discarded = 0
-
-    def in_disk(step: _Step) -> bool:
-        # DISK_RHO - |mu| bounds the gap and confirms simplicity
-        return abs(step.x) < r_disk and DISK_RHO - abs(step.mu) > collision_threshold(step.mu)
 
     def dense_check() -> SpotCheck:
         # the current sample's dense check, computed once where its Kato
-        # bound leaves a decision open; it has the bits of a stacked one
-        if cur.check is None:
-            even = even_sector(block, coeffs, np.array([cur.x_cur]))
-            cur.check = certify_samples(even, [cur.mu_cur])[0]
-            cur.gap = cur.check.gap
-        return cur.check
+        # bound leaves a decision open
+        nonlocal check
+        if check is None:
+            check = certify_samples(even_sector(block, coeffs, x_cur), mu_cur)
+        return check
 
-    def rejects(step: _Step) -> bool:
+    while nxt < len(ck_s):
+        # predict by secant at ds, shortened to land on the next checkpoint
+        # (or stretched to it when less than 1.5 ds away)
+        s_ck = ck_s[nxt]
+        ds_eff = min(ds, s_ck - s_cur)
+        if s_ck - s_cur < 1.5 * ds:
+            ds_eff = s_ck - s_cur
+        s_new = s_cur + ds_eff
+        if s_ck - s_new < 1e-15:
+            s_new = s_ck
+        at_checkpoint = s_new == s_ck
+        x_new = ck_x[nxt] if at_checkpoint else s_new * x_target
+        if s_prev is not None and s_cur != s_prev:
+            slope = (mu_cur - mu_prev) / (s_cur - s_prev)
+            mu_pred = mu_cur + slope * (s_new - s_cur)
+        else:
+            mu_pred = mu_cur
+        mu_new, ok, iters = newton_polish(lists.at(x_new), mu_pred)
+
         # the correction leaves half the current sample's gap; a bound
         # below that gap can only confirm an acceptance
-        move = abs(step.mu - step.mu_pred)
-        return move > 0.5 * cur.gap and move > 0.5 * dense_check().gap
-
-    while cur.nxt < len(ck_s):
-        # walk from a copy of the cursor; the replay below moves the real one
-        walker = dataclasses.replace(cur)
-        walked: list = []
-        rejected: Optional[_Step] = None
-        while len(walked) < walk_length and walker.nxt < len(ck_s):
-            step = _newton_step(lists, walker, ck_x, ck_s, x_target)
-            if not step.ok or (not walked and rejects(step)):
-                rejected = step
+        move = abs(mu_new - mu_pred)
+        if not ok or (move > 0.5 * gap and move > 0.5 * dense_check().gap):
+            if not ep_tried:
+                # the first rejection from x_cur: the step may have run into
+                # the exceptional point where the branch meets nu
+                ep_tried = True
+                cur = dense_check()
+                x_c = exceptional_point(
+                    block, coeffs, x_cur, x_new, mu_cur, cur.nu, eigs_cur=cur.even_eigs
+                )
+                if x_c is not None:
+                    status, reason, x_coll = "collision", "exceptional point", x_c
+                    break
+            ds *= 0.5
+            easy = 0
+            if ds < ds_min:
+                status, reason = "collision", "step underflow near loss of simplicity"
+                x_coll = x_cur
                 break
-            walked.append(step)
-            walker.advance(step, ds_base)
-            if abs(step.x) < r_disk and not abs(step.mu) < DISK_RHO:
-                # inside the disk the branch is the one eigenvalue in the
-                # circle, so this value is not the branch: stop here
-                break
-
-        disk = [in_disk(step) for step in walked]
-        dense = [step for step, d in zip(walked, disk) if not d]
-        checks = iter(certify_samples(
-            even_sector(block, coeffs, np.array([step.x for step in dense])),
-            [step.mu for step in dense],
-        ) if dense else ())
-        done = False
-        for i, (step, in_circle) in enumerate(zip(walked, disk)):
-            if rejects(step):
-                rejected = step
-                discarded += len(walked) - i - 1
-                break
-            if in_circle:
-                check, gap = None, DISK_RHO - abs(step.mu)
-            else:
-                check = next(checks)
-                gap = check.gap
-                oracle_dev = max(oracle_dev, check.oracle_dev)
-            is_simple = gap > collision_threshold(step.mu)
-            xs.append(step.x)
-            mus.append(step.mu)
-            gaps.append(gap)
-            simples.append(is_simple)
-            if step.at_checkpoint:
-                landed.append(len(xs) - 1)
-            if not is_simple:
-                # a sample in the disk is simple, so this one has its check
-                discarded += len(walked) - i - 1
-                status, reason, x_coll = "collision", "gap below collision threshold", step.x
-                nxt = cur.nxt + step.at_checkpoint
-                if nxt < len(ck_s):
-                    # the exceptional point may lie just beyond this sample,
-                    # short of the next checkpoint
-                    x_c = exceptional_point(
-                        block, coeffs, step.x, ck_x[nxt], step.mu, check.nu,
-                        eigs_cur=check.even_eigs,
-                    )
-                    if x_c is not None:
-                        reason, x_coll = "exceptional point", x_c
-                done = True
-                break
-            cur.advance(step, ds_base)
-            cur.gap, cur.check = gap, check
-            ep_tried = False
-        if done:
-            break
-        if rejected is None:
-            walk_length *= 2
             continue
 
-        if not ep_tried:
-            # the first rejection from x_cur: the step may have run into
-            # the exceptional point where the branch meets nu
-            ep_tried = True
-            check = dense_check()
-            x_c = exceptional_point(
-                block, coeffs, cur.x_cur, rejected.x, cur.mu_cur, check.nu,
-                eigs_cur=check.even_eigs,
-            )
-            if x_c is not None:
-                status, reason, x_coll = "collision", "exceptional point", x_c
-                break
-        cur.ds *= 0.5
-        cur.easy = 0
-        if cur.ds < ds_min:
-            status, reason = "collision", "step underflow near loss of simplicity"
-            x_coll = cur.x_cur
+        if abs(x_new) < r_disk and DISK_RHO - abs(mu_new) > collision_threshold(mu_new):
+            # DISK_RHO - |mu| bounds the gap and confirms simplicity
+            check, gap = None, DISK_RHO - abs(mu_new)
+        else:
+            check = certify_samples(even_sector(block, coeffs, x_new), mu_new)
+            gap = check.gap
+            oracle_dev = max(oracle_dev, check.oracle_dev)
+        is_simple = gap > collision_threshold(mu_new)
+        xs.append(x_new)
+        mus.append(mu_new)
+        gaps.append(gap)
+        simples.append(is_simple)
+        if at_checkpoint:
+            landed.append(len(xs) - 1)
+            nxt += 1
+        if not is_simple:
+            # a sample in the disk is simple, so this one has its check
+            status, reason, x_coll = "collision", "gap below collision threshold", x_new
+            if nxt < len(ck_s):
+                # the exceptional point may lie just beyond this sample,
+                # short of the next checkpoint
+                x_c = exceptional_point(
+                    block, coeffs, x_new, ck_x[nxt], mu_new, check.nu,
+                    eigs_cur=check.even_eigs,
+                )
+                if x_c is not None:
+                    reason, x_coll = "exceptional point", x_c
             break
-        walk_length = 1
+        s_prev, mu_prev = s_cur, mu_cur
+        s_cur, x_cur, mu_cur = s_new, x_new, mu_new
+        ep_tried = False
+        if iters <= 5:
+            easy += 1
+            if easy >= 3 and ds < ds_base:
+                ds, easy = min(2.0 * ds, ds_base), 0
+        else:
+            easy = 0
 
     return EigenBranch(
         block=block,
@@ -897,7 +777,6 @@ def track_branch(
         x_collision=x_coll,
         oracle_dev=oracle_dev,
         checkpoint_index=tuple(landed),
-        discarded=discarded,
     )
 
 

@@ -117,7 +117,14 @@ def torus_spectrum(L: float, eta_cap: float) -> SurfaceSpectrum:
         raise SpectrumValidationError("torus needs L > 0")
     if not eta_cap >= 0.0:
         raise SpectrumValidationError("eta_cap must be >= 0")
-    scale = (2.0 * math.pi / L) ** 2
+    try:
+        scale = (2.0 * math.pi / L) ** 2
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise SpectrumValidationError(
+            f"torus side L = {L!r} puts the eta scale (2 pi / L)^2 outside the float range"
+        )
     m_max = int(math.floor(math.sqrt(eta_cap / scale))) if eta_cap > 0 else 0
     counts: dict[int, int] = {}
     for m in range(-m_max, m_max + 1):
@@ -298,8 +305,12 @@ def gamma_sweep(
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise SpectrumValidationError("gamma grid must be a nonempty 1-d array")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise SpectrumValidationError("gamma grid must be ascending and positive")
+    with np.errstate(over="ignore"):
+        half_g2 = 0.5 * grid * grid
+    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0) or not np.all(np.isfinite(half_g2)):
+        raise SpectrumValidationError(
+            "gamma grid must be ascending and positive, with gamma^2 / 2 finite"
+        )
     n = grid.size
 
     if eta == 0.0:
@@ -319,7 +330,6 @@ def gamma_sweep(
             empirical_r=None,
         )
 
-    half_g2 = 0.5 * grid * grid
     if K > 0.0:
         base = _sweep_block(finite_block(eta, K), grid)
         lam = half_g2 * base.mu

@@ -351,6 +351,48 @@ def test_negative_eta_cap_is_a_config_error(tmp_path, capsys):
     assert json.loads((out / "errors.json").read_text()) == record
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-10"])
+@pytest.mark.parametrize("surface", ["sphere", "torus"])
+def test_a_nonpositive_truncation_tolerance_is_a_config_error(tmp_path, capsys, surface, tol):
+    # the adaptive policy needs tol > 0; validation says so before any sweep
+    out = tmp_path / "out"
+    code = run_cli(
+        ["run", "--surface", surface, f"--truncation-tol={tol}", "--gamma-explicit", "20",
+         "--out", str(out)]
+    )
+    assert code == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and "truncation.tol" in record["message"]
+    assert json.loads((out / "errors.json").read_text()) == record
+
+
+@pytest.mark.parametrize("side", ["1e-300", "1e300"])
+def test_a_torus_side_whose_eta_scale_leaves_the_float_range_is_a_typed_error(
+    tmp_path, capsys, side
+):
+    # (2 pi / L)^2 overflows for a tiny side and underflows to 0 for a huge one
+    out = tmp_path / "out"
+    code = run_cli(["run", "--surface", "torus", "--side", side, "--out", str(out)])
+    assert code == 1
+    record = _error_record(capsys)
+    assert record["error"] == "SpectrumValidationError" and "float range" in record["message"]
+    assert json.loads((out / "errors.json").read_text()) == record
+
+
+@pytest.mark.parametrize(
+    "flags", [["--gamma-explicit", "0.5,1e300"], ["--gamma-log-end", "400"]], ids=repr
+)
+def test_a_gamma_whose_half_square_overflows_is_a_config_error(tmp_path, capsys, flags):
+    # lambda = (gamma^2 / 2) mu would be inf or nan on that row
+    out = tmp_path / "out"
+    code = run_cli(["run", "--surface", "sphere", "--l-max", "1", *flags, "--out", str(out)])
+    assert code == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and "gamma^2 / 2" in record["message"]
+    assert json.loads((out / "errors.json").read_text()) == record
+    assert not any(out.glob("table_*"))
+
+
 @pytest.mark.parametrize("criteria", ["11", "x", "1,11", "0"])
 def test_bad_selftest_criteria_are_a_config_error(capsys, criteria):
     assert run_cli(["selftest", "--criteria", criteria]) == 2

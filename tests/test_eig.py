@@ -824,7 +824,7 @@ def test_spot_check_on_the_even_sector_equals_the_union(
     union = parity_eigvals(even, odd)
     dist = np.abs(union - mu)
     near = np.argsort(dist, kind="stable")[:2]
-    check = kbmlab.eig.certify_samples(one_row(even), [mu])[0]
+    check = kbmlab.eig.certify_samples(even, mu)
     assert np.array_equal(check.even_eigs, even_eigs)
     assert check.oracle_dev == float(dist[near[0]])
     assert check.gap == float(dist[near[1]])
@@ -834,7 +834,7 @@ def test_spot_check_on_the_even_sector_equals_the_union(
 
 def test_spot_check_solves_the_odd_sector_only_when_it_may_be_near(sphere_l1, monkeypatch):
     block, coeffs = sphere_l1
-    even = one_row(even_sector(block, coeffs, 0.3))
+    even = even_sector(block, coeffs, 0.3)
     solved = []
     real_dense = kbmlab.eig.eig_dense
 
@@ -845,9 +845,9 @@ def test_spot_check_solves_the_odd_sector_only_when_it_may_be_near(sphere_l1, mo
     monkeypatch.setattr(kbmlab.eig, "eig_dense", counting)
     # the branch at 0.1, its even partner at 0.9: the odd value 1 is farther
     mu = closed_mu(0.3)
-    check = kbmlab.eig.certify_samples(even, [mu])[0]
+    check = kbmlab.eig.certify_samples(even, mu)
     assert solved == [1] and check.nu is not None and abs(check.nu - (1.0 - mu)) <= 1e-14
     # a point close to 1 may have the odd eigenvalue as its neighbour
     solved.clear()
-    check = kbmlab.eig.certify_samples(even, [0.95])[0]
+    check = kbmlab.eig.certify_samples(even, 0.95)
     assert solved == [1, -1] and check.nu is None and check.gap == abs(1.0 - 0.95)

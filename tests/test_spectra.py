@@ -212,6 +212,12 @@ def test_sweep_rejects_bad_grid():
         gamma_sweep(2.0, 1.0, [5.0, 4.0])
     with pytest.raises(SpectrumValidationError):
         gamma_sweep(2.0, 1.0, [-1.0, 2.0])
+    # gamma^2 / 2 overflows, or the grid holds no number
+    for grid in ([0.5, 1e300], [1.0, math.inf], [math.nan, 2.0]):
+        with pytest.raises(SpectrumValidationError, match="gamma\\^2 / 2"):
+            gamma_sweep(2.0, 1.0, grid)
+        with pytest.raises(SpectrumValidationError, match="gamma\\^2 / 2"):
+            gamma_sweep(2.0, -1.0, grid)
 
 
 @pytest.mark.parametrize(
@@ -539,43 +545,45 @@ def test_failed_residual_marks_only_its_row(monkeypatch):
     assert table.empirical_r == clean.empirical_r
 
 
-def _count_dense_and_discards(monkeypatch):
-    """Count eig_dense calls from every module that binds it, and record
-    each continuation's discarded samples."""
+def _count_dense(monkeypatch):
+    """Record the number of matrices of every eig_dense call, from every
+    module that binds it."""
     import kbmlab.eig
     import kbmlab.perturb
 
-    dense, discarded = [], []
-    real_dense, real_track = kbmlab.eig.eig_dense, kbmlab.eig.track_branch
+    matrices = []
+    real_dense = kbmlab.eig.eig_dense
 
     def counting(op):
-        dense.append(op.dim)
+        matrices.append(op.diag.shape[0] if op.diag.ndim == 2 else 1)
         return real_dense(op)
-
-    def recording(*args, **kwargs):
-        br = real_track(*args, **kwargs)
-        discarded.append(br.discarded)
-        return br
 
     for mod in (kbmlab.eig, kbmlab.spectra, kbmlab.perturb):
         monkeypatch.setattr(mod, "eig_dense", counting)
-    monkeypatch.setattr(kbmlab.spectra, "track_branch", recording)
-    return dense, discarded
+    return matrices
 
 
 @pytest.mark.parametrize(
-    "surface, points, dense_max",
+    "surface, points, truncation, dense_max",
     [
-        # sphere l_max = 8: one certification, one exceptional-point check and
-        # one stacked collided-row solve per block (256 with a dense spot check
-        # per sample); K = -1 eta in {2, 5, 10}: 124 before; eta = 300: 15
-        ({"kind": "sphere", "K": 1.0, "l_max": 8}, 41, 24),
-        ({"kind": "custom", "K": -1.0, "etas": [0.0, 2.0, 5.0, 10.0]}, 13, 24),
-        ({"kind": "custom", "K": -1.0, "etas": [0.0, 300.0]}, 5, 9),
+        # sphere l_max = 8: the samples outside the Kato disk, the
+        # exceptional-point checks and the collided rows (256 dense solves
+        # with a spot check per sample); K = -1 eta in {2, 5, 10}: 124 before
+        # the disk; eta = 300: 15
+        ({"kind": "sphere", "K": 1.0, "l_max": 8}, 41, None, 106),
+        ({"kind": "custom", "K": -1.0, "etas": [0.0, 2.0, 5.0, 10.0]}, 13, None, 47),
+        ({"kind": "custom", "K": -1.0, "etas": [0.0, 300.0]}, 5, None, 12),
+        # sectors of dimension 257 and 513: 62 matrices when the first
+        # continuation past r0 ran on before its samples were certified
+        (
+            {"kind": "custom", "K": -1.0, "etas": [0.0, 5e4]}, 11,
+            {"kind": "fixed", "k_max": 256}, 20,
+        ),
     ],
+    ids=["sphere", "hyperbolic", "deep_eta", "fixed_k256_eta_5e4"],
 )
 def test_a_run_certifies_each_continuation_with_few_dense_solves(
-    monkeypatch, tmp_path, surface, points, dense_max
+    monkeypatch, tmp_path, surface, points, truncation, dense_max
 ):
     import json
 
@@ -592,20 +600,13 @@ def test_a_run_certifies_each_continuation_with_few_dense_solves(
         "surface": surface,
         "workers": 1,
     }
+    if truncation is not None:
+        config["truncation"] = truncation
     (tmp_path / "config.json").write_text(json.dumps(config))
-    dense, discarded = _count_dense_and_discards(monkeypatch)
+    matrices = _count_dense(monkeypatch)
     argv = ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
-    assert len(dense) <= dense_max
-    assert discarded and not any(discarded)
-
-
-def test_the_acceptance_fixture_discards_no_walked_sample(monkeypatch):
-    from kbmlab.acceptance import build_suite_data
-
-    _, discarded = _count_dense_and_discards(monkeypatch)
-    build_suite_data()
-    assert discarded and not any(discarded)
+    assert sum(matrices) <= dense_max
 
 
 @pytest.mark.parametrize(
@@ -616,20 +617,17 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
 ):
     # inside a continuation Newton reads each step's even sector from the
     # block's lists, formed once, and no operator is built per step; every
-    # operator is built by even_sector (the stack of a walk's samples
-    # outside the Kato disk per certification, a single disk sample whose
-    # bound left a decision open, and those of exceptional_point), as the
-    # odd slice of such a stack, as a row selection of a stack, or as the
-    # one even sector at x = 1 that kato_radius reads its rungs from, so no
-    # odd sector is assembled.  The collided rows are polished from the
-    # same lists, on one stack.
+    # operator is built by even_sector (one per densely certified sample,
+    # and those of exceptional_point), as the odd slice of such a sector, as
+    # a row selection of a stack, or as the one even sector at x = 1 that
+    # kato_radius reads its rungs from, so no odd sector is assembled.  The
+    # collided rows are polished from the same lists, on one stack.
     import kbmlab.eig
     from kbmlab import Contour, TridiagonalOperator, perturbation_radius
 
     running = []  # the instrumented functions running now, innermost last
-    built, stacks, sectors, polished, formed, blocks = [], [], [], [], [], []
-    walks = []  # (walker, its steps): each walk steps from its own cursor copy
-    certified = []  # (x, mu) rows of every certification
+    built, polished, formed, blocks = [], [], [], []
+    runs = []  # per continuation: its record, Newton solves and certifications
     disk_radius = []  # r0 (1 - 1e-12) of the block being continued
 
     def within(name, fn, record=None):
@@ -650,49 +648,42 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
 
     def record_even(args, op):
         if "track_branch" in running and "exceptional_point" not in running:
-            # no single-x sector: the steps' sectors are lists
-            assert np.ndim(args[2]) == 1
-            stacks.append((op, list(args[2])))
+            # one sample's sector at a time: the steps' sectors are lists
+            assert np.ndim(args[2]) == 0
+            runs[-1]["sectors"].append((op, args[2]))
 
     def record_odd(args, odd):
         assert odd is None or np.shares_memory(odd.diag, args[0].diag)
+
+    real_at = kbmlab.eig.EvenSectorLists.at
+
+    def at(lists, x):
+        if "track_branch" in running:
+            runs[-1]["solves"].append([x])
+        return real_at(lists, x)
 
     def record_newton(args, out):
         diag, rungs = args[0]  # the lists, not an operator
         assert diag is formed[-1].diag and len(rungs) == len(diag) - 1
         if "track_branch" in running:
-            sectors.append(rungs)
+            runs[-1]["solves"][-1].append(out[0])
         else:
             assert "dense_continuation" in running
             polished.append(rungs)
 
-    def record_step(args, step):
-        walker = args[1]
-        if not walks or walks[-1][0] is not walker:
-            walks.append((walker, []))
-        walks[-1][1].append(step)
-
     def record_certify(args, out):
-        even, xs = stacks[-1]
-        assert even is args[0] and even.diag.shape[0] == len(args[1])
-        rows = list(zip(xs, args[1]))
-        certified.append(rows)
-        if len(rows) == 1 and in_disk(*rows[0]):
-            # one accepted disk sample's dense check, where its bound left a
-            # decision open
-            assert any(rows[0] == (step.x, step.mu) for _, steps in walks for step in steps)
-            return
-        # the walk's Newton solves, in order, minus a failed last one, and of
-        # them exactly those outside the disk
-        walked = [(step.x, step.mu) for step in walks[-1][1] if step.ok]
-        assert rows == [row for row in walked if not in_disk(*row)]
+        even, x = runs[-1]["sectors"][-1]
+        assert even is args[0]
+        runs[-1]["certified"].append((x, args[1]))
 
     def track(block, coeffs, x_target, **kwargs):
         r0 = perturbation_radius(block, coeffs, Contour(0.0, 0.5))
         disk_radius.append(r0 * (1.0 - 1e-12))
-        return within("track_branch", real_track, lambda a, out: blocks.append(a[0]))(
-            block, coeffs, x_target, **kwargs
-        )
+        runs.append({"solves": [], "sectors": [], "certified": []})
+        br = within("track_branch", real_track)(block, coeffs, x_target, **kwargs)
+        blocks.append(block)
+        runs[-1]["branch"] = br
+        return br
 
     real_track = kbmlab.spectra.track_branch
     collision_threshold = kbmlab.eig.collision_threshold
@@ -728,7 +719,6 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
         ("odd_sector", record_odd),
         ("_rows", None),
         ("newton_polish", record_newton),
-        ("_newton_step", record_step),
         ("certify_samples", record_certify),
         ("exceptional_point", None),
         ("kato_radius", None),
@@ -736,6 +726,7 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
         monkeypatch.setattr(kbmlab.eig, name, within(name, getattr(kbmlab.eig, name), record))
     monkeypatch.setattr(kbmlab.spectra, "track_branch", track)
     monkeypatch.setattr(kbmlab.eig.EvenSectorLists, "of", classmethod(of))
+    monkeypatch.setattr(kbmlab.eig.EvenSectorLists, "at", at)
     monkeypatch.setattr(
         kbmlab.spectra, "_dense_continuation",
         within("dense_continuation", kbmlab.spectra._dense_continuation, record_dense),
@@ -751,10 +742,29 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
     monkeypatch.setattr(TridiagonalOperator, "__post_init__", init)
     gamma_sweep(eta, K, make_gamma_grid(0.0, 4.0, points))
 
-    # every Newton solve of a continuation is a step of a walk, and every
-    # stack it builds is certified
-    assert sum(len(steps) for _, steps in walks) == len(sectors) > 0
-    assert len(certified) == len(stacks) > 0
+    assert runs
+    for run in runs:
+        br, solves = run["branch"], run["solves"]
+        samples = list(zip(br.x_samples.tolist(), br.mu_values.tolist()))
+        # Newton solves are the steps taken plus the rejected ones: each
+        # solve is either the record's next sample or a rejected step, after
+        # which the next solve lies past the current sample and no farther
+        # out than the rejected one
+        taken = 0
+        for j, (x, root) in enumerate(solves):
+            if taken + 1 < len(samples) and (x, root) == samples[taken + 1]:
+                taken += 1
+            elif j + 1 < len(solves):
+                assert abs(samples[taken][0]) < abs(solves[j + 1][0]) <= abs(x)
+        assert taken == len(samples) - 1 > 0
+        # one even sector per densely certified sample: every sample past
+        # x = 0 outside the disk once, plus disk samples whose bound left a
+        # decision open
+        certified = run["certified"]
+        assert len(certified) == len(run["sectors"]) == len(set(certified))
+        dense = [s for s in samples[1:] if not in_disk(*s)]
+        assert set(dense) <= set(certified) <= set(samples[1:])
+        assert all(in_disk(*s) for s in set(certified) - set(dense))
     # the lists are formed once per continuation and once per collided-row
     # polish (and by exceptional_point for its own recurrence)
     assert len(formed) == len(blocks)

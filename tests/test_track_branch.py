@@ -1,15 +1,15 @@
-"""The walk-then-certify continuation against a step-by-step reference.
+"""The step-by-step continuation against a reference loop.
 
 ``_reference_track`` is the continuation written as one loop that checks
 every accepted sample against the dense spectrum of both parity sectors
 before it takes the next step, on sectors it builds itself: the even one
 from ``even_sector`` at each x, the odd one assembled from the ladder.
-``track_branch`` walks Newton-only steps, certifies the samples inside the
-Kato disk by the bound DISK_RHO - |mu| and the others in one stacked
-solve, and replays the acceptance rules; the two must make the same
-decisions, bit for bit.  Only the gaps of disk samples (the bound instead
-of the dense gap) and ``oracle_dev`` (over the densely certified samples)
-differ.
+``track_branch`` takes the same steps but certifies the samples inside
+the Kato disk by the bound DISK_RHO - |mu|, solves the others' even
+sectors only, and computes a disk sample's dense check only where the
+bound leaves a decision open; the two must make the same decisions, bit
+for bit.  Only the gaps of disk samples (the bound instead of the dense
+gap) and ``oracle_dev`` (over the densely certified samples) differ.
 """
 
 import math
@@ -38,7 +38,7 @@ from kbmlab.eig import MIN_STEPS, STEP_X, _checkpoint_params, collision_threshol
 from conftest import assembled_odd_sector, parity_eigvals, property_block, stack_of
 
 # the fields that carry the continuation's decisions; gap_to_rest and
-# oracle_dev are compared on their own, and discarded counts walk work
+# oracle_dev are compared on their own
 FIELDS = (
     "x_target", "x_samples", "mu_values", "simple", "status", "reason", "x_collision",
     "checkpoint_index",
@@ -179,20 +179,32 @@ def _assert_same_record(br, ref, devs):
     assert br.oracle_dev == max([d for d, k in zip(devs, disk[1:]) if not k], default=0.0)
 
 
-def _recording_stacks(monkeypatch):
-    """Record the x of every stack of even sectors the continuation builds:
-    those it certifies, the walk's samples outside the disk and the single
-    samples whose bound left a decision open."""
-    stacks = []
+def _recording_sectors(monkeypatch):
+    """Record the x of every even sector the continuation builds: one per
+    densely certified sample (and one per exceptional point checked)."""
+    sectors = []
     real = kbmlab.eig.even_sector
 
     def recording(block, coeffs, x):
-        if np.ndim(x) == 1:
-            stacks.append(list(x))
+        sectors.append(x)
         return real(block, coeffs, x)
 
     monkeypatch.setattr(kbmlab.eig, "even_sector", recording)
-    return stacks
+    return sectors
+
+
+def _recording_solves(monkeypatch):
+    """Record the x of every Newton solve of the continuation, which reads
+    its sector from ``EvenSectorLists.at``."""
+    solves = []
+    real = kbmlab.eig.EvenSectorLists.at
+
+    def recording(lists, x):
+        solves.append(x)
+        return real(lists, x)
+
+    monkeypatch.setattr(kbmlab.eig.EvenSectorLists, "at", recording)
+    return solves
 
 
 @given(
@@ -215,7 +227,6 @@ def test_track_branch_equals_the_step_by_step_loop(kind, k, eta, K, reach, sign,
     devs = []
     ref = _reference_track(block, coeffs, x_target, cks, devs)
     _assert_same_record(br, ref, devs)
-    assert br.discarded >= 0
 
 
 def _rung_products(sector):
@@ -248,42 +259,23 @@ def _jumping_newton(monkeypatch, block, coeffs, x_jump):
     return fired
 
 
-def _recording_walks(monkeypatch):
-    """Record the Newton steps of each walk as (walker, steps): every walk
-    steps from its own copy of the cursor."""
-    walks = []
-    real = kbmlab.eig._newton_step
-
-    def recording(lists, walker, *args):
-        step = real(lists, walker, *args)
-        if not walks or walks[-1][0] is not walker:
-            walks.append((walker, []))
-        walks[-1][1].append(step)
-        return step
-
-    monkeypatch.setattr(kbmlab.eig, "_newton_step", recording)
-    return walks
-
-
 def _jump_and_roll_back(monkeypatch, K, eta, k_max, points, jump_at):
     """Continue a sweep's checkpoints with Newton jumping 2.5 off the root
     at the clean run's sample jump_at; check the record against the
-    reference and the walk lengths after the rejection.  Returns (block,
-    coeffs, clean branch, the jump's x, the Newton steps of each walk, the
-    certified stacks, branch)."""
+    reference, and that the step after the rejected jump is solved short of
+    it.  Returns (block, coeffs, clean branch, the jump's x, the x of every
+    even sector built)."""
     block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
     coeffs = ladder_coefficients(block)
     grid = np.power(10.0, 4.0 * np.arange(points) / (points - 1))
     cks = list(-2.0 / grid[::-1])
     clean = track_branch(block, coeffs, cks[-1], checkpoints=cks)
-    assert clean.discarded == 0
     x_jump = float(clean.x_samples[jump_at])
 
     fired = _jumping_newton(monkeypatch, block, coeffs, x_jump)
-    stacks = _recording_stacks(monkeypatch)
-    recorded = _recording_walks(monkeypatch)
+    sectors = _recording_sectors(monkeypatch)
+    solves = _recording_solves(monkeypatch)
     br = track_branch(block, coeffs, cks[-1], checkpoints=cks)
-    walks = [steps for _, steps in recorded]
     fired.clear()
     devs = []
     ref = _reference_track(block, coeffs, cks[-1], cks, devs)
@@ -291,14 +283,14 @@ def _jump_and_roll_back(monkeypatch, K, eta, k_max, points, jump_at):
     # the reference rejected the jump, retried with half the step and went
     # on to the same end
     assert fired and (br.status, br.reason) == (clean.status, clean.reason)
-    # from the rejection on each walk takes at most one step more than the
-    # walks between it and the first took together, so none discards more
-    # than that
-    since = 0
-    for steps in walks[1:]:
-        assert len(steps) <= since + 1
-        since += len(steps)
-    return block, coeffs, clean, x_jump, walks, stacks, br
+    # nothing is solved beyond the rejected step: the next Newton solve lies
+    # past the last accepted sample and not past the jump (on the jump's x
+    # again when the jump sat on a checkpoint that the halved step still
+    # reaches)
+    x_last = abs(float(clean.x_samples[jump_at - 1]))
+    after = solves[solves.index(x_jump) + 1]
+    assert x_last < abs(after) <= abs(x_jump)
+    return block, coeffs, clean, x_jump, sectors
 
 
 @pytest.mark.parametrize(
@@ -310,29 +302,27 @@ def _jump_and_roll_back(monkeypatch, K, eta, k_max, points, jump_at):
     ],
 )
 def test_a_newton_jump_mid_walk_is_rolled_back(monkeypatch, K, eta, k_max, points, jump_at):
-    block, coeffs, clean, x_jump, walks, stacks, br = _jump_and_roll_back(
+    block, coeffs, clean, x_jump, sectors = _jump_and_roll_back(
         monkeypatch, K, eta, k_max, points, jump_at
     )
-    # the jump lands outside the circle |zeta| = 1/2 at an x inside the disk
-    assert _disk_samples(block, coeffs, clean)[jump_at]
-    # the first walk ended at the jump, which cannot be the branch, and its
-    # samples before it lie in the disk: the first stack certified is the
-    # jump alone, and no walked sample was discarded
-    assert len(walks[0]) == jump_at and walks[0][-1].x == x_jump
-    assert stacks[0] == [x_jump]
-    assert br.discarded == 0
+    # the jump lands outside the circle |zeta| = 1/2 at an x inside the
+    # disk, and the samples before it lie in the disk too: no sample is
+    # solved densely before the jump, whose correction leaves half the Kato
+    # bound, so the first dense certification is the last accepted sample's
+    # alone, whose dense gap then rejects the jump
+    disk = _disk_samples(block, coeffs, clean)
+    assert disk[jump_at] and np.all(disk[1:jump_at])
+    assert sectors[0] == clean.x_samples[jump_at - 1]
 
 
 def test_a_newton_jump_past_the_disk_radius_is_rolled_back(monkeypatch):
-    # past r0 a value outside the circle does not end the walk: the first
-    # walk runs on beyond the jump, and the samples after it are dropped
+    # past r0 every sample is solved densely; after the jump the next step
+    # is still taken short of it
     jump_at = 12
-    block, coeffs, clean, x_jump, walks, stacks, br = _jump_and_roll_back(
+    block, coeffs, clean, x_jump, _ = _jump_and_roll_back(
         monkeypatch, -1.0, 5.0, 16, 13, jump_at
     )
     assert abs(x_jump) >= perturbation_radius(block, coeffs, Contour(0.0, RHO))
-    assert len(walks[0]) > jump_at
-    assert br.discarded == len(walks[0]) - jump_at > 0
 
 
 def _suite_and_scan_branches(monkeypatch):

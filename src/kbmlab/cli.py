@@ -10,9 +10,12 @@ Casimir identity, the zero-mode resolvent bound) are certified by the
 acceptance suite, not written by ``run``.
 
 Configuration is a JSON file with nested sections (schema in the README);
-every field has a matching flag and flags override file values.  Output is
-deterministic for a fixed config: numbers are written with 17 significant
-digits, JSON keys are sorted, and no timestamps are emitted.
+every key has a matching flag (``_RUN_FLAGS``) and flags override file
+values.  ``RunConfig.validate`` checks types; the range rules live in the
+library code that builds the spectrum, the grid and the truncation policy.
+A run that stops on its inputs before any sweep reports a ConfigError and
+exits with 2; one whose sweep fails exits with 1.  Output is deterministic for a fixed config: numbers are written with 17
+significant digits, JSON keys are sorted, and no timestamps are emitted.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eig import MAX_DENSE_DIM
 from .errors import ConfigError, KbmLabError
 from .ladder import finite_block, ladder_coefficients
 from .operator import TruncationPolicy, fixed_truncation, truncate
@@ -35,6 +37,8 @@ from .perturb import perturbation_series
 from .spectra import (
     GammaTable,
     SurfaceSpectrum,
+    check_fixed_cutoff,
+    check_gamma_grid,
     convergence_summary,
     custom_spectrum,
     gamma_sweep,
@@ -45,6 +49,10 @@ from .spectra import (
 )
 
 CSV_COLUMNS = ("gamma", "re_lambda", "im_lambda", "abs_error", "simple", "k_max", "residual")
+
+# The config file's sections and the RunConfig field that holds each.
+_SECTIONS = {"surface": "surface", "gamma_grid": "grid", "truncation": "truncation",
+             "outputs": "output"}
 
 
 @dataclass
@@ -85,82 +93,59 @@ class RunConfig:
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
-    def validate(self) -> None:
-        s = self.surface
+    def validate(self) -> tuple[SurfaceSpectrum, np.ndarray, TruncationPolicy]:
+        """Check what a config file or a flag can get wrong in type, and the
+        one rule that ties two sections; then build and return the run's
+        spectrum, gamma grid and truncation policy, whose constructors
+        enforce every range rule.  Any error raised is a ConfigError."""
+        s, g, t, o = self.surface, self.grid, self.truncation, self.output
         for name, value in (
             ("surface.K", s.K),
             ("surface.L", s.L),
             ("surface.eta_cap", s.eta_cap),
-            ("gamma_grid.log_start", self.grid.log_start),
-            ("gamma_grid.log_end", self.grid.log_end),
-            ("truncation.tol", self.truncation.tol),
+            ("gamma_grid.log_start", g.log_start),
+            ("gamma_grid.log_end", g.log_end),
+            ("truncation.tol", t.tol),
         ):
             if not _is_finite_number(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for name, value in (("surface.l_max", s.l_max), ("gamma_grid.points", g.points)):
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not (t.k_max is None or _is_int(t.k_max)):
+            raise ConfigError(f"truncation.k_max must be an integer, got {t.k_max!r}")
         if s.kind not in ("sphere", "torus", "custom"):
             raise ConfigError(f"unknown surface kind {s.kind!r}")
-        if s.kind == "sphere" and not s.K > 0.0:
-            raise ConfigError("sphere surface needs K > 0")
-        if s.kind == "sphere" and not (_is_int(s.l_max) and s.l_max >= 0):
-            raise ConfigError(f"surface.l_max must be an integer >= 0, got {s.l_max!r}")
-        if s.kind == "torus" and not s.L > 0.0:
-            raise ConfigError("torus surface needs L > 0")
-        if s.kind == "torus" and not s.eta_cap >= 0.0:
-            raise ConfigError(f"torus surface needs eta_cap >= 0, got {s.eta_cap!r}")
         if s.kind == "custom" and not (isinstance(s.path, str) and s.path):
             raise ConfigError("custom surface needs a path to an eta list")
-        if self.grid.explicit is None:
-            points = self.grid.points
-            if not (_is_int(points) and points >= 2):
-                raise ConfigError(f"gamma grid needs an integer points >= 2, got {points!r}")
-            if not self.grid.log_end > self.grid.log_start:
-                raise ConfigError("gamma grid must be increasing")
-        else:
-            explicit = self.grid.explicit
-            if not (isinstance(explicit, (list, tuple)) and explicit):
-                raise ConfigError(f"explicit gamma grid must be a nonempty list, got {explicit!r}")
-            bad_gammas = [v for v in explicit if not (_is_finite_number(v) and v > 0.0)]
-            if bad_gammas:
-                raise ConfigError(f"explicit gammas must be finite and > 0, got {bad_gammas}")
-            if len(set(explicit)) != len(explicit):
-                raise ConfigError("explicit gammas must be distinct")
-        with np.errstate(over="ignore"):
-            top = float(build_grid(self)[-1])
-        if not math.isfinite(0.5 * top * top):
-            # lambda = (gamma^2 / 2) mu
-            raise ConfigError(f"gamma grid reaches gamma = {top!r}, where gamma^2 / 2 overflows")
-        if self.truncation.kind not in ("fixed", "adaptive"):
-            raise ConfigError(f"unknown truncation kind {self.truncation.kind!r}")
-        k_max = self.truncation.k_max
-        if self.truncation.kind == "adaptive" and k_max is not None:
-            raise ConfigError(f"truncation.k_max = {k_max!r} needs fixed truncation")
-        if self.truncation.kind == "adaptive" and not self.truncation.tol > 0.0:
+        if g.explicit is not None and not (
+            isinstance(g.explicit, (list, tuple)) and all(map(_is_finite_number, g.explicit))
+        ):
             raise ConfigError(
-                f"adaptive truncation needs truncation.tol > 0, got {self.truncation.tol!r}"
+                f"gamma_grid.explicit must be a list of finite numbers, got {g.explicit!r}"
             )
-        if self.truncation.kind == "fixed" and not (_is_int(k_max) and k_max >= 1):
-            raise ConfigError(f"fixed truncation needs an integer k_max >= 1, got {k_max!r}")
-        positive_K = s.kind == "sphere" or (s.kind == "custom" and s.K > 0.0)
-        if self.truncation.kind == "fixed" and positive_K:
+        if t.kind == "fixed" and (s.kind == "sphere" or (s.kind == "custom" and s.K > 0.0)):
             raise ConfigError("fixed truncation needs K <= 0; a K > 0 surface has finite blocks")
-        if self.truncation.kind == "fixed" and 4 * self.truncation.k_max + 1 > MAX_DENSE_DIM:
-            # the certificate block doubles the cutoff to [-2 k_max, 2 k_max]
-            raise ConfigError(
-                f"fixed truncation needs k_max <= {(MAX_DENSE_DIM - 1) // 4}: the doubled "
-                f"certificate block would exceed the dense limit {MAX_DENSE_DIM}"
-            )
-        formats = self.output.formats
-        if not isinstance(formats, (list, tuple)):
-            raise ConfigError(f"outputs.formats must be a list, got {formats!r}")
-        bad = [f for f in formats if f not in ("csv", "json")]
-        if bad:
-            raise ConfigError(f"unknown outputs.formats {bad}; known: ['csv', 'json']")
-        if not isinstance(self.output.directory, str):
-            raise ConfigError(f"outputs.directory must be a string, got {self.output.directory!r}")
+        formats = o.formats
+        if not (isinstance(formats, (list, tuple)) and all(f in ("csv", "json") for f in formats)):
+            raise ConfigError(f"outputs.formats must be a list of csv and json, got {formats!r}")
+        if not isinstance(o.directory, str):
+            raise ConfigError(f"outputs.directory must be a string, got {o.directory!r}")
+        try:
+            spectrum, grid = build_spectrum(self), build_grid(self)
+            policy = TruncationPolicy(kind=t.kind, k_max=t.k_max, tol=t.tol)
+            if policy.kind == "fixed":
+                check_fixed_cutoff(policy.k_max)
+        except KbmLabError as exc:
+            raise ConfigError(str(exc)) from exc
+        return spectrum, grid, policy
 
 
 def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # abs() <= max also rejects nan, and compares an int too large for a float exactly
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and (
+        abs(value) <= sys.float_info.max
+    )
 
 
 def _is_int(value) -> bool:
@@ -182,12 +167,7 @@ def load_config(path: Optional[str]) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
-    for section, cls, attr in (
-        ("surface", SurfaceConfig, "surface"),
-        ("gamma_grid", GridConfig, "grid"),
-        ("truncation", TruncationConfig, "truncation"),
-        ("outputs", OutputConfig, "output"),
-    ):
+    for section, attr in _SECTIONS.items():
         if section in raw:
             block = raw[section]
             if not isinstance(block, dict):
@@ -200,43 +180,53 @@ def load_config(path: Optional[str]) -> RunConfig:
     return cfg
 
 
+def _number(text: str):
+    """float(text), or the text itself where it is no number."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+# One row per ``run`` flag: the flag, the config section and key it sets,
+# its argparse type or choices, and its help, to which ``build_parser``
+# adds the key's default.  Every flag is None unless given, so the config
+# file's value stands where a flag is absent.
+_RUN_FLAGS = (
+    ("--surface", "surface", "kind", ("sphere", "torus", "custom"), "base surface"),
+    ("--curvature", "surface", "K", float, "Gaussian curvature K"),
+    ("--l-max", "surface", "l_max", int, "sphere: largest l"),
+    ("--side", "surface", "L", float, "torus: side length L"),
+    ("--eta-cap", "surface", "eta_cap", float, "torus: largest eta"),
+    ("--custom-path", "surface", "path", str, "custom: JSON eta list"),
+    ("--gamma-log-start", "gamma_grid", "log_start", float, "log10 of the first gamma"),
+    ("--gamma-log-end", "gamma_grid", "log_end", float, "log10 of the last gamma"),
+    ("--gamma-points", "gamma_grid", "points", int, "points of the log grid"),
+    ("--gamma-explicit", "gamma_grid", "explicit", str,
+     "comma-separated gamma list, in place of the log grid"),
+    ("--truncation", "truncation", "kind", ("fixed", "adaptive"), "cutoff policy for K <= 0"),
+    ("--k-max", "truncation", "k_max", int, "fixed truncation cutoff"),
+    ("--truncation-tol", "truncation", "tol", float, "adaptive truncation tolerance"),
+    ("--formats", "outputs", "formats", str, "comma-separated subset of csv,json"),
+    ("--out", "outputs", "directory", str, "output directory"),
+)
+# Comma-list flags and the type of their items.  They are split in
+# ``_apply_flags``, not by argparse, so a bad item is a ConfigError record
+# written to the run's output directory like any other bad value.
+_COMMA_LISTS = {"--gamma-explicit": _number, "--formats": str}
+
+
 def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
-    s, g, t, o = cfg.surface, cfg.grid, cfg.truncation, cfg.output
-    if args.surface is not None:
-        s.kind = args.surface
-    if args.curvature is not None:
-        s.K = args.curvature
-    if args.l_max is not None:
-        s.l_max = args.l_max
-    if args.side is not None:
-        s.L = args.side
-    if args.eta_cap is not None:
-        s.eta_cap = args.eta_cap
-    if args.custom_path is not None:
-        s.path = args.custom_path
-    if args.gamma_log_start is not None:
-        g.log_start = args.gamma_log_start
-    if args.gamma_log_end is not None:
-        g.log_end = args.gamma_log_end
-    if args.gamma_points is not None:
-        g.points = args.gamma_points
-    if args.gamma_explicit is not None:
-        try:
-            g.explicit = [float(v) for v in args.gamma_explicit.split(",") if v]
-        except ValueError as exc:
-            raise ConfigError(
-                f"--gamma-explicit must be comma-separated numbers, got {args.gamma_explicit!r}"
-            ) from exc
-    if args.truncation is not None:
-        t.kind = args.truncation
-    if args.k_max is not None:
-        t.k_max = args.k_max
-    if args.truncation_tol is not None:
-        t.tol = args.truncation_tol
-    if args.formats is not None:
-        o.formats = tuple(f for f in args.formats.split(",") if f)
-    if args.out is not None:
-        o.directory = args.out
+    """Set the config key of every ``run`` flag given.  An item of a comma
+    list that is no number stays a string, which ``RunConfig.validate``
+    rejects."""
+    for flag, section, key, _, _ in _RUN_FLAGS:
+        value = getattr(args, f"{section}.{key}")
+        if value is None:
+            continue
+        if flag in _COMMA_LISTS:
+            value = [_COMMA_LISTS[flag](v) for v in value.split(",") if v]
+        setattr(getattr(cfg, _SECTIONS[section]), key, value)
 
 
 def _load_custom_entries(path: str) -> list:
@@ -252,13 +242,11 @@ def _load_custom_entries(path: str) -> list:
             isinstance(item, list)
             and len(item) in (2, 3)
             and _is_finite_number(item[0])
-            and item[0] >= 0.0
             and _is_int(item[1])
-            and item[1] >= 1
         ):
             raise ConfigError(
                 f"eta list {path!r}: entry {item!r} must be [eta, multiplicity] or [eta, "
-                "multiplicity, label] with a finite eta >= 0 and an integer multiplicity >= 1"
+                "multiplicity, label] with a finite eta and an integer multiplicity"
             )
     return [tuple(item) for item in entries]
 
@@ -273,16 +261,10 @@ def build_spectrum(cfg: RunConfig) -> SurfaceSpectrum:
 
 
 def build_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.grid.explicit is not None:
-        return np.asarray(sorted(float(g) for g in cfg.grid.explicit))
-    return make_gamma_grid(cfg.grid.log_start, cfg.grid.log_end, cfg.grid.points)
-
-
-def _policy(cfg: RunConfig) -> TruncationPolicy:
-    t = cfg.truncation
-    if t.kind == "fixed":
-        return TruncationPolicy(kind="fixed", k_max=int(t.k_max))
-    return TruncationPolicy(kind="adaptive", tol=t.tol)
+    g = cfg.grid
+    if g.explicit is not None:
+        return check_gamma_grid(sorted(float(v) for v in g.explicit))
+    return check_gamma_grid(make_gamma_grid(g.log_start, g.log_end, g.points))
 
 
 def _table_rows(table: GammaTable) -> list:
@@ -335,16 +317,16 @@ def run(cfg: RunConfig) -> dict:
     ``summary.json``.  Every table and plot shares the run's gamma grid.
 
     Returns a manifest of written paths (keys ``tables``, ``plots``,
-    ``summary``, ``series``); raises KbmLabError subclasses on any
-    validation or module failure.
+    ``summary``, ``series``).  Raises ConfigError when the inputs or the
+    output directory cannot be built, before any sweep, and another
+    KbmLabError subclass when a sweep fails.
     """
-    cfg.validate()
+    spectrum, grid, policy = cfg.validate()
     outdir = Path(cfg.output.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    spectrum = build_spectrum(cfg)
-    grid = build_grid(cfg)
-    policy = _policy(cfg)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {str(outdir)!r}: {exc}") from exc
 
     K = spectrum.curvature
     tables = [
@@ -495,38 +477,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = RunConfig()
-    epilog = (
-        "unset flags fall back to the config file, then to built-in defaults: "
-        f"surface={defaults.surface.kind} K={defaults.surface.K} "
-        f"l_max={defaults.surface.l_max} L={defaults.surface.L:.6g} "
-        f"eta_cap={defaults.surface.eta_cap}; gamma grid 10^{defaults.grid.log_start}"
-        f"..10^{defaults.grid.log_end} with {defaults.grid.points} points; "
-        f"truncation={defaults.truncation.kind} tol={defaults.truncation.tol}; "
-        f"formats={','.join(defaults.output.formats)} out={defaults.output.directory}"
-    )
-    p_run = sub.add_parser(
-        "run",
-        help="sweep a surface spectrum and write tables",
-        epilog=epilog,
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p_run = sub.add_parser("run", help="sweep a surface spectrum and write tables")
     p_run.add_argument("--config", default=None, help="JSON config file (flags override it)")
-    p_run.add_argument("--surface", choices=["sphere", "torus", "custom"], default=None)
-    p_run.add_argument("--curvature", type=float, default=None, help="Gaussian curvature K")
-    p_run.add_argument("--l-max", type=int, default=None, help="sphere: largest l")
-    p_run.add_argument("--side", type=float, default=None, help="torus: side length L")
-    p_run.add_argument("--eta-cap", type=float, default=None, help="torus: largest eta")
-    p_run.add_argument("--custom-path", default=None, help="custom: JSON eta list")
-    p_run.add_argument("--gamma-log-start", type=float, default=None)
-    p_run.add_argument("--gamma-log-end", type=float, default=None)
-    p_run.add_argument("--gamma-points", type=int, default=None)
-    p_run.add_argument("--gamma-explicit", default=None, help="comma-separated gamma list")
-    p_run.add_argument("--truncation", choices=["fixed", "adaptive"], default=None)
-    p_run.add_argument("--k-max", type=int, default=None, help="fixed truncation cutoff")
-    p_run.add_argument("--truncation-tol", type=float, default=None)
-    p_run.add_argument("--formats", default=None, help="comma-separated subset of csv,json")
-    p_run.add_argument("--out", default=None, help="output directory")
+    defaults = RunConfig()
+    for flag, section, key, kind, text in _RUN_FLAGS:
+        default = getattr(getattr(defaults, _SECTIONS[section]), key)
+        if default is not None:
+            shown = ",".join(default) if isinstance(default, tuple) else default
+            text = f"{text} (default: {shown})"
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        p_run.add_argument(flag, dest=f"{section}.{key}", default=None, help=text, **typed)
 
     p_self = sub.add_parser(
         "selftest",

@@ -85,19 +85,10 @@ def ladder_extent(eta: float, K: float) -> LadderExtent:
     cap = int(math.sqrt(eta / K)) + 2
     if cap > MAX_LADDER_SLOTS:
         raise LadderRangeError(f"ladder extent exceeds {MAX_LADDER_SLOTS} slots")
-    k_max = None
-    for k in range(0, cap + 1):
-        if ladder_coeff_sq(eta, K, k) <= TOL_ZERO:
-            k_max = k
-            break
-    k_min = None
-    for k in range(0, -cap - 1, -1):
-        if lowering_coeff_sq(eta, K, k) <= TOL_ZERO:
-            k_min = k
-            break
-    if k_max is None or k_min is None:  # unreachable given the cap bound
-        raise LadderRangeError("ladder scan failed to terminate")
-    return LadderExtent(k_min, k_max, True)
+    k_max = next(k for k in range(cap + 1) if ladder_coeff_sq(eta, K, k) <= TOL_ZERO)
+    # lowering_coeff_sq(eta, K, -k) is bitwise ladder_coeff_sq(eta, K, k):
+    # K*(-k) = -(K*k) exactly, so the lower end mirrors the upper one
+    return LadderExtent(-k_max, k_max, True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -211,10 +211,10 @@ class TruncationPolicy:
     """How ``spectra.gamma_sweep`` picks the mode cutoff of an infinite
     ladder.
 
-    ``fixed`` uses k_max as given.  ``adaptive`` doubles the cutoff from
-    k = 8 until lambda moves by less than ``tol`` on every row of the sweep
-    when the cutoff is doubled once more.  Either way the sweep reports the
-    shift under doubling as each row's certificate.
+    ``fixed`` uses k_max as given.  ``adaptive`` takes no k_max: it doubles
+    the cutoff from k = 8 until lambda moves by less than ``tol`` on every
+    row of the sweep when the cutoff is doubled once more.  Either way the
+    sweep reports the shift under doubling as each row's certificate.
     """
 
     kind: str = "adaptive"
@@ -225,9 +225,14 @@ class TruncationPolicy:
         if self.kind not in ("fixed", "adaptive"):
             raise TruncationError(f"unknown truncation kind {self.kind!r}")
         if self.kind == "fixed" and (self.k_max is None or self.k_max < 1):
-            raise TruncationError("fixed truncation needs k_max >= 1")
+            raise TruncationError(f"fixed truncation needs k_max >= 1, got {self.k_max!r}")
+        if self.kind == "adaptive" and self.k_max is not None:
+            raise TruncationError(
+                f"adaptive truncation chooses its own cutoff; k_max = {self.k_max!r} needs "
+                "fixed truncation"
+            )
         if self.kind == "adaptive" and not self.tol > 0.0:
-            raise TruncationError("adaptive truncation needs tol > 0")
+            raise TruncationError(f"adaptive truncation needs tol > 0, got {self.tol!r}")
 
 
 def fixed_truncation(k_max: int) -> TruncationPolicy:

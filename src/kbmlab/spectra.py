@@ -52,6 +52,12 @@ from .operator import (
 # |x|*a_k, which grows like |x|*sqrt(eta + k^2)/2.
 FIRST_CUTOFF = 8
 
+# The largest |m| of the torus lattice ``torus_spectrum`` enumerates, over
+# (2 m + 1)^2 points.  Each distinct eta is a block that ``kbmlab run``
+# sweeps in 10-100 ms on the default grid; m <= 64 allows at most 1232 of
+# them, a run of minutes, and every eta_cap < 4225 on the side-2 pi torus.
+TORUS_MAX_M = 64
+
 
 @dataclass(frozen=True)
 class SpectrumEntry:
@@ -125,7 +131,13 @@ def torus_spectrum(L: float, eta_cap: float) -> SurfaceSpectrum:
         raise SpectrumValidationError(
             f"torus side L = {L!r} puts the eta scale (2 pi / L)^2 outside the float range"
         )
-    m_max = int(math.floor(math.sqrt(eta_cap / scale))) if eta_cap > 0 else 0
+    reach = math.sqrt(eta_cap / scale)  # every mode has m^2 + n^2 <= reach^2
+    if not reach < TORUS_MAX_M + 1:
+        raise SpectrumValidationError(
+            f"torus side L = {L!r} with eta_cap = {eta_cap!r} reaches lattice modes up to "
+            f"|m| = {reach:.6g}, beyond the limit |m| <= {TORUS_MAX_M}"
+        )
+    m_max = int(reach)
     counts: dict[int, int] = {}
     for m in range(-m_max, m_max + 1):
         for n in range(-m_max, m_max + 1):
@@ -156,14 +168,48 @@ def custom_spectrum(K: float, eta_list: Sequence[tuple]) -> SurfaceSpectrum:
 
 def make_gamma_grid(log_start: float, log_end: float, points: int) -> np.ndarray:
     """Logarithmic grid 10**(log_start .. log_end); endpoints land exactly
-    on round powers when the exponents do."""
+    on round powers when the exponents do.  A power beyond the float range
+    reads inf, which ``check_gamma_grid`` rejects."""
     if points < 2:
-        raise SpectrumValidationError("gamma grid needs at least 2 points")
+        raise SpectrumValidationError(f"gamma grid needs at least 2 points, got {points!r}")
     if not log_end > log_start:
         raise SpectrumValidationError("gamma grid must be increasing")
     j = np.arange(points, dtype=float)
     expo = log_start + (log_end - log_start) * j / (points - 1)
-    return np.power(10.0, expo)
+    with np.errstate(over="ignore"):
+        return np.power(10.0, expo)
+
+
+def check_gamma_grid(gamma_grid: Sequence[float]) -> np.ndarray:
+    """The grid as a nonempty, ascending, positive 1-d float array with 0 <
+    gamma^2 / 2 < inf (lambda = (gamma^2 / 2) mu, and x = -2/gamma overflows
+    where gamma^2 / 2 underflows); else SpectrumValidationError."""
+    grid = np.asarray(gamma_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise SpectrumValidationError("gamma grid must be a nonempty 1-d array")
+    with np.errstate(over="ignore", under="ignore"):
+        half_g2 = 0.5 * grid * grid
+    # before differencing, where inf - inf would warn
+    outside = ~((half_g2 > 0.0) & (half_g2 < math.inf))
+    if np.any(outside):
+        raise SpectrumValidationError(
+            f"gamma grid holds gamma = {float(grid[outside][0])!r}, whose gamma^2 / 2 is not "
+            "in (0, inf)"
+        )
+    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
+        raise SpectrumValidationError("gamma grid must be positive and strictly ascending")
+    return grid
+
+
+def check_fixed_cutoff(k_max: int) -> None:
+    """TruncationError unless the block [-2k, 2k] that certifies a sweep's
+    fixed cutoff k fits the dense limit.  That block is itself built at the
+    fixed cutoff 2k, so the rule cannot live in ``TruncationPolicy``."""
+    if 4 * k_max + 1 > MAX_DENSE_DIM:
+        raise TruncationError(
+            f"fixed truncation needs k_max <= {(MAX_DENSE_DIM - 1) // 4}, got {k_max}: the "
+            f"doubled block of the fixed cutoff would exceed the dense limit {MAX_DENSE_DIM}"
+        )
 
 
 def default_gamma_grid() -> np.ndarray:
@@ -288,29 +334,23 @@ def gamma_sweep(
     The adaptive one (the default) starts at k = 8 and accepts the first
     k at which every row's certificate is below ``policy.tol``; otherwise
     the 2k sweep becomes the base.  It raises TruncationError once the
-    next doubled block [-2k, 2k] would exceed the dense limit.  Each
+    next doubled block [-2k, 2k] would exceed the dense limit, for a fixed
+    cutoff before any sweep (``check_fixed_cutoff``).  Each
     block is continued once through all grid points; a collision marks
     the rows at and beyond it, and is not fatal unless the continuation
     accepted no step at all (x_c = 0), which raises BranchCollisionError.
     The eigenvector residuals of all rows come from one batched inverse
     iteration on the even sector of the accepted block.  A row whose
     residual fails reads NaN and simple = False; every other row keeps its
-    bits.  A non-finite or negative eta, or a
-    non-finite K, raises SpectrumValidationError.
+    bits.  A non-finite or negative eta, a non-finite K, or a grid that
+    ``check_gamma_grid`` rejects raises SpectrumValidationError.
     """
     if not (math.isfinite(eta) and eta >= 0.0 and math.isfinite(K)):
         raise SpectrumValidationError(
             f"gamma sweep needs a finite eta >= 0 and a finite K, got eta = {eta!r}, K = {K!r}"
         )
-    grid = np.asarray(gamma_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise SpectrumValidationError("gamma grid must be a nonempty 1-d array")
-    with np.errstate(over="ignore"):
-        half_g2 = 0.5 * grid * grid
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0) or not np.all(np.isfinite(half_g2)):
-        raise SpectrumValidationError(
-            "gamma grid must be ascending and positive, with gamma^2 / 2 finite"
-        )
+    grid = check_gamma_grid(gamma_grid)
+    half_g2 = 0.5 * grid * grid
     n = grid.size
 
     if eta == 0.0:
@@ -336,28 +376,23 @@ def gamma_sweep(
         cert = np.zeros(n)
     else:
         pol = policy if policy is not None else TruncationPolicy()
+        if pol.kind == "fixed":
+            check_fixed_cutoff(pol.k_max)
         k = pol.k_max if pol.kind == "fixed" else FIRST_CUTOFF
-        base, shift = None, math.nan
+        base = _sweep_block(truncate(eta, K, fixed_truncation(k)), grid)
         while True:
-            if 4 * k + 1 > MAX_DENSE_DIM:
-                limit = f"would exceed the dense limit {MAX_DENSE_DIM}"
-                if base is None:  # a fixed cutoff: no doubling ran
-                    raise TruncationError(
-                        f"eta = {eta!r}, K = {K!r}: the doubled block of the fixed "
-                        f"cutoff {k} {limit}"
-                    )
-                raise TruncationError(
-                    f"eta = {eta!r}, K = {K!r}: the doubled block of cutoff {k} {limit}; "
-                    f"the last doubling moved a row by up to {shift:.3g} (tol {pol.tol:g})"
-                )
-            if base is None:
-                base = _sweep_block(truncate(eta, K, fixed_truncation(k)), grid)
             doubled = _sweep_block(truncate(eta, K, fixed_truncation(2 * k)), grid)
             lam = half_g2 * base.mu
             cert = np.abs(lam - half_g2 * doubled.mu)
             if pol.kind == "fixed" or np.all(cert < pol.tol):
                 break
             k, base, shift = 2 * k, doubled, float(np.max(cert))
+            if 4 * k + 1 > MAX_DENSE_DIM:
+                raise TruncationError(
+                    f"eta = {eta!r}, K = {K!r}: the doubled block of cutoff {k} would exceed "
+                    f"the dense limit {MAX_DENSE_DIM}; the last doubling moved a row by up to "
+                    f"{shift:.3g} (tol {pol.tol:g})"
+                )
 
     resid = inverse_iteration(even_sector(base.block, base.coeffs, -2.0 / grid), base.mu)[1]
 

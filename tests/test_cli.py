@@ -155,21 +155,24 @@ def test_custom_surface_run(tmp_path):
 
 
 def test_custom_surface_missing_zero_mode_fails(tmp_path, capsys):
+    # SurfaceSpectrum rejects the list while the run builds its inputs
     eta_path = tmp_path / "etas.json"
     eta_path.write_text(json.dumps({"entries": [[2.0, 1]]}))
+    out = tmp_path / "out"
     code = run_cli(
         [
             "run",
             "--surface", "custom",
             "--curvature", "-1.0",
             "--custom-path", str(eta_path),
-            "--out", str(tmp_path / "out"),
+            "--out", str(out),
         ]
     )
-    assert code != 0
+    assert code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "SpectrumValidationError"
+    assert record["error"] == "ConfigError"
     assert "zero mode" in record["message"]
+    assert json.loads((out / "errors.json").read_text()) == record
 
 
 def test_invalid_config_is_rejected(tmp_path, capsys):
@@ -309,6 +312,7 @@ def test_custom_infinite_eta_is_a_config_error(tmp_path, capsys):
         ({"surface": {"l_max": 2.5}}, None),
         ({"surface": {"kind": "custom", "path": 5}}, None),
         ({"truncation": {"kind": "fixed", "k_max": "8"}}, None),
+        ({"surface": {"K": 10**400}}, None),  # an int beyond the float range
         (None, {"foo": 1}),
         (None, 5),
         (None, [[0.0, 1], [2.0]]),
@@ -335,12 +339,19 @@ def test_malformed_input_is_a_config_error(tmp_path, monkeypatch, capsys, config
     assert _error_record(capsys)["error"] == "ConfigError"
 
 
-@pytest.mark.parametrize("gammas", ["0,5", "-1,5", "5,inf", "nan,5", "5,5", "abc", "5,x"])
+@pytest.mark.parametrize(
+    "gammas",
+    ["0,5", "-1,5", "5,inf", "nan,5", "5,5", "abc", "5,x", "1e-170,1", "1e-200,5", "1e-300,5"],
+)
 def test_bad_explicit_gamma_is_a_config_error(tmp_path, capsys, gammas):
-    # the later flag overrides the grid of small_run_args
-    code = run_cli(small_run_args(tmp_path / "out", extra=(f"--gamma-explicit={gammas}",)))
+    # the later flag overrides the grid of small_run_args; gamma^2 / 2
+    # underflows to 0 below gamma ~ 2e-162, where x = -2/gamma overflows
+    out = tmp_path / "out"
+    code = run_cli(small_run_args(out, extra=(f"--gamma-explicit={gammas}",)))
     assert code == 2
-    assert _error_record(capsys)["error"] == "ConfigError"
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert json.loads((out / "errors.json").read_text()) == record
 
 
 def test_negative_eta_cap_is_a_config_error(tmp_path, capsys):
@@ -354,7 +365,8 @@ def test_negative_eta_cap_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("tol", ["0", "-1e-10"])
 @pytest.mark.parametrize("surface", ["sphere", "torus"])
 def test_a_nonpositive_truncation_tolerance_is_a_config_error(tmp_path, capsys, surface, tol):
-    # the adaptive policy needs tol > 0; validation says so before any sweep
+    # the adaptive policy needs tol > 0; TruncationPolicy says so while the
+    # run builds its inputs, before any sweep
     out = tmp_path / "out"
     code = run_cli(
         ["run", "--surface", surface, f"--truncation-tol={tol}", "--gamma-explicit", "20",
@@ -362,7 +374,7 @@ def test_a_nonpositive_truncation_tolerance_is_a_config_error(tmp_path, capsys, 
     )
     assert code == 2
     record = _error_record(capsys)
-    assert record["error"] == "ConfigError" and "truncation.tol" in record["message"]
+    assert record["error"] == "ConfigError" and "needs tol > 0" in record["message"]
     assert json.loads((out / "errors.json").read_text()) == record
 
 
@@ -370,20 +382,28 @@ def test_a_nonpositive_truncation_tolerance_is_a_config_error(tmp_path, capsys, 
 def test_a_torus_side_whose_eta_scale_leaves_the_float_range_is_a_typed_error(
     tmp_path, capsys, side
 ):
-    # (2 pi / L)^2 overflows for a tiny side and underflows to 0 for a huge one
+    # (2 pi / L)^2 overflows for a tiny side and underflows to 0 for a huge
+    # one; torus_spectrum rejects it while the run builds its inputs
     out = tmp_path / "out"
     code = run_cli(["run", "--surface", "torus", "--side", side, "--out", str(out)])
-    assert code == 1
+    assert code == 2
     record = _error_record(capsys)
-    assert record["error"] == "SpectrumValidationError" and "float range" in record["message"]
+    assert record["error"] == "ConfigError" and "float range" in record["message"]
     assert json.loads((out / "errors.json").read_text()) == record
 
 
 @pytest.mark.parametrize(
-    "flags", [["--gamma-explicit", "0.5,1e300"], ["--gamma-log-end", "400"]], ids=repr
+    "flags",
+    [
+        ["--gamma-explicit", "0.5,1e300"],
+        ["--gamma-log-end", "400"],
+        ["--gamma-log-start", "-310", "--gamma-points", "3"],
+    ],
+    ids=repr,
 )
 def test_a_gamma_whose_half_square_overflows_is_a_config_error(tmp_path, capsys, flags):
-    # lambda = (gamma^2 / 2) mu would be inf or nan on that row
+    # lambda = (gamma^2 / 2) mu would be inf or nan on that row; where
+    # gamma^2 / 2 underflows to 0 instead, x = -2/gamma overflows
     out = tmp_path / "out"
     code = run_cli(["run", "--surface", "sphere", "--l-max", "1", *flags, "--out", str(out)])
     assert code == 2
@@ -391,6 +411,34 @@ def test_a_gamma_whose_half_square_overflows_is_a_config_error(tmp_path, capsys,
     assert record["error"] == "ConfigError" and "gamma^2 / 2" in record["message"]
     assert json.loads((out / "errors.json").read_text()) == record
     assert not any(out.glob("table_*"))
+
+
+@pytest.mark.parametrize(
+    "flags, text",
+    [
+        (["--surface", "torus", "--side", "1e3"], "|m| <= 64"),
+        (["--surface", "torus", "--side", "1e4"], "|m| <= 64"),
+        (["--out", "file/out"], "output directory"),
+    ],
+    ids=repr,
+)
+def test_a_run_that_cannot_build_its_inputs_is_a_config_error(
+    tmp_path, monkeypatch, capsys, flags, text
+):
+    # a torus lattice too large to enumerate, and an output directory below
+    # a regular file, stop the run before any sweep with one record
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("")
+    assert run_cli(["run", "--gamma-points", "5", *flags]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError" and text in record["message"]
+    if "--out" in flags:
+        assert not Path("out").exists()  # the record has no directory to go to
+    else:
+        assert json.loads(Path("out", "errors.json").read_text()) == record
+        assert not any(Path("out").glob("table_*"))
 
 
 @pytest.mark.parametrize("criteria", ["11", "x", "1,11", "0"])

@@ -18,6 +18,7 @@ from kbmlab import (
     EigensolveError,
     TridiagonalOperator,
     TruncationError,
+    TruncationPolicy,
     adaptive_truncation,
     assemble_generator,
     assemble_perturbed,
@@ -124,6 +125,12 @@ def test_truncate_rejects_an_adaptive_policy():
     # an adaptive cutoff is certified by the sweep, on every row
     with pytest.raises(TruncationError, match="fixed policy"):
         truncate(5.0, -1.0, adaptive_truncation())
+
+
+def test_an_adaptive_policy_takes_no_cutoff():
+    # the adaptive policy doubles its own cutoff, so a given one would be ignored
+    with pytest.raises(TruncationError, match="k_max = 64"):
+        TruncationPolicy(kind="adaptive", k_max=64)
 
 
 def test_truncate_rejects_positive_curvature():

@@ -62,6 +62,16 @@ def test_torus_spectrum_examples():
     assert [(e.eta, e.multiplicity) for e in s.entries] == [(0.0, 1), (4.0, 4)]
 
 
+def test_torus_spectrum_bounds_the_lattice_before_enumerating_it():
+    # on the side-2 pi torus eta = m^2 + n^2, so eta_cap < 65^2 keeps |m| <= 64
+    assert kbmlab.spectra.TORUS_MAX_M == 64
+    s = torus_spectrum(2.0 * math.pi, 65.0**2 - 1.0)
+    assert (s.entries[-1].eta, s.entries[-1].multiplicity, len(s.entries)) == (4217.0, 8, 1232)
+    for L, eta_cap in ((2.0 * math.pi, 65.0**2), (1e4, 2.5), (1e150, 1e300)):
+        with pytest.raises(SpectrumValidationError, match=r"\|m\| <= 64"):
+            torus_spectrum(L, eta_cap)
+
+
 def test_custom_spectrum_validation():
     s = custom_spectrum(-1.0, [(0.0, 1), (3.838, 1)])
     assert s.source == "custom" and s.entries[1].eta == 3.838
@@ -212,8 +222,8 @@ def test_sweep_rejects_bad_grid():
         gamma_sweep(2.0, 1.0, [5.0, 4.0])
     with pytest.raises(SpectrumValidationError):
         gamma_sweep(2.0, 1.0, [-1.0, 2.0])
-    # gamma^2 / 2 overflows, or the grid holds no number
-    for grid in ([0.5, 1e300], [1.0, math.inf], [math.nan, 2.0]):
+    # gamma^2 / 2 overflows or underflows to 0, or the grid holds no number
+    for grid in ([0.5, 1e300], [1.0, math.inf], [math.nan, 2.0], [1e-170, 1.0]):
         with pytest.raises(SpectrumValidationError, match="gamma\\^2 / 2"):
             gamma_sweep(2.0, 1.0, grid)
         with pytest.raises(SpectrumValidationError, match="gamma\\^2 / 2"):
@@ -348,13 +358,14 @@ def test_sweep_raises_at_the_dense_limit(monkeypatch):
 
 
 def test_a_fixed_cutoff_beyond_the_dense_limit_names_the_cutoff_and_the_limit():
-    # no doubling ran, so the message reports no shift
+    # no doubling ran, so the message reports no shift; the check depends on
+    # the cutoff alone, and the CLI runs the same one before any sweep
     grid = make_gamma_grid(0.0, 4.0, 13)
     with pytest.raises(TruncationError) as exc:
         gamma_sweep(5.0, -1.0, grid, fixed_truncation(1024))
     assert str(exc.value) == (
-        "eta = 5.0, K = -1.0: the doubled block of the fixed cutoff 1024 would exceed "
-        "the dense limit 4096"
+        "fixed truncation needs k_max <= 1023, got 1024: the doubled block of the fixed "
+        "cutoff would exceed the dense limit 4096"
     )
 
 

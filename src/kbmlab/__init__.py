@@ -35,12 +35,12 @@ from .ladder import (
     vertical_matrix,
 )
 from .operator import (
+    EvenSector,
     TridiagonalOperator,
     TruncationPolicy,
     adaptive_truncation,
     assemble_generator,
     assemble_perturbed,
-    even_sector,
     fixed_truncation,
     gtsv,
     numerical_range_floor,

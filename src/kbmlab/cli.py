@@ -14,8 +14,11 @@ every key has a matching flag (``_RUN_FLAGS``) and flags override file
 values.  ``RunConfig.validate`` checks types; the range rules live in the
 library code that builds the spectrum, the grid and the truncation policy.
 A run that stops on its inputs before any sweep reports a ConfigError and
-exits with 2; one whose sweep fails exits with 1.  Output is deterministic for a fixed config: numbers are written with 17
-significant digits, JSON keys are sorted, and no timestamps are emitted.
+exits with 2; one whose sweep fails exits with 1.  The JSON error record
+names the error, its message, the stage (``config`` or ``sweep``) and the
+eta of the failing sweep (null outside a sweep).  Output is deterministic
+for a fixed config: numbers are written with 17 significant digits, JSON
+keys are sorted, and no timestamps are emitted.
 """
 
 from __future__ import annotations
@@ -319,7 +322,8 @@ def run(cfg: RunConfig) -> dict:
     Returns a manifest of written paths (keys ``tables``, ``plots``,
     ``summary``, ``series``).  Raises ConfigError when the inputs or the
     output directory cannot be built, before any sweep, and another
-    KbmLabError subclass when a sweep fails.
+    KbmLabError subclass (or a ValueError) when a sweep fails; that error
+    carries the eta of its sweep as ``exc.eta``.
     """
     spectrum, grid, policy = cfg.validate()
     outdir = Path(cfg.output.directory)
@@ -329,16 +333,21 @@ def run(cfg: RunConfig) -> dict:
         raise ConfigError(f"cannot create the output directory {str(outdir)!r}: {exc}") from exc
 
     K = spectrum.curvature
-    tables = [
-        gamma_sweep(
-            entry.eta,
-            K,
-            grid,
-            policy=policy if entry.eta > 0.0 and K <= 0.0 else None,
-            multiplicity=entry.multiplicity,
-        )
-        for entry in spectrum.entries
-    ]
+    tables = []
+    for entry in spectrum.entries:
+        try:
+            tables.append(
+                gamma_sweep(
+                    entry.eta,
+                    K,
+                    grid,
+                    policy=policy if entry.eta > 0.0 and K <= 0.0 else None,
+                    multiplicity=entry.multiplicity,
+                )
+            )
+        except (KbmLabError, ValueError) as exc:
+            exc.eta = entry.eta
+            raise
 
     manifest = {"tables": [], "plots": []}
     for i, (entry, table) in enumerate(zip(spectrum.entries, tables)):
@@ -541,7 +550,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _emit_error(cfg: Optional[RunConfig], exc: Exception) -> None:
-    record = {"error": type(exc).__name__, "message": str(exc)}
+    record = {
+        "error": type(exc).__name__,
+        "message": str(exc),
+        "stage": "config" if isinstance(exc, ConfigError) else "sweep",
+        "eta": getattr(exc, "eta", None),
+    }
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
     if cfg is not None and isinstance(cfg.output.directory, str):
         try:

@@ -14,13 +14,13 @@ complex solve on the sector sizes used here.
 The continuation follows the real segment [0, x_target], on which the
 paper's x = -2/gamma lies, one step at a time, with a secant predictor and
 a Newton corrector on the characteristic polynomial of the even parity
-sector (``operator.even_sector``, dimension k_max + 1), which holds the
-branch through 0, read as Python float lists formed once per block; a
-complex x_target or checkpoint raises TypeError.  The branch is
-holomorphic in x; that is checked through ``newton_polish`` on the sector
-assembled at complex x.  A step is accepted only if the corrected value
-stays within half of the current sample's gap to the rest of the
-spectrum; otherwise the step is halved.  Each new sample is certified
+sector (dimension k_max + 1), which holds the branch through 0, read from
+the block's ``operator.EvenSector`` (formed once, returned on the
+``EigenBranch``); a complex x_target or checkpoint raises TypeError.  The
+branch is holomorphic in x; that is checked through ``newton_polish`` on
+the sector at complex x.  A step is accepted only if
+the corrected value stays within half of the current sample's gap to the
+rest of the spectrum; otherwise the step is halved.  Each new sample is certified
 before the next step.  Inside the Kato disk, |x| below the radius r0 of
 the circle |zeta| = 1/2 (``operator.kato_radius``, computed once per
 block), that circle holds exactly one eigenvalue of the block, the
@@ -65,9 +65,9 @@ import numpy as np
 from .errors import BranchCollisionError, EigensolveError
 from .ladder import CasimirBlock, LadderCoefficients
 from .operator import (
+    EvenSector,
     TridiagonalOperator,
     batch_slices,
-    even_sector,
     gtsv,
     kato_radius,
     numerical_range_floor,
@@ -105,7 +105,6 @@ DISK_MARGIN = 1e-12
 _EPS = float(np.finfo(float).eps)
 _BIG = 2.0**512
 _SMALL = 2.0**-512
-_SQRT2 = math.sqrt(2.0)
 
 
 class CharPolyValue(NamedTuple):
@@ -175,7 +174,7 @@ def newton_polish(op, mu0: complex) -> tuple[complex, bool, int]:
     iterate; the exponent of the determinant cancels from the Newton step,
     so scaling never enters.  ``op`` is a TridiagonalOperator, converted
     to Python lists once, or those lists, (diagonal, rung products), as
-    ``EvenSectorLists.at`` forms them.  The iteration runs in the
+    ``EvenSector.lists`` forms them.  The iteration runs in the
     arithmetic of the scalars given.  On float lists from a float ``mu0``
     it is real, and its float root is bitwise the real part of the complex
     iteration's, whose imaginary parts would all be zero (+0.0 on the
@@ -205,29 +204,6 @@ def newton_polish(op, mu0: complex) -> tuple[complex, bool, int]:
             return mu, prev_step <= 1e-9 * (1.0 + abs(mu)), it
         mu, prev_step = mu_new, s
     return mu, prev_step <= 1e-9 * (1.0 + abs(mu)), NEWTON_MAX_ITER
-
-
-class EvenSectorLists(NamedTuple):
-    """One block's even sector as Python float lists, formed once for the
-    many Newton solves on it: the diagonal m^2 (m = 0..k_max) and the rung
-    coefficients a_m (``coeffs.a[k_max:]``)."""
-
-    diag: list
-    rungs: list
-
-    @classmethod
-    def of(cls, block: CasimirBlock, coeffs: LadderCoefficients) -> "EvenSectorLists":
-        k = block.k_max
-        return cls([float(m * m) for m in range(k + 1)], coeffs.a[k:].tolist())
-
-    def at(self, x: float) -> tuple[list, list]:
-        """``newton_polish``'s (diagonal, rung products) of ``even_sector``
-        at real x: s_j = x*a_j, s_0 *= sqrt(2) and c_j = -(s_j*s_j), the
-        IEEE products whose results are the real parts of that sector's."""
-        s = [x * a for a in self.rungs]
-        if s:
-            s[0] *= _SQRT2
-        return self.diag, [-(v * v) for v in s]
 
 
 def eig_dense(op: TridiagonalOperator) -> np.ndarray:
@@ -344,8 +320,7 @@ def _even_recurrence(
 
 
 def exceptional_point(
-    block: CasimirBlock,
-    coeffs: LadderCoefficients,
+    sector: EvenSector,
     x_cur: float,
     x_try: float,
     mu_cur: float,
@@ -358,9 +333,10 @@ def exceptional_point(
 
     The branch value mu_cur at x_cur and its nearest neighbour ``nu`` (None
     when that neighbour lies in the odd sector) meet at a square-root
-    branch point of the even sector, where p = p_mu = 0.  That system is
-    solved for (t, mu), t = x^2, by Newton with the Jacobian
-    [[p_t, p_mu], [p_mut, p_mumu]] from ``_even_recurrence``.  The seed
+    branch point of the even ``sector``, where p = p_mu = 0.  That system
+    is solved for (t, mu), t = x^2, by Newton with the Jacobian
+    [[p_t, p_mu], [p_mut, p_mumu]] from ``_even_recurrence`` on the
+    sector's diagonal and ``squared_rungs``.  The seed
     comes from ``eigs_cur``, the sector's own dense spectrum at x_cur (the
     eigenvalue nearest mu_cur and its nearest neighbour, which meet at
     their midpoint after the time the square-root model gives from their
@@ -375,9 +351,7 @@ def exceptional_point(
     """
     if nu is None or nu.imag != 0.0:
         return None
-    d, a = EvenSectorLists.of(block, coeffs)
-    b = [v * v for v in a]
-    b[0] *= 2.0
+    d, b = sector.diag, sector.squared_rungs()
     t_cur = x_cur * x_cur
 
     near = np.argsort(np.abs(eigs_cur - mu_cur))[:2]
@@ -423,7 +397,7 @@ def exceptional_point(
     x_c = math.copysign(math.sqrt(t), x_try)
     if not abs(x_cur) < abs(x_c) <= abs(x_try):
         return None
-    dist = np.sort(np.abs(eig_dense(even_sector(block, coeffs, x_c)) - mu))
+    dist = np.sort(np.abs(eig_dense(sector.at(x_c)) - mu))
     if not (dist.size >= 2 and dist[1] <= collision_threshold(mu)):
         return None
     return x_c
@@ -535,9 +509,10 @@ class EigenBranch:
     continuation.
     The parameters are real: ``x_target`` and ``x_collision`` are floats
     and ``x_samples`` is a float array; ``mu_values`` is complex.
+    ``sector`` is the block's even sector, which the continuation read.
     """
 
-    block: CasimirBlock
+    sector: EvenSector
     x_target: float
     x_samples: np.ndarray
     mu_values: np.ndarray
@@ -582,13 +557,14 @@ def track_branch(
     past it.
 
     Each step predicts the value at the next parameter by the secant
-    through the last two samples, corrects it by Newton on the block's
-    ``EvenSectorLists`` (formed once, so no operator is built and Newton
-    runs in float arithmetic), judges the correction, certifies the new
-    sample and then accepts it, stops, or halves the step.  A correction
-    |mu - mu_pred| above half the current sample's gap to the rest of the
-    spectrum, or a Newton solve that fails, rejects the step: ds is halved,
-    and a step below 1e-12 of the segment ends the continuation.  An
+    through the last two samples, corrects it by Newton on the float lists
+    of the block's ``operator.EvenSector`` (formed once, so no operator is
+    built and Newton runs in float arithmetic), judges the correction,
+    certifies the new sample and then accepts it, stops, or halves the
+    step.  A correction |mu - mu_pred| above half the current sample's gap
+    to the rest of the spectrum, or a Newton solve that fails, rejects the
+    step: ds is halved, and a step below 1e-12 of the segment ends the
+    continuation.  An
     accepted sample that is not simple ends it too.  Three easy solves (at
     most five Newton iterations each) in a row double ds, up to the base
     step.
@@ -631,13 +607,14 @@ def track_branch(
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
     x_target = float(x_target)
     dim = block.dim
+    sector = EvenSector.of(block, coeffs)
 
     # the unperturbed spectrum is m^2 on the symmetric block: the nearest
     # neighbour of 0 is 1, none on the single-mode block
     gap0 = 1.0 if dim > 1 else math.inf
     if x_target == 0:
         return EigenBranch(
-            block=block,
+            sector=sector,
             x_target=x_target,
             x_samples=np.array([0.0]),
             mu_values=np.array([0j]),
@@ -655,12 +632,11 @@ def track_branch(
     gaps = [gap0]
     simples = [gap0 > collision_threshold(0.0)]
 
-    lists = EvenSectorLists.of(block, coeffs)
     # the single-mode block has no coupling to bound and keeps the dense
     # path, as does a sector past the dense limit, which raises there
     r_disk = 0.0
     if 1 < dim and block.k_max < MAX_DENSE_DIM:
-        r_disk = kato_radius(block, coeffs, np.array([DISK_RHO + 0j])) * (1.0 - DISK_MARGIN)
+        r_disk = kato_radius(sector, np.array([DISK_RHO + 0j])) * (1.0 - DISK_MARGIN)
     # the current sample (x and mu are floats: Newton on the float lists of
     # a real sector returns real roots from a real prediction), the one
     # before it for the secant, and its gap with its dense check (None while
@@ -670,7 +646,7 @@ def track_branch(
     s_cur = x_cur = mu_cur = 0.0
     s_prev, mu_prev = None, 0.0
     gap = gap0
-    check = SpotCheck(np.array(lists.diag), 0.0, gap0, 1.0 + 0j if dim > 1 else None)
+    check = SpotCheck(np.array(sector.diag), 0.0, gap0, 1.0 + 0j if dim > 1 else None)
     ds, easy, nxt = ds_base, 0, 0
     ep_tried = False
     oracle_dev = 0.0
@@ -682,7 +658,7 @@ def track_branch(
         # bound leaves a decision open
         nonlocal check
         if check is None:
-            check = certify_samples(even_sector(block, coeffs, x_cur), mu_cur)
+            check = certify_samples(sector.at(x_cur), mu_cur)
         return check
 
     while nxt < len(ck_s):
@@ -702,7 +678,7 @@ def track_branch(
             mu_pred = mu_cur + slope * (s_new - s_cur)
         else:
             mu_pred = mu_cur
-        mu_new, ok, iters = newton_polish(lists.at(x_new), mu_pred)
+        mu_new, ok, iters = newton_polish(sector.lists(x_new), mu_pred)
 
         # the correction leaves half the current sample's gap; a bound
         # below that gap can only confirm an acceptance
@@ -714,7 +690,7 @@ def track_branch(
                 ep_tried = True
                 cur = dense_check()
                 x_c = exceptional_point(
-                    block, coeffs, x_cur, x_new, mu_cur, cur.nu, eigs_cur=cur.even_eigs
+                    sector, x_cur, x_new, mu_cur, cur.nu, eigs_cur=cur.even_eigs
                 )
                 if x_c is not None:
                     status, reason, x_coll = "collision", "exceptional point", x_c
@@ -731,7 +707,7 @@ def track_branch(
             # DISK_RHO - |mu| bounds the gap and confirms simplicity
             check, gap = None, DISK_RHO - abs(mu_new)
         else:
-            check = certify_samples(even_sector(block, coeffs, x_new), mu_new)
+            check = certify_samples(sector.at(x_new), mu_new)
             gap = check.gap
             oracle_dev = max(oracle_dev, check.oracle_dev)
         is_simple = gap > collision_threshold(mu_new)
@@ -749,8 +725,7 @@ def track_branch(
                 # the exceptional point may lie just beyond this sample,
                 # short of the next checkpoint
                 x_c = exceptional_point(
-                    block, coeffs, x_new, ck_x[nxt], mu_new, check.nu,
-                    eigs_cur=check.even_eigs,
+                    sector, x_new, ck_x[nxt], mu_new, check.nu, eigs_cur=check.even_eigs
                 )
                 if x_c is not None:
                     reason, x_coll = "exceptional point", x_c
@@ -766,7 +741,7 @@ def track_branch(
             easy = 0
 
     return EigenBranch(
-        block=block,
+        sector=sector,
         x_target=x_target,
         x_samples=np.array(xs),
         mu_values=np.array(mus),

@@ -114,7 +114,7 @@ class CasimirBlock:
         if not self.k_min <= 0 <= self.k_max:
             raise LadderRangeError("mode range must contain k = 0")
         if self.k_min != -self.k_max:
-            # the parity split k -> -k (operator.even_sector) needs it;
+            # the parity split k -> -k (operator.EvenSector) needs it;
             # intrinsic ladders are symmetric because a_{-k-1} = a_k
             raise LadderRangeError("mode range must be symmetric, k_min = -k_max")
         if self.dim > MAX_LADDER_SLOTS:

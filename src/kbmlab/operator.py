@@ -1,15 +1,18 @@
 """Tridiagonal restrictions of the perturbed fiber Laplacian and of the
 kinetic Brownian motion generator on one Casimir block, together with the
 truncation policy for infinite ladders, the two parity sectors of the
-perturbed family (the odd one a slice of the even one), the Kato radius
-of the family on a contour (``kato_radius``, shared by
-``perturb.perturbation_radius`` and ``eig.track_branch``), an O(n) floor
-of the numerical range, and the tridiagonal solver: LAPACK's ``?gtsv``
-elimination run over a batch of systems at once (``gtsv``), which serves
-one operator at many shifts (``tridiag_solve``) and a stack of operators
-(``eig.inverse_iteration``).
+perturbed family, the Kato radius of the family on a contour
+(``kato_radius``, shared by ``perturb.perturbation_radius`` and
+``eig.track_branch``), an O(n) floor of the numerical range, and the
+tridiagonal solver: LAPACK's ``?gtsv`` elimination run over a batch of
+systems at once (``gtsv``), which serves one operator at many shifts
+(``tridiag_solve``) and a stack of operators (``eig.inverse_iteration``).
 Everything here runs on NumPy alone, so importing the package loads no
 SciPy.
+
+``EvenSector``, formed once per block, is the only code that knows the
+even sector's layout; every reader of the sector takes one of its views,
+and the odd sector is a slice of the even one (``odd_sector``).
 
 In the fixed gauge the perturbed family reads diag(k^2) + x*X with X real
 skew-symmetric, and the rescaled generator is (gamma^2/2)*diag(k^2) -
@@ -128,10 +131,19 @@ def assemble_generator(
     return TridiagonalOperator(diag=diag, sup=sup, sub=sub)
 
 
-def even_sector(
-    block: CasimirBlock, coeffs: LadderCoefficients, x
-) -> TridiagonalOperator:
-    """The J = +1 parity sector of the perturbed family at x.
+def _rung0(s, squared: bool = False):
+    """Rung 0 of ``s`` (a list, or arrays' last axis) times sqrt(2), or 2 if ``squared``."""
+    f = 2.0 if squared else math.sqrt(2.0)
+    if isinstance(s, np.ndarray):
+        s[..., :1] *= f
+    elif s:
+        s[0] *= f
+    return s
+
+
+@dataclass(frozen=True, eq=False)
+class EvenSector:
+    """The J = +1 parity sector of the perturbed family on one block.
 
     The parity J e_k = (-1)^k e_{-k} commutes with diag(k^2) and with X
     because a_{-k-1} = a_k, so in the orthonormal basis e_0, (e_m +
@@ -142,30 +154,54 @@ def even_sector(
     at m = 0 and holds the branch through 0; its rung 0 carries a factor
     sqrt(2).  ``odd_sector`` derives the other from it.
 
-    A 1-d array of x gives the stack of those sectors, one per x, each
-    bitwise equal to the sector at that x alone.
+    ``diag`` holds m^2 and ``rungs`` the a_m before that factor, as Python
+    floats.  Each view keeps one order of IEEE operations for every reader,
+    so all see the same bits.
     """
-    if coeffs.a.shape != (block.dim - 1,):
-        raise ValueError("block and coefficients are inconsistent")
-    m = block.k_max
-    x = np.asarray(x, dtype=complex)
-    ms = np.arange(m + 1, dtype=complex)
-    sub = x[..., None] * coeffs.a[m:]
-    sub[..., :1] *= math.sqrt(2.0)
-    diag = ms * ms
-    if x.ndim:
-        diag = diag[None].repeat(x.size, axis=0)
-    return TridiagonalOperator(diag=diag, sup=-sub, sub=sub)
+
+    block: CasimirBlock
+    diag: list
+    rungs: list
+
+    @classmethod
+    def of(cls, block: CasimirBlock, coeffs: LadderCoefficients) -> "EvenSector":
+        if coeffs.a.shape != (block.dim - 1,):
+            raise ValueError("block and coefficients are inconsistent")
+        k = block.k_max
+        return cls(block, [float(m * m) for m in range(k + 1)], coeffs.a[k:].tolist())
+
+    def sub(self, x) -> np.ndarray:
+        """The rungs x*a_m (rung 0 times sqrt(2)), one row per x of shape (B, 1)."""
+        return _rung0(x * np.array(self.rungs))
+
+    def at(self, x) -> TridiagonalOperator:
+        """The sector at x, real or complex; a 1-d array of x gives the stack
+        of those sectors, each bitwise equal to the sector at its x alone."""
+        x = np.asarray(x, dtype=complex)
+        sub = self.sub(x[..., None])
+        ms = np.arange(len(self.diag), dtype=complex)
+        diag = ms * ms if x.ndim == 0 else (ms * ms)[None].repeat(x.size, axis=0)
+        return TridiagonalOperator(diag=diag, sup=-sub, sub=sub)
+
+    def lists(self, x: float) -> tuple[list, list]:
+        """``newton_polish``'s (diagonal, rung products -s_j^2) at real x,
+        s_j = x*a_j (rung 0 times sqrt(2)): equal to ``at(x)``'s real parts."""
+        s = _rung0([x * a for a in self.rungs])
+        return self.diag, [-(v * v) for v in s]
+
+    def squared_rungs(self) -> list:
+        """a_j^2, doubled on rung 0: ``eig._even_recurrence``'s t = x^2 terms."""
+        return _rung0([v * v for v in self.rungs], squared=True)
 
 
-def kato_radius(block: CasimirBlock, coeffs: LadderCoefficients, zeta: np.ndarray) -> float:
+def kato_radius(sector: EvenSector, zeta: np.ndarray) -> float:
     """min over the points ``zeta`` (a 1-d complex array) of 1 / ||X
     (diag(k^2) - zeta)^-1||, or infinity where every norm is 0.
 
     The parity sectors are orthogonal and invariant under both X and
     diag(k^2), and the odd one is the even one without its zero mode, so
-    the norm is the even sector's.  With the rungs a of ``even_sector`` at
-    x = 1 (rung 0 carries its sqrt(2)) and diagonal m^2, the resolvent
+    the norm is the even sector's.  With the rungs a = ``sector.sub(1.0)``
+    (rung 0 carries its sqrt(2)) and diagonal m^2, the resolvent
     diag(1/(m^2 - zeta)) is diag(w) times a diagonal unitary, w_m = 1/|m^2
     - zeta|, so the norm is that of the real B = X_e diag(w).  B^T B couples index j only to j +- 2: it is two
     symmetric tridiagonal blocks, one per index parity, with diagonal w_j^2
@@ -173,9 +209,8 @@ def kato_radius(block: CasimirBlock, coeffs: LadderCoefficients, zeta: np.ndarra
     squared norm is the largest eigenvalue of those blocks, from one
     batched ``eigvalsh`` call over the points per index parity.
     """
-    even = even_sector(block, coeffs, 1.0)
-    a = np.concatenate(([0.0], even.sub.real, [0.0]))  # a_{j-1}, j = 0..k_max+1
-    w = 1.0 / np.abs(even.diag.real - zeta[:, None])
+    a = np.concatenate(([0.0], sector.sub(1.0), [0.0]))  # a_{j-1}, j = 0..k_max+1
+    w = 1.0 / np.abs(np.array(sector.diag) - zeta[:, None])
     diag = w * w * (a[:-1] ** 2 + a[1:] ** 2)
     off = -(a[1:-2] * a[2:-1]) * w[:, :-2] * w[:, 2:]
     sigma_sq = np.zeros(zeta.size)
@@ -192,10 +227,10 @@ def kato_radius(block: CasimirBlock, coeffs: LadderCoefficients, zeta: np.ndarra
 
 
 def odd_sector(even: TridiagonalOperator) -> Optional[TridiagonalOperator]:
-    """The J = -1 sector at the x of ``even`` (one ``even_sector`` or a
+    """The J = -1 sector at the x of ``even`` (one ``EvenSector.at`` or a
     stack of them), or None on the single-mode block.
 
-    In the basis of ``even_sector`` the odd sector (dimension k_max) has
+    In the basis of ``EvenSector`` the odd sector (dimension k_max) has
     diagonal m^2 (m = 1..k_max) and rungs x*a_m, -x*a_m on m -> m+1: the
     even sector without its zero mode, row and column m = 0, which holds
     the only factor sqrt(2).  Its diagonals are views of ``even``'s, so

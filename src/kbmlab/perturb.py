@@ -7,7 +7,7 @@ the Kato perturbation radius min_zeta 1/||X (D - zeta)^-1|| over the
 contour, and the closed-form lower bound |zeta|^-1 sqrt(eta/2) for that
 norm restricted to the zeroth fiber mode.  The radius's core is
 ``operator.kato_radius``, which takes the norm on the even parity sector
-(``operator.even_sector``); that is exact, since the sectors are
+(``operator.EvenSector``); that is exact, since the sectors are
 orthogonal and invariant under X and D, and the odd sector is a submatrix
 of the even one (``operator.odd_sector``).  The resolvent's phases drop
 out of the norm and the real Gram matrix splits by index parity into two
@@ -41,6 +41,7 @@ from .ladder import (
     ladder_coefficients,
 )
 from .operator import (
+    EvenSector,
     TridiagonalOperator,
     batch_slices,
     fixed_truncation,
@@ -216,7 +217,7 @@ def perturbation_radius(
         zeta = np.array([center + contour.radius])  # node 0 of contour.points()
     else:
         zeta = contour.points()
-    return kato_radius(block, coeffs, zeta)
+    return kato_radius(EvenSector.of(block, coeffs), zeta)
 
 
 @dataclass(frozen=True)

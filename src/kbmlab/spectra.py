@@ -8,11 +8,10 @@ holomorphic branch in x = -2/gamma, so a sweep continues it once per
 block, from x = 0 out to the deepest grid point, landing exactly on every
 grid value of x on the way.  Rows therefore share one path: where it stops
 at a collision, every deeper row is resolved from the dense spectrum of
-the even parity sector (``operator.even_sector``), which holds the branch
-through 0 (one stacked dense solve for all such rows of a block), seeded
-with the path's last simple value; each picked value is Newton-polished
-on its sector, read from the block's lists as the continuation reads it
-(``eig.EvenSectorLists``).
+the even parity sector, which holds the branch through 0 (one stacked
+dense solve for all such rows of a block), seeded with the path's last
+simple value; each picked value is Newton-polished on its sector.  Both
+read the ``operator.EvenSector`` that the continuation formed.
 
 An infinite ladder (K <= 0) is truncated by sweeping the whole grid at
 cutoff k and again at 2k; the shift of every row, reached or collided, is
@@ -31,21 +30,14 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .eig import (
-    MAX_DENSE_DIM, EvenSectorLists, eig_dense, inverse_iteration, newton_polish, track_branch
-)
+from .eig import MAX_DENSE_DIM, eig_dense, inverse_iteration, newton_polish, track_branch
 from .errors import (
     BranchCollisionError,
     SpectrumValidationError,
     TruncationError,
 )
-from .ladder import CasimirBlock, LadderCoefficients, finite_block, ladder_coefficients
-from .operator import (
-    TruncationPolicy,
-    even_sector,
-    fixed_truncation,
-    truncate,
-)
+from .ladder import CasimirBlock, finite_block, ladder_coefficients
+from .operator import EvenSector, TruncationPolicy, fixed_truncation, truncate
 
 # The adaptive truncation's first cutoff: rows converge at small cutoffs,
 # because the branch's eigenvector decays once k^2 exceeds the coupling
@@ -57,6 +49,12 @@ FIRST_CUTOFF = 8
 # sweeps in 10-100 ms on the default grid; m <= 64 allows at most 1232 of
 # them, a run of minutes, and every eta_cap < 4225 on the side-2 pi torus.
 TORUS_MAX_M = 64
+
+# The largest l of the sphere levels ``sphere_spectrum`` enumerates.  Each
+# level is a block of dimension 2 l + 1 that ``kbmlab run`` sweeps on the
+# default grid in 7 ms (l = 8) to 0.64 s (l = 256); l <= 256 allows 257
+# blocks, a run of 74 s (``--l-max 256`` on a shared 2-core Xeon host).
+SPHERE_MAX_L = 256
 
 
 @dataclass(frozen=True)
@@ -105,11 +103,16 @@ class SurfaceSpectrum:
 
 
 def sphere_spectrum(K: float, l_max: int) -> SurfaceSpectrum:
-    """Round sphere of curvature K > 0: eta = K*l*(l+1), multiplicity 2l+1."""
+    """Round sphere of curvature K > 0: eta = K*l*(l+1), multiplicity 2l+1,
+    for 0 <= l <= l_max <= ``SPHERE_MAX_L``."""
     if not K > 0.0:
         raise SpectrumValidationError("sphere needs K > 0")
     if l_max < 0:
         raise SpectrumValidationError("l_max must be >= 0")
+    if l_max > SPHERE_MAX_L:
+        raise SpectrumValidationError(
+            f"l_max = {l_max!r} is beyond the limit l_max <= {SPHERE_MAX_L}"
+        )
     entries = tuple(
         SpectrumEntry(eta=K * l * (l + 1), multiplicity=2 * l + 1, label=f"l={l}")
         for l in range(l_max + 1)
@@ -201,13 +204,20 @@ def check_gamma_grid(gamma_grid: Sequence[float]) -> np.ndarray:
     return grid
 
 
+def _max_cutoff() -> int:
+    """The largest cutoff k whose certificate block [-2k, 2k], of dimension
+    4k + 1, fits the dense limit ``MAX_DENSE_DIM``."""
+    return (MAX_DENSE_DIM - 1) // 4
+
+
 def check_fixed_cutoff(k_max: int) -> None:
     """TruncationError unless the block [-2k, 2k] that certifies a sweep's
-    fixed cutoff k fits the dense limit.  That block is itself built at the
-    fixed cutoff 2k, so the rule cannot live in ``TruncationPolicy``."""
-    if 4 * k_max + 1 > MAX_DENSE_DIM:
+    fixed cutoff k fits the dense limit (k <= ``_max_cutoff()``).  That block
+    is itself built at the fixed cutoff 2k, so the rule cannot live in
+    ``TruncationPolicy``."""
+    if k_max > _max_cutoff():
         raise TruncationError(
-            f"fixed truncation needs k_max <= {(MAX_DENSE_DIM - 1) // 4}, got {k_max}: the "
+            f"fixed truncation needs k_max <= {_max_cutoff()}, got {k_max}: the "
             f"doubled block of the fixed cutoff would exceed the dense limit {MAX_DENSE_DIM}"
         )
 
@@ -252,9 +262,7 @@ class GammaTable:
     empirical_r: Optional[float]
 
 
-def _dense_continuation(
-    block: CasimirBlock, coeffs: LadderCoefficients, xs: np.ndarray, seed_mu: complex
-) -> np.ndarray:
+def _dense_continuation(sector: EvenSector, xs: np.ndarray, seed_mu: complex) -> np.ndarray:
     """Pick the branch value past a collision at every x of ``xs`` from the
     dense spectrum of the even parity sector, which holds the branch
     through 0; one stacked solve serves them all.  Each pick is the
@@ -262,26 +270,24 @@ def _dense_continuation(
     positive imaginary part (then larger real part) for determinism.  It
     is then Newton-polished on its sector's characteristic polynomial,
     which removes the dense solver's error; a pick where Newton does not
-    converge is returned as it is.  Newton reads each sector from the
-    block's lists."""
-    eigs = eig_dense(even_sector(block, coeffs, xs))
+    converge is returned as it is.  Newton reads each sector's float
+    lists."""
+    eigs = eig_dense(sector.at(xs))
     dist = np.abs(eigs - seed_mu)
     ties = dist <= np.min(dist, axis=1, keepdims=True) * (1.0 + 1e-9) + 1e-15
-    lists = EvenSectorLists.of(block, coeffs)
     mu = np.empty(len(xs), dtype=complex)
     for i, x in enumerate(xs.tolist()):
         cand = eigs[i, ties[i]]
         pick = complex(cand[np.lexsort((cand.real, cand.imag))[-1]])
-        root, converged, _ = newton_polish(lists.at(x), pick)
+        root, converged, _ = newton_polish(sector.lists(x), pick)
         mu[i] = root if converged else pick
     return mu
 
 
 class _BlockSweep(NamedTuple):
-    """Every row's mu on one block, with the rows the continuation missed."""
+    """Every row's mu on one block's sector, with the rows the continuation missed."""
 
-    block: CasimirBlock
-    coeffs: LadderCoefficients
+    sector: EvenSector
     mu: np.ndarray
     collided: np.ndarray
     empirical_r: Optional[float]
@@ -313,10 +319,10 @@ def _sweep_block(block: CasimirBlock, grid: np.ndarray) -> _BlockSweep:
     empirical_r: Optional[float] = None
     if np.any(collided):
         seed_mu = complex(branch.mu_values[np.nonzero(branch.simple)[0][-1]])
-        mu[collided] = _dense_continuation(block, coeffs, -2.0 / grid[collided], seed_mu)
+        mu[collided] = _dense_continuation(branch.sector, -2.0 / grid[collided], seed_mu)
         if branch.x_collision is not None:
             empirical_r = 2.0 / abs(branch.x_collision)
-    return _BlockSweep(block, coeffs, mu, collided, empirical_r)
+    return _BlockSweep(branch.sector, mu, collided, empirical_r)
 
 
 def gamma_sweep(
@@ -387,14 +393,14 @@ def gamma_sweep(
             if pol.kind == "fixed" or np.all(cert < pol.tol):
                 break
             k, base, shift = 2 * k, doubled, float(np.max(cert))
-            if 4 * k + 1 > MAX_DENSE_DIM:
+            if k > _max_cutoff():
                 raise TruncationError(
                     f"eta = {eta!r}, K = {K!r}: the doubled block of cutoff {k} would exceed "
                     f"the dense limit {MAX_DENSE_DIM}; the last doubling moved a row by up to "
                     f"{shift:.3g} (tol {pol.tol:g})"
                 )
 
-    resid = inverse_iteration(even_sector(base.block, base.coeffs, -2.0 / grid), base.mu)[1]
+    resid = inverse_iteration(base.sector.at(-2.0 / grid), base.mu)[1]
 
     return GammaTable(
         eta=eta,
@@ -405,7 +411,7 @@ def gamma_sweep(
         abs_error=np.abs(lam - eta),
         simple=~base.collided & np.isfinite(resid),
         collided=base.collided,
-        k_trunc=base.block.k_max,
+        k_trunc=base.sector.block.k_max,
         certificate=cert,
         residual=resid,
         empirical_r=base.empirical_r,

@@ -3,6 +3,7 @@ import pytest
 
 from kbmlab import (
     EigenBranch,
+    EvenSector,
     TridiagonalOperator,
     eig_dense,
     finite_block,
@@ -45,10 +46,16 @@ def property_block(kind, l_or_k, eta, K):
     return truncate(eta, 0.0 if kind == "torus" else K, fixed_truncation(l_or_k))
 
 
+def even_sector(block, coeffs, x):
+    """The block's even parity sector at x (a scalar or a 1-d array), from
+    its ``EvenSector``."""
+    return EvenSector.of(block, coeffs).at(x)
+
+
 def stuck_at_zero(block, coeffs, x_target, checkpoints=()):
     """Stand-in for track_branch: a continuation that accepted no step."""
     return EigenBranch(
-        block=block,
+        sector=EvenSector.of(block, coeffs),
         x_target=complex(x_target),
         x_samples=np.array([0j]),
         mu_values=np.array([0j]),
@@ -62,7 +69,7 @@ def stuck_at_zero(block, coeffs, x_target, checkpoints=()):
 
 def parity_eigvals(even, odd):
     """Full-block spectrum as the union of the two parity sectors' dense
-    spectra (see ``operator.even_sector``), even sector first; the oracle
+    spectra (see ``operator.EvenSector``), even sector first; the oracle
     that ``eig.certify_samples`` agrees with."""
     if odd is None:
         return eig_dense(even)

@@ -253,6 +253,8 @@ def test_the_removed_checks_flag_is_an_unknown_flag(tmp_path, capsys):
     assert record == {
         "error": "ConfigError",
         "message": "kbmlab: unrecognized arguments: --checks accretivity",
+        "stage": "config",
+        "eta": None,
     }
     assert not out.exists()  # the usage error ends the run before it starts
 
@@ -297,6 +299,7 @@ def test_custom_infinite_eta_is_a_config_error(tmp_path, capsys):
     assert code == 2
     record = _error_record(capsys)
     assert record["error"] == "ConfigError" and "finite eta" in record["message"]
+    assert (record["stage"], record["eta"]) == ("config", None)
     assert json.loads((out / "errors.json").read_text()) == record
 
 
@@ -608,6 +611,7 @@ def test_uncertified_truncation_is_a_numerics_error(tmp_path, monkeypatch, capsy
     assert code == 1
     record = _error_record(capsys)
     assert record["error"] == "TruncationError" and "eta = 5.0" in record["message"]
+    assert (record["stage"], record["eta"]) == ("sweep", 5.0)
     assert json.loads((out / "errors.json").read_text()) == record
 
 
@@ -621,7 +625,46 @@ def test_continuation_that_accepts_no_step_is_a_numerics_error(tmp_path, monkeyp
     record = _error_record(capsys)
     assert record["error"] == "BranchCollisionError"
     assert "eta = 2.0, K = 1.0" in record["message"]
+    assert (record["stage"], record["eta"]) == ("sweep", 2.0)
     assert json.loads((out / "errors.json").read_text()) == record
+
+
+def test_a_failing_sweep_names_its_eta(tmp_path, capsys):
+    # on a K > 0 custom surface eta = 3 is no sphere level, so its finite
+    # ladder does not terminate; the message alone names no eta
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0.0, 1], [2.0, 3], [3.0, 1]]}))
+    out = tmp_path / "out"
+    code = run_cli(
+        ["run", "--surface", "custom", "--curvature", "1", "--custom-path", str(eta_path),
+         "--gamma-points", "5", "--out", str(out)]
+    )
+    assert code == 1
+    record = _error_record(capsys)
+    assert record["error"] == "LadderRangeError" and "eta" not in record["message"]
+    assert (record["stage"], record["eta"]) == ("sweep", 3.0)
+    assert json.loads((out / "errors.json").read_text()) == record
+
+
+def test_a_huge_sphere_l_max_is_a_config_error(tmp_path):
+    # the level count is bounded before the levels are enumerated, so the
+    # run ends at once instead of enumerating 10^8 levels
+    out = tmp_path / "out"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kbmlab", "run", "--surface", "sphere", "--l-max", "100000000",
+         "--gamma-points", "3", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    record = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and "l_max <= 256" in record["message"]
+    assert (record["stage"], record["eta"]) == ("config", None)
+    assert json.loads((out / "errors.json").read_text()) == record
+    assert sorted(p.name for p in out.iterdir()) == ["errors.json"]
 
 
 _NO_SCIPY_RUN = """

@@ -10,12 +10,12 @@ import kbmlab.operator
 from kbmlab import (
     BranchCollisionError,
     EigensolveError,
+    EvenSector,
     TridiagonalOperator,
     assemble_perturbed,
     branch_value,
     char_poly,
     eig_dense,
-    even_sector,
     exceptional_point,
     finite_block,
     fixed_truncation,
@@ -31,6 +31,7 @@ from kbmlab import (
 from conftest import (
     accretivity_minimum,
     assembled_odd_sector,
+    even_sector,
     match_spectra,
     one_row,
     parity_eigvals,
@@ -247,7 +248,7 @@ def test_newton_on_the_block_lists_is_bitwise_newton_on_the_assembled_sector(
     mu0 = mu_frac * block.k_max**2
     if complex_mu:
         mu0 = complex(mu0, mu_im)
-    got = newton_polish(kbmlab.eig.EvenSectorLists.of(block, coeffs).at(x), mu0)
+    got = newton_polish(EvenSector.of(block, coeffs).lists(x), mu0)
     ref = newton_polish(even_sector(block, coeffs, x), complex(mu0))
     assert isinstance(got[0], complex) == complex_mu
     assert np.complex128(got[0]).tobytes() == np.complex128(ref[0]).tobytes()
@@ -537,7 +538,7 @@ def test_track_branch_on_the_even_sector_matches_the_full_block(
 
     # the full-block continuation stops at the same point with the same
     # checkpoint verdicts (its step halvings near the collision may differ)
-    monkeypatch.setattr(kbmlab.eig, "even_sector", _full_block)
+    monkeypatch.setattr(EvenSector, "at", lambda sector, x: _full_block(block, coeffs, x))
     monkeypatch.setattr(kbmlab.eig, "odd_sector", lambda even: None)
     ref = track_branch(block, coeffs, x_target, checkpoints=checkpoints)
     assert (br.status, br.x_collision) == (ref.status, ref.x_collision)
@@ -654,27 +655,26 @@ def test_exceptional_point_agrees_with_the_step_halving_crawl(K, eta, k_max, x_c
 
 def test_exceptional_point_certificate(sphere_l1, monkeypatch):
     block, coeffs = sphere_l1
+    sector = EvenSector.of(block, coeffs)
     x_cur = -0.45
     mu_cur = closed_mu(x_cur)
     # the even sector's eigenvalues are (1 +- sqrt(1 - 4x^2)) / 2
     nu = complex(1.0 - mu_cur)
-    eigs_cur = eig_dense(even_sector(block, coeffs, x_cur))
-    x_c = exceptional_point(block, coeffs, x_cur, -0.6, mu_cur, nu, eigs_cur=eigs_cur)
+    eigs_cur = eig_dense(sector.at(x_cur))
+    x_c = exceptional_point(sector, x_cur, -0.6, mu_cur, nu, eigs_cur=eigs_cur)
     assert x_c is not None and abs(x_c + 0.5) <= 1e-15
     # the neighbour is in the odd sector, complex, or on the wrong side of mu_c
     for bad_nu in (None, complex(nu.real, 0.1), complex(-0.5)):
-        assert exceptional_point(
-            block, coeffs, x_cur, -0.6, mu_cur, bad_nu, eigs_cur=eigs_cur
-        ) is None
+        assert exceptional_point(sector, x_cur, -0.6, mu_cur, bad_nu, eigs_cur=eigs_cur) is None
     # the point lies beyond the step, or the step starts past it
-    assert exceptional_point(block, coeffs, x_cur, -0.49, mu_cur, nu, eigs_cur=eigs_cur) is None
+    assert exceptional_point(sector, x_cur, -0.49, mu_cur, nu, eigs_cur=eigs_cur) is None
     assert exceptional_point(
-        block, coeffs, -0.52, -0.6, 0.5, nu, eigs_cur=eig_dense(even_sector(block, coeffs, -0.52))
+        sector, -0.52, -0.6, 0.5, nu, eigs_cur=eig_dense(sector.at(-0.52))
     ) is None
     # the dense spectrum at x_c must hold the colliding pair; the sector's
     # one rung is x times that of the sector at x = 1
     real_dense = kbmlab.eig.eig_dense
-    unit = abs(even_sector(block, coeffs, 1.0).sub[0])
+    unit = abs(sector.at(1.0).sub[0])
 
     def split_at_the_point(op):
         eigs = real_dense(op)
@@ -683,7 +683,7 @@ def test_exceptional_point_certificate(sphere_l1, monkeypatch):
         return eigs
 
     monkeypatch.setattr(kbmlab.eig, "eig_dense", split_at_the_point)
-    assert exceptional_point(block, coeffs, x_cur, -0.6, mu_cur, nu, eigs_cur=eigs_cur) is None
+    assert exceptional_point(sector, x_cur, -0.6, mu_cur, nu, eigs_cur=eigs_cur) is None
 
 
 @pytest.mark.parametrize("x_target", [-1.0, 0.9, -0.6])
@@ -724,16 +724,18 @@ def test_exceptional_point_ignores_rounding_in_its_inputs(monkeypatch, K, eta, k
     monkeypatch.setattr(kbmlab.eig, "exceptional_point", recording)
     br = track_branch(block, coeffs, -1.0)
     assert len(calls) == 1
-    (_, _, x_cur, x_try, mu_cur, nu), kwargs = calls[0]
-    # the continuation hands over the certified spectrum at x_cur; solving
-    # it afresh gives the same point, bit for bit
-    fresh = eig_dense(even_sector(block, coeffs, x_cur))
+    (sector, x_cur, x_try, mu_cur, nu), kwargs = calls[0]
+    # the continuation hands over its record of the block's sector and the
+    # certified spectrum at x_cur; solving it afresh gives the same point,
+    # bit for bit
+    assert sector is br.sector
+    fresh = eig_dense(sector.at(x_cur))
     assert exceptional_point(*calls[0][0], **kwargs) == br.x_collision
     assert exceptional_point(*calls[0][0], eigs_cur=fresh) == br.x_collision
     for rel in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7):
         for scale in (1.0 + rel, 1.0 - rel):
             x_c = exceptional_point(
-                block, coeffs, x_cur, x_try, mu_cur * scale, nu * scale, eigs_cur=fresh
+                sector, x_cur, x_try, mu_cur * scale, nu * scale, eigs_cur=fresh
             )
             assert x_c == br.x_collision
 
@@ -772,7 +774,7 @@ def test_a_non_simple_sample_just_short_of_the_exceptional_point_reports_the_poi
     assert br.gap_to_rest[-1] <= kbmlab.eig.collision_threshold(br.mu_values[-1])
     # asked from the sample, up to the next checkpoint, with the sample's
     # even spectrum from its certification
-    (_, _, x_cur, x_try, _, _), kwargs = calls[-1]
+    (_, x_cur, x_try, _, _), kwargs = calls[-1]
     assert (x_cur, x_try) == (br.x_samples[-1], 0.7)
     assert kwargs["eigs_cur"] is not None
 

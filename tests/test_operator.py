@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from conftest import (
     accretivity_minimum,
     assembled_odd_sector,
+    even_sector,
     one_row,
     parity_eigvals,
     property_block,
 )
 from kbmlab import (
     EigensolveError,
+    EvenSector,
     TridiagonalOperator,
     TruncationError,
     TruncationPolicy,
@@ -23,7 +25,6 @@ from kbmlab import (
     assemble_generator,
     assemble_perturbed,
     eig_dense,
-    even_sector,
     finite_block,
     fixed_truncation,
     ladder_coefficients,
@@ -489,3 +490,95 @@ def test_odd_sector_is_the_assembled_odd_sector_bit_for_bit(
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         # a slice of the even sector, not a new assembly
         assert got.size == 0 or np.shares_memory(got, getattr(even, name))
+
+
+def _sector_formulas(block, coeffs, x):
+    """The even sector's views written out one by one, as the package
+    formed them before ``EvenSector`` held them: the operator at x (a
+    scalar or a 1-d array, real or complex), Newton's float lists at the
+    first real x, the squared rungs of the exceptional point's recurrence
+    and the diagonal and rungs of the Kato radius, the real parts of the
+    operator at x = 1."""
+
+    def operator_at(x):
+        m = block.k_max
+        x = np.asarray(x, dtype=complex)
+        ms = np.arange(m + 1, dtype=complex)
+        sub = x[..., None] * coeffs.a[m:]
+        sub[..., :1] *= math.sqrt(2.0)
+        diag = ms * ms
+        if x.ndim:
+            diag = diag[None].repeat(x.size, axis=0)
+        return TridiagonalOperator(diag=diag, sup=-sub, sub=sub)
+
+    x0 = float(np.real(np.ravel(x)[0]))
+    rungs = coeffs.a[block.k_max :].tolist()
+    s = [x0 * a for a in rungs]
+    if s:
+        s[0] *= math.sqrt(2.0)
+    lists = ([float(m * m) for m in range(block.k_max + 1)], [-(v * v) for v in s])
+    squared = [v * v for v in rungs]
+    if squared:
+        squared[0] *= 2.0
+    unit = operator_at(1.0)
+    return operator_at(x), x0, lists, squared, (unit.diag.real, unit.sub.real)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(
+    kind=st.sampled_from(["sphere", "flat", "hyperbolic"]),
+    l=st.integers(0, 40),
+    k=st.integers(1, 64),
+    eta=st.floats(0.1, 1e4),
+    xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
+    x_im=st.floats(-1.0, 1.0),
+    complex_x=st.booleans(),
+    stacked=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_view_of_the_even_sector_has_the_bits_of_its_formula(
+    kind, l, k, eta, xs, x_im, complex_x, stacked
+):
+    # sphere blocks l <= 40, K = 0 and K = -1 truncations k <= 64; the
+    # operator view at a real or complex scalar x and at a stack of x, the
+    # float views at a real x, each bitwise its formula, signed zeros
+    # included
+    if kind == "sphere":
+        block = finite_block(float(l * (l + 1)), 1.0)
+    else:
+        block = truncate(eta, 0.0 if kind == "flat" else -1.0, fixed_truncation(k))
+    coeffs = ladder_coefficients(block)
+    x = np.array([complex(v, x_im if complex_x else 0.0) for v in xs])
+    if not stacked:
+        x = x[0] if complex_x else float(xs[0])
+    sector = EvenSector.of(block, coeffs)
+    op, x0, lists, squared, (unit_diag, unit_rungs) = _sector_formulas(block, coeffs, x)
+    assert len(sector.diag) == block.k_max + 1
+
+    got = sector.at(x)
+    for name in ("diag", "sup", "sub"):
+        assert _same_bits(getattr(got, name), getattr(op, name)), name
+    if stacked:
+        for i, xi in enumerate(x):
+            alone = sector.at(xi)
+            for name in ("diag", "sup", "sub"):
+                assert _same_bits(getattr(got, name)[i], getattr(alone, name)), name
+
+    diag, rungs = sector.lists(x0)
+    assert diag == lists[0] and all(type(v) is float for v in diag + rungs)
+    assert _same_bits(diag, lists[0]) and _same_bits(rungs, lists[1])
+
+    assert _same_bits(sector.squared_rungs(), squared)
+    assert _same_bits(np.array(sector.diag), unit_diag)
+    assert _same_bits(sector.sub(1.0), unit_rungs)
+
+
+def test_the_sector_record_rejects_coefficients_of_another_block(sphere_l1):
+    block, _ = sphere_l1
+    other = finite_block(6.0, 1.0)
+    with pytest.raises(ValueError):
+        EvenSector.of(block, ladder_coefficients(other))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kbmlab.spectra
-from conftest import sector_parity, stack_of, stuck_at_zero
+from conftest import even_sector, sector_parity, stack_of, stuck_at_zero
 from kbmlab import (
     BranchCollisionError,
     SpectrumValidationError,
@@ -21,7 +21,6 @@ from kbmlab import (
     ladder_coefficients,
     make_gamma_grid,
     mixing_report,
-    even_sector,
     newton_polish,
     odd_sector,
     sphere_spectrum,
@@ -51,6 +50,16 @@ def test_sphere_spectrum_rejects_bad_input():
         sphere_spectrum(-1.0, 2)
     with pytest.raises(SpectrumValidationError):
         sphere_spectrum(1.0, -1)
+
+
+def test_sphere_spectrum_bounds_l_max_before_enumerating_the_levels():
+    # each level is a swept block, so the bound caps a run as TORUS_MAX_M does
+    assert kbmlab.spectra.SPHERE_MAX_L == 256
+    s = sphere_spectrum(1.0, 256)
+    assert len(s.entries) == 257 and s.entries[-1].eta == 256.0 * 257.0
+    for l_max in (257, 10**8, 10**18):
+        with pytest.raises(SpectrumValidationError, match=r"l_max <= 256"):
+            sphere_spectrum(1.0, l_max)
 
 
 def test_torus_spectrum_examples():
@@ -383,7 +392,7 @@ def test_sweep_checkpoints_land_bitwise_at_large_eta(monkeypatch):
     grid = [1.0, 10.0, 100.0, 1e3, 1e4]
     table = gamma_sweep(300.0, -1.0, grid)
     # cutoffs 8, 16 and 32, one track each; 16 is certified
-    assert [br.block.k_max for _, br in tracks] == [8, 16, 32]
+    assert [br.sector.block.k_max for _, br in tracks] == [8, 16, 32]
     assert table.k_trunc == 16
     for xs, br in tracks:
         assert list(xs) == [-2.0 / g for g in reversed(grid)]
@@ -428,9 +437,9 @@ def test_hyperbolic_sweep_solves_no_odd_sector(monkeypatch):
     ep_solves = []
     real_ep = kbmlab.eig.exceptional_point
 
-    def recording(block, coeffs, x_cur, x_try, mu_cur, nu, **kwargs):
+    def recording(sector, x_cur, x_try, mu_cur, nu, **kwargs):
         before = len(solves)
-        x_c = real_ep(block, coeffs, x_cur, x_try, mu_cur, nu, **kwargs)
+        x_c = real_ep(sector, x_cur, x_try, mu_cur, nu, **kwargs)
         ep_solves.append((x_cur, kwargs.get("eigs_cur") is not None, len(solves) - before))
         return x_c
 
@@ -527,7 +536,7 @@ def test_sweep_takes_one_residual_per_row(monkeypatch, eta, K, points):
     assert len(calls) == 1
     assert calls[0].sub.tobytes() == even_sector(block, coeffs, -2.0 / grid).sub.tobytes()
     for x, mu, res in zip(-2.0 / grid, _row_mu(table, block, coeffs), table.residual):
-        alone = real(kbmlab.even_sector(block, coeffs, np.array([x])), np.array([mu]))[1]
+        alone = real(even_sector(block, coeffs, np.array([x])), np.array([mu]))[1]
         assert alone[0] == res
 
 
@@ -537,7 +546,7 @@ def test_failed_residual_marks_only_its_row(monkeypatch):
     j = 20
     assert clean.simple[j] and np.all(clean.simple[j:])
     block = finite_block(2.0, 1.0)
-    target = kbmlab.even_sector(block, ladder_coefficients(block), -2.0 / grid[j]).sub
+    target = even_sector(block, ladder_coefficients(block), -2.0 / grid[j]).sub
     real = kbmlab.eig.gtsv
 
     def failing(dl, d, du, b):
@@ -627,17 +636,18 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
     monkeypatch, eta, K, points
 ):
     # inside a continuation Newton reads each step's even sector from the
-    # block's lists, formed once, and no operator is built per step; every
-    # operator is built by even_sector (one per densely certified sample,
-    # and those of exceptional_point), as the odd slice of such a sector, as
-    # a row selection of a stack, or as the one even sector at x = 1 that
-    # kato_radius reads its rungs from, so no odd sector is assembled.  The
-    # collided rows are polished from the same lists, on one stack.
+    # float lists of the block's one EvenSector record, formed once per
+    # continuation, and no operator is built per step; every operator is
+    # built by the record's ``at`` view (one per densely certified sample,
+    # and those of exceptional_point), as the odd slice of such a sector or
+    # as a row selection of a stack, so no odd sector is assembled and
+    # kato_radius builds none.  The collided rows are polished from the
+    # same record's lists, on one stack.
     import kbmlab.eig
-    from kbmlab import Contour, TridiagonalOperator, perturbation_radius
+    from kbmlab import Contour, EvenSector, TridiagonalOperator, perturbation_radius
 
     running = []  # the instrumented functions running now, innermost last
-    built, polished, formed, blocks = [], [], [], []
+    built, polished, formed = [], [], []
     runs = []  # per continuation: its record, Newton solves and certifications
     disk_radius = []  # r0 (1 - 1e-12) of the block being continued
 
@@ -657,21 +667,25 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
     def in_disk(x, mu):
         return abs(x) < disk_radius[-1] and 0.5 - abs(mu) > collision_threshold(mu)
 
+    dense_rungs = []
+
     def record_even(args, op):
-        if "track_branch" in running and "exceptional_point" not in running:
+        if "dense_continuation" in running:
+            dense_rungs[:] = (op.sub * op.sup).tolist()
+        elif "track_branch" in running and "exceptional_point" not in running:
             # one sample's sector at a time: the steps' sectors are lists
-            assert np.ndim(args[2]) == 0
-            runs[-1]["sectors"].append((op, args[2]))
+            assert args[0] is formed[-1] and np.ndim(args[1]) == 0
+            runs[-1]["sectors"].append((op, args[1]))
 
     def record_odd(args, odd):
         assert odd is None or np.shares_memory(odd.diag, args[0].diag)
 
-    real_at = kbmlab.eig.EvenSectorLists.at
+    real_lists = EvenSector.lists
 
-    def at(lists, x):
+    def lists(sector, x):
         if "track_branch" in running:
             runs[-1]["solves"].append([x])
-        return real_at(lists, x)
+        return real_lists(sector, x)
 
     def record_newton(args, out):
         diag, rungs = args[0]  # the lists, not an operator
@@ -688,11 +702,10 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
         runs[-1]["certified"].append((x, args[1]))
 
     def track(block, coeffs, x_target, **kwargs):
-        r0 = perturbation_radius(block, coeffs, Contour(0.0, 0.5))
+        r0 = within("radius", perturbation_radius)(block, coeffs, Contour(0.0, 0.5))
         disk_radius.append(r0 * (1.0 - 1e-12))
         runs.append({"solves": [], "sectors": [], "certified": []})
         br = within("track_branch", real_track)(block, coeffs, x_target, **kwargs)
-        blocks.append(block)
         runs[-1]["branch"] = br
         return br
 
@@ -700,23 +713,18 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
     collision_threshold = kbmlab.eig.collision_threshold
 
     def record_dense(args, out):
+        # the dense continuation reads the record its continuation formed
+        assert args[0] is runs[-1]["branch"].sector
         assert polished == dense_rungs
         polished.clear()
-        blocks.append(args[0])
 
-    real_of = kbmlab.eig.EvenSectorLists.of
+    real_of = EvenSector.of
 
     def of(cls, block, coeffs):
-        lists = real_of(block, coeffs)
-        if "exceptional_point" not in running:
-            formed.append(lists)
-        return lists
-
-    dense_rungs = []
-
-    def record_dense_even(args, op):
-        if "dense_continuation" in running:
-            dense_rungs[:] = (op.sub * op.sup).tolist()
+        sector = real_of(block, coeffs)
+        if "radius" not in running:
+            formed.append(sector)
+        return sector
 
     real_init = TridiagonalOperator.__post_init__
 
@@ -726,7 +734,6 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
             built.append(set(running))
 
     for name, record in (
-        ("even_sector", record_even),
         ("odd_sector", record_odd),
         ("_rows", None),
         ("newton_polish", record_newton),
@@ -736,15 +743,12 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
     ):
         monkeypatch.setattr(kbmlab.eig, name, within(name, getattr(kbmlab.eig, name), record))
     monkeypatch.setattr(kbmlab.spectra, "track_branch", track)
-    monkeypatch.setattr(kbmlab.eig.EvenSectorLists, "of", classmethod(of))
-    monkeypatch.setattr(kbmlab.eig.EvenSectorLists, "at", at)
+    monkeypatch.setattr(EvenSector, "of", classmethod(of))
+    monkeypatch.setattr(EvenSector, "at", within("at", EvenSector.at, record_even))
+    monkeypatch.setattr(EvenSector, "lists", lists)
     monkeypatch.setattr(
         kbmlab.spectra, "_dense_continuation",
         within("dense_continuation", kbmlab.spectra._dense_continuation, record_dense),
-    )
-    monkeypatch.setattr(
-        kbmlab.spectra, "even_sector",
-        within("even_sector", kbmlab.spectra.even_sector, record_dense_even),
     )
     monkeypatch.setattr(
         kbmlab.spectra, "newton_polish",
@@ -776,9 +780,9 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
         dense = [s for s in samples[1:] if not in_disk(*s)]
         assert set(dense) <= set(certified) <= set(samples[1:])
         assert all(in_disk(*s) for s in set(certified) - set(dense))
-    # the lists are formed once per continuation and once per collided-row
-    # polish (and by exceptional_point for its own recurrence)
-    assert len(formed) == len(blocks)
-    assert built and all(
-        ctx & {"even_sector", "odd_sector", "_rows", "kato_radius"} for ctx in built
-    )
+    # the record is formed once per continuation, by the continuation, and
+    # nowhere else in the sweep (not by the collided-row polish, the
+    # exceptional point or the residuals), and it is the one each branch
+    # carries
+    assert [run["branch"].sector for run in runs] == formed
+    assert built and all(ctx & {"at", "odd_sector", "_rows"} for ctx in built)

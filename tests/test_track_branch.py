@@ -3,7 +3,8 @@
 ``_reference_track`` is the continuation written as one loop that checks
 every accepted sample against the dense spectrum of both parity sectors
 before it takes the next step, on sectors it builds itself: the even one
-from ``even_sector`` at each x, the odd one assembled from the ladder.
+from the block's ``EvenSector`` at each x, the odd one assembled from the
+ladder.
 ``track_branch`` takes the same steps but certifies the samples inside
 the Kato disk by the bound DISK_RHO - |mu|, solves the others' even
 sectors only, and computes a disk sample's dense check only where the
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 import kbmlab.eig
 from kbmlab import (
     Contour,
+    EvenSector,
     TridiagonalOperator,
     assemble_perturbed,
     eig_dense,
@@ -71,10 +73,12 @@ def _union_check(even, odd, mu):
 
 
 def _reference_track(block, coeffs, x_target, checkpoints=(), devs=None):
-    """The continuation one step at a time; the module's Newton, even sector
-    and exceptional point are looked up at call time, so patches apply.
-    ``devs`` gets each accepted sample's oracle deviation, in order."""
+    """The continuation one step at a time; the module's Newton and
+    exceptional point, and the sector record's operator view, are looked up
+    at call time, so patches apply.  ``devs`` gets each accepted sample's
+    oracle deviation, in order."""
     eig = kbmlab.eig
+    sector = EvenSector.of(block, coeffs)
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
     x_target = float(x_target)
     unperturbed = np.sort(block.ks.astype(float) ** 2)
@@ -85,7 +89,7 @@ def _reference_track(block, coeffs, x_target, checkpoints=(), devs=None):
     last_gap = gap0
     last_nu = 1.0 + 0j if block.dim > 1 else None
     ep_tried, oracle_dev = False, 0.0
-    eigs_cur = eig.eig_dense(eig.even_sector(block, coeffs, 0.0))
+    eigs_cur = eig.eig_dense(sector.at(0.0))
     status, reason, x_coll = "complete", "", None
     ds, easy, nxt, landed = ds_base, 0, 0, []
     while nxt < len(ck_s):
@@ -102,14 +106,14 @@ def _reference_track(block, coeffs, x_target, checkpoints=(), devs=None):
             mu_pred = mu_cur + (mu_cur - mu_prev) / (s_cur - s_prev) * (s_new - s_cur)
         else:
             mu_pred = mu_cur
-        even = eig.even_sector(block, coeffs, x_new)
+        even = sector.at(x_new)
         odd = assembled_odd_sector(block, coeffs, x_new)
         mu_new, ok, iters = eig.newton_polish(even, mu_pred)
         if (not ok) or abs(mu_new - mu_pred) > 0.5 * last_gap:
             if not ep_tried:
                 ep_tried = True
                 x_c = eig.exceptional_point(
-                    block, coeffs, x_cur, x_new, mu_cur.real, last_nu, eigs_cur=eigs_cur
+                    sector, x_cur, x_new, mu_cur.real, last_nu, eigs_cur=eigs_cur
                 )
                 if x_c is not None:
                     status, reason, x_coll = "collision", "exceptional point", x_c
@@ -137,8 +141,7 @@ def _reference_track(block, coeffs, x_target, checkpoints=(), devs=None):
             status, reason, x_coll = "collision", "gap below collision threshold", x_new
             if nxt < len(ck_s):
                 x_c = eig.exceptional_point(
-                    block, coeffs, x_new, ck_x[nxt], mu_new.real, last_nu,
-                    eigs_cur=eig.eig_dense(even),
+                    sector, x_new, ck_x[nxt], mu_new.real, last_nu, eigs_cur=eig.eig_dense(even)
                 )
                 if x_c is not None:
                     reason, x_coll = "exceptional point", x_c
@@ -154,7 +157,7 @@ def _reference_track(block, coeffs, x_target, checkpoints=(), devs=None):
         else:
             easy = 0
     return kbmlab.eig.EigenBranch(
-        block=block, x_target=x_target, x_samples=np.array(xs), mu_values=np.array(mus),
+        sector=sector, x_target=x_target, x_samples=np.array(xs), mu_values=np.array(mus),
         gap_to_rest=np.array(gaps), simple=np.array(simples), status=status, reason=reason,
         x_collision=x_coll, oracle_dev=oracle_dev, checkpoint_index=tuple(landed),
     )
@@ -173,7 +176,8 @@ def _assert_same_record(br, ref, devs):
             assert a.tobytes() == b.tobytes(), name
         else:
             assert a == b, name
-    disk = _disk_samples(br.block, ladder_coefficients(br.block), br)
+    block = br.sector.block
+    disk = _disk_samples(block, ladder_coefficients(block), br)
     gaps = np.where(disk, RHO - np.abs(br.mu_values), ref.gap_to_rest)
     assert br.gap_to_rest.tobytes() == gaps.tobytes()
     assert br.oracle_dev == max([d for d, k in zip(devs, disk[1:]) if not k], default=0.0)
@@ -183,27 +187,27 @@ def _recording_sectors(monkeypatch):
     """Record the x of every even sector the continuation builds: one per
     densely certified sample (and one per exceptional point checked)."""
     sectors = []
-    real = kbmlab.eig.even_sector
+    real = EvenSector.at
 
-    def recording(block, coeffs, x):
+    def recording(sector, x):
         sectors.append(x)
-        return real(block, coeffs, x)
+        return real(sector, x)
 
-    monkeypatch.setattr(kbmlab.eig, "even_sector", recording)
+    monkeypatch.setattr(EvenSector, "at", recording)
     return sectors
 
 
 def _recording_solves(monkeypatch):
     """Record the x of every Newton solve of the continuation, which reads
-    its sector from ``EvenSectorLists.at``."""
+    its sector from ``EvenSector.lists``."""
     solves = []
-    real = kbmlab.eig.EvenSectorLists.at
+    real = EvenSector.lists
 
-    def recording(lists, x):
+    def recording(sector, x):
         solves.append(x)
-        return real(lists, x)
+        return real(sector, x)
 
-    monkeypatch.setattr(kbmlab.eig.EvenSectorLists, "at", recording)
+    monkeypatch.setattr(EvenSector, "lists", recording)
     return solves
 
 
@@ -245,7 +249,7 @@ def _jumping_newton(monkeypatch, block, coeffs, x_jump):
     block's lists (``track_branch``).  Clearing the returned list re-arms
     it."""
     real = kbmlab.eig.newton_polish
-    target = _rung_products(kbmlab.eig.even_sector(block, coeffs, x_jump))
+    target = _rung_products(EvenSector.of(block, coeffs).at(x_jump))
     fired = []
 
     def jumping(op, mu0):

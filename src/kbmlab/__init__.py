@@ -22,7 +22,6 @@ from .errors import (
 from .ladder import (
     CasimirBlock,
     LadderCoefficients,
-    LadderExtent,
     casimir_residual,
     coupling_matrix,
     finite_block,

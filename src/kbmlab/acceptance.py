@@ -345,8 +345,9 @@ def criterion_10(data: SuiteData, scale: float = 1.0):
 
     On every case, each simple row with 1.5 f <= gamma <= 6 f, where
     f = 4*(1 + sqrt(eta)) is the tail threshold, is compared with the
-    eigenvalues of ``assemble_generator`` on the table's own block (the
-    sweep's certified cutoff ``k_trunc`` on an infinite ladder).  Below
+    eigenvalues of ``assemble_generator`` on the table's own block, whose
+    coefficients the table carries (``table.coeffs``; the sweep's certified
+    cutoff ``k_trunc`` on an infinite ladder).  Below
     the band the branch's separation radius shrinks like 1/sqrt(eta) and
     there is no simple branch to compare.  A case with no simple row in
     the band fails.
@@ -362,13 +363,9 @@ def criterion_10(data: SuiteData, scale: float = 1.0):
         if rows.size == 0:
             failures.append(f"(K={K}, eta={eta}): no simple row in the band")
             continue
-        if K > 0.0:
-            block = finite_block(eta, K)
-        else:
-            block = truncate(eta, K, fixed_truncation(table.k_trunc))
-        coeffs = ladder_coefficients(block)
+        coeffs = table.coeffs
         for i in rows:
-            eigs = eig_dense(assemble_generator(block, coeffs, float(g[i])))
+            eigs = eig_dense(assemble_generator(coeffs.block, coeffs, float(g[i])))
             dev = float(np.min(np.abs(eigs - table.lam[i])))
             worst = max(worst, dev)
             cells += 1

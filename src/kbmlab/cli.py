@@ -3,7 +3,8 @@
 Two subcommands: ``run`` executes gamma sweeps over a surface spectrum and
 writes the branch lambda_eta(gamma) with its per-row certificates (one
 table per eta), the convergence verdicts and the mixing-rate report
-(``summary.json``), the perturbation series and plot-ready data;
+(``summary.json``), the perturbation series, taken on the block each
+table carries, and plot-ready data;
 ``selftest`` runs the acceptance suite and prints one pass/fail line per
 criterion.  Identities that hold by construction (accretivity, the
 Casimir identity, the zero-mode resolvent bound) are certified by the
@@ -34,8 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, KbmLabError
-from .ladder import finite_block, ladder_coefficients
-from .operator import TruncationPolicy, fixed_truncation, truncate
+from .operator import TruncationPolicy
 from .perturb import perturbation_series
 from .spectra import (
     GammaTable,
@@ -332,17 +332,12 @@ def run(cfg: RunConfig) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot create the output directory {str(outdir)!r}: {exc}") from exc
 
-    K = spectrum.curvature
     tables = []
     for entry in spectrum.entries:
         try:
             tables.append(
                 gamma_sweep(
-                    entry.eta,
-                    K,
-                    grid,
-                    policy=policy if entry.eta > 0.0 and K <= 0.0 else None,
-                    multiplicity=entry.multiplicity,
+                    entry.eta, spectrum.curvature, grid, policy, multiplicity=entry.multiplicity
                 )
             )
         except (KbmLabError, ValueError) as exc:
@@ -399,13 +394,7 @@ def run(cfg: RunConfig) -> dict:
     series_lines = ["eta,mu1,mu2,second_derivative,eta_over_2_residual"]
     for entry, table in zip(spectrum.entries, tables):
         eta = entry.eta
-        if eta == 0.0 or K > 0.0:
-            block = finite_block(eta, K)
-        else:
-            # the cutoff the sweep certified
-            block = truncate(eta, K, fixed_truncation(table.k_trunc))
-        coeffs = ladder_coefficients(block)
-        series = perturbation_series(block, coeffs)
+        series = perturbation_series(table.coeffs.block, table.coeffs)
         resid = abs(series.mu2 - 0.5 * eta)
         series_lines.append(
             ",".join(
@@ -436,10 +425,16 @@ def selftest(
     wall time, and the build time of the shared sweep fixture when a
     criterion needed it.  The ``report_path`` file gets the criterion lines
     without the times, so reports of the same code compare byte for byte.
-    An unknown criterion id, or a tolerance scale outside (0, 1], raises
-    ConfigError."""
+    An unknown criterion id, a tolerance scale outside (0, 1], or a report
+    path that cannot be opened for writing raises ConfigError before any
+    criterion runs."""
     from . import acceptance  # only the self-test pays for importing the suite
 
+    if report_path:
+        try:  # an unwritable report fails before any criterion runs
+            Path(report_path).open("a").close()
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report {report_path!r}: {exc}") from exc
     results, data = acceptance.run_acceptance(
         criteria=criteria, tolerance_scale=tolerance_scale
     )

@@ -12,7 +12,9 @@ their coefficient magnitudes are fixed by the algebra:
 For K > 0 the ladder terminates exactly where a coefficient vanishes; for
 K <= 0 and eta > 0 it is infinite and any finite matrix is a truncation
 choice.  The eta = 0 block is the single trivial mode k = 0 on which all
-ladder operators vanish.
+ladder operators vanish.  The k -> -k parity makes every range symmetric,
+so a block (``CasimirBlock``) is (K, eta, k_max) on the modes [-k_max,
+k_max].
 
 Gauge convention used throughout: the raising coefficient a_k is real with
 a_k >= 0 and the lowering coefficient on the same rung is -a_k.  This is
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -60,115 +62,101 @@ def lowering_coeff_sq(eta: float, K: float, k: int) -> float:
     return 0.25 * (eta + K * k - K * k * k)
 
 
-class LadderExtent(NamedTuple):
-    k_min: Optional[int]
-    k_max: Optional[int]
-    finite: bool
+def ladder_extent(eta: float, K: float) -> Optional[int]:
+    """Intrinsic k_max of the (eta, K) block, or None for an infinite ladder.
 
-
-def ladder_extent(eta: float, K: float) -> LadderExtent:
-    """Intrinsic mode range of the (eta, K) block.
-
-    For K > 0 returns the maximal integer range around 0 on which every
-    internal rung has a nonnegative squared coefficient; for K <= 0 and
-    eta > 0 the ladder never terminates and both ends are None.  eta = 0
-    always yields the single mode {0}.
+    For K > 0 returns the largest k_max such that every rung of [-k_max,
+    k_max] has a nonnegative squared coefficient; for K <= 0 and eta > 0
+    the ladder never terminates.  eta = 0 always yields the single mode
+    {0}.  The range is symmetric because lowering_coeff_sq(eta, K, -k) is
+    bitwise ladder_coeff_sq(eta, K, k): K*(-k) = -(K*k) exactly, so the
+    lower end mirrors the upper one.
     """
     if not eta >= 0.0:
         raise LadderRangeError(f"eta must be nonnegative, got {eta!r}")
     if eta == 0.0:
-        return LadderExtent(0, 0, True)
+        return 0
     if K <= 0.0:
-        return LadderExtent(None, None, False)
+        return None
 
     # k_max solves k^2 + k <= eta/K, so the scan below always terminates.
     cap = int(math.sqrt(eta / K)) + 2
     if cap > MAX_LADDER_SLOTS:
         raise LadderRangeError(f"ladder extent exceeds {MAX_LADDER_SLOTS} slots")
-    k_max = next(k for k in range(cap + 1) if ladder_coeff_sq(eta, K, k) <= TOL_ZERO)
-    # lowering_coeff_sq(eta, K, -k) is bitwise ladder_coeff_sq(eta, K, k):
-    # K*(-k) = -(K*k) exactly, so the lower end mirrors the upper one
-    return LadderExtent(-k_max, k_max, True)
+    return next(k for k in range(cap + 1) if ladder_coeff_sq(eta, K, k) <= TOL_ZERO)
 
 
 @dataclass(frozen=True, eq=False)
 class CasimirBlock:
-    """One invariant block: curvature, Casimir value and mode range.
-
-    ``finite`` records whether the range is intrinsic (K > 0 or eta = 0)
-    rather than a truncation choice.  The range is always symmetric,
+    """One invariant block: curvature K, Casimir value eta and the modes
     [-k_max, k_max].
+
+    The k -> -k parity makes every block's range symmetric, so k_max fixes
+    it.  The block is ``finite`` (its range is the ladder's own) when K > 0
+    or eta = 0; otherwise the ladder is infinite and k_max is a truncation
+    choice.  A finite block must have the intrinsic k_max
+    (``ladder_extent``), which ``finite_block`` supplies.
     """
 
     curvature: float
     eta: float
-    k_min: int
     k_max: int
-    finite: bool
 
     def __post_init__(self):
         if not self.eta >= 0.0:
             raise LadderRangeError(f"eta must be nonnegative, got {self.eta!r}")
-        if not (isinstance(self.k_min, int) and isinstance(self.k_max, int)):
-            raise LadderRangeError("k_min and k_max must be integers")
-        if not self.k_min <= 0 <= self.k_max:
-            raise LadderRangeError("mode range must contain k = 0")
-        if self.k_min != -self.k_max:
-            # the parity split k -> -k (operator.EvenSector) needs it;
-            # intrinsic ladders are symmetric because a_{-k-1} = a_k
-            raise LadderRangeError("mode range must be symmetric, k_min = -k_max")
+        if not (isinstance(self.k_max, int) and self.k_max >= 0):
+            raise LadderRangeError(f"k_max must be a nonnegative integer, got {self.k_max!r}")
         if self.dim > MAX_LADDER_SLOTS:
             raise LadderRangeError(f"block dimension exceeds {MAX_LADDER_SLOTS}")
         K, eta = self.curvature, self.eta
         if eta == 0.0:
-            if self.k_min != 0 or self.k_max != 0 or not self.finite:
+            if self.k_max != 0:
                 raise LadderRangeError("eta = 0 block is the single mode {0}")
             return
-        if K <= 0.0 and self.finite:
-            raise LadderRangeError("K <= 0 with eta > 0 is never intrinsically finite")
-        if K > 0.0 and not self.finite:
-            raise LadderRangeError("K > 0 blocks terminate intrinsically; no truncation")
-        ks = np.arange(self.k_min, self.k_max)
+        ks = self.ks[:-1]
         bad = np.flatnonzero(ladder_coeff_sq(eta, K, ks) < -TOL_NEG)
         if bad.size:
             raise LadderRangeError(
                 f"negative squared coefficient inside ladder at k={ks[bad[0]]}"
             )
-        if self.finite:
-            top = ladder_coeff_sq(eta, K, self.k_max)
-            bot = lowering_coeff_sq(eta, K, self.k_min)
-            if abs(top) > TOL_ZERO or abs(bot) > TOL_ZERO:
-                raise LadderRangeError(
-                    "finite ladder must terminate exactly where a coefficient vanishes"
-                )
+        if self.finite and abs(ladder_coeff_sq(eta, K, self.k_max)) > TOL_ZERO:
+            raise LadderRangeError(
+                "finite ladder must terminate exactly where a coefficient vanishes"
+            )
+
+    @property
+    def finite(self) -> bool:
+        """Whether the range is intrinsic rather than a truncation choice."""
+        return self.curvature > 0.0 or self.eta == 0.0
 
     @property
     def dim(self) -> int:
-        return self.k_max - self.k_min + 1
+        return 2 * self.k_max + 1
 
     @property
     def ks(self) -> np.ndarray:
-        return np.arange(self.k_min, self.k_max + 1)
+        return np.arange(-self.k_max, self.k_max + 1)
 
     @property
     def slot0(self) -> int:
         """Array index of the k = 0 mode."""
-        return -self.k_min
+        return self.k_max
 
 
 def finite_block(eta: float, K: float) -> CasimirBlock:
     """Block on the intrinsic mode range; requires K > 0 or eta = 0."""
-    ext = ladder_extent(eta, K)
-    if not ext.finite:
+    k_max = ladder_extent(eta, K)
+    if k_max is None:
         raise LadderRangeError("block is infinite; choose a truncation instead")
-    return CasimirBlock(curvature=K, eta=eta, k_min=ext.k_min, k_max=ext.k_max, finite=True)
+    return CasimirBlock(curvature=K, eta=eta, k_max=k_max)
 
 
 @dataclass(frozen=True, eq=False)
 class LadderCoefficients:
     """Raising coefficients a_k >= 0 of one block in the fixed real gauge.
 
-    ``a[j]`` couples array slot j (mode k_min + j) to slot j + 1.
+    ``a[j]`` couples array slot j (mode j - k_max) to slot j + 1.
     """
 
     block: CasimirBlock
@@ -185,7 +173,7 @@ class LadderCoefficients:
         eta, K = block.eta, block.curvature
         # the identities are exact in exact arithmetic; allow rounding noise
         # proportional to the coefficient magnitude
-        ks = np.arange(block.k_min, block.k_max)
+        ks = block.ks[:-1]
         up = ladder_coeff_sq(eta, K, ks)
         down = lowering_coeff_sq(eta, K, ks + 1)
         tol = TOL_ZERO * (1.0 + np.abs(up))
@@ -204,7 +192,7 @@ def ladder_coefficients(block: CasimirBlock) -> LadderCoefficients:
     The integer k*(k+1) is the same for k and -k-1, so the rung k -> k+1
     and its mirror -k-1 -> -k get bitwise equal coefficients.
     """
-    ks = np.arange(block.k_min, block.k_max)
+    ks = block.ks[:-1]
     sq = 0.25 * (block.eta - block.curvature * (ks * (ks + 1)))
     if np.any(sq < -TOL_NEG):
         raise LadderRangeError("requested range leaves the block (negative coefficient)")

@@ -294,8 +294,7 @@ def truncate(eta: float, K: float, policy: TruncationPolicy) -> CasimirBlock:
         raise TruncationError(
             "an adaptive cutoff is certified by gamma_sweep; truncate needs a fixed policy"
         )
-    k = int(policy.k_max)
-    return CasimirBlock(curvature=K, eta=eta, k_min=-k, k_max=k, finite=False)
+    return CasimirBlock(curvature=K, eta=eta, k_max=int(policy.k_max))
 
 
 def batch_slices(batch: int, entries: int) -> list:

@@ -82,7 +82,8 @@ def perturbation_series(block: CasimirBlock, coeffs: LadderCoefficients) -> Pert
     mu1 = <X phi0, phi0> and mu2 = <X phi1, phi0> with the correction
     solving (diag(k^2) - 0) phi1 = -(X - mu1) phi0 on the orthogonal
     complement of phi0; there the diagonal is k^2 >= 1, hence invertible.
-    The series of the trivial eta = 0 block is identically zero.
+    X is applied from the block's three diagonals, in O(dim).  The series
+    of the trivial eta = 0 block is identically zero.
     """
     n = block.dim
     i0 = block.slot0
@@ -92,11 +93,11 @@ def perturbation_series(block: CasimirBlock, coeffs: LadderCoefficients) -> Pert
         return PerturbationSeries(
             block=block, mu0=0j, mu1=0j, mu2=0j, phi0=phi0, phi1=np.zeros(n, dtype=complex)
         )
-    if block.k_min > -1 or block.k_max < 1:
+    if block.k_max < 1:
         raise LadderRangeError("series needs the modes k = -1, 0, 1 inside the block")
 
-    x_mat = coupling_matrix(coeffs).astype(complex)
-    x_phi0 = x_mat[:, i0]
+    x_op = TridiagonalOperator(np.zeros(n), -coeffs.a, coeffs.a)  # X, as in coupling_matrix
+    x_phi0 = x_op.matvec(phi0)
     mu1 = complex(x_phi0[i0])
 
     ks = block.ks.astype(float)
@@ -108,7 +109,7 @@ def perturbation_series(block: CasimirBlock, coeffs: LadderCoefficients) -> Pert
         raise EigensolveError("correction solve is singular off the zero mode")
     phi1[mask] = rhs[mask] / diag[mask]
 
-    mu2 = complex(np.vdot(phi0, x_mat @ phi1))
+    mu2 = complex(np.vdot(phi0, x_op.matvec(phi1)))
     return PerturbationSeries(block=block, mu0=0j, mu1=mu1, mu2=mu2, phi0=phi0, phi1=phi1)
 
 

@@ -20,7 +20,9 @@ below the policy's tolerance.  Each row's eigenvector residual is then
 taken at the row's reported mu on the accepted block, for all rows in one
 batched inverse iteration on the even parity sector.  That is the full
 block's residual: the sector basis is orthonormal and invariant under the
-block, and the branch lives in the sector."""
+block, and the branch lives in the sector.  The table keeps the ladder
+coefficients of that block (``GammaTable.coeffs``), so its readers take
+the block from the table instead of building it again."""
 
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from .errors import (
     SpectrumValidationError,
     TruncationError,
 )
-from .ladder import CasimirBlock, finite_block, ladder_coefficients
+from .ladder import CasimirBlock, LadderCoefficients, finite_block, ladder_coefficients
 from .operator import EvenSector, TruncationPolicy, fixed_truncation, truncate
 
 # The adaptive truncation's first cutoff: rows converge at small cutoffs,
@@ -74,11 +76,8 @@ class SurfaceSpectrum:
 
     curvature: float
     entries: tuple
-    source: str
 
     def __post_init__(self):
-        if self.source not in ("sphere", "flat_torus", "custom"):
-            raise SpectrumValidationError(f"unknown source {self.source!r}")
         entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
@@ -117,7 +116,7 @@ def sphere_spectrum(K: float, l_max: int) -> SurfaceSpectrum:
         SpectrumEntry(eta=K * l * (l + 1), multiplicity=2 * l + 1, label=f"l={l}")
         for l in range(l_max + 1)
     )
-    return SurfaceSpectrum(curvature=K, entries=entries, source="sphere")
+    return SurfaceSpectrum(curvature=K, entries=entries)
 
 
 def torus_spectrum(L: float, eta_cap: float) -> SurfaceSpectrum:
@@ -151,7 +150,7 @@ def torus_spectrum(L: float, eta_cap: float) -> SurfaceSpectrum:
         SpectrumEntry(eta=scale * s, multiplicity=counts[s], label=f"m2+n2={s}")
         for s in sorted(counts)
     )
-    return SurfaceSpectrum(curvature=0.0, entries=entries, source="flat_torus")
+    return SurfaceSpectrum(curvature=0.0, entries=entries)
 
 
 def custom_spectrum(K: float, eta_list: Sequence[tuple]) -> SurfaceSpectrum:
@@ -166,7 +165,7 @@ def custom_spectrum(K: float, eta_list: Sequence[tuple]) -> SurfaceSpectrum:
         label = str(item[2]) if len(item) > 2 else f"custom-{i}"
         entries.append(SpectrumEntry(eta=eta, multiplicity=mult, label=label))
     entries.sort(key=lambda e: e.eta)
-    return SurfaceSpectrum(curvature=K, entries=tuple(entries), source="custom")
+    return SurfaceSpectrum(curvature=K, entries=tuple(entries))
 
 
 def make_gamma_grid(log_start: float, log_end: float, points: int) -> np.ndarray:
@@ -231,6 +230,11 @@ def default_gamma_grid() -> np.ndarray:
 class GammaTable:
     """Sweep record for one eta: lambda values and row diagnostics.
 
+    ``coeffs`` are the ladder coefficients of the block every row is
+    reported on, one block for the whole table: the intrinsic block for K
+    > 0 or eta = 0, else the truncation the sweep certified.  ``eta``,
+    ``curvature`` and ``k_trunc`` (its k_max, 0 for eta = 0) read that
+    block.
     ``collided`` marks rows that the continuation on the reported block
     did not reach as simple samples, because it stopped at a collision x_c
     with |x_c| <= |x|; their values come from the even sector's dense
@@ -238,8 +242,6 @@ class GammaTable:
     ``residual`` is the eigenvector residual at the row's mu, taken on the
     even parity sector, NaN where inverse iteration fails; ``simple`` rows
     are the reached rows with a finite residual.
-    ``k_trunc`` is the k_max of the block every row is reported on (0 for
-    eta = 0), one cutoff for the whole table.
     ``certificate`` is |lambda_k - lambda_2k|, the change of the row's
     lambda between the sweeps at the reported cutoff k = ``k_trunc`` and at
     2k (0 on intrinsically finite ladders).  ``empirical_r`` is 2/|x_c| at
@@ -248,18 +250,28 @@ class GammaTable:
     analyticity threshold.
     """
 
-    eta: float
-    curvature: float
+    coeffs: LadderCoefficients
     multiplicity: int
     gamma_grid: np.ndarray
     lam: np.ndarray
     abs_error: np.ndarray
     simple: np.ndarray
     collided: np.ndarray
-    k_trunc: int
     certificate: np.ndarray
     residual: np.ndarray
     empirical_r: Optional[float]
+
+    @property
+    def eta(self) -> float:
+        return self.coeffs.block.eta
+
+    @property
+    def curvature(self) -> float:
+        return self.coeffs.block.curvature
+
+    @property
+    def k_trunc(self) -> int:
+        return self.coeffs.block.k_max
 
 
 def _dense_continuation(sector: EvenSector, xs: np.ndarray, seed_mu: complex) -> np.ndarray:
@@ -287,6 +299,7 @@ def _dense_continuation(sector: EvenSector, xs: np.ndarray, seed_mu: complex) ->
 class _BlockSweep(NamedTuple):
     """Every row's mu on one block's sector, with the rows the continuation missed."""
 
+    coeffs: LadderCoefficients
     sector: EvenSector
     mu: np.ndarray
     collided: np.ndarray
@@ -322,7 +335,7 @@ def _sweep_block(block: CasimirBlock, grid: np.ndarray) -> _BlockSweep:
         mu[collided] = _dense_continuation(branch.sector, -2.0 / grid[collided], seed_mu)
         if branch.x_collision is not None:
             empirical_r = 2.0 / abs(branch.x_collision)
-    return _BlockSweep(branch.sector, mu, collided, empirical_r)
+    return _BlockSweep(coeffs, branch.sector, mu, collided, empirical_r)
 
 
 def gamma_sweep(
@@ -334,15 +347,19 @@ def gamma_sweep(
 ) -> GammaTable:
     """The branch at x = -2/gamma for every gamma in the grid.
 
-    The trivial eta = 0 branch is identically zero.  For K <= 0 the whole
-    grid is swept at cutoff k and again at 2k, and every row's certificate
-    is |lambda_k - lambda_2k|.  A fixed ``policy`` runs its k_max once.
-    The adaptive one (the default) starts at k = 8 and accepts the first
-    k at which every row's certificate is below ``policy.tol``; otherwise
-    the 2k sweep becomes the base.  It raises TruncationError once the
-    next doubled block [-2k, 2k] would exceed the dense limit, for a fixed
-    cutoff before any sweep (``check_fixed_cutoff``).  Each
-    block is continued once through all grid points; a collision marks
+    The trivial eta = 0 branch is identically zero; its table carries the
+    single-mode block.  A K > 0 block is intrinsically finite and swept
+    once.  Only the sweeps with eta > 0 and K <= 0 read ``policy``: the
+    whole grid is swept at cutoff k and again at 2k, and every row's
+    certificate is |lambda_k - lambda_2k|.  A fixed ``policy`` runs its
+    k_max once.  The adaptive one (the default) starts at k = 8 and
+    accepts the first k at which every row's certificate is below
+    ``policy.tol``; otherwise the 2k sweep becomes the base.  It raises
+    TruncationError once the next doubled block [-2k, 2k] would exceed the
+    dense limit, for a fixed cutoff before any sweep
+    (``check_fixed_cutoff``).  The table carries the coefficients of the
+    accepted block.  Each block is continued once through all grid
+    points; a collision marks
     the rows at and beyond it, and is not fatal unless the continuation
     accepted no step at all (x_c = 0), which raises BranchCollisionError.
     The eigenvector residuals of all rows come from one batched inverse
@@ -362,15 +379,13 @@ def gamma_sweep(
     if eta == 0.0:
         zeros = np.zeros(n)
         return GammaTable(
-            eta=0.0,
-            curvature=K,
+            coeffs=ladder_coefficients(finite_block(0.0, K)),
             multiplicity=multiplicity,
             gamma_grid=grid,
             lam=zeros.astype(complex),
             abs_error=zeros.copy(),
             simple=np.ones(n, dtype=bool),
             collided=np.zeros(n, dtype=bool),
-            k_trunc=0,
             certificate=zeros.copy(),
             residual=zeros.copy(),
             empirical_r=None,
@@ -403,15 +418,13 @@ def gamma_sweep(
     resid = inverse_iteration(base.sector.at(-2.0 / grid), base.mu)[1]
 
     return GammaTable(
-        eta=eta,
-        curvature=K,
+        coeffs=base.coeffs,
         multiplicity=multiplicity,
         gamma_grid=grid,
         lam=lam,
         abs_error=np.abs(lam - eta),
         simple=~base.collided & np.isfinite(resid),
         collided=base.collided,
-        k_trunc=base.sector.block.k_max,
         certificate=cert,
         residual=resid,
         empirical_r=base.empirical_r,

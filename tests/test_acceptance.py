@@ -63,6 +63,30 @@ def test_criterion_10_oracle_equivalence(suite_data):
     _report(acceptance.criterion_10(suite_data))
 
 
+def test_criterion_10_reads_each_tables_own_coefficients(suite_data, monkeypatch):
+    # the generator is assembled on the coefficients the table carries, the
+    # same object, and criterion 10 builds no block of its own
+    seen = []
+    real = acceptance.assemble_generator
+
+    def recording(block, coeffs, gamma):
+        seen.append((block, coeffs))
+        return real(block, coeffs, gamma)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("criterion 10 built a block")
+
+    monkeypatch.setattr(acceptance, "assemble_generator", recording)
+    for name in ("finite_block", "truncate", "ladder_coefficients"):
+        monkeypatch.setattr(acceptance, name, forbidden)
+    assert acceptance.criterion_10(suite_data).passed
+    tables = list(suite_data.tables.values())
+    assert {id(coeffs) for _, coeffs in seen} == {id(t.coeffs) for t in tables}
+    for block, coeffs in seen:
+        assert block is coeffs.block
+        assert any(coeffs is t.coeffs for t in tables)
+
+
 def _doctored(data, case, **fields):
     """The fixture with one table's fields replaced."""
     tables = dict(data.tables)

@@ -571,19 +571,24 @@ def test_fixed_truncation_on_a_positively_curved_surface_is_a_config_error(
 
 def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):
     # the sweep doubles the cutoff itself, building every block at a fixed
-    # cutoff; the perturbation series is built at the cutoff it certified
+    # cutoff; the perturbation series is taken on the block it certified
     import kbmlab.cli
     import kbmlab.spectra
 
-    policies = []
-    for mod in (kbmlab.cli, kbmlab.spectra):
-        real = mod.truncate
+    policies, series_cutoffs = [], []
+    real_truncate = kbmlab.spectra.truncate
+    real_series = kbmlab.cli.perturbation_series
 
-        def counting(eta, K, policy, _real=real):
-            policies.append((policy.kind, policy.k_max))
-            return _real(eta, K, policy)
+    def counting(eta, K, policy):
+        policies.append((policy.kind, policy.k_max))
+        return real_truncate(eta, K, policy)
 
-        monkeypatch.setattr(mod, "truncate", counting)
+    def recording(block, coeffs):
+        series_cutoffs.append(block.k_max)
+        return real_series(block, coeffs)
+
+    monkeypatch.setattr(kbmlab.spectra, "truncate", counting)
+    monkeypatch.setattr(kbmlab.cli, "perturbation_series", recording)
     eta_path = tmp_path / "etas.json"
     eta_path.write_text(json.dumps({"entries": [[0.0, 1], [5.0, 1]]}))
     out = tmp_path / "out"
@@ -593,7 +598,88 @@ def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):
     )
     assert code == 0
     k_max = json.loads((out / "table_01_eta_5.json").read_text())["rows"][0]["k_max"]
-    assert policies == [("fixed", 8), ("fixed", 16), ("fixed", k_max)]
+    assert policies == [("fixed", 8), ("fixed", 16)]
+    assert series_cutoffs == [0, k_max]
+
+
+_BLOCK_BUILDERS = ("finite_block", "truncate", "ladder_coefficients")
+
+
+@pytest.mark.parametrize(
+    "surface_flags",
+    [["--surface", "sphere", "--l-max", "2"], ["--surface", "custom", "--curvature", "-1.0"]],
+)
+def test_run_builds_no_block_after_the_sweeps(tmp_path, monkeypatch, surface_flags):
+    # every table carries the coefficients of the block it reports on, and
+    # the series is taken on exactly those; nothing after the last sweep
+    # builds a block or its coefficients, in any module that binds a builder
+    import kbmlab.cli
+    import kbmlab.ladder
+    import kbmlab.operator
+
+    events, tables, series_args = [], [], []
+    real = {name: getattr(kbmlab.operator if name == "truncate" else kbmlab.ladder, name)
+            for name in _BLOCK_BUILDERS}
+
+    def recorder(name, fn):
+        def recorded(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return recorded
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "kbmlab" or mod_name.startswith("kbmlab."):
+            for name, fn in real.items():
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, recorder(name, fn))
+    real_sweep, real_series = kbmlab.cli.gamma_sweep, kbmlab.cli.perturbation_series
+
+    def sweeping(*args, **kwargs):
+        tables.append(real_sweep(*args, **kwargs))
+        events.append("sweep")
+        return tables[-1]
+
+    def series(block, coeffs):
+        series_args.append((block, coeffs))
+        return real_series(block, coeffs)
+
+    monkeypatch.setattr(kbmlab.cli, "gamma_sweep", sweeping)
+    monkeypatch.setattr(kbmlab.cli, "perturbation_series", series)
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0.0, 1], [2.0, 1], [5.0, 1]]}))
+    out = tmp_path / "out"
+    argv = ["run", *surface_flags, "--custom-path", str(eta_path), "--gamma-points", "7",
+            "--out", str(out)]
+    assert run_cli(argv) == 0
+    last_sweep = len(events) - 1 - events[::-1].index("sweep")
+    assert events.count("sweep") == 3
+    assert "ladder_coefficients" in events[:last_sweep]  # the recorders see the sweeps' builds
+    assert events[last_sweep + 1:] == []
+    assert len(series_args) == len(tables)
+    for (block, coeffs), table in zip(series_args, tables):
+        assert coeffs is table.coeffs and block is table.coeffs.block
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "below_a_file"])
+def test_an_unwritable_selftest_report_is_a_config_error_before_any_criterion(tmp_path, where):
+    (tmp_path / "file").write_text("")
+    report = tmp_path / ("missing" if where == "missing_dir" else "file") / "r.txt"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kbmlab", "selftest", "--criteria", "4", "--report", str(report)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""  # no criterion ran
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError" and str(report) in record["message"]
+    assert (record["stage"], record["eta"]) == ("config", None)
+    assert not report.exists()
 
 
 def test_uncertified_truncation_is_a_numerics_error(tmp_path, monkeypatch, capsys):

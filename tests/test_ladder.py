@@ -24,7 +24,7 @@ from kbmlab import (
 )
 
 from conftest import match_spectra, property_block
-from kbmlab.ladder import TOL_ZERO
+from kbmlab.ladder import MAX_LADDER_SLOTS, TOL_NEG, TOL_ZERO
 
 
 def test_coeff_sq_direct_substitution():
@@ -54,18 +54,23 @@ def test_raising_and_lowering_coefficients_are_consistent(eta, K, k):
     [(2.0, 1.0, -1, 1), (6.0, 1.0, -2, 2), (12.0, 1.0, -3, 3), (8.0, 4.0, -1, 1)],
 )
 def test_extent_sphere_cases(eta, K, k_min, k_max):
-    ext = ladder_extent(eta, K)
-    assert (ext.k_min, ext.k_max, ext.finite) == (k_min, k_max, True)
+    assert ladder_extent(eta, K) == k_max
+    block = finite_block(eta, K)
+    assert (block.ks[0], block.k_max, block.finite) == (k_min, k_max, True)
 
 
 def test_extent_negative_curvature_is_unbounded():
-    ext = ladder_extent(5.0, -1.0)
-    assert ext.k_min is None and ext.k_max is None and not ext.finite
+    assert ladder_extent(5.0, -1.0) is None
+    with pytest.raises(LadderRangeError, match="infinite"):
+        finite_block(5.0, -1.0)
 
 
 def test_extent_trivial_block_is_single_slot():
-    assert ladder_extent(0.0, -1.0) == (0, 0, True)
-    assert ladder_extent(0.0, 1.0) == (0, 0, True)
+    assert ladder_extent(0.0, -1.0) == 0
+    assert ladder_extent(0.0, 1.0) == 0
+    for K in (-1.0, 1.0):
+        block = finite_block(0.0, K)
+        assert (block.k_max, block.dim, block.finite) == (0, 1, True)
 
 
 def test_extent_rejects_negative_eta():
@@ -77,26 +82,20 @@ def test_extent_rejects_negative_eta():
 @settings(max_examples=60)
 def test_extent_recovers_sphere_ladder(l, K):
     eta = K * l * (l + 1)
-    ext = ladder_extent(eta, K)
-    assert (ext.k_min, ext.k_max) == (-l, l)
+    assert ladder_extent(eta, K) == l
 
 
 def test_block_rejects_inexact_termination():
     # eta=3 with K=1 is not of the form l*(l+1): no finite ladder exists
     with pytest.raises(LadderRangeError):
-        CasimirBlock(curvature=1.0, eta=3.0, k_min=-1, k_max=1, finite=True)
+        CasimirBlock(curvature=1.0, eta=3.0, k_max=1)
 
 
 def test_block_rejects_truncation_of_positive_curvature():
+    # a K > 0 block is always finite: a wider range than the ladder's own
+    # is no truncation but a negative rung
     with pytest.raises(LadderRangeError):
-        CasimirBlock(curvature=1.0, eta=2.0, k_min=-5, k_max=5, finite=False)
-
-
-@pytest.mark.parametrize("k_min, k_max", [(-3, 4), (-4, 3), (0, 2), (-1, 0)])
-def test_block_rejects_asymmetric_range(k_min, k_max):
-    # the parity split k -> -k needs k_min = -k_max on every block
-    with pytest.raises(LadderRangeError, match="symmetric"):
-        CasimirBlock(curvature=-1.0, eta=5.0, k_min=k_min, k_max=k_max, finite=False)
+        CasimirBlock(curvature=1.0, eta=2.0, k_max=5)
 
 
 def test_coefficients_sphere_l1(sphere_l1):
@@ -105,11 +104,11 @@ def test_coefficients_sphere_l1(sphere_l1):
 
 
 def test_coefficients_reject_range_outside_block():
-    ok = CasimirBlock(curvature=-1.0, eta=5.0, k_min=-4, k_max=4, finite=False)
+    ok = CasimirBlock(curvature=-1.0, eta=5.0, k_max=4)
     ladder_coefficients(ok)  # K <= 0 coefficients never go negative
     with pytest.raises(LadderRangeError):
         # squared coefficient goes negative beyond the intrinsic top rung
-        CasimirBlock(curvature=1.0, eta=2.0, k_min=-1, k_max=3, finite=True)
+        CasimirBlock(curvature=1.0, eta=2.0, k_max=3)
 
 
 @pytest.mark.parametrize("eta, K, k_max", [(6.0, 1.0, None), (5.0, -1.0, 48), (2.0, 0.0, 12)])
@@ -120,7 +119,7 @@ def test_a_coefficient_perturbed_at_one_rung_is_rejected_at_its_k(eta, K, k_max,
     j = {"bottom": 0, "middle": a.size // 2, "top": a.size - 1}[where]
     bad = a.copy()
     bad[j] += 1e-3 * (1.0 + bad[j])
-    k = block.k_min + j
+    k = j - block.k_max
     with pytest.raises(LadderRangeError, match=rf"^a_{k}\^2 violates the raising norm identity$"):
         LadderCoefficients(block=block, a=bad)
     # with the top rung broken as well, the lower k is the one named
@@ -137,7 +136,7 @@ def _loop_coefficient_check(block, a):
     """The identity check one rung at a time: the message for the first
     offending rung, or None."""
     eta, K = block.eta, block.curvature
-    for j, k in enumerate(range(block.k_min, block.k_max)):
+    for j, k in enumerate(range(-block.k_max, block.k_max)):
         up = ladder_coeff_sq(eta, K, k)
         down = lowering_coeff_sq(eta, K, k + 1)
         tol = TOL_ZERO * (1.0 + abs(up))
@@ -174,7 +173,7 @@ def test_the_coefficient_check_decides_as_the_loop_over_rungs(kind, k, eta, K, r
 @pytest.mark.parametrize("eta, k_max, k", [(2.0, 3, -3), (6.0, 4, -4), (12.0, 5, -5)])
 def test_a_finite_range_past_the_ladder_names_its_first_negative_rung(eta, k_max, k):
     with pytest.raises(LadderRangeError, match=rf"^negative squared coefficient inside ladder at k={k}$"):
-        CasimirBlock(curvature=1.0, eta=eta, k_min=-k_max, k_max=k_max, finite=True)
+        CasimirBlock(curvature=1.0, eta=eta, k_max=k_max)
 
 
 def test_casimir_residual_examples(sphere_l1, hyperbolic_block):
@@ -244,3 +243,93 @@ def test_interior_casimir_residual_on_wide_truncation():
     block = truncate(5.0, -1.0, fixed_truncation(40))
     coeffs = ladder_coefficients(block)
     assert casimir_residual(coeffs) <= 1e-12
+
+
+def _rejected_with_k_min(K, eta, k_max):
+    """Whether a block on [k_min, k_max] = [-k_max, k_max] with finite = (K > 0
+    or eta = 0), the one flag consistent with K and eta, fails the checks
+    of the record that also stored k_min and finite."""
+    k_min, finite = -k_max, K > 0.0 or eta == 0.0
+    if not eta >= 0.0:
+        return True
+    if not (isinstance(k_min, int) and isinstance(k_max, int)) or not k_min <= 0 <= k_max:
+        return True
+    if k_max - k_min + 1 > MAX_LADDER_SLOTS:
+        return True
+    if eta == 0.0:
+        return k_min != 0 or k_max != 0
+    if np.any(ladder_coeff_sq(eta, K, np.arange(k_min, k_max)) < -TOL_NEG):
+        return True
+    if finite:
+        top = ladder_coeff_sq(eta, K, k_max)
+        bot = lowering_coeff_sq(eta, K, k_min)
+        return abs(top) > TOL_ZERO or abs(bot) > TOL_ZERO
+    return False
+
+
+def _check_layout(block):
+    # the formulas of the record that stored k_min = -k_max
+    k_min = -block.k_max
+    assert np.array_equal(block.ks, np.arange(k_min, block.k_max + 1))
+    assert block.dim == block.k_max - k_min + 1 == block.ks.size
+    assert block.slot0 == -k_min and block.ks[block.slot0] == 0
+    assert block.finite == (block.curvature > 0.0 or block.eta == 0.0)
+
+
+@given(
+    sign=st.sampled_from([1.0, 0.0, -1.0]),
+    size=st.floats(0.05, 4.0),
+    eta_kind=st.sampled_from(["zero", "ladder", "positive", "negative"]),
+    l=st.integers(0, 64),
+    raw_eta=st.floats(1e-3, 1e4),
+    k_max=st.integers(0, 64),
+    on_ladder=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_block_is_curvature_eta_and_k_max(sign, size, eta_kind, l, raw_eta, k_max, on_ladder):
+    K = sign * size
+    eta = {
+        "zero": 0.0,
+        "ladder": abs(K) * l * (l + 1),  # a sphere level when K > 0
+        "positive": raw_eta,
+        "negative": -raw_eta,
+    }[eta_kind]
+    if on_ladder:
+        k_max = l
+    # direct construction rejects exactly what the k_min record rejected
+    if _rejected_with_k_min(K, eta, k_max):
+        with pytest.raises(LadderRangeError):
+            CasimirBlock(curvature=K, eta=eta, k_max=k_max)
+    else:
+        _check_layout(CasimirBlock(curvature=K, eta=eta, k_max=k_max))
+    # finite_block builds the intrinsic block, and only where there is one
+    if eta < 0.0 or not (K > 0.0 or eta == 0.0):
+        with pytest.raises(LadderRangeError):
+            finite_block(eta, K)
+    else:
+        try:
+            block = finite_block(eta, K)
+        except LadderRangeError:
+            # an eta off the ladder's levels has no intrinsic block
+            assert _rejected_with_k_min(K, eta, ladder_extent(eta, K))
+        else:
+            assert block.k_max == ladder_extent(eta, K) and block.finite
+            _check_layout(block)
+    # truncate builds the infinite ladders' blocks, never finite ones
+    if K <= 0.0 and eta > 0.0 and k_max >= 1:
+        block = truncate(eta, K, fixed_truncation(k_max))
+        assert block.k_max == k_max and not block.finite
+        _check_layout(block)
+
+
+@pytest.mark.parametrize("k_max", [-1, -5, 2.0, None])
+def test_a_block_rejects_a_k_max_that_is_no_nonnegative_integer(k_max):
+    with pytest.raises(LadderRangeError, match="k_max must be a nonnegative integer"):
+        CasimirBlock(curvature=-1.0, eta=5.0, k_max=k_max)
+
+
+def test_a_block_rejects_more_than_the_slot_limit():
+    k = (MAX_LADDER_SLOTS - 1) // 2
+    assert CasimirBlock(curvature=-1.0, eta=5.0, k_max=k).dim == MAX_LADDER_SLOTS
+    with pytest.raises(LadderRangeError, match="dimension exceeds"):
+        CasimirBlock(curvature=-1.0, eta=5.0, k_max=k + 1)

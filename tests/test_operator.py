@@ -117,9 +117,9 @@ def test_real_family_spectrum_closed_under_conjugation(hyperbolic_block):
 
 def test_truncate_fixed_echoes_policy():
     block = truncate(5.0, -1.0, fixed_truncation(32))
-    assert (block.k_min, block.k_max, block.finite) == (-32, 32, False)
+    assert (block.ks[0], block.k_max, block.finite) == (-32, 32, False)
     block = truncate(1.0, 0.0, fixed_truncation(16))
-    assert (block.k_min, block.k_max) == (-16, 16)
+    assert (block.ks[0], block.k_max) == (-16, 16)
 
 
 def test_truncate_rejects_an_adaptive_policy():
@@ -145,7 +145,7 @@ def test_truncation_nesting(hyperbolic_block):
 
     block, coeffs = hyperbolic_block
     mu1 = branch_value(block, coeffs, -0.2)
-    big = CasimirBlock(curvature=-1.0, eta=5.0, k_min=-40, k_max=40, finite=False)
+    big = CasimirBlock(curvature=-1.0, eta=5.0, k_max=40)
     mu2 = branch_value(big, ladder_coefficients(big), -0.2)
     assert abs(mu1 - mu2) < 1e-10
 

@@ -84,6 +84,46 @@ def test_series_invariants(sphere_l1):
     assert np.linalg.norm(lhs - rhs) <= 1e-10
 
 
+def _dense_series(block, coeffs):
+    """mu1, mu2 and phi1 with X applied as the dense coupling matrix."""
+    n, i0 = block.dim, block.slot0
+    phi0 = np.zeros(n, dtype=complex)
+    phi0[i0] = 1.0
+    x_mat = coupling_matrix(coeffs).astype(complex)
+    x_phi0 = x_mat[:, i0]
+    mu1 = complex(x_phi0[i0])
+    diag = block.ks.astype(float) ** 2
+    rhs = -(x_phi0 - mu1 * phi0)
+    phi1 = np.zeros(n, dtype=complex)
+    mask = np.arange(n) != i0
+    phi1[mask] = rhs[mask] / diag[mask]
+    return mu1, complex(np.vdot(phi0, x_mat @ phi1)), phi1
+
+
+@pytest.mark.parametrize(
+    "K, etas, cutoffs",
+    [
+        (1.0, [l * (l + 1.0) for l in range(1, 16)], [None]),
+        (0.5, [0.5 * l * (l + 1) for l in range(1, 16)], [None]),
+        (3.7, [3.7 * l * (l + 1) for l in range(1, 16)], [None]),
+        (-1.0, [0.3, 2.0, 5.0, 300.0, 2e4], [1, 2, 7, 64, 255]),
+        (0.0, [0.3, 2.0, 5.0, 300.0, 2e4], [1, 2, 7, 64, 255]),
+        (-0.3, [0.3, 2.0, 5.0, 300.0, 2e4], [1, 2, 7, 64, 255]),
+    ],
+)
+def test_series_on_the_tridiagonal_coupling_has_the_dense_bits(K, etas, cutoffs):
+    # X phi is taken from the block's three diagonals; the dense product
+    # adds only exact zeros, so every bit agrees, the sign of a zero too
+    for eta in etas:
+        for k in cutoffs:
+            block = finite_block(eta, K) if k is None else truncate(eta, K, fixed_truncation(k))
+            coeffs = ladder_coefficients(block)
+            series = perturbation_series(block, coeffs)
+            mu1, mu2, phi1 = _dense_series(block, coeffs)
+            assert np.array([series.mu1, series.mu2]).tobytes() == np.array([mu1, mu2]).tobytes()
+            assert series.phi1.tobytes() == phi1.tobytes()
+
+
 def test_series_trivial_block_is_zero():
     block = finite_block(0.0, 1.0)
     series = perturbation_series(block, ladder_coefficients(block))

@@ -83,7 +83,7 @@ def test_torus_spectrum_bounds_the_lattice_before_enumerating_it():
 
 def test_custom_spectrum_validation():
     s = custom_spectrum(-1.0, [(0.0, 1), (3.838, 1)])
-    assert s.source == "custom" and s.entries[1].eta == 3.838
+    assert s.entries[1].eta == 3.838
     with pytest.raises(SpectrumValidationError):
         custom_spectrum(-1.0, [(-1.0, 1)])
     with pytest.raises(SpectrumValidationError):
@@ -156,11 +156,7 @@ def test_sweep_empirical_r_detects_sphere_collision():
 )
 def test_collided_rows_are_newton_roots_of_their_sector(eta, K, grid):
     table = gamma_sweep(eta, K, grid)
-    if K > 0.0:
-        block = finite_block(eta, K)
-    else:
-        block = truncate(eta, K, fixed_truncation(table.k_trunc))
-    coeffs = ladder_coefficients(block)
+    block, coeffs = _sweep_block(table)
     assert np.count_nonzero(table.collided) >= 4
     eps = np.finfo(float).eps
     for i in np.nonzero(table.collided)[0]:
@@ -276,13 +272,12 @@ def test_mixing_report_requires_eta1_table():
         mixing_report(spectrum, zero_only)
 
 
-def _per_row(eta, K, grid, k_trunc):
+def _per_row(table):
     """Independent per-row oracle: one track from x = 0 for every gamma,
     on the sweep's block."""
-    block = finite_block(eta, K) if K > 0.0 else truncate(eta, K, fixed_truncation(k_trunc))
-    coeffs = ladder_coefficients(block)
+    block, coeffs = _sweep_block(table)
     rows = []
-    for gamma in grid:
+    for gamma in table.gamma_grid:
         br = track_branch(block, coeffs, -2.0 / gamma)
         rows.append(0.5 * gamma * gamma * br.final_mu if br.reached else None)
     return rows
@@ -298,7 +293,7 @@ def _per_row(eta, K, grid, k_trunc):
 def test_single_path_matches_per_row_tracks(eta, K, grid):
     table = gamma_sweep(eta, K, grid)
     k = table.k_trunc
-    oracle = _per_row(eta, K, table.gamma_grid, k)
+    oracle = _per_row(table)
     assert np.any(table.collided) and not np.all(table.collided)
     for i, lam in enumerate(oracle):
         assert table.collided[i] == (lam is None)
@@ -477,13 +472,18 @@ def _row_mu(table, block, coeffs):
 
 
 def _sweep_block(table):
-    """The block a sweep reports on, with its coefficients."""
+    """The block a sweep reports on, with its coefficients: the ones the
+    table carries, which are those of the intrinsic block (K > 0 or eta =
+    0) or of the truncation at the certified cutoff, bit for bit."""
     eta, K = table.eta, table.curvature
-    if K > 0.0:
-        block = finite_block(eta, K)
+    block = table.coeffs.block
+    if K > 0.0 or eta == 0.0:
+        rebuilt = finite_block(eta, K)
     else:
-        block = truncate(eta, K, fixed_truncation(table.k_trunc))
-    return block, ladder_coefficients(block)
+        rebuilt = truncate(eta, K, fixed_truncation(table.k_trunc))
+    assert (block.curvature, block.eta, block.k_max) == (K, eta, rebuilt.k_max)
+    assert table.coeffs.a.tobytes() == ladder_coefficients(rebuilt).a.tobytes()
+    return block, table.coeffs
 
 
 @pytest.mark.parametrize("eta, K, points", [(2.0, 1.0, 41), (5.0, -1.0, 13)])

@@ -14,15 +14,7 @@ analyticity threshold.
 
 import math
 
-from kbmlab import (
-    Contour,
-    finite_block,
-    fixed_truncation,
-    ladder_coefficients,
-    perturbation_radius,
-    track_branch,
-    truncate,
-)
+from kbmlab import Contour, block_at, ladder_coefficients, perturbation_radius, track_branch
 
 CASES = [
     (1.0, 2.0),
@@ -41,10 +33,7 @@ def main():
     print(f"{'K':>4} {'eta':>6} {'x_collision':>12} {'gamma_hat':>10} "
           f"{'kato_radius':>11} {'0.5/sqrt(eta/2)':>16}")
     for K, eta in CASES:
-        if K > 0.0:
-            block = finite_block(eta, K)
-        else:
-            block = truncate(eta, K, fixed_truncation(48))
+        block = block_at(eta, K, 48)
         coeffs = ladder_coefficients(block)
         br = track_branch(block, coeffs, -2.5)
         if br.status == "collision":

@@ -40,6 +40,7 @@ from .operator import (
     adaptive_truncation,
     assemble_generator,
     assemble_perturbed,
+    block_at,
     fixed_truncation,
     gtsv,
     numerical_range_floor,
@@ -50,7 +51,6 @@ from .operator import (
 from .eig import (
     CharPolyValue,
     EigenBranch,
-    branch_value,
     char_poly,
     eig_dense,
     exceptional_point,
@@ -62,7 +62,6 @@ from .perturb import (
     Contour,
     PerturbationSeries,
     ZeroModeNorm,
-    enclosed_count,
     idempotency_defect,
     perturbation_radius,
     perturbation_series,

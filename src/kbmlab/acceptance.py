@@ -31,7 +31,6 @@ from .errors import ConfigError
 from .ladder import (
     casimir_residual,
     coupling_matrix,
-    finite_block,
     ladder_coefficients,
     lowering_coeff_sq,
     lowering_matrix,
@@ -40,9 +39,8 @@ from .ladder import (
 from .operator import (
     assemble_generator,
     assemble_perturbed,
-    fixed_truncation,
+    block_at,
     numerical_range_floor,
-    truncate,
 )
 from .perturb import (
     Contour,
@@ -77,10 +75,7 @@ def suite_block(K: float, eta: float):
     """Block and coefficients for one suite case.  An infinite ladder is cut
     at |k| <= 32: criteria 3, 6 and 7 check identities that hold at any
     cutoff, and criteria 9 and 10 judge the truncation on the sweeps."""
-    if K > 0.0:
-        block = finite_block(eta, K)
-    else:
-        block = truncate(eta, K, fixed_truncation(32))
+    block = block_at(eta, K, 32)
     return block, ladder_coefficients(block)
 
 
@@ -209,8 +204,7 @@ def criterion_3(scale: float = 1.0):
     tol2 = 1e-8 * scale
     failures = []
     for K, eta in suite_cases():
-        block, coeffs = suite_block(K, eta)
-        series = perturbation_series(block, coeffs)
+        series = perturbation_series(suite_block(K, eta)[1])
         if abs(series.mu1) > tol1:
             failures.append(f"(K={K}, eta={eta}): |mu1|={abs(series.mu1):.2e}")
         rel = abs(series.second_derivative - eta) / eta
@@ -280,9 +274,9 @@ def criterion_7(scale: float = 1.0):
     floor = -1e-12 * scale
     worst = math.inf
     for K, eta in suite_cases() + [(SPHERE_K, 0.0)]:
-        block, coeffs = suite_block(K, eta)
+        coeffs = suite_block(K, eta)[1]
         for gamma in (0.5, 2.0, 10.0):
-            op = assemble_generator(block, coeffs, gamma)
+            op = assemble_generator(coeffs, gamma)
             worst = min(worst, numerical_range_floor(op))
     detail = (
         f"min Re<Pv,v> >= {worst:.3e}, Gershgorin's bound on the Hermitian part "
@@ -365,7 +359,7 @@ def criterion_10(data: SuiteData, scale: float = 1.0):
             continue
         coeffs = table.coeffs
         for i in rows:
-            eigs = eig_dense(assemble_generator(coeffs.block, coeffs, float(g[i])))
+            eigs = eig_dense(assemble_generator(coeffs, float(g[i])))
             dev = float(np.min(np.abs(eigs - table.lam[i])))
             worst = max(worst, dev)
             cells += 1

@@ -170,16 +170,18 @@ def load_config(path: Optional[str]) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
-    for section, attr in _SECTIONS.items():
-        if section in raw:
-            block = raw[section]
-            if not isinstance(block, dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            current = getattr(cfg, attr)
-            for key, value in block.items():
-                if not hasattr(current, key):
-                    raise ConfigError(f"unknown key {key!r} in section {section!r}")
-                setattr(current, key, value)
+    for section, block in raw.items():
+        if section == "workers":  # the deleted ``run --workers``; ignored
+            continue
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section {section!r} in config {path!r}")
+        if not isinstance(block, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        current = getattr(cfg, _SECTIONS[section])
+        for key, value in block.items():
+            if not hasattr(current, key):
+                raise ConfigError(f"unknown key {key!r} in section {section!r}")
+            setattr(current, key, value)
     return cfg
 
 
@@ -394,7 +396,7 @@ def run(cfg: RunConfig) -> dict:
     series_lines = ["eta,mu1,mu2,second_derivative,eta_over_2_residual"]
     for entry, table in zip(spectrum.entries, tables):
         eta = entry.eta
-        series = perturbation_series(table.coeffs.block, table.coeffs)
+        series = perturbation_series(table.coeffs)
         resid = abs(series.mu2 - 0.5 * eta)
         series_lines.append(
             ",".join(

@@ -62,7 +62,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import BranchCollisionError, EigensolveError
+from .errors import EigensolveError
 from .ladder import CasimirBlock, LadderCoefficients
 from .operator import (
     EvenSector,
@@ -547,6 +547,7 @@ def track_branch(
     diagonal is k^2 and the zero mode occurs once), so the branch starts
     well defined; it lies in the even parity sector, where Newton runs.
     Gaps, the neighbour and simplicity are those of the full block.
+    Coefficients of a block other than ``block`` raise ValueError.
 
     ``checkpoints`` are parameters on the segment (0, x_target] in order of
     increasing |x|; x_target is appended when it is not the last one.  A
@@ -604,10 +605,11 @@ def track_branch(
     sample; at the start x = 0 they are the exact unperturbed ones, m^2 for
     m = 0..k_max and 1.
     """
+    coeffs.check_block(block)
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
     x_target = float(x_target)
     dim = block.dim
-    sector = EvenSector.of(block, coeffs)
+    sector = EvenSector.of(coeffs)
 
     # the unperturbed spectrum is m^2 on the symmetric block: the nearest
     # neighbour of 0 is 1, none on the single-mode block
@@ -782,13 +784,3 @@ def _checkpoint_params(x_target: float, checkpoints: Sequence[float]) -> tuple[l
         )
     return xs, fractions[:-1] + [1.0]
 
-
-def branch_value(block: CasimirBlock, coeffs: LadderCoefficients, x: float) -> complex:
-    """Branch value at the real x; raises if the continuation hits a
-    collision."""
-    br = track_branch(block, coeffs, x)
-    if not br.reached:
-        raise BranchCollisionError(
-            f"branch lost simplicity near x = {br.x_collision} ({br.reason})"
-        )
-    return br.final_mu

@@ -86,7 +86,7 @@ def ladder_extent(eta: float, K: float) -> Optional[int]:
     return next(k for k in range(cap + 1) if ladder_coeff_sq(eta, K, k) <= TOL_ZERO)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CasimirBlock:
     """One invariant block: curvature K, Casimir value eta and the modes
     [-k_max, k_max].
@@ -95,7 +95,9 @@ class CasimirBlock:
     it.  The block is ``finite`` (its range is the ladder's own) when K > 0
     or eta = 0; otherwise the ladder is infinite and k_max is a truncation
     choice.  A finite block must have the intrinsic k_max
-    (``ladder_extent``), which ``finite_block`` supplies.
+    (``ladder_extent``), which ``finite_block`` supplies;
+    ``operator.block_at`` builds either kind.  Blocks compare and hash by
+    value, (K, eta, k_max), so two built separately are equal.
     """
 
     curvature: float
@@ -184,6 +186,11 @@ class LadderCoefficients:
             j = bad[0]
             which = "raising" if bad_up[j] else "lowering"
             raise LadderRangeError(f"a_{ks[j]}^2 violates the {which} norm identity")
+
+    def check_block(self, block: CasimirBlock) -> None:
+        """ValueError unless these are the coefficients of ``block``."""
+        if self.block != block:
+            raise ValueError(f"coefficients of {self.block} paired with {block}")
 
 
 def ladder_coefficients(block: CasimirBlock) -> LadderCoefficients:

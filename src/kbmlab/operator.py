@@ -1,14 +1,14 @@
 """Tridiagonal restrictions of the perturbed fiber Laplacian and of the
 kinetic Brownian motion generator on one Casimir block, together with the
-truncation policy for infinite ladders, the two parity sectors of the
-perturbed family, the Kato radius of the family on a contour
-(``kato_radius``, shared by ``perturb.perturbation_radius`` and
-``eig.track_branch``), an O(n) floor of the numerical range, and the
-tridiagonal solver: LAPACK's ``?gtsv`` elimination run over a batch of
-systems at once (``gtsv``), which serves one operator at many shifts
-(``tridiag_solve``) and a stack of operators (``eig.inverse_iteration``).
-Everything here runs on NumPy alone, so importing the package loads no
-SciPy.
+truncation policy for infinite ladders and the one constructor of a block
+at a cutoff (``block_at``), the two parity sectors of the perturbed
+family, the Kato radius of the family on a contour (``kato_radius``,
+shared by ``perturb.perturbation_radius`` and ``eig.track_branch``), an
+O(n) floor of the numerical range, and the tridiagonal solver: LAPACK's
+``?gtsv`` elimination run over a batch of systems at once (``gtsv``),
+which serves one operator at many shifts (``tridiag_solve``) and a stack
+of operators (``eig.inverse_iteration``).  Everything here runs on NumPy
+alone, so importing the package loads no SciPy.
 
 ``EvenSector``, formed once per block, is the only code that knows the
 even sector's layout; every reader of the sector takes one of its views,
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EigensolveError, TruncationError
-from .ladder import CasimirBlock, LadderCoefficients
+from .ladder import CasimirBlock, LadderCoefficients, finite_block
 
 # The most matrix entries a batched kernel materialises at once: a stacked
 # dense eigensolve (``eig.eig_dense``) densifies, and a batched resolvent
@@ -107,10 +107,10 @@ def assemble_perturbed(
     ``x`` may be complex.  The physically relevant substitution is the
     real value x = -2/gamma, the only one the branch continuation takes;
     a complex x serves the holomorphy checks, which run ``newton_polish``
-    on the sector assembled there.
+    on the sector assembled there.  Coefficients of a block other than
+    ``block`` raise ValueError.
     """
-    if coeffs.a.shape != (block.dim - 1,):
-        raise ValueError("block and coefficients are inconsistent")
+    coeffs.check_block(block)
     ks = block.ks.astype(float)
     diag = (ks * ks).astype(complex)
     sub = complex(x) * coeffs.a
@@ -118,13 +118,12 @@ def assemble_perturbed(
     return TridiagonalOperator(diag=diag, sup=sup, sub=sub)
 
 
-def assemble_generator(
-    block: CasimirBlock, coeffs: LadderCoefficients, gamma: float
-) -> TridiagonalOperator:
-    """Rescaled kinetic-Brownian generator (gamma^2/2)*diag(k^2) - gamma*X."""
+def assemble_generator(coeffs: LadderCoefficients, gamma: float) -> TridiagonalOperator:
+    """Rescaled kinetic-Brownian generator (gamma^2/2)*diag(k^2) - gamma*X
+    on the block of ``coeffs``."""
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
-    ks = block.ks.astype(float)
+    ks = coeffs.block.ks.astype(float)
     diag = (0.5 * gamma * gamma * ks * ks).astype(complex)
     sub = (-gamma) * coeffs.a + 0j
     sup = gamma * coeffs.a + 0j
@@ -156,7 +155,7 @@ class EvenSector:
 
     ``diag`` holds m^2 and ``rungs`` the a_m before that factor, as Python
     floats.  Each view keeps one order of IEEE operations for every reader,
-    so all see the same bits.
+    so all see the same bits.  ``of`` takes the coefficients alone.
     """
 
     block: CasimirBlock
@@ -164,11 +163,9 @@ class EvenSector:
     rungs: list
 
     @classmethod
-    def of(cls, block: CasimirBlock, coeffs: LadderCoefficients) -> "EvenSector":
-        if coeffs.a.shape != (block.dim - 1,):
-            raise ValueError("block and coefficients are inconsistent")
-        k = block.k_max
-        return cls(block, [float(m * m) for m in range(k + 1)], coeffs.a[k:].tolist())
+    def of(cls, coeffs: LadderCoefficients) -> "EvenSector":
+        k = coeffs.block.k_max
+        return cls(coeffs.block, [float(m * m) for m in range(k + 1)], coeffs.a[k:].tolist())
 
     def sub(self, x) -> np.ndarray:
         """The rungs x*a_m (rung 0 times sqrt(2)), one row per x of shape (B, 1)."""
@@ -295,6 +292,15 @@ def truncate(eta: float, K: float, policy: TruncationPolicy) -> CasimirBlock:
             "an adaptive cutoff is certified by gamma_sweep; truncate needs a fixed policy"
         )
     return CasimirBlock(curvature=K, eta=eta, k_max=int(policy.k_max))
+
+
+def block_at(eta: float, K: float, k_max: int) -> CasimirBlock:
+    """The (eta, K) block at cutoff ``k_max``: the intrinsic block
+    (``finite_block``) when K > 0 or eta = 0, which reads no cutoff, else
+    the truncation [-k_max, k_max] of the infinite ladder (``truncate``)."""
+    if K > 0.0 or eta == 0.0:
+        return finite_block(eta, K)
+    return truncate(eta, K, fixed_truncation(k_max))
 
 
 def batch_slices(batch: int, entries: int) -> list:

@@ -44,10 +44,9 @@ from .operator import (
     EvenSector,
     TridiagonalOperator,
     batch_slices,
-    fixed_truncation,
+    block_at,
     kato_radius,
     tridiag_solve,
-    truncate,
 )
 
 # Minimum admissible distance between the contour and any eigenvalue.
@@ -76,7 +75,7 @@ class PerturbationSeries:
         return 2.0 * self.mu2
 
 
-def perturbation_series(block: CasimirBlock, coeffs: LadderCoefficients) -> PerturbationSeries:
+def perturbation_series(coeffs: LadderCoefficients) -> PerturbationSeries:
     """Second-order Rayleigh-Schrodinger series of the branch through 0.
 
     mu1 = <X phi0, phi0> and mu2 = <X phi1, phi0> with the correction
@@ -85,6 +84,7 @@ def perturbation_series(block: CasimirBlock, coeffs: LadderCoefficients) -> Pert
     X is applied from the block's three diagonals, in O(dim).  The series
     of the trivial eta = 0 block is identically zero.
     """
+    block = coeffs.block
     n = block.dim
     i0 = block.slot0
     phi0 = np.zeros(n, dtype=complex)
@@ -178,12 +178,6 @@ def idempotency_defect(proj: np.ndarray) -> float:
     return float(np.linalg.norm(proj @ proj - proj, 2))
 
 
-def enclosed_count(op: TridiagonalOperator, contour: Contour) -> int:
-    """Number of eigenvalues strictly inside the contour (dense oracle)."""
-    eigs = eig_dense(op)
-    return int(np.sum(np.abs(eigs - contour.center) < contour.radius))
-
-
 def perturbation_radius(
     block: CasimirBlock, coeffs: LadderCoefficients, contour: Contour
 ) -> float:
@@ -194,7 +188,8 @@ def perturbation_radius(
     Theory for Linear Operators, II.3).  The radius is computed on the
     (truncated) block by ``operator.kato_radius``, the one implementation,
     which ``eig.track_branch`` also calls to certify its samples inside the
-    circle |zeta| = 1/2.  The contour is validated first; the trivial block
+    circle |zeta| = 1/2.  Coefficients of a block other than ``block``
+    raise ValueError.  The contour is validated next; the trivial block
     then returns infinity because its coupling vanishes, as does a contour
     on which the norm is 0.
 
@@ -210,6 +205,7 @@ def perturbation_radius(
     (Perron-Frobenius).  A complex centre or c > 0 takes the largest
     eigenvalue at every node.
     """
+    coeffs.check_block(block)
     validate_contour_for_block(contour, block)
     if block.eta == 0.0:
         return math.inf
@@ -218,7 +214,7 @@ def perturbation_radius(
         zeta = np.array([center + contour.radius])  # node 0 of contour.points()
     else:
         zeta = contour.points()
-    return kato_radius(EvenSector.of(block, coeffs), zeta)
+    return kato_radius(EvenSector.of(coeffs), zeta)
 
 
 @dataclass(frozen=True)
@@ -242,7 +238,7 @@ def zero_mode_resolvent_norm(eta: float, zeta: complex) -> ZeroModeNorm:
     for k in range(0, k_probe + 1):
         if abs(zeta - k * k) < 1e-12 * (1.0 + k * k):
             raise ContourPlacementError("zeta lies on the unperturbed spectrum")
-    block = truncate(eta, 0.0, fixed_truncation(2))
+    block = block_at(eta, 0.0, 2)
     coeffs = ladder_coefficients(block)
     x_mat = coupling_matrix(coeffs)
     e0 = np.zeros(block.dim, dtype=complex)

@@ -38,8 +38,8 @@ from .errors import (
     SpectrumValidationError,
     TruncationError,
 )
-from .ladder import CasimirBlock, LadderCoefficients, finite_block, ladder_coefficients
-from .operator import EvenSector, TruncationPolicy, fixed_truncation, truncate
+from .ladder import CasimirBlock, LadderCoefficients, ladder_coefficients
+from .operator import EvenSector, TruncationPolicy, block_at
 
 # The adaptive truncation's first cutoff: rows converge at small cutoffs,
 # because the branch's eigenvector decays once k^2 exceeds the coupling
@@ -57,6 +57,11 @@ TORUS_MAX_M = 64
 # default grid in 7 ms (l = 8) to 0.64 s (l = 256); l <= 256 allows 257
 # blocks, a run of 74 s (``--l-max 256`` on a shared 2-core Xeon host).
 SPHERE_MAX_L = 256
+
+# The most points a gamma grid may hold, 100 times the default grid's 101.
+# ``kbmlab run --surface sphere --l-max 1`` on 10001 points takes 1.0-1.5 s
+# and 62 MB of peak RSS, and writes 8.2 MB (three runs, shared 2-core Xeon).
+GAMMA_GRID_MAX_POINTS = 10001
 
 
 @dataclass(frozen=True)
@@ -169,11 +174,14 @@ def custom_spectrum(K: float, eta_list: Sequence[tuple]) -> SurfaceSpectrum:
 
 
 def make_gamma_grid(log_start: float, log_end: float, points: int) -> np.ndarray:
-    """Logarithmic grid 10**(log_start .. log_end); endpoints land exactly
-    on round powers when the exponents do.  A power beyond the float range
-    reads inf, which ``check_gamma_grid`` rejects."""
-    if points < 2:
-        raise SpectrumValidationError(f"gamma grid needs at least 2 points, got {points!r}")
+    """Logarithmic grid 10**(log_start .. log_end) of 2 to
+    ``GAMMA_GRID_MAX_POINTS`` points; endpoints land exactly on round
+    powers when the exponents do.  A power beyond the float range reads
+    inf, which ``check_gamma_grid`` rejects."""
+    if not 2 <= points <= GAMMA_GRID_MAX_POINTS:
+        raise SpectrumValidationError(
+            f"gamma grid needs 2 to {GAMMA_GRID_MAX_POINTS} points, got {points!r}"
+        )
     if not log_end > log_start:
         raise SpectrumValidationError("gamma grid must be increasing")
     j = np.arange(points, dtype=float)
@@ -183,12 +191,15 @@ def make_gamma_grid(log_start: float, log_end: float, points: int) -> np.ndarray
 
 
 def check_gamma_grid(gamma_grid: Sequence[float]) -> np.ndarray:
-    """The grid as a nonempty, ascending, positive 1-d float array with 0 <
-    gamma^2 / 2 < inf (lambda = (gamma^2 / 2) mu, and x = -2/gamma overflows
-    where gamma^2 / 2 underflows); else SpectrumValidationError."""
+    """The grid as an ascending, positive 1-d float array of 1 to
+    ``GAMMA_GRID_MAX_POINTS`` points with 0 < gamma^2 / 2 < inf (lambda =
+    (gamma^2 / 2) mu, and x = -2/gamma overflows where gamma^2 / 2
+    underflows); else SpectrumValidationError."""
     grid = np.asarray(gamma_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise SpectrumValidationError("gamma grid must be a nonempty 1-d array")
+    if grid.ndim != 1 or not 0 < grid.size <= GAMMA_GRID_MAX_POINTS:
+        raise SpectrumValidationError(
+            f"gamma grid must be 1-d with 1 to {GAMMA_GRID_MAX_POINTS} points, got {grid.shape}"
+        )
     with np.errstate(over="ignore", under="ignore"):
         half_g2 = 0.5 * grid * grid
     # before differencing, where inf - inf would warn
@@ -231,8 +242,8 @@ class GammaTable:
     """Sweep record for one eta: lambda values and row diagnostics.
 
     ``coeffs`` are the ladder coefficients of the block every row is
-    reported on, one block for the whole table: the intrinsic block for K
-    > 0 or eta = 0, else the truncation the sweep certified.  ``eta``,
+    reported on, one block for the whole table: ``operator.block_at`` at
+    the cutoff the sweep certified.  ``eta``,
     ``curvature`` and ``k_trunc`` (its k_max, 0 for eta = 0) read that
     block.
     ``collided`` marks rows that the continuation on the reported block
@@ -342,31 +353,27 @@ def gamma_sweep(
     eta: float,
     K: float,
     gamma_grid: Sequence[float],
-    policy: Optional[TruncationPolicy] = None,
+    policy: TruncationPolicy = TruncationPolicy(),
     multiplicity: int = 1,
 ) -> GammaTable:
-    """The branch at x = -2/gamma for every gamma in the grid.
+    """The branch at x = -2/gamma for every gamma in the grid, on the
+    blocks ``operator.block_at`` builds at a cutoff k.
 
-    The trivial eta = 0 branch is identically zero; its table carries the
-    single-mode block.  A K > 0 block is intrinsically finite and swept
-    once.  Only the sweeps with eta > 0 and K <= 0 read ``policy``: the
-    whole grid is swept at cutoff k and again at 2k, and every row's
-    certificate is |lambda_k - lambda_2k|.  A fixed ``policy`` runs its
-    k_max once.  The adaptive one (the default) starts at k = 8 and
-    accepts the first k at which every row's certificate is below
-    ``policy.tol``; otherwise the 2k sweep becomes the base.  It raises
-    TruncationError once the next doubled block [-2k, 2k] would exceed the
-    dense limit, for a fixed cutoff before any sweep
-    (``check_fixed_cutoff``).  The table carries the coefficients of the
-    accepted block.  Each block is continued once through all grid
-    points; a collision marks
-    the rows at and beyond it, and is not fatal unless the continuation
-    accepted no step at all (x_c = 0), which raises BranchCollisionError.
-    The eigenvector residuals of all rows come from one batched inverse
-    iteration on the even sector of the accepted block.  A row whose
-    residual fails reads NaN and simple = False; every other row keeps its
-    bits.  A non-finite or negative eta, a non-finite K, or a grid that
-    ``check_gamma_grid`` rejects raises SpectrumValidationError.
+    The trivial eta = 0 branch is identically zero.  An intrinsically finite
+    block (``block.finite``, K > 0) reads no cutoff and is swept once, with
+    certificate 0.  An infinite ladder (eta > 0, K <= 0) is swept at k and
+    again at 2k, and every row's certificate is |lambda_k - lambda_2k|.  A
+    fixed ``policy`` runs its k_max once.  The adaptive one (the default)
+    starts at k = 8 and accepts the first k at which every row's
+    certificate is below ``policy.tol``; otherwise the 2k sweep becomes the
+    base.  It raises TruncationError once the next doubled block [-2k, 2k]
+    would exceed the dense limit, for a fixed ``policy`` before any sweep
+    on any block (``check_fixed_cutoff``).  A continuation that accepted no step (x_c =
+    0) raises BranchCollisionError; any other collision only marks the rows
+    at and beyond it.  A row whose residual fails reads NaN and simple =
+    False; every other row keeps its bits.  A non-finite or negative eta, a
+    non-finite K, or a grid that ``check_gamma_grid`` rejects raises
+    SpectrumValidationError.
     """
     if not (math.isfinite(eta) and eta >= 0.0 and math.isfinite(K)):
         raise SpectrumValidationError(
@@ -376,10 +383,14 @@ def gamma_sweep(
     half_g2 = 0.5 * grid * grid
     n = grid.size
 
+    k = policy.k_max if policy.kind == "fixed" else FIRST_CUTOFF
+    if policy.kind == "fixed":
+        check_fixed_cutoff(k)
+    block = block_at(eta, K, k)
     if eta == 0.0:
         zeros = np.zeros(n)
         return GammaTable(
-            coeffs=ladder_coefficients(finite_block(0.0, K)),
+            coeffs=ladder_coefficients(block),
             multiplicity=multiplicity,
             gamma_grid=grid,
             lam=zeros.astype(complex),
@@ -391,30 +402,22 @@ def gamma_sweep(
             empirical_r=None,
         )
 
-    if K > 0.0:
-        base = _sweep_block(finite_block(eta, K), grid)
-        lam = half_g2 * base.mu
-        cert = np.zeros(n)
-    else:
-        pol = policy if policy is not None else TruncationPolicy()
-        if pol.kind == "fixed":
-            check_fixed_cutoff(pol.k_max)
-        k = pol.k_max if pol.kind == "fixed" else FIRST_CUTOFF
-        base = _sweep_block(truncate(eta, K, fixed_truncation(k)), grid)
-        while True:
-            doubled = _sweep_block(truncate(eta, K, fixed_truncation(2 * k)), grid)
-            lam = half_g2 * base.mu
-            cert = np.abs(lam - half_g2 * doubled.mu)
-            if pol.kind == "fixed" or np.all(cert < pol.tol):
-                break
-            k, base, shift = 2 * k, doubled, float(np.max(cert))
-            if k > _max_cutoff():
-                raise TruncationError(
-                    f"eta = {eta!r}, K = {K!r}: the doubled block of cutoff {k} would exceed "
-                    f"the dense limit {MAX_DENSE_DIM}; the last doubling moved a row by up to "
-                    f"{shift:.3g} (tol {pol.tol:g})"
-                )
+    base = _sweep_block(block, grid)
+    cert = np.zeros(n)
+    while not block.finite:
+        doubled = _sweep_block(block_at(eta, K, 2 * k), grid)
+        cert = np.abs(half_g2 * base.mu - half_g2 * doubled.mu)
+        if policy.kind == "fixed" or np.all(cert < policy.tol):
+            break
+        k, base, shift = 2 * k, doubled, float(np.max(cert))
+        if k > _max_cutoff():
+            raise TruncationError(
+                f"eta = {eta!r}, K = {K!r}: the doubled block of cutoff {k} would exceed "
+                f"the dense limit {MAX_DENSE_DIM}; the last doubling moved a row by up to "
+                f"{shift:.3g} (tol {policy.tol:g})"
+            )
 
+    lam = half_g2 * base.mu
     resid = inverse_iteration(base.sector.at(-2.0 / grid), base.mu)[1]
 
     return GammaTable(

@@ -2,28 +2,28 @@ import numpy as np
 import pytest
 
 from kbmlab import (
+    BranchCollisionError,
     EigenBranch,
     EvenSector,
     TridiagonalOperator,
+    block_at,
     eig_dense,
-    finite_block,
-    fixed_truncation,
     ladder_coefficients,
-    truncate,
+    track_branch,
 )
 
 
 @pytest.fixture(scope="session")
 def sphere_l1():
     """eta=2, K=1 block: the 3x3 case with a closed-form branch."""
-    block = finite_block(2.0, 1.0)
+    block = block_at(2.0, 1.0, 0)
     return block, ladder_coefficients(block)
 
 
 @pytest.fixture(scope="session")
 def hyperbolic_block():
     """eta=5, K=-1, truncated to |k| <= 20."""
-    block = truncate(5.0, -1.0, fixed_truncation(20))
+    block = block_at(5.0, -1.0, 20)
     return block, ladder_coefficients(block)
 
 
@@ -42,20 +42,37 @@ def property_block(kind, l_or_k, eta, K):
     """A sphere ladder l(l+1) at K = 1, or a truncation [-k, k] of a torus
     (K = 0) or K < 0 ladder."""
     if kind == "sphere":
-        return finite_block(float(l_or_k * (l_or_k + 1)), 1.0)
-    return truncate(eta, 0.0 if kind == "torus" else K, fixed_truncation(l_or_k))
+        return block_at(float(l_or_k * (l_or_k + 1)), 1.0, 0)
+    return block_at(eta, 0.0 if kind == "torus" else K, l_or_k)
 
 
-def even_sector(block, coeffs, x):
-    """The block's even parity sector at x (a scalar or a 1-d array), from
-    its ``EvenSector``."""
-    return EvenSector.of(block, coeffs).at(x)
+def branch_value(coeffs, x):
+    """Branch value at the real x on the block of ``coeffs``; raises if the
+    continuation hits a collision."""
+    br = track_branch(coeffs.block, coeffs, x)
+    if not br.reached:
+        raise BranchCollisionError(
+            f"branch lost simplicity near x = {br.x_collision} ({br.reason})"
+        )
+    return br.final_mu
+
+
+def enclosed_count(op, contour):
+    """Number of eigenvalues strictly inside the contour (dense oracle)."""
+    eigs = eig_dense(op)
+    return int(np.sum(np.abs(eigs - contour.center) < contour.radius))
+
+
+def even_sector(coeffs, x):
+    """The even parity sector at x (a scalar or a 1-d array) of the block of
+    ``coeffs``, from its ``EvenSector``."""
+    return EvenSector.of(coeffs).at(x)
 
 
 def stuck_at_zero(block, coeffs, x_target, checkpoints=()):
     """Stand-in for track_branch: a continuation that accepted no step."""
     return EigenBranch(
-        sector=EvenSector.of(block, coeffs),
+        sector=EvenSector.of(coeffs),
         x_target=complex(x_target),
         x_samples=np.array([0j]),
         mu_values=np.array([0j]),

@@ -69,21 +69,20 @@ def test_criterion_10_reads_each_tables_own_coefficients(suite_data, monkeypatch
     seen = []
     real = acceptance.assemble_generator
 
-    def recording(block, coeffs, gamma):
-        seen.append((block, coeffs))
-        return real(block, coeffs, gamma)
+    def recording(coeffs, gamma):
+        seen.append(coeffs)
+        return real(coeffs, gamma)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("criterion 10 built a block")
 
     monkeypatch.setattr(acceptance, "assemble_generator", recording)
-    for name in ("finite_block", "truncate", "ladder_coefficients"):
+    for name in ("block_at", "ladder_coefficients"):
         monkeypatch.setattr(acceptance, name, forbidden)
     assert acceptance.criterion_10(suite_data).passed
     tables = list(suite_data.tables.values())
-    assert {id(coeffs) for _, coeffs in seen} == {id(t.coeffs) for t in tables}
-    for block, coeffs in seen:
-        assert block is coeffs.block
+    assert {id(coeffs) for coeffs in seen} == {id(t.coeffs) for t in tables}
+    for coeffs in seen:
         assert any(coeffs is t.coeffs for t in tables)
 
 

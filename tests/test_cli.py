@@ -121,7 +121,7 @@ def test_config_file_with_flag_override(tmp_path):
         "surface": {"kind": "sphere", "K": 1.0, "l_max": 1},
         "gamma_grid": {"explicit": [10.0, 100.0]},
         "outputs": {"formats": ["csv"], "directory": str(tmp_path / "cfg_out")},
-        "seed": 11,
+        "workers": 1,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -259,12 +259,12 @@ def test_the_removed_checks_flag_is_an_unknown_flag(tmp_path, capsys):
     assert not out.exists()  # the usage error ends the run before it starts
 
 
-def test_a_config_that_still_names_checks_writes_the_same_bytes(tmp_path):
-    # unknown top-level keys are ignored, the removed "checks" key included
+def test_a_config_that_still_names_workers_writes_the_same_bytes(tmp_path):
+    # the top-level "workers" key of the deleted worker pool is ignored
     cfg = {"surface": {"kind": "sphere", "K": 1.0, "l_max": 1},
            "gamma_grid": {"explicit": [5.0, 10.0, 100.0]}}
     outs = []
-    for name, extra in (("plain", {}), ("checks", {"checks": ["accretivity", "casimir"]})):
+    for name, extra in (("plain", {}), ("workers", {"workers": 4})):
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps({**cfg, **extra}))
         outs.append(tmp_path / name)
@@ -273,6 +273,21 @@ def test_a_config_that_still_names_checks_writes_the_same_bytes(tmp_path):
     assert files == sorted(p.name for p in outs[1].iterdir())
     for name in files:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("key", ["gama_grid", "checks", "seed", "contour"])
+def test_a_config_with_an_unknown_section_is_a_config_error(tmp_path, capsys, key):
+    # a misspelled section would otherwise leave its values unread: the
+    # 101-point default grid would run in place of the 3 points asked for
+    cfg_path = tmp_path / "cfg.json"
+    cfg = {key: {"points": 3}, "surface": {"kind": "sphere", "l_max": 1}}
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and repr(key) in record["message"]
+    assert (record["stage"], record["eta"]) == ("config", None)
+    assert not any(out.glob("table_*"))
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -533,6 +548,35 @@ def test_fixed_cutoff_beyond_dense_limit_is_a_config_error(tmp_path, capsys):
     cfg.validate()  # largest cutoff whose doubled block fits
 
 
+@pytest.mark.parametrize("form", ["points", "explicit"])
+def test_a_grid_beyond_the_point_limit_is_a_config_error(form):
+    from kbmlab import ConfigError
+    from kbmlab.spectra import GAMMA_GRID_MAX_POINTS
+
+    cfg = load_config(None)
+    cfg.surface.l_max = 1
+    for points, ok in ((GAMMA_GRID_MAX_POINTS, True), (GAMMA_GRID_MAX_POINTS + 1, False)):
+        if form == "points":
+            cfg.grid.points = points
+        else:
+            cfg.grid.explicit = [float(g) for g in range(1, points + 1)]
+        if ok:
+            assert cfg.validate()[1].size == points
+        else:
+            with pytest.raises(ConfigError, match=f"to {GAMMA_GRID_MAX_POINTS} points"):
+                cfg.validate()
+
+
+def test_a_grid_too_large_to_allocate_is_a_config_error_record(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(["run", "--surface", "sphere", "--l-max", "1", "--gamma-points",
+                    "10000000000000", "--out", str(out)])
+    assert code == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and "10000000000000" in record["message"]
+    assert (record["stage"], record["eta"]) == ("config", None)
+
+
 def test_a_cutoff_with_adaptive_truncation_is_a_config_error(tmp_path, capsys):
     # the adaptive policy doubles its own cutoff; a k_max given with it
     # would be ignored
@@ -573,21 +617,21 @@ def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):
     # the sweep doubles the cutoff itself, building every block at a fixed
     # cutoff; the perturbation series is taken on the block it certified
     import kbmlab.cli
-    import kbmlab.spectra
+    import kbmlab.operator
 
     policies, series_cutoffs = [], []
-    real_truncate = kbmlab.spectra.truncate
+    real_truncate = kbmlab.operator.truncate
     real_series = kbmlab.cli.perturbation_series
 
     def counting(eta, K, policy):
         policies.append((policy.kind, policy.k_max))
         return real_truncate(eta, K, policy)
 
-    def recording(block, coeffs):
-        series_cutoffs.append(block.k_max)
-        return real_series(block, coeffs)
+    def recording(coeffs):
+        series_cutoffs.append(coeffs.block.k_max)
+        return real_series(coeffs)
 
-    monkeypatch.setattr(kbmlab.spectra, "truncate", counting)
+    monkeypatch.setattr(kbmlab.operator, "truncate", counting)
     monkeypatch.setattr(kbmlab.cli, "perturbation_series", recording)
     eta_path = tmp_path / "etas.json"
     eta_path.write_text(json.dumps({"entries": [[0.0, 1], [5.0, 1]]}))
@@ -602,7 +646,7 @@ def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):
     assert series_cutoffs == [0, k_max]
 
 
-_BLOCK_BUILDERS = ("finite_block", "truncate", "ladder_coefficients")
+_BLOCK_BUILDERS = ("block_at", "finite_block", "truncate", "ladder_coefficients")
 
 
 @pytest.mark.parametrize(
@@ -618,8 +662,8 @@ def test_run_builds_no_block_after_the_sweeps(tmp_path, monkeypatch, surface_fla
     import kbmlab.operator
 
     events, tables, series_args = [], [], []
-    real = {name: getattr(kbmlab.operator if name == "truncate" else kbmlab.ladder, name)
-            for name in _BLOCK_BUILDERS}
+    home = {"block_at": kbmlab.operator, "truncate": kbmlab.operator}
+    real = {name: getattr(home.get(name, kbmlab.ladder), name) for name in _BLOCK_BUILDERS}
 
     def recorder(name, fn):
         def recorded(*args, **kwargs):
@@ -639,9 +683,9 @@ def test_run_builds_no_block_after_the_sweeps(tmp_path, monkeypatch, surface_fla
         events.append("sweep")
         return tables[-1]
 
-    def series(block, coeffs):
-        series_args.append((block, coeffs))
-        return real_series(block, coeffs)
+    def series(coeffs):
+        series_args.append(coeffs)
+        return real_series(coeffs)
 
     monkeypatch.setattr(kbmlab.cli, "gamma_sweep", sweeping)
     monkeypatch.setattr(kbmlab.cli, "perturbation_series", series)
@@ -656,8 +700,8 @@ def test_run_builds_no_block_after_the_sweeps(tmp_path, monkeypatch, surface_fla
     assert "ladder_coefficients" in events[:last_sweep]  # the recorders see the sweeps' builds
     assert events[last_sweep + 1:] == []
     assert len(series_args) == len(tables)
-    for (block, coeffs), table in zip(series_args, tables):
-        assert coeffs is table.coeffs and block is table.coeffs.block
+    for coeffs, table in zip(series_args, tables):
+        assert coeffs is table.coeffs
 
 
 @pytest.mark.parametrize("where", ["missing_dir", "below_a_file"])

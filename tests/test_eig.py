@@ -13,11 +13,10 @@ from kbmlab import (
     EvenSector,
     TridiagonalOperator,
     assemble_perturbed,
-    branch_value,
+    block_at,
     char_poly,
     eig_dense,
     exceptional_point,
-    finite_block,
     fixed_truncation,
     inverse_iteration,
     ladder_coefficients,
@@ -31,6 +30,7 @@ from kbmlab import (
 from conftest import (
     accretivity_minimum,
     assembled_odd_sector,
+    branch_value,
     even_sector,
     match_spectra,
     one_row,
@@ -136,7 +136,7 @@ def test_char_poly_scaling_survives_large_dimension():
     assert cp.exp2 > 0  # determinant overflows a double without rescaling
     root, ok, _ = newton_polish(op, 0.02)
     assert ok
-    assert abs(root - branch_value(block, coeffs, 0.1)) <= 1e-12
+    assert abs(root - branch_value(coeffs, 0.1)) <= 1e-12
 
 
 def _reference_char_poly(op, lam):
@@ -248,8 +248,8 @@ def test_newton_on_the_block_lists_is_bitwise_newton_on_the_assembled_sector(
     mu0 = mu_frac * block.k_max**2
     if complex_mu:
         mu0 = complex(mu0, mu_im)
-    got = newton_polish(EvenSector.of(block, coeffs).lists(x), mu0)
-    ref = newton_polish(even_sector(block, coeffs, x), complex(mu0))
+    got = newton_polish(EvenSector.of(coeffs).lists(x), mu0)
+    ref = newton_polish(even_sector(coeffs, x), complex(mu0))
     assert isinstance(got[0], complex) == complex_mu
     assert np.complex128(got[0]).tobytes() == np.complex128(ref[0]).tobytes()
     assert got[1:] == ref[1:]
@@ -279,7 +279,7 @@ def test_eig_dense_dimension_guard():
 def test_eig_dense_solves_real_sectors_in_real_arithmetic():
     block = truncate(300.0, -1.0, fixed_truncation(147))
     coeffs = ladder_coefficients(block)
-    even = even_sector(block, coeffs, -0.05)
+    even = even_sector(coeffs, -0.05)
     odd = odd_sector(even)
     assert np.count_nonzero(eig_dense(even).imag) == 2  # one complex pair
     for op in (even, odd):
@@ -293,7 +293,7 @@ def test_eig_dense_solves_real_sectors_in_real_arithmetic():
         rows, cols = scipy.optimize.linear_sum_assignment(dist)
         assert np.max(dist[rows, cols]) <= 1e-10 * (1.0 + op.inf_norm())
     # complex x keeps the complex solve
-    even_c = even_sector(block, coeffs, -0.05 + 0.01j)
+    even_c = even_sector(coeffs, -0.05 + 0.01j)
     assert np.array_equal(eig_dense(even_c), np.linalg.eigvals(even_c.to_dense()))
 
 
@@ -308,11 +308,11 @@ def test_eig_dense_chunks_a_stack_within_the_entry_budget(monkeypatch, k_max, bu
     real_xs = -0.1 * np.arange(1.0, 10.0)
     stacks = {"f": real_xs, "c": real_xs + 0.05j * np.arange(-4.0, 5.0) + 1e-13j}
     for kind, xs in stacks.items():
-        stack = even_sector(block, coeffs, xs)
+        stack = even_sector(coeffs, xs)
         n = stack.dim
         whole = eig_dense(stack)
         for x, row in zip(xs, whole):
-            assert row.tobytes() == eig_dense(even_sector(block, coeffs, x)).tobytes()
+            assert row.tobytes() == eig_dense(even_sector(coeffs, x)).tobytes()
 
         sizes = []
         real_eigvals = np.linalg.eigvals
@@ -358,11 +358,11 @@ def test_eigvec_residual_and_phase(sphere_l1):
 
 def test_track_branch_closed_form(sphere_l1):
     block, coeffs = sphere_l1
-    assert branch_value(block, coeffs, 0.3) == pytest.approx(0.1, abs=1e-10)
+    assert branch_value(coeffs, 0.3) == pytest.approx(0.1, abs=1e-10)
     for x in np.linspace(-0.45, 0.45, 21):
         if x == 0:
             continue
-        assert branch_value(block, coeffs, float(x)) == pytest.approx(
+        assert branch_value(coeffs, float(x)) == pytest.approx(
             closed_mu(float(x)), abs=1e-10
         )
 
@@ -379,7 +379,7 @@ def test_track_branch_flags_collision(sphere_l1):
     assert br.status == "collision"
     assert abs(abs(br.x_collision) - 0.5) <= 0.01
     with pytest.raises(BranchCollisionError):
-        branch_value(block, coeffs, 0.55)
+        branch_value(coeffs, 0.55)
 
 
 def _dense_deviations(block, coeffs, br):
@@ -415,7 +415,7 @@ def test_branch_residual_bound(hyperbolic_block):
 def test_branch_is_real_on_real_axis(sphere_l1):
     block, coeffs = sphere_l1
     for x in (0.1, 0.25, 0.4, 0.49):
-        mu = branch_value(block, coeffs, x)
+        mu = branch_value(coeffs, x)
         assert abs(mu.imag) <= 1e-10
 
 
@@ -427,10 +427,10 @@ def test_branch_holomorphy_cauchy_riemann(sphere_l1):
     block, coeffs = sphere_l1
     x0 = 0.12
     h = 2e-4
-    seed = branch_value(block, coeffs, x0)
+    seed = branch_value(coeffs, x0)
     mu = {}
     for dx in (h, -h, 1j * h, -1j * h):
-        mu[dx], ok, _ = newton_polish(even_sector(block, coeffs, x0 + dx), seed)
+        mu[dx], ok, _ = newton_polish(even_sector(coeffs, x0 + dx), seed)
         assert ok
     d_re = (mu[h] - mu[-h]) / (2 * h)
     d_im = (mu[1j * h] - mu[-1j * h]) / (2j * h)
@@ -440,7 +440,7 @@ def test_branch_holomorphy_cauchy_riemann(sphere_l1):
 def test_branch_on_truncated_flat_block():
     block = truncate(2.0, 0.0, fixed_truncation(32))
     coeffs = ladder_coefficients(block)
-    mu = branch_value(block, coeffs, -0.02)
+    mu = branch_value(coeffs, -0.02)
     # leading behavior (eta/2) x^2 with quartic correction below 1e-8
     assert mu == pytest.approx(1.0 * 0.02**2, rel=1e-2)
     assert abs(mu.imag) <= 1e-12
@@ -522,7 +522,7 @@ def _full_block(block, coeffs, x):
 def test_track_branch_on_the_even_sector_matches_the_full_block(
     monkeypatch, K, eta, k_max, x_target, checkpoints
 ):
-    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
+    block = block_at(eta, K, k_max)
     coeffs = ladder_coefficients(block)
     br = track_branch(block, coeffs, x_target, checkpoints=checkpoints)
     # Newton on the full block from each separated sample stays put; close
@@ -553,8 +553,8 @@ def test_track_branch_on_the_even_sector_matches_the_full_block(
 @pytest.mark.parametrize("K, eta, k_max", [(1.0, 6.0, None), (-1.0, 2.0, 6)])
 @pytest.mark.parametrize("x", [-0.05, -0.2])
 def test_track_branch_matches_a_40_digit_dense_oracle(K, eta, k_max, x):
-    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
-    mu = branch_value(block, ladder_coefficients(block), x)
+    block = block_at(eta, K, k_max)
+    mu = branch_value(ladder_coefficients(block), x)
     with mpmath.workdps(40):
         ks = [int(k) for k in block.ks]
         xm = mpmath.mpf(x)
@@ -571,7 +571,7 @@ def test_track_branch_matches_a_40_digit_dense_oracle(K, eta, k_max, x):
 
 
 def _block(K, eta, k_max):
-    return finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
+    return block_at(eta, K, k_max)
 
 
 def _ep_40_digits(block, x0, mu0):
@@ -655,7 +655,7 @@ def test_exceptional_point_agrees_with_the_step_halving_crawl(K, eta, k_max, x_c
 
 def test_exceptional_point_certificate(sphere_l1, monkeypatch):
     block, coeffs = sphere_l1
-    sector = EvenSector.of(block, coeffs)
+    sector = EvenSector.of(coeffs)
     x_cur = -0.45
     mu_cur = closed_mu(x_cur)
     # the even sector's eigenvalues are (1 +- sqrt(1 - 4x^2)) / 2
@@ -748,7 +748,7 @@ def test_the_dense_even_spectrum_at_zero_is_exactly_m_squared(K, eta, k_max):
     # track_branch hands exceptional_point the exact unperturbed spectrum at
     # x = 0 in place of a dense solve there; the two are the same bits
     block = _block(K, eta, k_max)
-    eigs = eig_dense(even_sector(block, ladder_coefficients(block), 0.0))
+    eigs = eig_dense(even_sector(ladder_coefficients(block), 0.0))
     m = np.arange(block.k_max + 1.0)
     assert eigs.tobytes() == (m * m).astype(complex).tobytes()
 
@@ -806,7 +806,7 @@ def test_spot_check_on_the_even_sector_equals_the_union(
     # 1/sqrt(eta) (the continuation's range, and beyond it), or up to 2
     r = reach if wide else reach / (1.0 + math.sqrt(block.eta))
     x = r * complex(sign, x_im if complex_x else 0.0)
-    even = even_sector(block, coeffs, x)
+    even = even_sector(coeffs, x)
     odd = assembled_odd_sector(block, coeffs, x)
 
     # every computed odd eigenvalue keeps to the numerical-range floor
@@ -836,7 +836,7 @@ def test_spot_check_on_the_even_sector_equals_the_union(
 
 def test_spot_check_solves_the_odd_sector_only_when_it_may_be_near(sphere_l1, monkeypatch):
     block, coeffs = sphere_l1
-    even = even_sector(block, coeffs, 0.3)
+    even = even_sector(coeffs, 0.3)
     solved = []
     real_dense = kbmlab.eig.eig_dense
 

@@ -7,10 +7,11 @@ from kbmlab import (
     CasimirBlock,
     LadderCoefficients,
     LadderRangeError,
+    assemble_perturbed,
+    block_at,
     casimir_residual,
     coupling_matrix,
     eig_dense,
-    assemble_perturbed,
     finite_block,
     fixed_truncation,
     ladder_coeff_sq,
@@ -98,6 +99,20 @@ def test_block_rejects_truncation_of_positive_curvature():
         CasimirBlock(curvature=1.0, eta=2.0, k_max=5)
 
 
+def test_blocks_compare_and_hash_by_curvature_eta_and_cutoff():
+    block = CasimirBlock(curvature=-1.0, eta=5.0, k_max=8)
+    twin = truncate(5.0, -1.0, fixed_truncation(8))
+    assert twin is not block and twin == block and hash(twin) == hash(block)
+    assert {block: 1}[twin] == 1 and len({block, twin}) == 1
+    for other in (
+        CasimirBlock(curvature=-1.0, eta=2.0, k_max=8),
+        CasimirBlock(curvature=-1.0, eta=5.0, k_max=16),
+        CasimirBlock(curvature=0.0, eta=5.0, k_max=8),
+    ):
+        assert other != block and len({block, other}) == 2
+    assert finite_block(2.0, 1.0) == CasimirBlock(curvature=1.0, eta=2.0, k_max=1)
+
+
 def test_coefficients_sphere_l1(sphere_l1):
     _, coeffs = sphere_l1
     assert np.allclose(coeffs.a, np.sqrt(0.5), atol=0, rtol=1e-15)
@@ -114,7 +129,7 @@ def test_coefficients_reject_range_outside_block():
 @pytest.mark.parametrize("eta, K, k_max", [(6.0, 1.0, None), (5.0, -1.0, 48), (2.0, 0.0, 12)])
 @pytest.mark.parametrize("where", ["bottom", "middle", "top"])
 def test_a_coefficient_perturbed_at_one_rung_is_rejected_at_its_k(eta, K, k_max, where):
-    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
+    block = block_at(eta, K, k_max)
     a = ladder_coefficients(block).a
     j = {"bottom": 0, "middle": a.size // 2, "top": a.size - 1}[where]
     bad = a.copy()
@@ -226,7 +241,7 @@ def test_gauge_invariance_of_spectra(sphere_l1, hyperbolic_block):
     ops = []
     for block, coeffs in (sphere_l1, hyperbolic_block):
         ops.append(assemble_perturbed(block, coeffs, 0.37))
-        ops.append(assemble_generator(block, coeffs, 7.0))
+        ops.append(assemble_generator(coeffs, 7.0))
     for op in ops:
         base = eig_dense(op)
         dense = op.to_dense()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     accretivity_minimum,
     assembled_odd_sector,
+    branch_value,
     even_sector,
     one_row,
     parity_eigvals,
@@ -24,6 +25,7 @@ from kbmlab import (
     adaptive_truncation,
     assemble_generator,
     assemble_perturbed,
+    block_at,
     eig_dense,
     finite_block,
     fixed_truncation,
@@ -59,13 +61,13 @@ def test_trivial_block_assembles_to_zero():
     coeffs = ladder_coefficients(block)
     op = assemble_perturbed(block, coeffs, 0.7)
     assert op.dim == 1 and op.diag[0] == 0
-    gen = assemble_generator(block, coeffs, 3.0)
+    gen = assemble_generator(coeffs, 3.0)
     assert gen.diag[0] == 0
 
 
 def test_generator_entries(sphere_l1):
     block, coeffs = sphere_l1
-    op = assemble_generator(block, coeffs, 4.0)
+    op = assemble_generator(coeffs, 4.0)
     assert np.array_equal(op.diag.real, [8.0, 0.0, 8.0])
     assert np.allclose(op.sub.real, -4.0 * math.sqrt(0.5), rtol=1e-15)
     assert np.allclose(op.sup.real, 4.0 * math.sqrt(0.5), rtol=1e-15)
@@ -74,7 +76,7 @@ def test_generator_entries(sphere_l1):
 @pytest.mark.parametrize("gamma", [1.0, 10.0, 100.0])
 def test_generator_matches_scaled_family(sphere_l1, gamma):
     block, coeffs = sphere_l1
-    gen = assemble_generator(block, coeffs, gamma)
+    gen = assemble_generator(coeffs, gamma)
     fam = assemble_perturbed(block, coeffs, -2.0 / gamma)
     s = 0.5 * gamma * gamma
     for got, ref in ((gen.diag, s * fam.diag), (gen.sub, s * fam.sub), (gen.sup, s * fam.sup)):
@@ -85,7 +87,7 @@ def test_generator_matches_scaled_family(sphere_l1, gamma):
 def test_generator_rejects_nonpositive_gamma(sphere_l1):
     block, coeffs = sphere_l1
     with pytest.raises(ValueError):
-        assemble_generator(block, coeffs, 0.0)
+        assemble_generator(coeffs, 0.0)
 
 
 def test_skew_part_is_exact(hyperbolic_block):
@@ -134,6 +136,34 @@ def test_an_adaptive_policy_takes_no_cutoff():
         TruncationPolicy(kind="adaptive", k_max=64)
 
 
+@given(
+    kind=st.sampled_from(["sphere", "flat", "hyperbolic"]),
+    level=st.integers(0, 40),
+    K=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    eta=st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
+    k_max=st.integers(1, 64),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_at_is_the_intrinsic_block_or_the_truncation_at_the_cutoff(
+    kind, level, K, eta, k_max
+):
+    # K > 0 on the sphere levels K*l*(l+1), K = 0 and K < 0; eta = 0 and
+    # eta > 0; cutoffs up to 64.  The split every caller used to write out:
+    # finite_block for K > 0, else truncate at the fixed cutoff, and the
+    # single mode for eta = 0, which truncate refuses
+    if kind == "sphere":
+        eta = K * (level * (level + 1))
+    else:
+        K = 0.0 if kind == "flat" else -K
+    block = block_at(eta, K, k_max)
+    if K > 0.0 or eta == 0.0:
+        assert block == finite_block(eta, K) and block.finite
+        assert block_at(eta, K, k_max + 1) == block  # the cutoff is not read
+    else:
+        assert block == truncate(eta, K, fixed_truncation(k_max)) and not block.finite
+    assert (block.curvature, block.eta) == (K, eta)
+
+
 def test_truncate_rejects_positive_curvature():
     with pytest.raises(TruncationError):
         truncate(2.0, 1.0, fixed_truncation(8))
@@ -141,27 +171,27 @@ def test_truncate_rejects_positive_curvature():
 
 def test_truncation_nesting(hyperbolic_block):
     # branch value is stable under doubling the cutoff
-    from kbmlab import branch_value, CasimirBlock
+    from kbmlab import CasimirBlock
 
     block, coeffs = hyperbolic_block
-    mu1 = branch_value(block, coeffs, -0.2)
+    mu1 = branch_value(coeffs, -0.2)
     big = CasimirBlock(curvature=-1.0, eta=5.0, k_max=40)
-    mu2 = branch_value(big, ladder_coefficients(big), -0.2)
+    mu2 = branch_value(ladder_coefficients(big), -0.2)
     assert abs(mu1 - mu2) < 1e-10
 
 
 @pytest.mark.parametrize("eta,K,kmax,gamma", [(2.0, 1.0, None, 3.0), (5.0, -1.0, 64, 0.5)])
 def test_accretivity_examples(eta, K, kmax, gamma):
-    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(kmax))
+    block = block_at(eta, K, kmax)
     coeffs = ladder_coefficients(block)
-    op = assemble_generator(block, coeffs, gamma)
+    op = assemble_generator(coeffs, gamma)
     assert numerical_range_floor(op) >= -1e-12
     assert numerical_range_floor(op) <= accretivity_minimum(op)
 
 
 def test_accretivity_trivial_block_is_zero():
     block = finite_block(0.0, 1.0)
-    op = assemble_generator(block, ladder_coefficients(block), 2.0)
+    op = assemble_generator(ladder_coefficients(block), 2.0)
     assert numerical_range_floor(op) == accretivity_minimum(op) == 0.0
 
 
@@ -173,7 +203,7 @@ def test_accretivity_of_the_generator_is_exactly_zero(gamma):
     blocks = [suite_block(K, eta)[0] for K, eta in suite_cases()]
     blocks.append(truncate(300.0, -1.0, fixed_truncation(147)))
     for block in blocks:
-        op = assemble_generator(block, ladder_coefficients(block), gamma)
+        op = assemble_generator(ladder_coefficients(block), gamma)
         floor = numerical_range_floor(op)
         assert floor == accretivity_minimum(op) == 0.0
         assert math.copysign(1.0, floor) == math.copysign(1.0, accretivity_minimum(op))
@@ -405,12 +435,12 @@ def _parity_block(K, eta, k_max):
     """A symmetric block for the parity property: the truncation [-k_max,
     k_max] for K <= 0, else the sphere ladder K*l*(l+1) with the largest
     l <= k_max that keeps eta_l <= eta (at least l = 1)."""
-    if K <= 0.0:
-        return truncate(eta, K, fixed_truncation(k_max))
-    l = k_max
-    while l > 1 and K * (l * (l + 1)) > eta:
-        l -= 1
-    return finite_block(K * (l * (l + 1)), K)
+    if K > 0.0:
+        l = k_max
+        while l > 1 and K * (l * (l + 1)) > eta:
+            l -= 1
+        eta = K * (l * (l + 1))
+    return block_at(eta, K, k_max)
 
 
 @given(
@@ -430,7 +460,7 @@ def test_parity_sectors_split_the_block_exactly(K, eta, k_max, x_re, x_im):
     sign = (-1.0) ** np.abs(block.ks)
     assert np.array_equal(sign[:, None] * sign[None, :] * full[::-1, ::-1], full)
 
-    even = even_sector(block, coeffs, x)
+    even = even_sector(coeffs, x)
     odd = odd_sector(even)
     # the odd sector is empty only on a single-mode block (tiny K * eta)
     assert even.dim == block.k_max + 1
@@ -449,13 +479,13 @@ def test_parity_sectors_split_the_block_exactly(K, eta, k_max, x_re, x_im):
 def test_parity_sectors_of_the_sphere_l1_block(sphere_l1):
     # even basis e_0, (e_1 - e_-1)/sqrt(2): rung 0 carries sqrt(2) * a_0 = 1
     block, coeffs = sphere_l1
-    even = even_sector(block, coeffs, 0.3)
+    even = even_sector(coeffs, 0.3)
     odd = odd_sector(even)
     assert np.array_equal(even.diag, [0.0, 1.0]) and np.array_equal(odd.diag, [1.0])
     assert even.sub[0] == pytest.approx(0.3, rel=1e-15)
     assert np.array_equal(even.sup, -even.sub) and odd.sub.size == 0
     trivial = finite_block(0.0, 1.0)
-    even0 = even_sector(trivial, ladder_coefficients(trivial), 0.3)
+    even0 = even_sector(ladder_coefficients(trivial), 0.3)
     assert even0.dim == 1 and odd_sector(even0) is None
 
 
@@ -478,7 +508,7 @@ def test_odd_sector_is_the_assembled_odd_sector_bit_for_bit(
     x = np.array([complex(re, im if complex_x else 0.0) for re, im in xs])
     if not stacked:
         x = x[0]
-    even = even_sector(block, coeffs, x)
+    even = even_sector(coeffs, x)
     odd = odd_sector(even)
     ref = assembled_odd_sector(block, coeffs, x)
     if ref is None:
@@ -548,14 +578,14 @@ def test_every_view_of_the_even_sector_has_the_bits_of_its_formula(
     # float views at a real x, each bitwise its formula, signed zeros
     # included
     if kind == "sphere":
-        block = finite_block(float(l * (l + 1)), 1.0)
+        block = block_at(float(l * (l + 1)), 1.0, k)
     else:
-        block = truncate(eta, 0.0 if kind == "flat" else -1.0, fixed_truncation(k))
+        block = block_at(eta, 0.0 if kind == "flat" else -1.0, k)
     coeffs = ladder_coefficients(block)
     x = np.array([complex(v, x_im if complex_x else 0.0) for v in xs])
     if not stacked:
         x = x[0] if complex_x else float(xs[0])
-    sector = EvenSector.of(block, coeffs)
+    sector = EvenSector.of(coeffs)
     op, x0, lists, squared, (unit_diag, unit_rungs) = _sector_formulas(block, coeffs, x)
     assert len(sector.diag) == block.k_max + 1
 
@@ -578,7 +608,10 @@ def test_every_view_of_the_even_sector_has_the_bits_of_its_formula(
 
 
 def test_the_sector_record_rejects_coefficients_of_another_block(sphere_l1):
+    # the record takes the coefficients alone and is always their block's;
+    # a block passed next to them is refused
     block, _ = sphere_l1
-    other = finite_block(6.0, 1.0)
-    with pytest.raises(ValueError):
-        EvenSector.of(block, ladder_coefficients(other))
+    other = ladder_coefficients(finite_block(6.0, 1.0))
+    with pytest.raises(TypeError):
+        EvenSector.of(block, other)
+    assert EvenSector.of(other).block is other.block

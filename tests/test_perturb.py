@@ -19,9 +19,8 @@ from kbmlab import (
     ContourPlacementError,
     LadderRangeError,
     assemble_perturbed,
-    branch_value,
+    block_at,
     coupling_matrix,
-    enclosed_count,
     finite_block,
     fixed_truncation,
     idempotency_defect,
@@ -34,23 +33,20 @@ from kbmlab import (
     zero_mode_resolvent_norm,
 )
 
-from conftest import property_block
+from conftest import branch_value, enclosed_count, property_block
 
 SUITE = [(1.0, 2.0), (1.0, 6.0), (1.0, 12.0), (0.0, 1.0), (0.0, 2.0), (-1.0, 2.0), (-1.0, 5.0), (-1.0, 10.0)]
 
 
 def _block(K, eta):
-    if K > 0:
-        block = finite_block(eta, K)
-    else:
-        block = truncate(eta, K, fixed_truncation(32))
+    block = block_at(eta, K, 32)
     return block, ladder_coefficients(block)
 
 
 @pytest.mark.parametrize("K,eta", SUITE)
 def test_series_first_order_vanishes_structurally(K, eta):
     block, coeffs = _block(K, eta)
-    series = perturbation_series(block, coeffs)
+    series = perturbation_series(coeffs)
     # coupling moves between neighbouring modes only, so mu1 is exactly 0
     assert abs(series.mu1) <= 1e-15
 
@@ -58,20 +54,20 @@ def test_series_first_order_vanishes_structurally(K, eta):
 @pytest.mark.parametrize("K,eta", SUITE)
 def test_series_second_order_recovers_eta(K, eta):
     block, coeffs = _block(K, eta)
-    series = perturbation_series(block, coeffs)
+    series = perturbation_series(coeffs)
     assert abs(series.second_derivative - eta) <= 1e-8 * eta
 
 
 def test_series_sphere_l1_quartic_oracle(sphere_l1):
     # closed-form branch is x^2 + x^4 + ... so the quadratic coefficient is 1
     block, coeffs = sphere_l1
-    series = perturbation_series(block, coeffs)
+    series = perturbation_series(coeffs)
     assert series.mu2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_series_invariants(sphere_l1):
     block, coeffs = sphere_l1
-    series = perturbation_series(block, coeffs)
+    series = perturbation_series(coeffs)
     assert np.linalg.norm(series.phi0) == pytest.approx(1.0, abs=1e-15)
     off_slot = np.delete(np.abs(series.phi0), block.slot0)
     assert np.max(off_slot, initial=0.0) <= 1e-14
@@ -116,17 +112,16 @@ def test_series_on_the_tridiagonal_coupling_has_the_dense_bits(K, etas, cutoffs)
     # adds only exact zeros, so every bit agrees, the sign of a zero too
     for eta in etas:
         for k in cutoffs:
-            block = finite_block(eta, K) if k is None else truncate(eta, K, fixed_truncation(k))
+            block = block_at(eta, K, k)
             coeffs = ladder_coefficients(block)
-            series = perturbation_series(block, coeffs)
+            series = perturbation_series(coeffs)
             mu1, mu2, phi1 = _dense_series(block, coeffs)
             assert np.array([series.mu1, series.mu2]).tobytes() == np.array([mu1, mu2]).tobytes()
             assert series.phi1.tobytes() == phi1.tobytes()
 
 
 def test_series_trivial_block_is_zero():
-    block = finite_block(0.0, 1.0)
-    series = perturbation_series(block, ladder_coefficients(block))
+    series = perturbation_series(ladder_coefficients(finite_block(0.0, 1.0)))
     assert series.mu1 == 0 and series.mu2 == 0
 
 
@@ -134,11 +129,11 @@ def test_series_vs_branch_taylor_remainder(sphere_l1):
     # |mu(x) - mu2 x^2| should vanish like x^4; the fitted slope must be
     # well above the cubic floor
     block, coeffs = sphere_l1
-    series = perturbation_series(block, coeffs)
+    series = perturbation_series(coeffs)
     xs = np.array([2.0**-k for k in range(3, 10)])
     remainders = []
     for x in xs:
-        mu = branch_value(block, coeffs, float(x))
+        mu = branch_value(coeffs, float(x))
         remainders.append(abs(mu - series.mu1 * x - series.mu2 * x * x))
     slope = np.polyfit(np.log(xs), np.log(remainders), 1)[0]
     assert slope >= 2.7
@@ -414,7 +409,7 @@ def test_the_disk_radius_is_exact_within_the_continuation_margin(K, eta, k_max):
     # float r0 of the circle |zeta| = 1/2 must be within DISK_MARGIN of the
     # exact radius of the same (float-coefficient) block, here from its
     # Gram blocks in 50 digits
-    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
+    block = block_at(eta, K, k_max)
     coeffs = ladder_coefficients(block)
     m = block.k_max
     with mpmath.workdps(50):
@@ -434,7 +429,7 @@ def test_every_certified_collision_lies_outside_the_kato_disk(K, eta):
     # for |x| < r0 the contour |zeta| = 1/2 holds exactly one eigenvalue, so
     # no two can meet there: on the collision scan's blocks every collision
     # that track_branch certifies has |x_c| >= r0
-    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(48))
+    block = block_at(eta, K, 48)
     coeffs = ladder_coefficients(block)
     branch = track_branch(block, coeffs, -2.5)
     radius = perturbation_radius(block, coeffs, Contour(0.0, 0.5, 64))
@@ -508,3 +503,50 @@ def test_contour_must_enclose_the_zero_mode_alone(sphere_l1, contour):
         validate_contour_for_block(contour, block)
     with pytest.raises(ContourPlacementError):
         perturbation_radius(block, coeffs, contour)
+
+
+# Blocks paired with the coefficients of another block: eta = 5 with the
+# eta = 2 block's coefficients at cutoff 8, whose series once read 2*mu2 =
+# 2.0, and one eta at the cutoffs 8 and 16.
+MISMATCHED = {
+    "other eta": (block_at(5.0, -1.0, 8), ladder_coefficients(block_at(2.0, -1.0, 8))),
+    "other cutoff": (block_at(5.0, -1.0, 8), ladder_coefficients(block_at(5.0, -1.0, 16))),
+}
+# The functions that still take a block next to its coefficients.
+PAIR_TAKERS = {
+    "track_branch": lambda block, coeffs: track_branch(block, coeffs, -0.3).mu_values,
+    "perturbation_radius": lambda block, coeffs: perturbation_radius(
+        block, coeffs, Contour(0.0, 0.5, 64)
+    ),
+    "assemble_perturbed": lambda block, coeffs: assemble_perturbed(block, coeffs, 0.3).to_dense(),
+}
+
+
+@pytest.mark.parametrize("pair", MISMATCHED)
+@pytest.mark.parametrize("call", PAIR_TAKERS)
+def test_a_block_with_another_blocks_coefficients_is_rejected(pair, call):
+    with pytest.raises(ValueError, match="paired with"):
+        PAIR_TAKERS[call](*MISMATCHED[pair])
+
+
+@pytest.mark.parametrize("call", PAIR_TAKERS)
+def test_a_pair_of_equal_blocks_built_apart_is_accepted(call):
+    block = block_at(5.0, -1.0, 8)
+    coeffs = ladder_coefficients(truncate(5.0, -1.0, fixed_truncation(8)))
+    assert coeffs.block is not block
+    got = PAIR_TAKERS[call](block, coeffs)
+    assert np.array_equal(got, PAIR_TAKERS[call](coeffs.block, coeffs))
+
+
+def test_series_generator_and_sector_take_the_coefficients_alone(sphere_l1):
+    from kbmlab import EvenSector, assemble_generator
+
+    block, coeffs = sphere_l1
+    for call in (
+        lambda: perturbation_series(block, coeffs),
+        lambda: assemble_generator(block, coeffs, 2.0),
+        lambda: EvenSector.of(block, coeffs),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert perturbation_series(coeffs).block is block

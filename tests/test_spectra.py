@@ -10,10 +10,11 @@ from kbmlab import (
     SpectrumValidationError,
     TruncationError,
     adaptive_truncation,
-    custom_spectrum,
-    eig_dense,
     assemble_generator,
     assemble_perturbed,
+    block_at,
+    custom_spectrum,
+    eig_dense,
     finite_block,
     fitted_decay_exponent,
     fixed_truncation,
@@ -162,7 +163,7 @@ def test_collided_rows_are_newton_roots_of_their_sector(eta, K, grid):
     for i in np.nonzero(table.collided)[0]:
         gamma = table.gamma_grid[i]
         mu = table.lam[i] / (0.5 * gamma * gamma)
-        even = even_sector(block, coeffs, -2.0 / gamma)
+        even = even_sector(coeffs, -2.0 / gamma)
         sectors = [s for s in (even, odd_sector(even)) if s is not None]
         # the sector whose dense spectrum holds the picked value: the even
         # one, which holds the branch through 0
@@ -218,7 +219,7 @@ def test_sweep_value_in_generator_spectrum():
     block = finite_block(6.0, 1.0)
     coeffs = ladder_coefficients(block)
     table = gamma_sweep(6.0, 1.0, [25.0])
-    eigs = eig_dense(assemble_generator(block, coeffs, 25.0))
+    eigs = eig_dense(assemble_generator(coeffs, 25.0))
     assert np.min(np.abs(eigs - table.lam[0])) <= 1e-8
 
 
@@ -373,6 +374,14 @@ def test_a_fixed_cutoff_beyond_the_dense_limit_names_the_cutoff_and_the_limit():
     )
 
 
+@pytest.mark.parametrize("eta, K, k_max", [(0.0, -1.0, 1024), (2.0, 1.0, 1024), (5.0, -1.0, 20000)])
+def test_a_fixed_cutoff_beyond_the_dense_limit_is_refused_on_every_block(eta, K, k_max):
+    # the cutoff alone decides, as in RunConfig.validate, before any block
+    # is built: a block beyond the ladder's slot limit would raise otherwise
+    with pytest.raises(TruncationError, match=f"got {k_max}: the doubled block"):
+        gamma_sweep(eta, K, make_gamma_grid(0.0, 4.0, 13), fixed_truncation(k_max))
+
+
 def test_sweep_checkpoints_land_bitwise_at_large_eta(monkeypatch):
     # gamma = 100 sits at s = 0.01 of the path to x = -2: a path that
     # accumulated its steps skipped it and sent the row to the dense fallback
@@ -463,7 +472,7 @@ def _row_mu(table, block, coeffs):
     for j, i in enumerate(br.checkpoint_index):
         mu[grid.size - 1 - j] = br.mu_values[i]
     for i in np.nonzero(table.collided)[0]:
-        even = even_sector(block, coeffs, -2.0 / grid[i])
+        even = even_sector(coeffs, -2.0 / grid[i])
         eigs = eig_dense(even)
         pick = eigs[np.argmin(np.abs(eigs - table.lam[i] / (0.5 * grid[i] ** 2)))]
         mu[i] = newton_polish(even, pick)[0]
@@ -477,10 +486,7 @@ def _sweep_block(table):
     0) or of the truncation at the certified cutoff, bit for bit."""
     eta, K = table.eta, table.curvature
     block = table.coeffs.block
-    if K > 0.0 or eta == 0.0:
-        rebuilt = finite_block(eta, K)
-    else:
-        rebuilt = truncate(eta, K, fixed_truncation(table.k_trunc))
+    rebuilt = block_at(eta, K, table.k_trunc)
     assert (block.curvature, block.eta, block.k_max) == (K, eta, rebuilt.k_max)
     assert table.coeffs.a.tobytes() == ladder_coefficients(rebuilt).a.tobytes()
     return block, table.coeffs
@@ -534,9 +540,9 @@ def test_sweep_takes_one_residual_per_row(monkeypatch, eta, K, points):
     block, coeffs = _sweep_block(table)
     # the stack of the accepted block's even sectors at every grid x
     assert len(calls) == 1
-    assert calls[0].sub.tobytes() == even_sector(block, coeffs, -2.0 / grid).sub.tobytes()
+    assert calls[0].sub.tobytes() == even_sector(coeffs, -2.0 / grid).sub.tobytes()
     for x, mu, res in zip(-2.0 / grid, _row_mu(table, block, coeffs), table.residual):
-        alone = real(even_sector(block, coeffs, np.array([x])), np.array([mu]))[1]
+        alone = real(even_sector(coeffs, np.array([x])), np.array([mu]))[1]
         assert alone[0] == res
 
 
@@ -546,7 +552,7 @@ def test_failed_residual_marks_only_its_row(monkeypatch):
     j = 20
     assert clean.simple[j] and np.all(clean.simple[j:])
     block = finite_block(2.0, 1.0)
-    target = even_sector(block, ladder_coefficients(block), -2.0 / grid[j]).sub
+    target = even_sector(ladder_coefficients(block), -2.0 / grid[j]).sub
     real = kbmlab.eig.gtsv
 
     def failing(dl, d, du, b):
@@ -720,8 +726,8 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
 
     real_of = EvenSector.of
 
-    def of(cls, block, coeffs):
-        sector = real_of(block, coeffs)
+    def of(cls, coeffs):
+        sector = real_of(coeffs)
         if "radius" not in running:
             formed.append(sector)
         return sector

@@ -26,13 +26,11 @@ from kbmlab import (
     EvenSector,
     TridiagonalOperator,
     assemble_perturbed,
+    block_at,
     eig_dense,
-    finite_block,
-    fixed_truncation,
     ladder_coefficients,
     perturbation_radius,
     track_branch,
-    truncate,
 )
 from kbmlab.acceptance import build_suite_data, suite_cases
 from kbmlab.eig import MIN_STEPS, STEP_X, _checkpoint_params, collision_threshold
@@ -78,7 +76,7 @@ def _reference_track(block, coeffs, x_target, checkpoints=(), devs=None):
     at call time, so patches apply.  ``devs`` gets each accepted sample's
     oracle deviation, in order."""
     eig = kbmlab.eig
-    sector = EvenSector.of(block, coeffs)
+    sector = EvenSector.of(coeffs)
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
     x_target = float(x_target)
     unperturbed = np.sort(block.ks.astype(float) ** 2)
@@ -249,7 +247,7 @@ def _jumping_newton(monkeypatch, block, coeffs, x_jump):
     block's lists (``track_branch``).  Clearing the returned list re-arms
     it."""
     real = kbmlab.eig.newton_polish
-    target = _rung_products(EvenSector.of(block, coeffs).at(x_jump))
+    target = _rung_products(EvenSector.of(coeffs).at(x_jump))
     fired = []
 
     def jumping(op, mu0):
@@ -269,7 +267,7 @@ def _jump_and_roll_back(monkeypatch, K, eta, k_max, points, jump_at):
     reference, and that the step after the rejected jump is solved short of
     it.  Returns (block, coeffs, clean branch, the jump's x, the x of every
     even sector built)."""
-    block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(k_max))
+    block = block_at(eta, K, k_max)
     coeffs = ladder_coefficients(block)
     grid = np.power(10.0, 4.0 * np.arange(points) / (points - 1))
     cks = list(-2.0 / grid[::-1])
@@ -344,7 +342,7 @@ def _suite_and_scan_branches(monkeypatch):
     monkeypatch.setattr(kbmlab.spectra, "track_branch", recording)
     build_suite_data()
     for K, eta in suite_cases():
-        block = finite_block(eta, K) if K > 0 else truncate(eta, K, fixed_truncation(48))
+        block = block_at(eta, K, 48)
         coeffs = ladder_coefficients(block)
         runs.append((block, coeffs, track_branch(block, coeffs, -2.5)))
     return runs

@@ -12,8 +12,12 @@ acceptance suite, not written by ``run``.
 
 Configuration is a JSON file with nested sections (schema in the README);
 every key has a matching flag (``_RUN_FLAGS``) and flags override file
-values.  ``RunConfig.validate`` checks types; the range rules live in the
-library code that builds the spectrum, the grid and the truncation policy.
+values.  Every key given must change the run: one the run would not read
+(a surface key its kind ignores, a log-grid key next to an explicit gamma
+list, a tolerance with fixed truncation) is a ConfigError.
+``RunConfig.validate`` checks types and that rule; the range rules live
+in the library code that builds the spectrum, the grid and the
+truncation policy.
 A run that stops on its inputs before any sweep reports a ConfigError and
 exits with 2; one whose sweep fails exits with 1.  The JSON error record
 names the error, its message, the stage (``config`` or ``sweep``) and the
@@ -56,6 +60,10 @@ CSV_COLUMNS = ("gamma", "re_lambda", "im_lambda", "abs_error", "simple", "k_max"
 # The config file's sections and the RunConfig field that holds each.
 _SECTIONS = {"surface": "surface", "gamma_grid": "grid", "truncation": "truncation",
              "outputs": "output"}
+# The surface keys each kind reads besides ``kind``, and the keys of the
+# log grid, which an explicit gamma list replaces.
+_SURFACE_READS = {"sphere": ("K", "l_max"), "torus": ("L", "eta_cap"), "custom": ("K", "path")}
+_LOG_GRID_KEYS = ("gamma_grid.log_start", "gamma_grid.log_end", "gamma_grid.points")
 
 
 @dataclass
@@ -95,12 +103,15 @@ class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     truncation: TruncationConfig = field(default_factory=TruncationConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
+    # "section.key" of every key a flag or the config file set -> where
+    given: dict = field(default_factory=dict)
 
     def validate(self) -> tuple[SurfaceSpectrum, np.ndarray, TruncationPolicy]:
-        """Check what a config file or a flag can get wrong in type, and the
-        one rule that ties two sections; then build and return the run's
-        spectrum, gamma grid and truncation policy, whose constructors
-        enforce every range rule.  Any error raised is a ConfigError."""
+        """Check what a config file or a flag can get wrong in type, that
+        the run reads every key given (``_check_given``), and the one rule
+        that ties two sections; then build and return the run's spectrum,
+        gamma grid and truncation policy, whose constructors enforce every
+        range rule.  Any error raised is a ConfigError."""
         s, g, t, o = self.surface, self.grid, self.truncation, self.output
         for name, value in (
             ("surface.K", s.K),
@@ -119,6 +130,7 @@ class RunConfig:
             raise ConfigError(f"truncation.k_max must be an integer, got {t.k_max!r}")
         if s.kind not in ("sphere", "torus", "custom"):
             raise ConfigError(f"unknown surface kind {s.kind!r}")
+        self._check_given()
         if s.kind == "custom" and not (isinstance(s.path, str) and s.path):
             raise ConfigError("custom surface needs a path to an eta list")
         if g.explicit is not None and not (
@@ -142,6 +154,24 @@ class RunConfig:
         except KbmLabError as exc:
             raise ConfigError(str(exc)) from exc
         return spectrum, grid, policy
+
+    def _check_given(self) -> None:
+        """A key given by a flag or in the config file that the run would not
+        read is a ConfigError naming the key and where it came from: a
+        surface key its kind does not read, a log-grid key next to an
+        explicit gamma list, and a tolerance with fixed truncation."""
+        kind = self.surface.kind
+        reads = [f"surface.{key}" for key in ("kind",) + _SURFACE_READS[kind]]
+        for key, source in self.given.items():
+            if key.startswith("surface.") and key not in reads:
+                why = f"a {kind} surface reads {' and '.join(reads[1:])}"
+            elif key in _LOG_GRID_KEYS and self.grid.explicit is not None:
+                why = "gamma_grid.explicit replaces the log grid"
+            elif key == "truncation.tol" and self.truncation.kind == "fixed":
+                why = "fixed truncation reads no tolerance"
+            else:
+                continue
+            raise ConfigError(f"{key}, given {source}, is not read by this run: {why}")
 
 
 def _is_finite_number(value) -> bool:
@@ -182,6 +212,7 @@ def load_config(path: Optional[str]) -> RunConfig:
             if not hasattr(current, key):
                 raise ConfigError(f"unknown key {key!r} in section {section!r}")
             setattr(current, key, value)
+            cfg.given[f"{section}.{key}"] = f"in the config file {path!r}"
     return cfg
 
 
@@ -232,6 +263,7 @@ def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
         if flag in _COMMA_LISTS:
             value = [_COMMA_LISTS[flag](v) for v in value.split(",") if v]
         setattr(getattr(cfg, _SECTIONS[section]), key, value)
+        cfg.given[f"{section}.{key}"] = f"by {flag}"
 
 
 def _load_custom_entries(path: str) -> list:

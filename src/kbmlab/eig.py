@@ -1,4 +1,4 @@
-"""Eigenvalue machinery for complex tridiagonal matrices.
+"""Eigenvalue machinery for tridiagonal matrices with a skew coupling.
 
 Five pieces: the characteristic polynomial by the scaled three-term
 determinant recurrence (a loop on Python scalars, float or complex), a dense
@@ -7,7 +7,7 @@ densified in chunks of bounded size), inverse-iteration eigenvectors for
 a whole stack of matrices at once, continuation along the real axis of
 the eigenvalue branch that emanates from the unperturbed value 0, and the
 exceptional point where that branch ends.  On the real axis every family
-member, and each of its parity sectors, is a real matrix; the dense
+member, and each of its parity sectors, has a real coupling; the dense
 solver then runs in real arithmetic, in less than half the time of the
 complex solve on the sector sizes used here.
 
@@ -128,14 +128,19 @@ def char_poly(op: TridiagonalOperator, lam: complex) -> CharPolyValue:
     range (on rung 1 also when |d_0 - lambda| is), which gives the same
     bits as forming it on every rung.
     """
-    return _char_poly(op.diag.tolist(), (op.sub * op.sup).tolist(), lam)
+    return _char_poly(*_lists(op), lam)
+
+
+def _lists(op: TridiagonalOperator) -> tuple[list, list]:
+    """``op``'s diagonal and rung products -c_j^2 as Python lists."""
+    return op.diag.tolist(), (-(op.coupling * op.coupling)).tolist()
 
 
 def _char_poly(d: list, c: list, lam) -> CharPolyValue:
-    """``char_poly`` on the diagonal ``d`` and the rung products c_j =
-    sub_j * sup_j as Python lists, which a caller evaluating one operator
-    many times converts once.  It runs in the arithmetic of the scalars
-    given (see ``newton_polish``)."""
+    """``char_poly`` on the diagonal ``d`` and the rung products ``c`` as
+    Python lists, which a caller evaluating one operator many times
+    converts once.  It runs in the arithmetic of the scalars given (see
+    ``newton_polish``)."""
     p_prev, p = 1.0, d[0] - lam
     dp_prev, dp = 0.0, -1.0
     exp2 = 0
@@ -175,19 +180,16 @@ def newton_polish(op, mu0: complex) -> tuple[complex, bool, int]:
     so scaling never enters.  ``op`` is a TridiagonalOperator, converted
     to Python lists once, or those lists, (diagonal, rung products), as
     ``EvenSector.lists`` forms them.  The iteration runs in the
-    arithmetic of the scalars given.  On float lists from a float ``mu0``
-    it is real, and its float root is bitwise the real part of the complex
-    iteration's, whose imaginary parts would all be zero (+0.0 on the
-    iterates).  The continuation runs it on those float lists; on an
+    arithmetic of the scalars given.  On float lists (real x) from a float
+    ``mu0`` it is real, and its float root is bitwise the real part of the
+    complex iteration's, whose imaginary parts would all be zero (+0.0 on
+    the iterates).  The continuation runs it on those float lists; on an
     operator assembled at complex x it is the check of the branch's
     holomorphy.  Returns (root, converged, iterations).
     """
     mu = mu0
     prev_step = math.inf
-    if isinstance(op, TridiagonalOperator):
-        d, c = op.diag.tolist(), (op.sub * op.sup).tolist()
-    else:
-        d, c = op
+    d, c = _lists(op) if isinstance(op, TridiagonalOperator) else op
     for it in range(1, NEWTON_MAX_ITER + 1):
         v, dv, _ = _char_poly(d, c, mu)
         if v == 0:
@@ -210,11 +212,11 @@ def eig_dense(op: TridiagonalOperator) -> np.ndarray:
     """All eigenvalues by a dense nonsymmetric solve (brute-force oracle);
     a stack of matrices gives one row of eigenvalues per matrix.
 
-    A call with no imaginary part anywhere (every family member at real
-    x, so every sector the continuation certifies, and every generator)
-    goes to the real LAPACK solver, about a quarter of the complex
-    solver's arithmetic, whose non-real eigenvalues come in exact
-    conjugate pairs; any other call is solved in complex arithmetic
+    An operator with a real coupling (every family member at real x, so
+    every sector the continuation certifies, and every generator) is a
+    real matrix and goes to the real LAPACK solver, about a quarter of the
+    complex solver's arithmetic, whose non-real eigenvalues come in exact
+    conjugate pairs; a complex coupling is solved in complex arithmetic
     throughout.  The result is complex either way.  The stack is densified
     and solved in chunks of at most ``operator.STACK_BUDGET`` entries (one
     matrix when a single one is larger), one stacked LAPACK call per
@@ -222,22 +224,21 @@ def eig_dense(op: TridiagonalOperator) -> np.ndarray:
     """
     if op.dim > MAX_DENSE_DIM:
         raise EigensolveError(f"dense oracle limited to dimension {MAX_DENSE_DIM}")
-    return _eigvals(op, not (op.diag.imag.any() or op.sub.imag.any() or op.sup.imag.any()))
+    return _eigvals(op)
 
 
-def _eigvals(op: TridiagonalOperator, real: bool) -> np.ndarray:
-    """``eig_dense`` of one matrix or a stack, in real arithmetic when
-    ``real``, densified and solved per chunk of the entry budget."""
+def _eigvals(op: TridiagonalOperator) -> np.ndarray:
+    """``eig_dense`` of one matrix or a stack, densified and solved per
+    chunk of the entry budget."""
     parts = batch_slices(op.diag.shape[0] if op.diag.ndim == 2 else 1, op.dim * op.dim)
     if len(parts) > 1:
-        return np.concatenate([_eigvals(_rows(op, part), real) for part in parts])
-    a = op.to_dense()
-    return np.linalg.eigvals(a.real if real else a).astype(complex, copy=False)
+        return np.concatenate([_eigvals(_rows(op, part)) for part in parts])
+    return np.linalg.eigvals(op.to_dense()).astype(complex, copy=False)
 
 
 def _rows(op: TridiagonalOperator, rows) -> TridiagonalOperator:
     """The matrices ``rows`` (a slice or indices) of a stack."""
-    return TridiagonalOperator(op.diag[rows], op.sup[rows], op.sub[rows])
+    return TridiagonalOperator(op.diag[rows], op.coupling[rows])
 
 
 class SpotCheck(NamedTuple):
@@ -435,14 +436,14 @@ def inverse_iteration(op: TridiagonalOperator, mu) -> tuple[np.ndarray, np.ndarr
     shift = mu
     v = np.zeros((batch, n), dtype=complex)
     v[np.arange(batch), np.argmin(np.abs(op.diag - mu[:, None]), axis=1)] = 1.0
+    c = op.coupling
     for _ in range(INVERSE_MAX_ITER):
-        w, singular = gtsv(op.sub, op.diag - shift[:, None], op.sup, v)
+        w, singular = gtsv(c, op.diag - shift[:, None], -c, v)
         singular &= todo
         if singular.any():
             shift = np.where(singular, mu + 8.0 * _EPS * nrm, shift)
             w[singular] = gtsv(
-                op.sub[singular], op.diag[singular] - shift[singular, None],
-                op.sup[singular], v[singular],
+                c[singular], op.diag[singular] - shift[singular, None], -c[singular], v[singular]
             )[0]
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows fail below
             wn = _norms(w)

@@ -62,6 +62,15 @@ def lowering_coeff_sq(eta: float, K: float, k: int) -> float:
     return 0.25 * (eta + K * k - K * k * k)
 
 
+def _check_casimir(eta: float, K: float) -> None:
+    """LadderRangeError unless K and eta are finite and eta >= 0: a NaN or
+    infinite K or eta gives NaN or infinite coefficients."""
+    if not (math.isfinite(K) and math.isfinite(eta)):
+        raise LadderRangeError(f"curvature and eta must be finite, got K = {K!r}, eta = {eta!r}")
+    if not eta >= 0.0:
+        raise LadderRangeError(f"eta must be nonnegative, got {eta!r}")
+
+
 def ladder_extent(eta: float, K: float) -> Optional[int]:
     """Intrinsic k_max of the (eta, K) block, or None for an infinite ladder.
 
@@ -70,10 +79,10 @@ def ladder_extent(eta: float, K: float) -> Optional[int]:
     the ladder never terminates.  eta = 0 always yields the single mode
     {0}.  The range is symmetric because lowering_coeff_sq(eta, K, -k) is
     bitwise ladder_coeff_sq(eta, K, k): K*(-k) = -(K*k) exactly, so the
-    lower end mirrors the upper one.
+    lower end mirrors the upper one.  A non-finite K or eta raises
+    LadderRangeError.
     """
-    if not eta >= 0.0:
-        raise LadderRangeError(f"eta must be nonnegative, got {eta!r}")
+    _check_casimir(eta, K)
     if eta == 0.0:
         return 0
     if K <= 0.0:
@@ -97,7 +106,8 @@ class CasimirBlock:
     choice.  A finite block must have the intrinsic k_max
     (``ladder_extent``), which ``finite_block`` supplies;
     ``operator.block_at`` builds either kind.  Blocks compare and hash by
-    value, (K, eta, k_max), so two built separately are equal.
+    value, (K, eta, k_max), so two built separately are equal.  K and eta
+    must be finite, and eta >= 0.
     """
 
     curvature: float
@@ -105,8 +115,7 @@ class CasimirBlock:
     k_max: int
 
     def __post_init__(self):
-        if not self.eta >= 0.0:
-            raise LadderRangeError(f"eta must be nonnegative, got {self.eta!r}")
+        _check_casimir(self.eta, self.curvature)
         if not (isinstance(self.k_max, int) and self.k_max >= 0):
             raise LadderRangeError(f"k_max must be a nonnegative integer, got {self.k_max!r}")
         if self.dim > MAX_LADDER_SLOTS:

@@ -17,7 +17,7 @@ and the odd sector is a slice of the even one (``odd_sector``).
 In the fixed gauge the perturbed family reads diag(k^2) + x*X with X real
 skew-symmetric, and the rescaled generator is (gamma^2/2)*diag(k^2) -
 gamma*X, which coincides entrywise with (gamma^2/2) times the family at
-x = -2/gamma.
+x = -2/gamma; each is stored as its real diagonal and one skew coupling.
 """
 
 from __future__ import annotations
@@ -41,31 +41,30 @@ STACK_BUDGET = 2**16
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
-    """Complex tridiagonal matrix in the ladder basis, or a stack of them.
-
-    ``sub[..., j]`` is the entry [j+1, j] (raising direction), ``sup[...,
-    j]`` the entry [j, j+1].  A 2-d ``diag`` of shape (B, n), with
-    off-diagonals of shape (B, n - 1), is a stack of B matrices of one
-    dimension; ``to_dense``, ``matvec`` and ``inf_norm`` then act on every
-    matrix of the stack.
+    """Tridiagonal matrix in the ladder basis, or a stack of them, with a
+    real ``diag`` (a complex one raises ValueError) and a skew coupling:
+    ``coupling[..., j]`` is the entry [j+1, j] (raising direction) and
+    ``-coupling[..., j]`` the entry [j, j+1].  The coupling is complex only
+    at complex x, as in the holomorphy checks.  A 2-d ``diag`` of shape (B,
+    n), with a coupling of shape (B, n - 1), is a stack of B matrices of
+    one dimension; ``to_dense``, ``matvec`` and ``inf_norm`` then act on
+    every matrix of the stack.
     """
 
     diag: np.ndarray
-    sup: np.ndarray
-    sub: np.ndarray
+    coupling: np.ndarray
 
     def __post_init__(self):
-        diag = np.asarray(self.diag, dtype=complex)
-        sup = np.asarray(self.sup, dtype=complex)
-        sub = np.asarray(self.sub, dtype=complex)
+        if np.iscomplexobj(self.diag):
+            raise ValueError("the diagonal must be real")
+        diag = np.asarray(self.diag, dtype=float)
+        coupling = np.asarray(self.coupling, complex if np.iscomplexobj(self.coupling) else float)
         if diag.ndim not in (1, 2) or diag.shape[-1] < 1:
             raise ValueError("diag must be a nonempty 1-d array or a 2-d stack of them")
-        off = diag.shape[:-1] + (diag.shape[-1] - 1,)
-        if sup.shape != off or sub.shape != off:
-            raise ValueError("off-diagonals must have length dim - 1")
+        if coupling.shape != diag.shape[:-1] + (diag.shape[-1] - 1,):
+            raise ValueError("the coupling must have length dim - 1")
         object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "sup", sup)
-        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "coupling", coupling)
 
     @property
     def dim(self) -> int:
@@ -74,27 +73,27 @@ class TridiagonalOperator:
     def to_dense(self) -> np.ndarray:
         n = self.dim
         i = np.arange(n)
-        m = np.zeros(self.diag.shape + (n,), dtype=complex)
+        m = np.zeros(self.diag.shape + (n,), dtype=self.coupling.dtype)
         m[..., i, i] = self.diag
         if n > 1:
-            m[..., i[:-1], i[1:]] = self.sup
-            m[..., i[1:], i[:-1]] = self.sub
+            m[..., i[1:], i[:-1]] = self.coupling
+            m[..., i[:-1], i[1:]] = -self.coupling
         return m
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
+        v = np.asarray(v, dtype=complex)
         out = self.diag * v
         if self.dim > 1:
-            out[..., 1:] += self.sub * v[..., :-1]
-            out[..., :-1] += self.sup * v[..., 1:]
+            out[..., 1:] += self.coupling * v[..., :-1]
+            out[..., :-1] += (-self.coupling) * v[..., 1:]
         return out
 
     def inf_norm(self):
         """Largest absolute row sum: a float, or one per matrix of a stack."""
         row = np.abs(self.diag)
         if self.dim > 1:
-            row[..., :-1] += np.abs(self.sup)
-            row[..., 1:] += np.abs(self.sub)
+            row[..., :-1] += np.abs(self.coupling)
+            row[..., 1:] += np.abs(self.coupling)
         norm = np.max(row, axis=-1)
         return float(norm) if norm.ndim == 0 else norm
 
@@ -112,10 +111,7 @@ def assemble_perturbed(
     """
     coeffs.check_block(block)
     ks = block.ks.astype(float)
-    diag = (ks * ks).astype(complex)
-    sub = complex(x) * coeffs.a
-    sup = -complex(x) * coeffs.a
-    return TridiagonalOperator(diag=diag, sup=sup, sub=sub)
+    return TridiagonalOperator(ks * ks, x * coeffs.a)
 
 
 def assemble_generator(coeffs: LadderCoefficients, gamma: float) -> TridiagonalOperator:
@@ -124,10 +120,7 @@ def assemble_generator(coeffs: LadderCoefficients, gamma: float) -> TridiagonalO
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     ks = coeffs.block.ks.astype(float)
-    diag = (0.5 * gamma * gamma * ks * ks).astype(complex)
-    sub = (-gamma) * coeffs.a + 0j
-    sup = gamma * coeffs.a + 0j
-    return TridiagonalOperator(diag=diag, sup=sup, sub=sub)
+    return TridiagonalOperator(0.5 * gamma * gamma * ks * ks, (-gamma) * coeffs.a)
 
 
 def _rung0(s, squared: bool = False):
@@ -148,8 +141,8 @@ class EvenSector:
     because a_{-k-1} = a_k, so in the orthonormal basis e_0, (e_m +
     (-1)^m e_{-m})/sqrt(2) (J = +1, m = 1..k_max) and (e_m - (-1)^m
     e_{-m})/sqrt(2) (J = -1) the family is block diagonal with two
-    tridiagonal sectors.  Both have diagonal m^2, sub[m] = x*a_m and sup =
-    -sub on the rungs m -> m+1.  This one, of dimension k_max + 1, starts
+    tridiagonal sectors.  Both have diagonal m^2 and the coupling x*a_m on
+    the rungs m -> m+1.  This one, of dimension k_max + 1, starts
     at m = 0 and holds the branch through 0; its rung 0 carries a factor
     sqrt(2).  ``odd_sector`` derives the other from it.
 
@@ -167,22 +160,20 @@ class EvenSector:
         k = coeffs.block.k_max
         return cls(coeffs.block, [float(m * m) for m in range(k + 1)], coeffs.a[k:].tolist())
 
-    def sub(self, x) -> np.ndarray:
+    def coupling(self, x) -> np.ndarray:
         """The rungs x*a_m (rung 0 times sqrt(2)), one row per x of shape (B, 1)."""
         return _rung0(x * np.array(self.rungs))
 
     def at(self, x) -> TridiagonalOperator:
-        """The sector at x, real or complex; a 1-d array of x gives the stack
-        of those sectors, each bitwise equal to the sector at its x alone."""
-        x = np.asarray(x, dtype=complex)
-        sub = self.sub(x[..., None])
-        ms = np.arange(len(self.diag), dtype=complex)
-        diag = ms * ms if x.ndim == 0 else (ms * ms)[None].repeat(x.size, axis=0)
-        return TridiagonalOperator(diag=diag, sup=-sub, sub=sub)
+        """The sector at x, real or complex (its coupling has the type of x);
+        a 1-d array of x gives the stack of those sectors, each bitwise
+        equal to the sector at its x alone."""
+        x = np.asarray(x)
+        return TridiagonalOperator(np.tile(self.diag, x.shape + (1,)), self.coupling(x[..., None]))
 
     def lists(self, x: float) -> tuple[list, list]:
         """``newton_polish``'s (diagonal, rung products -s_j^2) at real x,
-        s_j = x*a_j (rung 0 times sqrt(2)): equal to ``at(x)``'s real parts."""
+        s_j = x*a_j (rung 0 times sqrt(2)): bitwise ``at(x)``'s diagonal and -c^2."""
         s = _rung0([x * a for a in self.rungs])
         return self.diag, [-(v * v) for v in s]
 
@@ -197,7 +188,7 @@ def kato_radius(sector: EvenSector, zeta: np.ndarray) -> float:
 
     The parity sectors are orthogonal and invariant under both X and
     diag(k^2), and the odd one is the even one without its zero mode, so
-    the norm is the even sector's.  With the rungs a = ``sector.sub(1.0)``
+    the norm is the even sector's.  With the rungs a = ``sector.coupling(1.0)``
     (rung 0 carries its sqrt(2)) and diagonal m^2, the resolvent
     diag(1/(m^2 - zeta)) is diag(w) times a diagonal unitary, w_m = 1/|m^2
     - zeta|, so the norm is that of the real B = X_e diag(w).  B^T B couples index j only to j +- 2: it is two
@@ -206,7 +197,7 @@ def kato_radius(sector: EvenSector, zeta: np.ndarray) -> float:
     squared norm is the largest eigenvalue of those blocks, from one
     batched ``eigvalsh`` call over the points per index parity.
     """
-    a = np.concatenate(([0.0], sector.sub(1.0), [0.0]))  # a_{j-1}, j = 0..k_max+1
+    a = np.concatenate(([0.0], sector.coupling(1.0), [0.0]))  # a_{j-1}, j = 0..k_max+1
     w = 1.0 / np.abs(np.array(sector.diag) - zeta[:, None])
     diag = w * w * (a[:-1] ** 2 + a[1:] ** 2)
     off = -(a[1:-2] * a[2:-1]) * w[:, :-2] * w[:, 2:]
@@ -228,14 +219,14 @@ def odd_sector(even: TridiagonalOperator) -> Optional[TridiagonalOperator]:
     stack of them), or None on the single-mode block.
 
     In the basis of ``EvenSector`` the odd sector (dimension k_max) has
-    diagonal m^2 (m = 1..k_max) and rungs x*a_m, -x*a_m on m -> m+1: the
+    diagonal m^2 (m = 1..k_max) and the coupling x*a_m on m -> m+1: the
     even sector without its zero mode, row and column m = 0, which holds
-    the only factor sqrt(2).  Its diagonals are views of ``even``'s, so
-    every entry is bitwise the one the sector assembled at that x has.
+    the only factor sqrt(2).  Its arrays are views of ``even``'s, so every
+    entry is bitwise the one the sector assembled at that x has.
     """
     if even.dim == 1:
         return None
-    return TridiagonalOperator(even.diag[..., 1:], even.sup[..., 1:], even.sub[..., 1:])
+    return TridiagonalOperator(even.diag[..., 1:], even.coupling[..., 1:])
 
 
 @dataclass(frozen=True)
@@ -281,11 +272,12 @@ def truncate(eta: float, K: float, policy: TruncationPolicy) -> CasimirBlock:
 
     Rejects K > 0 (those ladders terminate on their own), eta = 0 (a single
     mode) and adaptive policies, whose cutoff only a sweep can certify
-    (``spectra.gamma_sweep``).
+    (``spectra.gamma_sweep``); the block rejects a negative eta and a
+    non-finite K or eta (LadderRangeError).
     """
     if K > 0.0:
         raise TruncationError("K > 0 ladders are intrinsically finite; no truncation")
-    if not eta > 0.0:
+    if eta == 0.0:
         raise TruncationError("eta = 0 block is a single mode; nothing to truncate")
     if policy.kind != "fixed":
         raise TruncationError(
@@ -313,20 +305,20 @@ def batch_slices(batch: int, entries: int) -> list:
 
 def numerical_range_floor(op: TridiagonalOperator):
     """A lower bound on min Re<op v, v> over unit vectors, in O(dim):
-    Gershgorin's bound min_j (Re d_j - |h_{j-1}| - |h_j|) on the Hermitian
-    part (op + op^*)/2, whose off-diagonal is h = (sub + conj(sup))/2.
+    Gershgorin's bound min_j (d_j - |h_{j-1}| - |h_j|) on the Hermitian
+    part (op + op^*)/2, whose off-diagonal is h = (c - conj(c))/2 = i*Im c
+    for the coupling c.
 
     Every eigenvalue of op lies in its numerical range, so its real part
     is at least this floor (Horn & Johnson, *Topics in Matrix Analysis*,
-    1.2).  For a family member diag(m^2) + x*X, h = i*Im(x)*X: at real x
-    the floor is min Re d exactly, and so it is for every generator
-    restriction, whose Hermitian part is diag((gamma^2/2) k^2).
+    1.2).  At real x, and for every generator restriction, the coupling is
+    real, and the floor is min d exactly.
 
     A float, or one per matrix of a stack, each bitwise its matrix's own.
     """
-    row = op.diag.real.copy()
+    row = op.diag.copy()
     if op.dim > 1:
-        h = np.abs(0.5 * (op.sub + np.conj(op.sup)))
+        h = np.abs(op.coupling.imag)
         row[..., :-1] -= h
         row[..., 1:] -= h
     floor = np.min(row, axis=-1)
@@ -411,12 +403,8 @@ def tridiag_solve(op: TridiagonalOperator, shift, rhs: np.ndarray) -> np.ndarray
     rhs = np.asarray(rhs, dtype=complex)
     d = np.atleast_2d(op.diag - shift[..., None])
     batch = d.shape[:1]
-    x, singular = gtsv(
-        np.broadcast_to(op.sub, batch + op.sub.shape),
-        d,
-        np.broadcast_to(op.sup, batch + op.sup.shape),
-        np.broadcast_to(rhs, batch + rhs.shape),
-    )
+    c = np.broadcast_to(op.coupling, batch + op.coupling.shape)
+    x, singular = gtsv(c, d, -c, np.broadcast_to(rhs, batch + rhs.shape))
     if singular.any():
         bad = np.atleast_1d(shift)[singular][0]
         raise EigensolveError(f"shifted tridiagonal solve: exactly singular at shift {bad!r}")

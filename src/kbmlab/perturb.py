@@ -81,7 +81,7 @@ def perturbation_series(coeffs: LadderCoefficients) -> PerturbationSeries:
     mu1 = <X phi0, phi0> and mu2 = <X phi1, phi0> with the correction
     solving (diag(k^2) - 0) phi1 = -(X - mu1) phi0 on the orthogonal
     complement of phi0; there the diagonal is k^2 >= 1, hence invertible.
-    X is applied from the block's three diagonals, in O(dim).  The series
+    X is applied from the block's coupling, in O(dim).  The series
     of the trivial eta = 0 block is identically zero.
     """
     block = coeffs.block
@@ -96,7 +96,7 @@ def perturbation_series(coeffs: LadderCoefficients) -> PerturbationSeries:
     if block.k_max < 1:
         raise LadderRangeError("series needs the modes k = -1, 0, 1 inside the block")
 
-    x_op = TridiagonalOperator(np.zeros(n), -coeffs.a, coeffs.a)  # X, as in coupling_matrix
+    x_op = TridiagonalOperator(np.zeros(n), coeffs.a)  # X, as in coupling_matrix
     x_phi0 = x_op.matvec(phi0)
     mu1 = complex(x_phi0[i0])
 

@@ -94,31 +94,28 @@ def parity_eigvals(even, odd):
 
 
 def assembled_odd_sector(block, coeffs, x):
-    """The J = -1 sector at x (a scalar or a 1-d array) assembled from the
-    ladder directly: diagonal m^2 and sub = x*a_m, sup = -sub for m =
-    1..k_max; None on the single-mode block."""
+    """The J = -1 sector at x (a scalar or a 1-d array, real or complex)
+    assembled from the ladder directly: diagonal m^2 and the coupling x*a_m
+    for m = 1..k_max; None on the single-mode block."""
     m = block.k_max
     if m == 0:
         return None
-    ms = np.arange(1, m + 1, dtype=complex)
+    ms = np.arange(1, m + 1.0)
     if np.ndim(x) == 0:
-        sub = complex(x) * coeffs.a[m + 1 :]
-        return TridiagonalOperator(diag=ms * ms, sup=-sub, sub=sub)
-    sub = np.array([complex(xi) * coeffs.a[m + 1 :] for xi in x]).reshape(len(x), m - 1)
-    return TridiagonalOperator(diag=np.array([ms * ms] * len(x)), sup=-sub, sub=sub)
+        return TridiagonalOperator(ms * ms, x * coeffs.a[m + 1 :])
+    coupling = np.array([xi * coeffs.a[m + 1 :] for xi in x]).reshape(len(x), m - 1)
+    return TridiagonalOperator(np.array([ms * ms] * len(x)), coupling)
 
 
 def one_row(op):
     """The stack holding the single matrix ``op``."""
-    return TridiagonalOperator(op.diag[None], op.sup[None], op.sub[None])
+    return TridiagonalOperator(op.diag[None], op.coupling[None])
 
 
 def stack_of(ops):
     """The stack of operators of one dimension."""
     return TridiagonalOperator(
-        np.stack([op.diag for op in ops]),
-        np.stack([op.sup for op in ops]),
-        np.stack([op.sub for op in ops]),
+        np.stack([op.diag for op in ops]), np.stack([op.coupling for op in ops])
     )
 
 
@@ -133,12 +130,15 @@ def sector_parity(op):
 def accretivity_minimum(op):
     """Minimum of Re<op v, v> over complex unit vectors by a dense solve:
     the smallest eigenvalue of the Hermitian part (op + op^*)/2, a
-    Hermitian tridiagonal matrix with diagonal Re(diag) and off-diagonal
-    (sub + conj(sup))/2; a diagonal phase change makes the off-diagonal
-    real and nonnegative.  The oracle for ``numerical_range_floor``."""
+    Hermitian tridiagonal matrix with diagonal ``diag`` and off-diagonal
+    (c - conj(c))/2 for the coupling c (the entry [j, j+1] is -c_j); a
+    diagonal phase change makes the off-diagonal real and nonnegative.  The
+    oracle for ``numerical_range_floor``."""
     n = op.dim
     i = np.arange(n)
     herm = np.zeros((n, n))
-    herm[i, i] = op.diag.real
-    herm[i[1:], i[:-1]] = herm[i[:-1], i[1:]] = np.abs(0.5 * (op.sub + np.conj(op.sup)))
+    herm[i, i] = op.diag
+    herm[i[1:], i[:-1]] = herm[i[:-1], i[1:]] = np.abs(
+        0.5 * (op.coupling - np.conj(op.coupling))
+    )
     return float(np.linalg.eigvalsh(herm)[0])

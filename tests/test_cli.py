@@ -486,11 +486,12 @@ def test_a_tolerance_scale_that_could_loosen_the_contract_is_a_config_error(caps
     ],
 )
 def test_a_negative_flag_value_in_exponent_form_is_a_value(tmp_path, flags, key, value):
-    # the sphere run ignores the eta list
+    # only the custom run reads an eta list
     eta_path = tmp_path / "etas.json"
     eta_path.write_text(json.dumps({"entries": [[0.0, 1], [2.0, 1]]}))
     out = tmp_path / "out"
-    argv = ["run", *flags, "--custom-path", str(eta_path), "--gamma-points", "5", "--out", str(out)]
+    path = ["--custom-path", str(eta_path)] if "custom" in flags else []
+    argv = ["run", *flags, *path, "--gamma-points", "5", "--out", str(out)]
     assert run_cli(argv) == 0
     first = json.loads((out / "table_00_eta_0.json").read_text())["rows"][0]
     assert first[key] == pytest.approx(value, rel=1e-15)
@@ -575,6 +576,98 @@ def test_a_grid_too_large_to_allocate_is_a_config_error_record(tmp_path, capsys)
     record = _error_record(capsys)
     assert record["error"] == "ConfigError" and "10000000000000" in record["message"]
     assert (record["stage"], record["eta"]) == ("config", None)
+
+
+_CUSTOM = ["--surface", "custom", "--curvature", "-1", "--custom-path", "ETAS"]
+
+
+@pytest.mark.parametrize(
+    "flags, key, flag",
+    [
+        (["--surface", "torus", "--curvature", "5"], "surface.K", "--curvature"),
+        (["--surface", "torus", "--l-max", "3"], "surface.l_max", "--l-max"),
+        (["--surface", "torus", "--custom-path", "ETAS"], "surface.path", "--custom-path"),
+        (["--surface", "sphere", "--side", "3", "--custom-path", "ETAS"], "surface.L", "--side"),
+        (["--surface", "sphere", "--eta-cap", "3"], "surface.eta_cap", "--eta-cap"),
+        (["--surface", "sphere", "--custom-path", "ETAS"], "surface.path", "--custom-path"),
+        ([*_CUSTOM, "--l-max", "3"], "surface.l_max", "--l-max"),
+        ([*_CUSTOM, "--side", "3"], "surface.L", "--side"),
+        ([*_CUSTOM, "--eta-cap", "3"], "surface.eta_cap", "--eta-cap"),
+        (["--gamma-explicit", "5,10,100", "--gamma-points", "41"], "gamma_grid.points",
+         "--gamma-points"),
+        (["--gamma-explicit", "5,10", "--gamma-log-start", "1"], "gamma_grid.log_start",
+         "--gamma-log-start"),
+        (["--gamma-log-end", "3", "--gamma-explicit", "5,10"], "gamma_grid.log_end",
+         "--gamma-log-end"),
+        (["--truncation", "fixed", "--k-max", "16", "--truncation-tol", "1e-3"],
+         "truncation.tol", "--truncation-tol"),
+        ([*_CUSTOM, "--truncation", "fixed", "--k-max", "16", "--truncation-tol", "1e-3"],
+         "truncation.tol", "--truncation-tol"),
+    ],
+)
+def test_a_flag_the_run_does_not_read_is_a_config_error(tmp_path, capsys, flags, key, flag):
+    # each of these runs used to exit 0 with the bytes of the run without
+    # the extra flag; the record names the key and the flag that gave it
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0.0, 1], [5.0, 1]]}))
+    flags = [str(eta_path) if f == "ETAS" else f for f in flags]
+    out = tmp_path / "out"
+    assert run_cli(["run", *flags, "--out", str(out)]) == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and (record["stage"], record["eta"]) == ("config", None)
+    assert record["message"].startswith(f"{key}, given by {flag}, is not read by this run")
+    assert sorted(p.name for p in out.iterdir()) == ["errors.json"]
+
+
+@pytest.mark.parametrize(
+    "config, flags, key, source",
+    [
+        ({"surface": {"kind": "torus", "K": 5.0}}, [], "surface.K", "in the config file"),
+        ({"surface": {"kind": "sphere", "path": "x.json"}}, [], "surface.path",
+         "in the config file"),
+        ({"gamma_grid": {"explicit": [5.0, 10.0], "points": 41}}, [], "gamma_grid.points",
+         "in the config file"),
+        ({"gamma_grid": {"points": 41}}, ["--gamma-explicit", "5,10"], "gamma_grid.points",
+         "in the config file"),
+        ({"gamma_grid": {"explicit": [5.0, 10.0]}}, ["--gamma-log-end", "3"],
+         "gamma_grid.log_end", "by --gamma-log-end"),
+        ({"surface": {"kind": "custom", "K": -1.0, "path": "ETAS"},
+          "truncation": {"kind": "fixed", "k_max": 16, "tol": 1e-3}}, [], "truncation.tol",
+         "in the config file"),
+        ({"surface": {"kind": "sphere", "L": 3.0}}, ["--side", "4"], "surface.L", "by --side"),
+    ],
+)
+def test_a_config_key_the_run_does_not_read_is_a_config_error(
+    tmp_path, capsys, config, flags, key, source
+):
+    # the same rule for the config file; a flag that sets the key names itself
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0.0, 1], [5.0, 1]]}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config).replace('"ETAS"', json.dumps(str(eta_path))))
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", str(cfg_path), *flags, "--out", str(out)]) == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and (record["stage"], record["eta"]) == ("config", None)
+    assert record["message"].startswith(f"{key}, given {source}")
+
+
+def test_every_key_a_surface_reads_is_accepted(tmp_path):
+    # the keys each kind reads, given in full by flags, as the benchmark's
+    # configs give them
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0.0, 1], [5.0, 1]]}))
+    grid = ["--gamma-log-start", "0", "--gamma-log-end", "2", "--gamma-points", "3"]
+    for surface in (
+        ["--surface", "sphere", "--curvature", "1", "--l-max", "1"],
+        ["--surface", "torus", "--side", "6.283185307179586", "--eta-cap", "1.5",
+         "--truncation", "fixed", "--k-max", "8"],
+        ["--surface", "custom", "--curvature", "-1", "--custom-path", str(eta_path),
+         "--truncation-tol", "1e-9"],
+    ):
+        out = tmp_path / surface[1]
+        assert run_cli(["run", *surface, *grid, "--out", str(out)]) == 0
+        assert not (out / "errors.json").exists()
 
 
 def test_a_cutoff_with_adaptive_truncation_is_a_config_error(tmp_path, capsys):
@@ -692,8 +785,8 @@ def test_run_builds_no_block_after_the_sweeps(tmp_path, monkeypatch, surface_fla
     eta_path = tmp_path / "etas.json"
     eta_path.write_text(json.dumps({"entries": [[0.0, 1], [2.0, 1], [5.0, 1]]}))
     out = tmp_path / "out"
-    argv = ["run", *surface_flags, "--custom-path", str(eta_path), "--gamma-points", "7",
-            "--out", str(out)]
+    path = ["--custom-path", str(eta_path)] if "custom" in surface_flags else []
+    argv = ["run", *surface_flags, *path, "--gamma-points", "7", "--out", str(out)]
     assert run_cli(argv) == 0
     last_sweep = len(events) - 1 - events[::-1].index("sweep")
     assert events.count("sweep") == 3

@@ -12,6 +12,7 @@ from kbmlab import (
     EigensolveError,
     EvenSector,
     TridiagonalOperator,
+    assemble_generator,
     assemble_perturbed,
     block_at,
     char_poly,
@@ -84,11 +85,11 @@ def test_char_poly_singular_diagonal(sphere_l1):
 @settings(max_examples=40, deadline=None)
 def test_char_poly_matches_dense_determinant(seed, n):
     # dual route: recurrence value against the dense determinant oracle
+    # every complex rung product is -c^2 for some coupling c
     rng = np.random.default_rng(seed)
     op = TridiagonalOperator(
-        diag=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-        sup=rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1),
-        sub=rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1),
+        diag=rng.standard_normal(n),
+        coupling=rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1),
     )
     lam = complex(rng.standard_normal(), rng.standard_normal())
     cp = char_poly(op, lam)
@@ -103,9 +104,8 @@ def test_char_poly_derivative_matches_finite_difference(seed):
     rng = np.random.default_rng(seed)
     n = 6
     op = TridiagonalOperator(
-        diag=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-        sup=rng.standard_normal(n - 1) + 0j,
-        sub=rng.standard_normal(n - 1) + 0j,
+        diag=rng.standard_normal(n),
+        coupling=rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1),
     )
     lam = complex(rng.standard_normal(), rng.standard_normal())
     h = 1e-6
@@ -118,11 +118,7 @@ def test_char_poly_derivative_matches_finite_difference(seed):
 
 
 def test_char_poly_one_by_one():
-    op = TridiagonalOperator(
-        diag=np.array([0.0], dtype=complex),
-        sup=np.zeros(0, dtype=complex),
-        sub=np.zeros(0, dtype=complex),
-    )
+    op = TridiagonalOperator(diag=np.array([0.0]), coupling=np.zeros(0, dtype=complex))
     cp = char_poly(op, 0.25 + 0.5j)
     assert cp.value == -(0.25 + 0.5j) and cp.derivative == -1.0 and cp.exp2 == 0
 
@@ -140,13 +136,14 @@ def test_char_poly_scaling_survives_large_dimension():
 
 
 def _reference_char_poly(op, lam):
-    """The recurrence written plainly: numpy scalars, and the largest of
-    all four magnitudes tested against 2**+-512 on every rung."""
+    """The recurrence written plainly: numpy scalars, starting from the
+    float values ``char_poly`` starts from, and the largest of all four
+    magnitudes tested against 2**+-512 on every rung."""
     big, small = 2.0**512, 2.0**-512
     lam = complex(lam)
-    d, c = op.diag, op.sub * op.sup
-    p_prev, p = 1.0 + 0j, d[0] - lam
-    dp_prev, dp = 0j, -1.0 + 0j
+    d, c = op.diag, -(op.coupling * op.coupling)
+    p_prev, p = np.float64(1.0), d[0] - lam
+    dp_prev, dp = np.float64(0.0), np.float64(-1.0)
     exp2 = 0
     with np.errstate(all="ignore"):
         for j in range(1, op.dim):
@@ -185,28 +182,28 @@ def test_char_poly_is_bitwise_the_plain_recurrence(seed, n, log_scale, real, big
     scale = 10.0**log_scale
 
     def draw(size):
-        v = rng.standard_normal(size) + 0j
+        v = rng.standard_normal(size)
         if not real:
-            v += 1j * rng.standard_normal(size)
+            v = v + 1j * rng.standard_normal(size)
         return scale * v
 
-    diag = draw(n)
+    diag = scale * rng.standard_normal(n)
     if big_first:
         diag[0] = 1e170  # |d_0 - lambda| > 2**512 on the first rung
-    op = TridiagonalOperator(diag=diag, sup=draw(n - 1), sub=draw(n - 1))
+    # every complex rung product is -c^2 for some coupling c
+    op = TridiagonalOperator(diag=diag, coupling=draw(n - 1))
     lam = complex(draw(1)[0])
     assert _same_bits(char_poly(op, lam), _reference_char_poly(op, lam))
 
 
 def test_char_poly_first_rung_weighs_the_first_diagonal():
-    # |p| = 1 and |dp| = 2**511 after rung 1 are in range, but |d_0| > 2**512
-    # is not, so the four-way test rescales there
+    # |p| = 2**-88 and |dp| < 2**512 after rung 1 are in range, but |d_0| >
+    # 2**512 is not, so the four-way test rescales there: d_1*d_0 rounds to
+    # -2**1022, which the rung product -c^2 = -2**1022 - 2**-88 i cancels
     d0 = np.nextafter(2.0**512, math.inf)
-    d1 = -(d0 - 2.0**511)
+    d1 = -(2.0**1022 / d0)
     op = TridiagonalOperator(
-        diag=np.array([d0, d1]),
-        sup=np.array([1.0 + 0j]),
-        sub=np.array([complex(d1 * d0, 1.0)]),
+        diag=np.array([d0, d1]), coupling=np.array([complex(2.0**511, 2.0**-600)])
     )
     ref = _reference_char_poly(op, 0.0)
     assert ref[2] == 512
@@ -218,11 +215,40 @@ def test_char_poly_rescales_underflowing_determinants():
     # so p itself stays a normal float only while d**3 >> 2**-510 (d >> 1e-51)
     rng = np.random.default_rng(5)
     diag = 1e-40 * rng.uniform(0.5, 2.0, 40)
-    op = TridiagonalOperator(diag=diag, sup=np.zeros(39), sub=np.zeros(39))
+    op = TridiagonalOperator(diag=diag, coupling=np.zeros(39))
     cp = char_poly(op, 0.0)
     assert cp.exp2 < 0  # the determinant is about 1e-1600
     got = math.log2(abs(cp.value)) + cp.exp2
     assert got == pytest.approx(float(np.sum(np.log2(diag))), rel=1e-12)
+
+
+@given(
+    kind=st.sampled_from(["sphere", "torus", "negative"]),
+    k=st.integers(1, 256),
+    eta=st.floats(0.1, 1e4),
+    K=st.floats(-2.0, -0.1),
+    x=st.floats(-3.0, 3.0),
+    mu_frac=st.floats(-0.1, 1.1),
+    mu_im=st.floats(-3.0, 3.0),
+    complex_mu=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_char_poly_of_the_sector_at_real_x_is_bitwise_its_lists(
+    kind, k, eta, K, x, mu_frac, mu_im, complex_mu
+):
+    # at real x the operator's diagonal and rung products -c^2 are the
+    # float lists that the continuation's Newton reads, so both routes give
+    # the same bits, in float arithmetic from a real mu and in complex
+    # arithmetic from a complex one
+    coeffs = ladder_coefficients(property_block(kind, k, eta, K))
+    sector = EvenSector.of(coeffs)
+    mu = mu_frac * coeffs.block.k_max**2
+    if complex_mu:
+        mu = complex(mu, mu_im)
+    got = char_poly(sector.at(x), mu)
+    ref = kbmlab.eig._char_poly(*sector.lists(x), mu)
+    assert isinstance(got.value, complex) == complex_mu
+    assert type(got.value) is type(ref.value) and _same_bits(got, ref)
 
 
 @given(
@@ -274,6 +300,39 @@ def test_eig_dense_dimension_guard():
     coeffs = ladder_coefficients(block)
     with pytest.raises(EigensolveError):
         eig_dense(assemble_perturbed(block, coeffs, 0.1))
+
+
+def test_eig_dense_takes_the_real_path_exactly_when_the_coupling_is_real(
+    hyperbolic_block, monkeypatch
+):
+    # the dtype of the coupling decides: real at real x and for every
+    # generator, complex at complex x, even one with a zero imaginary part
+    block, coeffs = hyperbolic_block
+    sector = EvenSector.of(coeffs)
+    ops = [
+        assemble_perturbed(block, coeffs, -0.3),
+        assemble_perturbed(block, coeffs, -0.3 + 0j),
+        assemble_perturbed(block, coeffs, 0.2 + 0.1j),
+        assemble_generator(coeffs, 2.0),
+        sector.at(-0.3),
+        sector.at(np.array([-0.3, -0.1])),
+        sector.at(-0.3 + 0j),
+        odd_sector(sector.at(np.array([0.2 + 0.1j, -0.1]))),
+    ]
+    solved = []
+    real_eigvals = np.linalg.eigvals
+
+    def eigvals(a):
+        solved.append(a.dtype)
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    for op, real in zip(ops, [True, False, False, True, True, True, False, False]):
+        solved.clear()
+        eigs = eig_dense(op)
+        assert (op.coupling.dtype == np.float64) == real
+        assert solved == [np.dtype(float if real else complex)]
+        assert eigs.dtype == np.complex128 and eigs.shape == op.diag.shape
 
 
 def test_eig_dense_solves_real_sectors_in_real_arithmetic():
@@ -674,11 +733,11 @@ def test_exceptional_point_certificate(sphere_l1, monkeypatch):
     # the dense spectrum at x_c must hold the colliding pair; the sector's
     # one rung is x times that of the sector at x = 1
     real_dense = kbmlab.eig.eig_dense
-    unit = abs(sector.at(1.0).sub[0])
+    unit = abs(sector.at(1.0).coupling[0])
 
     def split_at_the_point(op):
         eigs = real_dense(op)
-        if abs(op.sub[0]) >= (0.5 - 1e-12) * unit:
+        if abs(op.coupling[0]) >= (0.5 - 1e-12) * unit:
             eigs[np.argmin(np.abs(eigs - 0.5))] += 1e-3
         return eigs
 
@@ -696,9 +755,7 @@ def test_exceptional_point_needs_an_even_neighbour(sphere_l1, monkeypatch, x_tar
 
     def crowded(even):
         rows = even.diag.shape[:-1]
-        return TridiagonalOperator(
-            diag=np.full(rows + (1,), 0.6), sup=np.zeros(rows + (0,)), sub=np.zeros(rows + (0,))
-        )
+        return TridiagonalOperator(diag=np.full(rows + (1,), 0.6), coupling=np.zeros(rows + (0,)))
 
     monkeypatch.setattr(kbmlab.eig, "odd_sector", crowded)
     br = track_branch(block, coeffs, x_target)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from kbmlab import (
     CasimirBlock,
     LadderCoefficients,
     LadderRangeError,
+    TruncationError,
     assemble_perturbed,
     block_at,
     casimir_residual,
@@ -348,3 +351,30 @@ def test_a_block_rejects_more_than_the_slot_limit():
     assert CasimirBlock(curvature=-1.0, eta=5.0, k_max=k).dim == MAX_LADDER_SLOTS
     with pytest.raises(LadderRangeError, match="dimension exceeds"):
         CasimirBlock(curvature=-1.0, eta=5.0, k_max=k + 1)
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "K, eta",
+    [(_NAN, 5.0), (_INF, 5.0), (-_INF, 5.0)]
+    + [(K, eta) for K in (-1.0, 0.0, 1.0) for eta in (_NAN, _INF)],
+    ids=repr,
+)
+def test_a_non_finite_curvature_or_eta_builds_no_block(K, eta):
+    # a NaN or infinite K or eta would give NaN or infinite coefficients;
+    # every constructor refuses it, truncate by its own rule when that
+    # comes first (K > 0 ladders are finite)
+    with pytest.raises(LadderRangeError, match="must be finite"):
+        CasimirBlock(curvature=K, eta=eta, k_max=8)
+    with pytest.raises(LadderRangeError, match="must be finite"):
+        block_at(eta, K, 8)
+    with pytest.raises(LadderRangeError, match="must be finite"):
+        finite_block(eta, K)
+    if K > 0.0:
+        with pytest.raises(TruncationError, match="K > 0"):
+            truncate(eta, K, fixed_truncation(8))
+    else:
+        with pytest.raises(LadderRangeError, match="must be finite"):
+            truncate(eta, K, fixed_truncation(8))

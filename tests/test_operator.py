@@ -41,19 +41,22 @@ from kbmlab.acceptance import suite_block, suite_cases
 def test_perturbed_at_zero_is_diagonal(sphere_l1):
     block, coeffs = sphere_l1
     op = assemble_perturbed(block, coeffs, 0.0)
-    assert np.array_equal(op.diag.real, [1.0, 0.0, 1.0])
-    assert np.all(op.sub == 0) and np.all(op.sup == 0)
+    assert np.array_equal(op.diag, [1.0, 0.0, 1.0])
+    assert np.all(op.coupling == 0) and np.all(op.to_dense() == np.diag(op.diag))
 
 
 def test_perturbed_off_diagonals(sphere_l1):
     block, coeffs = sphere_l1
     op = assemble_perturbed(block, coeffs, 0.3)
     expect = 0.3 * math.sqrt(0.5)
-    assert np.allclose(op.sub.real, expect, rtol=1e-15, atol=0)
-    assert np.allclose(op.sup.real, -expect, rtol=1e-15, atol=0)
-    # entries are exactly x * a in the fixed gauge
-    assert np.array_equal(op.sub, 0.3 * coeffs.a + 0j)
-    assert np.array_equal(op.sup, -(0.3 * coeffs.a) + 0j)
+    dense = op.to_dense()
+    assert np.allclose(np.diag(dense, -1), expect, rtol=1e-15, atol=0)
+    assert np.allclose(np.diag(dense, 1), -expect, rtol=1e-15, atol=0)
+    # entries are exactly x * a in the fixed gauge, real at real x
+    assert op.diag.dtype == op.coupling.dtype == dense.dtype == np.float64
+    assert np.array_equal(op.coupling, 0.3 * coeffs.a)
+    assert np.array_equal(np.diag(dense, -1), 0.3 * coeffs.a)
+    assert np.array_equal(np.diag(dense, 1), -(0.3 * coeffs.a))
 
 
 def test_trivial_block_assembles_to_zero():
@@ -68,9 +71,10 @@ def test_trivial_block_assembles_to_zero():
 def test_generator_entries(sphere_l1):
     block, coeffs = sphere_l1
     op = assemble_generator(coeffs, 4.0)
-    assert np.array_equal(op.diag.real, [8.0, 0.0, 8.0])
-    assert np.allclose(op.sub.real, -4.0 * math.sqrt(0.5), rtol=1e-15)
-    assert np.allclose(op.sup.real, 4.0 * math.sqrt(0.5), rtol=1e-15)
+    dense = op.to_dense()
+    assert np.array_equal(op.diag, [8.0, 0.0, 8.0]) and dense.dtype == np.float64
+    assert np.allclose(np.diag(dense, -1), -4.0 * math.sqrt(0.5), rtol=1e-15)
+    assert np.allclose(np.diag(dense, 1), 4.0 * math.sqrt(0.5), rtol=1e-15)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 10.0, 100.0])
@@ -79,7 +83,7 @@ def test_generator_matches_scaled_family(sphere_l1, gamma):
     gen = assemble_generator(coeffs, gamma)
     fam = assemble_perturbed(block, coeffs, -2.0 / gamma)
     s = 0.5 * gamma * gamma
-    for got, ref in ((gen.diag, s * fam.diag), (gen.sub, s * fam.sub), (gen.sup, s * fam.sup)):
+    for got, ref in ((gen.diag, s * fam.diag), (gen.coupling, s * fam.coupling)):
         scale = np.maximum(np.abs(ref), 1e-300)
         assert np.max(np.abs(got - ref) / scale) <= 1e-13
 
@@ -264,13 +268,7 @@ def test_tridiag_solve_multiple_rhs(sphere_l1):
 
 def test_tridiag_solve_pivot_fallback():
     # diag (0, 1): the first pivot vanishes at shift 0 and forces pivoting
-    from kbmlab import TridiagonalOperator
-
-    op = TridiagonalOperator(
-        diag=np.array([0.0, 1.0], dtype=complex),
-        sup=np.array([1.0], dtype=complex),
-        sub=np.array([2.0], dtype=complex),
-    )
+    op = TridiagonalOperator(diag=np.array([0.0, 1.0]), coupling=np.array([2.0]))
     rhs = np.array([1.0, 1.0], dtype=complex)
     x = tridiag_solve(op, 0.0, rhs)
     ref = np.linalg.solve(op.to_dense(), rhs)
@@ -278,9 +276,10 @@ def test_tridiag_solve_pivot_fallback():
 
 
 def _random_tridiagonal(n, seed, interchange):
-    """Complex tridiagonal operator, shift and right-hand side, scaled by
-    one factor in 1e-3..1e3; ``interchange`` makes the off-diagonals 10 to
-    1000 times larger than diag - shift, so partial pivoting swaps rows."""
+    """Tridiagonal operator with a real diagonal and a complex coupling, a
+    complex shift and a right-hand side, scaled by one factor in
+    1e-3..1e3; ``interchange`` makes the coupling 10 to 1000 times larger
+    than diag - shift, so partial pivoting swaps rows."""
     rng = np.random.default_rng(seed)
 
     def entries(m):
@@ -288,25 +287,37 @@ def _random_tridiagonal(n, seed, interchange):
 
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
     off = scale * (10.0 ** rng.uniform(1.0, 3.0) if interchange else 1.0)
-    op = TridiagonalOperator(
-        diag=scale * entries(n), sup=off * entries(n - 1), sub=off * entries(n - 1)
-    )
+    op = TridiagonalOperator(diag=scale * rng.standard_normal(n), coupling=off * entries(n - 1))
     return op, complex(scale * entries(1)[0]), entries(n)
 
 
 @given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), interchange=st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_tridiag_solve_matches_lapack_gtsv_and_the_dense_solve(n, seed, interchange):
+    from kbmlab.operator import gtsv
+
     op, shift, rhs = _random_tridiagonal(n, seed, interchange)
     x = tridiag_solve(op, shift, rhs)
     a = op.to_dense() - shift * np.eye(n)
     ref = np.linalg.solve(a, rhs)
     cond = np.linalg.cond(a)
     assert np.linalg.norm(x - ref) <= 1e-13 * cond * np.linalg.norm(ref)
+    # the kernel alone, on independent off-diagonals and a complex diagonal
+    # (the second system of a batch of two has the large off-diagonals)
+    rng = np.random.default_rng(seed + 1)
+    dl, d, du, _ = (a[int(interchange)][None] for a in _random_batch(rng, 2, n, None))
+    alone = gtsv(dl, d, du, rhs[None])[0][0]
+    dense = np.diag(d[0]) + np.diag(dl[0], -1) + np.diag(du[0], 1)
+    ref = np.linalg.solve(dense, rhs)
+    assert np.linalg.norm(alone - ref) <= 1e-13 * np.linalg.cond(dense) * np.linalg.norm(ref)
     if n > 1:  # the wrapper rejects an empty subdiagonal
-        *_, ref_gtsv, info = scipy.linalg.lapack.zgtsv(op.sub, op.diag - shift, op.sup, rhs)
+        c = op.coupling
+        *_, ref_gtsv, info = scipy.linalg.lapack.zgtsv(c, op.diag - shift, -c, rhs)
         assert info == 0
         assert np.linalg.norm(x - ref_gtsv) <= 1e-13 * np.linalg.norm(ref_gtsv)
+        *_, ref_gtsv, info = scipy.linalg.lapack.zgtsv(dl[0], d[0], du[0], rhs)
+        assert info == 0
+        assert np.linalg.norm(alone - ref_gtsv) <= 1e-13 * np.linalg.norm(ref_gtsv)
 
 
 def _random_batch(rng, batch, n, cols):
@@ -374,10 +385,8 @@ def test_tridiag_solve_with_a_shift_array_equals_one_call_per_shift(n, shifts, s
 
 def test_tridiag_solve_one_by_one_with_a_real_rhs():
     # n = 2 with a row interchange is test_tridiag_solve_pivot_fallback
-    op = TridiagonalOperator(
-        diag=np.array([3.0 + 1.0j]), sup=np.zeros(0), sub=np.zeros(0)
-    )
-    assert tridiag_solve(op, 1.0j, np.array([6.0])) == pytest.approx([2.0], abs=1e-15)
+    op = TridiagonalOperator(diag=np.array([3.0]), coupling=np.zeros(0))
+    assert tridiag_solve(op, 3.0 - 2.0j, np.array([6.0])) == pytest.approx([-3.0j], abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -389,11 +398,32 @@ def test_tridiag_solve_one_by_one_with_a_real_rhs():
     ],
 )
 def test_tridiag_solve_exactly_singular_raises(diag, sup, sub):
-    op = TridiagonalOperator(
-        diag=np.array(diag), sup=np.array(sup), sub=np.array(sub)
-    )
+    # the kernel flags any exactly singular tridiagonal system; the solver
+    # of a skew-coupled operator raises on it
+    from kbmlab.operator import gtsv
+
+    x, singular = gtsv(np.array([sub]), np.array([diag]), np.array([sup]), np.ones((1, len(diag))))
+    assert singular.tolist() == [True] and np.all(np.isnan(x))
+    if sup == [-c for c in sub]:
+        op = TridiagonalOperator(diag=np.array(diag), coupling=np.array(sub))
+        with pytest.raises(EigensolveError):
+            tridiag_solve(op, 0.0, np.ones(op.dim))
+
+
+def test_tridiag_solve_raises_where_the_last_pivot_cancels():
+    # [[1, -i], [i, 1]] has rank one: the last pivot is 1 - i*(-i) = 0
+    op = TridiagonalOperator(diag=np.array([1.0, 1.0]), coupling=np.array([1.0j]))
     with pytest.raises(EigensolveError):
-        tridiag_solve(op, 0.0, np.ones(op.dim))
+        tridiag_solve(op, 0.0, np.ones(2))
+
+
+def test_a_complex_diagonal_is_refused():
+    # the diagonal of every operator the package forms is real; only the
+    # coupling turns complex, at complex x
+    with pytest.raises(ValueError, match="real"):
+        TridiagonalOperator(diag=np.array([1.0 + 0.0j, 2.0]), coupling=np.array([0.5]))
+    op = TridiagonalOperator(diag=np.array([1, 2]), coupling=np.array([0.5j]))
+    assert op.diag.dtype == np.float64 and op.coupling.dtype == np.complex128
 
 
 def test_tridiag_solve_leaves_a_two_dimensional_rhs_unmodified(hyperbolic_block):
@@ -482,8 +512,9 @@ def test_parity_sectors_of_the_sphere_l1_block(sphere_l1):
     even = even_sector(coeffs, 0.3)
     odd = odd_sector(even)
     assert np.array_equal(even.diag, [0.0, 1.0]) and np.array_equal(odd.diag, [1.0])
-    assert even.sub[0] == pytest.approx(0.3, rel=1e-15)
-    assert np.array_equal(even.sup, -even.sub) and odd.sub.size == 0
+    assert even.coupling[0] == pytest.approx(0.3, rel=1e-15)
+    assert np.array_equal(np.diag(even.to_dense(), 1), -even.coupling)
+    assert even.coupling.dtype == np.float64 and odd.coupling.size == 0
     trivial = finite_block(0.0, 1.0)
     even0 = even_sector(ladder_coefficients(trivial), 0.3)
     assert even0.dim == 1 and odd_sector(even0) is None
@@ -505,7 +536,7 @@ def test_odd_sector_is_the_assembled_odd_sector_bit_for_bit(
     # sphere l = 0 is the single-mode block; truncations need k_max >= 1
     block = property_block(kind, k if kind == "sphere" else max(k, 1), eta, K)
     coeffs = ladder_coefficients(block)
-    x = np.array([complex(re, im if complex_x else 0.0) for re, im in xs])
+    x = np.array([complex(re, im) if complex_x else re for re, im in xs])
     if not stacked:
         x = x[0]
     even = even_sector(coeffs, x)
@@ -515,7 +546,8 @@ def test_odd_sector_is_the_assembled_odd_sector_bit_for_bit(
         assert block.k_max == 0 and odd is None
         return
     assert odd.dim == block.k_max
-    for name in ("diag", "sup", "sub"):
+    assert odd.coupling.dtype == (np.complex128 if complex_x else np.float64)
+    for name in ("diag", "coupling"):
         got, want = getattr(odd, name), getattr(ref, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
         # a slice of the even sector, not a new assembly
@@ -532,14 +564,14 @@ def _sector_formulas(block, coeffs, x):
 
     def operator_at(x):
         m = block.k_max
-        x = np.asarray(x, dtype=complex)
-        ms = np.arange(m + 1, dtype=complex)
-        sub = x[..., None] * coeffs.a[m:]
-        sub[..., :1] *= math.sqrt(2.0)
+        x = np.asarray(x)
+        ms = np.arange(m + 1.0)
+        coupling = x[..., None] * coeffs.a[m:]
+        coupling[..., :1] *= math.sqrt(2.0)
         diag = ms * ms
         if x.ndim:
             diag = diag[None].repeat(x.size, axis=0)
-        return TridiagonalOperator(diag=diag, sup=-sub, sub=sub)
+        return TridiagonalOperator(diag=diag, coupling=coupling)
 
     x0 = float(np.real(np.ravel(x)[0]))
     rungs = coeffs.a[block.k_max :].tolist()
@@ -551,7 +583,7 @@ def _sector_formulas(block, coeffs, x):
     if squared:
         squared[0] *= 2.0
     unit = operator_at(1.0)
-    return operator_at(x), x0, lists, squared, (unit.diag.real, unit.sub.real)
+    return operator_at(x), x0, lists, squared, (unit.diag, unit.coupling)
 
 
 def _same_bits(got, want):
@@ -582,7 +614,7 @@ def test_every_view_of_the_even_sector_has_the_bits_of_its_formula(
     else:
         block = block_at(eta, 0.0 if kind == "flat" else -1.0, k)
     coeffs = ladder_coefficients(block)
-    x = np.array([complex(v, x_im if complex_x else 0.0) for v in xs])
+    x = np.array([complex(v, x_im) if complex_x else v for v in xs])
     if not stacked:
         x = x[0] if complex_x else float(xs[0])
     sector = EvenSector.of(coeffs)
@@ -590,12 +622,13 @@ def test_every_view_of_the_even_sector_has_the_bits_of_its_formula(
     assert len(sector.diag) == block.k_max + 1
 
     got = sector.at(x)
-    for name in ("diag", "sup", "sub"):
+    assert got.coupling.dtype == (np.complex128 if complex_x else np.float64)
+    for name in ("diag", "coupling"):
         assert _same_bits(getattr(got, name), getattr(op, name)), name
     if stacked:
         for i, xi in enumerate(x):
             alone = sector.at(xi)
-            for name in ("diag", "sup", "sub"):
+            for name in ("diag", "coupling"):
                 assert _same_bits(getattr(got, name)[i], getattr(alone, name)), name
 
     diag, rungs = sector.lists(x0)
@@ -604,7 +637,7 @@ def test_every_view_of_the_even_sector_has_the_bits_of_its_formula(
 
     assert _same_bits(sector.squared_rungs(), squared)
     assert _same_bits(np.array(sector.diag), unit_diag)
-    assert _same_bits(sector.sub(1.0), unit_rungs)
+    assert _same_bits(sector.coupling(1.0), unit_rungs)
 
 
 def test_the_sector_record_rejects_coefficients_of_another_block(sphere_l1):

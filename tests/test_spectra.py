@@ -540,7 +540,7 @@ def test_sweep_takes_one_residual_per_row(monkeypatch, eta, K, points):
     block, coeffs = _sweep_block(table)
     # the stack of the accepted block's even sectors at every grid x
     assert len(calls) == 1
-    assert calls[0].sub.tobytes() == even_sector(coeffs, -2.0 / grid).sub.tobytes()
+    assert calls[0].coupling.tobytes() == even_sector(coeffs, -2.0 / grid).coupling.tobytes()
     for x, mu, res in zip(-2.0 / grid, _row_mu(table, block, coeffs), table.residual):
         alone = real(even_sector(coeffs, np.array([x])), np.array([mu]))[1]
         assert alone[0] == res
@@ -552,7 +552,7 @@ def test_failed_residual_marks_only_its_row(monkeypatch):
     j = 20
     assert clean.simple[j] and np.all(clean.simple[j:])
     block = finite_block(2.0, 1.0)
-    target = even_sector(ladder_coefficients(block), -2.0 / grid[j]).sub
+    target = even_sector(ladder_coefficients(block), -2.0 / grid[j]).coupling
     real = kbmlab.eig.gtsv
 
     def failing(dl, d, du, b):
@@ -677,7 +677,7 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
 
     def record_even(args, op):
         if "dense_continuation" in running:
-            dense_rungs[:] = (op.sub * op.sup).tolist()
+            dense_rungs[:] = (-(op.coupling * op.coupling)).tolist()
         elif "track_branch" in running and "exceptional_point" not in running:
             # one sample's sector at a time: the steps' sectors are lists
             assert args[0] is formed[-1] and np.ndim(args[1]) == 0

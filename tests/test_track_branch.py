@@ -232,10 +232,10 @@ def test_track_branch_equals_the_step_by_step_loop(kind, k, eta, K, reach, sign,
 
 
 def _rung_products(sector):
-    """The rung products c_j = sub_j * sup_j that ``newton_polish`` reads,
-    from an operator or from its (diagonal, rung products) lists."""
+    """The rung products -c_j^2 of the coupling c that ``newton_polish``
+    reads, from an operator or from its (diagonal, rung products) lists."""
     if isinstance(sector, TridiagonalOperator):
-        return (sector.sub * sector.sup).tolist()
+        return (-(sector.coupling * sector.coupling)).tolist()
     return sector[1]
 
 

@@ -12,19 +12,19 @@ import json
 import math
 from pathlib import Path
 
-from kbmlab.cli import RunConfig, SurfaceConfig, GridConfig, OutputConfig, run
+from kbmlab.cli import run
 
 OUT_ROOT = Path("out_suite")
 HYPERBOLIC_ETAS = [[0.0, 1], [2.0, 1], [5.0, 1], [10.0, 1]]
+GRID = {"log_start": 0.5, "log_end": 4.0, "points": 71}
 
 
-def run_surface(name, surface, grid):
-    cfg = RunConfig(
-        surface=surface,
-        grid=grid,
-        output=OutputConfig(formats=("csv", "json"), directory=str(OUT_ROOT / name)),
-    )
-    manifest = run(cfg)
+def run_surface(name, surface):
+    manifest = run({
+        "surface": surface,
+        "gamma_grid": GRID,
+        "outputs": {"formats": ["csv", "json"], "directory": str(OUT_ROOT / name)},
+    })
     summary = json.loads(Path(manifest["summary"]).read_text())
     print(f"\n== {name} ==")
     for row in summary["per_eta"]:
@@ -35,17 +35,12 @@ def run_surface(name, surface, grid):
 
 
 def main():
-    grid = GridConfig(log_start=0.5, log_end=4.0, points=71)
-    run_surface("sphere", SurfaceConfig(kind="sphere", K=1.0, l_max=3), grid)
-    run_surface(
-        "torus", SurfaceConfig(kind="torus", L=2.0 * math.pi, eta_cap=2.5), grid
-    )
+    run_surface("sphere", {"kind": "sphere", "K": 1.0, "l_max": 3})
+    run_surface("torus", {"kind": "torus", "L": 2.0 * math.pi, "eta_cap": 2.5})
     eta_path = OUT_ROOT / "hyperbolic" / "etas.json"
     eta_path.parent.mkdir(parents=True, exist_ok=True)
     eta_path.write_text(json.dumps({"entries": HYPERBOLIC_ETAS}))
-    run_surface(
-        "hyperbolic", SurfaceConfig(kind="custom", K=-1.0, path=str(eta_path)), grid
-    )
+    run_surface("hyperbolic", {"kind": "custom", "K": -1.0, "path": str(eta_path)})
     print(f"\nartifacts under {OUT_ROOT}/")
 
 

@@ -156,7 +156,7 @@ def criterion_1(scale: float = 1.0):
     worst = 0.0
     for side in (xs[xs < 0.0][::-1], xs[xs > 0.0]):
         br = track_branch(block, coeffs, side[-1], checkpoints=side)
-        if not br.reached:
+        if br.status != "complete":
             return False, f"collision at x={br.x_collision}"
         for x, i in zip(side, br.checkpoint_index):
             worst = max(worst, abs(br.mu_values[i] - closed_form_mu(float(x))))

@@ -10,14 +10,16 @@ criterion.  Identities that hold by construction (accretivity, the
 Casimir identity, the zero-mode resolvent bound) are certified by the
 acceptance suite, not written by ``run``.
 
-Configuration is a JSON file with nested sections (schema in the README);
-every key has a matching flag (``_RUN_FLAGS``) and flags override file
-values.  Every key given must change the run: one the run would not read
-(a surface key its kind ignores, a log-grid key next to an explicit gamma
-list, a tolerance with fixed truncation) is a ConfigError.
-``RunConfig.validate`` checks types and that rule; the range rules live
-in the library code that builds the spectrum, the grid and the
-truncation policy.
+The config is the JSON mapping the README documents, ``{"surface": {...},
+"gamma_grid": {...}, "truncation": {...}, "outputs": {...}}``, read from
+a file and overridden by flags.  ``KEYS`` declares each key once: its
+flag, its default, the check of its value, its help and the rule that
+says when a run reads it.  Every key given must change the run: one the
+run would not read (a surface key its kind ignores, a log-grid key next to
+an explicit gamma list, a truncation key on a K > 0 surface, whose blocks
+are finite, a tolerance with fixed truncation) is a ConfigError.
+``validate`` applies the table; the range rules live in the library code
+that builds the spectrum, the grid and the truncation policy.
 A run that stops on its inputs before any sweep reports a ConfigError and
 exits with 2; one whose sweep fails exits with 1.  The JSON error record
 names the error, its message, the stage (``config`` or ``sweep``) and the
@@ -32,9 +34,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,122 +58,6 @@ from .spectra import (
 
 CSV_COLUMNS = ("gamma", "re_lambda", "im_lambda", "abs_error", "simple", "k_max", "residual")
 
-# The config file's sections and the RunConfig field that holds each.
-_SECTIONS = {"surface": "surface", "gamma_grid": "grid", "truncation": "truncation",
-             "outputs": "output"}
-# The surface keys each kind reads besides ``kind``, and the keys of the
-# log grid, which an explicit gamma list replaces.
-_SURFACE_READS = {"sphere": ("K", "l_max"), "torus": ("L", "eta_cap"), "custom": ("K", "path")}
-_LOG_GRID_KEYS = ("gamma_grid.log_start", "gamma_grid.log_end", "gamma_grid.points")
-
-
-@dataclass
-class SurfaceConfig:
-    kind: str = "sphere"
-    K: float = 1.0
-    l_max: int = 2
-    L: float = 2.0 * math.pi
-    eta_cap: float = 2.5
-    path: Optional[str] = None
-
-
-@dataclass
-class GridConfig:
-    log_start: float = 0.0
-    log_end: float = 4.0
-    points: int = 101
-    explicit: Optional[list] = None
-
-
-@dataclass
-class TruncationConfig:
-    kind: str = "adaptive"
-    k_max: Optional[int] = None
-    tol: float = 1e-10
-
-
-@dataclass
-class OutputConfig:
-    formats: tuple = ("csv", "json")
-    directory: str = "out"
-
-
-@dataclass
-class RunConfig:
-    surface: SurfaceConfig = field(default_factory=SurfaceConfig)
-    grid: GridConfig = field(default_factory=GridConfig)
-    truncation: TruncationConfig = field(default_factory=TruncationConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
-    # "section.key" of every key a flag or the config file set -> where
-    given: dict = field(default_factory=dict)
-
-    def validate(self) -> tuple[SurfaceSpectrum, np.ndarray, TruncationPolicy]:
-        """Check what a config file or a flag can get wrong in type, that
-        the run reads every key given (``_check_given``), and the one rule
-        that ties two sections; then build and return the run's spectrum,
-        gamma grid and truncation policy, whose constructors enforce every
-        range rule.  Any error raised is a ConfigError."""
-        s, g, t, o = self.surface, self.grid, self.truncation, self.output
-        for name, value in (
-            ("surface.K", s.K),
-            ("surface.L", s.L),
-            ("surface.eta_cap", s.eta_cap),
-            ("gamma_grid.log_start", g.log_start),
-            ("gamma_grid.log_end", g.log_end),
-            ("truncation.tol", t.tol),
-        ):
-            if not _is_finite_number(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        for name, value in (("surface.l_max", s.l_max), ("gamma_grid.points", g.points)):
-            if not _is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not (t.k_max is None or _is_int(t.k_max)):
-            raise ConfigError(f"truncation.k_max must be an integer, got {t.k_max!r}")
-        if s.kind not in ("sphere", "torus", "custom"):
-            raise ConfigError(f"unknown surface kind {s.kind!r}")
-        self._check_given()
-        if s.kind == "custom" and not (isinstance(s.path, str) and s.path):
-            raise ConfigError("custom surface needs a path to an eta list")
-        if g.explicit is not None and not (
-            isinstance(g.explicit, (list, tuple)) and all(map(_is_finite_number, g.explicit))
-        ):
-            raise ConfigError(
-                f"gamma_grid.explicit must be a list of finite numbers, got {g.explicit!r}"
-            )
-        if t.kind == "fixed" and (s.kind == "sphere" or (s.kind == "custom" and s.K > 0.0)):
-            raise ConfigError("fixed truncation needs K <= 0; a K > 0 surface has finite blocks")
-        formats = o.formats
-        if not (isinstance(formats, (list, tuple)) and all(f in ("csv", "json") for f in formats)):
-            raise ConfigError(f"outputs.formats must be a list of csv and json, got {formats!r}")
-        if not isinstance(o.directory, str):
-            raise ConfigError(f"outputs.directory must be a string, got {o.directory!r}")
-        try:
-            spectrum, grid = build_spectrum(self), build_grid(self)
-            policy = TruncationPolicy(kind=t.kind, k_max=t.k_max, tol=t.tol)
-            if policy.kind == "fixed":
-                check_fixed_cutoff(policy.k_max)
-        except KbmLabError as exc:
-            raise ConfigError(str(exc)) from exc
-        return spectrum, grid, policy
-
-    def _check_given(self) -> None:
-        """A key given by a flag or in the config file that the run would not
-        read is a ConfigError naming the key and where it came from: a
-        surface key its kind does not read, a log-grid key next to an
-        explicit gamma list, and a tolerance with fixed truncation."""
-        kind = self.surface.kind
-        reads = [f"surface.{key}" for key in ("kind",) + _SURFACE_READS[kind]]
-        for key, source in self.given.items():
-            if key.startswith("surface.") and key not in reads:
-                why = f"a {kind} surface reads {' and '.join(reads[1:])}"
-            elif key in _LOG_GRID_KEYS and self.grid.explicit is not None:
-                why = "gamma_grid.explicit replaces the log grid"
-            elif key == "truncation.tol" and self.truncation.kind == "fixed":
-                why = "fixed truncation reads no tolerance"
-            else:
-                continue
-            raise ConfigError(f"{key}, given {source}, is not read by this run: {why}")
-
 
 def _is_finite_number(value) -> bool:
     # abs() <= max also rejects nan, and compares an int too large for a float exactly
@@ -185,37 +70,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits round-trips doubles exactly."""
-    return f"{float(x):.17g}"
-
-
-def load_config(path: Optional[str]) -> RunConfig:
-    cfg = RunConfig()
-    if path is None:
-        return cfg
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path!r} must be a JSON object")
-    for section, block in raw.items():
-        if section == "workers":  # the deleted ``run --workers``; ignored
-            continue
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown section {section!r} in config {path!r}")
-        if not isinstance(block, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        current = getattr(cfg, _SECTIONS[section])
-        for key, value in block.items():
-            if not hasattr(current, key):
-                raise ConfigError(f"unknown key {key!r} in section {section!r}")
-            setattr(current, key, value)
-            cfg.given[f"{section}.{key}"] = f"in the config file {path!r}"
-    return cfg
-
-
 def _number(text: str):
     """float(text), or the text itself where it is no number."""
     try:
@@ -224,46 +78,223 @@ def _number(text: str):
         return text
 
 
-# One row per ``run`` flag: the flag, the config section and key it sets,
-# its argparse type or choices, and its help, to which ``build_parser``
-# adds the key's default.  Every flag is None unless given, so the config
-# file's value stands where a flag is absent.
-_RUN_FLAGS = (
-    ("--surface", "surface", "kind", ("sphere", "torus", "custom"), "base surface"),
-    ("--curvature", "surface", "K", float, "Gaussian curvature K"),
-    ("--l-max", "surface", "l_max", int, "sphere: largest l"),
-    ("--side", "surface", "L", float, "torus: side length L"),
-    ("--eta-cap", "surface", "eta_cap", float, "torus: largest eta"),
-    ("--custom-path", "surface", "path", str, "custom: JSON eta list"),
-    ("--gamma-log-start", "gamma_grid", "log_start", float, "log10 of the first gamma"),
-    ("--gamma-log-end", "gamma_grid", "log_end", float, "log10 of the last gamma"),
-    ("--gamma-points", "gamma_grid", "points", int, "points of the log grid"),
-    ("--gamma-explicit", "gamma_grid", "explicit", str,
-     "comma-separated gamma list, in place of the log grid"),
-    ("--truncation", "truncation", "kind", ("fixed", "adaptive"), "cutoff policy for K <= 0"),
-    ("--k-max", "truncation", "k_max", int, "fixed truncation cutoff"),
-    ("--truncation-tol", "truncation", "tol", float, "adaptive truncation tolerance"),
-    ("--formats", "outputs", "formats", str, "comma-separated subset of csv,json"),
-    ("--out", "outputs", "directory", str, "output directory"),
+def _listed(item: Callable[[str], object]) -> Callable[[str], list]:
+    """Parse a comma list flag item by item.  ``_number`` keeps an item that
+    is no number as a string, so the key's check refuses it with a
+    ConfigError record like any other bad value, not argparse."""
+    return lambda text: [item(v) for v in text.split(",") if v]
+
+
+class _Check(NamedTuple):
+    """A key's value check: ``test``, the message when it fails (formatted
+    with ``key`` and ``value``), how a flag's text becomes a value, and the
+    choices the flag takes."""
+
+    test: Callable[[object], bool]
+    wants: str
+    parse: Callable[[str], object] = str
+    choices: Optional[tuple] = None
+
+
+def _choice(*choices: str, wants: str) -> _Check:
+    return _Check(lambda v: v in choices, wants, choices=choices)
+
+
+_FINITE = _Check(_is_finite_number, "{key} must be a finite number, got {value!r}", float)
+_INTEGER = _Check(_is_int, "{key} must be an integer, got {value!r}", int)
+# None, the default of k_max and of explicit, leaves them unset
+_CUTOFF = _Check(lambda v: v is None or _is_int(v), _INTEGER.wants, int)
+_PATH = _Check(lambda v: isinstance(v, str) and v != "",
+               "custom surface needs a path to an eta list")
+_GAMMAS = _Check(
+    lambda v: v is None or (isinstance(v, (list, tuple)) and all(map(_is_finite_number, v))),
+    "{key} must be a list of finite numbers, got {value!r}",
+    _listed(_number),
 )
-# Comma-list flags and the type of their items.  They are split in
-# ``_apply_flags``, not by argparse, so a bad item is a ConfigError record
-# written to the run's output directory like any other bad value.
-_COMMA_LISTS = {"--gamma-explicit": _number, "--formats": str}
+_FORMATS = _Check(
+    lambda v: isinstance(v, (list, tuple)) and all(f in ("csv", "json") for f in v),
+    "{key} must be a list of csv and json, got {value!r}",
+    _listed(str),
+)
+_STRING = _Check(lambda v: isinstance(v, str), "{key} must be a string, got {value!r}")
 
 
-def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
-    """Set the config key of every ``run`` flag given.  An item of a comma
-    list that is no number stays a string, which ``RunConfig.validate``
-    rejects."""
-    for flag, section, key, _, _ in _RUN_FLAGS:
-        value = getattr(args, f"{section}.{key}")
-        if value is None:
+class _Rule(NamedTuple):
+    """When a run reads a key: ``reads(values)`` of the run's values, and
+    ``why(values)``, the reason the run gives when it does not."""
+
+    reads: Callable[[dict], bool]
+    why: Callable[[dict], str]
+
+
+def _surface_why(v: dict) -> str:
+    reads = [key for key, row in KEYS.items()
+             if key.startswith("surface.") and row.rule and row.rule.reads(v)]
+    return f"a {v['surface.kind']} surface reads {' and '.join(reads)}"
+
+
+def _read_by(*kinds: str) -> _Rule:
+    """The rule of a surface key that the surfaces of these kinds read."""
+    return _Rule(lambda v: v["surface.kind"] in kinds, _surface_why)
+
+
+def _finite_blocks(v: dict) -> bool:
+    kind = v["surface.kind"]
+    return kind == "sphere" or (kind == "custom" and v["surface.K"] > 0.0)
+
+
+def _truncation_why(v: dict) -> str:
+    if _finite_blocks(v):
+        return "a K > 0 surface has finite blocks; truncation is read only where K <= 0"
+    return "fixed truncation reads no tolerance"
+
+
+_LOG_GRID = _Rule(lambda v: v["gamma_grid.explicit"] is None,
+                  lambda v: "gamma_grid.explicit replaces the log grid")
+_TRUNCATION = _Rule(lambda v: not _finite_blocks(v), _truncation_why)
+_TOLERANCE = _Rule(lambda v: not _finite_blocks(v) and v["truncation.kind"] != "fixed",
+                   _truncation_why)
+
+
+class _Key(NamedTuple):
+    """One config key: its flag, its default, its value check, the flag's
+    help (to which ``build_parser`` adds the default) and the rule that
+    says when a run reads it (None: every run does)."""
+
+    flag: str
+    default: object
+    check: _Check
+    help: str
+    rule: Optional[_Rule] = None
+
+
+# Every config key, "section.key", in the order the run checks them: a
+# rule reads only keys above its own, which are checked by then.
+KEYS = {
+    "surface.kind": _Key(
+        "--surface", "sphere",
+        _choice("sphere", "torus", "custom", wants="unknown surface kind {value!r}"),
+        "base surface"),
+    "surface.K": _Key("--curvature", 1.0, _FINITE, "Gaussian curvature K",
+                      _read_by("sphere", "custom")),
+    "surface.l_max": _Key("--l-max", 2, _INTEGER, "sphere: largest l", _read_by("sphere")),
+    "surface.L": _Key("--side", 2.0 * math.pi, _FINITE, "torus: side length L",
+                      _read_by("torus")),
+    "surface.eta_cap": _Key("--eta-cap", 2.5, _FINITE, "torus: largest eta", _read_by("torus")),
+    "surface.path": _Key("--custom-path", None, _PATH, "custom: JSON eta list",
+                         _read_by("custom")),
+    "gamma_grid.log_start": _Key("--gamma-log-start", 0.0, _FINITE, "log10 of the first gamma",
+                                 _LOG_GRID),
+    "gamma_grid.log_end": _Key("--gamma-log-end", 4.0, _FINITE, "log10 of the last gamma",
+                               _LOG_GRID),
+    "gamma_grid.points": _Key("--gamma-points", 101, _INTEGER, "points of the log grid",
+                              _LOG_GRID),
+    "gamma_grid.explicit": _Key("--gamma-explicit", None, _GAMMAS,
+                                "comma-separated gamma list, in place of the log grid"),
+    "truncation.kind": _Key(
+        "--truncation", "adaptive",
+        _choice("fixed", "adaptive", wants="unknown truncation kind {value!r}"),
+        "cutoff policy for K <= 0", _TRUNCATION),
+    "truncation.k_max": _Key("--k-max", None, _CUTOFF, "fixed truncation cutoff", _TRUNCATION),
+    "truncation.tol": _Key("--truncation-tol", 1e-10, _FINITE, "adaptive truncation tolerance",
+                           _TOLERANCE),
+    "outputs.formats": _Key("--formats", ("csv", "json"), _FORMATS,
+                            "comma-separated subset of csv,json"),
+    "outputs.directory": _Key("--out", "out", _STRING, "output directory"),
+}
+
+
+def _given(config: dict) -> list:
+    """"section.key" of every key the config gives."""
+    return [f"{section}.{key}" for section, block in config.items() for key in block]
+
+
+def _values(config: dict) -> dict:
+    """Every key's value: the config's where it gives the key, else the
+    key's default."""
+    values = {}
+    for key, row in KEYS.items():
+        section, _, name = key.partition(".")
+        values[key] = config.get(section, {}).get(name, row.default)
+    return values
+
+
+def validate(config: dict, where: Optional[dict] = None) -> tuple:
+    """Check the run's config against ``KEYS`` and build the run's
+    spectrum, gamma grid and truncation policy, whose constructors enforce
+    every range rule; return them.
+
+    Every key is checked in ``KEYS`` order.  A key the run does not read
+    (its rule) must not be given: it would not change the run, so it is
+    refused with where it was given (``where[key]``, by default "in the
+    config").  A key the run reads must pass its check.  Any error raised
+    is a ConfigError."""
+    v, given = _values(config), _given(config)
+    for key, row in KEYS.items():
+        if row.rule is not None and not row.rule.reads(v):
+            if key in given:
+                source = (where or {}).get(key, "in the config")
+                raise ConfigError(
+                    f"{key}, given {source}, is not read by this run: {row.rule.why(v)}"
+                )
+        elif not row.check.test(v[key]):
+            raise ConfigError(row.check.wants.format(key=key, value=v[key]))
+    try:
+        spectrum, grid = build_spectrum(v), build_grid(v)
+        policy = TruncationPolicy(
+            kind=v["truncation.kind"], k_max=v["truncation.k_max"], tol=v["truncation.tol"]
+        )
+        if policy.kind == "fixed":
+            check_fixed_cutoff(policy.k_max)
+    except KbmLabError as exc:
+        raise ConfigError(str(exc)) from exc
+    return spectrum, grid, policy
+
+
+def _fmt(x: float) -> str:
+    """17 significant digits round-trips doubles exactly."""
+    return f"{float(x):.17g}"
+
+
+def load_config(path: Optional[str] = None) -> dict:
+    """The config file's mapping, with every section present (empty where
+    the file has none); no path gives the empty config.  Sections and keys
+    must be those of ``KEYS``; the top-level ``workers`` of the deleted
+    ``run --workers`` is ignored."""
+    config = {key.partition(".")[0]: {} for key in KEYS}
+    if path is None:
+        return config
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path!r} must be a JSON object")
+    for section, block in raw.items():
+        if section == "workers":
             continue
-        if flag in _COMMA_LISTS:
-            value = [_COMMA_LISTS[flag](v) for v in value.split(",") if v]
-        setattr(getattr(cfg, _SECTIONS[section]), key, value)
-        cfg.given[f"{section}.{key}"] = f"by {flag}"
+        if section not in config:
+            raise ConfigError(f"unknown section {section!r} in config {path!r}")
+        if not isinstance(block, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        for key in block:
+            if f"{section}.{key}" not in KEYS:
+                raise ConfigError(f"unknown key {key!r} in section {section!r}")
+        config[section].update(block)
+    return config
+
+
+def _apply_flags(config: dict, args: argparse.Namespace) -> dict:
+    """Set the config key of every ``run`` flag given; return where each
+    was given."""
+    where = {}
+    for key, row in KEYS.items():
+        value = getattr(args, key)
+        if value is not None:
+            section, _, name = key.partition(".")
+            config[section][name] = value
+            where[key] = f"by {row.flag}"
+    return where
 
 
 def _load_custom_entries(path: str) -> list:
@@ -288,20 +319,23 @@ def _load_custom_entries(path: str) -> list:
     return [tuple(item) for item in entries]
 
 
-def build_spectrum(cfg: RunConfig) -> SurfaceSpectrum:
-    s = cfg.surface
-    if s.kind == "sphere":
-        return sphere_spectrum(s.K, s.l_max)
-    if s.kind == "torus":
-        return torus_spectrum(s.L, s.eta_cap)
-    return custom_spectrum(s.K, _load_custom_entries(s.path))
+def build_spectrum(v: dict) -> SurfaceSpectrum:
+    """The surface spectrum of the run's values (``_values``)."""
+    kind = v["surface.kind"]
+    if kind == "sphere":
+        return sphere_spectrum(v["surface.K"], v["surface.l_max"])
+    if kind == "torus":
+        return torus_spectrum(v["surface.L"], v["surface.eta_cap"])
+    return custom_spectrum(v["surface.K"], _load_custom_entries(v["surface.path"]))
 
 
-def build_grid(cfg: RunConfig) -> np.ndarray:
-    g = cfg.grid
-    if g.explicit is not None:
-        return check_gamma_grid(sorted(float(v) for v in g.explicit))
-    return check_gamma_grid(make_gamma_grid(g.log_start, g.log_end, g.points))
+def build_grid(v: dict) -> np.ndarray:
+    """The gamma grid of the run's values (``_values``)."""
+    if v["gamma_grid.explicit"] is not None:
+        return check_gamma_grid(sorted(float(g) for g in v["gamma_grid.explicit"]))
+    return check_gamma_grid(make_gamma_grid(
+        v["gamma_grid.log_start"], v["gamma_grid.log_end"], v["gamma_grid.points"]
+    ))
 
 
 def _table_rows(table: GammaTable) -> list:
@@ -346,21 +380,25 @@ def _eta_tag(index: int, eta: float) -> str:
     return f"{index:02d}_eta_{eta:.6g}".replace(".", "p").replace("-", "m")
 
 
-def run(cfg: RunConfig) -> dict:
+def run(config: dict, where: Optional[dict] = None) -> dict:
     """Execute the configured sweeps and write their artifacts: per eta a
     ``table_*.csv`` and/or ``table_*.json`` (as ``outputs.formats`` asks)
     and a ``plot_convergence_*.dat``; then ``plot_mixing.dat`` (when the
     spectrum has a nonzero eta), ``perturbation_series.csv`` and
     ``summary.json``.  Every table and plot shares the run's gamma grid.
 
+    ``config`` is the documented JSON mapping (``load_config``); a key it
+    does not give takes its default, and ``where`` says where each key was
+    given (see ``validate``).
     Returns a manifest of written paths (keys ``tables``, ``plots``,
     ``summary``, ``series``).  Raises ConfigError when the inputs or the
     output directory cannot be built, before any sweep, and another
     KbmLabError subclass (or a ValueError) when a sweep fails; that error
     carries the eta of its sweep as ``exc.eta``.
     """
-    spectrum, grid, policy = cfg.validate()
-    outdir = Path(cfg.output.directory)
+    spectrum, grid, policy = validate(config, where)
+    v = _values(config)
+    outdir = Path(v["outputs.directory"])
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -382,11 +420,11 @@ def run(cfg: RunConfig) -> dict:
     for i, (entry, table) in enumerate(zip(spectrum.entries, tables)):
         tag = _eta_tag(i, entry.eta)
         rows = _table_rows(table)
-        if "csv" in cfg.output.formats:
+        if "csv" in v["outputs.formats"]:
             path = outdir / f"table_{tag}.csv"
             _write_table_csv(path, rows)
             manifest["tables"].append(str(path))
-        if "json" in cfg.output.formats:
+        if "json" in v["outputs.formats"]:
             path = outdir / f"table_{tag}.json"
             _write_json(
                 path,
@@ -408,7 +446,7 @@ def run(cfg: RunConfig) -> dict:
         manifest["plots"].append(str(plot))
 
     summary = {
-        "surface": cfg.surface.kind,
+        "surface": v["surface.kind"],
         "curvature": spectrum.curvature,
         "per_eta": [convergence_summary(t) for t in tables],
     }
@@ -517,14 +555,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="sweep a surface spectrum and write tables")
     p_run.add_argument("--config", default=None, help="JSON config file (flags override it)")
-    defaults = RunConfig()
-    for flag, section, key, kind, text in _RUN_FLAGS:
-        default = getattr(getattr(defaults, _SECTIONS[section]), key)
-        if default is not None:
-            shown = ",".join(default) if isinstance(default, tuple) else default
+    # every flag is None unless given, so the config file's value stands
+    # where a flag is absent
+    for key, row in KEYS.items():
+        text = row.help
+        if row.default is not None:
+            shown = ",".join(row.default) if isinstance(row.default, tuple) else row.default
             text = f"{text} (default: {shown})"
-        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-        p_run.add_argument(flag, dest=f"{section}.{key}", default=None, help=text, **typed)
+        p_run.add_argument(row.flag, dest=key, default=None, help=text,
+                           type=row.check.parse, choices=row.check.choices)
 
     p_self = sub.add_parser(
         "selftest",
@@ -567,8 +606,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 report_path=args.report,
             )
         cfg = load_config(args.config)
-        _apply_flags(cfg, args)
-        run(cfg)
+        where = dict.fromkeys(_given(cfg), f"in the config file {args.config!r}")
+        where.update(_apply_flags(cfg, args))
+        run(cfg, where)
     except ConfigError as exc:
         _emit_error(cfg, exc)
         return 2
@@ -578,7 +618,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def _emit_error(cfg: Optional[RunConfig], exc: Exception) -> None:
+def _emit_error(cfg: Optional[dict], exc: Exception) -> None:
     record = {
         "error": type(exc).__name__,
         "message": str(exc),
@@ -586,9 +626,10 @@ def _emit_error(cfg: Optional[RunConfig], exc: Exception) -> None:
         "eta": getattr(exc, "eta", None),
     }
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-    if cfg is not None and isinstance(cfg.output.directory, str):
+    directory = None if cfg is None else _values(cfg)["outputs.directory"]
+    if isinstance(directory, str):
         try:
-            outdir = Path(cfg.output.directory)
+            outdir = Path(directory)
             outdir.mkdir(parents=True, exist_ok=True)
             _write_json(outdir / "errors.json", record)
         except OSError:

@@ -529,10 +529,6 @@ class EigenBranch:
     def final_mu(self) -> complex:
         return complex(self.mu_values[-1])
 
-    @property
-    def reached(self) -> bool:
-        return self.status == "complete"
-
 
 def track_branch(
     block: CasimirBlock,

@@ -50,7 +50,7 @@ def branch_value(coeffs, x):
     """Branch value at the real x on the block of ``coeffs``; raises if the
     continuation hits a collision."""
     br = track_branch(coeffs.block, coeffs, x)
-    if not br.reached:
+    if br.status != "complete":
         raise BranchCollisionError(
             f"branch lost simplicity near x = {br.x_collision} ({br.reason})"
         )

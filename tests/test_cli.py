@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from kbmlab import acceptance
-from kbmlab.cli import CSV_COLUMNS, build_parser, load_config, main
+from kbmlab.cli import CSV_COLUMNS, KEYS, build_parser, load_config, main, validate
 
 
 def run_cli(argv):
@@ -189,6 +190,55 @@ def test_parser_help_lists_defaults():
     assert parser.format_help()  # smoke: --help content builds
 
 
+@pytest.mark.parametrize("key", list(KEYS))
+def test_each_flag_sets_its_own_key_and_shows_its_default(monkeypatch, capsys, key):
+    # KEYS declares every config key once: its flag sets that key alone and
+    # records where it was given, and run --help shows its default
+    from kbmlab.cli import _apply_flags
+
+    row = KEYS[key]
+    text = row.check.choices[-1] if row.check.choices else "3"
+    config = load_config(None)
+    where = _apply_flags(config, build_parser().parse_args(["run", row.flag, text]))
+    section, name = key.split(".")
+    assert config == {**load_config(None), section: {name: row.check.parse(text)}}
+    assert where == {key: f"by {row.flag}"}
+    monkeypatch.setenv("COLUMNS", "200")  # one line per help text
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = capsys.readouterr().out
+    entry = re.search(rf"\n  {re.escape(row.flag)} .*?(?=\n  -|\Z)", help_text, re.S).group()
+    if row.default is None:
+        assert "(default:" not in entry
+    else:
+        shown = ",".join(row.default) if isinstance(row.default, tuple) else row.default
+        assert f"(default: {shown})" in entry
+
+
+def test_a_config_of_every_key_a_sphere_reads_at_its_default_writes_the_same_bytes(
+    tmp_path, monkeypatch
+):
+    defaults = {key: row.default for key, row in KEYS.items()}
+    config = {}
+    for key, row in KEYS.items():
+        if row.rule is None or row.rule.reads(defaults):
+            section, name = key.split(".")
+            config.setdefault(section, {})[name] = row.default
+    assert config["surface"] == {"kind": "sphere", "K": 1.0, "l_max": 2}
+    assert "truncation" not in config  # a sphere's blocks are finite
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    for name, argv in (("plain", []), ("listed", ["--config", str(cfg_path)])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # both write to the default directory "out"
+        assert run_cli(["run", *argv]) == 0
+    plain, listed = tmp_path / "plain" / "out", tmp_path / "listed" / "out"
+    files = sorted(p.name for p in plain.iterdir())
+    assert "errors.json" not in files and files == sorted(p.name for p in listed.iterdir())
+    for name in files:
+        assert (plain / name).read_bytes() == (listed / name).read_bytes()
+
+
 def test_selftest_quick_criterion(capsys):
     assert run_cli(["selftest", "--criteria", "1"]) == 0
     out = capsys.readouterr().out
@@ -329,7 +379,8 @@ def test_custom_infinite_eta_is_a_config_error(tmp_path, capsys):
         ({"surface": {"l_max": "x"}}, None),
         ({"surface": {"l_max": 2.5}}, None),
         ({"surface": {"kind": "custom", "path": 5}}, None),
-        ({"truncation": {"kind": "fixed", "k_max": "8"}}, None),
+        ({"truncation": {"kind": "fixed", "k_max": "8"}}, None),  # a sphere reads no truncation
+        ({"surface": {"kind": "torus"}, "truncation": {"kind": "fixed", "k_max": "8"}}, None),
         ({"surface": {"K": 10**400}}, None),  # an int beyond the float range
         (None, {"foo": 1}),
         (None, 5),
@@ -384,7 +435,8 @@ def test_negative_eta_cap_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("surface", ["sphere", "torus"])
 def test_a_nonpositive_truncation_tolerance_is_a_config_error(tmp_path, capsys, surface, tol):
     # the adaptive policy needs tol > 0; TruncationPolicy says so while the
-    # run builds its inputs, before any sweep
+    # run builds its inputs, before any sweep.  A sphere's blocks are finite,
+    # so it reads no tolerance at all
     out = tmp_path / "out"
     code = run_cli(
         ["run", "--surface", surface, f"--truncation-tol={tol}", "--gamma-explicit", "20",
@@ -392,7 +444,8 @@ def test_a_nonpositive_truncation_tolerance_is_a_config_error(tmp_path, capsys, 
     )
     assert code == 2
     record = _error_record(capsys)
-    assert record["error"] == "ConfigError" and "needs tol > 0" in record["message"]
+    text = "is not read by this run" if surface == "sphere" else "needs tol > 0"
+    assert record["error"] == "ConfigError" and text in record["message"]
     assert json.loads((out / "errors.json").read_text()) == record
 
 
@@ -544,9 +597,9 @@ def test_fixed_cutoff_beyond_dense_limit_is_a_config_error(tmp_path, capsys):
     record = _error_record(capsys)
     assert record["error"] == "ConfigError" and "1023" in record["message"]
     cfg = load_config(None)
-    cfg.surface.kind = "torus"  # a fixed cutoff needs K <= 0
-    cfg.truncation.kind, cfg.truncation.k_max = "fixed", 1023
-    cfg.validate()  # largest cutoff whose doubled block fits
+    cfg["surface"]["kind"] = "torus"  # a fixed cutoff needs K <= 0
+    cfg["truncation"]["kind"], cfg["truncation"]["k_max"] = "fixed", 1023
+    validate(cfg)  # largest cutoff whose doubled block fits
 
 
 @pytest.mark.parametrize("form", ["points", "explicit"])
@@ -555,17 +608,17 @@ def test_a_grid_beyond_the_point_limit_is_a_config_error(form):
     from kbmlab.spectra import GAMMA_GRID_MAX_POINTS
 
     cfg = load_config(None)
-    cfg.surface.l_max = 1
+    cfg["surface"]["l_max"] = 1
     for points, ok in ((GAMMA_GRID_MAX_POINTS, True), (GAMMA_GRID_MAX_POINTS + 1, False)):
         if form == "points":
-            cfg.grid.points = points
+            cfg["gamma_grid"]["points"] = points
         else:
-            cfg.grid.explicit = [float(g) for g in range(1, points + 1)]
+            cfg["gamma_grid"]["explicit"] = [float(g) for g in range(1, points + 1)]
         if ok:
-            assert cfg.validate()[1].size == points
+            assert validate(cfg)[1].size == points
         else:
             with pytest.raises(ConfigError, match=f"to {GAMMA_GRID_MAX_POINTS} points"):
-                cfg.validate()
+                validate(cfg)
 
 
 def test_a_grid_too_large_to_allocate_is_a_config_error_record(tmp_path, capsys):
@@ -599,10 +652,15 @@ _CUSTOM = ["--surface", "custom", "--curvature", "-1", "--custom-path", "ETAS"]
          "--gamma-log-start"),
         (["--gamma-log-end", "3", "--gamma-explicit", "5,10"], "gamma_grid.log_end",
          "--gamma-log-end"),
-        (["--truncation", "fixed", "--k-max", "16", "--truncation-tol", "1e-3"],
-         "truncation.tol", "--truncation-tol"),
+        (["--surface", "torus", "--truncation", "fixed", "--k-max", "16", "--truncation-tol",
+          "1e-3"], "truncation.tol", "--truncation-tol"),
         ([*_CUSTOM, "--truncation", "fixed", "--k-max", "16", "--truncation-tol", "1e-3"],
          "truncation.tol", "--truncation-tol"),
+        # every block of a K > 0 surface is finite, so no truncation key is read
+        (["--surface", "sphere", "--l-max", "2", "--gamma-points", "5", "--truncation-tol",
+          "1e-3"], "truncation.tol", "--truncation-tol"),
+        (["--surface", "custom", "--curvature", "1", "--custom-path", "ETAS", "--truncation",
+          "adaptive", "--truncation-tol", "1e-2"], "truncation.kind", "--truncation"),
     ],
 )
 def test_a_flag_the_run_does_not_read_is_a_config_error(tmp_path, capsys, flags, key, flag):

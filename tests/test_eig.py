@@ -512,7 +512,7 @@ def test_track_branch_lands_on_checkpoints_exactly(sphere_l1):
     block, coeffs = sphere_l1
     cks = [-0.001, -0.01, -0.057, -0.1, -0.229, -0.3, -0.45]
     br = track_branch(block, coeffs, cks[-1], checkpoints=cks)
-    assert br.reached and len(br.checkpoint_index) == len(cks)
+    assert br.status == "complete" and len(br.checkpoint_index) == len(cks)
     assert br.checkpoint_index[-1] == br.x_samples.size - 1
     for x, i in zip(cks, br.checkpoint_index):
         assert br.x_samples[i] == x

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -280,7 +281,7 @@ def _per_row(table):
     rows = []
     for gamma in table.gamma_grid:
         br = track_branch(block, coeffs, -2.0 / gamma)
-        rows.append(0.5 * gamma * gamma * br.final_mu if br.reached else None)
+        rows.append(0.5 * gamma * gamma * br.final_mu if br.status == "complete" else None)
     return rows
 
 
@@ -792,3 +793,21 @@ def test_a_sweep_continuation_assembles_one_even_sector_per_step_and_one_stack_p
     # carries
     assert [run["branch"].sector for run in runs] == formed
     assert built and all(ctx & {"at", "odd_sector", "_rows"} for ctx in built)
+
+
+@pytest.mark.parametrize(
+    "eta, K, log_end, points", [(2.0, 1.0, 8.0, 201), (2.0 / 7.0, -1.0, 4.0, 101)]
+)
+def test_a_tail_at_the_rounding_floor_has_converged(eta, K, log_end, points):
+    # sphere eta = 2 out to gamma = 1e8, and K = -1, eta = 2/7 on the default
+    # grid: the tail error reaches a few ulps of eta, where a step grows by
+    # up to 1.3 eps * (1 + eta) from rounding alone
+    table = gamma_sweep(eta, K, make_gamma_grid(0.0, log_end, points), adaptive_truncation())
+    summary = kbmlab.spectra.convergence_summary(table)
+    assert summary["converged"] and summary["tail_monotone"]
+    # a last row above the floor is still an increase
+    floor = kbmlab.spectra.ROUNDING_ULPS * np.finfo(float).eps * (1.0 + eta)
+    errors = table.abs_error.copy()
+    errors[-1] = errors[tail_mask(table.gamma_grid, eta)].min() + 2.0 * floor
+    raised = kbmlab.spectra.convergence_summary(dataclasses.replace(table, abs_error=errors))
+    assert not raised["converged"] and not raised["tail_monotone"]

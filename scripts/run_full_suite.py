@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end run over all three model surfaces.
 
-Writes tables, summaries, perturbation series and plot data for the
-sphere (K=1), the flat square torus (side 2*pi) and a curvature -1
-surface with a user-style eta list, into out_suite/<surface>/.  The
-curvature -1 eta list is written beside its artifacts, as
-out_suite/hyperbolic/etas.json.
+Writes tables, summaries and perturbation series for the sphere (K=1),
+the flat square torus (side 2*pi) and a curvature -1 surface with a
+user-style eta list, into out_suite/<surface>/.  The curvature -1 eta
+list is written beside its artifacts, as out_suite/hyperbolic/etas.json.
 """
 
 import json

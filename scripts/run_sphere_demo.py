@@ -18,7 +18,7 @@ def main():
     spectrum = sphere_spectrum(1.0, L_MAX)
     tables = []
     for entry in spectrum.entries:
-        table = gamma_sweep(entry.eta, 1.0, GRID, multiplicity=entry.multiplicity)
+        table = gamma_sweep(entry.eta, 1.0, GRID)
         tables.append(table)
         print(f"\neta = {entry.eta:g}  ({entry.label}, multiplicity {entry.multiplicity})")
         print(f"  empirical collision gamma: {table.empirical_r}")

@@ -54,6 +54,7 @@ from .spectra import (
     error_at_gamma,
     gamma_sweep,
     tail_mask,
+    tail_threshold,
 )
 
 SPHERE_K = 1.0
@@ -338,10 +339,10 @@ def criterion_10(data: SuiteData, scale: float = 1.0):
     """Swept values reappear in the dense spectrum of the generator.
 
     On every case, each simple row with 1.5 f <= gamma <= 6 f, where
-    f = 4*(1 + sqrt(eta)) is the tail threshold, is compared with the
-    eigenvalues of ``assemble_generator`` on the table's own block, whose
-    coefficients the table carries (``table.coeffs``; the sweep's certified
-    cutoff ``k_trunc`` on an infinite ladder).  Below
+    f = 4*(1 + sqrt(eta)) is the tail threshold (``tail_threshold``), is
+    compared with the eigenvalues of ``assemble_generator`` on the table's
+    own block, whose coefficients the table carries (``table.coeffs``; the
+    sweep's certified cutoff ``k_trunc`` on an infinite ladder).  Below
     the band the branch's separation radius shrinks like 1/sqrt(eta) and
     there is no simple branch to compare.  A case with no simple row in
     the band fails.
@@ -351,7 +352,7 @@ def criterion_10(data: SuiteData, scale: float = 1.0):
     cells = 0
     failures = []
     for (K, eta), table in data.tables.items():
-        f = 4.0 * (1.0 + math.sqrt(eta))
+        f = tail_threshold(eta)
         g = table.gamma_grid
         rows = np.nonzero(table.simple & (g >= 1.5 * f) & (g <= 6.0 * f))[0]
         if rows.size == 0:

@@ -2,9 +2,9 @@
 
 Two subcommands: ``run`` executes gamma sweeps over a surface spectrum and
 writes the branch lambda_eta(gamma) with its per-row certificates (one
-table per eta), the convergence verdicts and the mixing-rate report
-(``summary.json``), the perturbation series, taken on the block each
-table carries, and plot-ready data;
+table per eta, the only place a per-gamma value is written), the
+convergence verdicts and the mixing-rate report (``summary.json``) and
+the perturbation series, taken on the block each table carries;
 ``selftest`` runs the acceptance suite and prints one pass/fail line per
 criterion.  Identities that hold by construction (accretivity, the
 Casimir identity, the zero-mode resolvent bound) are certified by the
@@ -14,7 +14,9 @@ The config is the JSON mapping the README documents, ``{"surface": {...},
 "gamma_grid": {...}, "truncation": {...}, "outputs": {...}}``, read from
 a file and overridden by flags.  ``KEYS`` declares each key once: its
 flag, its default, the check of its value, its help and the rule that
-says when a run reads it.  Every key given must change the run: one the
+says when a run reads it.  A section or key not in it is a ConfigError,
+whether the mapping comes from a file or from a caller of ``run``.
+Every key given must change the run: one the
 run would not read (a surface key its kind ignores, a log-grid key next to
 an explicit gamma list, a truncation key on a K > 0 surface, whose blocks
 are finite, a tolerance with fixed truncation) is a ConfigError.
@@ -204,6 +206,9 @@ KEYS = {
 }
 
 
+_SECTIONS = dict.fromkeys(key.partition(".")[0] for key in KEYS)
+
+
 def _given(config: dict) -> list:
     """"section.key" of every key the config gives."""
     return [f"{section}.{key}" for section, block in config.items() for key in block]
@@ -224,11 +229,20 @@ def validate(config: dict, where: Optional[dict] = None) -> tuple:
     spectrum, gamma grid and truncation policy, whose constructors enforce
     every range rule; return them.
 
-    Every key is checked in ``KEYS`` order.  A key the run does not read
-    (its rule) must not be given: it would not change the run, so it is
-    refused with where it was given (``where[key]``, by default "in the
-    config").  A key the run reads must pass its check.  Any error raised
-    is a ConfigError."""
+    Every section must be an object, and every section and key must be
+    one of ``KEYS``.  Then every key is checked in ``KEYS`` order.  A key
+    the run does not read (its rule) must not be given: it would not
+    change the run, so it is refused with where it was given
+    (``where[key]``, by default "in the config").  A key the run reads
+    must pass its check.  Any error raised is a ConfigError."""
+    for section, block in config.items():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section {section!r} in the config")
+        if not isinstance(block, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        for key in block:
+            if f"{section}.{key}" not in KEYS:
+                raise ConfigError(f"unknown key {key!r} in section {section!r}")
     v, given = _values(config), _given(config)
     for key, row in KEYS.items():
         if row.rule is not None and not row.rule.reads(v):
@@ -257,11 +271,12 @@ def _fmt(x: float) -> str:
 
 
 def load_config(path: Optional[str] = None) -> dict:
-    """The config file's mapping, with every section present (empty where
-    the file has none); no path gives the empty config.  Sections and keys
-    must be those of ``KEYS``; the top-level ``workers`` of the deleted
+    """The config file's mapping, with every section of ``KEYS`` present
+    (empty where the file has none); no path gives the empty config.  The
+    file must hold a JSON object of objects, into which flags can be set;
+    ``validate`` checks its names.  The top-level ``workers`` of the deleted
     ``run --workers`` is ignored."""
-    config = {key.partition(".")[0]: {} for key in KEYS}
+    config = {section: {} for section in _SECTIONS}
     if path is None:
         return config
     try:
@@ -273,14 +288,9 @@ def load_config(path: Optional[str] = None) -> dict:
     for section, block in raw.items():
         if section == "workers":
             continue
-        if section not in config:
-            raise ConfigError(f"unknown section {section!r} in config {path!r}")
         if not isinstance(block, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        for key in block:
-            if f"{section}.{key}" not in KEYS:
-                raise ConfigError(f"unknown key {key!r} in section {section!r}")
-        config[section].update(block)
+        config.setdefault(section, {}).update(block)
     return config
 
 
@@ -382,16 +392,16 @@ def _eta_tag(index: int, eta: float) -> str:
 
 def run(config: dict, where: Optional[dict] = None) -> dict:
     """Execute the configured sweeps and write their artifacts: per eta a
-    ``table_*.csv`` and/or ``table_*.json`` (as ``outputs.formats`` asks)
-    and a ``plot_convergence_*.dat``; then ``plot_mixing.dat`` (when the
-    spectrum has a nonzero eta), ``perturbation_series.csv`` and
-    ``summary.json``.  Every table and plot shares the run's gamma grid.
+    ``table_*.csv`` and/or ``table_*.json`` (as ``outputs.formats`` asks),
+    then ``perturbation_series.csv`` and ``summary.json``.  Every table
+    shares the run's gamma grid, and only the tables hold per-gamma values;
+    the summary holds the per-eta verdicts and the mixing report.
 
     ``config`` is the documented JSON mapping (``load_config``); a key it
     does not give takes its default, and ``where`` says where each key was
     given (see ``validate``).
-    Returns a manifest of written paths (keys ``tables``, ``plots``,
-    ``summary``, ``series``).  Raises ConfigError when the inputs or the
+    Returns a manifest of written paths (keys ``tables``, ``summary``,
+    ``series``).  Raises ConfigError when the inputs or the
     output directory cannot be built, before any sweep, and another
     KbmLabError subclass (or a ValueError) when a sweep fails; that error
     carries the eta of its sweep as ``exc.eta``.
@@ -407,16 +417,12 @@ def run(config: dict, where: Optional[dict] = None) -> dict:
     tables = []
     for entry in spectrum.entries:
         try:
-            tables.append(
-                gamma_sweep(
-                    entry.eta, spectrum.curvature, grid, policy, multiplicity=entry.multiplicity
-                )
-            )
+            tables.append(gamma_sweep(entry.eta, spectrum.curvature, grid, policy))
         except (KbmLabError, ValueError) as exc:
             exc.eta = entry.eta
             raise
 
-    manifest = {"tables": [], "plots": []}
+    manifest = {"tables": []}
     for i, (entry, table) in enumerate(zip(spectrum.entries, tables)):
         tag = _eta_tag(i, entry.eta)
         rows = _table_rows(table)
@@ -438,28 +444,17 @@ def run(config: dict, where: Optional[dict] = None) -> dict:
                 },
             )
             manifest["tables"].append(str(path))
-        plot = outdir / f"plot_convergence_{tag}.dat"
-        plot_lines = [
-            f"{_fmt(g)} {_fmt(e)}" for g, e in zip(table.gamma_grid, table.abs_error)
-        ]
-        plot.write_text("\n".join(plot_lines) + "\n")
-        manifest["plots"].append(str(plot))
 
     summary = {
         "surface": v["surface.kind"],
         "curvature": spectrum.curvature,
-        "per_eta": [convergence_summary(t) for t in tables],
+        "per_eta": [
+            {**convergence_summary(t), "multiplicity": e.multiplicity}
+            for e, t in zip(spectrum.entries, tables)
+        ],
     }
     try:
-        mixing = mixing_report(spectrum, tables)
-        summary["mixing"] = mixing
-        mix_path = outdir / "plot_mixing.dat"
-        mix_lines = [
-            f"{_fmt(g)} {_fmt(v)} {_fmt(mixing['eta1'])}"
-            for g, v in zip(grid, mixing["re_lambda_eta1"])
-        ]
-        mix_path.write_text("\n".join(mix_lines) + "\n")
-        manifest["plots"].append(str(mix_path))
+        summary["mixing"] = mixing_report(spectrum, tables)
     except KbmLabError:
         summary["mixing"] = None
 

@@ -270,7 +270,6 @@ class GammaTable:
     """
 
     coeffs: LadderCoefficients
-    multiplicity: int
     gamma_grid: np.ndarray
     lam: np.ndarray
     abs_error: np.ndarray
@@ -362,7 +361,6 @@ def gamma_sweep(
     K: float,
     gamma_grid: Sequence[float],
     policy: TruncationPolicy = TruncationPolicy(),
-    multiplicity: int = 1,
 ) -> GammaTable:
     """The branch at x = -2/gamma for every gamma in the grid, on the
     blocks ``operator.block_at`` builds at a cutoff k.
@@ -399,7 +397,6 @@ def gamma_sweep(
         zeros = np.zeros(n)
         return GammaTable(
             coeffs=ladder_coefficients(block),
-            multiplicity=multiplicity,
             gamma_grid=grid,
             lam=zeros.astype(complex),
             abs_error=zeros.copy(),
@@ -430,7 +427,6 @@ def gamma_sweep(
 
     return GammaTable(
         coeffs=base.coeffs,
-        multiplicity=multiplicity,
         gamma_grid=grid,
         lam=lam,
         abs_error=np.abs(lam - eta),
@@ -442,9 +438,14 @@ def gamma_sweep(
     )
 
 
+def tail_threshold(eta: float) -> float:
+    """The first gamma of the asymptotic regime, 4*(1 + sqrt(eta))."""
+    return 4.0 * (1.0 + math.sqrt(max(eta, 0.0)))
+
+
 def tail_mask(gammas: np.ndarray, eta: float) -> np.ndarray:
-    """Asymptotic-regime rows: gamma >= 4*(1 + sqrt(eta))."""
-    return np.asarray(gammas) >= 4.0 * (1.0 + math.sqrt(max(eta, 0.0)))
+    """Asymptotic-regime rows: gamma >= ``tail_threshold(eta)``."""
+    return np.asarray(gammas) >= tail_threshold(eta)
 
 
 def fitted_decay_exponent(gammas: np.ndarray, errors: np.ndarray) -> Optional[float]:
@@ -483,9 +484,8 @@ def convergence_summary(table: GammaTable) -> dict:
     return {
         "eta": table.eta,
         "curvature": table.curvature,
-        "multiplicity": table.multiplicity,
         "k_trunc": table.k_trunc,
-        "tail_gamma_from": 4.0 * (1.0 + math.sqrt(max(table.eta, 0.0))),
+        "tail_gamma_from": tail_threshold(table.eta),
         "max_tail_error": float(np.max(tail_err)) if tail_err.size else 0.0,
         "final_error": float(table.abs_error[-1]),
         "tail_monotone": monotone,
@@ -501,8 +501,8 @@ def convergence_summary(table: GammaTable) -> dict:
 def mixing_report(spectrum: SurfaceSpectrum, tables: Sequence[GammaTable]) -> dict:
     """Spectral-gap report: Re lambda at the smallest nonzero eta bounds
     the optimal mixing rate, so its gamma -> infinity trend against eta_1
-    is the quantity of interest.  ``re_lambda_eta1`` is indexed by the
-    tables' shared gamma grid, which the report does not repeat."""
+    is the quantity of interest.  The report holds its verdicts only; the
+    Re lambda column itself is the eta_1 table's."""
     eta1 = spectrum.smallest_nonzero()
     table = None
     for t in tables:
@@ -517,7 +517,6 @@ def mixing_report(spectrum: SurfaceSpectrum, tables: Sequence[GammaTable]) -> di
     return {
         "eta1": eta1,
         "curvature": spectrum.curvature,
-        "re_lambda_eta1": [float(v) for v in re],
         "tail_value": float(re[-1]),
         "tail_gap_to_eta1": float(re[-1] - eta1),
         "approaches_from_above": bool(np.all(tail_excess > 0.0)) if tail_excess.size else None,

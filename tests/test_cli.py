@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from kbmlab import acceptance
-from kbmlab.cli import CSV_COLUMNS, KEYS, build_parser, load_config, main, validate
+from kbmlab.cli import CSV_COLUMNS, KEYS, build_parser, load_config, main, run, validate
 
 
 def run_cli(argv):
@@ -28,35 +28,40 @@ def small_run_args(outdir, extra=()):
 
 
 def test_run_writes_expected_artifacts(tmp_path):
-    # exactly the documented set: per eta a csv and a json table and a
-    # convergence plot, then the mixing plot, the series and the summary
+    # exactly the documented set: per eta a csv and a json table, then the
+    # series and the summary
     out = tmp_path / "out"
-    assert run_cli(small_run_args(out)) == 0
+    manifest = run({"surface": {"l_max": 1}, "gamma_grid": {"explicit": [5.0, 10.0, 100.0]},
+                    "outputs": {"directory": str(out)}})
     names = {p.name for p in out.iterdir()}
-    per_eta = {
-        f"{stem}{tag}{suffix}"
-        for tag in ("00_eta_0", "01_eta_2")
-        for stem, suffix in (("table_", ".csv"), ("table_", ".json"), ("plot_convergence_", ".dat"))
-    }
-    assert names == per_eta | {"plot_mixing.dat", "perturbation_series.csv", "summary.json"}
+    tables = {f"table_{tag}{suffix}" for tag in ("00_eta_0", "01_eta_2")
+              for suffix in (".csv", ".json")}
+    assert names == tables | {"perturbation_series.csv", "summary.json"}
+    assert sorted(manifest) == ["series", "summary", "tables"]
+    assert {Path(p).name for p in manifest["tables"]} == tables
 
 
-def test_plot_mixing_matches_the_eta1_table_and_the_summary(tmp_path):
-    # the mixing plot's gamma column is the run's grid, its second column
-    # the eta_1 table's re_lambda, its third eta_1, bit for bit; the grid
-    # reaches gamma < 4, where the eta = 2 rows are collided and complex
+def _lists(value):
+    """Every list in a JSON value, nested ones included."""
+    if isinstance(value, dict):
+        return [found for v in value.values() for found in _lists(v)]
+    if isinstance(value, list):
+        return [value] + [found for v in value for found in _lists(v)]
+    return []
+
+
+def test_the_summary_holds_no_per_gamma_column(tmp_path):
+    # each per-gamma value is written once, in the tables: the summary's
+    # mixing tail value is the eta_1 table's last re_lambda, bit for bit,
+    # and no list of the summary is as long as the grid; the grid reaches
+    # gamma < 4, where the eta = 2 rows are collided and complex
     out = tmp_path / "out"
     assert run_cli(small_run_args(out, extra=("--gamma-explicit=1,2,3,5,10,100",))) == 0
     rows = json.loads((out / "table_01_eta_2.json").read_text())["rows"]
     assert any(row["collided"] for row in rows)
-    mixing = json.loads((out / "summary.json").read_text())["mixing"]
-    assert "gamma" not in mixing and "gap_bound_curve" not in mixing
-    assert mixing["re_lambda_eta1"] == [row["re_lambda"] for row in rows]
-    lines = (out / "plot_mixing.dat").read_text().splitlines()
-    assert len(lines) == len(rows)
-    for line, row in zip(lines, rows):
-        gamma, re_lambda, eta1 = (float(v) for v in line.split())
-        assert (gamma, re_lambda, eta1) == (row["gamma"], row["re_lambda"], mixing["eta1"])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mixing"]["tail_value"] == rows[-1]["re_lambda"]
+    assert all(len(found) != len(rows) for found in _lists(summary))
 
 
 def test_csv_schema_and_roundtrip(tmp_path):
@@ -340,13 +345,36 @@ def test_a_config_with_an_unknown_section_is_a_config_error(tmp_path, capsys, ke
     assert not any(out.glob("table_*"))
 
 
-def test_load_config_rejects_unknown_keys(tmp_path):
+def test_a_config_file_with_an_unknown_key_is_a_config_error_record(tmp_path, capsys):
+    # validate refuses the key; the file parsed, so the record also goes
+    # to errors.json in the directory the config names
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"surface": {"kind": "sphere", "bogus": 1}}))
+    out = tmp_path / "out"
+    cfg_path.write_text(json.dumps({"surface": {"kind": "sphere", "bogus": 1},
+                                    "outputs": {"directory": str(out)}}))
+    assert run_cli(["run", "--config", str(cfg_path)]) == 2
+    record = _error_record(capsys)
+    assert record == {"error": "ConfigError", "eta": None, "stage": "config",
+                      "message": "unknown key 'bogus' in section 'surface'"}
+    assert sorted(p.name for p in out.iterdir()) == ["errors.json"]
+    assert json.loads((out / "errors.json").read_text()) == record
+
+
+@pytest.mark.parametrize(
+    "config, name",
+    [({"surface": {"kind": "sphere", "lmax": 3}}, "'lmax'"),
+     ({"gama_grid": {"points": 3}, "surface": {"kind": "sphere", "l_max": 1}}, "'gama_grid'")],
+    ids=["key", "section"],
+)
+def test_a_mapping_with_an_unknown_key_or_section_is_refused(tmp_path, config, name):
+    # run reads a mapping through the same check as a config file, so a
+    # misspelled key cannot leave its value unread (lmax would run l_max = 2)
     from kbmlab import ConfigError
 
-    with pytest.raises(ConfigError):
-        load_config(str(cfg_path))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=name):
+        run({**config, "outputs": {"directory": str(out)}})
+    assert not out.exists()
 
 
 def _error_record(capsys):

@@ -211,11 +211,6 @@ def test_sweep_at_huge_eta_collides_at_the_scaled_point():
     assert table.empirical_r == pytest.approx(2e75 / abs(x_c), rel=1e-12)
 
 
-def test_sweep_multiplicity_is_metadata():
-    table = gamma_sweep(2.0, 1.0, [10.0], multiplicity=3)
-    assert table.multiplicity == 3
-
-
 def test_sweep_value_in_generator_spectrum():
     block = finite_block(6.0, 1.0)
     coeffs = ladder_coefficients(block)
@@ -257,12 +252,12 @@ def test_sweep_rejects_bad_eta_or_curvature(eta, K):
 def test_mixing_report_closed_form_value():
     spectrum = sphere_spectrum(1.0, 1)
     grid = make_gamma_grid(1.0, 3.0, 11)  # includes gamma = 10 exactly
-    tables = [gamma_sweep(e.eta, 1.0, grid, multiplicity=e.multiplicity) for e in spectrum.entries]
+    tables = [gamma_sweep(e.eta, 1.0, grid) for e in spectrum.entries]
     report = mixing_report(spectrum, tables)
     assert report["eta1"] == 2.0
-    assert len(report["re_lambda_eta1"]) == grid.size  # indexed by the tables' grid
     i10 = list(grid).index(10.0)
-    assert report["re_lambda_eta1"][i10] == pytest.approx(2.0871215252207998, abs=1e-9)
+    assert tables[1].lam[i10].real == pytest.approx(2.0871215252207998, abs=1e-9)
+    assert report["tail_value"] == tables[1].lam[-1].real
     assert report["approaches_from_above"] is True
     assert report["tail_value"] == pytest.approx(2.0, abs=1e-4)
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end run over all three model surfaces.
 
-Writes tables, summaries and perturbation series for the sphere (K=1),
-the flat square torus (side 2*pi) and a curvature -1 surface with a
-user-style eta list, into out_suite/<surface>/.  The curvature -1 eta
-list is written beside its artifacts, as out_suite/hyperbolic/etas.json.
+Writes the tables and the summary for the sphere (K=1), the flat square
+torus (side 2*pi) and a curvature -1 surface with a user-style eta list,
+into out_suite/<surface>/.  The curvature -1 eta list is written beside
+its artifacts, as out_suite/hyperbolic/etas.json.
 """
 
 import json
@@ -22,7 +22,7 @@ def run_surface(name, surface):
     manifest = run({
         "surface": surface,
         "gamma_grid": GRID,
-        "outputs": {"formats": ["csv", "json"], "directory": str(OUT_ROOT / name)},
+        "outputs": {"directory": str(OUT_ROOT / name)},
     })
     summary = json.loads(Path(manifest["summary"]).read_text())
     print(f"\n== {name} ==")

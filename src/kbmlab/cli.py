@@ -2,13 +2,13 @@
 
 Two subcommands: ``run`` executes gamma sweeps over a surface spectrum and
 writes the branch lambda_eta(gamma) with its per-row certificates (one
-table per eta, the only place a per-gamma value is written), the
-convergence verdicts and the mixing-rate report (``summary.json``) and
-the perturbation series, taken on the block each table carries;
+JSON table per eta, the only place a per-gamma value is written) and the
+convergence verdicts and the mixing-rate report (``summary.json``);
 ``selftest`` runs the acceptance suite and prints one pass/fail line per
 criterion.  Identities that hold by construction (accretivity, the
-Casimir identity, the zero-mode resolvent bound) are certified by the
-acceptance suite, not written by ``run``.
+Casimir identity, the zero-mode resolvent bound, the perturbation series
+mu1 = 0 and 2*mu2 = eta) are certified by the acceptance suite, not
+written by ``run``.
 
 The config is the JSON mapping the README documents, ``{"surface": {...},
 "gamma_grid": {...}, "truncation": {...}, "outputs": {...}}``, read from
@@ -26,8 +26,8 @@ A run that stops on its inputs before any sweep reports a ConfigError and
 exits with 2; one whose sweep fails exits with 1.  The JSON error record
 names the error, its message, the stage (``config`` or ``sweep``) and the
 eta of the failing sweep (null outside a sweep).  Output is deterministic
-for a fixed config: numbers are written with 17 significant digits, JSON
-keys are sorted, and no timestamps are emitted.
+for a fixed config: numbers are written as JSON's shortest round-trip
+repr, keys are sorted, and no timestamps are emitted.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import numpy as np
 
 from .errors import ConfigError, KbmLabError
 from .operator import TruncationPolicy
-from .perturb import perturbation_series
 from .spectra import (
     GammaTable,
     SurfaceSpectrum,
@@ -57,8 +56,6 @@ from .spectra import (
     sphere_spectrum,
     torus_spectrum,
 )
-
-CSV_COLUMNS = ("gamma", "re_lambda", "im_lambda", "abs_error", "simple", "k_max", "residual")
 
 
 def _is_finite_number(value) -> bool:
@@ -80,11 +77,11 @@ def _number(text: str):
         return text
 
 
-def _listed(item: Callable[[str], object]) -> Callable[[str], list]:
+def _numbers(text: str) -> list:
     """Parse a comma list flag item by item.  ``_number`` keeps an item that
     is no number as a string, so the key's check refuses it with a
     ConfigError record like any other bad value, not argparse."""
-    return lambda text: [item(v) for v in text.split(",") if v]
+    return [_number(v) for v in text.split(",") if v]
 
 
 class _Check(NamedTuple):
@@ -111,12 +108,7 @@ _PATH = _Check(lambda v: isinstance(v, str) and v != "",
 _GAMMAS = _Check(
     lambda v: v is None or (isinstance(v, (list, tuple)) and all(map(_is_finite_number, v))),
     "{key} must be a list of finite numbers, got {value!r}",
-    _listed(_number),
-)
-_FORMATS = _Check(
-    lambda v: isinstance(v, (list, tuple)) and all(f in ("csv", "json") for f in v),
-    "{key} must be a list of csv and json, got {value!r}",
-    _listed(str),
+    _numbers,
 )
 _STRING = _Check(lambda v: isinstance(v, str), "{key} must be a string, got {value!r}")
 
@@ -200,8 +192,6 @@ KEYS = {
     "truncation.k_max": _Key("--k-max", None, _CUTOFF, "fixed truncation cutoff", _TRUNCATION),
     "truncation.tol": _Key("--truncation-tol", 1e-10, _FINITE, "adaptive truncation tolerance",
                            _TOLERANCE),
-    "outputs.formats": _Key("--formats", ("csv", "json"), _FORMATS,
-                            "comma-separated subset of csv,json"),
     "outputs.directory": _Key("--out", "out", _STRING, "output directory"),
 }
 
@@ -263,11 +253,6 @@ def validate(config: dict, where: Optional[dict] = None) -> tuple:
     except KbmLabError as exc:
         raise ConfigError(str(exc)) from exc
     return spectrum, grid, policy
-
-
-def _fmt(x: float) -> str:
-    """17 significant digits round-trips doubles exactly."""
-    return f"{float(x):.17g}"
 
 
 def load_config(path: Optional[str] = None) -> dict:
@@ -369,19 +354,6 @@ def _table_rows(table: GammaTable) -> list:
     return rows
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value) if isinstance(value, int) else _fmt(value)
-
-
-def _write_table_csv(path: Path, rows: list) -> None:
-    """One line per ``_table_rows`` row, in the ``CSV_COLUMNS`` order."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(_csv_cell(row[c]) for c in CSV_COLUMNS) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
@@ -392,16 +364,15 @@ def _eta_tag(index: int, eta: float) -> str:
 
 def run(config: dict, where: Optional[dict] = None) -> dict:
     """Execute the configured sweeps and write their artifacts: per eta a
-    ``table_*.csv`` and/or ``table_*.json`` (as ``outputs.formats`` asks),
-    then ``perturbation_series.csv`` and ``summary.json``.  Every table
-    shares the run's gamma grid, and only the tables hold per-gamma values;
-    the summary holds the per-eta verdicts and the mixing report.
+    ``table_*.json``, then ``summary.json``.  Every table shares the run's
+    gamma grid, and only the tables hold per-gamma values; the summary
+    holds the per-eta verdicts and the mixing report.
 
     ``config`` is the documented JSON mapping (``load_config``); a key it
     does not give takes its default, and ``where`` says where each key was
     given (see ``validate``).
-    Returns a manifest of written paths (keys ``tables``, ``summary``,
-    ``series``).  Raises ConfigError when the inputs or the
+    Returns a manifest of written paths (keys ``tables`` and ``summary``).
+    Raises ConfigError when the inputs or the
     output directory cannot be built, before any sweep, and another
     KbmLabError subclass (or a ValueError) when a sweep fails; that error
     carries the eta of its sweep as ``exc.eta``.
@@ -424,26 +395,19 @@ def run(config: dict, where: Optional[dict] = None) -> dict:
 
     manifest = {"tables": []}
     for i, (entry, table) in enumerate(zip(spectrum.entries, tables)):
-        tag = _eta_tag(i, entry.eta)
-        rows = _table_rows(table)
-        if "csv" in v["outputs.formats"]:
-            path = outdir / f"table_{tag}.csv"
-            _write_table_csv(path, rows)
-            manifest["tables"].append(str(path))
-        if "json" in v["outputs.formats"]:
-            path = outdir / f"table_{tag}.json"
-            _write_json(
-                path,
-                {
-                    "eta": entry.eta,
-                    "curvature": spectrum.curvature,
-                    "multiplicity": entry.multiplicity,
-                    "label": entry.label,
-                    "empirical_r": table.empirical_r,
-                    "rows": rows,
-                },
-            )
-            manifest["tables"].append(str(path))
+        path = outdir / f"table_{_eta_tag(i, entry.eta)}.json"
+        _write_json(
+            path,
+            {
+                "eta": entry.eta,
+                "curvature": spectrum.curvature,
+                "multiplicity": entry.multiplicity,
+                "label": entry.label,
+                "empirical_r": table.empirical_r,
+                "rows": _table_rows(table),
+            },
+        )
+        manifest["tables"].append(str(path))
 
     summary = {
         "surface": v["surface.kind"],
@@ -458,28 +422,8 @@ def run(config: dict, where: Optional[dict] = None) -> dict:
     except KbmLabError:
         summary["mixing"] = None
 
-    series_lines = ["eta,mu1,mu2,second_derivative,eta_over_2_residual"]
-    for entry, table in zip(spectrum.entries, tables):
-        eta = entry.eta
-        series = perturbation_series(table.coeffs)
-        resid = abs(series.mu2 - 0.5 * eta)
-        series_lines.append(
-            ",".join(
-                (
-                    _fmt(eta),
-                    _fmt(series.mu1.real),
-                    _fmt(series.mu2.real),
-                    _fmt(series.second_derivative.real),
-                    _fmt(resid),
-                )
-            )
-        )
-
-    series_path = outdir / "perturbation_series.csv"
-    series_path.write_text("\n".join(series_lines) + "\n")
     _write_json(outdir / "summary.json", summary)
     manifest["summary"] = str(outdir / "summary.json")
-    manifest["series"] = str(series_path)
     return manifest
 
 
@@ -555,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key, row in KEYS.items():
         text = row.help
         if row.default is not None:
-            shown = ",".join(row.default) if isinstance(row.default, tuple) else row.default
-            text = f"{text} (default: {shown})"
+            text = f"{text} (default: {row.default})"
         p_run.add_argument(row.flag, dest=key, default=None, help=text,
                            type=row.check.parse, choices=row.check.choices)
 

@@ -81,7 +81,8 @@ class SpectrumEntry:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceSpectrum:
-    """Laplace spectrum of a model base surface, sorted by eigenvalue.
+    """Laplace spectrum of a model base surface: one entry per distinct
+    eigenvalue, in strictly ascending order.
 
     The branch computation runs once per eta; multiplicities ride along as
     metadata because every copy of a block carries the same branch.
@@ -102,8 +103,12 @@ class SurfaceSpectrum:
             raise SpectrumValidationError("non-finite eta in spectrum")
         if any(e.multiplicity < 1 for e in entries):
             raise SpectrumValidationError("multiplicities must be >= 1")
-        if sorted(etas) != etas:
-            raise SpectrumValidationError("entries must be sorted ascending by eta")
+        for prev, eta in zip(etas, etas[1:]):
+            if not prev < eta:
+                raise SpectrumValidationError(
+                    f"entries must be strictly ascending by eta, got {eta!r} after {prev!r}; "
+                    "give a repeated eta once with the summed multiplicity"
+                )
         if etas[0] != 0.0:
             raise SpectrumValidationError("zero mode (constants) missing from spectrum")
 
@@ -253,7 +258,9 @@ class GammaTable:
     reported on, one block for the whole table: ``operator.block_at`` at
     the cutoff the sweep certified.  ``eta``,
     ``curvature`` and ``k_trunc`` (its k_max, 0 for eta = 0) read that
-    block.
+    block, and the acceptance suite's dense oracle (criterion 10) assembles
+    its generator from them; ``cli.run`` writes ``k_trunc`` and the row
+    arrays below to a table's JSON rows.
     ``collided`` marks rows that the continuation on the reported block
     did not reach as simple samples, because it stopped at a collision x_c
     with |x_c| <= |x|; their values come from the even sector's dense

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from kbmlab import acceptance
-from kbmlab.cli import CSV_COLUMNS, KEYS, build_parser, load_config, main, run, validate
+from kbmlab.cli import KEYS, build_parser, load_config, main, run, validate
 
 
 def run_cli(argv):
@@ -28,16 +28,14 @@ def small_run_args(outdir, extra=()):
 
 
 def test_run_writes_expected_artifacts(tmp_path):
-    # exactly the documented set: per eta a csv and a json table, then the
-    # series and the summary
+    # exactly the documented set: per eta a json table, then the summary
     out = tmp_path / "out"
     manifest = run({"surface": {"l_max": 1}, "gamma_grid": {"explicit": [5.0, 10.0, 100.0]},
                     "outputs": {"directory": str(out)}})
     names = {p.name for p in out.iterdir()}
-    tables = {f"table_{tag}{suffix}" for tag in ("00_eta_0", "01_eta_2")
-              for suffix in (".csv", ".json")}
-    assert names == tables | {"perturbation_series.csv", "summary.json"}
-    assert sorted(manifest) == ["series", "summary", "tables"]
+    tables = {f"table_{tag}.json" for tag in ("00_eta_0", "01_eta_2")}
+    assert names == tables | {"summary.json"}
+    assert sorted(manifest) == ["summary", "tables"]
     assert {Path(p).name for p in manifest["tables"]} == tables
 
 
@@ -64,19 +62,24 @@ def test_the_summary_holds_no_per_gamma_column(tmp_path):
     assert all(len(found) != len(rows) for found in _lists(summary))
 
 
-def test_csv_schema_and_roundtrip(tmp_path):
+def test_table_schema_and_roundtrip(tmp_path):
     out = tmp_path / "out"
     run_cli(small_run_args(out))
-    csv_files = sorted(out.glob("table_*.csv"))
-    header = csv_files[0].read_text().splitlines()[0]
-    assert header == ",".join(CSV_COLUMNS)
-    # eta=2 table at gamma=5: closed-form lambda = 2.5, 17 digits round-trip
-    eta2 = [p for p in csv_files if "eta_2" in p.name][0]
-    rows = eta2.read_text().splitlines()[1:]
-    first = rows[0].split(",")
-    assert float(first[0]) == 5.0
-    assert float(first[1]) == pytest.approx(2.5, abs=1e-10)
-    assert first[4] in ("true", "false")
+    tables = [json.loads(p.read_text()) for p in sorted(out.glob("table_*.json"))]
+    assert [sorted(t) for t in tables] == 2 * [
+        ["curvature", "empirical_r", "eta", "label", "multiplicity", "rows"]
+    ]
+    assert all(sorted(row) == ["abs_error", "certificate", "collided", "curvature", "eta",
+                               "gamma", "im_lambda", "k_max", "re_lambda", "residual", "simple"]
+               for t in tables for row in t["rows"])
+    # eta=2 table at gamma=5: closed-form lambda = 2.5; gamma is written as
+    # its shortest repr and reads back exactly
+    text = (out / "table_01_eta_2.json").read_text()
+    assert '"gamma": 5.0,' in text
+    first = json.loads(text)["rows"][0]
+    assert first["gamma"] == 5.0
+    assert first["re_lambda"] == pytest.approx(2.5, abs=1e-10)
+    assert isinstance(first["simple"], bool)
 
 
 def test_summary_contains_verdicts_and_mixing(tmp_path):
@@ -86,10 +89,6 @@ def test_summary_contains_verdicts_and_mixing(tmp_path):
     etas = [row["eta"] for row in summary["per_eta"]]
     assert etas == [0.0, 2.0]
     assert summary["mixing"]["eta1"] == 2.0
-    series = (out / "perturbation_series.csv").read_text().splitlines()
-    assert series[0] == "eta,mu1,mu2,second_derivative,eta_over_2_residual"
-    last = series[-1].split(",")
-    assert float(last[0]) == 2.0 and float(last[3]) == pytest.approx(2.0, rel=1e-8)
 
 
 def test_default_grid_sphere_run(tmp_path):
@@ -97,18 +96,18 @@ def test_default_grid_sphere_run(tmp_path):
     out = tmp_path / "out"
     code = run_cli(
         ["run", "--surface", "sphere", "--curvature", "1.0", "--l-max", "2",
-         "--formats", "csv", "--out", str(out)]
+         "--out", str(out)]
     )
     assert code == 0
-    assert len(list(out.glob("table_*.csv"))) == 3
+    assert len(list(out.glob("table_*.json"))) == 3
     summary = json.loads((out / "summary.json").read_text())
     rows = {row["eta"]: row for row in summary["per_eta"]}
     assert set(rows) == {0.0, 2.0, 6.0}
     # closed form gives |lambda - eta| = 8/gamma^2 + O(gamma^-4) at eta = 2
     assert rows[2.0]["final_error"] == pytest.approx(8e-8, rel=1e-4)
     assert rows[2.0]["converged"] and rows[6.0]["converged"]
-    first = (out / "table_00_eta_0.csv").read_text().splitlines()[1].split(",")
-    assert float(first[0]) == 1.0  # default grid starts at gamma = 1
+    first = json.loads((out / "table_00_eta_0.json").read_text())["rows"][0]
+    assert first["gamma"] == 1.0  # default grid starts at gamma = 1
 
 
 def test_run_is_deterministic(tmp_path):
@@ -126,7 +125,7 @@ def test_config_file_with_flag_override(tmp_path):
     cfg = {
         "surface": {"kind": "sphere", "K": 1.0, "l_max": 1},
         "gamma_grid": {"explicit": [10.0, 100.0]},
-        "outputs": {"formats": ["csv"], "directory": str(tmp_path / "cfg_out")},
+        "outputs": {"directory": str(tmp_path / "cfg_out")},
         "workers": 1,
     }
     cfg_path = tmp_path / "cfg.json"
@@ -135,7 +134,11 @@ def test_config_file_with_flag_override(tmp_path):
     assert run_cli(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert out.exists()
     assert not (tmp_path / "cfg_out").exists()
-    assert not any(p.suffix == ".json" and p.name.startswith("table_") for p in out.iterdir())
+    # the file's keys the flags leave alone still hold: l_max = 1, two gammas
+    tables = sorted(p.name for p in out.glob("table_*"))
+    assert tables == ["table_00_eta_0.json", "table_01_eta_2.json"]
+    rows = json.loads((out / tables[1]).read_text())["rows"]
+    assert [row["gamma"] for row in rows] == [10.0, 100.0]
 
 
 def test_custom_surface_run(tmp_path):
@@ -216,8 +219,7 @@ def test_each_flag_sets_its_own_key_and_shows_its_default(monkeypatch, capsys, k
     if row.default is None:
         assert "(default:" not in entry
     else:
-        shown = ",".join(row.default) if isinstance(row.default, tuple) else row.default
-        assert f"(default: {shown})" in entry
+        assert f"(default: {row.default})" in entry
 
 
 def test_a_config_of_every_key_a_sphere_reads_at_its_default_writes_the_same_bytes(
@@ -312,6 +314,54 @@ def test_the_removed_checks_flag_is_an_unknown_flag(tmp_path, capsys):
         "eta": None,
     }
     assert not out.exists()  # the usage error ends the run before it starts
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--formats", "csv"], "kbmlab: unrecognized arguments: --formats csv"),
+        (["--config", "formats.json"], "unknown key 'formats' in section 'outputs'"),
+    ],
+    ids=["flag", "key"],
+)
+def test_the_removed_formats_knob_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
+                                                    message):
+    # a run writes the JSON tables alone; the flag and the key that chose
+    # csv and/or json are refused, the flag as a usage error
+    monkeypatch.chdir(tmp_path)
+    Path("formats.json").write_text(json.dumps({"outputs": {"formats": ["json"]}}))
+    try:
+        code = run_cli(["run", *argv, "--gamma-points", "5", "--out", "o"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ConfigError", "eta": None, "stage": "config",
+                                    "message": message}
+    assert not list(tmp_path.glob("o/table_*"))
+
+
+def test_a_repeated_eta_in_a_custom_list_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # eta = 2 twice would be swept twice and written as two identical
+    # tables; SurfaceSpectrum asks for it once, with the summed multiplicity,
+    # before any sweep
+    import kbmlab.cli
+
+    monkeypatch.setattr(kbmlab.cli, "gamma_sweep", lambda *a, **k: pytest.fail("swept"))
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0, 1], [2, 1], [2, 2]]}))
+    out = tmp_path / "out"
+    code = run_cli(["run", "--surface", "custom", "--curvature", "-1", "--custom-path",
+                    str(eta_path), "--gamma-points", "5", "--out", str(out)])
+    assert code == 2
+    record = _error_record(capsys)
+    assert record == {
+        "error": "ConfigError", "eta": None, "stage": "config",
+        "message": "entries must be strictly ascending by eta, got 2.0 after 2.0; "
+                   "give a repeated eta once with the summed multiplicity",
+    }
+    assert sorted(p.name for p in out.iterdir()) == ["errors.json"]
 
 
 def test_a_config_that_still_names_workers_writes_the_same_bytes(tmp_path):
@@ -794,24 +844,17 @@ def test_fixed_truncation_on_a_positively_curved_surface_is_a_config_error(
 
 def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):
     # the sweep doubles the cutoff itself, building every block at a fixed
-    # cutoff; the perturbation series is taken on the block it certified
-    import kbmlab.cli
+    # cutoff, and the table reports the cutoff it certified
     import kbmlab.operator
 
-    policies, series_cutoffs = [], []
+    policies = []
     real_truncate = kbmlab.operator.truncate
-    real_series = kbmlab.cli.perturbation_series
 
     def counting(eta, K, policy):
         policies.append((policy.kind, policy.k_max))
         return real_truncate(eta, K, policy)
 
-    def recording(coeffs):
-        series_cutoffs.append(coeffs.block.k_max)
-        return real_series(coeffs)
-
     monkeypatch.setattr(kbmlab.operator, "truncate", counting)
-    monkeypatch.setattr(kbmlab.cli, "perturbation_series", recording)
     eta_path = tmp_path / "etas.json"
     eta_path.write_text(json.dumps({"entries": [[0.0, 1], [5.0, 1]]}))
     out = tmp_path / "out"
@@ -822,7 +865,7 @@ def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):
     assert code == 0
     k_max = json.loads((out / "table_01_eta_5.json").read_text())["rows"][0]["k_max"]
     assert policies == [("fixed", 8), ("fixed", 16)]
-    assert series_cutoffs == [0, k_max]
+    assert k_max == 8
 
 
 _BLOCK_BUILDERS = ("block_at", "finite_block", "truncate", "ladder_coefficients")
@@ -834,13 +877,13 @@ _BLOCK_BUILDERS = ("block_at", "finite_block", "truncate", "ladder_coefficients"
 )
 def test_run_builds_no_block_after_the_sweeps(tmp_path, monkeypatch, surface_flags):
     # every table carries the coefficients of the block it reports on, and
-    # the series is taken on exactly those; nothing after the last sweep
-    # builds a block or its coefficients, in any module that binds a builder
+    # nothing after the last sweep builds a block or its coefficients, in
+    # any module that binds a builder
     import kbmlab.cli
     import kbmlab.ladder
     import kbmlab.operator
 
-    events, tables, series_args = [], [], []
+    events = []
     home = {"block_at": kbmlab.operator, "truncate": kbmlab.operator}
     real = {name: getattr(home.get(name, kbmlab.ladder), name) for name in _BLOCK_BUILDERS}
 
@@ -855,19 +898,14 @@ def test_run_builds_no_block_after_the_sweeps(tmp_path, monkeypatch, surface_fla
             for name, fn in real.items():
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, recorder(name, fn))
-    real_sweep, real_series = kbmlab.cli.gamma_sweep, kbmlab.cli.perturbation_series
+    real_sweep = kbmlab.cli.gamma_sweep
 
     def sweeping(*args, **kwargs):
-        tables.append(real_sweep(*args, **kwargs))
+        table = real_sweep(*args, **kwargs)
         events.append("sweep")
-        return tables[-1]
-
-    def series(coeffs):
-        series_args.append(coeffs)
-        return real_series(coeffs)
+        return table
 
     monkeypatch.setattr(kbmlab.cli, "gamma_sweep", sweeping)
-    monkeypatch.setattr(kbmlab.cli, "perturbation_series", series)
     eta_path = tmp_path / "etas.json"
     eta_path.write_text(json.dumps({"entries": [[0.0, 1], [2.0, 1], [5.0, 1]]}))
     out = tmp_path / "out"
@@ -878,9 +916,6 @@ def test_run_builds_no_block_after_the_sweeps(tmp_path, monkeypatch, surface_fla
     assert events.count("sweep") == 3
     assert "ladder_coefficients" in events[:last_sweep]  # the recorders see the sweeps' builds
     assert events[last_sweep + 1:] == []
-    assert len(series_args) == len(tables)
-    for coeffs, table in zip(series_args, tables):
-        assert coeffs is table.coeffs
 
 
 @pytest.mark.parametrize("where", ["missing_dir", "below_a_file"])
@@ -987,8 +1022,7 @@ sys.exit(kbmlab.cli.main(sys.argv[1:]))
 
 def test_run_needs_no_scipy(tmp_path):
     # importing the CLI loads no scipy module, and a K < 0 run (adaptive
-    # truncation, residuals, the perturbation series) completes with scipy
-    # blocked
+    # truncation, residuals) completes with scipy blocked
     eta_path = tmp_path / "etas.json"
     eta_path.write_text(json.dumps({"entries": [[0.0, 1], [2.0, 1]]}))
     out = tmp_path / "out"
@@ -1005,4 +1039,4 @@ def test_run_needs_no_scipy(tmp_path):
     rows = [row for path in sorted(out.glob("table_*.json"))
             for row in json.loads(path.read_text())["rows"]]
     assert len(rows) == 14  # two eta values times seven gammas
-    assert (out / "summary.json").exists() and (out / "perturbation_series.csv").exists()
+    assert (out / "summary.json").exists()

@@ -92,6 +92,8 @@ def test_custom_spectrum_validation():
         custom_spectrum(-1.0, [(2.0, 1)])  # zero mode missing
     with pytest.raises(SpectrumValidationError):
         custom_spectrum(-1.0, [(0.0, 1), (math.inf, 1)])
+    with pytest.raises(SpectrumValidationError, match="summed multiplicity"):
+        custom_spectrum(-1.0, [(0.0, 1), (2.0, 1), (2.0, 2)])  # eta = 2 twice
 
 
 def test_gamma_grid_hits_decades_exactly():

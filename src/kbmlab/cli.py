@@ -365,8 +365,10 @@ def _eta_tag(index: int, eta: float) -> str:
 def run(config: dict, where: Optional[dict] = None) -> dict:
     """Execute the configured sweeps and write their artifacts: per eta a
     ``table_*.json``, then ``summary.json``.  Every table shares the run's
-    gamma grid, and only the tables hold per-gamma values; the summary
-    holds the per-eta verdicts and the mixing report.
+    gamma grid, and only the tables hold per-gamma values.  The summary
+    holds the surface kind, the curvature, each eta's verdicts
+    (``spectra.convergence_summary``) and the mixing report
+    (``spectra.mixing_report``); no value a table holds is repeated there.
 
     ``config`` is the documented JSON mapping (``load_config``); a key it
     does not give takes its default, and ``where`` says where each key was
@@ -412,10 +414,7 @@ def run(config: dict, where: Optional[dict] = None) -> dict:
     summary = {
         "surface": v["surface.kind"],
         "curvature": spectrum.curvature,
-        "per_eta": [
-            {**convergence_summary(t), "multiplicity": e.multiplicity}
-            for e, t in zip(spectrum.entries, tables)
-        ],
+        "per_eta": [convergence_summary(t) for t in tables],
     }
     try:
         summary["mixing"] = mixing_report(spectrum, tables)

@@ -3,8 +3,8 @@
 Five pieces: the characteristic polynomial by the scaled three-term
 determinant recurrence (a loop on Python scalars, float or complex), a dense
 eigensolver used strictly as a brute-force oracle (one matrix or a stack,
-densified in chunks of bounded size), inverse-iteration eigenvectors for
-a whole stack of matrices at once, continuation along the real axis of
+densified in chunks of bounded size), inverse-iteration residuals for a
+whole stack of matrices at once, continuation along the real axis of
 the eigenvalue branch that emanates from the unperturbed value 0, and the
 exceptional point where that branch ends.  On the real axis every family
 member, and each of its parity sectors, has a real coupling; the dense
@@ -40,8 +40,8 @@ simple sample; where it leaves a decision open, that one sample's dense
 check is computed and decides, so every decision is the one the dense gap
 makes.  Steps are shortened to land exactly on caller-given checkpoints of
 the segment, so one continuation serves every parameter on it.  It
-computes no eigenvectors; callers take ``inverse_iteration`` where they
-report values.
+computes no eigenvectors; callers take the residuals of
+``inverse_iteration`` where they report values.
 
 The branch ends where it meets its even-sector neighbour at a square-root
 exceptional point, p = dp/dmu = 0 (Kato, *Perturbation Theory for Linear
@@ -404,32 +404,31 @@ def exceptional_point(
     return x_c
 
 
-def inverse_iteration(op: TridiagonalOperator, mu) -> tuple[np.ndarray, np.ndarray]:
-    """Unit eigenvectors of a stack of B operators (``op.diag`` of shape
-    (B, n)) for the eigenvalues near ``mu`` (B,), by inverse iteration with
+def inverse_iteration(op: TridiagonalOperator, mu) -> np.ndarray:
+    """Eigenvector residuals of a stack of B operators (``op.diag`` of shape
+    (B, n)) at the eigenvalues near ``mu`` (B,), by inverse iteration with
     every matrix's solve in one ``gtsv`` call per step.
 
     Each row starts from the unit vector at its diagonal entry nearest mu
     and runs at most ``INVERSE_MAX_ITER`` solves, until its residual
     ||(op - mu) v|| is at most 1e-10 times its ||op||_inf (Ipsen, *SIAM
-    Review* 39, 1997).  A row whose op - mu is exactly singular moves to
-    the shift mu + 8*eps*||op||_inf for the rest of its iteration (the
+    Review* 39, 1997).  A row whose op - mu is exactly singular, or so
+    nearly singular that its solve or the solution's norm overflows, moves
+    to the shift mu + 8*eps*||op||_inf for the rest of its iteration (the
     standard inverse-iteration device; a nudge of one eps is lost to
-    rounding on small blocks).  The phase is fixed by making the
-    largest-modulus entry real and positive.  A row whose iteration
-    yields a zero or non-finite vector, or does not converge (a defective
-    or clustered eigenvalue), reads NaN.  Rows stop at their own
-    convergence and every step is elementwise along the stack, so each
-    row has the bits it gets alone.
+    rounding on small blocks).  A row whose iteration yields a zero or
+    non-finite vector, or does not converge (a defective or clustered
+    eigenvalue), reads NaN.  Rows stop at their own convergence and every
+    step is elementwise along the stack, so each row has the bits it gets
+    alone.
 
-    One matrix is a stack of one.  Returns (v, r): the vectors (B, n) and
-    their residuals (B,) at mu.
+    One matrix is a stack of one.  Returns the residuals (B,) at mu; the
+    vectors are not kept.
     """
     mu = np.asarray(mu, dtype=complex)
     batch, n = op.diag.shape
     nrm = op.inf_norm()
     tol = 1e-10 * np.maximum(nrm, 1e-300)
-    vecs = np.full((batch, n), math.nan, dtype=complex)
     res = np.full(batch, math.nan)
     # a row leaves ``todo`` when it converges or fails; its result is then final
     todo = np.ones(batch, dtype=bool)
@@ -438,27 +437,26 @@ def inverse_iteration(op: TridiagonalOperator, mu) -> tuple[np.ndarray, np.ndarr
     v[np.arange(batch), np.argmin(np.abs(op.diag - mu[:, None]), axis=1)] = 1.0
     c = op.coupling
     for _ in range(INVERSE_MAX_ITER):
-        w, singular = gtsv(c, op.diag - shift[:, None], -c, v)
-        singular &= todo
-        if singular.any():
-            shift = np.where(singular, mu + 8.0 * _EPS * nrm, shift)
-            w[singular] = gtsv(
-                c[singular], op.diag[singular] - shift[singular, None], -c[singular], v[singular]
-            )[0]
-        with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows fail below
+        w = gtsv(c, op.diag - shift[:, None], -c, v)[0]
+        # a non-finite row moves to the nudged shift, and fails if it stays so
+        with np.errstate(invalid="ignore", over="ignore"):
             wn = _norms(w)
-        ok = todo & np.isfinite(wn) & (wn > 0.0)
-        v = np.where(ok[:, None], w / np.where(ok, wn, 1.0)[:, None], v)
+            stuck = todo & ~np.isfinite(wn)
+            if stuck.any():
+                shift = np.where(stuck, mu + 8.0 * _EPS * nrm, shift)
+                w[stuck] = gtsv(
+                    c[stuck], op.diag[stuck] - shift[stuck, None], -c[stuck], v[stuck]
+                )[0]
+                wn = _norms(w)
+            ok = todo & np.isfinite(wn) & (wn > 0.0)
+            v = np.where(ok[:, None], w / np.where(ok, wn, 1.0)[:, None], v)
         r = _residuals(op, mu, v)
         done = ok & (r <= tol)
-        vecs[done], res[done] = v[done], r[done]
+        res[done] = r[done]
         todo = ok & ~done
         if not todo.any():
             break
-    # the phase does not change the residual; failed rows stay NaN
-    top = vecs[np.arange(batch), np.argmax(np.abs(vecs), axis=1)]
-    with np.errstate(invalid="ignore"):
-        return vecs * (np.conj(top) / np.abs(top))[:, None], res
+    return res
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -488,12 +486,13 @@ def _residuals(op: TridiagonalOperator, mu: np.ndarray, v: np.ndarray) -> np.nda
 class EigenBranch:
     """Continuation record of the branch through the unperturbed value 0.
 
-    ``simple[i]`` is gap_to_rest[i] > collision_threshold(mu_values[i]).
-    ``gap_to_rest`` is the distance from mu to the second-nearest eigenvalue
-    of the block, from the dense certification, on samples outside the
-    Kato disk; on a sample inside it, the Kato bound 1/2 - |mu|, which is
-    at most that distance (see ``track_branch``).  The record holds no
-    eigenvectors or residuals.
+    ``simple[i]`` says that the sample's gap to the rest of the spectrum
+    is above ``collision_threshold(mu_values[i])``: the distance from mu to
+    the second-nearest eigenvalue of the block, from the dense
+    certification, on samples outside the Kato disk; on a sample inside
+    it, the Kato bound 1/2 - |mu|, which is at most that distance (see
+    ``track_branch``).  The record holds no gaps, eigenvectors or
+    residuals.
     ``status`` is "complete" when x_target was reached, otherwise
     "collision" with the stopping parameter in ``x_collision`` and the
     trigger in ``reason``: "exceptional point" (x_collision is the certified
@@ -508,26 +507,21 @@ class EigenBranch:
     on (in order, x_target last), the index of its sample in ``x_samples``;
     a checkpoint sample may be the non-simple one that stopped the
     continuation.
-    The parameters are real: ``x_target`` and ``x_collision`` are floats
-    and ``x_samples`` is a float array; ``mu_values`` is complex.
+    The parameters are real: ``x_collision`` is a float and ``x_samples``
+    is a float array, whose last entry is the target when the
+    continuation is complete; ``mu_values`` is complex.
     ``sector`` is the block's even sector, which the continuation read.
     """
 
     sector: EvenSector
-    x_target: float
     x_samples: np.ndarray
     mu_values: np.ndarray
-    gap_to_rest: np.ndarray
     simple: np.ndarray
     status: str
     reason: str = ""
     x_collision: Optional[float] = None
     oracle_dev: float = 0.0
     checkpoint_index: tuple = ()
-
-    @property
-    def final_mu(self) -> complex:
-        return complex(self.mu_values[-1])
 
 
 def track_branch(
@@ -614,10 +608,8 @@ def track_branch(
     if x_target == 0:
         return EigenBranch(
             sector=sector,
-            x_target=x_target,
             x_samples=np.array([0.0]),
             mu_values=np.array([0j]),
-            gap_to_rest=np.array([gap0]),
             simple=np.array([gap0 > collision_threshold(0.0)]),
             status="complete",
             checkpoint_index=(0,),
@@ -628,7 +620,6 @@ def track_branch(
 
     xs = [0.0]
     mus = [0j]
-    gaps = [gap0]
     simples = [gap0 > collision_threshold(0.0)]
 
     # the single-mode block has no coupling to bound and keeps the dense
@@ -712,7 +703,6 @@ def track_branch(
         is_simple = gap > collision_threshold(mu_new)
         xs.append(x_new)
         mus.append(mu_new)
-        gaps.append(gap)
         simples.append(is_simple)
         if at_checkpoint:
             landed.append(len(xs) - 1)
@@ -741,10 +731,8 @@ def track_branch(
 
     return EigenBranch(
         sector=sector,
-        x_target=x_target,
         x_samples=np.array(xs),
         mu_values=np.array(mus),
-        gap_to_rest=np.array(gaps),
         simple=np.array(simples),
         status=status,
         reason=reason,

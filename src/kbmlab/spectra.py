@@ -430,7 +430,7 @@ def gamma_sweep(
             )
 
     lam = half_g2 * base.mu
-    resid = inverse_iteration(base.sector.at(-2.0 / grid), base.mu)[1]
+    resid = inverse_iteration(base.sector.at(-2.0 / grid), base.mu)
 
     return GammaTable(
         coeffs=base.coeffs,
@@ -478,11 +478,14 @@ def error_at_gamma(table: GammaTable, gamma: float) -> float:
 
 
 def convergence_summary(table: GammaTable) -> dict:
-    """Per-eta verdict data: tail error, monotonicity, empirical rate.
+    """Per-eta verdicts: where the tail starts, its largest error, its
+    monotonicity, its fitted rate and convergence.  The values the table
+    holds (its cutoff, collision and errors) are not repeated.
 
     The tail is monotone when each step decreases or grows by no more than
     the rounding of lambda (``ROUNDING_ULPS``); it has converged when it is
-    monotone and its last error is its smallest, to the same rounding."""
+    monotone and its last error is its smallest, to the same rounding.  The
+    rate is empirical (``fitted_decay_exponent``)."""
     mask = tail_mask(table.gamma_grid, table.eta)
     tail_err = table.abs_error[mask]
     floor = ROUNDING_ULPS * np.finfo(float).eps * (1.0 + table.eta)
@@ -490,15 +493,10 @@ def convergence_summary(table: GammaTable) -> dict:
     rate = fitted_decay_exponent(table.gamma_grid[mask], tail_err) if table.eta > 0 else None
     return {
         "eta": table.eta,
-        "curvature": table.curvature,
-        "k_trunc": table.k_trunc,
         "tail_gamma_from": tail_threshold(table.eta),
         "max_tail_error": float(np.max(tail_err)) if tail_err.size else 0.0,
-        "final_error": float(table.abs_error[-1]),
         "tail_monotone": monotone,
         "fitted_rate": rate,
-        "rate_is_empirical": True,
-        "empirical_r": table.empirical_r,
         "converged": bool(
             monotone and (tail_err.size == 0 or tail_err[-1] <= np.min(tail_err) + floor)
         ),
@@ -509,7 +507,8 @@ def mixing_report(spectrum: SurfaceSpectrum, tables: Sequence[GammaTable]) -> di
     """Spectral-gap report: Re lambda at the smallest nonzero eta bounds
     the optimal mixing rate, so its gamma -> infinity trend against eta_1
     is the quantity of interest.  The report holds its verdicts only; the
-    Re lambda column itself is the eta_1 table's."""
+    Re lambda column itself, its last value included, is the eta_1
+    table's."""
     eta1 = spectrum.smallest_nonzero()
     table = None
     for t in tables:
@@ -523,8 +522,6 @@ def mixing_report(spectrum: SurfaceSpectrum, tables: Sequence[GammaTable]) -> di
     tail_excess = re[mask] - eta1
     return {
         "eta1": eta1,
-        "curvature": spectrum.curvature,
-        "tail_value": float(re[-1]),
         "tail_gap_to_eta1": float(re[-1] - eta1),
         "approaches_from_above": bool(np.all(tail_excess > 0.0)) if tail_excess.size else None,
         "tail_fitted_rate": fitted_decay_exponent(

@@ -54,7 +54,7 @@ def branch_value(coeffs, x):
         raise BranchCollisionError(
             f"branch lost simplicity near x = {br.x_collision} ({br.reason})"
         )
-    return br.final_mu
+    return complex(br.mu_values[-1])
 
 
 def enclosed_count(op, contour):
@@ -73,10 +73,8 @@ def stuck_at_zero(block, coeffs, x_target, checkpoints=()):
     """Stand-in for track_branch: a continuation that accepted no step."""
     return EigenBranch(
         sector=EvenSector.of(coeffs),
-        x_target=complex(x_target),
         x_samples=np.array([0j]),
         mu_values=np.array([0j]),
-        gap_to_rest=np.array([1.0]),
         simple=np.array([True]),
         status="collision",
         reason="step underflow near loss of simplicity",

@@ -49,17 +49,46 @@ def _lists(value):
 
 
 def test_the_summary_holds_no_per_gamma_column(tmp_path):
-    # each per-gamma value is written once, in the tables: the summary's
-    # mixing tail value is the eta_1 table's last re_lambda, bit for bit,
-    # and no list of the summary is as long as the grid; the grid reaches
-    # gamma < 4, where the eta = 2 rows are collided and complex
+    # each per-gamma value is written once, in the tables: no list of the
+    # summary is as long as the grid; the grid reaches gamma < 4, where the
+    # eta = 2 rows are collided and complex
     out = tmp_path / "out"
     assert run_cli(small_run_args(out, extra=("--gamma-explicit=1,2,3,5,10,100",))) == 0
     rows = json.loads((out / "table_01_eta_2.json").read_text())["rows"]
     assert any(row["collided"] for row in rows)
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["mixing"]["tail_value"] == rows[-1]["re_lambda"]
     assert all(len(found) != len(rows) for found in _lists(summary))
+
+
+# The keys of summary.json: its top level, each per_eta entry and mixing.
+SUMMARY_KEYS = ["curvature", "mixing", "per_eta", "surface"]
+PER_ETA_KEYS = ["converged", "eta", "fitted_rate", "max_tail_error", "tail_gamma_from",
+                "tail_monotone"]
+MIXING_KEYS = ["approaches_from_above", "eta1", "tail_fitted_rate", "tail_gap_to_eta1"]
+
+
+def test_the_summary_holds_the_verdicts_only(tmp_path):
+    # every value the tables hold is written there once: the curvature, a
+    # table's multiplicity, collision radius, cutoff and last error, and
+    # the eta_1 table's last Re lambda are read from the tables and the
+    # top level, not repeated per eta or in the mixing report
+    out = tmp_path / "out"
+    assert run_cli(small_run_args(out, extra=("--gamma-explicit=1,2,3,5,10,100",))) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary) == SUMMARY_KEYS
+    assert [sorted(entry) for entry in summary["per_eta"]] == 2 * [PER_ETA_KEYS]
+    assert sorted(summary["mixing"]) == MIXING_KEYS
+    tables = [json.loads(p.read_text()) for p in sorted(out.glob("table_*.json"))]
+    assert [t["eta"] for t in tables] == [entry["eta"] for entry in summary["per_eta"]]
+    assert all(t["curvature"] == summary["curvature"] == 1.0 for t in tables)
+    eta2 = tables[1]
+    assert (eta2["multiplicity"], {row["k_max"] for row in eta2["rows"]}) == (3, {1})
+    assert eta2["empirical_r"] == pytest.approx(4.0, abs=0.05)
+    assert eta2["rows"][-1]["abs_error"] == pytest.approx(8e-4, rel=1e-2)
+    tail = eta2["rows"][-1]["re_lambda"]
+    assert summary["mixing"]["tail_gap_to_eta1"] == tail - summary["mixing"]["eta1"]
+    # eta = 4 (1 + sqrt(eta)) starts the tail
+    assert summary["per_eta"][1]["tail_gamma_from"] == 4.0 * (1.0 + 2.0**0.5)
 
 
 def test_table_schema_and_roundtrip(tmp_path):
@@ -92,7 +121,7 @@ def test_summary_contains_verdicts_and_mixing(tmp_path):
 
 
 def test_default_grid_sphere_run(tmp_path):
-    # default log grid, three tables for eta = 0, 2, 6, tail errors in summary
+    # default log grid, three tables for eta = 0, 2, 6, verdicts in summary
     out = tmp_path / "out"
     code = run_cli(
         ["run", "--surface", "sphere", "--curvature", "1.0", "--l-max", "2",
@@ -103,8 +132,10 @@ def test_default_grid_sphere_run(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     rows = {row["eta"]: row for row in summary["per_eta"]}
     assert set(rows) == {0.0, 2.0, 6.0}
-    # closed form gives |lambda - eta| = 8/gamma^2 + O(gamma^-4) at eta = 2
-    assert rows[2.0]["final_error"] == pytest.approx(8e-8, rel=1e-4)
+    # closed form gives |lambda - eta| = 8/gamma^2 + O(gamma^-4) at eta = 2,
+    # the last row of its table
+    last = json.loads((out / "table_01_eta_2.json").read_text())["rows"][-1]
+    assert last["abs_error"] == pytest.approx(8e-8, rel=1e-4)
     assert rows[2.0]["converged"] and rows[6.0]["converged"]
     first = json.loads((out / "table_00_eta_0.json").read_text())["rows"][0]
     assert first["gamma"] == 1.0  # default grid starts at gamma = 1
@@ -539,6 +570,21 @@ def test_a_torus_side_whose_eta_scale_leaves_the_float_range_is_a_typed_error(
     record = _error_record(capsys)
     assert record["error"] == "ConfigError" and "float range" in record["message"]
     assert json.loads((out / "errors.json").read_text()) == record
+
+
+def test_a_torus_of_tiny_eta_has_a_finite_residual_on_every_row(tmp_path):
+    # side 1e75 puts every eta near 1e-148, where the residual's solve at
+    # mu, or the square of its solution, overflows; such a row moves to the
+    # nudged shift, so the run warns of nothing (RuntimeWarnings are
+    # errors in this suite) and every row is simple with a finite residual
+    out = tmp_path / "out"
+    code = run_cli(["run", "--surface", "torus", "--side", "1e75", "--eta-cap", "1e-146",
+                    "--gamma-points", "3", "--out", str(out)])
+    assert code == 0
+    tables = sorted(out.glob("table_*.json"))
+    rows = [row for path in tables for row in json.loads(path.read_text())["rows"]]
+    assert len(tables) == 97 and len(rows) == 291
+    assert all(row["simple"] and 0.0 <= row["residual"] < 1e-80 for row in rows)
 
 
 @pytest.mark.parametrize(

@@ -399,20 +399,35 @@ def test_eig_dense_chunks_a_stack_within_the_entry_budget(monkeypatch, k_max, bu
 
 
 def test_eigvec_diagonal_case(sphere_l1):
-    # one matrix is a stack of one for inverse_iteration
+    # one matrix is a stack of one for inverse_iteration; on diag (1, 0, 1)
+    # the vector is the unit vector of the middle slot, whose residual at 0
+    # is exactly 0
     block, coeffs = sphere_l1
     op = assemble_perturbed(block, coeffs, 0.0)
-    v = inverse_iteration(one_row(op), [0.0])[0][0]
-    assert np.allclose(v, [0.0, 1.0, 0.0], atol=1e-14)
+    res = inverse_iteration(one_row(op), [0.0])
+    assert res.shape == (1,) and res[0] == 0.0
 
 
-def test_eigvec_residual_and_phase(sphere_l1):
+def test_eigvec_residual(sphere_l1):
     block, coeffs = sphere_l1
     op = assemble_perturbed(block, coeffs, 0.3)
-    v = inverse_iteration(one_row(op), [0.1])[0][0]
-    assert np.linalg.norm(op.matvec(v) - 0.1 * v) <= 1e-10 * op.inf_norm()
-    i = int(np.argmax(np.abs(v)))
-    assert v[i].imag == pytest.approx(0.0, abs=1e-15) and v[i].real > 0
+    res = inverse_iteration(one_row(op), [0.1])
+    assert res.shape == (1,) and 0.0 <= res[0] <= 1e-10 * op.inf_norm()
+    # far from every eigenvalue the iteration stalls and the row reads NaN
+    assert np.isnan(inverse_iteration(one_row(op), [0.55])[0])
+
+
+def test_eigvec_overflowing_solve_moves_to_the_nudged_shift():
+    # eta = 3.2e-148 on the torus: the branch value is 6e-148 at x = -2 and
+    # 6e-156 at x = -2e-4, and mu is within rounding of it, so the solve at
+    # mu or the square of its solution overflows; the row moves to the
+    # shift 8 eps ||op|| and its residual is finite
+    coeffs = ladder_coefficients(block_at(3.1582734083485954e-148, 0.0, 8))
+    xs = [-2.0, -2e-4]
+    mu = [branch_value(coeffs, x) for x in xs]
+    sector = even_sector(coeffs, np.array(xs))
+    res = inverse_iteration(sector, mu)
+    assert np.all(np.isfinite(res)) and np.all(res <= 1e-10 * sector.inf_norm())
 
 
 def test_track_branch_closed_form(sphere_l1):
@@ -429,7 +444,7 @@ def test_track_branch_closed_form(sphere_l1):
 def test_track_branch_at_zero_is_trivial(sphere_l1):
     block, coeffs = sphere_l1
     br = track_branch(block, coeffs, 0.0)
-    assert br.status == "complete" and br.x_samples.size == 1 and br.final_mu == 0
+    assert br.status == "complete" and br.x_samples.size == 1 and br.mu_values[-1] == 0
 
 
 def test_track_branch_flags_collision(sphere_l1):
@@ -450,6 +465,16 @@ def _dense_deviations(block, coeffs, br):
     return np.min(np.abs(eigs - br.mu_values[:, None]), axis=1)
 
 
+def _dense_gaps(br, idx):
+    """The gap to the rest of the spectrum that ``certify_samples`` gives
+    each sample ``idx`` of the branch, from the sample's even sector (the
+    record keeps only the verdict ``simple``)."""
+    return np.array([
+        kbmlab.eig.certify_samples(br.sector.at(br.x_samples[i]), br.mu_values[i]).gap
+        for i in idx
+    ])
+
+
 def test_branch_oracle_agreement(sphere_l1):
     block, coeffs = sphere_l1
     br = track_branch(block, coeffs, 0.45)
@@ -465,7 +490,7 @@ def test_branch_residual_bound(hyperbolic_block):
     op_norm = assemble_perturbed(block, coeffs, -0.25).inf_norm()
     # the inverse-iteration residual on the full block at every sample
     full = stack_of([assemble_perturbed(block, coeffs, x) for x in br.x_samples])
-    res = inverse_iteration(full, br.mu_values)[1]
+    res = inverse_iteration(full, br.mu_values)
     assert np.all(np.isfinite(res))
     assert max(res) <= 1e-9 * (1.0 + op_norm)
     assert np.max(_dense_deviations(block, coeffs, br)) <= 1e-9
@@ -516,7 +541,7 @@ def test_track_branch_lands_on_checkpoints_exactly(sphere_l1):
     assert br.checkpoint_index[-1] == br.x_samples.size - 1
     for x, i in zip(cks, br.checkpoint_index):
         assert br.x_samples[i] == x
-        assert br.gap_to_rest[i] > 0.0
+        assert br.simple[i]
         assert br.mu_values[i] == pytest.approx(closed_mu(x), abs=1e-14)
 
 
@@ -588,7 +613,8 @@ def test_track_branch_on_the_even_sector_matches_the_full_block(
     # to a collision the root's condition ~ eps*||A||/gap makes both the
     # sector and the full-block root drift by up to 2e-11 from a 40-digit
     # root at eta = 300, so those samples are not held to 1e-12
-    separated = np.nonzero(br.simple & (br.gap_to_rest >= 1e-3))[0][1:]
+    gaps = _dense_gaps(br, range(br.x_samples.size))
+    separated = np.nonzero(br.simple & (gaps >= 1e-3))[0][1:]
     assert set(br.checkpoint_index) & set(np.nonzero(br.simple)[0]) <= set(separated)
     for i in separated:
         full = assemble_perturbed(block, coeffs, br.x_samples[i])
@@ -606,7 +632,8 @@ def test_track_branch_on_the_even_sector_matches_the_full_block(
     assert np.array_equal(br.simple[ck], ref.simple[ck])
     assert np.array_equal(br.x_samples[: ck[-1] + 1], ref.x_samples[: ck[-1] + 1])
     assert np.max(np.abs(br.mu_values[ck] - ref.mu_values[ck])) <= 1e-12
-    assert np.allclose(br.gap_to_rest[ck], ref.gap_to_rest[ck], rtol=1e-9, atol=1e-12)
+    # the sector's certification gives the full block's gap
+    assert np.allclose(gaps[ck], _dense_gaps(ref, ck), rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("K, eta, k_max", [(1.0, 6.0, None), (-1.0, 2.0, 6)])
@@ -828,7 +855,8 @@ def test_a_non_simple_sample_just_short_of_the_exceptional_point_reports_the_poi
     assert (br.status, br.reason) == ("collision", "exceptional point")
     assert br.x_collision == 0.49999999999999994
     assert br.x_samples[-1] == 0.49999999999999983 and not br.simple[-1]
-    assert br.gap_to_rest[-1] <= kbmlab.eig.collision_threshold(br.mu_values[-1])
+    gap = _dense_gaps(br, [-1])[0]
+    assert gap <= kbmlab.eig.collision_threshold(br.mu_values[-1])
     # asked from the sample, up to the next checkpoint, with the sample's
     # even spectrum from its certification
     (_, x_cur, x_try, _, _), kwargs = calls[-1]

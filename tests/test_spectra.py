@@ -259,9 +259,13 @@ def test_mixing_report_closed_form_value():
     assert report["eta1"] == 2.0
     i10 = list(grid).index(10.0)
     assert tables[1].lam[i10].real == pytest.approx(2.0871215252207998, abs=1e-9)
-    assert report["tail_value"] == tables[1].lam[-1].real
+    # the tail value is the eta_1 table's last Re lambda, which the report
+    # does not repeat
+    tail = tables[1].lam[-1].real
+    assert "tail_value" not in report
+    assert report["tail_gap_to_eta1"] == tail - 2.0
     assert report["approaches_from_above"] is True
-    assert report["tail_value"] == pytest.approx(2.0, abs=1e-4)
+    assert tail == pytest.approx(2.0, abs=1e-4)
 
 
 def test_mixing_report_requires_eta1_table():
@@ -278,7 +282,7 @@ def _per_row(table):
     rows = []
     for gamma in table.gamma_grid:
         br = track_branch(block, coeffs, -2.0 / gamma)
-        rows.append(0.5 * gamma * gamma * br.final_mu if br.status == "complete" else None)
+        rows.append(0.5 * gamma * gamma * br.mu_values[-1] if br.status == "complete" else None)
     return rows
 
 
@@ -498,7 +502,7 @@ def test_sweep_residual_is_the_residual_at_each_reported_value(eta, K, points):
     assert np.any(table.simple) and np.any(table.collided)
     block, coeffs = _sweep_block(table)
     full = stack_of([assemble_perturbed(block, coeffs, -2.0 / g) for g in table.gamma_grid])
-    full_res = kbmlab.eig.inverse_iteration(full, _row_mu(table, block, coeffs))[1]
+    full_res = kbmlab.eig.inverse_iteration(full, _row_mu(table, block, coeffs))
     assert np.all(np.isfinite(full_res))
     assert np.max(np.abs(table.residual - full_res)) <= 1e-13
 
@@ -540,7 +544,7 @@ def test_sweep_takes_one_residual_per_row(monkeypatch, eta, K, points):
     assert len(calls) == 1
     assert calls[0].coupling.tobytes() == even_sector(coeffs, -2.0 / grid).coupling.tobytes()
     for x, mu, res in zip(-2.0 / grid, _row_mu(table, block, coeffs), table.residual):
-        alone = real(even_sector(coeffs, np.array([x])), np.array([mu]))[1]
+        alone = real(even_sector(coeffs, np.array([x])), np.array([mu]))
         assert alone[0] == res
 
 

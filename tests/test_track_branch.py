@@ -9,8 +9,9 @@ ladder.
 the Kato disk by the bound DISK_RHO - |mu|, solves the others' even
 sectors only, and computes a disk sample's dense check only where the
 bound leaves a decision open; the two must make the same decisions, bit
-for bit.  Only the gaps of disk samples (the bound instead of the dense
-gap) and ``oracle_dev`` (over the densely certified samples) differ.
+for bit.  Only ``oracle_dev`` (over the densely certified samples)
+differs.  The record holds no gaps; a disk sample's bound is checked
+against the reference's dense gap on its own.
 """
 
 import math
@@ -37,10 +38,10 @@ from kbmlab.eig import MIN_STEPS, STEP_X, _checkpoint_params, collision_threshol
 
 from conftest import assembled_odd_sector, parity_eigvals, property_block, stack_of
 
-# the fields that carry the continuation's decisions; gap_to_rest and
-# oracle_dev are compared on their own
+# the fields that carry the continuation's decisions; oracle_dev is
+# compared on its own
 FIELDS = (
-    "x_target", "x_samples", "mu_values", "simple", "status", "reason", "x_collision",
+    "x_samples", "mu_values", "simple", "status", "reason", "x_collision",
     "checkpoint_index",
 )
 RHO = 0.5  # the Kato disk's contour |zeta| = 1/2
@@ -70,11 +71,11 @@ def _union_check(even, odd, mu):
     return float(dist[near[0]]), gap, nu
 
 
-def _reference_track(block, coeffs, x_target, checkpoints=(), devs=None):
+def _reference_track(block, coeffs, x_target, checkpoints=(), checks=None):
     """The continuation one step at a time; the module's Newton and
     exceptional point, and the sector record's operator view, are looked up
-    at call time, so patches apply.  ``devs`` gets each accepted sample's
-    oracle deviation, in order."""
+    at call time, so patches apply.  ``checks`` gets each accepted sample's
+    oracle deviation and dense gap, in order."""
     eig = kbmlab.eig
     sector = EvenSector.of(coeffs)
     ck_x, ck_s = _checkpoint_params(x_target, checkpoints)
@@ -82,7 +83,7 @@ def _reference_track(block, coeffs, x_target, checkpoints=(), devs=None):
     unperturbed = np.sort(block.ks.astype(float) ** 2)
     gap0 = float(unperturbed[1]) if block.dim > 1 else math.inf
     ds_base = 1.0 / max(MIN_STEPS, math.ceil(abs(x_target) / STEP_X))
-    xs, mus, gaps, simples = [0.0], [0j], [gap0], [gap0 > collision_threshold(0.0)]
+    xs, mus, simples = [0.0], [0j], [gap0 > collision_threshold(0.0)]
     s_cur, x_cur, mu_cur, s_prev, mu_prev = 0.0, 0.0, 0j, None, 0j
     last_gap = gap0
     last_nu = 1.0 + 0j if block.dim > 1 else None
@@ -124,13 +125,12 @@ def _reference_track(block, coeffs, x_target, checkpoints=(), devs=None):
             continue
         dev, gap, last_nu = _union_check(even, odd, mu_new)
         oracle_dev = max(oracle_dev, dev)
-        if devs is not None:
-            devs.append(dev)
+        if checks is not None:
+            checks.append((dev, gap))
         last_gap = gap
         is_simple = gap > collision_threshold(mu_new)
         xs.append(x_new)
         mus.append(mu_new)
-        gaps.append(gap)
         simples.append(is_simple)
         if at_checkpoint:
             landed.append(len(xs) - 1)
@@ -155,16 +155,15 @@ def _reference_track(block, coeffs, x_target, checkpoints=(), devs=None):
         else:
             easy = 0
     return kbmlab.eig.EigenBranch(
-        sector=sector, x_target=x_target, x_samples=np.array(xs), mu_values=np.array(mus),
-        gap_to_rest=np.array(gaps), simple=np.array(simples), status=status, reason=reason,
-        x_collision=x_coll, oracle_dev=oracle_dev, checkpoint_index=tuple(landed),
+        sector=sector, x_samples=np.array(xs), mu_values=np.array(mus),
+        simple=np.array(simples), status=status, reason=reason, x_collision=x_coll, oracle_dev=oracle_dev, checkpoint_index=tuple(landed),
     )
 
 
-def _assert_same_record(br, ref, devs):
+def _assert_same_record(br, ref, checks):
     """Every decision of ``br`` is the reference's, bit for bit; a disk
-    sample's gap is RHO - |mu| and every other gap is the reference's dense
-    one; oracle_dev is the largest of the reference's deviations over the
+    sample's bound RHO - |mu| is at most the reference's dense gap;
+    oracle_dev is the largest of the reference's deviations over the
     samples outside the disk."""
     for name in FIELDS:
         a, b = getattr(br, name), getattr(ref, name)
@@ -176,8 +175,9 @@ def _assert_same_record(br, ref, devs):
             assert a == b, name
     block = br.sector.block
     disk = _disk_samples(block, ladder_coefficients(block), br)
-    gaps = np.where(disk, RHO - np.abs(br.mu_values), ref.gap_to_rest)
-    assert br.gap_to_rest.tobytes() == gaps.tobytes()
+    devs = [dev for dev, _ in checks]
+    gaps = np.array([gap for _, gap in checks])
+    assert np.all(RHO - np.abs(br.mu_values[1:][disk[1:]]) <= gaps[disk[1:]])
     assert br.oracle_dev == max([d for d, k in zip(devs, disk[1:]) if not k], default=0.0)
 
 
@@ -226,9 +226,9 @@ def test_track_branch_equals_the_step_by_step_loop(kind, k, eta, K, reach, sign,
     x_target = sign * reach / (1.0 + math.sqrt(block.eta))
     cks = [0.01 * f * x_target for f in sorted(fractions)]
     br = track_branch(block, coeffs, x_target, checkpoints=cks)
-    devs = []
-    ref = _reference_track(block, coeffs, x_target, cks, devs)
-    _assert_same_record(br, ref, devs)
+    checks = []
+    ref = _reference_track(block, coeffs, x_target, cks, checks)
+    _assert_same_record(br, ref, checks)
 
 
 def _rung_products(sector):
@@ -279,9 +279,9 @@ def _jump_and_roll_back(monkeypatch, K, eta, k_max, points, jump_at):
     solves = _recording_solves(monkeypatch)
     br = track_branch(block, coeffs, cks[-1], checkpoints=cks)
     fired.clear()
-    devs = []
-    ref = _reference_track(block, coeffs, cks[-1], cks, devs)
-    _assert_same_record(br, ref, devs)
+    checks = []
+    ref = _reference_track(block, coeffs, cks[-1], cks, checks)
+    _assert_same_record(br, ref, checks)
     # the reference rejected the jump, retried with half the step and went
     # on to the same end
     assert fired and (br.status, br.reason) == (clean.status, clean.reason)
@@ -352,7 +352,7 @@ def test_every_disk_certified_sample_is_isolated_on_the_full_block(monkeypatch):
     # the Kato bound's claim, against the dense spectrum of the whole block
     # (both parity sectors): inside the disk the circle |zeta| = 1/2 holds
     # exactly one eigenvalue, the branch, and the second-nearest eigenvalue
-    # to mu is at least RHO - |mu| away, the gap the record reports
+    # to mu is at least RHO - |mu| away, the gap the continuation judged by
     runs = _suite_and_scan_branches(monkeypatch)
     total = 0
     for block, coeffs, br in runs:
@@ -363,7 +363,6 @@ def test_every_disk_certified_sample_is_isolated_on_the_full_block(monkeypatch):
         total += idx.size
         mu = br.mu_values[idx]
         assert np.all(br.simple[idx])
-        assert br.gap_to_rest[idx].tobytes() == (RHO - np.abs(mu)).tobytes()
         eigs = eig_dense(stack_of([assemble_perturbed(block, coeffs, x) for x in br.x_samples[idx]]))
         assert np.all(np.count_nonzero(np.abs(eigs) < RHO, axis=1) == 1)
         dist = np.sort(np.abs(eigs - mu[:, None]), axis=1)

@@ -37,7 +37,6 @@ from .operator import (
     EvenSector,
     TridiagonalOperator,
     TruncationPolicy,
-    adaptive_truncation,
     assemble_generator,
     assemble_perturbed,
     block_at,

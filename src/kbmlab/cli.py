@@ -19,9 +19,9 @@ whether the mapping comes from a file or from a caller of ``run``.
 Every key given must change the run: one the
 run would not read (a surface key its kind ignores, a log-grid key next to
 an explicit gamma list, a truncation key on a K > 0 surface, whose blocks
-are finite, a tolerance with fixed truncation) is a ConfigError.
-``validate`` applies the table; the range rules live in the library code
-that builds the spectrum, the grid and the truncation policy.
+are finite, a tolerance next to a ``k_max``, which fixes the cutoff) is a
+ConfigError.  ``validate`` applies the table; the range rules live in the
+library code that builds the spectrum, the grid and the truncation policy.
 A run that stops on its inputs before any sweep reports a ConfigError and
 exits with 2; one whose sweep fails exits with 1.  The JSON error record
 names the error, its message, the stage (``config`` or ``sweep``) and the
@@ -140,13 +140,13 @@ def _finite_blocks(v: dict) -> bool:
 def _truncation_why(v: dict) -> str:
     if _finite_blocks(v):
         return "a K > 0 surface has finite blocks; truncation is read only where K <= 0"
-    return "fixed truncation reads no tolerance"
+    return "truncation.k_max fixes the cutoff, which reads no tolerance"
 
 
 _LOG_GRID = _Rule(lambda v: v["gamma_grid.explicit"] is None,
                   lambda v: "gamma_grid.explicit replaces the log grid")
 _TRUNCATION = _Rule(lambda v: not _finite_blocks(v), _truncation_why)
-_TOLERANCE = _Rule(lambda v: not _finite_blocks(v) and v["truncation.kind"] != "fixed",
+_TOLERANCE = _Rule(lambda v: not _finite_blocks(v) and v["truncation.k_max"] is None,
                    _truncation_why)
 
 
@@ -185,11 +185,8 @@ KEYS = {
                               _LOG_GRID),
     "gamma_grid.explicit": _Key("--gamma-explicit", None, _GAMMAS,
                                 "comma-separated gamma list, in place of the log grid"),
-    "truncation.kind": _Key(
-        "--truncation", "adaptive",
-        _choice("fixed", "adaptive", wants="unknown truncation kind {value!r}"),
-        "cutoff policy for K <= 0", _TRUNCATION),
-    "truncation.k_max": _Key("--k-max", None, _CUTOFF, "fixed truncation cutoff", _TRUNCATION),
+    "truncation.k_max": _Key("--k-max", None, _CUTOFF,
+                             "fixed cutoff for K <= 0; adaptive without one", _TRUNCATION),
     "truncation.tol": _Key("--truncation-tol", 1e-10, _FINITE, "adaptive truncation tolerance",
                            _TOLERANCE),
     "outputs.directory": _Key("--out", "out", _STRING, "output directory"),
@@ -245,10 +242,8 @@ def validate(config: dict, where: Optional[dict] = None) -> tuple:
             raise ConfigError(row.check.wants.format(key=key, value=v[key]))
     try:
         spectrum, grid = build_spectrum(v), build_grid(v)
-        policy = TruncationPolicy(
-            kind=v["truncation.kind"], k_max=v["truncation.k_max"], tol=v["truncation.tol"]
-        )
-        if policy.kind == "fixed":
+        policy = TruncationPolicy(k_max=v["truncation.k_max"], tol=v["truncation.tol"])
+        if policy.k_max is not None:
             check_fixed_cutoff(policy.k_max)
     except KbmLabError as exc:
         raise ConfigError(str(exc)) from exc
@@ -491,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="sweep a surface spectrum and write tables")
+    # no abbreviations: --truncation would otherwise set --truncation-tol
+    p_run = sub.add_parser("run", help="sweep a surface spectrum and write tables",
+                           allow_abbrev=False)
     p_run.add_argument("--config", default=None, help="JSON config file (flags override it)")
     # every flag is None unless given, so the config file's value stands
     # where a flag is absent

@@ -6,7 +6,7 @@ eta >= 0, with at most one basis vector per vertical Fourier mode k.  The
 raising and lowering operators move between neighbouring modes, and only
 their coefficient magnitudes are fixed by the algebra:
 
-    |raising from mode k|^2  = (eta - K*k - K*k^2) / 4
+    |raising from mode k|^2  = c_k = (eta - K*k*(k+1)) / 4
     |lowering from mode k|^2 = (eta + K*k - K*k^2) / 4
 
 For K > 0 the ladder terminates exactly where a coefficient vanishes; for
@@ -15,6 +15,10 @@ choice.  The eta = 0 block is the single trivial mode k = 0 on which all
 ladder operators vanish.  The k -> -k parity makes every range symmetric,
 so a block (``CasimirBlock``) is (K, eta, k_max) on the modes [-k_max,
 k_max].
+
+One rule, relative to the scale s_k of the rung's terms and so valid at
+every scale of K and eta, decides where a finite ladder ends
+(``_vanishes``); ``ladder_extent`` and ``CasimirBlock`` both apply it.
 
 Gauge convention used throughout: the raising coefficient a_k is real with
 a_k >= 0 and the lowering coefficient on the same rung is -a_k.  This is
@@ -34,24 +38,24 @@ import numpy as np
 
 from .errors import LadderRangeError
 
-# Absolute tolerance for algebraic identities that are exact in exact
-# arithmetic; calibrated for ladders of dimension <= 1e4 with |eta|, |K|
-# of desk-scale magnitude.
+# Relative tolerance for identities that are exact in exact arithmetic: a
+# deviation of at most TOL_ZERO times the scale of the terms involved is
+# rounding.
 TOL_ZERO = 1e-12
-# Slack allowed when checking coefficient-squared nonnegativity.
-TOL_NEG = 1e-12
 
 MAX_LADDER_SLOTS = 20001
 
 
 def ladder_coeff_sq(eta: float, K: float, k: int) -> float:
-    """Squared raising coefficient from mode k to mode k+1.
+    """Squared raising coefficient c_k from mode k to mode k+1.
 
     Total function; a negative return value means mode k+1 is absent from
-    the block.  An integer array of k gives one value per k, each bitwise
-    the one that k gives alone.
+    the block.  The integer k*(k+1) is formed exactly and is the same for k
+    and -k-1, so the rung k -> k+1 and its mirror -k-1 -> -k get bitwise
+    equal values.  An integer array of k gives one value per k, each
+    bitwise the one that k gives alone.
     """
-    return 0.25 * (eta - K * k - K * k * k)
+    return 0.25 * (eta - K * (k * (k + 1)))
 
 
 def lowering_coeff_sq(eta: float, K: float, k: int) -> float:
@@ -60,6 +64,16 @@ def lowering_coeff_sq(eta: float, K: float, k: int) -> float:
     Algebraically equal to ``ladder_coeff_sq(eta, K, k - 1)``.
     """
     return 0.25 * (eta + K * k - K * k * k)
+
+
+def _rung_scale(eta: float, K: float, k: int) -> float:
+    """s_k = (eta + |K|*k*(k+1)) / 4, the size of the terms that c_k sums."""
+    return 0.25 * (eta + abs(K) * (k * (k + 1)))
+
+
+def _vanishes(eta: float, K: float, k: int) -> bool:
+    """Whether the rung k -> k+1 vanishes: |c_k| <= ``TOL_ZERO`` * s_k."""
+    return abs(ladder_coeff_sq(eta, K, k)) <= TOL_ZERO * _rung_scale(eta, K, k)
 
 
 def _check_casimir(eta: float, K: float) -> None:
@@ -74,13 +88,13 @@ def _check_casimir(eta: float, K: float) -> None:
 def ladder_extent(eta: float, K: float) -> Optional[int]:
     """Intrinsic k_max of the (eta, K) block, or None for an infinite ladder.
 
-    For K > 0 returns the largest k_max such that every rung of [-k_max,
-    k_max] has a nonnegative squared coefficient; for K <= 0 and eta > 0
-    the ladder never terminates.  eta = 0 always yields the single mode
-    {0}.  The range is symmetric because lowering_coeff_sq(eta, K, -k) is
-    bitwise ladder_coeff_sq(eta, K, k): K*(-k) = -(K*k) exactly, so the
-    lower end mirrors the upper one.  A non-finite K or eta raises
-    LadderRangeError.
+    For K > 0 the rungs c_k fall as k grows, and the ladder ends at the
+    first k whose rung vanishes (``_vanishes``) or is negative; on an eta
+    that is no level K*l*(l+1) that rung is negative, and the block
+    refuses the range.  For K <= 0 and eta > 0 the ladder never
+    terminates.  eta = 0 always yields the single mode {0}.  The range is
+    symmetric because c_{-k-1} is bitwise c_k, so the lower end mirrors
+    the upper one.  A non-finite K or eta raises LadderRangeError.
     """
     _check_casimir(eta, K)
     if eta == 0.0:
@@ -88,11 +102,12 @@ def ladder_extent(eta: float, K: float) -> Optional[int]:
     if K <= 0.0:
         return None
 
-    # k_max solves k^2 + k <= eta/K, so the scan below always terminates.
-    cap = int(math.sqrt(eta / K)) + 2
-    if cap > MAX_LADDER_SLOTS:
+    # the end solves k^2 + k <= eta/K, so the scan below always terminates
+    root = math.sqrt(eta / K)
+    if not root < MAX_LADDER_SLOTS - 1:
         raise LadderRangeError(f"ladder extent exceeds {MAX_LADDER_SLOTS} slots")
-    return next(k for k in range(cap + 1) if ladder_coeff_sq(eta, K, k) <= TOL_ZERO)
+    return next(k for k in range(int(root) + 3)
+                if ladder_coeff_sq(eta, K, k) < 0.0 or _vanishes(eta, K, k))
 
 
 @dataclass(frozen=True)
@@ -108,6 +123,10 @@ class CasimirBlock:
     ``operator.block_at`` builds either kind.  Blocks compare and hash by
     value, (K, eta, k_max), so two built separately are equal.  K and eta
     must be finite, and eta >= 0.
+
+    Only a finite block's top rung is checked (it must vanish): that puts
+    eta at K*l*(l+1), l = k_max, and every interior rung at or above
+    c_{l-1} = K*l/2 > 0, while an infinite ladder has every c_k >= eta/4.
     """
 
     curvature: float
@@ -125,13 +144,7 @@ class CasimirBlock:
             if self.k_max != 0:
                 raise LadderRangeError("eta = 0 block is the single mode {0}")
             return
-        ks = self.ks[:-1]
-        bad = np.flatnonzero(ladder_coeff_sq(eta, K, ks) < -TOL_NEG)
-        if bad.size:
-            raise LadderRangeError(
-                f"negative squared coefficient inside ladder at k={ks[bad[0]]}"
-            )
-        if self.finite and abs(ladder_coeff_sq(eta, K, self.k_max)) > TOL_ZERO:
+        if self.finite and not _vanishes(eta, K, self.k_max):
             raise LadderRangeError(
                 "finite ladder must terminate exactly where a coefficient vanishes"
             )
@@ -182,12 +195,13 @@ class LadderCoefficients:
         if np.any(a < 0.0):
             raise LadderRangeError("gauge requires a_k >= 0")
         eta, K = block.eta, block.curvature
-        # the identities are exact in exact arithmetic; allow rounding noise
-        # proportional to the coefficient magnitude
+        # the identities are exact in exact arithmetic; allow the rounding
+        # of the rung's scale, or of the next rung's, whose terms the
+        # lowering formula from mode k+1 sums when k >= 0
         ks = block.ks[:-1]
         up = ladder_coeff_sq(eta, K, ks)
         down = lowering_coeff_sq(eta, K, ks + 1)
-        tol = TOL_ZERO * (1.0 + np.abs(up))
+        tol = TOL_ZERO * np.maximum(_rung_scale(eta, K, ks), _rung_scale(eta, K, ks + 1))
         sq = a * a
         bad_up = np.abs(sq - up) > tol
         bad = np.flatnonzero(bad_up | (np.abs(sq - down) > tol))
@@ -203,16 +217,12 @@ class LadderCoefficients:
 
 
 def ladder_coefficients(block: CasimirBlock) -> LadderCoefficients:
-    """Compute the gauge-fixed coefficients of a block.
-
-    The integer k*(k+1) is the same for k and -k-1, so the rung k -> k+1
-    and its mirror -k-1 -> -k get bitwise equal coefficients.
-    """
+    """Compute the gauge-fixed coefficients a_k = sqrt(c_k) of a block;
+    every rung inside a block is positive (``CasimirBlock``), and the rung
+    k -> k+1 and its mirror -k-1 -> -k get bitwise equal coefficients."""
     ks = block.ks[:-1]
-    sq = 0.25 * (block.eta - block.curvature * (ks * (ks + 1)))
-    if np.any(sq < -TOL_NEG):
-        raise LadderRangeError("requested range leaves the block (negative coefficient)")
-    return LadderCoefficients(block=block, a=np.sqrt(np.clip(sq, 0.0, None)))
+    a = np.sqrt(ladder_coeff_sq(block.eta, block.curvature, ks))
+    return LadderCoefficients(block=block, a=a)
 
 
 def raising_matrix(coeffs: LadderCoefficients) -> np.ndarray:

@@ -234,36 +234,25 @@ class TruncationPolicy:
     """How ``spectra.gamma_sweep`` picks the mode cutoff of an infinite
     ladder.
 
-    ``fixed`` uses k_max as given.  ``adaptive`` takes no k_max: it doubles
-    the cutoff from k = 8 until lambda moves by less than ``tol`` on every
-    row of the sweep when the cutoff is doubled once more.  Either way the
-    sweep reports the shift under doubling as each row's certificate.
+    A ``k_max`` fixes the cutoff.  Without one the cutoff is adaptive: the
+    sweep doubles it from k = 8 until lambda moves by less than ``tol`` on
+    every row of the sweep when the cutoff is doubled once more.  Either
+    way the sweep reports the shift under doubling as each row's
+    certificate.
     """
 
-    kind: str = "adaptive"
     k_max: Optional[int] = None
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "adaptive"):
-            raise TruncationError(f"unknown truncation kind {self.kind!r}")
-        if self.kind == "fixed" and (self.k_max is None or self.k_max < 1):
+        if self.k_max is not None and self.k_max < 1:
             raise TruncationError(f"fixed truncation needs k_max >= 1, got {self.k_max!r}")
-        if self.kind == "adaptive" and self.k_max is not None:
-            raise TruncationError(
-                f"adaptive truncation chooses its own cutoff; k_max = {self.k_max!r} needs "
-                "fixed truncation"
-            )
-        if self.kind == "adaptive" and not self.tol > 0.0:
+        if self.k_max is None and not self.tol > 0.0:
             raise TruncationError(f"adaptive truncation needs tol > 0, got {self.tol!r}")
 
 
 def fixed_truncation(k_max: int) -> TruncationPolicy:
-    return TruncationPolicy(kind="fixed", k_max=int(k_max))
-
-
-def adaptive_truncation(tol: float = 1e-10) -> TruncationPolicy:
-    return TruncationPolicy(kind="adaptive", tol=tol)
+    return TruncationPolicy(k_max=int(k_max))
 
 
 def truncate(eta: float, K: float, policy: TruncationPolicy) -> CasimirBlock:
@@ -271,7 +260,7 @@ def truncate(eta: float, K: float, policy: TruncationPolicy) -> CasimirBlock:
     fixed policy's cutoff.
 
     Rejects K > 0 (those ladders terminate on their own), eta = 0 (a single
-    mode) and adaptive policies, whose cutoff only a sweep can certify
+    mode) and a policy without a cutoff, which only a sweep can certify
     (``spectra.gamma_sweep``); the block rejects a negative eta and a
     non-finite K or eta (LadderRangeError).
     """
@@ -279,7 +268,7 @@ def truncate(eta: float, K: float, policy: TruncationPolicy) -> CasimirBlock:
         raise TruncationError("K > 0 ladders are intrinsically finite; no truncation")
     if eta == 0.0:
         raise TruncationError("eta = 0 block is a single mode; nothing to truncate")
-    if policy.kind != "fixed":
+    if policy.k_max is None:
         raise TruncationError(
             "an adaptive cutoff is certified by gamma_sweep; truncate needs a fixed policy"
         )

@@ -228,8 +228,10 @@ def check_gamma_grid(gamma_grid: Sequence[float]) -> np.ndarray:
 
 
 def _max_cutoff() -> int:
-    """The largest cutoff k whose certificate block [-2k, 2k], of dimension
-    4k + 1, fits the dense limit ``MAX_DENSE_DIM``."""
+    """The largest cutoff k whose doubled block [-2k, 2k], which certifies
+    it, holds at most ``MAX_DENSE_DIM`` modes (4k + 1); the largest matrix
+    a sweep solves densely is that block's even sector, of dimension
+    2k + 1."""
     return (MAX_DENSE_DIM - 1) // 4
 
 
@@ -376,15 +378,15 @@ def gamma_sweep(
     block (``block.finite``, K > 0) reads no cutoff and is swept once, with
     certificate 0.  An infinite ladder (eta > 0, K <= 0) is swept at k and
     again at 2k, and every row's certificate is |lambda_k - lambda_2k|.  A
-    fixed ``policy`` runs its k_max once.  The adaptive one (the default)
+    ``policy.k_max`` is run once; without one (the default) the sweep
     starts at k = 8 and accepts the first k at which every row's
-    certificate is below ``policy.tol``; otherwise the 2k sweep becomes the
+    certificate is below ``policy.tol``, otherwise the 2k sweep becomes the
     base.  It raises TruncationError once the next doubled block [-2k, 2k]
-    would exceed the dense limit, for a fixed ``policy`` before any sweep
-    on any block (``check_fixed_cutoff``).  A continuation that accepted no step (x_c =
-    0) raises BranchCollisionError; any other collision only marks the rows
-    at and beyond it.  A row whose residual fails reads NaN and simple =
-    False; every other row keeps its bits.  A non-finite or negative eta, a
+    would exceed the dense limit, for a fixed cutoff before any sweep on
+    any block (``check_fixed_cutoff``).  A continuation that accepted no
+    step (x_c = 0) raises BranchCollisionError; any other collision only
+    marks the rows at and beyond it.  A row whose residual fails reads NaN
+    and simple = False; every other row keeps its bits.  A non-finite or negative eta, a
     non-finite K, or a grid that ``check_gamma_grid`` rejects raises
     SpectrumValidationError.
     """
@@ -396,8 +398,9 @@ def gamma_sweep(
     half_g2 = 0.5 * grid * grid
     n = grid.size
 
-    k = policy.k_max if policy.kind == "fixed" else FIRST_CUTOFF
-    if policy.kind == "fixed":
+    fixed = policy.k_max is not None
+    k = policy.k_max if fixed else FIRST_CUTOFF
+    if fixed:
         check_fixed_cutoff(k)
     block = block_at(eta, K, k)
     if eta == 0.0:
@@ -419,7 +422,7 @@ def gamma_sweep(
     while not block.finite:
         doubled = _sweep_block(block_at(eta, K, 2 * k), grid)
         cert = np.abs(half_g2 * base.mu - half_g2 * doubled.mu)
-        if policy.kind == "fixed" or np.all(cert < policy.tol):
+        if fixed or np.all(cert < policy.tol):
             break
         k, base, shift = 2 * k, doubled, float(np.max(cert))
         if k > _max_cutoff():

@@ -184,7 +184,6 @@ def test_custom_surface_run(tmp_path):
             "--curvature", "-1.0",
             "--custom-path", str(eta_path),
             "--gamma-explicit", "20,50",
-            "--truncation", "fixed",
             "--k-max", "24",
             "--out", str(out),
         ]
@@ -373,6 +372,35 @@ def test_the_removed_formats_knob_is_a_config_error(tmp_path, monkeypatch, capsy
     assert not list(tmp_path.glob("o/table_*"))
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--truncation", "fixed", "--k-max", "16"],
+         "kbmlab: unrecognized arguments: --truncation fixed"),
+        # nor is it read as an abbreviation of --truncation-tol
+        (["--truncation", "1e-3"], "kbmlab: unrecognized arguments: --truncation 1e-3"),
+        (["--config", "kind.json"], "unknown key 'kind' in section 'truncation'"),
+    ],
+    ids=["flag", "prefix", "key"],
+)
+def test_the_removed_truncation_kind_is_a_config_error(tmp_path, monkeypatch, capsys, argv,
+                                                       message):
+    # a k_max alone fixes the cutoff; the flag and the key that chose fixed
+    # or adaptive are refused, the flag as a usage error
+    monkeypatch.chdir(tmp_path)
+    Path("kind.json").write_text(json.dumps({"truncation": {"kind": "fixed", "k_max": 16}}))
+    try:
+        code = run_cli(["run", "--surface", "torus", *argv, "--gamma-points", "5", "--out", "o"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ConfigError", "eta": None, "stage": "config",
+                                    "message": message}
+    assert not list(tmp_path.glob("o/table_*"))
+
+
 def test_a_repeated_eta_in_a_custom_list_is_a_config_error(tmp_path, monkeypatch, capsys):
     # eta = 2 twice would be swept twice and written as two identical
     # tables; SurfaceSpectrum asks for it once, with the summed multiplicity,
@@ -488,8 +516,12 @@ def test_custom_infinite_eta_is_a_config_error(tmp_path, capsys):
         ({"surface": {"l_max": "x"}}, None),
         ({"surface": {"l_max": 2.5}}, None),
         ({"surface": {"kind": "custom", "path": 5}}, None),
-        ({"truncation": {"kind": "fixed", "k_max": "8"}}, None),  # a sphere reads no truncation
+        # "kind" is no truncation key (a k_max alone fixes the cutoff), and a
+        # sphere reads no truncation at all
+        ({"truncation": {"kind": "fixed", "k_max": "8"}}, None),
         ({"surface": {"kind": "torus"}, "truncation": {"kind": "fixed", "k_max": "8"}}, None),
+        ({"surface": {"kind": "torus"}, "truncation": {"k_max": "8"}}, None),
+        ({"surface": {"kind": "torus"}, "truncation": {"k_max": 0}}, None),
         ({"surface": {"K": 10**400}}, None),  # an int beyond the float range
         (None, {"foo": 1}),
         (None, 5),
@@ -714,7 +746,7 @@ def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
 
 def test_fixed_cutoff_beyond_dense_limit_is_a_config_error(tmp_path, capsys):
     code = run_cli(
-        ["run", "--surface", "torus", "--truncation", "fixed", "--k-max", "1024",
+        ["run", "--surface", "torus", "--k-max", "1024",
          "--gamma-explicit", "1e4", "--out", str(tmp_path / "out")]
     )
     assert code == 2
@@ -722,7 +754,7 @@ def test_fixed_cutoff_beyond_dense_limit_is_a_config_error(tmp_path, capsys):
     assert record["error"] == "ConfigError" and "1023" in record["message"]
     cfg = load_config(None)
     cfg["surface"]["kind"] = "torus"  # a fixed cutoff needs K <= 0
-    cfg["truncation"]["kind"], cfg["truncation"]["k_max"] = "fixed", 1023
+    cfg["truncation"]["k_max"] = 1023
     validate(cfg)  # largest cutoff whose doubled block fits
 
 
@@ -776,15 +808,16 @@ _CUSTOM = ["--surface", "custom", "--curvature", "-1", "--custom-path", "ETAS"]
          "--gamma-log-start"),
         (["--gamma-log-end", "3", "--gamma-explicit", "5,10"], "gamma_grid.log_end",
          "--gamma-log-end"),
-        (["--surface", "torus", "--truncation", "fixed", "--k-max", "16", "--truncation-tol",
-          "1e-3"], "truncation.tol", "--truncation-tol"),
-        ([*_CUSTOM, "--truncation", "fixed", "--k-max", "16", "--truncation-tol", "1e-3"],
-         "truncation.tol", "--truncation-tol"),
+        # a k_max fixes the cutoff, so the adaptive tolerance is not read
+        (["--surface", "torus", "--k-max", "16", "--truncation-tol", "1e-3"], "truncation.tol",
+         "--truncation-tol"),
+        ([*_CUSTOM, "--k-max", "16", "--truncation-tol", "1e-3"], "truncation.tol",
+         "--truncation-tol"),
         # every block of a K > 0 surface is finite, so no truncation key is read
         (["--surface", "sphere", "--l-max", "2", "--gamma-points", "5", "--truncation-tol",
           "1e-3"], "truncation.tol", "--truncation-tol"),
-        (["--surface", "custom", "--curvature", "1", "--custom-path", "ETAS", "--truncation",
-          "adaptive", "--truncation-tol", "1e-2"], "truncation.kind", "--truncation"),
+        (["--surface", "custom", "--curvature", "1", "--custom-path", "ETAS", "--k-max", "8"],
+         "truncation.k_max", "--k-max"),
     ],
 )
 def test_a_flag_the_run_does_not_read_is_a_config_error(tmp_path, capsys, flags, key, flag):
@@ -814,7 +847,7 @@ def test_a_flag_the_run_does_not_read_is_a_config_error(tmp_path, capsys, flags,
         ({"gamma_grid": {"explicit": [5.0, 10.0]}}, ["--gamma-log-end", "3"],
          "gamma_grid.log_end", "by --gamma-log-end"),
         ({"surface": {"kind": "custom", "K": -1.0, "path": "ETAS"},
-          "truncation": {"kind": "fixed", "k_max": 16, "tol": 1e-3}}, [], "truncation.tol",
+          "truncation": {"k_max": 16, "tol": 1e-3}}, [], "truncation.tol",
          "in the config file"),
         ({"surface": {"kind": "sphere", "L": 3.0}}, ["--side", "4"], "surface.L", "by --side"),
     ],
@@ -843,7 +876,7 @@ def test_every_key_a_surface_reads_is_accepted(tmp_path):
     for surface in (
         ["--surface", "sphere", "--curvature", "1", "--l-max", "1"],
         ["--surface", "torus", "--side", "6.283185307179586", "--eta-cap", "1.5",
-         "--truncation", "fixed", "--k-max", "8"],
+         "--k-max", "8"],
         ["--surface", "custom", "--curvature", "-1", "--custom-path", str(eta_path),
          "--truncation-tol", "1e-9"],
     ):
@@ -853,20 +886,34 @@ def test_every_key_a_surface_reads_is_accepted(tmp_path):
 
 
 def test_a_cutoff_with_adaptive_truncation_is_a_config_error(tmp_path, capsys):
-    # the adaptive policy doubles its own cutoff; a k_max given with it
-    # would be ignored
+    # a k_max fixes the cutoff; the adaptive tolerance given with it would
+    # be ignored
     eta_path = tmp_path / "etas.json"
     eta_path.write_text(json.dumps({"entries": [[0.0, 1], [5.0, 1]]}))
     out = tmp_path / "out"
     code = run_cli(
         ["run", "--surface", "custom", "--curvature", "-1", "--custom-path", str(eta_path),
-         "--k-max", "64", "--gamma-explicit", "20", "--out", str(out)]
+         "--k-max", "64", "--truncation-tol", "1e-9", "--gamma-explicit", "20", "--out", str(out)]
     )
     assert code == 2
     record = _error_record(capsys)
-    assert record["error"] == "ConfigError" and "k_max" in record["message"]
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("truncation.tol, given by --truncation-tol, is not read")
+    assert "k_max" in record["message"]
     assert json.loads((out / "errors.json").read_text()) == record
     assert not any(out.glob("table_*"))
+
+
+def test_a_cutoff_alone_fixes_the_cutoff(tmp_path):
+    # no other key says that the cutoff is fixed: every row of a torus run
+    # with --k-max 16 reports that cutoff
+    out = tmp_path / "out"
+    assert run_cli(["run", "--surface", "torus", "--k-max", "16", "--gamma-points", "5",
+                    "--out", str(out)]) == 0
+    tables = sorted(out.glob("table_*.json"))
+    assert len(tables) == 3  # eta = 0, 1, 2 on the default torus
+    for path in tables[1:]:
+        assert {row["k_max"] for row in json.loads(path.read_text())["rows"]} == {16}
 
 
 @pytest.mark.parametrize("surface", ["sphere", "custom"])
@@ -879,7 +926,7 @@ def test_fixed_truncation_on_a_positively_curved_surface_is_a_config_error(
     flags = ["--curvature", "1", "--custom-path", str(eta_path)] if surface == "custom" else []
     out = tmp_path / "out"
     code = run_cli(
-        ["run", "--surface", surface, *flags, "--truncation", "fixed", "--k-max", "3",
+        ["run", "--surface", surface, *flags, "--k-max", "3",
          "--gamma-explicit", "20", "--out", str(out)]
     )
     assert code == 2
@@ -897,7 +944,7 @@ def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):
     real_truncate = kbmlab.operator.truncate
 
     def counting(eta, K, policy):
-        policies.append((policy.kind, policy.k_max))
+        policies.append(policy.k_max)
         return real_truncate(eta, K, policy)
 
     monkeypatch.setattr(kbmlab.operator, "truncate", counting)
@@ -910,7 +957,7 @@ def test_series_reuses_the_sweep_cutoff(tmp_path, monkeypatch):
     )
     assert code == 0
     k_max = json.loads((out / "table_01_eta_5.json").read_text())["rows"][0]["k_max"]
-    assert policies == [("fixed", 8), ("fixed", 16)]
+    assert policies == [8, 16]
     assert k_max == 8
 
 

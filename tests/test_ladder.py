@@ -23,12 +23,13 @@ from kbmlab import (
     lowering_coeff_sq,
     lowering_matrix,
     raising_matrix,
+    sphere_spectrum,
     truncate,
     vertical_matrix,
 )
 
 from conftest import match_spectra, property_block
-from kbmlab.ladder import MAX_LADDER_SLOTS, TOL_NEG, TOL_ZERO
+from kbmlab.ladder import MAX_LADDER_SLOTS, TOL_ZERO
 
 
 def test_coeff_sq_direct_substitution():
@@ -82,17 +83,41 @@ def test_extent_rejects_negative_eta():
         ladder_extent(-1.0, 1.0)
 
 
-@given(l=st.integers(0, 12), K=st.floats(0.1, 4.0))
-@settings(max_examples=60)
-def test_extent_recovers_sphere_ladder(l, K):
-    eta = K * l * (l + 1)
+@given(log_k=st.floats(-150.0, 150.0), l=st.integers(0, 256))
+@settings(max_examples=200, deadline=None)
+def test_extent_recovers_sphere_ladder(log_k, l):
+    # the rung test is relative to the rung's scale, so the level
+    # eta = K*l*(l+1) of a sphere of any curvature ends at k_max = l
+    K = 10.0 ** log_k
+    eta = sphere_spectrum(K, l).entries[l].eta
     assert ladder_extent(eta, K) == l
+    block = finite_block(eta, K)
+    assert block.k_max == l
+    assert np.all(ladder_coefficients(block).a > 0.0)
+
+
+def test_extent_of_a_ladder_beyond_the_float_range_is_refused():
+    # eta / K overflows to inf: the ladder is longer than any block may be
+    with pytest.raises(LadderRangeError, match="exceeds"):
+        ladder_extent(1e10, 1e-300)
 
 
 def test_block_rejects_inexact_termination():
     # eta=3 with K=1 is not of the form l*(l+1): no finite ladder exists
     with pytest.raises(LadderRangeError):
         CasimirBlock(curvature=1.0, eta=3.0, k_max=1)
+
+
+@pytest.mark.parametrize("eta", [3.0, 1e-20])
+def test_an_eta_off_the_sphere_levels_has_no_block(eta):
+    # neither is K*l*(l+1) on K = 1: the rung c_0 = eta/4 is its whole
+    # scale, so a tiny eta is no single-mode block, and eta = 3 ends between
+    # two levels; every range is refused
+    with pytest.raises(LadderRangeError, match="must terminate"):
+        finite_block(eta, 1.0)
+    for k_max in range(4):
+        with pytest.raises(LadderRangeError):
+            CasimirBlock(curvature=1.0, eta=eta, k_max=k_max)
 
 
 def test_block_rejects_truncation_of_positive_curvature():
@@ -152,12 +177,14 @@ def test_a_coefficient_perturbed_at_one_rung_is_rejected_at_its_k(eta, K, k_max,
 
 def _loop_coefficient_check(block, a):
     """The identity check one rung at a time: the message for the first
-    offending rung, or None."""
+    offending rung, or None.  The tolerance is relative to the larger
+    scale (eta + |K| m(m+1))/4 of the rung (m = k) and of the next one
+    (m = k + 1), whose terms the lowering formula from mode k + 1 sums."""
     eta, K = block.eta, block.curvature
     for j, k in enumerate(range(-block.k_max, block.k_max)):
         up = ladder_coeff_sq(eta, K, k)
         down = lowering_coeff_sq(eta, K, k + 1)
-        tol = TOL_ZERO * (1.0 + abs(up))
+        tol = TOL_ZERO * max(0.25 * (eta + abs(K) * m * (m + 1)) for m in (k, k + 1))
         if abs(a[j] ** 2 - up) > tol:
             return f"a_{k}^2 violates the raising norm identity"
         if abs(a[j] ** 2 - down) > tol:
@@ -188,9 +215,14 @@ def test_the_coefficient_check_decides_as_the_loop_over_rungs(kind, k, eta, K, r
         assert str(err.value) == expected
 
 
-@pytest.mark.parametrize("eta, k_max, k", [(2.0, 3, -3), (6.0, 4, -4), (12.0, 5, -5)])
-def test_a_finite_range_past_the_ladder_names_its_first_negative_rung(eta, k_max, k):
-    with pytest.raises(LadderRangeError, match=rf"^negative squared coefficient inside ladder at k={k}$"):
+@pytest.mark.parametrize("eta, k_max", [(2.0, 3), (6.0, 4), (12.0, 5)])
+def test_a_finite_range_past_the_ladder_does_not_terminate(eta, k_max):
+    # the range holds negative rungs, from k = -k_max on; its top rung does
+    # not vanish, and that is the one check a finite block makes
+    assert ladder_coeff_sq(eta, 1.0, -k_max) < 0.0
+    with pytest.raises(
+        LadderRangeError, match="^finite ladder must terminate exactly where a coefficient vanishes$"
+    ):
         CasimirBlock(curvature=1.0, eta=eta, k_max=k_max)
 
 
@@ -276,12 +308,14 @@ def _rejected_with_k_min(K, eta, k_max):
         return True
     if eta == 0.0:
         return k_min != 0 or k_max != 0
-    if np.any(ladder_coeff_sq(eta, K, np.arange(k_min, k_max)) < -TOL_NEG):
+    if np.any(ladder_coeff_sq(eta, K, np.arange(k_min, k_max)) < 0.0):
         return True
     if finite:
+        # both ends must vanish, relative to the scale of their terms
         top = ladder_coeff_sq(eta, K, k_max)
         bot = lowering_coeff_sq(eta, K, k_min)
-        return abs(top) > TOL_ZERO or abs(bot) > TOL_ZERO
+        tol = TOL_ZERO * 0.25 * (eta + abs(K) * k_max * (k_max + 1))
+        return abs(top) > tol or abs(bot) > tol
     return False
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,6 @@ from kbmlab import (
     TridiagonalOperator,
     TruncationError,
     TruncationPolicy,
-    adaptive_truncation,
     assemble_generator,
     assemble_perturbed,
     block_at,
@@ -129,15 +129,21 @@ def test_truncate_fixed_echoes_policy():
 
 
 def test_truncate_rejects_an_adaptive_policy():
-    # an adaptive cutoff is certified by the sweep, on every row
+    # a policy without a cutoff is adaptive: the sweep certifies its cutoff,
+    # on every row
     with pytest.raises(TruncationError, match="fixed policy"):
-        truncate(5.0, -1.0, adaptive_truncation())
+        truncate(5.0, -1.0, TruncationPolicy())
 
 
-def test_an_adaptive_policy_takes_no_cutoff():
-    # the adaptive policy doubles its own cutoff, so a given one would be ignored
-    with pytest.raises(TruncationError, match="k_max = 64"):
-        TruncationPolicy(kind="adaptive", k_max=64)
+def test_a_policy_is_fixed_by_its_cutoff_alone():
+    # a k_max fixes the cutoff and no k_max makes it adaptive, so no other
+    # field says which; each kind checks the one value it reads
+    assert [f.name for f in dataclasses.fields(TruncationPolicy)] == ["k_max", "tol"]
+    assert fixed_truncation(8) == TruncationPolicy(k_max=8)
+    with pytest.raises(TruncationError, match="k_max >= 1, got 0"):
+        fixed_truncation(0)
+    with pytest.raises(TruncationError, match="tol > 0, got 0.0"):
+        TruncationPolicy(tol=0.0)
 
 
 @given(

@@ -10,7 +10,7 @@ from kbmlab import (
     BranchCollisionError,
     SpectrumValidationError,
     TruncationError,
-    adaptive_truncation,
+    TruncationPolicy,
     assemble_generator,
     assemble_perturbed,
     block_at,
@@ -213,6 +213,23 @@ def test_sweep_at_huge_eta_collides_at_the_scaled_point():
     assert table.empirical_r == pytest.approx(2e75 / abs(x_c), rel=1e-12)
 
 
+def test_a_sphere_of_tiny_curvature_keeps_its_ladder():
+    # K = 1e-13, level l = 1: every rung is far below an absolute 1e-12, but
+    # the block still ends at its l and the branch approaches eta
+    table = gamma_sweep(2e-13, 1e-13, make_gamma_grid(0.0, 4.0, 11))
+    assert table.k_trunc == 1 and np.all(table.simple)
+    assert table.abs_error[-1] < 1e-10 * 2e-13
+
+
+def test_a_curved_sphere_level_past_the_old_absolute_rule_sweeps():
+    # K = 3.3, l = 104: eta = 36036 puts the rounding of the top rung above
+    # 1e-12, which ended the ladder nowhere under an absolute test
+    eta = sphere_spectrum(3.3, 104).entries[-1].eta
+    table = gamma_sweep(eta, 3.3, make_gamma_grid(0.0, 4.0, 5))
+    assert table.k_trunc == 104
+    assert np.all(np.isfinite(table.lam))
+
+
 def test_sweep_value_in_generator_spectrum():
     block = finite_block(6.0, 1.0)
     coeffs = ladder_coefficients(block)
@@ -323,7 +340,7 @@ def test_adaptive_cutoff_is_the_first_certified_one(eta):
     # the adaptive sweep is the fixed sweep at the cutoff it reports, and
     # half that cutoff (when it was tried) leaves some row uncertified
     grid = make_gamma_grid(0.0, 4.0, 13)
-    table = gamma_sweep(eta, -1.0, grid, adaptive_truncation(1e-10))
+    table = gamma_sweep(eta, -1.0, grid, TruncationPolicy(tol=1e-10))
     k = table.k_trunc
     fixed = gamma_sweep(eta, -1.0, grid, fixed_truncation(k))
     for field in _TABLE_FIELDS:
@@ -339,8 +356,8 @@ def test_adaptive_acceptance_is_strict():
     # criterion 9
     grid = make_gamma_grid(0.0, 4.0, 13)
     tol = float(np.max(gamma_sweep(2.0, -1.0, grid, fixed_truncation(8)).certificate))
-    assert gamma_sweep(2.0, -1.0, grid, adaptive_truncation(tol)).k_trunc == 16
-    assert gamma_sweep(2.0, -1.0, grid, adaptive_truncation(2.0 * tol)).k_trunc == 8
+    assert gamma_sweep(2.0, -1.0, grid, TruncationPolicy(tol=tol)).k_trunc == 16
+    assert gamma_sweep(2.0, -1.0, grid, TruncationPolicy(tol=2.0 * tol)).k_trunc == 8
 
 
 def test_sweep_certifies_every_row_at_huge_eta():
@@ -605,7 +622,7 @@ def _count_dense(monkeypatch):
         # continuation past r0 ran on before its samples were certified
         (
             {"kind": "custom", "K": -1.0, "etas": [0.0, 5e4]}, 11,
-            {"kind": "fixed", "k_max": 256}, 20,
+            {"k_max": 256}, 20,
         ),
     ],
     ids=["sphere", "hyperbolic", "deep_eta", "fixed_k256_eta_5e4"],
@@ -803,7 +820,7 @@ def test_a_tail_at_the_rounding_floor_has_converged(eta, K, log_end, points):
     # sphere eta = 2 out to gamma = 1e8, and K = -1, eta = 2/7 on the default
     # grid: the tail error reaches a few ulps of eta, where a step grows by
     # up to 1.3 eps * (1 + eta) from rounding alone
-    table = gamma_sweep(eta, K, make_gamma_grid(0.0, log_end, points), adaptive_truncation())
+    table = gamma_sweep(eta, K, make_gamma_grid(0.0, log_end, points), TruncationPolicy())
     summary = kbmlab.spectra.convergence_summary(table)
     assert summary["converged"] and summary["tail_monotone"]
     # a last row above the floor is still an increase

@@ -53,9 +53,9 @@ from .eig import (
     char_poly,
     eig_dense,
     exceptional_point,
-    inverse_iteration,
     newton_polish,
     track_branch,
+    twisted_residuals,
 )
 from .perturb import (
     Contour,

@@ -3,13 +3,13 @@
 Five pieces: the characteristic polynomial by the scaled three-term
 determinant recurrence (a loop on Python scalars, float or complex), a dense
 eigensolver used strictly as a brute-force oracle (one matrix or a stack,
-densified in chunks of bounded size), inverse-iteration residuals for a
-whole stack of matrices at once, continuation along the real axis of
-the eigenvalue branch that emanates from the unperturbed value 0, and the
-exceptional point where that branch ends.  On the real axis every family
-member, and each of its parity sectors, has a real coupling; the dense
-solver then runs in real arithmetic, in less than half the time of the
-complex solve on the sector sizes used here.
+densified in chunks of bounded size), eigenvector residuals for a whole
+stack of matrices from one twisted factorization each, continuation along
+the real axis of the eigenvalue branch that emanates from the unperturbed
+value 0, and the exceptional point where that branch ends.  On the real
+axis every family member, and each of its parity sectors, has a real
+coupling; the dense solver then runs in real arithmetic, in less than half
+the time of the complex solve on the sector sizes used here.
 
 The continuation follows the real segment [0, x_target], on which the
 paper's x = -2/gamma lies, one step at a time, with a secant predictor and
@@ -41,7 +41,7 @@ check is computed and decides, so every decision is the one the dense gap
 makes.  Steps are shortened to land exactly on caller-given checkpoints of
 the segment, so one continuation serves every parameter on it.  It
 computes no eigenvectors; callers take the residuals of
-``inverse_iteration`` where they report values.
+``twisted_residuals`` where they report values.
 
 The branch ends where it meets its even-sector neighbour at a square-root
 exceptional point, p = dp/dmu = 0 (Kato, *Perturbation Theory for Linear
@@ -68,7 +68,6 @@ from .operator import (
     EvenSector,
     TridiagonalOperator,
     batch_slices,
-    gtsv,
     kato_radius,
     numerical_range_floor,
     odd_sector,
@@ -81,7 +80,6 @@ MAX_DENSE_DIM = 4096
 COLLISION_REL = 1e-6
 
 NEWTON_MAX_ITER = 60
-INVERSE_MAX_ITER = 30
 
 # track_branch's base step on the segment [0, x_target]: |x_target|/STEP_X
 # steps, rounded up, and at least MIN_STEPS.
@@ -404,59 +402,57 @@ def exceptional_point(
     return x_c
 
 
-def inverse_iteration(op: TridiagonalOperator, mu) -> np.ndarray:
+def twisted_residuals(op: TridiagonalOperator, mu) -> np.ndarray:
     """Eigenvector residuals of a stack of B operators (``op.diag`` of shape
-    (B, n)) at the eigenvalues near ``mu`` (B,), by inverse iteration with
-    every matrix's solve in one ``gtsv`` call per step.
+    (B, n)) at ``mu`` (B,), from one twisted factorization of every op - mu.
 
-    Each row starts from the unit vector at its diagonal entry nearest mu
-    and runs at most ``INVERSE_MAX_ITER`` solves, until its residual
-    ||(op - mu) v|| is at most 1e-10 times its ||op||_inf (Ipsen, *SIAM
-    Review* 39, 1997).  A row whose op - mu is exactly singular, or so
-    nearly singular that its solve or the solution's norm overflows, moves
-    to the shift mu + 8*eps*||op||_inf for the rest of its iteration (the
-    standard inverse-iteration device; a nudge of one eps is lost to
-    rounding on small blocks).  A row whose iteration yields a zero or
-    non-finite vector, or does not converge (a defective or clustered
-    eigenvalue), reads NaN.  Rows stop at their own convergence and every
-    step is elementwise along the stack, so each row has the bits it gets
-    alone.
-
-    One matrix is a stack of one.  Returns the residuals (B,) at mu; the
-    vectors are not kept.
+    Twisted at r, the factorization gives the v with v_r = 1 and (op - mu)
+    v = g_r e_r, so the residual of v is |g_r| / ||v|| with no iteration
+    (Fernando, *Numer. Math.* 77, 1997; Dhillon & Parlett, *Lin. Alg.
+    Appl.* 387, 2004).  The twist minimises |g_r| = 1 / |(op - mu)^-1_rr|,
+    so v is one inverse-iteration step from the best unit vector e_r.  A
+    mu that is no eigenvalue reads its residual, at least sigma_min(op -
+    mu); a row whose factorization overflows reads NaN.  Every step is
+    elementwise along the stack, so each row has the bits it gets alone.
+    One matrix is a stack of one.
     """
+    scale, g, v = _twisted(op, mu)
+    with np.errstate(invalid="ignore"):
+        top = np.max(np.abs(v), axis=1)
+        return scale * (np.abs(g) / top / _norms(v / top[:, None]))
+
+
+def _twisted(op: TridiagonalOperator, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, g_r, v) of ``twisted_residuals``.  Each row of op - mu is divided
+    by s, a power of two at its largest |entry|; that is exact, so the
+    results are the unscaled ones up to the exponent, and stay in the
+    float range.  With d = op.diag - mu and the coupling c (c below the
+    diagonal, -c above), the forward and backward pivots are D_j = d_j +
+    c (c / D), so no entry is squared, and an exactly zero pivot divides
+    as eps; g = D+ + D- - d.  From v_r = 1, v_j = (c_j / D+_j) v_j+1 above
+    r and v_j = -(c_j-1 / D-_j) v_j-1 below it."""
     mu = np.asarray(mu, dtype=complex)
-    batch, n = op.diag.shape
-    nrm = op.inf_norm()
-    tol = 1e-10 * np.maximum(nrm, 1e-300)
-    res = np.full(batch, math.nan)
-    # a row leaves ``todo`` when it converges or fails; its result is then final
-    todo = np.ones(batch, dtype=bool)
-    shift = mu
-    v = np.zeros((batch, n), dtype=complex)
-    v[np.arange(batch), np.argmin(np.abs(op.diag - mu[:, None]), axis=1)] = 1.0
-    c = op.coupling
-    for _ in range(INVERSE_MAX_ITER):
-        w = gtsv(c, op.diag - shift[:, None], -c, v)[0]
-        # a non-finite row moves to the nudged shift, and fails if it stays so
-        with np.errstate(invalid="ignore", over="ignore"):
-            wn = _norms(w)
-            stuck = todo & ~np.isfinite(wn)
-            if stuck.any():
-                shift = np.where(stuck, mu + 8.0 * _EPS * nrm, shift)
-                w[stuck] = gtsv(
-                    c[stuck], op.diag[stuck] - shift[stuck, None], -c[stuck], v[stuck]
-                )[0]
-                wn = _norms(w)
-            ok = todo & np.isfinite(wn) & (wn > 0.0)
-            v = np.where(ok[:, None], w / np.where(ok, wn, 1.0)[:, None], v)
-        r = _residuals(op, mu, v)
-        done = ok & (r <= tol)
-        res[done] = r[done]
-        todo = ok & ~done
-        if not todo.any():
-            break
-    return res
+    top = np.max(np.abs(np.hstack([op.diag, op.coupling, mu[:, None]])), axis=1)
+    scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
+    # rung j of every matrix is row j: d[j] and c[j]
+    d = ((op.diag - mu[:, None]) / scale[:, None]).T
+    c = (op.coupling / scale[:, None]).T
+    n, batch = d.shape
+    fwd, bwd, qf, qb = d.copy(), d.copy(), np.ones_like(d), np.ones_like(d)
+    with np.errstate(all="ignore"):  # an overflow runs on to NaN
+        for j in range(n - 1):
+            qf[j] = c[j] / np.where(fwd[j] == 0.0, _EPS, fwd[j])
+            fwd[j + 1] += c[j] * qf[j]
+            i = n - 1 - j
+            qb[i] = c[i - 1] / np.where(bwd[i] == 0.0, _EPS, bwd[i])
+            bwd[i - 1] += c[i - 1] * qb[i]
+        g = fwd + bwd - d
+        r = np.argmin(np.abs(g), axis=0)
+        rows = np.arange(n)[:, None]
+        # v_j is the product of the ratios between j and r
+        above = np.multiply.accumulate(np.where(rows < r, qf, 1.0)[::-1], axis=0)[::-1]
+        below = np.multiply.accumulate(np.where(rows > r, -qb, 1.0), axis=0)
+    return scale, g[r, np.arange(batch)], np.where(rows < r, above, below).T
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -475,11 +471,6 @@ def _norms(v: np.ndarray) -> np.ndarray:
         width //= 2
         sq = sq[:, :width] + sq[:, width : 2 * width]
     return np.sqrt(sq[:, 0])
-
-
-def _residuals(op: TridiagonalOperator, mu: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """||(op - mu) v|| for every matrix of a stack."""
-    return _norms(op.matvec(v) - mu[:, None] * v)
 
 
 @dataclass(frozen=True, eq=False)

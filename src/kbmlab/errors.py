@@ -14,7 +14,7 @@ class TruncationError(KbmLabError):
 
 
 class EigensolveError(KbmLabError):
-    """Dense solve, inverse iteration or Newton polishing failed."""
+    """Dense solve, tridiagonal solve or Newton polishing failed."""
 
 
 class BranchCollisionError(KbmLabError):

@@ -6,9 +6,8 @@ family, the Kato radius of the family on a contour (``kato_radius``,
 shared by ``perturb.perturbation_radius`` and ``eig.track_branch``), an
 O(n) floor of the numerical range, and the tridiagonal solver: LAPACK's
 ``?gtsv`` elimination run over a batch of systems at once (``gtsv``),
-which serves one operator at many shifts (``tridiag_solve``) and a stack
-of operators (``eig.inverse_iteration``).  Everything here runs on NumPy
-alone, so importing the package loads no SciPy.
+which serves one operator at many shifts (``tridiag_solve``).  Everything
+here runs on NumPy alone, so importing the package loads no SciPy.
 
 ``EvenSector``, formed once per block, is the only code that knows the
 even sector's layout; every reader of the sector takes one of its views,

@@ -18,7 +18,7 @@ cutoff k and again at 2k; the shift of every row, reached or collided, is
 its truncation certificate, and the sweep doubles k until every shift is
 below the policy's tolerance.  Each row's eigenvector residual is then
 taken at the row's reported mu on the accepted block, for all rows in one
-batched inverse iteration on the even parity sector.  That is the full
+batched twisted factorization of the even parity sector.  That is the full
 block's residual: the sector basis is orthonormal and invariant under the
 block, and the branch lives in the sector.  The table keeps the ladder
 coefficients of that block (``GammaTable.coeffs``), so its readers take
@@ -32,13 +32,14 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .eig import MAX_DENSE_DIM, eig_dense, inverse_iteration, newton_polish, track_branch
+from .eig import MAX_DENSE_DIM, eig_dense, newton_polish, track_branch, twisted_residuals
 from .errors import (
     BranchCollisionError,
+    LadderRangeError,
     SpectrumValidationError,
     TruncationError,
 )
-from .ladder import CasimirBlock, LadderCoefficients, ladder_coefficients
+from .ladder import CasimirBlock, LadderCoefficients, finite_block, ladder_coefficients
 from .operator import EvenSector, TruncationPolicy, block_at
 
 # The adaptive truncation's first cutoff: rows converge at small cutoffs,
@@ -85,7 +86,8 @@ class SurfaceSpectrum:
     eigenvalue, in strictly ascending order.
 
     The branch computation runs once per eta; multiplicities ride along as
-    metadata because every copy of a block carries the same branch.
+    metadata because every copy of a block carries the same branch.  On a
+    K > 0 surface every eta must have its block (``ladder.finite_block``).
     """
 
     curvature: float
@@ -111,6 +113,12 @@ class SurfaceSpectrum:
                 )
         if etas[0] != 0.0:
             raise SpectrumValidationError("zero mode (constants) missing from spectrum")
+        # a K > 0 ladder ends only on a level K*l*(l+1): refuse any other eta
+        for eta in etas if self.curvature > 0.0 else ():
+            try:
+                finite_block(eta, self.curvature)
+            except LadderRangeError as exc:
+                raise SpectrumValidationError(f"eta = {eta!r} is no level K l(l+1): {exc}") from exc
 
     def smallest_nonzero(self) -> float:
         for e in self.entries:
@@ -268,8 +276,8 @@ class GammaTable:
     with |x_c| <= |x|; their values come from the even sector's dense
     spectrum (Newton-polished) and are complex past an exceptional point.
     ``residual`` is the eigenvector residual at the row's mu, taken on the
-    even parity sector, NaN where inverse iteration fails; ``simple`` rows
-    are the reached rows with a finite residual.
+    even parity sector from its twisted factorization, NaN where that
+    overflows; ``simple`` rows are the reached rows with a finite residual.
     ``certificate`` is |lambda_k - lambda_2k|, the change of the row's
     lambda between the sweeps at the reported cutoff k = ``k_trunc`` and at
     2k (0 on intrinsically finite ladders).  ``empirical_r`` is 2/|x_c| at
@@ -433,7 +441,7 @@ def gamma_sweep(
             )
 
     lam = half_g2 * base.mu
-    resid = inverse_iteration(base.sector.at(-2.0 / grid), base.mu)
+    resid = twisted_residuals(base.sector.at(-2.0 / grid), base.mu)
 
     return GammaTable(
         coeffs=base.coeffs,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -605,10 +606,10 @@ def test_a_torus_side_whose_eta_scale_leaves_the_float_range_is_a_typed_error(
 
 
 def test_a_torus_of_tiny_eta_has_a_finite_residual_on_every_row(tmp_path):
-    # side 1e75 puts every eta near 1e-148, where the residual's solve at
-    # mu, or the square of its solution, overflows; such a row moves to the
-    # nudged shift, so the run warns of nothing (RuntimeWarnings are
-    # errors in this suite) and every row is simple with a finite residual
+    # side 1e75 puts every eta near 1e-148, and op - mu a pivot near
+    # 1e-148; the twisted factorization squares no entry, so the run warns
+    # of nothing (RuntimeWarnings are errors in this suite) and every row
+    # is simple with a finite residual
     out = tmp_path / "out"
     code = run_cli(["run", "--surface", "torus", "--side", "1e75", "--eta-cap", "1e-146",
                     "--gamma-points", "3", "--out", str(out)])
@@ -1066,21 +1067,64 @@ def test_continuation_that_accepts_no_step_is_a_numerics_error(tmp_path, monkeyp
     assert json.loads((out / "errors.json").read_text()) == record
 
 
-def test_a_failing_sweep_names_its_eta(tmp_path, capsys):
-    # on a K > 0 custom surface eta = 3 is no sphere level, so its finite
-    # ladder does not terminate; the message alone names no eta
+def test_a_failing_sweep_names_its_eta(tmp_path, monkeypatch, capsys):
+    # the sweep of eta = 3 fails with a message that names no eta, after
+    # the sweeps before it; the record names the eta
+    import kbmlab.spectra
+    from kbmlab import EigensolveError
+
+    real = kbmlab.spectra.track_branch
+
+    def failing(block, coeffs, x_target, checkpoints=()):
+        if block.eta == 3.0:
+            raise EigensolveError("the solve failed")
+        return real(block, coeffs, x_target, checkpoints=checkpoints)
+
+    monkeypatch.setattr(kbmlab.spectra, "track_branch", failing)
     eta_path = tmp_path / "etas.json"
     eta_path.write_text(json.dumps({"entries": [[0.0, 1], [2.0, 3], [3.0, 1]]}))
     out = tmp_path / "out"
     code = run_cli(
-        ["run", "--surface", "custom", "--curvature", "1", "--custom-path", str(eta_path),
+        ["run", "--surface", "custom", "--curvature", "-1", "--custom-path", str(eta_path),
          "--gamma-points", "5", "--out", str(out)]
     )
     assert code == 1
     record = _error_record(capsys)
-    assert record["error"] == "LadderRangeError" and "eta" not in record["message"]
+    assert record["error"] == "EigensolveError" and "eta" not in record["message"]
     assert (record["stage"], record["eta"]) == ("sweep", 3.0)
     assert json.loads((out / "errors.json").read_text()) == record
+
+
+def test_an_eta_off_the_levels_of_a_curved_custom_surface_is_a_config_error(tmp_path, capsys):
+    # on K = 1 the eta 3 is no level l(l+1), so it has no block; the run
+    # refuses it while it builds the spectrum, before any sweep
+    eta_path = tmp_path / "etas.json"
+    eta_path.write_text(json.dumps({"entries": [[0, 1], [3.0, 1]]}))
+    out = tmp_path / "out"
+    code = run_cli(
+        ["run", "--surface", "custom", "--curvature", "1", "--custom-path", str(eta_path),
+         "--out", str(out)]
+    )
+    assert code == 2
+    record = _error_record(capsys)
+    assert record["error"] == "ConfigError" and "eta = 3.0" in record["message"]
+    assert (record["stage"], record["eta"]) == ("config", None)
+    assert json.loads((out / "errors.json").read_text()) == record
+    assert not any(out.glob("table_*"))
+
+
+def test_a_sphere_with_entries_near_the_float_limit_has_finite_residuals(tmp_path):
+    # K = 8e195 on gamma from 1e-142.5 puts sector entries near 1e240; each
+    # row is factorized scaled by a power of two, so no square overflows
+    # (RuntimeWarnings are errors in this suite) and every residual is finite
+    out = tmp_path / "out"
+    code = run_cli(["run", "--surface", "sphere", "--curvature", "7.967405873781948e195",
+                    "--l-max", "2", "--gamma-log-start", "-142.5", "--gamma-log-end", "-118",
+                    "--gamma-points", "7", "--out", str(out)])
+    assert code == 0
+    rows = [row for path in sorted(out.glob("table_*.json"))
+            for row in json.loads(path.read_text())["rows"]]
+    assert len(rows) == 21 and all(0.0 <= row["residual"] < math.inf for row in rows)
 
 
 def test_a_huge_sphere_l_max_is_a_config_error(tmp_path):

@@ -19,13 +19,13 @@ from kbmlab import (
     eig_dense,
     exceptional_point,
     fixed_truncation,
-    inverse_iteration,
     ladder_coefficients,
     newton_polish,
     numerical_range_floor,
     odd_sector,
     track_branch,
     truncate,
+    twisted_residuals,
 )
 
 from conftest import (
@@ -399,35 +399,72 @@ def test_eig_dense_chunks_a_stack_within_the_entry_budget(monkeypatch, k_max, bu
 
 
 def test_eigvec_diagonal_case(sphere_l1):
-    # one matrix is a stack of one for inverse_iteration; on diag (1, 0, 1)
-    # the vector is the unit vector of the middle slot, whose residual at 0
-    # is exactly 0
+    # one matrix is a stack of one for twisted_residuals; on diag (1, 0, 1)
+    # the twist is the middle slot, whose pivot sum at 0 is exactly 0
     block, coeffs = sphere_l1
     op = assemble_perturbed(block, coeffs, 0.0)
-    res = inverse_iteration(one_row(op), [0.0])
+    res = twisted_residuals(one_row(op), [0.0])
     assert res.shape == (1,) and res[0] == 0.0
 
 
 def test_eigvec_residual(sphere_l1):
     block, coeffs = sphere_l1
     op = assemble_perturbed(block, coeffs, 0.3)
-    res = inverse_iteration(one_row(op), [0.1])
+    res = twisted_residuals(one_row(op), [0.1])
     assert res.shape == (1,) and 0.0 <= res[0] <= 1e-10 * op.inf_norm()
-    # far from every eigenvalue the iteration stalls and the row reads NaN
-    assert np.isnan(inverse_iteration(one_row(op), [0.55])[0])
+    # far from every eigenvalue the row reads its residual, which no vector
+    # takes below the least singular value of op - mu
+    res = twisted_residuals(one_row(op), [0.55])[0]
+    sigma_min = np.linalg.svd(op.to_dense() - 0.55 * np.eye(op.dim), compute_uv=False)[-1]
+    assert np.isfinite(res) and res >= sigma_min > 0.1
 
 
-def test_eigvec_overflowing_solve_moves_to_the_nudged_shift():
+def test_eigvec_residual_of_a_tiny_branch_value_is_finite():
     # eta = 3.2e-148 on the torus: the branch value is 6e-148 at x = -2 and
-    # 6e-156 at x = -2e-4, and mu is within rounding of it, so the solve at
-    # mu or the square of its solution overflows; the row moves to the
-    # shift 8 eps ||op|| and its residual is finite
+    # 6e-156 at x = -2e-4, and mu is within rounding of it, so op - mu has
+    # a pivot near 1e-148; the factorization forms no square of it, and the
+    # residual is finite
     coeffs = ladder_coefficients(block_at(3.1582734083485954e-148, 0.0, 8))
     xs = [-2.0, -2e-4]
     mu = [branch_value(coeffs, x) for x in xs]
     sector = even_sector(coeffs, np.array(xs))
-    res = inverse_iteration(sector, mu)
+    res = twisted_residuals(sector, mu)
     assert np.all(np.isfinite(res)) and np.all(res <= 1e-10 * sector.inf_norm())
+
+
+def test_eigvec_residual_is_the_residual_of_its_vector(sphere_l1):
+    # away from the spectrum (op - mu) v = g_r e_r stands out of rounding:
+    # v_r = 1 and every other entry of (op - mu) v is at rounding level
+    block, coeffs = sphere_l1
+    op = assemble_perturbed(block, coeffs, 0.3)
+    stack = stack_of([op, op])
+    mu = np.array([0.55, 0.4 + 0.2j])
+    scale, g, v = kbmlab.eig._twisted(stack, mu)
+    w = np.einsum("bij,bj->bi", stack.to_dense() - mu[:, None, None] * np.eye(op.dim), v)
+    for i in range(2):
+        r = int(np.argmax(np.abs(w[i])))
+        assert v[i, r] == 1.0 and abs(scale[i] * g[i] - w[i, r]) <= 1e-15
+        assert np.linalg.norm(np.delete(w[i], r)) <= 1e-15
+    expect = np.linalg.norm(w, axis=1) / np.linalg.norm(v, axis=1)
+    assert twisted_residuals(stack, mu) == pytest.approx(expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_eigvec_residual_scales_exactly_with_its_row(hyperbolic_block, power):
+    # every row is factorized divided by a power of two, which is exact, so
+    # a row scaled by a power of two is factorized at the same entries and
+    # its residual scales bit for bit
+    block, coeffs = hyperbolic_block
+    xs = np.array([-0.3, -0.1, -2e-3])
+    sector = EvenSector.of(coeffs).at(xs)
+    mu = np.array([branch_value(coeffs, x) for x in xs])
+    mu[0] += 1e-3j
+    f = 2.0**power
+    scaled = TridiagonalOperator(sector.diag * f, sector.coupling * f)
+    res = twisted_residuals(sector, mu)
+    assert np.all(np.isfinite(res)) and np.any(res > 0.0)
+    assert (twisted_residuals(scaled, mu * f) / f).tobytes() == res.tobytes()
+    assert np.all(np.frexp(kbmlab.eig._twisted(scaled, mu * f)[0])[0] == 0.5)
 
 
 def test_track_branch_closed_form(sphere_l1):
@@ -488,9 +525,9 @@ def test_branch_residual_bound(hyperbolic_block):
     br = track_branch(block, coeffs, -0.25)
     assert br.status == "complete"
     op_norm = assemble_perturbed(block, coeffs, -0.25).inf_norm()
-    # the inverse-iteration residual on the full block at every sample
+    # the residual on the full block at every sample
     full = stack_of([assemble_perturbed(block, coeffs, x) for x in br.x_samples])
-    res = inverse_iteration(full, br.mu_values)
+    res = twisted_residuals(full, br.mu_values)
     assert np.all(np.isfinite(res))
     assert max(res) <= 1e-9 * (1.0 + op_norm)
     assert np.max(_dense_deviations(block, coeffs, br)) <= 1e-9

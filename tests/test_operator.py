@@ -445,27 +445,18 @@ def test_tridiag_solve_leaves_a_two_dimensional_rhs_unmodified(hyperbolic_block)
         assert np.linalg.norm(x[:, j] - col) <= 1e-14 * np.linalg.norm(col)
 
 
-def test_eigvec_retries_an_exact_eigenvalue_with_a_nudged_shift(sphere_l1, monkeypatch):
-    # diag (1, 0, 1) at x = 0: the shift 0 is an exact eigenvalue, the
-    # solve hits a zero pivot and inverse iteration moves to 8 eps ||op||
+def test_eigvec_of_an_exact_eigenvalue_takes_no_solve(sphere_l1):
+    # diag (1, 0, 1) at x = 0: the shift 0 is an exact eigenvalue, where
+    # the solve hits a zero pivot; the twisted factorization needs no solve
+    # and reads the residual 0 at the zero slot
     import kbmlab.eig
 
     block, coeffs = sphere_l1
     op = assemble_perturbed(block, coeffs, 0.0)
     with pytest.raises(EigensolveError):
         tridiag_solve(op, 0.0, np.ones(3))
-    shifts = []
-    real = kbmlab.eig.gtsv
-
-    def recording(dl, d, du, b):
-        shifts.append(complex(op.diag[1] - d[0, 1]))  # diag - shift reaches the kernel
-        return real(dl, d, du, b)
-
-    monkeypatch.setattr(kbmlab.eig, "gtsv", recording)
-    res = kbmlab.eig.inverse_iteration(one_row(op), [0.0])
-    assert shifts[:2] == [0.0, 8.0 * np.finfo(float).eps]
-    # the nudged solve gives the unit vector of the zero slot
-    assert res[0] == 0.0
+    scale, g, v = kbmlab.eig._twisted(one_row(op), [0.0])
+    assert g[0] == 0.0 and v.tolist() == [[0.0, 1.0, 0.0]]
 
 
 def _parity_block(K, eta, k_max):

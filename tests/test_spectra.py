@@ -15,6 +15,7 @@ from kbmlab import (
     assemble_perturbed,
     block_at,
     custom_spectrum,
+    default_gamma_grid,
     eig_dense,
     finite_block,
     fitted_decay_exponent,
@@ -519,7 +520,7 @@ def test_sweep_residual_is_the_residual_at_each_reported_value(eta, K, points):
     assert np.any(table.simple) and np.any(table.collided)
     block, coeffs = _sweep_block(table)
     full = stack_of([assemble_perturbed(block, coeffs, -2.0 / g) for g in table.gamma_grid])
-    full_res = kbmlab.eig.inverse_iteration(full, _row_mu(table, block, coeffs))
+    full_res = kbmlab.eig.twisted_residuals(full, _row_mu(table, block, coeffs))
     assert np.all(np.isfinite(full_res))
     assert np.max(np.abs(table.residual - full_res)) <= 1e-13
 
@@ -528,8 +529,8 @@ def test_continuation_and_truncation_take_no_eigenvector(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the continuation took an eigenvector")
 
-    # every eigenvector and residual goes through inverse_iteration
-    monkeypatch.setattr(kbmlab.eig, "inverse_iteration", forbidden)
+    # every eigenvector and residual goes through the twisted factorization
+    monkeypatch.setattr(kbmlab.eig, "_twisted", forbidden)
     block = finite_block(2.0, 1.0)
     assert track_branch(block, ladder_coefficients(block), 0.7).status == "collision"
     block = truncate(5.0, -1.0, fixed_truncation(16))
@@ -544,13 +545,13 @@ def test_sweep_takes_one_residual_per_row(monkeypatch, eta, K, points):
     # one batched call for the whole table, and each row gets the bits the
     # batched routine gives that row alone
     calls = []
-    real = kbmlab.eig.inverse_iteration
+    real = kbmlab.eig.twisted_residuals
 
     def counting(op, mu):
         calls.append(op)
         return real(op, mu)
 
-    monkeypatch.setattr(kbmlab.spectra, "inverse_iteration", counting)
+    monkeypatch.setattr(kbmlab.spectra, "twisted_residuals", counting)
     grid = make_gamma_grid(0.0, 4.0, points)
     table = gamma_sweep(eta, K, grid)
     if eta == 0.0:
@@ -572,14 +573,14 @@ def test_failed_residual_marks_only_its_row(monkeypatch):
     assert clean.simple[j] and np.all(clean.simple[j:])
     block = finite_block(2.0, 1.0)
     target = even_sector(ladder_coefficients(block), -2.0 / grid[j]).coupling
-    real = kbmlab.eig.gtsv
+    real = kbmlab.eig._twisted
 
-    def failing(dl, d, du, b):
-        x, singular = real(dl, d, du, b)
-        x[np.all(dl == target, axis=1)] = math.nan  # row j's solve breaks down
-        return x, singular
+    def failing(op, mu):
+        scale, g, v = real(op, mu)
+        g[np.all(op.coupling == target, axis=1)] = math.nan  # row j's factorization breaks down
+        return scale, g, v
 
-    monkeypatch.setattr(kbmlab.eig, "gtsv", failing)
+    monkeypatch.setattr(kbmlab.eig, "_twisted", failing)
     table = gamma_sweep(2.0, 1.0, grid)
     assert math.isnan(table.residual[j])
     assert not table.simple[j] and not table.collided[j]
@@ -588,6 +589,32 @@ def test_failed_residual_marks_only_its_row(monkeypatch):
     for field in ("lam", "simple", "collided", "residual", "certificate"):
         assert np.array_equal(getattr(table, field)[rest], getattr(clean, field)[rest])
     assert table.empirical_r == clean.empirical_r
+
+
+@pytest.mark.parametrize(
+    "eta, K", [(2.0, 1.0), (72.0, 1.0), (300.0, -1.0), (15000.0, -1.0), (50.0, 0.0)]
+)
+def test_sweep_residual_is_its_vectors_dense_residual(monkeypatch, eta, K):
+    # every row's residual, collided complex-mu rows included, against
+    # ||(T - mu) v|| / ||v|| recomputed by a dense complex matvec for the
+    # factorization's own v
+    seen = []
+    real = kbmlab.eig._twisted
+
+    def recording(op, mu):
+        out = real(op, mu)
+        seen.append((op, np.asarray(mu), out[2]))
+        return out
+
+    monkeypatch.setattr(kbmlab.eig, "_twisted", recording)
+    table = gamma_sweep(eta, K, default_gamma_grid())
+    assert np.any(table.collided) and np.any(np.iscomplex(table.lam[table.collided]))
+    [(op, mu, v)] = seen
+    a = op.to_dense() - mu[:, None, None] * np.eye(op.dim)
+    w = np.einsum("bij,bj->bi", a, v)
+    dense = np.linalg.norm(w, axis=1) / np.linalg.norm(v, axis=1)
+    assert np.all(np.isfinite(table.residual))
+    assert np.max(np.abs(table.residual - dense)) <= 1e-13
 
 
 def _count_dense(monkeypatch):

@@ -41,7 +41,6 @@ from .operator import (
     assemble_perturbed,
     block_at,
     fixed_truncation,
-    gtsv,
     numerical_range_floor,
     odd_sector,
     tridiag_solve,

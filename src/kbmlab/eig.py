@@ -117,14 +117,16 @@ def char_poly(op: TridiagonalOperator, lam: complex) -> CharPolyValue:
     """Characteristic determinant and its lambda-derivative.
 
     Three-term recurrence on leading principal minors with power-of-two
-    rescaling so that determinants of large matrices never overflow; the
-    true determinant is value * 2**exp2.  The loop runs on Python scalars,
-    which cost a fraction of numpy scalars per operation.  Values are
-    rescaled when the largest of |p|, |p_prev|, |dp|, |dp_prev| leaves
-    [2**-512, 2**512]; p_prev and dp_prev passed that test on the previous
-    rung, so the four-way maximum is formed only when |p| or |dp| is out of
-    range (on rung 1 also when |d_0 - lambda| is), which gives the same
-    bits as forming it on every rung.
+    rescaling, so that the determinants of large and of tiny matrices stay
+    in range; the true determinant is value * 2**exp2.  The loop runs on
+    Python scalars, which cost a fraction of numpy scalars per operation.
+    Whenever |p| or |dp| leaves [2**-512, 2**512] (on rung 0 too), all
+    four carried values are scaled by the power of two that centres the
+    binary exponents of p and dp on 0 (``_rescaled``), which brings both
+    back into that range whenever their ratio allows.  Scaling by a power
+    of two is exact, so the value and derivative carry the bits of the
+    unscaled recurrence wherever it stays normal, and Newton's v/dv is the
+    same on any rescale schedule.
     """
     return _char_poly(*_lists(op), lam)
 
@@ -132,6 +134,18 @@ def char_poly(op: TridiagonalOperator, lam: complex) -> CharPolyValue:
 def _lists(op: TridiagonalOperator) -> tuple[list, list]:
     """``op``'s diagonal and rung products -c_j^2 as Python lists."""
     return op.diag.tolist(), (-(op.coupling * op.coupling)).tolist()
+
+
+def _rescaled(p, p_prev, dp, dp_prev, exp2: int) -> tuple:
+    """The recurrence's carried values times 2**-e, and exp2 + e, for e the
+    mean binary exponent of the nonzero finite ones of p and dp (kept
+    where 2**-e is a float); no such value leaves them unchanged."""
+    es = [math.frexp(abs(v))[1] for v in (p, dp) if 0.0 < abs(v) < math.inf]
+    if not es:
+        return p, p_prev, dp, dp_prev, exp2
+    e = min(max(sum(es) // len(es), -1022), 1022)
+    f = math.ldexp(1.0, -e)
+    return p * f, p_prev * f, dp * f, dp_prev * f, exp2 + e
 
 
 def _char_poly(d: list, c: list, lam) -> CharPolyValue:
@@ -143,29 +157,15 @@ def _char_poly(d: list, c: list, lam) -> CharPolyValue:
     dp_prev, dp = 0.0, -1.0
     exp2 = 0
     big, small = _BIG, _SMALL
-    # an empty range sends rung 1 to the four-way test when |d_0 - lambda|
-    # is out of range
-    hi = big if abs(p) <= big else 0.0
+    if not small <= abs(p) <= big:
+        p, p_prev, dp, dp_prev, exp2 = _rescaled(p, p_prev, dp, dp_prev, exp2)
     for dj, cj in zip(d[1:], c):
         t = dj - lam
         p, p_prev = t * p - cj * p_prev, p
         dp, dp_prev = t * dp - p_prev - cj * dp_prev, dp
-        # a NaN fails the range test too and meets the four-way test as before
-        if not (small <= abs(p) <= hi and small <= abs(dp) <= hi):
-            hi = big
-            m = max(abs(p), abs(p_prev), abs(dp), abs(dp_prev))
-            if m > big:
-                p *= small
-                p_prev *= small
-                dp *= small
-                dp_prev *= small
-                exp2 += 512
-            elif 0.0 < m < small:
-                p *= big
-                p_prev *= big
-                dp *= big
-                dp_prev *= big
-                exp2 -= 512
+        # a NaN fails the range test too, and is left as it is
+        if not (small <= abs(p) <= big and small <= abs(dp) <= big):
+            p, p_prev, dp, dp_prev, exp2 = _rescaled(p, p_prev, dp, dp_prev, exp2)
     return CharPolyValue(p, dp, exp2)
 
 
@@ -243,17 +243,16 @@ class SpotCheck(NamedTuple):
     """Dense check of a tracked value mu against the full block."""
 
     even_eigs: np.ndarray  # the even sector's dense spectrum
-    oracle_dev: float  # distance from mu to the nearest eigenvalue
     gap: float  # distance from mu to the second-nearest eigenvalue
     nu: Optional[complex]  # that second-nearest one; None when it is odd
 
 
 def certify_samples(even: TridiagonalOperator, mu: complex) -> SpotCheck:
-    """``SpotCheck`` of one sample: the nearest and second-nearest
-    eigenvalue of the full (truncated) block to ``mu``, for the block's even
-    sector ``even`` at the sample's x.  ``track_branch`` certifies with it
-    the samples outside the Kato disk, and a disk sample where the Kato
-    bound leaves a decision open.
+    """``SpotCheck`` of one sample: the second-nearest eigenvalue of the
+    full (truncated) block to ``mu`` and its distance, the gap, for the
+    block's even sector ``even`` at the sample's x.  ``track_branch``
+    certifies with it the samples outside the Kato disk, and a disk sample
+    where the Kato bound leaves a decision open.
 
     The even sector is solved densely.  Its odd sector, ``odd_sector(even)``
     (none on the single-mode block), has eigenvalues of real part at least f
@@ -275,9 +274,9 @@ def certify_samples(even: TridiagonalOperator, mu: complex) -> SpotCheck:
     dist = np.abs(both - mu)
     near = np.argsort(dist, kind="stable")[:2]
     if near.size < 2:
-        return SpotCheck(eigs, float(dist[near[0]]), math.inf, None)
+        return SpotCheck(eigs, math.inf, None)
     nu = complex(both[near[1]]) if near[1] < even.dim else None
-    return SpotCheck(eigs, float(dist[near[0]]), float(dist[near[1]]), nu)
+    return SpotCheck(eigs, float(dist[near[1]]), nu)
 
 
 def collision_threshold(mu: complex) -> float:
@@ -293,7 +292,8 @@ def _even_recurrence(
     The sector's minors obey p_n = (d_n - mu) p_{n-1} + t b_n p_{n-2}
     (b_n = a^2 on rung n - 1 -> n, doubled on rung 0), which is polynomial
     in t and mu; the four derivatives follow by differentiating it.  All
-    ten carried values are rescaled together, as in ``char_poly``.
+    ten carried values are rescaled together by 2**-+512 when the largest
+    of the five current ones leaves [2**-512, 2**512].
     """
     p0, p1 = 1.0, d[0] - mu
     m0, m1 = 0.0, -1.0  # p_mu
@@ -491,9 +491,6 @@ class EigenBranch:
     below collision threshold" (the last sample, which is not simple) or
     "step underflow near loss of simplicity" (the last sample, the step
     having been halved below 1e-12).
-    ``oracle_dev`` is the largest deviation between a tracked value and its
-    nearest dense-oracle eigenvalue over the accepted samples that the dense
-    check certified, those outside the disk (0.0 when there are none).
     ``checkpoint_index`` holds, for each checkpoint the continuation landed
     on (in order, x_target last), the index of its sample in ``x_samples``;
     a checkpoint sample may be the non-simple one that stopped the
@@ -511,7 +508,6 @@ class EigenBranch:
     status: str
     reason: str = ""
     x_collision: Optional[float] = None
-    oracle_dev: float = 0.0
     checkpoint_index: tuple = ()
 
 
@@ -627,10 +623,9 @@ def track_branch(
     s_cur = x_cur = mu_cur = 0.0
     s_prev, mu_prev = None, 0.0
     gap = gap0
-    check = SpotCheck(np.array(sector.diag), 0.0, gap0, 1.0 + 0j if dim > 1 else None)
+    check = SpotCheck(np.array(sector.diag), gap0, 1.0 + 0j if dim > 1 else None)
     ds, easy, nxt = ds_base, 0, 0
     ep_tried = False
-    oracle_dev = 0.0
     status, reason, x_coll = "complete", "", None
     landed = []
 
@@ -690,7 +685,6 @@ def track_branch(
         else:
             check = certify_samples(sector.at(x_new), mu_new)
             gap = check.gap
-            oracle_dev = max(oracle_dev, check.oracle_dev)
         is_simple = gap > collision_threshold(mu_new)
         xs.append(x_new)
         mus.append(mu_new)
@@ -728,7 +722,6 @@ def track_branch(
         status=status,
         reason=reason,
         x_collision=x_coll,
-        oracle_dev=oracle_dev,
         checkpoint_index=tuple(landed),
     )
 

@@ -4,10 +4,10 @@ truncation policy for infinite ladders and the one constructor of a block
 at a cutoff (``block_at``), the two parity sectors of the perturbed
 family, the Kato radius of the family on a contour (``kato_radius``,
 shared by ``perturb.perturbation_radius`` and ``eig.track_branch``), an
-O(n) floor of the numerical range, and the tridiagonal solver: LAPACK's
-``?gtsv`` elimination run over a batch of systems at once (``gtsv``),
-which serves one operator at many shifts (``tridiag_solve``).  Everything
-here runs on NumPy alone, so importing the package loads no SciPy.
+O(n) floor of the numerical range, and the shifted solve of one operator
+at many shifts (``tridiag_solve``), one stacked ``numpy.linalg.solve`` of
+the densified matrices.  Everything here runs on NumPy alone, so
+importing the package loads no SciPy.
 
 ``EvenSector``, formed once per block, is the only code that knows the
 even sector's layout; every reader of the sector takes one of its views,
@@ -31,10 +31,10 @@ from .errors import EigensolveError, TruncationError
 from .ladder import CasimirBlock, LadderCoefficients, finite_block
 
 # The most matrix entries a batched kernel materialises at once: a stacked
-# dense eigensolve (``eig.eig_dense``) densifies, and a batched resolvent
-# (``perturb.riesz_projection``) solves, at most this many entries per
-# chunk of its batch, one matrix when a single one is larger.  2**16
-# complex entries are 1 MiB.
+# dense eigensolve (``eig.eig_dense``) and a stack of resolvents
+# (``perturb.riesz_projection``, through ``tridiag_solve``) each densify
+# and solve at most this many entries per chunk of its batch, one matrix
+# when a single one is larger.  2**16 complex entries are 1 MiB.
 STACK_BUDGET = 2**16
 
 
@@ -313,87 +313,26 @@ def numerical_range_floor(op: TridiagonalOperator):
     return float(floor) if floor.ndim == 0 else floor
 
 
-def gtsv(
-    dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve B tridiagonal systems at once by LAPACK's ``?gtsv`` algorithm.
-
-    ``d`` (B, n) holds the diagonals, ``dl`` and ``du`` (B, n - 1) the sub-
-    and superdiagonals; ``b`` is (B, n), or (B, n, m) for m right-hand
-    sides per system.  No input is modified.  Gaussian elimination with
-    partial pivoting (pivot by |Re| + |Im|), where each row interchange
-    fills one entry of a second superdiagonal, then back substitution
-    (Anderson et al., *LAPACK Users' Guide*).  The loop runs over the
-    rungs once; each rung updates the two rows it touches in every system
-    together, and picks the interchanged or the plain pair per system
-    with one masked copy.  Every step is elementwise along the batch, so
-    each system's solution has the bits it has when solved alone.
-
-    Returns (x, singular): x has b's shape, and singular[s] flags an
-    exactly zero pivot in system s, whose x is NaN.
-    """
-    d = np.asarray(d, dtype=complex)
-    dl = np.asarray(dl, dtype=complex)
-    du = np.asarray(du, dtype=complex)
-    batch, n = d.shape
-    b = np.asarray(b, dtype=complex)
-    rhs = b.reshape(batch, n, 1 if b.ndim == 2 else b.shape[2])
-    # w[r] is row r along the batch: its entry in column c sits in slot
-    # c % 3 (a row spans three columns at every stage), its right-hand
-    # sides in slots 3 and on.  Two zero rows below the last let the back
-    # substitution run one formula down to row 0.
-    w = np.zeros((n + 2, 3 + rhs.shape[2], batch), dtype=complex)
-    w[:n, 3:] = rhs.transpose(1, 2, 0)
-    for r in range(3):
-        w[r:n:3, r] = d[:, r::3].T
-        w[r + 1 : n : 3, r] = dl[:, r::3].T
-        w[r : n - 1 : 3, (r + 1) % 3] = du[:, r::3].T
-    dl_size = (np.abs(dl.real) + np.abs(dl.imag)).T
-    # NumPy rounds a complex product of size-1 operands of unequal ndim
-    # without FMA, unlike every other layout, so the products below pair
-    # operands of equal ndim whatever the batch size.
-    with np.errstate(all="ignore"):  # a singular system runs on to NaN
-        for k in range(n - 1):
-            c = k % 3
-            pair = w[k : k + 2]
-            dk = pair[0, c]
-            swap = np.abs(dk.real) + np.abs(dk.imag) < dl_size[k]
-            np.copyto(pair, pair[::-1], where=swap)  # NumPy buffers the overlap
-            piv, low = pair[0], pair[1]
-            np.subtract(low, (low[c : c + 1] / piv[c : c + 1]) * piv, out=low)
-            low[c] = 0.0
-        x = w[:, 3:]
-        for k in range(n - 1, -1, -1):
-            c = k % 3
-            u, u2 = (c + 1) % 3, (c + 2) % 3
-            xk = x[k]
-            np.subtract(xk, w[k, u : u + 1] * x[k + 1], out=xk)
-            np.subtract(xk, w[k, u2 : u2 + 1] * x[k + 2], out=xk)
-            np.divide(xk, w[k, c : c + 1], out=xk)
-    rows = np.arange(n)
-    singular = np.logical_or.reduce(w[rows, rows % 3] == 0.0, axis=0)
-    x = x[:n].transpose(2, 0, 1)
-    if singular.any():
-        x[singular] = math.nan
-    return x.reshape(b.shape), singular
-
-
 def tridiag_solve(op: TridiagonalOperator, shift, rhs: np.ndarray) -> np.ndarray:
     """Solve (op - shift*I) x = rhs for one or several right-hand sides.
 
-    ``rhs`` is (n,) or (n, m) and is not modified.  A 1-d array of S
-    shifts solves every shifted system in one ``gtsv`` call and returns
-    (S,) + rhs.shape, each solution bitwise equal to the one its shift
-    gives alone.  An exactly zero pivot (an exactly singular matrix)
-    raises EigensolveError.
+    ``rhs`` is (n,) or (n, m) and is not modified.  The shifted matrix is
+    densified and solved by LAPACK's ``?gesv`` (``numpy.linalg.solve``, LU
+    with partial pivoting).  A 1-d array of S shifts solves the stack of
+    every shifted matrix in one call and returns (S,) + rhs.shape, each
+    solution bitwise equal to the one its shift gives alone.  An exactly
+    singular matrix (an exactly zero pivot) raises EigensolveError.
     """
     shift = np.asarray(shift, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    d = np.atleast_2d(op.diag - shift[..., None])
-    batch = d.shape[:1]
-    c = np.broadcast_to(op.coupling, batch + op.coupling.shape)
-    x, singular = gtsv(c, d, -c, np.broadcast_to(rhs, batch + rhs.shape))
-    if singular.any():
-        bad = np.atleast_1d(shift)[singular][0]
-        raise EigensolveError(f"shifted tridiagonal solve: exactly singular at shift {bad!r}")
+    n = op.dim
+    a = np.broadcast_to(op.to_dense(), shift.shape + (n, n)).astype(complex)
+    a[..., range(n), range(n)] -= shift[..., None]
+    b = rhs.reshape(n, -1)
+    try:
+        x = np.linalg.solve(a, np.broadcast_to(b, a.shape[:-1] + b.shape[-1:]))
+    except np.linalg.LinAlgError:
+        raise EigensolveError(
+            f"shifted tridiagonal solve: exactly singular (shift {shift!r})"
+        ) from None
     return x.reshape(shift.shape + rhs.shape)

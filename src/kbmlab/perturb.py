@@ -2,7 +2,8 @@
 
 Covers the second-order Rayleigh-Schrodinger coefficients of the branch
 through 0, Riesz spectral projections by trapezoidal contour quadrature
-(the resolvents from batched tridiagonal solves over chunks of nodes),
+(the resolvents from stacked dense solves over chunks of nodes, half of
+the nodes when the operator and the centre are real),
 the Kato perturbation radius min_zeta 1/||X (D - zeta)^-1|| over the
 contour, and the closed-form lower bound |zeta|^-1 sqrt(eta/2) for that
 norm restricted to the zeroth fiber mode.  The radius's core is
@@ -153,24 +154,33 @@ def riesz_projection(op: TridiagonalOperator, contour: Contour) -> np.ndarray:
     converges exponentially in the node count for the analytic resolvent.
     The resolvents come from one ``tridiag_solve`` call per chunk of node
     shifts, each chunk holding at most ``operator.STACK_BUDGET`` resolvent
-    entries (one node when n^2 is larger), and are summed chunk by chunk;
-    a block with 64 * n^2 within the budget (n <= 32) takes one call.
-    Eigenvalues closer than 1e-8 to the contour are rejected.
+    entries (one node when n^2 is larger), and are summed chunk by chunk.
+    A real operator (real coupling) on a circle with a real centre has
+    R(conj z) = conj R(z), and its nodes come in conjugate pairs with
+    conjugate weights, so only the nodes with 0 <= theta <= pi are solved
+    (N//2 + 1 of N) and P = -(w_0 R_0 + w_{N/2} R_{N/2} + 2 Re sum_{0<j<N/2}
+    w_j R_j), which is real (the middle term only for even N); a complex
+    coupling or centre solves every node.  Eigenvalues closer than 1e-8 to
+    the contour are rejected.
     """
     eigs = eig_dense(op)
     dist = np.abs(np.abs(eigs - contour.center) - contour.radius)
     if float(np.min(dist)) < CONTOUR_DIST_MIN:
         raise ContourPlacementError("an eigenvalue lies on or near the contour")
-    theta = 2.0 * np.pi * np.arange(contour.nodes) / contour.nodes
+    nodes = contour.nodes
+    real = not np.iscomplexobj(op.coupling) and complex(contour.center).imag == 0.0
+    theta = 2.0 * np.pi * np.arange(nodes // 2 + 1 if real else nodes) / nodes
     phases = np.exp(1j * theta)
     shifts = contour.center + contour.radius * phases
-    weights = (contour.radius / contour.nodes) * phases
+    weights = (contour.radius / nodes) * phases
+    if real:
+        weights[1 : (nodes + 1) // 2] *= 2.0  # node j stands for j and N - j
     eye = np.eye(op.dim, dtype=complex)
     total = None
-    for part in batch_slices(contour.nodes, op.dim * op.dim):
+    for part in batch_slices(shifts.size, op.dim * op.dim):
         chunk = np.einsum("j,jab->ab", weights[part], tridiag_solve(op, shifts[part], eye))
         total = chunk if total is None else total + chunk
-    return -total
+    return -(total.real if real else total)
 
 
 def idempotency_defect(proj: np.ndarray) -> float:

@@ -137,26 +137,34 @@ def test_char_poly_scaling_survives_large_dimension():
 
 def _reference_char_poly(op, lam):
     """The recurrence written plainly: numpy scalars, starting from the
-    float values ``char_poly`` starts from, and the largest of all four
-    magnitudes tested against 2**+-512 on every rung."""
+    float values ``char_poly`` starts from.  Before rung 1 and after every
+    rung where |p| or |dp| lies outside [2**-512, 2**512], all four values
+    are scaled by 2**-e, e the floor of the mean binary exponent of the
+    nonzero finite ones of p and dp, within +-1022."""
     big, small = 2.0**512, 2.0**-512
     lam = complex(lam)
     d, c = op.diag, -(op.coupling * op.coupling)
     p_prev, p = np.float64(1.0), d[0] - lam
     dp_prev, dp = np.float64(0.0), np.float64(-1.0)
     exp2 = 0
+
+    def rescale():
+        nonlocal p, p_prev, dp, dp_prev, exp2
+        if small <= abs(p) <= big and small <= abs(dp) <= big:
+            return
+        es = [int(np.frexp(abs(v))[1]) for v in (p, dp) if np.isfinite(v) and v != 0]
+        if es:
+            e = int(np.clip(np.floor(np.mean(es)), -1022, 1022))
+            p, p_prev, dp, dp_prev = (v * np.ldexp(1.0, -e) for v in (p, p_prev, dp, dp_prev))
+            exp2 += e
+
     with np.errstate(all="ignore"):
+        rescale()
         for j in range(1, op.dim):
             t = d[j] - lam
             p, p_prev = t * p - c[j - 1] * p_prev, p
             dp, dp_prev = t * dp - p_prev - c[j - 1] * dp_prev, dp
-            m = max(abs(p), abs(p_prev), abs(dp), abs(dp_prev))
-            if m > big:
-                p, p_prev, dp, dp_prev = (v * small for v in (p, p_prev, dp, dp_prev))
-                exp2 += 512
-            elif 0.0 < m < small:
-                p, p_prev, dp, dp_prev = (v * big for v in (p, p_prev, dp, dp_prev))
-                exp2 -= 512
+            rescale()
     return p, dp, exp2
 
 
@@ -197,29 +205,46 @@ def test_char_poly_is_bitwise_the_plain_recurrence(seed, n, log_scale, real, big
 
 
 def test_char_poly_first_rung_weighs_the_first_diagonal():
-    # |p| = 2**-88 and |dp| < 2**512 after rung 1 are in range, but |d_0| >
-    # 2**512 is not, so the four-way test rescales there: d_1*d_0 rounds to
-    # -2**1022, which the rung product -c^2 = -2**1022 - 2**-88 i cancels
+    # |d_0| > 2**512 is out of range, so the values are rescaled before
+    # rung 1: d_1*d_0 rounds to -2**1022, which the rung product
+    # -c^2 = -2**1022 - 2**-88 i cancels, and the determinant is exactly
+    # 2**-88 i
     d0 = np.nextafter(2.0**512, math.inf)
     d1 = -(2.0**1022 / d0)
     op = TridiagonalOperator(
         diag=np.array([d0, d1]), coupling=np.array([complex(2.0**511, 2.0**-600)])
     )
     ref = _reference_char_poly(op, 0.0)
-    assert ref[2] == 512
-    assert _same_bits(char_poly(op, 0.0), ref)
+    cp = char_poly(op, 0.0)
+    assert _same_bits(cp, ref) and cp.exp2 != 0
+    assert cp.value * 2.0**cp.exp2 == 2.0**-88 * 1j
 
 
 def test_char_poly_rescales_underflowing_determinants():
-    # the rescale follows the largest magnitude, here |dp_prev| ~ |p| / d^2,
-    # so p itself stays a normal float only while d**3 >> 2**-510 (d >> 1e-51)
+    # the determinant is about 1e-1600, and dp_prev ~ |p| / d^2 lies far
+    # above p; the rescale follows p and dp alone, so both stay normal
     rng = np.random.default_rng(5)
     diag = 1e-40 * rng.uniform(0.5, 2.0, 40)
     op = TridiagonalOperator(diag=diag, coupling=np.zeros(39))
     cp = char_poly(op, 0.0)
-    assert cp.exp2 < 0  # the determinant is about 1e-1600
+    assert cp.exp2 < 0
     got = math.log2(abs(cp.value)) + cp.exp2
     assert got == pytest.approx(float(np.sum(np.log2(diag))), rel=1e-12)
+
+
+def test_char_poly_of_tiny_diagonals_keeps_value_and_derivative():
+    # diag(d), d = 1e-160, at lambda = 0: det = d^n and its derivative
+    # -n d^(n-1); their ratio d/n lets the rescale keep both normal, though
+    # unscaled d^3 already underflows
+    d = 1e-160
+    with mpmath.workdps(40):
+        log2_d = mpmath.log(mpmath.mpf(d), 2)
+        for n in range(1, 81):
+            cp = char_poly(TridiagonalOperator(np.full(n, d), np.zeros(n - 1)), 0.0)
+            value = mpmath.log(abs(cp.value), 2) + cp.exp2
+            deriv = mpmath.log(abs(cp.derivative), 2) + cp.exp2
+            assert abs(value - n * log2_d) <= 1e-12, n
+            assert abs(deriv - mpmath.log(n, 2) - (n - 1) * log2_d) <= 1e-12, n
 
 
 @given(
@@ -495,9 +520,7 @@ def test_track_branch_flags_collision(sphere_l1):
 
 def _dense_deviations(block, coeffs, br):
     """Distance from each tracked value to the nearest eigenvalue of the
-    dense spectrum of the assembled block at its x.  ``oracle_dev`` covers
-    only the samples certified outside the Kato disk, so it is checked here
-    on every sample."""
+    dense spectrum of the assembled block at its x, on every sample."""
     eigs = eig_dense(stack_of([assemble_perturbed(block, coeffs, x) for x in br.x_samples]))
     return np.min(np.abs(eigs - br.mu_values[:, None]), axis=1)
 
@@ -950,7 +973,6 @@ def test_spot_check_on_the_even_sector_equals_the_union(
     near = np.argsort(dist, kind="stable")[:2]
     check = kbmlab.eig.certify_samples(even, mu)
     assert np.array_equal(check.even_eigs, even_eigs)
-    assert check.oracle_dev == float(dist[near[0]])
     assert check.gap == float(dist[near[1]])
     nu = complex(union[near[1]]) if near[1] < even.dim else None
     assert check.nu == nu

@@ -29,6 +29,7 @@ from kbmlab import (
     perturbation_series,
     riesz_projection,
     track_branch,
+    tridiag_solve,
     truncate,
     zero_mode_resolvent_norm,
 )
@@ -172,40 +173,53 @@ def test_riesz_projection_trace_counts_enclosed(hyperbolic_block):
     assert abs(np.trace(proj) - enclosed_count(op, contour)) <= 1e-8
 
 
+def _node_by_node(op, contour):
+    """The trapezoidal quadrature summed over every node, one
+    ``tridiag_solve`` per node."""
+    eye = np.eye(op.dim, dtype=complex)
+    ref = np.zeros((op.dim, op.dim), dtype=complex)
+    for ph in np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes):
+        z = contour.center + contour.radius * ph
+        ref -= (contour.radius / contour.nodes) * ph * tridiag_solve(op, z, eye)
+    return ref
+
+
 @pytest.mark.parametrize("eta", [2.0, 6.0, 12.0])
 def test_riesz_projection_matches_the_node_by_node_quadrature(eta):
     # the blocks the collision scan projects, at its Riesz sample points 0,
-    # 0.2 and 0.6 times the zero-mode bound |zeta| / sqrt(eta / 2)
-    from kbmlab import tridiag_solve
-
+    # 0.2 and 0.6 times the zero-mode bound |zeta| / sqrt(eta / 2); a real
+    # operator solves half the nodes and its projection is exactly real,
+    # and a complex x (or centre) solves every node
     block = finite_block(eta, 1.0)
     coeffs = ladder_coefficients(block)
-    contour = Contour(0.0, 0.5, 64)
-    eye = np.eye(block.dim, dtype=complex)
     for frac in (0.0, 0.2, 0.6):
-        op = assemble_perturbed(block, coeffs, frac * 0.5 / math.sqrt(0.5 * eta))
-        ref = np.zeros((block.dim, block.dim), dtype=complex)
-        for ph in np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes):
-            ref -= (contour.radius / contour.nodes) * ph * tridiag_solve(op, contour.radius * ph, eye)
-        assert np.max(np.abs(riesz_projection(op, contour) - ref)) <= 1e-14
+        x = frac * 0.5 / math.sqrt(0.5 * eta)
+        for contour in (Contour(0.0, 0.5, 64), Contour(0.0, 0.5, 9)):
+            op = assemble_perturbed(block, coeffs, x)
+            proj = riesz_projection(op, contour)
+            assert not np.any(proj.imag)
+            assert np.max(np.abs(proj - _node_by_node(op, contour))) <= 1e-14
+        for op, contour in (
+            (assemble_perturbed(block, coeffs, complex(x, 0.02)), Contour(0.0, 0.5, 64)),
+            (assemble_perturbed(block, coeffs, x), Contour(0.01j, 0.5, 64)),
+        ):
+            proj = riesz_projection(op, contour)
+            assert np.max(np.abs(proj - _node_by_node(op, contour))) <= 1e-14
 
 
 @pytest.mark.parametrize("per_chunk", [5, 63, 1])
 def test_riesz_projection_in_chunks_matches_the_node_by_node_quadrature(monkeypatch, per_chunk):
     # with the entry budget lowered to per_chunk resolvents of the 5x5 block,
-    # the nodes are solved per_chunk at a time, and the sum of the chunks
-    # still agrees with the node-by-node sum
+    # the nodes with 0 <= theta <= pi (33 of 64 for this real operator) are
+    # solved per_chunk at a time, and the sum of the chunks still agrees
+    # with the node-by-node sum over all 64
     import kbmlab.operator
-    from kbmlab import tridiag_solve
 
     block = finite_block(6.0, 1.0)
     coeffs = ladder_coefficients(block)
     op = assemble_perturbed(block, coeffs, 0.1)
     contour = Contour(0.0, 0.5, 64)
-    eye = np.eye(block.dim, dtype=complex)
-    ref = np.zeros((block.dim, block.dim), dtype=complex)
-    for ph in np.exp(2j * np.pi * np.arange(contour.nodes) / contour.nodes):
-        ref -= (contour.radius / contour.nodes) * ph * tridiag_solve(op, contour.radius * ph, eye)
+    ref = _node_by_node(op, contour)
     calls = []
     real_solve = kbmlab.perturb.tridiag_solve
 
@@ -216,7 +230,7 @@ def test_riesz_projection_in_chunks_matches_the_node_by_node_quadrature(monkeypa
     monkeypatch.setattr(kbmlab.perturb, "tridiag_solve", counting)
     monkeypatch.setattr(kbmlab.operator, "STACK_BUDGET", per_chunk * block.dim**2)
     assert np.max(np.abs(riesz_projection(op, contour) - ref)) <= 1e-14
-    full, rest = divmod(contour.nodes, per_chunk)
+    full, rest = divmod(contour.nodes // 2 + 1, per_chunk)
     assert calls == [per_chunk] * full + ([rest] if rest else [])
 
 

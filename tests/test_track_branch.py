@@ -9,9 +9,9 @@ ladder.
 the Kato disk by the bound DISK_RHO - |mu|, solves the others' even
 sectors only, and computes a disk sample's dense check only where the
 bound leaves a decision open; the two must make the same decisions, bit
-for bit.  Only ``oracle_dev`` (over the densely certified samples)
-differs.  The record holds no gaps; a disk sample's bound is checked
-against the reference's dense gap on its own.
+for bit.  The record holds no gaps; a disk sample's bound is checked
+against the reference's dense gap on its own, and every simple sample's
+value against the reference's dense spectrum.
 """
 
 import math
@@ -38,8 +38,7 @@ from kbmlab.eig import MIN_STEPS, STEP_X, _checkpoint_params, collision_threshol
 
 from conftest import assembled_odd_sector, parity_eigvals, property_block, stack_of
 
-# the fields that carry the continuation's decisions; oracle_dev is
-# compared on its own
+# the fields that carry the continuation's decisions
 FIELDS = (
     "x_samples", "mu_values", "simple", "status", "reason", "x_collision",
     "checkpoint_index",
@@ -87,7 +86,7 @@ def _reference_track(block, coeffs, x_target, checkpoints=(), checks=None):
     s_cur, x_cur, mu_cur, s_prev, mu_prev = 0.0, 0.0, 0j, None, 0j
     last_gap = gap0
     last_nu = 1.0 + 0j if block.dim > 1 else None
-    ep_tried, oracle_dev = False, 0.0
+    ep_tried = False
     eigs_cur = eig.eig_dense(sector.at(0.0))
     status, reason, x_coll = "complete", "", None
     ds, easy, nxt, landed = ds_base, 0, 0, []
@@ -124,7 +123,6 @@ def _reference_track(block, coeffs, x_target, checkpoints=(), checks=None):
                 break
             continue
         dev, gap, last_nu = _union_check(even, odd, mu_new)
-        oracle_dev = max(oracle_dev, dev)
         if checks is not None:
             checks.append((dev, gap))
         last_gap = gap
@@ -156,15 +154,15 @@ def _reference_track(block, coeffs, x_target, checkpoints=(), checks=None):
             easy = 0
     return kbmlab.eig.EigenBranch(
         sector=sector, x_samples=np.array(xs), mu_values=np.array(mus),
-        simple=np.array(simples), status=status, reason=reason, x_collision=x_coll, oracle_dev=oracle_dev, checkpoint_index=tuple(landed),
+        simple=np.array(simples), status=status, reason=reason, x_collision=x_coll, checkpoint_index=tuple(landed),
     )
 
 
 def _assert_same_record(br, ref, checks):
     """Every decision of ``br`` is the reference's, bit for bit; a disk
-    sample's bound RHO - |mu| is at most the reference's dense gap;
-    oracle_dev is the largest of the reference's deviations over the
-    samples outside the disk."""
+    sample's bound RHO - |mu| is at most the reference's dense gap; every
+    simple sample lies within 1e-9 (1 + |mu|) of the nearest eigenvalue of
+    the reference's dense spectrum."""
     for name in FIELDS:
         a, b = getattr(br, name), getattr(ref, name)
         if isinstance(a, np.ndarray):
@@ -178,7 +176,8 @@ def _assert_same_record(br, ref, checks):
     devs = [dev for dev, _ in checks]
     gaps = np.array([gap for _, gap in checks])
     assert np.all(RHO - np.abs(br.mu_values[1:][disk[1:]]) <= gaps[disk[1:]])
-    assert br.oracle_dev == max([d for d, k in zip(devs, disk[1:]) if not k], default=0.0)
+    for dev, mu, simple in zip(devs, br.mu_values[1:], br.simple[1:]):
+        assert dev <= 1e-9 * (1.0 + abs(mu)) or not simple
 
 
 def _recording_sectors(monkeypatch):
